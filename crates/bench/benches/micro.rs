@@ -3,14 +3,16 @@
 //! (Algorithm 2), Bayesian belief updates (Algorithm 5), heartbeat
 //! processing (Algorithm 4, Event 1), and the wire codec.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffuse_bayes::BeliefEstimator;
 use diffuse_bench::{fixture, fixture_tree};
 use diffuse_core::{
-    optimize, optimize_greedy, reach, Actions, AdaptiveBroadcast, AdaptiveParams, LegacyTickShim,
-    MessageVector, Protocol, ProtocolActor,
+    optimize, optimize_greedy, reach, Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId,
+    DataMessage, LegacyTickShim, Message, MessageVector, NetworkKnowledge, OptimalBroadcast,
+    Payload, Protocol, ProtocolActor, SharedWireTree, WireTree,
 };
 use diffuse_experiments::scale::{converged_params, KernelOrderSystem};
 use diffuse_graph::maximum_reliability_tree;
@@ -63,6 +65,59 @@ fn bench_reach_and_optimize(c: &mut Criterion) {
             |b, t| b.iter(|| optimize_greedy(t, 0.9999).unwrap()),
         );
     }
+    group.finish();
+}
+
+/// One first receipt of a data message at an interior node of the
+/// n = 240 MRT: deliver, then forward to the children in the shipped
+/// tree. `fresh` hands every receipt its own tree instance, as a decoded
+/// frame is on the fabric and UDP paths — validate, `from_wire`,
+/// `optimize`, every time. `shared` hands every receipt the one
+/// instance whose plan an earlier receiver already derived, as the sim
+/// kernel and `ShardedKernel` do for all but the first of n receivers.
+fn bench_plan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plan");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3));
+    let (topology, config) = fixture(240, 8, 0.07);
+    let tree = fixture_tree(240, 8, 0.07);
+    let root = ProcessId::new(0);
+    let receiver = tree.children(root)[0];
+    let mut node =
+        OptimalBroadcast::new(receiver, NetworkKnowledge::exact(topology, config), 0.9999);
+    let mut actions = Actions::new();
+    let mut seq = 0u64;
+    let mut first_receipt = |tree: SharedWireTree| {
+        seq += 1;
+        let id = BroadcastId { origin: root, seq };
+        let payload = Payload::from("m");
+        actions.clear();
+        node.handle_message(
+            SimTime::new(seq),
+            root,
+            Message::Data(DataMessage { id, payload, tree }),
+            &mut actions,
+        );
+        actions.sends().len()
+    };
+    let wire = tree.to_wire();
+    let (_, nodes, parent, lambda) = wire.parts();
+    group.bench_function("first_receipt_n240_fresh", |b| {
+        b.iter(|| {
+            let decoded =
+                WireTree::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec());
+            first_receipt(Arc::new(decoded.expect("well-formed")))
+        })
+    });
+    let shared = Arc::new(wire);
+    assert!(
+        first_receipt(Arc::clone(&shared)) > 0,
+        "the receiver forwards"
+    );
+    group.bench_function("first_receipt_n240_shared", |b| {
+        b.iter(|| first_receipt(Arc::clone(&shared)))
+    });
     group.finish();
 }
 
@@ -468,6 +523,7 @@ criterion_group!(
     benches,
     bench_mrt,
     bench_reach_and_optimize,
+    bench_plan,
     bench_bayes,
     bench_heartbeat_processing,
     bench_delta_view_ops,

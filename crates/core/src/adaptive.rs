@@ -1595,21 +1595,17 @@ impl Protocol for AdaptiveBroadcast {
         }
         let knowledge = self.knowledge_snapshot();
         let tree = knowledge.reliability_tree(self.id)?;
-        let wire = Arc::new(tree.to_wire());
+        let k = self.params.target_reliability;
+        let wire = Arc::new(tree.to_planned_wire(k));
         let id = BroadcastId {
             origin: self.id,
             seq: self.next_bcast_seq,
         };
+        // A believed λ of 1 (or an invalid target) fails here, before
+        // the id is spent or marked seen.
+        propagate(self.id, id, &payload, &wire, k, actions)?;
         self.next_bcast_seq += 1;
         self.seen.insert(id);
-        propagate(
-            self.id,
-            id,
-            &payload,
-            &wire,
-            self.params.target_reliability,
-            actions,
-        )?;
         self.delivered.push((id, payload.clone()));
         actions.deliver(id, payload);
         Ok(id)
@@ -2066,6 +2062,37 @@ mod tests {
         b.handle_message(SimTime::new(32), p(0), m, &mut b_actions);
         assert_eq!(b.protocol().delivered().len(), 1);
         assert!(b_actions.sends().iter().all(|(to, _)| *to == p(2)));
+    }
+
+    #[test]
+    fn failed_broadcast_spends_no_id_and_marks_nothing_seen() {
+        let (mut a, mut b, mut c) = line3();
+        for t in 1..=30u64 {
+            exchange(&mut [&mut a, &mut b, &mut c], SimTime::new(t));
+        }
+        // Belief means stay below 1, so the reachable failure past
+        // `KnowledgeIncomplete` is the target itself: K = 1 is rejected
+        // by `optimize` (as a believed λ = 1 would be), after the tree
+        // is built.
+        let k = a.protocol().params.target_reliability;
+        a.protocol_mut().params.target_reliability = 1.0;
+        let mut actions = Actions::new();
+        assert!(matches!(
+            a.broadcast(SimTime::new(31), Payload::from("x"), &mut actions),
+            Err(CoreError::InvalidTarget(_))
+        ));
+        assert!(actions.is_empty());
+        let first = BroadcastId {
+            origin: p(0),
+            seq: 0,
+        };
+        assert!(!a.protocol().seen.contains(&first));
+
+        a.protocol_mut().params.target_reliability = k;
+        let id = a
+            .broadcast(SimTime::new(32), Payload::from("x"), &mut actions)
+            .unwrap();
+        assert_eq!(id, first);
     }
 
     #[test]

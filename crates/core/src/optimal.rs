@@ -8,18 +8,18 @@ use diffuse_sim::SimTime;
 
 use crate::protocol::{Actions, BroadcastId, DataMessage, Event, Message, Payload, Protocol};
 use crate::tree::SharedWireTree;
-use crate::{optimize, CoreError, NetworkKnowledge, ReliabilityTree};
+use crate::{CoreError, NetworkKnowledge};
 
 /// Forwards a data message to the executing process's children in the
 /// wire tree, sending the per-link counts computed by `optimize`
 /// (Algorithm 1's `propagate`). Shared by the optimal and adaptive
-/// protocols.
+/// protocols. Nothing is sent when it fails.
 ///
 /// # Errors
 ///
 /// * [`CoreError::MalformedWireTree`] if the wire tree is inconsistent;
 /// * [`CoreError::NotInTree`] if `self_id` does not appear in the tree;
-/// * any [`optimize`] error.
+/// * any [`optimize`](crate::optimize) error.
 pub(crate) fn propagate(
     self_id: ProcessId,
     id: BroadcastId,
@@ -28,14 +28,8 @@ pub(crate) fn propagate(
     k: f64,
     actions: &mut Actions,
 ) -> Result<(), CoreError> {
-    let tree = ReliabilityTree::from_wire(wire)?;
-    if !tree.tree().contains(self_id) {
-        return Err(CoreError::NotInTree(self_id));
-    }
-    let plan = optimize(&tree, k)?;
-    for &child in tree.children(self_id) {
-        let j = tree.index_of(child).expect("children have link indices");
-        for _ in 0..plan.count(j) {
+    for (child, copies) in wire.forwards(self_id, k)? {
+        for _ in 0..copies {
             actions.send(
                 child,
                 Message::Data(DataMessage {
@@ -116,7 +110,7 @@ impl OptimalBroadcast {
             return Ok(Arc::clone(tree));
         }
         let tree = self.knowledge.reliability_tree(self.id)?;
-        let wire: SharedWireTree = Arc::new(tree.to_wire());
+        let wire: SharedWireTree = Arc::new(tree.to_planned_wire(self.target));
         self.cached_tree = Some(Arc::clone(&wire));
         Ok(wire)
     }
@@ -174,9 +168,11 @@ impl Protocol for OptimalBroadcast {
             origin: self.id,
             seq: self.next_seq,
         };
+        // An unreachable or invalid target fails here, before the id is
+        // spent or marked seen.
+        propagate(self.id, id, &payload, &wire, self.target, actions)?;
         self.next_seq += 1;
         self.seen.insert(id);
-        propagate(self.id, id, &payload, &wire, self.target, actions)?;
         self.delivered.push((id, payload.clone()));
         actions.deliver(id, payload);
         Ok(id)
@@ -320,6 +316,41 @@ mod tests {
     }
 
     #[test]
+    fn failed_broadcast_spends_no_id_and_marks_nothing_seen() {
+        // Line 0-1-2 whose second link loses everything: λ = 1, so no
+        // number of copies reaches the target.
+        let mut g = Topology::new();
+        g.add_link(p(0), p(1)).unwrap();
+        let dead = g.add_link(p(1), p(2)).unwrap();
+        let mut c = Configuration::uniform(&g, Probability::ZERO, Probability::new(0.1).unwrap());
+        c.set_loss(dead, Probability::ONE);
+        let mut node = OptimalBroadcast::new(p(0), NetworkKnowledge::exact(g, c), 0.999);
+
+        let mut actions = Actions::new();
+        assert!(matches!(
+            node.broadcast(SimTime::ZERO, Payload::from("m"), &mut actions),
+            Err(CoreError::TargetUnreachable { .. })
+        ));
+        assert!(actions.is_empty());
+        let first = BroadcastId {
+            origin: p(0),
+            seq: 0,
+        };
+        assert!(!node.has_seen(first));
+        assert!(node.delivered().is_empty());
+
+        // The link heals (exact knowledge is replaced wholesale): the
+        // next broadcast is the node's first.
+        node.knowledge = line_knowledge();
+        node.cached_tree = None;
+        let id = node
+            .broadcast(SimTime::new(1), Payload::from("m"), &mut actions)
+            .unwrap();
+        assert_eq!(id, first);
+        assert!(node.has_seen(first));
+    }
+
+    #[test]
     fn tree_cache_is_reused_across_broadcasts() {
         let mut node = OptimalBroadcast::new(p(0), line_knowledge(), 0.999);
         let mut actions = Actions::new();
@@ -336,5 +367,109 @@ mod tests {
             })
             .collect();
         assert!(trees.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    mod plan_memo {
+        use super::*;
+        use crate::tree::WireTree;
+        use crate::{optimize, ReliabilityTree};
+        use proptest::prelude::*;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        const STRANGER: u32 = 10_000;
+
+        /// `propagate` as it was before the memo: derive on every call,
+        /// forward from the labelled tree.
+        fn reference(me: ProcessId, wire: &WireTree, k: f64) -> Result<Vec<ProcessId>, CoreError> {
+            let tree = ReliabilityTree::from_wire(wire)?;
+            if !tree.tree().contains(me) {
+                return Err(CoreError::NotInTree(me));
+            }
+            let plan = optimize(&tree, k)?;
+            let mut sends = Vec::new();
+            for &child in tree.children(me) {
+                let j = tree.index_of(child).expect("children have link indices");
+                sends.extend((0..plan.count(j)).map(|_| child));
+            }
+            Ok(sends)
+        }
+
+        fn destinations(
+            me: ProcessId,
+            wire: &SharedWireTree,
+            k: f64,
+        ) -> Result<Vec<ProcessId>, CoreError> {
+            let id = BroadcastId {
+                origin: wire.root(),
+                seq: 7,
+            };
+            let mut actions = Actions::new();
+            let sent = propagate(me, id, &Payload::from("m"), wire, k, &mut actions);
+            if sent.is_err() {
+                assert!(actions.is_empty(), "a failed propagate sent something");
+            }
+            sent.map(|()| actions.sends().iter().map(|(to, _)| *to).collect())
+        }
+
+        proptest! {
+            /// Forwarding from a shared, memo-filled instance is
+            /// forwarding from a private, memo-empty one, and both are
+            /// the per-call derivation: same destinations, order and
+            /// counts — or same error — for every member and a stranger,
+            /// on any wire order, for a receiver with another `K`, from
+            /// the origin's seeded instance, and on trees no decoder
+            /// would let through.
+            #[test]
+            fn prop_memoised_forwarding_equals_per_call_derivation(
+                lambdas in proptest::collection::vec(0.0f64..0.99, 1..10),
+                seed in any::<u64>(),
+                k_pick in 0usize..3,
+                hostile in 0usize..5,
+            ) {
+                const KS: [f64; 3] = [0.9, 0.999, 0.999999];
+                let (k, other_k) = (KS[k_pick], KS[(k_pick + 1) % 3]);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let n = lambdas.len();
+                // Ids land on wire positions at random, so siblings are
+                // rarely in ascending wire order.
+                let mut nodes: Vec<ProcessId> = (0..=n as u32).map(ProcessId::new).collect();
+                nodes.shuffle(&mut rng);
+                let mut parent: Vec<u32> = (0..n as u32).map(|i| rng.gen_range(0..=i)).collect();
+                let mut lambda = lambdas;
+                match hostile {
+                    1 => parent[0] = 1,        // forward parent
+                    2 => nodes[n] = nodes[0],  // duplicate node
+                    3 => lambda[n - 1] = 1.5,  // λ out of range
+                    4 => lambda[0] = 1.0,      // well-formed, target unreachable
+                    _ => {}
+                }
+                let private =
+                    || Arc::new(WireTree::unchecked(nodes.clone(), parent.clone(), lambda.clone()));
+                let shared = private();
+                let mut receivers = nodes.clone();
+                receivers.push(ProcessId::new(STRANGER));
+
+                for &me in &receivers {
+                    let fresh = private();
+                    prop_assert!(!fresh.is_planned());
+                    let expected = reference(me, &fresh, k);
+                    prop_assert_eq!(&destinations(me, &fresh, k), &expected);
+                    prop_assert_eq!(&destinations(me, &shared, k), &expected);
+                    prop_assert!(shared.is_planned());
+                    // Another K is served without disturbing the memo.
+                    prop_assert_eq!(destinations(me, &shared, other_k), reference(me, &fresh, other_k));
+                    prop_assert_eq!(&destinations(me, &shared, k), &expected);
+                }
+
+                if let Ok(tree) = ReliabilityTree::from_wire(&shared) {
+                    let seeded = Arc::new(tree.to_planned_wire(k));
+                    prop_assert!(seeded.is_planned());
+                    for &me in &receivers {
+                        prop_assert_eq!(destinations(me, &seeded, k), reference(me, &shared, k));
+                    }
+                }
+            }
+        }
     }
 }

@@ -155,7 +155,7 @@ pub enum FaultAction {
     /// executes this through `Simulation::force_down`; the fabric executes
     /// it *cooperatively* — the node's runtime drops inbound traffic and
     /// suppresses timers for the window, then fires
-    /// [`Event::Recovery`](crate::Event::Recovery) — so no substrate
+    /// [`Event::Recovery`] — so no substrate
     /// reports it as skipped.
     Crash {
         /// The crashing process.

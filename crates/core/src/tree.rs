@@ -1,12 +1,13 @@
 //! Reliability-labelled trees and their wire representation.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use diffuse_graph::SpanningTree;
 use diffuse_model::{Configuration, ProcessId};
 
-use crate::CoreError;
+use crate::{optimize, CoreError};
 
 /// A spanning tree labelled for the optimization problem of Section 3.2.
 ///
@@ -166,8 +167,32 @@ impl ReliabilityTree {
             nodes,
             parent,
             lambda,
+            plan: OnceLock::new(),
         }
     }
+
+    /// [`to_wire`](Self::to_wire) with the forwarding plan for target
+    /// `k` already derived from `self`: the origin holds the labelled
+    /// tree, so it skips the `from_wire` round trip (which rebuilds
+    /// exactly `self`) that its receivers would otherwise start from.
+    pub(crate) fn to_planned_wire(&self, k: f64) -> WireTree {
+        let mut wire = self.to_wire();
+        wire.plan = OnceLock::from(PlanMemo {
+            k_bits: k.to_bits(),
+            counts: wire.counts_from(self, k),
+        });
+        wire
+    }
+}
+
+/// What forwarding needs from one `from_wire` + `optimize` derivation.
+#[derive(Clone)]
+struct PlanMemo {
+    /// Bits of the target `K` the derivation ran with.
+    k_bits: u64,
+    /// Copies per link — `counts[i]` for the link into `nodes[i + 1]` —
+    /// or the error the derivation ended in.
+    counts: Result<Vec<u32>, CoreError>,
 }
 
 /// The serializable tree representation attached to data messages.
@@ -183,12 +208,37 @@ impl ReliabilityTree {
 /// * `parent.len() == lambda.len() == nodes.len() - 1`;
 /// * `parent[i] < i + 1` (parents precede children — BFS order);
 /// * every λ is a finite value in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every receiver of one instance derives the same plan from it, so the
+/// first derivation is kept in a write-once memo. The memo is no part of
+/// the value: equality, `Debug`, [`parts`](WireTree::parts) and the
+/// codec ignore it, and a tree built by [`from_parts`](WireTree::from_parts)
+/// — every decoded frame — starts without one and is validated by its
+/// own receiver.
+#[derive(Clone)]
 pub struct WireTree {
-    pub(crate) root: ProcessId,
-    pub(crate) nodes: Vec<ProcessId>,
-    pub(crate) parent: Vec<u32>,
-    pub(crate) lambda: Vec<f64>,
+    root: ProcessId,
+    nodes: Vec<ProcessId>,
+    parent: Vec<u32>,
+    lambda: Vec<f64>,
+    plan: OnceLock<PlanMemo>,
+}
+
+impl PartialEq for WireTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl fmt::Debug for WireTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireTree")
+            .field("root", &self.root)
+            .field("nodes", &self.nodes)
+            .field("parent", &self.parent)
+            .field("lambda", &self.lambda)
+            .finish()
+    }
 }
 
 impl WireTree {
@@ -229,6 +279,7 @@ impl WireTree {
             nodes,
             parent,
             lambda,
+            plan: OnceLock::new(),
         };
         wire.validate()?;
         Ok(wire)
@@ -237,6 +288,69 @@ impl WireTree {
     /// Approximate encoded size in bytes (for bandwidth accounting).
     pub fn wire_size(&self) -> usize {
         4 + self.nodes.len() * 4 + self.parent.len() * 4 + self.lambda.len() * 8
+    }
+
+    /// The copies `self_id` sends to each of its children to meet target
+    /// `k`, children in ascending id order (the
+    /// [`SpanningTree::children`] order).
+    ///
+    /// The first call derives the whole tree's counts through
+    /// [`ReliabilityTree::from_wire`] and [`optimize`] and keeps them;
+    /// later calls with the same `k` — every other receiver of this
+    /// instance — only look their children up. A differing `k` derives
+    /// afresh and keeps nothing.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::MalformedWireTree`] if the tree is inconsistent;
+    /// * [`CoreError::NotInTree`] if `self_id` does not appear in it;
+    /// * any [`optimize`] error.
+    pub(crate) fn forwards(
+        &self,
+        self_id: ProcessId,
+        k: f64,
+    ) -> Result<Vec<(ProcessId, u32)>, CoreError> {
+        let memo = self.plan.get_or_init(|| PlanMemo {
+            k_bits: k.to_bits(),
+            counts: self.derive_counts(k),
+        });
+        let fresh;
+        let counts = if memo.k_bits == k.to_bits() {
+            &memo.counts
+        } else {
+            fresh = self.derive_counts(k);
+            &fresh
+        };
+        // As without the memo: a malformed tree is that to everyone,
+        // and a well-formed one misses a stranger before it is optimized.
+        let me = self.nodes.iter().position(|&p| p == self_id);
+        let (counts, me) = match (counts, me) {
+            (Err(e @ CoreError::MalformedWireTree(_)), _) => return Err(e.clone()),
+            (_, None) => return Err(CoreError::NotInTree(self_id)),
+            (Err(e), _) => return Err(e.clone()),
+            (Ok(counts), Some(me)) => (counts, me),
+        };
+        let mut forwards: Vec<_> = (0..counts.len())
+            .filter(|&i| self.parent[i] as usize == me)
+            .map(|i| (self.nodes[i + 1], counts[i]))
+            .collect();
+        forwards.sort_unstable();
+        Ok(forwards)
+    }
+
+    fn derive_counts(&self, k: f64) -> Result<Vec<u32>, CoreError> {
+        self.counts_from(&ReliabilityTree::from_wire(self)?, k)
+    }
+
+    /// `optimize(tree, k)` re-indexed by wire position; `tree` is
+    /// `from_wire(self)`.
+    fn counts_from(&self, tree: &ReliabilityTree, k: f64) -> Result<Vec<u32>, CoreError> {
+        let plan = optimize(tree, k)?;
+        let link = |p| tree.index_of(p).expect("every non-root node has a link");
+        Ok(self.nodes[1..]
+            .iter()
+            .map(|&p| plan.count(link(p)))
+            .collect())
     }
 
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
@@ -283,6 +397,27 @@ mod tests {
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Test access for this crate's suites (private fields are in
+    /// reach of this module only).
+    impl WireTree {
+        /// A tree that skipped validation, as no decoder or constructor
+        /// yields one: the input `from_wire`'s own checks exist for.
+        pub(crate) fn unchecked(nodes: Vec<ProcessId>, parent: Vec<u32>, lambda: Vec<f64>) -> Self {
+            WireTree {
+                root: nodes[0],
+                nodes,
+                parent,
+                lambda,
+                plan: OnceLock::new(),
+            }
+        }
+
+        /// Whether the plan memo is filled.
+        pub(crate) fn is_planned(&self) -> bool {
+            self.plan.get().is_some()
+        }
     }
 
     fn sample_tree() -> (SpanningTree, Configuration) {
@@ -374,6 +509,35 @@ mod tests {
         assert!(WireTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![1.5]).is_err());
         // Empty.
         assert!(WireTree::from_parts(p(0), vec![], vec![], vec![]).is_err());
+    }
+
+    #[test]
+    fn plan_memo_is_no_part_of_the_value() {
+        let (tree, config) = sample_tree();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &config).unwrap();
+        let fresh = rt.to_wire();
+        let (root, nodes, parent, lambda) = fresh.parts();
+        let rebuilt =
+            WireTree::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec()).unwrap();
+        assert!(!fresh.is_planned() && !rebuilt.is_planned());
+
+        let (debug, size) = (format!("{fresh:?}"), fresh.wire_size());
+        let derived = fresh.clone();
+        derived.forwards(p(1), 0.999).unwrap();
+        let seeded = rt.to_planned_wire(0.999);
+        let failed = fresh.clone();
+        assert!(failed.forwards(p(0), 2.0).is_err());
+        for filled in [&derived, &seeded, &failed] {
+            assert!(filled.is_planned());
+            assert_eq!(filled, &fresh);
+            assert_eq!(filled.parts(), fresh.parts());
+            assert_eq!(format!("{filled:?}"), debug);
+            assert_eq!(filled.wire_size(), size);
+        }
+        // The origin's seed is what a receiver would have derived.
+        for q in [p(0), p(1), p(2), p(3)] {
+            assert_eq!(seeded.forwards(q, 0.999), fresh.forwards(q, 0.999));
+        }
     }
 
     #[test]

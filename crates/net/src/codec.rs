@@ -251,6 +251,9 @@ fn get_wire_tree(buf: &mut &[u8]) -> Result<WireTree, NetError> {
     for _ in 0..n - 1 {
         lambdas.push(get_f64(buf)?);
     }
+    // `from_parts` validates and yields a tree with an empty plan memo:
+    // nothing derived in the sender's address space crosses the wire,
+    // and this frame's receiver derives its own forwarding plan.
     WireTree::from_parts(root, nodes, parents, lambdas)
         .map_err(|_| NetError::Invalid("malformed wire tree"))
 }
@@ -493,6 +496,49 @@ mod tests {
             let back = decode_message(&frame).expect("round trip");
             assert_eq!(back, message);
         }
+    }
+
+    /// The plan memo on a wire tree is no part of the frame: a tree
+    /// whose memo was filled (seeded by the origin, then used by a
+    /// receiver) encodes to the bytes of its never-used decoded twin,
+    /// compares and prints equal to it, and a receiver handed the
+    /// decoded copy forwards exactly what a receiver of the in-process
+    /// instance forwards.
+    #[test]
+    fn plan_memo_never_reaches_the_wire() {
+        use diffuse_core::{Actions, NetworkKnowledge, OptimalBroadcast, Protocol};
+        use diffuse_model::{Configuration, Probability};
+        use diffuse_sim::SimTime;
+
+        let mut g = Topology::new();
+        g.add_link(p(0), p(1)).unwrap();
+        g.add_link(p(1), p(2)).unwrap();
+        g.add_link(p(1), p(3)).unwrap();
+        let c = Configuration::uniform(&g, Probability::ZERO, Probability::new(0.2).unwrap());
+        let node =
+            |i| OptimalBroadcast::new(p(i), NetworkKnowledge::exact(g.clone(), c.clone()), 0.999);
+
+        let mut actions = Actions::new();
+        node(0)
+            .broadcast(SimTime::ZERO, Payload::from("m"), &mut actions)
+            .unwrap();
+        let (_, in_process) = actions.take_sends().remove(0);
+        let pristine = encode_message(&in_process);
+        let decoded = decode_message(&pristine).expect("round trip");
+
+        let forwards = |message: &Message| {
+            let mut actions = Actions::new();
+            node(1).handle_message(SimTime::new(1), p(0), message.clone(), &mut actions);
+            actions.take_sends()
+        };
+        let from_shared = forwards(&in_process);
+        assert!(!from_shared.is_empty());
+        assert_eq!(forwards(&decoded), from_shared);
+        // Both trees have now served a receiver; neither changed.
+        assert_eq!(encode_message(&in_process), pristine);
+        assert_eq!(encode_message(&decoded), pristine);
+        assert_eq!(decoded, in_process);
+        assert_eq!(format!("{decoded:?}"), format!("{in_process:?}"));
     }
 
     /// A delta frame of one changed entry is far smaller than the full

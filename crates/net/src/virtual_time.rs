@@ -434,7 +434,7 @@ impl VirtualNet {
     }
 
     /// Opens a corruption window on `id`'s protocol stack by granting
-    /// it a [`Turn::Corrupt`] — the fabric's hook for
+    /// it a `Turn::Corrupt` — the fabric's hook for
     /// `FaultAction::Corrupt`. Mirrors the kernel's `Simulation::command`
     /// semantics: starts the net if needed and refuses (returns
     /// `false`, running no handler) when the process is unknown, down,

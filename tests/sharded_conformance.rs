@@ -11,7 +11,7 @@
 //! segment barriers with nothing skipped.
 
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
-use diffuse::core::{Payload, ReferenceGossip};
+use diffuse::core::{NetworkKnowledge, OptimalBroadcast, Payload, ReferenceGossip};
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
 use diffuse::sim::SimTime;
@@ -172,6 +172,38 @@ fn scripted_faults_execute_at_barriers_with_none_skipped() {
         let sharded = run_sharded(&scenario, horizon, workers);
         assert_eq!(sharded.skipped_faults, 0, "{workers} workers");
         assert_eq!(kernel, sharded, "{workers} workers");
+    }
+}
+
+/// `OptimalBroadcast` ships one shared wire tree per origin, and the
+/// first process to forward from an instance fills its plan memo for
+/// everyone else — at W > 1 from whichever worker thread gets there
+/// first. The memo holds what each receiver would have derived, so the
+/// race cannot show: one worker replays the kernel exactly and four
+/// workers replay themselves byte for byte, lossy links included.
+#[test]
+fn optimal_broadcast_shares_its_plan_memo_across_workers() {
+    for seed in [3u64, 17, 0xFEED] {
+        let (scenario, horizon) = lossy_scenario(seed);
+        let knowledge = NetworkKnowledge::exact(scenario.topology.clone(), scenario.config.clone());
+        let make = |id| OptimalBroadcast::new(id, knowledge.clone(), 0.999);
+
+        let kernel = scenario.run_sim(horizon, make);
+        assert!(
+            kernel.delivered.values().all(|&n| n > 0),
+            "every process must deliver something: {kernel:?}"
+        );
+        assert_eq!(kernel.failed_broadcasts, 0, "seed {seed}");
+        let single = scenario.run_sim_sharded(horizon, 1, make);
+        assert_eq!(kernel, single, "seed {seed}");
+
+        let first = scenario.run_sim_sharded(horizon, 4, make);
+        let again = scenario.run_sim_sharded(horizon, 4, make);
+        assert_eq!(
+            format!("{first:?}"),
+            format!("{again:?}"),
+            "seed {seed}, 4 workers: reports must be byte-identical"
+        );
     }
 }
 
