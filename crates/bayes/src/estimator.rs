@@ -83,7 +83,11 @@ impl BeliefEstimator {
     }
 
     /// Reconstructs an estimator from raw belief values (e.g. decoded
-    /// from the wire). The vector is normalized to sum to one.
+    /// from the wire). A vector that already sums to one (within 1e-9)
+    /// is adopted bit for bit — every update normalizes, so an honest
+    /// peer's vector is off by a few ULP at most, and dividing by that
+    /// sum again would hand the receiver different bits than the sender
+    /// holds. Anything else is normalized to sum to one.
     ///
     /// # Errors
     ///
@@ -103,9 +107,13 @@ impl BeliefEstimator {
         if sum <= 0.0 {
             return Err(sum);
         }
-        let normalized = beliefs.into_iter().map(|b| b / sum).collect();
+        let beliefs = if (sum - 1.0).abs() <= 1e-9 {
+            beliefs
+        } else {
+            beliefs.into_iter().map(|b| b / sum).collect()
+        };
         Ok(BeliefEstimator {
-            beliefs: Arc::new(normalized),
+            beliefs: Arc::new(beliefs),
             undo_checkpoint: None,
         })
     }

@@ -45,10 +45,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
+use diffuse_sim::{Context, CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
 
 use crate::adversary::{Containment, CorruptionMode, ProtocolAudit};
-use crate::protocol::{Event, Payload, Protocol, ProtocolActor};
+use crate::protocol::{Event, Message, Payload, Protocol, ProtocolActor};
 
 /// One scripted broadcast: at `at`, `origin` broadcasts `payload`.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,9 +195,9 @@ pub enum FaultAction {
 /// link's loss and force a process down. [`FaultAction::apply`] maps
 /// every fault variant onto these, so the mapping exists exactly once.
 ///
-/// Implemented by the simulation kernel's [`Simulation`] directly;
-/// `diffuse-net`'s fabric runners supply small adapters over their
-/// control handles.
+/// Implemented for [`Simulation`] and [`ShardedKernel`] over
+/// [`ProtocolActor`]s (see [`Executor`]); `diffuse-net`'s fabric runners
+/// supply small adapters over their control handles.
 pub trait FaultSink {
     /// Overrides one link's loss probability for future transmissions.
     fn set_loss(&mut self, link: LinkId, loss: Probability);
@@ -217,36 +217,6 @@ pub trait FaultSink {
     fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
         let _ = (d, window);
         false
-    }
-}
-
-impl<A: diffuse_sim::Actor> FaultSink for Simulation<A> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        Simulation::set_loss(self, link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        Simulation::force_down(self, process, down_ticks);
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        Simulation::set_message_adversary(self, d, window);
-        true
-    }
-}
-
-impl<A: diffuse_sim::Actor> FaultSink for ShardedKernel<A> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        ShardedKernel::set_loss(self, link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        ShardedKernel::force_down(self, process, down_ticks);
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        ShardedKernel::set_message_adversary(self, d, window);
-        true
     }
 }
 
@@ -392,8 +362,16 @@ impl Scenario {
 
     /// Instantiates the scenario on the simulation kernel, one protocol
     /// per process built by `make`.
-    pub fn sim<P: Protocol>(&self, make: impl FnMut(ProcessId) -> P) -> ScenarioSim<P> {
-        ScenarioSim::new(self, make)
+    pub fn sim<P: Protocol>(&self, mut make: impl FnMut(ProcessId) -> P) -> ScenarioSim<P> {
+        ScenarioRun::over(
+            self,
+            Simulation::new(
+                self.topology.clone(),
+                self.config.clone(),
+                |id| ProtocolActor::new(make(id)),
+                self.sim_options(),
+            ),
+        )
     }
 
     /// Convenience: instantiate on the kernel, run `ticks`, report.
@@ -414,9 +392,18 @@ impl Scenario {
     pub fn sim_sharded<P: Protocol + Send>(
         &self,
         workers: usize,
-        make: impl FnMut(ProcessId) -> P,
+        mut make: impl FnMut(ProcessId) -> P,
     ) -> ShardedScenarioSim<P> {
-        ShardedScenarioSim::new(self, workers, make)
+        ScenarioRun::over(
+            self,
+            ShardedKernel::new(
+                self.topology.clone(),
+                self.config.clone(),
+                |id| ProtocolActor::new(make(id)),
+                self.sim_options(),
+                workers,
+            ),
+        )
     }
 
     /// Convenience: instantiate on the sharded executor, run `ticks`,
@@ -647,13 +634,103 @@ impl ScriptSchedule {
     }
 }
 
-/// A scenario instantiated on the simulation kernel: owns the
-/// [`Simulation`] plus a [`ScriptSchedule`] over the workload and fault
-/// scripts, and applies script events at exactly their scheduled times
-/// while the clock advances (fast-forwarding through idle stretches
-/// whenever the kernel allows it).
-pub struct ScenarioSim<P: Protocol> {
-    sim: Simulation<ProtocolActor<P>>,
+/// What the scenario driver needs from an actor executor, beyond the
+/// fault hooks of [`FaultSink`]: a clock, a way to advance it, commands
+/// against one process's [`ProtocolActor`], and read access to the
+/// protocols and wire metrics. Implemented by [`Simulation`] and
+/// [`ShardedKernel`] over [`ProtocolActor`]s — the two executors expose
+/// the same inherent surface, so both impls come from one macro body.
+pub trait Executor: FaultSink {
+    /// The protocol run at every process.
+    type Protocol: Protocol;
+    /// Current simulated time.
+    fn now(&self) -> SimTime;
+    /// Advances `n` ticks, fast-forwarding idle stretches when possible.
+    fn run_ticks(&mut self, n: u64);
+    /// Runs `f` against `id`'s actor with a live context; `false` (and
+    /// nothing run) if the process is unknown or down.
+    fn command(
+        &mut self,
+        id: ProcessId,
+        f: impl FnOnce(&mut ProtocolActor<Self::Protocol>, &mut Context<'_, Message>),
+    ) -> bool;
+    /// `(id, protocol)` pairs in ascending id order.
+    fn protocols(&self) -> impl Iterator<Item = (ProcessId, &Self::Protocol)>;
+    /// Wire metrics so far.
+    fn metrics(&self) -> Metrics;
+}
+
+macro_rules! impl_executor {
+    ($executor:ident, |$sim:ident| $metrics:expr, $($bound:tt)+) => {
+        /// Loss, crash and suppression hooks delegate to the executor;
+        /// corruption windows are injected as [`Event::Corrupt`] through a
+        /// live context, with the resulting sends flushed like any
+        /// handler's (on the sharded executor: by the coordinator between
+        /// segments, so the injection lands at a tick barrier).
+        impl<P: $($bound)+> FaultSink for $executor<ProtocolActor<P>> {
+            fn set_loss(&mut self, link: LinkId, loss: Probability) {
+                $executor::set_loss(self, link, loss);
+            }
+            fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
+                $executor::force_down(self, process, down_ticks);
+            }
+            fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
+                $executor::command(self, process, |actor, ctx| {
+                    actor.inject_event(ctx, Event::Corrupt { mode, window });
+                })
+            }
+            fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
+                $executor::set_message_adversary(self, d, window);
+                true
+            }
+        }
+
+        impl<P: $($bound)+> Executor for $executor<ProtocolActor<P>> {
+            type Protocol = P;
+            fn now(&self) -> SimTime {
+                $executor::now(self)
+            }
+            fn run_ticks(&mut self, n: u64) {
+                $executor::run_ticks(self, n);
+            }
+            fn command(
+                &mut self,
+                id: ProcessId,
+                f: impl FnOnce(&mut ProtocolActor<P>, &mut Context<'_, Message>),
+            ) -> bool {
+                $executor::command(self, id, f)
+            }
+            fn protocols(&self) -> impl Iterator<Item = (ProcessId, &P)> {
+                self.nodes().map(|(id, actor)| (id, actor.protocol()))
+            }
+            fn metrics(&self) -> Metrics {
+                let $sim = self;
+                $metrics
+            }
+        }
+    };
+}
+
+impl_executor!(Simulation, |sim| Simulation::metrics(sim).clone(), Protocol);
+impl_executor!(
+    ShardedKernel,
+    |sim| ShardedKernel::metrics(sim),
+    Protocol + Send
+);
+
+/// A scenario instantiated on an actor [`Executor`]: owns the executor
+/// plus a [`ScriptSchedule`] over the workload and fault scripts, and
+/// applies script events at exactly their scheduled times while the
+/// clock advances (fast-forwarding through idle stretches whenever the
+/// executor allows it). On the sharded executor script events apply on
+/// the coordinator *between* run segments, while no worker thread is
+/// live, so every shard observes each fault at the same tick barrier.
+///
+/// Use it through its two aliases, [`ScenarioSim`] (the kernel) and
+/// [`ShardedScenarioSim`]; being one type, the two cannot drift apart in
+/// script semantics.
+pub struct ScenarioRun<S> {
+    sim: S,
     topology: Topology,
     base_config: Configuration,
     script: ScriptSchedule,
@@ -663,25 +740,24 @@ pub struct ScenarioSim<P: Protocol> {
     corrupt: BTreeSet<ProcessId>,
 }
 
-impl<P: Protocol> std::fmt::Debug for ScenarioSim<P> {
+/// A scenario on the simulation kernel (see [`ScenarioRun`]).
+pub type ScenarioSim<P> = ScenarioRun<Simulation<ProtocolActor<P>>>;
+
+/// A scenario on the sharded executor (see [`ScenarioRun`]).
+pub type ShardedScenarioSim<P> = ScenarioRun<ShardedKernel<ProtocolActor<P>>>;
+
+impl<S: Executor> std::fmt::Debug for ScenarioRun<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioSim")
+        f.debug_struct("ScenarioRun")
             .field("now", &self.sim.now())
             .field("script", &self.script)
             .finish_non_exhaustive()
     }
 }
 
-impl<P: Protocol> ScenarioSim<P> {
-    /// Instantiates `scenario` on the kernel, one protocol per process.
-    pub fn new(scenario: &Scenario, mut make: impl FnMut(ProcessId) -> P) -> Self {
-        let sim = Simulation::new(
-            scenario.topology.clone(),
-            scenario.config.clone(),
-            |id| ProtocolActor::new(make(id)),
-            scenario.sim_options(),
-        );
-        ScenarioSim {
+impl<S: Executor> ScenarioRun<S> {
+    fn over(scenario: &Scenario, sim: S) -> Self {
+        ScenarioRun {
             sim,
             topology: scenario.topology.clone(),
             base_config: scenario.config.clone(),
@@ -691,14 +767,14 @@ impl<P: Protocol> ScenarioSim<P> {
         }
     }
 
-    /// The underlying simulation (metrics, node access, time).
-    pub fn sim(&self) -> &Simulation<ProtocolActor<P>> {
+    /// The underlying executor (metrics, node access, time).
+    pub fn sim(&self) -> &S {
         &self.sim
     }
 
-    /// Mutable access to the underlying simulation (extra fault
+    /// Mutable access to the underlying executor (extra fault
     /// injection, manual commands).
-    pub fn sim_mut(&mut self) -> &mut Simulation<ProtocolActor<P>> {
+    pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
     }
 
@@ -713,23 +789,22 @@ impl<P: Protocol> ScenarioSim<P> {
         self.script.pending()
     }
 
-    /// The earliest unapplied script event or deferred retry strictly
-    /// after `now`.
-    fn next_script_time(&self) -> Option<SimTime> {
-        self.script.next_time()
-    }
-
     /// Applies every script event due at or before the current time —
     /// faults before broadcasts at equal times, each script in time
-    /// order — and retries deferred broadcasts.
-    fn apply_due_events(&mut self) {
+    /// order — and retries deferred broadcasts. Returns the time to run
+    /// to next: the earliest remaining script event, capped at `end`.
+    fn apply_due_events(&mut self, end: SimTime) -> SimTime {
         let now = self.sim.now();
         for action in self.script.due_faults(now) {
-            self.apply_fault(&action);
+            if let FaultAction::Corrupt { process, .. } = &action {
+                self.corrupt.insert(*process);
+            }
+            self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut self.sim);
         }
         for event in self.script.due_broadcasts(now) {
             self.issue_broadcast(event);
         }
+        self.script.next_time().filter(|&t| t <= end).unwrap_or(end)
     }
 
     /// Issues one scripted broadcast. Retryable outcomes — incomplete
@@ -750,21 +825,13 @@ impl<P: Protocol> ScenarioSim<P> {
         }
     }
 
-    fn apply_fault(&mut self, action: &FaultAction) {
-        if let FaultAction::Corrupt { process, .. } = action {
-            self.corrupt.insert(*process);
-        }
-        let mut sink = KernelScriptSink { sim: &mut self.sim };
-        self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut sink);
-    }
-
     /// Containment metrics assembled from per-node protocol audits, the
-    /// scripted liar set, and the kernel's suppression counter.
+    /// scripted liar set, and the executor's suppression counter.
     pub fn containment(&self) -> Containment {
         let audits: BTreeMap<ProcessId, ProtocolAudit> = self
             .sim
-            .nodes()
-            .map(|(id, actor)| (id, actor.protocol().audit()))
+            .protocols()
+            .map(|(id, protocol)| (id, protocol.audit()))
             .collect();
         Containment::assemble(
             &self.corrupt,
@@ -774,8 +841,8 @@ impl<P: Protocol> ScenarioSim<P> {
     }
 
     /// Advances `n` ticks, applying script events at their scheduled
-    /// times. Idle stretches between events fast-forward when the kernel
-    /// allows it.
+    /// times. Idle stretches between events fast-forward when the
+    /// executor allows it.
     ///
     /// An event scheduled exactly at the run's final tick is *not*
     /// applied by this run — its sends could never be delivered inside
@@ -783,17 +850,31 @@ impl<P: Protocol> ScenarioSim<P> {
     /// fabric runner draws the same boundary.
     pub fn run_ticks(&mut self, n: u64) {
         let end = self.sim.now() + n;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                break;
-            }
-            self.apply_due_events();
-            let target = self.next_script_time().filter(|&t| t <= end).unwrap_or(end);
+        while self.sim.now() < end {
+            let target = self.apply_due_events(end);
             self.sim.run_ticks(target - self.sim.now());
         }
     }
 
+    /// The run's outcome so far. Broadcasts still deferred when the
+    /// report is taken count as failed — they never issued. Deliveries
+    /// are listed in id order; shard metrics are merged in shard order.
+    pub fn report(&self) -> ScenarioReport {
+        ScenarioReport {
+            delivered: self
+                .sim
+                .protocols()
+                .map(|(id, protocol)| (id, protocol.delivered().len() as u64))
+                .collect(),
+            failed_broadcasts: self.script.failed_broadcasts() + self.script.pending(),
+            skipped_faults: self.skipped_faults,
+            containment: self.containment(),
+            metrics: Some(self.sim.metrics()),
+        }
+    }
+}
+
+impl<P: Protocol> ScenarioSim<P> {
     /// Runs until `predicate` holds (checked at multiples of
     /// `check_every` ticks), applying script events on the way; gives up
     /// after `max_ticks`.
@@ -804,251 +885,17 @@ impl<P: Protocol> ScenarioSim<P> {
         max_ticks: u64,
     ) -> Option<SimTime> {
         let end = self.sim.now() + max_ticks;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                return None;
-            }
-            self.apply_due_events();
-            let target = self.next_script_time().filter(|&t| t <= end).unwrap_or(end);
-            if let Some(hit) =
-                self.sim
-                    .run_until_every(&mut predicate, check_every, target - self.sim.now())
+        while self.sim.now() < end {
+            let target = self.apply_due_events(end);
+            let budget = target - self.sim.now();
+            if let Some(hit) = self
+                .sim
+                .run_until_every(&mut predicate, check_every, budget)
             {
                 return Some(hit);
             }
         }
-    }
-
-    /// The run's outcome so far. Broadcasts still deferred when the
-    /// report is taken count as failed — they never issued.
-    pub fn report(&self) -> ScenarioReport {
-        ScenarioReport {
-            delivered: self
-                .sim
-                .nodes()
-                .map(|(id, actor)| (id, actor.protocol().delivered().len() as u64))
-                .collect(),
-            failed_broadcasts: self.script.failed_broadcasts() + self.script.pending(),
-            skipped_faults: self.skipped_faults,
-            containment: self.containment(),
-            metrics: Some(self.sim.metrics().clone()),
-        }
-    }
-}
-
-/// The kernel driver's fault sink: loss and crash hooks delegate to the
-/// [`Simulation`], and — because the driver knows its actors are
-/// [`ProtocolActor`]s — corruption windows are injected as
-/// [`Event::Corrupt`] through a live context, with the resulting sends
-/// flushed like any handler's.
-struct KernelScriptSink<'a, P: Protocol> {
-    sim: &'a mut Simulation<ProtocolActor<P>>,
-}
-
-impl<P: Protocol> FaultSink for KernelScriptSink<'_, P> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.sim.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.sim.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.sim.command(process, |actor, ctx| {
-            actor.inject_event(ctx, Event::Corrupt { mode, window });
-        })
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.sim.set_message_adversary(d, window);
-        true
-    }
-}
-
-/// [`KernelScriptSink`]'s twin for the sharded executor (commands run on
-/// the coordinator between segments, so the injection lands at a tick
-/// barrier on every shard).
-struct ShardedScriptSink<'a, P: Protocol + Send> {
-    sim: &'a mut ShardedKernel<ProtocolActor<P>>,
-}
-
-impl<P: Protocol + Send> FaultSink for ShardedScriptSink<'_, P> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.sim.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.sim.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.sim.command(process, |actor, ctx| {
-            actor.inject_event(ctx, Event::Corrupt { mode, window });
-        })
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.sim.set_message_adversary(d, window);
-        true
-    }
-}
-
-/// A scenario instantiated on the sharded executor: the same
-/// [`ScriptSchedule`] semantics as [`ScenarioSim`], driving a
-/// [`ShardedKernel`] instead of the spec kernel.
-///
-/// Script events — faults and broadcasts — are applied by the
-/// coordinator *between* run segments, while no worker thread is live;
-/// every shard therefore observes each fault at the same tick barrier.
-/// Deferred-broadcast retries, fault-before-workload ordering at equal
-/// times, and pending-counts-as-failed reporting all reuse
-/// [`ScriptSchedule`] unchanged, so the sharded driver cannot drift
-/// from the kernel driver's script semantics.
-pub struct ShardedScenarioSim<P: Protocol + Send> {
-    sim: ShardedKernel<ProtocolActor<P>>,
-    topology: Topology,
-    base_config: Configuration,
-    script: ScriptSchedule,
-    skipped_faults: u64,
-    corrupt: BTreeSet<ProcessId>,
-}
-
-impl<P: Protocol + Send> std::fmt::Debug for ShardedScenarioSim<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScenarioSim")
-            .field("now", &self.sim.now())
-            .field("workers", &self.sim.workers())
-            .field("script", &self.script)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: Protocol + Send> ShardedScenarioSim<P> {
-    /// Instantiates `scenario` on the sharded executor with `workers`
-    /// worker threads (clamped to `1..=process count`).
-    pub fn new(scenario: &Scenario, workers: usize, mut make: impl FnMut(ProcessId) -> P) -> Self {
-        let sim = ShardedKernel::new(
-            scenario.topology.clone(),
-            scenario.config.clone(),
-            |id| ProtocolActor::new(make(id)),
-            scenario.sim_options(),
-            workers,
-        );
-        ShardedScenarioSim {
-            sim,
-            topology: scenario.topology.clone(),
-            base_config: scenario.config.clone(),
-            script: ScriptSchedule::new(scenario),
-            skipped_faults: 0,
-            corrupt: BTreeSet::new(),
-        }
-    }
-
-    /// The underlying sharded executor (metrics, node access, time).
-    pub fn sim(&self) -> &ShardedKernel<ProtocolActor<P>> {
-        &self.sim
-    }
-
-    /// Mutable access to the underlying executor (extra fault
-    /// injection, manual commands between segments).
-    pub fn sim_mut(&mut self) -> &mut ShardedKernel<ProtocolActor<P>> {
-        &mut self.sim
-    }
-
-    /// Scripted broadcasts that failed non-retryably at issue time.
-    pub fn failed_broadcasts(&self) -> u64 {
-        self.script.failed_broadcasts()
-    }
-
-    /// Scripted broadcasts currently deferred, awaiting their next
-    /// per-tick retry.
-    pub fn pending_broadcasts(&self) -> u64 {
-        self.script.pending()
-    }
-
-    /// Applies every script event due at or before the current time —
-    /// faults before broadcasts at equal times (the same boundary as
-    /// [`ScenarioSim`]). Runs on the coordinator between segments.
-    fn apply_due_events(&mut self) {
-        let now = self.sim.now();
-        for action in self.script.due_faults(now) {
-            if let FaultAction::Corrupt { process, .. } = &action {
-                self.corrupt.insert(*process);
-            }
-            let mut sink = ShardedScriptSink { sim: &mut self.sim };
-            self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut sink);
-        }
-        for event in self.script.due_broadcasts(now) {
-            self.issue_broadcast(event);
-        }
-    }
-
-    /// Containment metrics assembled from per-node protocol audits, the
-    /// scripted liar set, and the shards' suppression counters.
-    pub fn containment(&self) -> Containment {
-        let audits: BTreeMap<ProcessId, ProtocolAudit> = self
-            .sim
-            .nodes()
-            .map(|(id, actor)| (id, actor.protocol().audit()))
-            .collect();
-        Containment::assemble(
-            &self.corrupt,
-            &audits,
-            self.sim.metrics().suppressed_by_adversary(),
-        )
-    }
-
-    /// Issues one scripted broadcast; retryable outcomes defer to the
-    /// next tick exactly as in [`ScenarioSim::run_ticks`]'s driver.
-    fn issue_broadcast(&mut self, event: WorkloadEvent) {
-        let now = self.sim.now();
-        let mut outcome = Ok(());
-        let issued = self.sim.command(event.origin, |actor, ctx| {
-            outcome = actor.broadcast_now(ctx, event.payload.clone()).map(|_| ());
-        });
-        let retry = !issued || matches!(outcome, Err(crate::CoreError::KnowledgeIncomplete));
-        if retry {
-            self.script.defer(now + 1, event);
-        } else if outcome.is_err() {
-            self.script.record_failed();
-        }
-    }
-
-    /// Advances `n` ticks, applying script events at their scheduled
-    /// times (at tick barriers — no worker thread is live while a
-    /// script event applies). Idle stretches between events
-    /// fast-forward when every shard agrees nothing is due.
-    pub fn run_ticks(&mut self, n: u64) {
-        let end = self.sim.now() + n;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                break;
-            }
-            self.apply_due_events();
-            let target = self.script.next_time().filter(|&t| t <= end).unwrap_or(end);
-            self.sim.run_ticks(target - self.sim.now());
-        }
-    }
-
-    /// The run's outcome so far, field-compatible with
-    /// [`ScenarioSim::report`]: per-process deliveries in id order,
-    /// pending broadcasts counted as failed, shard metrics merged in
-    /// shard order.
-    pub fn report(&self) -> ScenarioReport {
-        ScenarioReport {
-            delivered: self
-                .sim
-                .nodes()
-                .map(|(id, actor)| (id, actor.protocol().delivered().len() as u64))
-                .collect(),
-            failed_broadcasts: self.script.failed_broadcasts() + self.script.pending(),
-            skipped_faults: self.skipped_faults,
-            containment: self.containment(),
-            metrics: Some(self.sim.metrics()),
-        }
+        None
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The value of this reproduction rests on bit-identical re-derivation:
 //! receivers recompute the exact broadcast plans senders computed
-//! (`pow_det`), the virtual-time fabric replays the kernel's RNG stream
-//! draw-for-draw, and delta views are provably equivalent to full
+//! (`pow_det`), every executor consumes the tick engine's RNG streams
+//! in one fixed order, and delta views are provably equivalent to full
 //! views. Those invariants are easy to break with one stray
 //! `Instant::now`, an ambient RNG, or a `HashMap` iteration — so this
 //! crate checks them statically, as a test (`self_lint`), a CI gate,
@@ -23,7 +23,7 @@
 //! Rules: `no-wall-clock`, `no-ambient-rng`, `no-unordered-iteration`,
 //! `no-threading`,
 //! `det-pow`, `codec-tag-coverage`, `version-bump-audit`,
-//! `adversary-forge`, `crate-hygiene` — see [`rules::RULES`] and the
+//! `adversary-forge`, `one-crash-phase`, `crate-hygiene` — see [`rules::RULES`] and the
 //! README's "Static analysis & determinism invariants" section.
 
 #![forbid(unsafe_code)]

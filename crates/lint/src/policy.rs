@@ -59,10 +59,12 @@ const DETERMINISTIC: &[&str] = &[
 /// are wall-aware *by design* — but their randomness still comes from
 /// seeded RNGs, and every direct wall call outside `clock.rs` still
 /// needs a reasoned suppression.
-/// The relaxed-determinism files: the sharded executor, reproducible by
-/// construction (per-shard seeded RNG streams, barrier lockstep) yet
-/// necessarily threaded. Listed as exact files, not a prefix — adding a
-/// module here is a deliberate policy decision.
+/// The relaxed-determinism files: the sharded executor's thread driver,
+/// reproducible by construction (per-shard seeded RNG streams, barrier
+/// lockstep) yet necessarily threaded. Listed as exact files, not a
+/// prefix — adding a module here is a deliberate policy decision. The
+/// tick engine those threads step (`crates/sim/src/engine.rs`) is *not*
+/// listed: it stays strict-deterministic (no threads, no locks).
 const RELAXED_DETERMINISM: &[&str] = &["crates/sim/src/shard.rs", "crates/sim/src/shard_rng.rs"];
 
 const WALL_AWARE: &[&str] = &[
@@ -157,10 +159,14 @@ mod tests {
                 Some(CrateClass::RelaxedDeterminism)
             );
         }
-        assert_eq!(
-            classify("crates/sim/src/kernel.rs"),
-            Some(CrateClass::Deterministic)
-        );
+        // … including the tick engine the shards drive: all tick logic
+        // (phases, flush, timers, fast-forward) is single-threaded code.
+        for module in ["kernel.rs", "engine.rs"] {
+            assert_eq!(
+                classify(&format!("crates/sim/src/{module}")),
+                Some(CrateClass::Deterministic)
+            );
+        }
         assert_eq!(classify("shims/rand/src/lib.rs"), None);
         assert_eq!(classify("crates/lint/tests/fixtures/det-pow/bad.rs"), None);
         // Unknown crates land in the strict class.

@@ -20,6 +20,7 @@ pub const RULES: &[&str] = &[
     "codec-tag-coverage",
     "version-bump-audit",
     "adversary-forge",
+    "one-crash-phase",
     "crate-hygiene",
 ];
 
@@ -29,6 +30,10 @@ const CLOCK_FILE: &str = "crates/net/src/clock.rs";
 const CODEC_FILE: &str = "crates/net/src/codec.rs";
 /// The estimate file the version-bump rule audits.
 const ESTIMATE_FILE: &str = "crates/bayes/src/estimate.rs";
+/// The tick engine: the only caller of the crash phase …
+const ENGINE_FILE: &str = "crates/sim/src/engine.rs";
+/// … defined (and unit-tested) here.
+const CRASH_FILE: &str = "crates/sim/src/crash.rs";
 
 /// A lexed source file plus its policy class.
 pub struct SourceFile {
@@ -217,6 +222,23 @@ fn line_rules(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 at,
                 "adversary-forge",
                 "`Estimate::forged` outside the adversary engine; honest estimates come from `first_hand`/`adopt_if_better` — forge sites (adversary module, adversarial tests) need a reasoned site pragma",
+            ));
+        }
+
+        // The crash phase exists once: `CrashState::advance` draws the
+        // per-tick crash randomness, and every executor gets it by
+        // stepping an engine lane. A call anywhere else is a second copy
+        // of the tick's phase 1 growing back.
+        if file.path != ENGINE_FILE
+            && file.path != CRASH_FILE
+            && (contains_token(code, "crash.advance(")
+                || contains_token(code, "CrashState::advance"))
+        {
+            out.push(Diagnostic::new(
+                &file.path,
+                at,
+                "one-crash-phase",
+                format!("`CrashState::advance` outside {ENGINE_FILE}; drivers step a `Lane` instead of re-implementing the tick's crash phase"),
             ));
         }
 

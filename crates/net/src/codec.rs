@@ -686,6 +686,49 @@ mod property_tests {
             prop_assert_eq!(back, message);
         }
 
+        /// Belief vectors reached by any update sequence cross the wire
+        /// with their bits intact: their f64 sum is 1 only to within a
+        /// few ULP, and decode must not "repair" that (e2e finding (iv)).
+        #[test]
+        fn prop_estimates_cross_the_wire_bit_exact(
+            intervals in 2usize..24,
+            ops in proptest::collection::vec((0u8..5, 1u32..4), 0..200),
+        ) {
+            let mut estimate = Estimate::first_hand(intervals);
+            for (op, factor) in ops {
+                let beliefs = estimate.beliefs_mut();
+                match op {
+                    0 => beliefs.observe(true),
+                    1 => beliefs.observe(false),
+                    2 => beliefs.increase_reliability(factor),
+                    3 => beliefs.decrease_reliability(factor),
+                    _ => beliefs.undo_decrease(factor),
+                }
+            }
+            let mut buf = BytesMut::new();
+            put_estimate(&mut buf, &estimate);
+            let back = get_estimate(&mut &buf.freeze()[..]).unwrap();
+            prop_assert!(back.beliefs().bits_eq(estimate.beliefs()));
+            prop_assert_eq!(back.distortion(), estimate.distortion());
+        }
+
+        /// A valid but un-normalised vector still decodes normalised.
+        #[test]
+        fn prop_unnormalised_beliefs_decode_normalised(
+            weights in proptest::collection::vec(0.01f64..10.0, 1..24),
+        ) {
+            let mut buf = BytesMut::new();
+            buf.put_u8(0);
+            buf.put_u32_le(3);
+            buf.put_u32_le(weights.len() as u32);
+            for w in &weights {
+                buf.put_u64_le(w.to_bits());
+            }
+            let back = get_estimate(&mut &buf.freeze()[..]).unwrap();
+            let sum: f64 = back.beliefs().beliefs().iter().sum();
+            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
+        }
+
         /// Random byte soup never panics the decoder.
         #[test]
         fn prop_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {

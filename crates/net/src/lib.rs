@@ -16,9 +16,10 @@
 //!   surfaces deliveries through a [`NodeHandle`];
 //! * [`Clock`] — wall time vs. virtual time. Under a
 //!   [`VirtualClock`] the node threads park on a [`VirtualNet`] time
-//!   authority that replays the simulation kernel's exact phase order
-//!   and RNG stream, making fabric runs deterministic and bit-comparable
-//!   to kernel runs (see [`run_scenario_on_fabric_virtual`] and
+//!   authority that steps the simulation's tick engine (one phase
+//!   order, one RNG stream) through their turns, making fabric runs
+//!   deterministic and bit-comparable to kernel runs (see
+//!   [`run_scenario_on_fabric_virtual`] and
 //!   `tests/fabric_conformance.rs`).
 //!
 //! # Example

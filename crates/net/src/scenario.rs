@@ -12,8 +12,8 @@
 //!   different RNG stream and real scheduling, so outcomes are
 //!   statistically — not bitwise — equivalent to the kernel.
 //! * [`run_scenario_on_fabric_virtual`] — **virtual clock**: node
-//!   threads park on a [`VirtualNet`] time authority that reproduces the
-//!   kernel's phase ordering and RNG stream, so the run completes in
+//!   threads park on a [`VirtualNet`] time authority that steps the
+//!   kernel's own tick engine through their turns, so the run completes in
 //!   milliseconds of wall time, needs no settle slack, and its
 //!   [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim` for
 //!   the same scenario — delivery counts, failure counts, and wire
@@ -239,7 +239,7 @@ where
     // against the time authority instead of the Simulation: apply due
     // script events, advance to the next script time (or the horizon),
     // repeat. Faults at t=0 land before the on_start turns — the same
-    // order the kernel's lazy ensure_started produces.
+    // order the kernel's lazy start produces.
     let mut script = ScriptSchedule::new(scenario);
     let mut skipped = 0u64;
     let mut corrupt: BTreeSet<ProcessId> = BTreeSet::new();

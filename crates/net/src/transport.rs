@@ -254,8 +254,9 @@ impl Transport for FabricTransport {
     }
 
     fn send(&self, to: ProcessId, frame: &[u8]) -> Result<(), NetError> {
-        // On a virtual-time fabric the authority owns link validation,
-        // loss sampling and arrival scheduling; invalid destinations are
+        // On a virtual-time fabric the send is buffered for the turn
+        // and the authority's engine lane owns link validation, loss
+        // sampling and arrival scheduling; invalid destinations are
         // counted there (as the kernel counts them), not surfaced as
         // errors.
         if let Some(core) = &self.shared.virtual_core {

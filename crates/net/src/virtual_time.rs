@@ -5,42 +5,42 @@
 //! barrier-style time authority — and executes *turns* the authority
 //! grants one at a time: deliver this frame, fire this timer, recover
 //! from this crash, issue this broadcast. Virtual time only advances
-//! when every runtime is quiescent (parked with an empty inbox, waiting
-//! for its next turn), and within a tick the authority grants turns in
-//! exactly the simulation kernel's phase order:
+//! when every runtime is quiescent (parked, waiting for its next turn).
 //!
-//! 1. crash/recovery transitions, in process-id order;
-//! 2. deliveries due this tick, in global send order;
-//! 3. due timers, in `(process, timer)` order (looping, so timers armed
-//!    for the current tick still fire on it);
-//! 4. loss-sampling of new sends at send time, in handler order.
+//! The authority is a driver of the simulation's tick engine: it steps
+//! one [`diffuse_sim::Lane`] over encoded frames, and its
+//! [`Handler`] — the only thing a lane takes from its driver — grants
+//! the turn to the parked node thread and collects the sends and timer
+//! operations that turn produced. Phase order, loss sampling, burst
+//! staggering, the timer table and fast-forwarding are the lane's, i.e.
+//! the very code [`diffuse_sim::Simulation`] runs; node runtimes buffer
+//! their sends and flush them after the handler, so sampling loss when
+//! the turn completes consumes the RNG in the kernel's order. A fabric
+//! run under virtual time is therefore *bit-identical* to the same
+//! scenario on the kernel — same per-process delivery counts, same wire
+//! [`Metrics`] — and `tests/fabric_conformance.rs` asserts it, which now
+//! checks this turn driver (plus codec and runtime) against the inline
+//! one rather than one hand-written tick against another.
 //!
-//! Because the authority owns the loss RNG and consumes it in the same
-//! order the kernel does — batched geometric run-length draws per lossy
-//! `(from, to)` cell, consumed at send time per
-//! [`diffuse_sim::LossBatcher`]'s documented total order — a fabric run
-//! under virtual time is *bit-identical* to the same scenario on
-//! [`diffuse_sim::Simulation`]: same per-process delivery counts, same
-//! wire [`Metrics`], same everything. That is what
-//! `tests/fabric_conformance.rs` asserts.
+//! Two locks, never nested the wrong way round: the lane and its
+//! environment sit behind the *driver's* lock, taken only by the thread
+//! driving the [`VirtualNet`]; the turn hand-off board sits behind its
+//! own lock and condition variable, the only state node threads touch.
 //!
 //! Eventless stretches fast-forward exactly like the kernel: when no
 //! delivery or timer is due and no forced outage is counting down, the
 //! clock jumps — node threads are never woken, which the idle-runtime
 //! test asserts as *zero* wakeups over an idle stretch.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use diffuse_core::{CorruptionMode, Payload, ProtocolAudit, TimerOp};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{
-    CrashModel, CrashState, LossBatcher, MessageAdversary, Metrics, SimTime, TimerId,
+    CrashModel, Effects, Handler, Input, Lane, LaneEnv, Metrics, SimMessage, SimTime, Site, TimerId,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use diffuse_core::scenario::Scenario;
 
@@ -95,42 +95,19 @@ pub enum BroadcastOutcome {
     Failed,
 }
 
-/// A frame in virtual flight, ordered by `(arrival time, sequence)` —
-/// the kernel's `Flight` on encoded bytes.
-#[derive(Debug)]
-struct Flight {
-    at: SimTime,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    kind: &'static str,
-    frame: Vec<u8>,
-}
+/// An encoded frame on the virtual wire: the lane's message type.
+#[derive(Debug, Clone)]
+struct Frame(Vec<u8>);
 
-impl PartialEq for Flight {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl SimMessage for Frame {
+    fn kind(&self) -> &'static str {
+        frame_kind(&self.0)
     }
 }
 
-impl Eq for Flight {}
-
-impl PartialOrd for Flight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Flight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Per-node scheduling state.
-#[derive(Debug)]
+/// Per-node hand-off state.
+#[derive(Debug, Default)]
 struct NodeSlot {
-    crash: CrashState,
     /// A granted turn awaiting pickup by the node thread.
     turn: Option<Turn>,
     /// Set by the node thread when the granted turn completed.
@@ -138,61 +115,35 @@ struct NodeSlot {
     /// The node thread exited (shutdown, handle drop, or panic); the
     /// authority skips it from now on.
     retired: bool,
+    /// Frames the node sent during its current turn, in send order.
+    sends: Vec<(ProcessId, Frame)>,
+    /// Timer operations reported by the last completed turn.
+    timer_ops: Vec<TimerOp>,
     /// Outcome reported by the last broadcast turn.
     outcome: Option<BroadcastOutcome>,
     /// Audit reported by the last audit turn.
     audit: Option<ProtocolAudit>,
 }
 
-impl NodeSlot {
-    fn new() -> Self {
-        NodeSlot {
-            crash: CrashState::new(),
-            turn: None,
-            done: false,
-            retired: false,
-            outcome: None,
-            audit: None,
-        }
-    }
-}
-
-/// The mutable state behind the authority's mutex.
-struct VState {
+/// The turn hand-off board: everything node threads read or write.
+struct Board {
+    /// Virtual time as of the last granted turn (or finished run).
     now: SimTime,
-    topology: Topology,
-    loss: Configuration,
-    link_delay: u64,
-    crash_model: CrashModel,
-    rng: StdRng,
-    /// Batched loss sampling over the authority's stream — the same
-    /// cells, same draw order as the kernel's `flush_outbox`.
-    loss_runs: LossBatcher,
-    /// Scheduled message adversary on its own seeded stream, mirroring
-    /// the kernel's field (inactive by default: adversary-free runs
-    /// draw nothing from it).
-    adversary: MessageAdversary,
-    next_seq: u64,
-    in_flight: BinaryHeap<Reverse<Flight>>,
-    /// Pending timer deadlines, one per `(process, timer)` pair …
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    /// … mirrored as a deadline-ordered queue (the kernel's layout).
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    nodes: BTreeMap<ProcessId, NodeSlot>,
-    forced_outages: usize,
-    metrics: Metrics,
     /// The node currently holding a turn (sends are only legal from it).
-    turn_holder: Option<ProcessId>,
-    /// Per-destination count of messages scheduled by the current turn:
-    /// same-destination bursts within one handler invocation are
-    /// staggered one tick apart, as in the kernel.
-    stagger: Vec<(ProcessId, u64)>,
-    started: bool,
+    holder: Option<ProcessId>,
+    nodes: BTreeMap<ProcessId, NodeSlot>,
     shutdown: bool,
 }
 
+/// The engine state: one lane over frames plus its environment.
+struct Driver {
+    env: LaneEnv,
+    lane: Lane<Frame>,
+}
+
 pub(crate) struct VirtualCore {
-    state: Mutex<VState>,
+    driver: Mutex<Driver>,
+    board: Mutex<Board>,
     cv: Condvar,
 }
 
@@ -203,76 +154,94 @@ impl fmt::Debug for VirtualCore {
 }
 
 impl VirtualCore {
-    fn lock(&self) -> MutexGuard<'_, VState> {
-        self.state
+    fn driver(&self) -> MutexGuard<'_, Driver> {
+        self.driver
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Sends one encoded frame into the virtual network: link
-    /// validation, sent accounting, loss sampling, burst staggering and
-    /// arrival scheduling — the kernel's `flush_outbox`, one message at
-    /// a time, executed while the sending node holds its turn.
+    fn board(&self) -> MutexGuard<'_, Board> {
+        self.board
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Buffers one encoded frame sent by the node holding the turn; the
+    /// lane validates, loss-samples and schedules it when the turn
+    /// completes.
     pub(crate) fn send(&self, from: ProcessId, to: ProcessId, frame: &[u8]) {
-        let mut s = self.lock();
+        let mut board = self.board();
         debug_assert_eq!(
-            s.turn_holder,
+            board.holder,
             Some(from),
             "virtual sends must come from the node holding the turn"
         );
-        let link = LinkId::new(from, to)
-            .ok()
-            .filter(|&l| s.topology.contains_link(l));
-        let Some(link) = link else {
-            s.metrics.record_invalid_batch(1);
-            return;
-        };
-        let kind = frame_kind(frame);
-        s.metrics.record_sent_batch(link, kind, 1);
-        // The message adversary acts before link loss and consumes no
-        // loss draws (it has its own stream), so surviving frames see
-        // the exact loss schedule of an adversary-free run — the
-        // kernel's flush_outbox order.
-        let now = s.now;
+        if let Some(node) = board.nodes.get_mut(&from) {
+            node.sends.push((to, Frame(frame.to_vec())));
+        }
+    }
+
+    /// Grants `turn` to node `id` at virtual time `now`, blocks until
+    /// the node thread completed it (or retired), and moves what the turn
+    /// produced into `fx`. Returns the broadcast outcome, if any.
+    fn grant(
+        &self,
+        id: ProcessId,
+        now: SimTime,
+        turn: Turn,
+        fx: &mut Effects<Frame>,
+    ) -> Option<BroadcastOutcome> {
+        let mut board = self.board();
         {
-            let state = &mut *s;
-            if state.adversary.should_suppress(from, now) {
-                state.metrics.record_suppressed();
-                return;
+            let node = board.nodes.get_mut(&id)?;
+            if node.retired {
+                return None;
             }
+            debug_assert!(node.turn.is_none() && !node.done, "one turn at a time");
+            node.turn = Some(turn);
+            node.outcome = None;
         }
-        let loss = s.loss.loss(link).value();
-        if loss > 0.0 {
-            // Reborrow the guard so the sampler and generator (disjoint
-            // fields) can be borrowed together.
-            let state = &mut *s;
-            if state.loss_runs.should_drop(from, to, loss, &mut state.rng) {
-                state.metrics.record_lost();
-                return;
+        board.now = now;
+        board.holder = Some(id);
+        self.cv.notify_all();
+        loop {
+            let node = &board.nodes[&id];
+            if node.done || node.retired {
+                break;
             }
+            board = self
+                .cv
+                .wait(board)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        let stagger = match s.stagger.iter_mut().find(|(p, _)| *p == to) {
-            Some((_, n)) => {
-                let current = *n;
-                *n += 1;
-                current
-            }
-            None => {
-                s.stagger.push((to, 1));
-                0
-            }
+        board.holder = None;
+        let node = board.nodes.get_mut(&id).expect("registered above");
+        node.done = false;
+        node.turn = None; // a retired node may never have picked it up
+        fx.outbox.append(&mut node.sends);
+        fx.timer_ops.append(&mut node.timer_ops);
+        node.outcome.take()
+    }
+}
+
+/// How the authority runs a handler: as a turn on the node's own thread.
+struct Turns<'a>(&'a VirtualCore);
+
+impl Handler<Frame> for Turns<'_> {
+    fn handle(&mut self, site: Site, input: Input<Frame>, fx: &mut Effects<Frame>) {
+        let turn = match input {
+            Input::Start => Turn::Start,
+            Input::Message { from, message } => Turn::Deliver {
+                from,
+                frame: message.0,
+            },
+            Input::Timer(timer) => Turn::Timer(timer),
+            Input::Recover { down_ticks } => Turn::Recover { down_ticks },
+            // Protocols on the fabric are event-driven; the lane never
+            // polls them.
+            Input::Tick => return,
         };
-        let at = s.now + s.link_delay + stagger;
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.in_flight.push(Reverse(Flight {
-            at,
-            seq,
-            from,
-            to,
-            kind,
-            frame: frame.to_vec(),
-        }));
+        self.0.grant(site.id, site.now, turn, fx);
     }
 }
 
@@ -314,7 +283,7 @@ impl VirtualOptions {
 /// Obtained from [`Fabric::build_virtual`](crate::Fabric::build_virtual)
 /// together with the per-node transports. The owner of this handle *is*
 /// the scheduler: [`VirtualNet::run_ticks`] advances virtual time
-/// through the kernel's phase order, [`VirtualNet::broadcast`] issues
+/// through the engine's phase order, [`VirtualNet::broadcast`] issues
 /// commands, [`VirtualNet::set_loss`] / [`VirtualNet::force_down`]
 /// inject faults. Drive it from a single thread.
 ///
@@ -334,31 +303,25 @@ impl VirtualNet {
         seed: u64,
         options: VirtualOptions,
     ) -> Self {
-        let nodes = topology
-            .processes()
-            .map(|id| (id, NodeSlot::new()))
-            .collect();
+        let ids: Vec<ProcessId> = topology.processes().collect();
+        let nodes = ids.iter().map(|&id| (id, NodeSlot::default())).collect();
         VirtualNet {
             core: Arc::new(VirtualCore {
-                state: Mutex::new(VState {
+                driver: Mutex::new(Driver {
+                    env: LaneEnv {
+                        topology,
+                        loss,
+                        link_delay: options.link_delay.max(1),
+                        crash_model: options.crash_model,
+                        event_driven: true,
+                        boundaries: Vec::new(),
+                    },
+                    lane: Lane::new(0, 1, ids, seed),
+                }),
+                board: Mutex::new(Board {
                     now: SimTime::ZERO,
-                    topology,
-                    loss,
-                    link_delay: options.link_delay.max(1),
-                    crash_model: options.crash_model,
-                    rng: StdRng::seed_from_u64(seed),
-                    loss_runs: LossBatcher::new(),
-                    adversary: MessageAdversary::inactive(seed),
-                    next_seq: 0,
-                    in_flight: BinaryHeap::new(),
-                    timers: BTreeMap::new(),
-                    timer_queue: BTreeSet::new(),
+                    holder: None,
                     nodes,
-                    forced_outages: 0,
-                    metrics: Metrics::new(),
-                    turn_holder: None,
-                    stagger: Vec::new(),
-                    started: false,
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
@@ -380,24 +343,24 @@ impl VirtualNet {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.lock().now
+        self.core.driver().lane.now()
     }
 
     /// Wire-level metrics so far — the same counters, with the same
     /// values, a kernel run of the same scenario produces.
     pub fn metrics(&self) -> Metrics {
-        self.core.lock().metrics.clone()
+        self.core.driver().lane.metrics().clone()
     }
 
     /// Returns `true` iff the process is currently up (unknown processes
     /// are down, as in the kernel).
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.core.lock().nodes.get(&id).is_some_and(|n| n.crash.up)
+        self.core.driver().lane.is_up(id)
     }
 
     /// Overrides one link's loss probability for all future sends.
     pub fn set_loss(&self, link: LinkId, p: Probability) {
-        self.core.lock().loss.set_loss(link, p);
+        self.core.driver().env.loss.set_loss(link, p);
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection),
@@ -405,17 +368,7 @@ impl VirtualNet {
     /// immediately, deliveries drop until the recovery tick, timers fire
     /// on it right after the recovery event.
     pub fn force_down(&self, id: ProcessId, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        let mut s = self.core.lock();
-        let state = &mut *s;
-        if let Some(node) = state.nodes.get_mut(&id) {
-            if node.crash.forced_down_remaining == 0 {
-                state.forced_outages += 1;
-            }
-            node.crash.force_down(ticks);
-        }
+        self.core.driver().lane.force_down(id, ticks);
     }
 
     /// (Re)configures the scheduled message adversary — the kernel's
@@ -423,52 +376,51 @@ impl VirtualNet {
     /// stream seeding, so adversarial runs stay bit-identical to the
     /// kernel. `d == 0` deactivates it.
     pub fn set_message_adversary(&self, d: u32, window: u64) {
-        let mut s = self.core.lock();
-        let now = s.now;
-        s.adversary.configure(d, window, now);
+        self.core.driver().lane.set_message_adversary(d, window);
     }
 
     /// Emissions destroyed by the message adversary so far.
     pub fn suppressed_by_adversary(&self) -> u64 {
-        self.core.lock().adversary.suppressed()
+        self.core.driver().lane.suppressed_by_adversary()
+    }
+
+    /// Grants `turn` to `id` as an external command, with the kernel's
+    /// `Simulation::command` semantics: starts the net if needed and
+    /// returns `None` — running no handler — when the process is
+    /// unknown, down or retired. Otherwise the turn's sends and timer
+    /// operations are applied like any handler's.
+    fn command(&self, id: ProcessId, turn: Turn) -> Option<Option<BroadcastOutcome>> {
+        self.start();
+        if self.core.board().nodes.get(&id).is_some_and(|n| n.retired) {
+            return None;
+        }
+        let mut driver = self.core.driver();
+        let Driver { env, lane } = &mut *driver;
+        let mut outcome = None;
+        lane.command(env, id, |site, fx| {
+            outcome = self.core.grant(site.id, site.now, turn, fx);
+        })
+        .then_some(outcome)
     }
 
     /// Opens a corruption window on `id`'s protocol stack by granting
     /// it a `Turn::Corrupt` — the fabric's hook for
-    /// `FaultAction::Corrupt`. Mirrors the kernel's `Simulation::command`
-    /// semantics: starts the net if needed and refuses (returns
-    /// `false`, running no handler) when the process is unknown, down,
-    /// or retired.
+    /// `FaultAction::Corrupt`. Refuses (returns `false`, running no
+    /// handler) when the process is unknown, down, or retired.
     pub fn inject_corrupt(&self, id: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.start();
-        {
-            let s = self.core.lock();
-            match s.nodes.get(&id) {
-                None => return false,
-                Some(node) if !node.crash.up || node.retired => return false,
-                Some(_) => {}
-            }
-        }
-        self.run_turn(id, Turn::Corrupt { mode, window });
-        true
+        self.command(id, Turn::Corrupt { mode, window }).is_some()
     }
 
     /// Collects `id`'s protocol audit counters by granting an audit
-    /// turn (no handler runs, no randomness is drawn). Returns the
-    /// all-zero audit for unknown or retired nodes. Call after the run
-    /// horizon and before [`VirtualNet::shutdown`].
+    /// turn (no handler runs, no randomness is drawn, and the lane is
+    /// not involved). Returns the all-zero audit for unknown or retired
+    /// nodes. Call after the run horizon and before
+    /// [`VirtualNet::shutdown`].
     pub fn audit(&self, id: ProcessId) -> ProtocolAudit {
-        {
-            let s = self.core.lock();
-            match s.nodes.get(&id) {
-                None => return ProtocolAudit::default(),
-                Some(node) if node.retired => return ProtocolAudit::default(),
-                Some(_) => {}
-            }
-        }
-        self.run_turn(id, Turn::Audit);
         self.core
-            .lock()
+            .grant(id, self.now(), Turn::Audit, &mut Effects::default());
+        self.core
+            .board()
             .nodes
             .get_mut(&id)
             .and_then(|node| node.audit.take())
@@ -478,19 +430,11 @@ impl VirtualNet {
     /// Runs every node's `on_start` handler, in process-id order.
     /// Idempotent; [`VirtualNet::run_ticks`] and
     /// [`VirtualNet::broadcast`] call it implicitly, mirroring the
-    /// kernel's lazy `ensure_started`.
+    /// kernel's lazy start.
     pub fn start(&self) {
-        let ids: Vec<ProcessId> = {
-            let mut s = self.core.lock();
-            if s.started {
-                return;
-            }
-            s.started = true;
-            s.nodes.keys().copied().collect()
-        };
-        for id in ids {
-            self.run_turn(id, Turn::Start);
-        }
+        let mut driver = self.core.driver();
+        let Driver { env, lane } = &mut *driver;
+        lane.start(env, &mut Turns(&self.core));
     }
 
     /// Asks `origin` to broadcast `payload` at the current virtual time.
@@ -499,207 +443,27 @@ impl VirtualNet {
     /// handler when the origin is unknown or down (the kernel refuses
     /// commands to down processes the same way).
     pub fn broadcast(&self, origin: ProcessId, payload: Payload) -> BroadcastOutcome {
-        self.start();
-        {
-            let s = self.core.lock();
-            match s.nodes.get(&origin) {
-                None => return BroadcastOutcome::Deferred,
-                Some(node) if !node.crash.up => return BroadcastOutcome::Deferred,
-                Some(_) => {}
-            }
-        }
-        self.run_turn(origin, Turn::Broadcast(payload))
+        self.command(origin, Turn::Broadcast(payload))
+            .flatten()
             .unwrap_or(BroadcastOutcome::Deferred)
     }
 
-    /// Advances virtual time by `n` ticks, executing the kernel's phase
+    /// Advances virtual time by `n` ticks, executing the engine's phase
     /// order at every busy tick and fast-forwarding over eventless
     /// stretches when nothing can observe the difference.
     pub fn run_ticks(&self, n: u64) {
-        self.start();
-        let end = self.core.lock().now + n;
-        loop {
-            {
-                let mut s = self.core.lock();
-                if s.now >= end {
-                    break;
-                }
-                let can_fast_forward =
-                    s.forced_outages == 0 && s.crash_model == CrashModel::AlwaysUp;
-                if can_fast_forward {
-                    let flight = s.in_flight.peek().map(|Reverse(f)| f.at);
-                    let timer = s.timer_queue.first().map(|&(at, _, _)| at);
-                    let wake = match (flight, timer) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    match wake {
-                        Some(at) if at <= end => {
-                            if at > s.now + 1 {
-                                s.now = SimTime::new(at.ticks() - 1);
-                            }
-                        }
-                        _ => {
-                            // Nothing due before the horizon.
-                            s.now = end;
-                            break;
-                        }
-                    }
-                }
-            }
-            self.step();
-        }
+        let mut driver = self.core.driver();
+        let Driver { env, lane } = &mut *driver;
+        let end = lane.now() + n;
+        lane.run_to(env, end, &mut Turns(&self.core));
+        self.core.board().now = end;
     }
 
     /// Releases every parked node thread; they exit their turn loops.
     /// Call before joining node handles.
     pub fn shutdown(&self) {
-        let mut s = self.core.lock();
-        s.shutdown = true;
+        self.core.board().shutdown = true;
         self.core.cv.notify_all();
-    }
-
-    /// Executes one virtual tick: crash transitions, deliveries in send
-    /// order, timers in `(process, timer)` order.
-    fn step(&self) {
-        // Phase 1: crash/recovery transitions, id order.
-        let recovered: Vec<(ProcessId, u64)> = {
-            let mut s = self.core.lock();
-            s.now += 1;
-            let model = s.crash_model;
-            let state = &mut *s;
-            let mut recovered = Vec::new();
-            for (&id, node) in state.nodes.iter_mut() {
-                let was_forced = node.crash.forced_down_remaining > 0;
-                if let Some(downtime) = node.crash.advance(&model, &mut state.rng) {
-                    recovered.push((id, downtime));
-                }
-                if was_forced && node.crash.forced_down_remaining == 0 {
-                    state.forced_outages -= 1;
-                }
-            }
-            recovered
-        };
-        for (id, down_ticks) in recovered {
-            self.run_turn(id, Turn::Recover { down_ticks });
-        }
-
-        // Phase 2: deliveries due this tick, in send order.
-        loop {
-            enum Next {
-                Deliver(Flight),
-                Dropped,
-                Quiet,
-            }
-            let next = {
-                let mut s = self.core.lock();
-                let now = s.now;
-                match s.in_flight.peek() {
-                    Some(Reverse(flight)) if flight.at <= now => {
-                        let Reverse(flight) = s.in_flight.pop().expect("peeked");
-                        let up = s.nodes.get(&flight.to).is_some_and(|n| n.crash.up);
-                        if up {
-                            s.metrics.record_delivered(flight.kind);
-                            Next::Deliver(flight)
-                        } else {
-                            s.metrics.record_dropped_receiver_down();
-                            Next::Dropped
-                        }
-                    }
-                    _ => Next::Quiet,
-                }
-            };
-            match next {
-                Next::Deliver(flight) => {
-                    self.run_turn(
-                        flight.to,
-                        Turn::Deliver {
-                            from: flight.from,
-                            frame: flight.frame,
-                        },
-                    );
-                }
-                Next::Dropped => continue,
-                Next::Quiet => break,
-            }
-        }
-
-        // Phase 3: timers due this tick, in (process, timer) order,
-        // looping so timers armed for the current tick still fire on it.
-        loop {
-            let mut due: Vec<(ProcessId, TimerId)> = {
-                let s = self.core.lock();
-                let now = s.now;
-                let mut due = Vec::new();
-                for &(at, id, timer) in s.timer_queue.iter() {
-                    if at > now {
-                        break;
-                    }
-                    if s.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                        due.push((id, timer));
-                    }
-                }
-                due
-            };
-            if due.is_empty() {
-                return;
-            }
-            due.sort_unstable();
-            for (id, timer) in due {
-                // An earlier handler in this pass may have cancelled or
-                // re-armed the timer; fire only if it is still due.
-                let still_due = {
-                    let mut s = self.core.lock();
-                    match s.timers.get(&(id, timer)) {
-                        Some(&at) if at <= s.now => {
-                            s.timers.remove(&(id, timer));
-                            s.timer_queue.remove(&(at, id, timer));
-                            true
-                        }
-                        _ => false,
-                    }
-                };
-                if still_due {
-                    self.run_turn(id, Turn::Timer(timer));
-                }
-            }
-        }
-    }
-
-    /// Grants `turn` to `id` and blocks until the node thread completed
-    /// it (or retired). Returns the broadcast outcome, if any.
-    fn run_turn(&self, id: ProcessId, turn: Turn) -> Option<BroadcastOutcome> {
-        let mut s = self.core.lock();
-        {
-            let node = s.nodes.get_mut(&id)?;
-            if node.retired {
-                return None;
-            }
-            debug_assert!(node.turn.is_none() && !node.done, "one turn at a time");
-            node.turn = Some(turn);
-            node.outcome = None;
-        }
-        s.turn_holder = Some(id);
-        s.stagger.clear();
-        self.core.cv.notify_all();
-        loop {
-            {
-                let node = s.nodes.get(&id).expect("registered above");
-                if node.done || node.retired {
-                    break;
-                }
-            }
-            s = self
-                .core
-                .cv
-                .wait(s)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        s.turn_holder = None;
-        let node = s.nodes.get_mut(&id).expect("registered above");
-        node.done = false;
-        node.turn = None; // a retired node may never have picked it up
-        node.outcome.take()
     }
 }
 
@@ -719,56 +483,47 @@ impl VirtualClock {
         self.id
     }
 
-    /// Current virtual time.
+    /// Current virtual time: the tick of the turn being executed (or,
+    /// between runs, the tick the last run ended on).
     pub fn now(&self) -> SimTime {
-        self.core.lock().now
+        self.core.board().now
     }
 
     /// Parks until the authority grants this node a turn. Returns `None`
     /// on shutdown or retirement — the runtime exits its loop.
     pub(crate) fn next_turn(&self) -> Option<Turn> {
-        let mut s = self.core.lock();
+        let mut board = self.core.board();
         loop {
-            if s.shutdown {
+            if board.shutdown {
                 return None;
             }
-            let node = s.nodes.get_mut(&self.id)?;
+            let node = board.nodes.get_mut(&self.id)?;
             if node.retired {
                 return None;
             }
             if let Some(turn) = node.turn.take() {
                 return Some(turn);
             }
-            s = self
+            board = self
                 .core
                 .cv
-                .wait(s)
+                .wait(board)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 
     /// Reports the granted turn as finished, publishing the timer
-    /// operations the handler emitted (applied in emission order, as the
-    /// kernel's `apply_timer_ops` does) and, for audit turns, the
-    /// protocol's audit counters.
+    /// operations the handler emitted (the lane applies them in emission
+    /// order) and, for audit turns, the protocol's audit counters.
     pub(crate) fn complete_turn(
         &self,
         timer_ops: Vec<TimerOp>,
         outcome: Option<BroadcastOutcome>,
         audit: Option<ProtocolAudit>,
     ) {
-        let mut s = self.core.lock();
-        for (timer, op) in timer_ops {
-            let key = (self.id, timer);
-            if let Some(old) = s.timers.remove(&key) {
-                s.timer_queue.remove(&(old, self.id, timer));
-            }
-            if let Some(at) = op {
-                s.timers.insert(key, at);
-                s.timer_queue.insert((at, self.id, timer));
-            }
-        }
-        if let Some(node) = s.nodes.get_mut(&self.id) {
+        let mut board = self.core.board();
+        if let Some(node) = board.nodes.get_mut(&self.id) {
+            node.timer_ops = timer_ops;
             node.outcome = outcome;
             if audit.is_some() {
                 node.audit = audit;
@@ -781,8 +536,8 @@ impl VirtualClock {
     /// Permanently removes this node from scheduling (thread exit or
     /// handle drop). Idempotent.
     pub(crate) fn retire(&self) {
-        let mut s = self.core.lock();
-        if let Some(node) = s.nodes.get_mut(&self.id) {
+        let mut board = self.core.board();
+        if let Some(node) = board.nodes.get_mut(&self.id) {
             node.retired = true;
         }
         self.core.cv.notify_all();

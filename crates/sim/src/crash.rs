@@ -62,31 +62,23 @@ impl CrashModel {
     }
 }
 
-/// Per-process crash state, advanced once per tick by the kernel.
-///
-/// Public so that substrates other than the simulation kernel — notably
-/// `diffuse-net`'s virtual-time fabric — can reproduce the kernel's
-/// crash phase bit-exactly: same state machine, same RNG draw pattern,
-/// same recovery reporting.
+/// Per-process crash state, advanced once per tick by the engine's
+/// crash phase ([`Lane::step`](crate::Lane::step)) — its only caller, so
+/// every executor shares one state machine, one RNG draw pattern and one
+/// way of reporting recoveries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashState {
+pub(crate) struct CrashState {
     /// Whether the process is currently up.
-    pub up: bool,
+    pub(crate) up: bool,
     /// Ticks spent in the current down episode.
-    pub down_ticks: u64,
+    pub(crate) down_ticks: u64,
     /// Remaining ticks of a forced outage injected by the test harness.
-    pub forced_down_remaining: u64,
-}
-
-impl Default for CrashState {
-    fn default() -> Self {
-        CrashState::new()
-    }
+    pub(crate) forced_down_remaining: u64,
 }
 
 impl CrashState {
     /// A freshly started (up) process.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CrashState {
             up: true,
             down_ticks: 0,
@@ -100,7 +92,11 @@ impl CrashState {
     /// Stochastic models consume randomness from `rng` in a fixed
     /// per-call pattern; drivers that advance every process in id order
     /// with a shared seeded RNG replay identically.
-    pub fn advance<R: Rng + ?Sized>(&mut self, model: &CrashModel, rng: &mut R) -> Option<u64> {
+    pub(crate) fn advance<R: Rng + ?Sized>(
+        &mut self,
+        model: &CrashModel,
+        rng: &mut R,
+    ) -> Option<u64> {
         // Forced outages take precedence over the stochastic model.
         if self.forced_down_remaining > 0 {
             self.forced_down_remaining -= 1;
@@ -159,7 +155,7 @@ impl CrashState {
     }
 
     /// Injects a forced outage of `ticks` ticks starting now.
-    pub fn force_down(&mut self, ticks: u64) {
+    pub(crate) fn force_down(&mut self, ticks: u64) {
         self.up = false;
         self.forced_down_remaining = ticks;
     }

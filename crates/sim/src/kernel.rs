@@ -1,15 +1,8 @@
 //! The discrete-event simulation kernel.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::adversary::MessageAdversary;
-use crate::crash::CrashState;
-use crate::loss::LossBatcher;
+use crate::engine::{Effects, Handler, Input, Lane, LaneEnv, Site};
 use crate::{CrashModel, Metrics, SimTime, TimerId};
 
 /// A message that can travel through the simulated network.
@@ -89,39 +82,27 @@ pub trait Actor {
 /// an outbox for sending messages to neighbors, and timer controls.
 #[derive(Debug)]
 pub struct Context<'a, M> {
-    now: SimTime,
-    id: ProcessId,
-    outbox: &'a mut Vec<(ProcessId, M)>,
-    timer_ops: &'a mut Vec<(TimerId, Option<SimTime>)>,
+    site: Site,
+    fx: &'a mut Effects<M>,
 }
 
 impl<'a, M> Context<'a, M> {
     /// Crate-internal constructor, shared with the sharded executor so
-    /// both kernels hand actors the exact same handler surface.
-    pub(crate) fn internal_new(
-        now: SimTime,
-        id: ProcessId,
-        outbox: &'a mut Vec<(ProcessId, M)>,
-        timer_ops: &'a mut Vec<(TimerId, Option<SimTime>)>,
-    ) -> Self {
-        Context {
-            now,
-            id,
-            outbox,
-            timer_ops,
-        }
+    /// both drivers hand actors the exact same handler surface.
+    pub(crate) fn new(site: Site, fx: &'a mut Effects<M>) -> Self {
+        Context { site, fx }
     }
 }
 
 impl<M> Context<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.site.now
     }
 
     /// The identity of the executing process.
     pub fn id(&self) -> ProcessId {
-        self.id
+        self.site.id
     }
 
     /// Sends `message` to neighbor `to`.
@@ -130,7 +111,7 @@ impl<M> Context<'_, M> {
     /// Sending to a non-neighbor is counted in
     /// [`Metrics::dropped_invalid`] and otherwise ignored.
     pub fn send(&mut self, to: ProcessId, message: M) {
-        self.outbox.push((to, message));
+        self.fx.outbox.push((to, message));
     }
 
     /// Schedules (or re-schedules) this actor's named timer to fire at
@@ -142,12 +123,12 @@ impl<M> Context<'_, M> {
     /// [`Actor::on_timer`] with a deadline `<= now` is a protocol bug
     /// (it would fire again within the same tick, livelocking the phase).
     pub fn set_timer(&mut self, timer: TimerId, at: SimTime) {
-        self.timer_ops.push((timer, Some(at)));
+        self.fx.timer_ops.push((timer, Some(at)));
     }
 
     /// Cancels this actor's named timer if it is pending.
     pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.timer_ops.push((timer, None));
+        self.fx.timer_ops.push((timer, None));
     }
 }
 
@@ -195,61 +176,18 @@ impl SimOptions {
     }
 }
 
-/// A message in flight, ordered by `(arrival time, sequence number)`.
-#[derive(Debug, Clone)]
-struct Flight<M> {
-    at: SimTime,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    message: M,
-}
-
-impl<M> PartialEq for Flight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Flight<M> {}
-
-impl<M> PartialOrd for Flight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Flight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-struct Node<A> {
-    actor: A,
-    crash: CrashState,
-}
-
-/// Per-destination cache for one outbox flush: link validity, loss
-/// probability, stagger offset, and per-kind sent counts are resolved
-/// once per destination instead of once per message.
-struct BurstSlot {
-    to: ProcessId,
-    /// `None`: invalid destination (non-neighbor, self-loop, unknown).
-    link: Option<LinkId>,
-    loss: f64,
-    stagger: u64,
-    sent: Vec<(&'static str, u64)>,
-}
-
 /// A deterministic discrete-event simulation of a distributed system.
 ///
-/// The simulation owns one [`Actor`] per process, a lossy network derived
-/// from a [`Topology`] plus per-link loss probabilities, and a crash
-/// model. A single seeded RNG drives all randomness, consumed in
-/// deterministic order, so equal seeds reproduce runs exactly.
+/// The simulation owns one [`Actor`] per process and steps a single
+/// [`Lane`] of the tick engine inline on the caller's thread: the lane
+/// holds the lossy network derived from a [`Topology`] plus per-link loss
+/// probabilities, the crash model, and the one seeded RNG that drives
+/// all randomness in deterministic order, so equal seeds reproduce runs
+/// exactly. The other executors drive the same lane code from worker
+/// threads ([`ShardedKernel`](crate::ShardedKernel)) or node-thread turns
+/// (`diffuse-net`'s virtual-time fabric).
 ///
-/// Each tick proceeds in five phases:
+/// Each tick runs the engine's phases (see [`Lane::step`]):
 ///
 /// 1. crash/recovery transitions (recoveries invoke
 ///    [`Actor::on_recover`]);
@@ -258,8 +196,9 @@ struct BurstSlot {
 ///    order;
 /// 4. [`Actor::on_tick`] for every up process, in id order (skipped when
 ///    every actor is event-driven — see [`Actor::wants_ticks`]);
-/// 5. newly sent messages are loss-sampled and scheduled
-///    `link_delay` ticks ahead.
+///
+/// and after every handler its sends are loss-sampled and scheduled
+/// `link_delay` ticks ahead.
 ///
 /// When every actor is event-driven and the crash model is
 /// [`CrashModel::AlwaysUp`], [`Simulation::run_ticks`] and
@@ -304,55 +243,34 @@ struct BurstSlot {
 /// # }
 /// ```
 pub struct Simulation<A: Actor> {
-    topology: Topology,
-    loss: Configuration,
-    options: SimOptions,
-    nodes: BTreeMap<ProcessId, Node<A>>,
-    ids: Vec<ProcessId>,
-    in_flight: BinaryHeap<Reverse<Flight<A::Message>>>,
-    next_seq: u64,
-    now: SimTime,
-    rng: StdRng,
-    /// Batched per-(sender, destination) loss sampling (see
-    /// [`LossBatcher`] for the draw-order contract).
-    loss_runs: LossBatcher,
-    /// Scheduled message adversary on its own seeded stream (see
-    /// [`MessageAdversary`] for the draw-order contract). Inactive by
-    /// default, so adversary-free runs draw nothing from it.
-    adversary: MessageAdversary,
-    metrics: Metrics,
-    outbox: Vec<(ProcessId, A::Message)>,
-    timer_ops: Vec<(TimerId, Option<SimTime>)>,
-    /// Pending timer deadlines, one per `(process, timer)` pair …
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    /// … mirrored as a deadline-ordered queue for due-scans and wakes.
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    /// Scratch for the timer-firing phase.
-    due_scratch: Vec<(ProcessId, TimerId)>,
-    /// Reused buffers for [`Simulation::flush_outbox`].
-    flush_scratch: Vec<(ProcessId, A::Message)>,
-    burst_scratch: Vec<BurstSlot>,
-    /// `true` while every actor is event-driven (`wants_ticks == false`):
-    /// the per-tick `on_tick` phase is skipped and — with a
-    /// deterministic-by-jump crash model — eventless ticks can be
-    /// fast-forwarded.
-    event_driven: bool,
-    /// Ticks actually executed by [`Simulation::step`] (fast-forwarded
-    /// ticks are not counted).
-    busy_ticks: u64,
-    /// Processes currently in a forced outage (fast-forward would skip
-    /// their per-tick countdown, so it is disabled while any is active).
-    forced_outages: usize,
-    started: bool,
+    env: LaneEnv,
+    lane: Lane<A::Message>,
+    /// One actor per process, parallel to the lane's id list.
+    actors: Vec<A>,
+}
+
+/// Runs the [`Actor`] callback an [`Input`] stands for — how both
+/// actor-based drivers (this kernel and the sharded executor) run a
+/// handler.
+impl<A: Actor> Handler<A::Message> for [A] {
+    fn handle(&mut self, site: Site, input: Input<A::Message>, fx: &mut Effects<A::Message>) {
+        let actor = &mut self[site.slot];
+        let ctx = &mut Context::new(site, fx);
+        match input {
+            Input::Start => actor.on_start(ctx),
+            Input::Message { from, message } => actor.on_message(ctx, from, message),
+            Input::Timer(timer) => actor.on_timer(ctx, timer),
+            Input::Recover { down_ticks } => actor.on_recover(ctx, down_ticks),
+            Input::Tick => actor.on_tick(ctx),
+        }
+    }
 }
 
 impl<A: Actor> std::fmt::Debug for Simulation<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("processes", &self.ids.len())
-            .field("in_flight", &self.in_flight.len())
-            .field("metrics", &self.metrics)
+            .field("lane", &self.lane)
+            .field("metrics", self.lane.metrics())
             .finish_non_exhaustive()
     }
 }
@@ -366,47 +284,22 @@ impl<A: Actor> Simulation<A> {
     pub fn new(
         topology: Topology,
         loss: Configuration,
-        mut make_actor: impl FnMut(ProcessId) -> A,
+        make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
     ) -> Self {
         let ids: Vec<ProcessId> = topology.processes().collect();
-        let nodes: BTreeMap<ProcessId, Node<A>> = ids
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    Node {
-                        actor: make_actor(id),
-                        crash: CrashState::new(),
-                    },
-                )
-            })
-            .collect();
-        let event_driven = nodes.values().all(|n| !n.actor.wants_ticks());
+        let actors: Vec<A> = ids.iter().copied().map(make_actor).collect();
         Simulation {
-            topology,
-            loss,
-            rng: StdRng::seed_from_u64(options.seed),
-            loss_runs: LossBatcher::new(),
-            adversary: MessageAdversary::inactive(options.seed),
-            options,
-            nodes,
-            ids,
-            in_flight: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            metrics: Metrics::new(),
-            outbox: Vec::new(),
-            timer_ops: Vec::new(),
-            timers: BTreeMap::new(),
-            timer_queue: BTreeSet::new(),
-            due_scratch: Vec::new(),
-            flush_scratch: Vec::new(),
-            burst_scratch: Vec::new(),
-            event_driven,
-            forced_outages: 0,
-            busy_ticks: 0,
-            started: false,
+            env: LaneEnv {
+                topology,
+                loss,
+                link_delay: options.link_delay,
+                crash_model: options.crash_model,
+                event_driven: actors.iter().all(|a| !a.wants_ticks()),
+                boundaries: Vec::new(),
+            },
+            lane: Lane::new(0, 1, ids, options.seed),
+            actors,
         }
     }
 
@@ -414,63 +307,55 @@ impl<A: Actor> Simulation<A> {
     /// phases run) rather than fast-forwarded. On an event-driven run
     /// the gap to `now()` is the number of skipped idle ticks.
     pub fn busy_ticks(&self) -> u64 {
-        self.busy_ticks
+        self.lane.busy_ticks()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.lane.now()
     }
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.env.topology
     }
 
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.lane.metrics()
     }
 
     /// Resets collected metrics (e.g. after warm-up).
     pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
+        self.lane.reset_metrics();
     }
 
     /// Immutable access to a process's actor.
     pub fn node(&self, id: ProcessId) -> Option<&A> {
-        self.nodes.get(&id).map(|n| &n.actor)
+        self.lane.slot_of(id).map(|slot| &self.actors[slot])
     }
 
     /// Iterates over `(id, actor)` pairs in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, &A)> {
-        self.nodes.iter().map(|(id, n)| (*id, &n.actor))
+        self.lane.ids().iter().copied().zip(&self.actors)
     }
 
     /// Returns `true` iff the process is currently up.
     ///
     /// Unknown processes are reported as down.
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.crash.up)
+        self.lane.is_up(id)
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
     pub fn force_down(&mut self, id: ProcessId, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        if let Some(node) = self.nodes.get_mut(&id) {
-            if node.crash.forced_down_remaining == 0 {
-                self.forced_outages += 1;
-            }
-            node.crash.force_down(ticks);
-        }
+        self.lane.force_down(id, ticks);
     }
 
     /// Overrides the loss probability of one link (e.g. to heal or break
     /// a path mid-run).
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.loss.set_loss(link, p);
+        self.env.loss.set_loss(link, p);
     }
 
     /// (Re)configures the message adversary: from now on it destroys up
@@ -479,12 +364,12 @@ impl<A: Actor> Simulation<A> {
     /// so toggling it never perturbs loss sampling for surviving
     /// messages.
     pub fn set_message_adversary(&mut self, d: u32, window: u64) {
-        self.adversary.configure(d, window, self.now);
+        self.lane.set_message_adversary(d, window);
     }
 
     /// Emissions destroyed by the message adversary so far.
     pub fn suppressed_by_adversary(&self) -> u64 {
-        self.adversary.suppressed()
+        self.lane.suppressed_by_adversary()
     }
 
     /// Runs a closure against one process's actor with a live context, as
@@ -495,308 +380,16 @@ impl<A: Actor> Simulation<A> {
         id: ProcessId,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
     ) -> bool {
-        self.ensure_started();
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return false;
-        };
-        if !node.crash.up {
-            return false;
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context {
-                now,
-                id,
-                outbox: &mut outbox,
-                timer_ops: &mut timer_ops,
-            };
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(id);
-        true
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let ids = self.ids.clone();
-        for id in ids {
-            self.with_actor(id, |actor, ctx| actor.on_start(ctx));
-        }
-    }
-
-    /// Runs `f` for the actor at `id` with a context, then applies timer
-    /// operations and flushes sends.
-    fn with_actor(&mut self, id: ProcessId, f: impl FnOnce(&mut A, &mut Context<'_, A::Message>)) {
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context {
-                now,
-                id,
-                outbox: &mut outbox,
-                timer_ops: &mut timer_ops,
-            };
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(id);
-    }
-
-    /// Applies buffered set/cancel timer operations for `id`.
-    fn apply_timer_ops(&mut self, id: ProcessId) {
-        if self.timer_ops.is_empty() {
-            return;
-        }
-        let mut ops = std::mem::take(&mut self.timer_ops);
-        for (timer, op) in ops.drain(..) {
-            let key = (id, timer);
-            if let Some(old) = self.timers.remove(&key) {
-                self.timer_queue.remove(&(old, id, timer));
-            }
-            if let Some(at) = op {
-                self.timers.insert(key, at);
-                self.timer_queue.insert((at, id, timer));
-            }
-        }
-        self.timer_ops = ops;
-    }
-
-    /// Fires every pending timer with a deadline at or before `now` whose
-    /// process is up, ordered by `(process, timer)` — the same order the
-    /// legacy per-tick phase visited processes. Loops so that timers
-    /// armed by recoveries or deliveries for the current tick still fire
-    /// on it; timers of down processes stay pending until recovery.
-    fn fire_due_timers(&mut self) {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            for &(at, id, timer) in self.timer_queue.iter() {
-                if at > self.now {
-                    break;
-                }
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    due.push((id, timer));
-                }
-            }
-            if due.is_empty() {
-                self.due_scratch = due;
-                return;
-            }
-            due.sort_unstable();
-            for &(id, timer) in due.iter() {
-                // An earlier handler in this pass may have cancelled or
-                // re-armed this timer; fire only if it is still due.
-                let Some(&at) = self.timers.get(&(id, timer)) else {
-                    continue;
-                };
-                if at > self.now {
-                    continue;
-                }
-                self.timers.remove(&(id, timer));
-                self.timer_queue.remove(&(at, id, timer));
-                self.with_actor(id, |actor, ctx| actor.on_timer(ctx, timer));
-            }
-            self.due_scratch = due;
-        }
-    }
-
-    /// The earliest future time at which anything is scheduled to happen:
-    /// a message delivery or a timer deadline. `None` when the system is
-    /// fully quiescent.
-    fn next_wake(&self) -> Option<SimTime> {
-        let flight = self.in_flight.peek().map(|Reverse(f)| f.at);
-        let timer = self.timer_queue.first().map(|&(at, _, _)| at);
-        match (flight, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// `true` when jumping over eventless ticks cannot change behavior:
-    /// every actor is event-driven, the crash model draws no per-tick
-    /// randomness, and no forced outage is counting down.
-    fn can_fast_forward(&self) -> bool {
-        self.event_driven
-            && self.forced_outages == 0
-            && self.options.crash_model == CrashModel::AlwaysUp
-    }
-
-    /// Loss-samples and schedules everything the last handler sent.
-    ///
-    /// In the paper's model a process sends *one* message per step, so
-    /// when a handler emits several messages to the same destination
-    /// (e.g. the `m⃗[j]` copies of Algorithm 1), they are staggered one
-    /// tick apart. This keeps per-copy failures independent — delivering
-    /// a whole burst in one tick would make one receiver-crash sample
-    /// destroy every copy at once.
-    ///
-    /// This is the Monte-Carlo inner loop: link validation and loss
-    /// probabilities are resolved once per distinct destination of the
-    /// burst (a small linear cache instead of per-message map walks), and
-    /// sent-message metrics are recorded in per-destination batches. Loss
-    /// decisions come from the batched geometric sampler ([`LossBatcher`])
-    /// rather than one `gen_bool` per message: the RNG is consulted only
-    /// when a lossy cell needs a fresh run length, in send order per the
-    /// sampler's documented total order, so seeded streams stay frozen
-    /// and the virtual-time fabric and one-worker sharded kernel replay
-    /// this loop bit-exactly.
-    fn flush_outbox(&mut self, from: ProcessId) {
-        // Drain into a persistent scratch buffer: scheduling needs
-        // `&mut self`, and reusing the buffer keeps the flush
-        // allocation-free in steady state.
-        let mut pending = std::mem::take(&mut self.flush_scratch);
-        std::mem::swap(&mut pending, &mut self.outbox);
-        // Slots from previous flushes are recycled in place (their
-        // per-kind Vecs keep their allocations); `live` marks how many
-        // belong to *this* flush.
-        let mut slots = std::mem::take(&mut self.burst_scratch);
-        let mut live = 0usize;
-        let mut invalid = 0u64;
-        for (to, message) in pending.drain(..) {
-            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
-                Some(i) => i,
-                None => {
-                    let link = LinkId::new(from, to)
-                        .ok()
-                        .filter(|&l| self.topology.contains_link(l));
-                    let loss = link.map(|l| self.loss.loss(l).value()).unwrap_or(0.0);
-                    if live == slots.len() {
-                        slots.push(BurstSlot {
-                            to,
-                            link,
-                            loss,
-                            stagger: 0,
-                            sent: Vec::new(),
-                        });
-                    } else {
-                        let slot = &mut slots[live];
-                        slot.to = to;
-                        slot.link = link;
-                        slot.loss = loss;
-                        slot.stagger = 0;
-                        slot.sent.clear();
-                    }
-                    live += 1;
-                    live - 1
-                }
-            };
-            let slot = &mut slots[slot_index];
-            if slot.link.is_none() {
-                invalid += 1;
-                continue;
-            }
-            // Sent metrics count pre-loss copies, batched per kind.
-            let kind = message.kind();
-            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => slot.sent.push((kind, 1)),
-            }
-            // The message adversary acts before link loss and consumes
-            // no loss draws (it has its own stream), so surviving
-            // messages see the exact loss schedule of an adversary-free
-            // run.
-            if self.adversary.should_suppress(from, self.now) {
-                self.metrics.record_suppressed();
-                continue;
-            }
-            if slot.loss > 0.0
-                && self
-                    .loss_runs
-                    .should_drop(from, to, slot.loss, &mut self.rng)
-            {
-                self.metrics.record_lost();
-                continue;
-            }
-            let flight = Flight {
-                at: self.now + self.options.link_delay + slot.stagger,
-                seq: self.next_seq,
-                from,
-                to,
-                message,
-            };
-            slot.stagger += 1;
-            self.next_seq += 1;
-            self.in_flight.push(Reverse(flight));
-        }
-        if invalid > 0 {
-            self.metrics.record_invalid_batch(invalid);
-        }
-        for slot in slots[..live].iter() {
-            if let Some(link) = slot.link {
-                for &(kind, n) in &slot.sent {
-                    self.metrics.record_sent_batch(link, kind, n);
-                }
-            }
-        }
-        self.flush_scratch = pending;
-        self.burst_scratch = slots;
+        self.lane.start(&self.env, &mut self.actors[..]);
+        let actors = &mut self.actors;
+        self.lane.command(&self.env, id, |site, fx| {
+            f(&mut actors[site.slot], &mut Context::new(site, fx));
+        })
     }
 
     /// Advances the simulation by one tick.
     pub fn step(&mut self) {
-        self.ensure_started();
-        self.now += 1;
-        self.busy_ticks += 1;
-
-        // Phase 1: crash/recovery transitions, id order.
-        let model = self.options.crash_model;
-        let mut recovered: Vec<(ProcessId, u64)> = Vec::new();
-        for (&id, node) in self.nodes.iter_mut() {
-            let was_forced = node.crash.forced_down_remaining > 0;
-            if let Some(downtime) = node.crash.advance(&model, &mut self.rng) {
-                recovered.push((id, downtime));
-            }
-            if was_forced && node.crash.forced_down_remaining == 0 {
-                self.forced_outages -= 1;
-            }
-        }
-        for (id, downtime) in recovered {
-            self.with_actor(id, |actor, ctx| actor.on_recover(ctx, downtime));
-        }
-
-        // Phase 2: deliveries due this tick, in send order.
-        while let Some(Reverse(flight)) = self.in_flight.peek() {
-            if flight.at > self.now {
-                break;
-            }
-            let Reverse(flight) = self.in_flight.pop().expect("peeked");
-            let up = self.nodes.get(&flight.to).is_some_and(|n| n.crash.up);
-            if !up {
-                self.metrics.record_dropped_receiver_down();
-                continue;
-            }
-            self.metrics.record_delivered(flight.message.kind());
-            let (from, to, message) = (flight.from, flight.to, flight.message);
-            self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, message));
-        }
-
-        // Phase 3: timers due this tick, in (process, timer) order.
-        self.fire_due_timers();
-
-        // Phase 4: tick handlers for up processes, id order (skipped
-        // entirely when every actor is event-driven).
-        if !self.event_driven {
-            let ids = self.ids.clone();
-            for id in ids {
-                if self.is_up(id) {
-                    self.with_actor(id, |actor, ctx| actor.on_tick(ctx));
-                }
-            }
-        }
+        self.lane.step(&self.env, &mut self.actors[..]);
     }
 
     /// Runs `n` ticks.
@@ -808,28 +401,8 @@ impl<A: Actor> Simulation<A> {
     /// randomness is drawn on the skipped ticks — so runs are
     /// bit-identical to tick-by-tick execution.
     pub fn run_ticks(&mut self, n: u64) {
-        self.ensure_started();
-        let end = self.now + n;
-        while self.now < end {
-            if self.can_fast_forward() {
-                match self.next_wake() {
-                    Some(at) if at <= end => {
-                        // Jump to just before the next event, then step
-                        // onto it (the event may re-enable crashes via
-                        // force_down, so re-check each round).
-                        if at > self.now + 1 {
-                            self.now = SimTime::new(at.ticks() - 1);
-                        }
-                    }
-                    _ => {
-                        // Nothing due before the horizon.
-                        self.now = end;
-                        return;
-                    }
-                }
-            }
-            self.step();
-        }
+        let end = self.lane.now() + n;
+        self.lane.run_to(&self.env, end, &mut self.actors[..]);
     }
 
     /// Steps until `predicate` returns `true` (checked before the first
@@ -845,14 +418,14 @@ impl<A: Actor> Simulation<A> {
         mut predicate: impl FnMut(&Simulation<A>) -> bool,
         max_ticks: u64,
     ) -> Option<SimTime> {
-        self.ensure_started();
+        self.lane.start(&self.env, &mut self.actors[..]);
         if predicate(self) {
-            return Some(self.now);
+            return Some(self.now());
         }
         for _ in 0..max_ticks {
             self.step();
             if predicate(self) {
-                return Some(self.now);
+                return Some(self.now());
             }
         }
         None
@@ -874,18 +447,18 @@ impl<A: Actor> Simulation<A> {
         check_every: u64,
         max_ticks: u64,
     ) -> Option<SimTime> {
-        self.ensure_started();
+        self.lane.start(&self.env, &mut self.actors[..]);
         let check_every = check_every.max(1);
-        let end = self.now + max_ticks;
-        if self.now.ticks() % check_every == 0 && predicate(self) {
-            return Some(self.now);
+        let end = self.now() + max_ticks;
+        if self.now().ticks() % check_every == 0 && predicate(self) {
+            return Some(self.now());
         }
-        while self.now < end {
-            let next_check = self.now.ticks() - self.now.ticks() % check_every + check_every;
-            let target = next_check.min(end.ticks());
-            self.run_ticks(target - self.now.ticks());
-            if self.now.ticks() % check_every == 0 && predicate(self) {
-                return Some(self.now);
+        while self.now() < end {
+            let now = self.now().ticks();
+            let next_check = now - now % check_every + check_every;
+            self.run_ticks(next_check.min(end.ticks()) - now);
+            if self.now().ticks() % check_every == 0 && predicate(self) {
+                return Some(self.now());
             }
         }
         None

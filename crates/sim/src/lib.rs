@@ -5,9 +5,14 @@
 //! to each link" (Section 5). This crate is that substrate, rebuilt as a
 //! reusable kernel:
 //!
-//! * [`Simulation`] — the event loop: integer-tick time ([`SimTime`]),
-//!   per-link Bernoulli message loss, configurable link delay, and a
-//!   single seeded RNG so identical seeds replay identical executions;
+//! * [`Lane`] — the tick engine: integer-tick time ([`SimTime`]),
+//!   per-link Bernoulli message loss, configurable link delay, named
+//!   timers, fast-forward, and seeded RNG streams consumed in one fixed
+//!   order so identical seeds replay identical executions. It is the
+//!   only tick in the workspace; a driver supplies a [`Handler`];
+//! * [`Simulation`] — the kernel: one lane stepped inline;
+//!   [`ShardedKernel`] — `W` lanes on worker threads (`diffuse-net`'s
+//!   virtual-time fabric is the third driver);
 //! * [`Actor`] — the protocol interface (message/tick/recovery handlers);
 //! * [`CrashModel`] — process crash/recovery processes realizing the
 //!   paper's stationary down-fraction `P_i` (i.i.d. per tick, or a
@@ -25,6 +30,7 @@
 
 mod adversary;
 mod crash;
+mod engine;
 mod kernel;
 mod loss;
 mod metrics;
@@ -33,7 +39,8 @@ mod shard_rng;
 mod time;
 
 pub use adversary::{suppression_seed, MessageAdversary};
-pub use crash::{CrashModel, CrashState};
+pub use crash::CrashModel;
+pub use engine::{Effects, Flight, Handler, Input, Lane, LaneEnv, LaneStatus, Site};
 pub use kernel::{Actor, Context, SimMessage, SimOptions, Simulation};
 pub use loss::LossBatcher;
 pub use metrics::Metrics;

@@ -1,40 +1,45 @@
-//! The sharded simulation executor: the kernel's tick, run in parallel.
+//! The sharded simulation executor: engine lanes, stepped in parallel.
 //!
 //! [`ShardedKernel`] partitions the process set into `W` contiguous
-//! id-range shards, one worker thread per shard. Within a tick every
-//! shard runs the kernel's phases — crash transitions, deliveries,
-//! timers, tick handlers — *locally*, over its own nodes, its own
-//! in-flight heap and its own RNG stream; cross-shard sends are batched
-//! and exchanged at a tick barrier. Since the link delay is at least one
+//! id-range shards and gives each one [`Lane`] of the tick engine and one
+//! worker thread. Within a tick every worker steps its lane — the
+//! engine's phases over its own processes, its own flight heap and its
+//! own RNG stream; cross-shard sends are batched by the lane and
+//! exchanged at a tick barrier. Since the link delay is at least one
 //! tick, a message sent during tick `t` is never due before `t + 1`, so
 //! the end-of-tick exchange always lands in time.
 //!
+//! What this module adds to the engine is only what is genuinely a
+//! thread driver's own: the id-range partition, the mailbox grid, the two
+//! barriers, the global wake consensus, and coordinator-side commands.
+//! The tick itself lives in [`crate::Lane`] and is the code the
+//! single-threaded [`crate::Simulation`] runs.
+//!
 //! # Determinism contract
 //!
-//! The single-threaded [`crate::Simulation`] remains the executable
-//! spec. The sharded executor is **self-reproducible by construction**:
+//! The sharded executor is **self-reproducible by construction**:
 //!
-//! * Every shard draws from a private RNG seeded by
+//! * Every lane draws from a private RNG seeded by
 //!   [`crate::shard_seed`]`(run_seed, shard)` — a pure function of the
 //!   run seed and the stable shard id, never of thread scheduling.
-//! * Cross-shard messages carry `(arrival, source shard, source seq)`
-//!   and the delivery heap orders by exactly that key, so the merge
-//!   order is independent of which worker published first.
+//! * Flights carry `(arrival, source lane, source seq)` and the delivery
+//!   heap orders by exactly that key, so the merge order is independent
+//!   of which worker published first.
 //! * The fast-forward decision is taken by *global consensus*: each
-//!   shard publishes its next wake and forced-outage count at the
-//!   barrier, and every shard computes the identical jump from the
-//!   combined status. The per-shard clocks advance in lockstep.
+//!   lane publishes its [`LaneStatus`] at the barrier, and every worker
+//!   feeds the identical combined status to [`Lane::skip_idle`]. The
+//!   per-lane clocks advance in lockstep.
 //!
 //! Hence a given `(seed, topology, W)` replays byte-identically on every
-//! re-run. With `W = 1` the single shard receives the run seed verbatim
-//! and the executor degenerates to the kernel's exact stream and phase
-//! order — draw-for-draw, metric-for-metric. For `W > 1` the loss draws
-//! are distributed over per-shard streams, so individual runs differ
-//! from the kernel's stream while remaining statistically equivalent —
-//! and on loss-free, crash-free scenarios (which draw no randomness at
-//! all) the delivered message *sets* and wire metrics equal the
-//! kernel's exactly; only the within-tick arrival order of same-tick
-//! messages from different shards may permute.
+//! re-run. With `W = 1` the single lane receives the run seed verbatim,
+//! so the run *is* the kernel's — the same lane code with the same
+//! stream, stepped from a worker thread instead of inline. For `W > 1`
+//! the loss draws are distributed over per-shard streams, so individual
+//! runs differ from the kernel's stream while remaining statistically
+//! equivalent — and on loss-free, crash-free scenarios (which draw no
+//! randomness at all) the delivered message *sets* and wire metrics
+//! equal the kernel's exactly; only the within-tick arrival order of
+//! same-tick messages from different shards may permute.
 //!
 //! # Synchronization shape
 //!
@@ -44,97 +49,23 @@
 //! sides of a barrier — the per-message hot path touches no lock. This
 //! module is classified `relaxed-determinism` in `diffuse-lint`'s policy
 //! table: threading and per-shard streams are allowed, wall-clock reads
-//! and unordered iteration remain banned.
+//! and unordered iteration remain banned. The engine module it drives
+//! is strict-deterministic.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::{Barrier, Mutex};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::adversary::MessageAdversary;
-use crate::crash::CrashState;
-use crate::kernel::{Actor, Context, SimMessage, SimOptions};
-use crate::loss::LossBatcher;
+use crate::engine::{Flight, Lane, LaneEnv, LaneStatus};
+use crate::kernel::{Actor, Context, SimOptions};
 use crate::shard_rng::shard_seed;
-use crate::{CrashModel, Metrics, SimTime, TimerId};
+use crate::{Metrics, SimTime};
 
-/// A message crossing (or queued within) a shard, ordered by
-/// `(arrival, source shard, source sequence)` — a deterministic merge
-/// key that no thread interleaving can perturb. With one shard the key
-/// reduces to the kernel's `(arrival, sequence)` order.
-#[derive(Debug)]
-struct Envelope<M> {
-    at: SimTime,
-    src_shard: u32,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    message: M,
-}
-
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.src_shard == other.src_shard && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Envelope<M> {}
-
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.src_shard, self.seq).cmp(&(other.at, other.src_shard, other.seq))
-    }
-}
-
-struct ShardNode<A> {
-    actor: A,
-    crash: CrashState,
-}
-
-/// Per-destination cache for one outbox flush (the kernel's `BurstSlot`,
-/// replicated so the per-shard flush is draw-for-draw identical).
-struct BurstSlot {
-    to: ProcessId,
-    link: Option<LinkId>,
-    loss: f64,
-    stagger: u64,
-    sent: Vec<(&'static str, u64)>,
-}
-
-/// Immutable per-run environment shared by every worker: the topology,
-/// the loss table snapshot, and the shard partition.
-struct ShardEnv<'a> {
-    topology: &'a Topology,
-    loss: &'a Configuration,
-    /// First process id of each shard, ascending; destination shards
-    /// resolve by binary search.
-    boundaries: &'a [ProcessId],
-    link_delay: u64,
-}
-
-impl ShardEnv<'_> {
-    /// The shard owning process `id` (which must be at or above the
-    /// first boundary — callers only route validated link destinations).
-    fn shard_of(&self, id: ProcessId) -> usize {
-        self.boundaries.partition_point(|&b| b <= id) - 1
-    }
-}
-
-/// One shard's view of the next tick, published at the barrier so every
-/// worker takes the identical fast-forward decision.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardStatus {
-    next_wake: Option<SimTime>,
-    forced_outages: usize,
+/// One worker's slice of the system: a lane over a contiguous id range
+/// and that range's actors (parallel to the lane's id list).
+struct Shard<A: Actor> {
+    lane: Lane<A::Message>,
+    actors: Vec<A>,
 }
 
 /// Cross-shard coordination state for one `run_ticks` segment.
@@ -142,415 +73,83 @@ struct Shared<M> {
     /// `W × W` single-producer/single-consumer mailbox slots, indexed
     /// `dst * W + src`. Producer and consumer sides are separated by a
     /// barrier, so each lock is uncontended by construction.
-    mailboxes: Vec<Mutex<Vec<Envelope<M>>>>,
+    mailboxes: Vec<Mutex<Vec<Flight<M>>>>,
     barrier: Barrier,
-    status: Mutex<Vec<ShardStatus>>,
-}
-
-/// Reads the combined status: the global minimum wake time and the total
-/// forced-outage count. Every shard computes the same values from the
-/// same snapshot.
-fn read_global<M>(shared: &Shared<M>) -> (Option<SimTime>, usize) {
-    let status = shared.status.lock().expect("a sibling shard panicked");
-    let mut wake: Option<SimTime> = None;
-    let mut forced = 0usize;
-    for s in status.iter() {
-        forced += s.forced_outages;
-        wake = match (wake, s.next_wake) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-    (wake, forced)
-}
-
-/// One worker's slice of the system: a contiguous id range of nodes plus
-/// everything the kernel keeps globally — heap, timers, RNG, metrics.
-struct Shard<A: Actor> {
-    index: u32,
-    nodes: BTreeMap<ProcessId, ShardNode<A>>,
-    ids: Vec<ProcessId>,
-    rng: StdRng,
-    /// Batched loss sampling over this shard's stream. Cells are keyed by
-    /// `(from, to)` with `from` owned by this shard, so the cell tables of
-    /// different shards are disjoint and one worker replays the kernel's
-    /// table exactly.
-    loss_runs: LossBatcher,
-    /// Per-shard message adversary over this shard's suppression stream
-    /// (seeded from the shard seed, so one worker replays the kernel's
-    /// suppression stream draw for draw). Senders are shard-owned, so
-    /// per-sender budgets never straddle shards.
-    adversary: MessageAdversary,
-    now: SimTime,
-    busy_ticks: u64,
-    next_seq: u64,
-    in_flight: BinaryHeap<Reverse<Envelope<A::Message>>>,
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    due_scratch: Vec<(ProcessId, TimerId)>,
-    outbox: Vec<(ProcessId, A::Message)>,
-    timer_ops: Vec<(TimerId, Option<SimTime>)>,
-    flush_scratch: Vec<(ProcessId, A::Message)>,
-    burst_scratch: Vec<BurstSlot>,
-    /// Per-destination-shard batches accumulated during the current
-    /// tick, published once at the barrier. The own-index slot is
-    /// unused (local sends go straight to `in_flight`).
-    outbound: Vec<Vec<Envelope<A::Message>>>,
-    metrics: Metrics,
-    forced_outages: usize,
+    /// Each lane's next-tick status, published at the barrier so every
+    /// worker takes the identical fast-forward decision.
+    status: Mutex<Vec<LaneStatus>>,
 }
 
 impl<A: Actor> Shard<A> {
-    /// Runs `f` for the actor at `id`, then applies its timer operations
-    /// and flushes its sends — the kernel's `with_actor`, per shard.
-    fn with_actor(
-        &mut self,
-        env: &ShardEnv<'_>,
-        id: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
-    ) {
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context::internal_new(now, id, &mut outbox, &mut timer_ops);
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(env, id);
-    }
-
-    fn apply_timer_ops(&mut self, id: ProcessId) {
-        if self.timer_ops.is_empty() {
-            return;
-        }
-        let mut ops = std::mem::take(&mut self.timer_ops);
-        for (timer, op) in ops.drain(..) {
-            let key = (id, timer);
-            if let Some(old) = self.timers.remove(&key) {
-                self.timer_queue.remove(&(old, id, timer));
-            }
-            if let Some(at) = op {
-                self.timers.insert(key, at);
-                self.timer_queue.insert((at, id, timer));
-            }
-        }
-        self.timer_ops = ops;
-    }
-
-    /// The kernel's `flush_outbox`, with one difference: scheduled
-    /// messages route either into the local heap or into the
-    /// per-destination-shard outbound batch. Loss decisions come from
-    /// this shard's batched sampler over this shard's stream, in local
-    /// send order — same guard, same [`LossBatcher`] draw order, same
-    /// stagger and sequence discipline as the spec kernel.
-    fn flush_outbox(&mut self, env: &ShardEnv<'_>, from: ProcessId) {
-        let mut pending = std::mem::take(&mut self.flush_scratch);
-        std::mem::swap(&mut pending, &mut self.outbox);
-        let mut slots = std::mem::take(&mut self.burst_scratch);
-        let mut live = 0usize;
-        let mut invalid = 0u64;
-        for (to, message) in pending.drain(..) {
-            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
-                Some(i) => i,
-                None => {
-                    let link = LinkId::new(from, to)
-                        .ok()
-                        .filter(|&l| env.topology.contains_link(l));
-                    let loss = link.map(|l| env.loss.loss(l).value()).unwrap_or(0.0);
-                    if live == slots.len() {
-                        slots.push(BurstSlot {
-                            to,
-                            link,
-                            loss,
-                            stagger: 0,
-                            sent: Vec::new(),
-                        });
-                    } else {
-                        let slot = &mut slots[live];
-                        slot.to = to;
-                        slot.link = link;
-                        slot.loss = loss;
-                        slot.stagger = 0;
-                        slot.sent.clear();
-                    }
-                    live += 1;
-                    live - 1
-                }
-            };
-            let slot = &mut slots[slot_index];
-            if slot.link.is_none() {
-                invalid += 1;
-                continue;
-            }
-            let kind = message.kind();
-            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => slot.sent.push((kind, 1)),
-            }
-            // Adversary before loss, no loss draws consumed — exactly
-            // the kernel's flush (see `Simulation::flush_outbox`).
-            if self.adversary.should_suppress(from, self.now) {
-                self.metrics.record_suppressed();
-                continue;
-            }
-            if slot.loss > 0.0
-                && self
-                    .loss_runs
-                    .should_drop(from, to, slot.loss, &mut self.rng)
-            {
-                self.metrics.record_lost();
-                continue;
-            }
-            let envelope = Envelope {
-                at: self.now + env.link_delay + slot.stagger,
-                src_shard: self.index,
-                seq: self.next_seq,
-                from,
-                to,
-                message,
-            };
-            slot.stagger += 1;
-            self.next_seq += 1;
-            let dst = env.shard_of(to);
-            if dst == self.index as usize {
-                self.in_flight.push(Reverse(envelope));
-            } else {
-                self.outbound[dst].push(envelope);
-            }
-        }
-        if invalid > 0 {
-            self.metrics.record_invalid_batch(invalid);
-        }
-        for slot in slots[..live].iter() {
-            if let Some(link) = slot.link {
-                for &(kind, n) in &slot.sent {
-                    self.metrics.record_sent_batch(link, kind, n);
-                }
-            }
-        }
-        self.flush_scratch = pending;
-        self.burst_scratch = slots;
-    }
-
-    /// The kernel's `fire_due_timers`, restricted to this shard's nodes.
-    fn fire_due_timers(&mut self, env: &ShardEnv<'_>) {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            for &(at, id, timer) in self.timer_queue.iter() {
-                if at > self.now {
-                    break;
-                }
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    due.push((id, timer));
-                }
-            }
-            if due.is_empty() {
-                self.due_scratch = due;
-                return;
-            }
-            due.sort_unstable();
-            for &(id, timer) in due.iter() {
-                let Some(&at) = self.timers.get(&(id, timer)) else {
-                    continue;
-                };
-                if at > self.now {
-                    continue;
-                }
-                self.timers.remove(&(id, timer));
-                self.timer_queue.remove(&(at, id, timer));
-                self.with_actor(env, id, |actor, ctx| actor.on_timer(ctx, timer));
-            }
-            self.due_scratch = due;
-        }
-    }
-
-    /// The earliest future event local to this shard.
-    fn next_wake(&self) -> Option<SimTime> {
-        let flight = self.in_flight.peek().map(|Reverse(e)| e.at);
-        let timer = self.timer_queue.first().map(|&(at, _, _)| at);
-        match (flight, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// One tick over this shard's nodes: the kernel's phases 1–4,
-    /// verbatim, restricted to local state.
-    fn step_local(&mut self, env: &ShardEnv<'_>, model: &CrashModel, event_driven: bool) {
-        self.now += 1;
-        self.busy_ticks += 1;
-
-        // Phase 1: crash/recovery transitions, id order.
-        let mut recovered: Vec<(ProcessId, u64)> = Vec::new();
-        for (&id, node) in self.nodes.iter_mut() {
-            let was_forced = node.crash.forced_down_remaining > 0;
-            if let Some(downtime) = node.crash.advance(model, &mut self.rng) {
-                recovered.push((id, downtime));
-            }
-            if was_forced && node.crash.forced_down_remaining == 0 {
-                self.forced_outages -= 1;
-            }
-        }
-        for (id, downtime) in recovered {
-            self.with_actor(env, id, |actor, ctx| actor.on_recover(ctx, downtime));
-        }
-
-        // Phase 2: deliveries due this tick, in merge-key order.
-        while let Some(Reverse(envelope)) = self.in_flight.peek() {
-            if envelope.at > self.now {
-                break;
-            }
-            let Reverse(envelope) = self.in_flight.pop().expect("peeked");
-            let up = self.nodes.get(&envelope.to).is_some_and(|n| n.crash.up);
-            if !up {
-                self.metrics.record_dropped_receiver_down();
-                continue;
-            }
-            self.metrics.record_delivered(envelope.message.kind());
-            let Envelope {
-                from, to, message, ..
-            } = envelope;
-            self.with_actor(env, to, |actor, ctx| actor.on_message(ctx, from, message));
-        }
-
-        // Phase 3: timers due this tick, in (process, timer) order.
-        self.fire_due_timers(env);
-
-        // Phase 4: tick handlers for up processes, id order.
-        if !event_driven {
-            let ids = self.ids.clone();
-            for id in ids {
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    self.with_actor(env, id, |actor, ctx| actor.on_tick(ctx));
-                }
-            }
-        }
-    }
-
-    /// Hands the tick's outbound batches to their destination mailboxes
-    /// (one lock per non-empty destination; the consumer side drains
-    /// after the barrier).
-    fn publish_batches(&mut self, shared: &Shared<A::Message>, workers: usize) {
-        for dst in 0..workers {
-            if dst == self.index as usize || self.outbound[dst].is_empty() {
-                continue;
-            }
-            let mut slot = shared.mailboxes[dst * workers + self.index as usize]
-                .lock()
-                .expect("a sibling shard panicked");
-            slot.append(&mut self.outbound[dst]);
-        }
-    }
-
-    /// Merges everything sibling shards addressed to this shard into the
-    /// local heap. The heap's `(arrival, source shard, sequence)` order
-    /// makes the drain order irrelevant; draining in ascending source
-    /// order anyway keeps the pass fully deterministic.
-    fn drain_inbox(&mut self, shared: &Shared<A::Message>, workers: usize) {
-        for src in 0..workers {
-            if src == self.index as usize {
-                continue;
-            }
-            let mut slot = shared.mailboxes[self.index as usize * workers + src]
-                .lock()
-                .expect("a sibling shard panicked");
-            for envelope in slot.drain(..) {
-                self.in_flight.push(Reverse(envelope));
-            }
-        }
-    }
-
-    fn publish_status(&self, shared: &Shared<A::Message>) {
-        let mut status = shared.status.lock().expect("a sibling shard panicked");
-        status[self.index as usize] = ShardStatus {
-            next_wake: self.next_wake(),
-            forced_outages: self.forced_outages,
-        };
-    }
-
-    /// The worker body for one `run_ticks` segment. Mirrors the kernel's
-    /// `run_ticks` loop, with the fast-forward decision computed from
-    /// the globally published statuses so every shard's clock jumps (or
-    /// steps) identically.
-    fn run_segment(
-        &mut self,
-        env: &ShardEnv<'_>,
-        shared: &Shared<A::Message>,
-        end: SimTime,
-        model: CrashModel,
-        event_driven: bool,
-        workers: usize,
-    ) {
+    /// The worker body for one `run_ticks` segment: the single-lane run
+    /// loop ([`Lane::run_to`]) with the fast-forward decision fed from
+    /// the globally published statuses, and a flight exchange after
+    /// every step.
+    fn run_segment(&mut self, env: &LaneEnv, shared: &Shared<A::Message>, end: SimTime) {
+        let workers = env.boundaries.len();
+        let index = self.lane.index();
         // Prime the status board so the first decision sees every shard.
-        self.publish_status(shared);
+        shared.status.lock().expect(PANICKED)[index] = self.lane.status();
         shared.barrier.wait();
         loop {
-            if self.now >= end {
+            let global = shared
+                .status
+                .lock()
+                .expect(PANICKED)
+                .iter()
+                .fold(LaneStatus::default(), |all, &one| all.join(one));
+            // Every lane sees the same clock and the same status, so all
+            // workers leave the loop on the same iteration.
+            if !self.lane.skip_idle(env, end, global) {
                 break;
             }
-            let (wake, forced) = read_global(shared);
-            let can_fast_forward = event_driven && forced == 0 && model == CrashModel::AlwaysUp;
-            if can_fast_forward {
-                match wake {
-                    Some(at) if at <= end => {
-                        if at > self.now + 1 {
-                            self.now = SimTime::new(at.ticks() - 1);
-                        }
-                    }
-                    _ => {
-                        // Nothing due anywhere before the horizon; every
-                        // shard takes this branch on the same iteration.
-                        self.now = end;
-                        break;
-                    }
-                }
+            self.lane.step(env, &mut self.actors[..]);
+            // Hand the tick's outbound batches to their destination
+            // mailboxes; the consumer side drains after the barrier.
+            for dst in (0..workers).filter(|&dst| dst != index) {
+                let mut slot = shared.mailboxes[dst * workers + index]
+                    .lock()
+                    .expect(PANICKED);
+                slot.extend(self.lane.take_outbound(dst));
             }
-            self.step_local(env, &model, event_driven);
-            self.publish_batches(shared, workers);
             shared.barrier.wait();
-            self.drain_inbox(shared, workers);
-            self.publish_status(shared);
+            // The heap's key makes the drain order irrelevant; ascending
+            // source order keeps the pass fully deterministic anyway.
+            for src in (0..workers).filter(|&src| src != index) {
+                let mut slot = shared.mailboxes[index * workers + src]
+                    .lock()
+                    .expect(PANICKED);
+                self.lane.accept(slot.drain(..));
+            }
+            shared.status.lock().expect(PANICKED)[index] = self.lane.status();
             shared.barrier.wait();
         }
     }
 }
+
+const PANICKED: &str = "a sibling shard panicked";
 
 /// A parallel executor for [`Actor`] systems: the kernel's semantics,
 /// sharded across worker threads.
 ///
-/// See the module-level docs for the determinism contract. The
-/// single-threaded [`crate::Simulation`] remains the executable spec;
-/// use the sharded executor for large-`n` sweeps where wall-clock
-/// matters and per-run self-reproducibility (rather than kernel
-/// bit-compatibility) suffices — or with `workers == 1`, where the two
-/// are draw-for-draw identical.
+/// See the module-level docs for the determinism contract. Use the
+/// sharded executor for large-`n` sweeps where wall-clock matters and
+/// per-run self-reproducibility (rather than kernel bit-compatibility)
+/// suffices — or with `workers == 1`, where the two are draw-for-draw
+/// identical.
 pub struct ShardedKernel<A: Actor> {
-    topology: Topology,
-    loss: Configuration,
-    options: SimOptions,
-    /// First process id of each shard, ascending.
-    boundaries: Vec<ProcessId>,
+    env: LaneEnv,
     shards: Vec<Shard<A>>,
-    now: SimTime,
-    event_driven: bool,
-    started: bool,
 }
 
 impl<A: Actor> std::fmt::Debug for ShardedKernel<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedKernel")
-            .field("now", &self.now)
+            .field("now", &self.now())
             .field("workers", &self.shards.len())
             .field(
                 "processes",
-                &self.shards.iter().map(|s| s.ids.len()).sum::<usize>(),
+                &self.shards.iter().map(|s| s.actors.len()).sum::<usize>(),
             )
             .finish_non_exhaustive()
     }
@@ -576,59 +175,35 @@ impl<A: Actor> ShardedKernel<A> {
         let extra = ids.len() % workers;
         let mut shards = Vec::with_capacity(workers);
         let mut boundaries = Vec::with_capacity(workers);
-        let mut event_driven = true;
         let mut cursor = 0usize;
         for index in 0..workers {
             let len = base + usize::from(index < extra);
-            let chunk = &ids[cursor..cursor + len];
+            let chunk = ids[cursor..cursor + len].to_vec();
             cursor += len;
             boundaries.push(chunk.first().copied().unwrap_or(ProcessId::new(0)));
-            let nodes: BTreeMap<ProcessId, ShardNode<A>> = chunk
-                .iter()
-                .map(|&id| {
-                    let actor = make_actor(id);
-                    event_driven &= !actor.wants_ticks();
-                    (
-                        id,
-                        ShardNode {
-                            actor,
-                            crash: CrashState::new(),
-                        },
-                    )
-                })
-                .collect();
             shards.push(Shard {
-                index: index as u32,
-                nodes,
-                ids: chunk.to_vec(),
-                rng: StdRng::seed_from_u64(shard_seed(options.seed, index as u32)),
-                loss_runs: LossBatcher::new(),
-                adversary: MessageAdversary::inactive(shard_seed(options.seed, index as u32)),
-                now: SimTime::ZERO,
-                busy_ticks: 0,
-                next_seq: 0,
-                in_flight: BinaryHeap::new(),
-                timers: BTreeMap::new(),
-                timer_queue: BTreeSet::new(),
-                due_scratch: Vec::new(),
-                outbox: Vec::new(),
-                timer_ops: Vec::new(),
-                flush_scratch: Vec::new(),
-                burst_scratch: Vec::new(),
-                outbound: (0..workers).map(|_| Vec::new()).collect(),
-                metrics: Metrics::new(),
-                forced_outages: 0,
+                actors: chunk.iter().copied().map(&mut make_actor).collect(),
+                lane: Lane::new(
+                    index,
+                    workers,
+                    chunk,
+                    shard_seed(options.seed, index as u32),
+                ),
             });
         }
+        let event_driven = shards
+            .iter()
+            .all(|s| s.actors.iter().all(|a| !a.wants_ticks()));
         ShardedKernel {
-            topology,
-            loss,
-            options,
-            boundaries,
+            env: LaneEnv {
+                topology,
+                loss,
+                link_delay: options.link_delay,
+                crash_model: options.crash_model,
+                event_driven,
+                boundaries,
+            },
             shards,
-            now: SimTime::ZERO,
-            event_driven,
-            started: false,
         }
     }
 
@@ -637,28 +212,27 @@ impl<A: Actor> ShardedKernel<A> {
         self.shards.len()
     }
 
-    /// Current simulated time.
+    /// Current simulated time (lane clocks advance in lockstep).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.shards[0].lane.now()
     }
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.env.topology
     }
 
     /// Ticks actually executed (fast-forwarded ticks are not counted).
-    /// Shard clocks advance in lockstep, so every shard reports the same
-    /// number.
+    /// Lane clocks advance in lockstep, so any lane's count is the run's.
     pub fn busy_ticks(&self) -> u64 {
-        self.shards.iter().map(|s| s.busy_ticks).max().unwrap_or(0)
+        self.shards[0].lane.busy_ticks()
     }
 
     /// Wire metrics aggregated over all shards (merged in shard order).
     pub fn metrics(&self) -> Metrics {
         let mut total = Metrics::new();
         for shard in &self.shards {
-            total.merge(&shard.metrics);
+            total.merge(shard.lane.metrics());
         }
         total
     }
@@ -666,14 +240,14 @@ impl<A: Actor> ShardedKernel<A> {
     /// Resets every shard's collected metrics (e.g. after warm-up).
     pub fn reset_metrics(&mut self) {
         for shard in &mut self.shards {
-            shard.metrics.reset();
+            shard.lane.reset_metrics();
         }
     }
 
     /// Immutable access to a process's actor.
     pub fn node(&self, id: ProcessId) -> Option<&A> {
-        let s = self.shard_index_of(id)?;
-        self.shards[s].nodes.get(&id).map(|n| &n.actor)
+        let shard = &self.shards[self.env.lane_of(id)];
+        shard.lane.slot_of(id).map(|slot| &shard.actors[slot])
     }
 
     /// Iterates over `(id, actor)` pairs in ascending id order (shards
@@ -682,53 +256,44 @@ impl<A: Actor> ShardedKernel<A> {
     pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, &A)> {
         self.shards
             .iter()
-            .flat_map(|s| s.nodes.iter().map(|(id, n)| (*id, &n.actor)))
+            .flat_map(|s| s.lane.ids().iter().copied().zip(&s.actors))
     }
 
     /// Returns `true` iff the process is currently up. Unknown processes
     /// are reported as down.
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.shard_index_of(id)
-            .and_then(|s| self.shards[s].nodes.get(&id))
-            .is_some_and(|n| n.crash.up)
+        self.shards[self.env.lane_of(id)].lane.is_up(id)
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
     /// Applied between run segments — i.e. at a tick barrier.
     pub fn force_down(&mut self, id: ProcessId, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        let Some(s) = self.shard_index_of(id) else {
-            return;
-        };
-        let shard = &mut self.shards[s];
-        let node = shard.nodes.get_mut(&id).expect("membership checked");
-        if node.crash.forced_down_remaining == 0 {
-            shard.forced_outages += 1;
-        }
-        node.crash.force_down(ticks);
+        self.shards[self.env.lane_of(id)].lane.force_down(id, ticks);
     }
 
     /// Overrides one link's loss probability. Applied between run
     /// segments, so every shard observes the change at the same tick.
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.loss.set_loss(link, p);
+        self.env.loss.set_loss(link, p);
     }
 
     /// (Re)configures every shard's message adversary (see
     /// [`crate::Simulation::set_message_adversary`]). Applied between
-    /// run segments; shard clocks are in lockstep, so every shard's
-    /// window 0 starts at the same tick.
+    /// run segments; lane clocks are in lockstep, so every shard's
+    /// window 0 starts at the same tick. Senders are shard-owned, so
+    /// per-sender budgets never straddle shards.
     pub fn set_message_adversary(&mut self, d: u32, window: u64) {
         for shard in &mut self.shards {
-            shard.adversary.configure(d, window, shard.now);
+            shard.lane.set_message_adversary(d, window);
         }
     }
 
     /// Emissions destroyed by the message adversary, summed over shards.
     pub fn suppressed_by_adversary(&self) -> u64 {
-        self.shards.iter().map(|s| s.adversary.suppressed()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lane.suppressed_by_adversary())
+            .sum()
     }
 
     /// Runs a closure against one process's actor with a live context,
@@ -742,64 +307,32 @@ impl<A: Actor> ShardedKernel<A> {
         f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
     ) -> bool {
         self.ensure_started();
-        let Some(s) = self.shard_index_of(id) else {
-            return false;
-        };
-        if !self.shards[s].nodes.get(&id).is_some_and(|n| n.crash.up) {
-            return false;
-        }
-        self.with_shard_actor(s, id, f);
-        true
+        let s = self.env.lane_of(id);
+        let Shard { lane, actors } = &mut self.shards[s];
+        let ran = lane.command(&self.env, id, |site, fx| {
+            f(&mut actors[site.slot], &mut Context::new(site, fx));
+        });
+        self.route_from(s);
+        ran
     }
 
-    /// The shard owning `id`, or `None` if `id` is not a process.
-    fn shard_index_of(&self, id: ProcessId) -> Option<usize> {
-        let idx = self.boundaries.partition_point(|&b| b <= id);
-        let s = idx.checked_sub(1)?;
-        self.shards[s].nodes.contains_key(&id).then_some(s)
-    }
-
-    /// Coordinator-side actor invocation: run the handler on the owning
-    /// shard, then route whatever it sent into the destination shards.
-    fn with_shard_actor(
-        &mut self,
-        s: usize,
-        id: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
-    ) {
-        {
-            let env = ShardEnv {
-                topology: &self.topology,
-                loss: &self.loss,
-                boundaries: &self.boundaries,
-                link_delay: self.options.link_delay,
-            };
-            self.shards[s].with_actor(&env, id, f);
-        }
-        // Route cross-shard sends directly (no worker is running).
-        for dst in 0..self.shards.len() {
-            if dst == s || self.shards[s].outbound[dst].is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(&mut self.shards[s].outbound[dst]);
-            for envelope in batch {
-                self.shards[dst].in_flight.push(Reverse(envelope));
-            }
+    /// Coordinator-side flight exchange (no worker is running): moves
+    /// whatever shard `s` addressed to its siblings into their heaps.
+    fn route_from(&mut self, s: usize) {
+        for dst in (0..self.shards.len()).filter(|&dst| dst != s) {
+            let batch: Vec<_> = self.shards[s].lane.take_outbound(dst).collect();
+            self.shards[dst].lane.accept(batch);
         }
     }
 
+    /// Runs every actor's `on_start` in global ascending id order,
+    /// exactly like the kernel: shards hold contiguous ascending ranges,
+    /// visited in shard order.
     fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        // Global ascending id order, exactly like the kernel: shards
-        // hold contiguous ascending ranges, visited in shard order.
         for s in 0..self.shards.len() {
-            let ids = self.shards[s].ids.clone();
-            for id in ids {
-                self.with_shard_actor(s, id, |actor, ctx| actor.on_start(ctx));
-            }
+            let Shard { lane, actors } = &mut self.shards[s];
+            lane.start(&self.env, &mut actors[..]);
+            self.route_from(s);
         }
     }
 }
@@ -820,41 +353,30 @@ where
         if n == 0 {
             return;
         }
-        let end = self.now + n;
+        let end = self.now() + n;
         let workers = self.shards.len();
-        let model = self.options.crash_model;
-        let event_driven = self.event_driven;
-        let env = ShardEnv {
-            topology: &self.topology,
-            loss: &self.loss,
-            boundaries: &self.boundaries,
-            link_delay: self.options.link_delay,
-        };
+        let env = &self.env;
         let shared: Shared<A::Message> = Shared {
             mailboxes: (0..workers * workers)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             barrier: Barrier::new(workers),
-            status: Mutex::new(vec![ShardStatus::default(); workers]),
+            status: Mutex::new(vec![LaneStatus::default(); workers]),
         };
         std::thread::scope(|scope| {
             for shard in self.shards.iter_mut() {
-                let env = &env;
                 let shared = &shared;
-                scope.spawn(move || {
-                    shard.run_segment(env, shared, end, model, event_driven, workers);
-                });
+                scope.spawn(move || shard.run_segment(env, shared, end));
             }
         });
-        self.now = end;
-        debug_assert!(self.shards.iter().all(|s| s.now == end));
+        debug_assert!(self.shards.iter().all(|s| s.lane.now() == end));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
+    use crate::{Simulation, TimerId};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

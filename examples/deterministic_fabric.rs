@@ -5,10 +5,10 @@
 //!
 //! Under a [`VirtualClock`](diffuse::net::VirtualClock), node threads
 //! park on a [`VirtualNet`](diffuse::net::VirtualNet) time authority
-//! that replays the kernel's phase order and RNG stream, so a fabric
-//! run is a pure function of `(scenario, seed)`: no sleeps, no settle
-//! margins, no flaky assertions — and running it twice gives you the
-//! same bytes.
+//! that steps the kernel's own tick engine (same phase order, same RNG
+//! streams) through node-thread turns, so a fabric run is a pure
+//! function of `(scenario, seed)`: no sleeps, no settle margins, no
+//! flaky assertions — and running it twice gives you the same bytes.
 //!
 //! ```text
 //! cargo run --release --example deterministic_fabric

@@ -19,10 +19,12 @@
 
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
 use diffuse::core::{
-    AdaptiveBroadcast, AdaptiveParams, NetworkKnowledge, OptimalBroadcast, Payload, ReferenceGossip,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, NetworkKnowledge,
+    OptimalBroadcast, Payload, Protocol, ProtocolAudit, ReferenceGossip,
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
+use diffuse::net::codec::{decode_message, encode_message};
 use diffuse::net::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, FabricScenarioOptions};
 use diffuse::sim::{CrashModel, SimTime};
 use rand::rngs::StdRng;
@@ -236,6 +238,142 @@ fn adaptive_protocol_conformance() {
             );
         }
     }
+}
+
+/// Passes every received message through the wire codec before the
+/// wrapped protocol sees it — what the fabric's runtime does to each
+/// frame, minus the threads.
+struct OverTheWire<P>(P);
+
+impl<P: Protocol> Protocol for OverTheWire<P> {
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+
+    fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+        self.0.on_start(now, actions);
+    }
+
+    fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+        let event = match event {
+            Event::Message { from, message } => Event::Message {
+                from,
+                message: decode_message(&encode_message(&message))
+                    .expect("an encoded message decodes"),
+            },
+            other => other,
+        };
+        self.0.on_event(now, event, actions);
+    }
+
+    fn broadcast(
+        &mut self,
+        now: SimTime,
+        payload: Payload,
+        actions: &mut Actions,
+    ) -> Result<BroadcastId, CoreError> {
+        self.0.broadcast(now, payload, actions)
+    }
+
+    fn delivered(&self) -> &[(BroadcastId, Payload)] {
+        self.0.delivered()
+    }
+
+    fn audit(&self) -> ProtocolAudit {
+        self.0.audit()
+    }
+}
+
+/// The script of e2e finding (iv): long enough for a belief vector's f64
+/// sum to drift a few ULP off 1, which is all it took for a decoded
+/// estimate to differ from the one handed over by `Arc`.
+fn finding_iv() -> (
+    Scenario,
+    u64,
+    impl Fn(ProcessId) -> AdaptiveBroadcast + Clone,
+) {
+    let topology = generators::circulant(16, 4).unwrap();
+    let scenario = Scenario::builder(topology.clone())
+        .uniform_loss(Probability::new(0.03).unwrap())
+        .seed(1)
+        .workload(Workload::new().stream(p(0), SimTime::new(200), 10, 18))
+        .faults(
+            FaultScript::new()
+                .at(
+                    SimTime::new(100),
+                    FaultAction::DegradeAll {
+                        loss: Probability::new(0.3).unwrap(),
+                    },
+                )
+                .at(SimTime::new(120), FaultAction::Heal)
+                .at(
+                    SimTime::new(250),
+                    FaultAction::Crash {
+                        process: p(15),
+                        down_ticks: 30,
+                    },
+                ),
+        )
+        .build();
+    let all: Vec<ProcessId> = topology.processes().collect();
+    let make = move |id: ProcessId| {
+        AdaptiveBroadcast::new(
+            id,
+            all.clone(),
+            topology.neighbors(id).collect(),
+            AdaptiveParams::default(),
+        )
+    };
+    (scenario, 400, make)
+}
+
+/// Wire transparency, at kernel speed: a protocol must not be able to
+/// tell a message that crossed the codec from one handed over in memory.
+/// Checked on the finding-(iv) script and on the adaptive seeds above,
+/// entirely on the kernel — no fabric threads.
+#[test]
+fn the_codec_is_invisible_to_protocols() {
+    let (scenario, horizon, make) = finding_iv();
+    assert_eq!(
+        scenario.run_sim(horizon, &make),
+        scenario.run_sim(horizon, |id| OverTheWire(make(id))),
+        "finding (iv) script: decode(encode(m)) changed a run"
+    );
+    for seed in [11u64, 42, 0xADA] {
+        let (scenario, horizon) = random_scenario(seed.wrapping_add(0x5EED));
+        let topology = scenario.topology.clone();
+        let all: Vec<ProcessId> = topology.processes().collect();
+        let make = |id: ProcessId| {
+            AdaptiveBroadcast::new(
+                id,
+                all.clone(),
+                topology.neighbors(id).collect(),
+                AdaptiveParams::default(),
+            )
+        };
+        assert_eq!(
+            scenario.run_sim(horizon, make),
+            scenario.run_sim(horizon, |id| OverTheWire(make(id))),
+            "seed {seed}: decode(encode(m)) changed a run"
+        );
+    }
+}
+
+/// The finding-(iv) script itself, kernel against virtual fabric (two
+/// fabric runs of ~26 000 turn hand-offs each: ~20 s in debug).
+#[test]
+#[ignore = "release-only: CI runs it via --ignored"]
+fn finding_iv_script_conformance() {
+    let (scenario, horizon, make) = finding_iv();
+    let sim = scenario.run_sim(horizon, &make);
+    assert_eq!(sim.skipped_faults + sim.failed_broadcasts, 0, "{sim:?}");
+    assert_conformant(
+        &scenario,
+        horizon,
+        sim,
+        || run_scenario_on_fabric_virtual(&scenario, horizon, &make),
+        "finding (iv)",
+    );
 }
 
 /// The adversarial fault family: a scripted lying node
