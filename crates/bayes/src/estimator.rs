@@ -263,8 +263,9 @@ impl BeliefEstimator {
     /// directly follows `decrease_reliability(factor)` with no intervening
     /// mutation, the recorded checkpoint is restored and the revert is
     /// *bit-for-bit exact*; otherwise the likelihood is divided back out
-    /// numerically (exact up to floating-point round-off). See DESIGN.md
-    /// §4.5.
+    /// numerically (exact up to floating-point round-off). The test
+    /// `bayes_increase_does_not_cancel_decrease` shows why an increase
+    /// cannot stand in for this.
     ///
     /// [`decrease_reliability`]: BeliefEstimator::decrease_reliability
     pub fn undo_decrease(&mut self, factor: u32) {
@@ -554,7 +555,7 @@ mod tests {
 
     #[test]
     fn bayes_increase_does_not_cancel_decrease() {
-        // The motivation for undo_decrease (DESIGN.md §4.5): a Bayesian
+        // The motivation for `BeliefEstimator::undo_decrease`: a Bayesian
         // increase after a decrease is *not* the identity.
         let mut e = BeliefEstimator::new(10);
         let before = e.clone();

@@ -1,7 +1,8 @@
-//! Ablation benchmarks for the design decisions called out in
-//! DESIGN.md §6: greedy vs exhaustive optimization, Eq. 1 vs Eq. 2 reach
-//! evaluation, reconciliation/correction modes, and copy-on-write belief
-//! adoption.
+//! Ablation benchmarks for the design decisions the rustdoc of
+//! `optimize_exhaustive`, `reach_recursive`, `ReconcileMode` /
+//! `CorrectionMode` and `Estimate` argues for: greedy vs exhaustive
+//! optimization, Eq. 1 vs Eq. 2 reach evaluation,
+//! reconciliation/correction modes, and copy-on-write belief adoption.
 
 use std::time::Duration;
 

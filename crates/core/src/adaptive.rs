@@ -1379,7 +1379,7 @@ impl AdaptiveBroadcast {
                 // estimate's distortion is pinned there — otherwise stale
                 // pre-crash copies echoing back from third parties (with
                 // lower distortion) would keep overwriting the fresh
-                // negative evidence. See DESIGN.md §4.
+                // negative evidence (adoption prefers lower distortion).
                 record.suspected += 1;
                 record.estimate.beliefs_mut().decrease_reliability(1);
                 record.estimate.set_distortion(Distortion::finite(1));

@@ -97,8 +97,8 @@ pub use protocol::{
 };
 pub use reach::{link_success, pow_det, reach, reach_recursive, MessageVector};
 pub use scenario::{
-    FaultAction, FaultScript, FaultSink, Scenario, ScenarioBuilder, ScenarioReport, ScenarioSim,
-    ScriptSchedule, ShardedScenarioSim, Workload, WorkloadEvent,
+    BroadcastOutcome, FaultAction, FaultScript, FaultSink, Scenario, ScenarioBuilder,
+    ScenarioReport, ScenarioSim, ShardedScenarioSim, Workload, WorkloadEvent,
 };
 pub use tree::{ReliabilityTree, SharedWireTree, WireTree};
 pub use waterfill::{optimize_budget_waterfill, optimize_waterfill};

@@ -5,7 +5,9 @@ use diffuse_bayes::DEFAULT_INTERVALS;
 /// How sequence numbers reconcile suspicions on heartbeat receipt
 /// (Algorithm 4, Event 1).
 ///
-/// See DESIGN.md §4.4 for the full analysis.
+/// The variants' docs carry the argument; the test
+/// `paper_literal_mode_fails_to_converge_where_default_succeeds`
+/// (`tests/adaptive_integration.rs`) and the `ablations` bench measure it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReconcileMode {
     /// `adjust = suspected - missed`, where

@@ -1,13 +1,25 @@
-//! One scenario description, many substrates.
+//! One scenario description, one driver, five executors.
 //!
 //! A [`Scenario`] composes everything that defines an experiment run —
 //! a [`Topology`], a per-link loss [`Configuration`], a [`CrashModel`],
 //! a scripted [`Workload`] of broadcasts (bursts, multi-origin streams)
 //! and a [`FaultScript`] of timed environment changes (link degradation,
-//! loss spikes, partitions, healing, forced crashes) — into a single
-//! value that runs *identically* on the deterministic simulation kernel
-//! (via [`ScenarioSim`]) and on `diffuse-net`'s in-memory fabric of real
-//! threads (via `diffuse_net::run_scenario_on_fabric`).
+//! loss spikes, partitions, healing, forced crashes, lying nodes, a
+//! message adversary) — into a single value.
+//!
+//! [`ScenarioRun`] is the only code that walks those two scripts and the
+//! only code that assembles a [`ScenarioReport`]. What "run this
+//! scenario" means — faults before broadcasts at equal times, nothing
+//! fires at the horizon tick, a deferred broadcast is retried one tick
+//! later, a still-pending one counts as failed, a lying node is on
+//! record before its fault is applied — is therefore written once. It
+//! drives anything that implements [`Executor`]: the simulation kernel
+//! and the sharded executor here ([`ScenarioSim`],
+//! [`ShardedScenarioSim`]), and `diffuse-net`'s wall-clock fabric,
+//! virtual-time fabric and multi-process UDP cluster
+//! (`run_scenario_on_fabric`, `run_scenario_on_fabric_virtual`,
+//! `run_scenario_on_udp_cluster`), which differ only in how they let
+//! time pass and how they reach a process.
 //!
 //! The paper's fixed benchmark scripts (Figures 4–6) are instances of
 //! this shape: pick a topology family, a uniform configuration, a
@@ -42,13 +54,14 @@
 //! # }
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse_sim::{Context, CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
+use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
 
 use crate::adversary::{Containment, CorruptionMode, ProtocolAudit};
-use crate::protocol::{Event, Message, Payload, Protocol, ProtocolActor};
+use crate::protocol::{Event, Payload, Protocol, ProtocolActor};
+use crate::CoreError;
 
 /// One scripted broadcast: at `at`, `origin` broadcasts `payload`.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,13 +204,11 @@ pub enum FaultAction {
     },
 }
 
-/// The two hooks a substrate exposes for fault injection: override a
-/// link's loss and force a process down. [`FaultAction::apply`] maps
-/// every fault variant onto these, so the mapping exists exactly once.
-///
-/// Implemented for [`Simulation`] and [`ShardedKernel`] over
-/// [`ProtocolActor`]s (see [`Executor`]); `diffuse-net`'s fabric runners
-/// supply small adapters over their control handles.
+/// The hooks a substrate exposes for fault injection: override a link's
+/// loss, force a process down, and the two adversarial hooks.
+/// [`FaultAction::apply`] maps every fault variant onto these, so the
+/// mapping exists exactly once. It is the fault half of an [`Executor`];
+/// every implementation is one.
 pub trait FaultSink {
     /// Overrides one link's loss probability for future transmissions.
     fn set_loss(&mut self, link: LinkId, loss: Probability);
@@ -225,14 +236,12 @@ impl FaultAction {
     ///
     /// This is the *single* definition of what each fault variant means
     /// (which links a partition cuts, what a heal restores, how a crash
-    /// translates), shared by the simulation kernel driver
-    /// ([`ScenarioSim`]) and both of `diffuse-net`'s fabric runners — so
-    /// the substrates cannot drift apart variant by variant. `base` is
-    /// the scenario's base configuration, which [`FaultAction::Heal`]
-    /// restores.
+    /// translates), so executors cannot drift apart variant by variant.
+    /// `base` is the scenario's base configuration, which
+    /// [`FaultAction::Heal`] restores.
     ///
     /// Returns how many actions (zero or one) the sink could not
-    /// execute — drivers accumulate this into
+    /// execute — [`ScenarioRun`] accumulates this into
     /// [`ScenarioReport::skipped_faults`].
     #[must_use]
     pub fn apply(
@@ -524,62 +533,45 @@ impl ScenarioReport {
     }
 }
 
-/// Time-ordered application state for a scenario's two scripts.
-///
-/// Both substrates drive their runs through this one cursor type so the
-/// *semantics* of script application — fault-before-workload ordering at
-/// equal times, deferred-broadcast retries one tick later, pending
-/// broadcasts counting as failed at report time — are defined exactly
-/// once. [`ScenarioSim`] uses it against the simulation kernel;
-/// `diffuse_net`'s fabric runners use it against real threads.
+/// What is left of a scenario's two scripts, in time order, plus the
+/// broadcasts awaiting a retry. Private to this module: [`ScenarioRun`]
+/// is its only reader, which is what keeps a second script walker from
+/// growing anywhere else.
 #[derive(Debug, Clone)]
-pub struct ScriptSchedule {
-    workload: Vec<WorkloadEvent>,
-    workload_cursor: usize,
-    faults: Vec<FaultEvent>,
-    fault_cursor: usize,
-    /// Broadcasts whose issue was deferred (incomplete knowledge, origin
-    /// down): retried once per tick, like the net runtime's pending
-    /// queue, so both substrates share the retry semantics.
+struct ScriptSchedule {
+    workload: VecDeque<WorkloadEvent>,
+    faults: VecDeque<FaultEvent>,
+    /// Broadcasts whose issue was [`BroadcastOutcome::Deferred`], with
+    /// the tick of their next attempt, in deferral order.
     deferred: Vec<(SimTime, WorkloadEvent)>,
+    /// Broadcasts that failed non-retryably at issue time.
     failed: u64,
 }
 
 impl ScriptSchedule {
-    /// Builds the schedule from a scenario's workload and fault scripts
-    /// (each sorted by time, stable within equal times).
-    pub fn new(scenario: &Scenario) -> Self {
+    /// Both scripts sorted by time, stable within equal times.
+    fn new(scenario: &Scenario) -> Self {
         ScriptSchedule {
-            workload: scenario.workload.sorted(),
-            workload_cursor: 0,
-            faults: scenario.faults.sorted(),
-            fault_cursor: 0,
+            workload: scenario.workload.sorted().into(),
+            faults: scenario.faults.sorted().into(),
             deferred: Vec::new(),
             failed: 0,
         }
     }
 
     /// The earliest unapplied script event or deferred retry.
-    pub fn next_time(&self) -> Option<SimTime> {
-        let workload = self.workload.get(self.workload_cursor).map(|e| e.at);
-        let fault = self.faults.get(self.fault_cursor).map(|e| e.at);
+    fn next_time(&self) -> Option<SimTime> {
+        let workload = self.workload.front().map(|e| e.at);
+        let fault = self.faults.front().map(|e| e.at);
         let retry = self.deferred.iter().map(|&(at, _)| at).min();
         [workload, fault, retry].into_iter().flatten().min()
     }
 
     /// Takes every fault action due at or before `now`, in script order.
-    /// Faults are taken before [`ScriptSchedule::due_broadcasts`] at equal
-    /// times, so a broadcast scheduled at the moment of a heal sees the
-    /// healed links on every substrate.
-    pub fn due_faults(&mut self, now: SimTime) -> Vec<FaultAction> {
+    fn due_faults(&mut self, now: SimTime) -> Vec<FaultAction> {
         let mut due = Vec::new();
-        while self
-            .faults
-            .get(self.fault_cursor)
-            .is_some_and(|e| e.at <= now)
-        {
-            due.push(self.faults[self.fault_cursor].action.clone());
-            self.fault_cursor += 1;
+        while self.faults.front().is_some_and(|e| e.at <= now) {
+            due.extend(self.faults.pop_front().map(|e| e.action));
         }
         due
     }
@@ -588,7 +580,7 @@ impl ScriptSchedule {
     /// first (in deferral order, so a broadcast never overtakes an
     /// earlier one from the same origin), then newly-due workload events
     /// in script order.
-    pub fn due_broadcasts(&mut self, now: SimTime) -> Vec<WorkloadEvent> {
+    fn due_broadcasts(&mut self, now: SimTime) -> Vec<WorkloadEvent> {
         let mut due = Vec::new();
         self.deferred.retain(|(at, event)| {
             if *at <= now {
@@ -598,66 +590,76 @@ impl ScriptSchedule {
                 true
             }
         });
-        while self
-            .workload
-            .get(self.workload_cursor)
-            .is_some_and(|e| e.at <= now)
-        {
-            due.push(self.workload[self.workload_cursor].clone());
-            self.workload_cursor += 1;
+        while self.workload.front().is_some_and(|e| e.at <= now) {
+            due.extend(self.workload.pop_front());
         }
         due
     }
+}
 
-    /// Re-queues a broadcast whose issue was deferred by a retryable
-    /// condition, to be retried at `at`.
-    pub fn defer(&mut self, at: SimTime, event: WorkloadEvent) {
-        self.deferred.push((at, event));
-    }
+/// What asking a process to broadcast produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BroadcastOutcome {
+    /// The broadcast issued; its sends are on the wire.
+    Issued,
+    /// The broadcast could not issue yet for a retryable reason — the
+    /// origin is down or unknown, or its topology knowledge is still
+    /// incomplete. [`ScenarioRun`] retries it one tick later.
+    Deferred,
+    /// The broadcast failed non-retryably.
+    Failed,
+}
 
-    /// Counts one broadcast that failed non-retryably at issue time.
-    pub fn record_failed(&mut self) {
-        self.failed += 1;
-    }
-
-    /// Broadcasts that failed non-retryably so far (excluding still
-    /// deferred ones — see [`ScriptSchedule::pending`]).
-    pub fn failed_broadcasts(&self) -> u64 {
-        self.failed
-    }
-
-    /// Broadcasts currently deferred, awaiting their next retry. A run
-    /// that ends while broadcasts are pending reports them as failed —
-    /// they never issued.
-    pub fn pending(&self) -> u64 {
-        self.deferred.len() as u64
+impl BroadcastOutcome {
+    /// Classifies the result of [`Protocol::broadcast`] — the one place
+    /// that decides which errors are worth a retry.
+    pub fn of<T>(result: &Result<T, CoreError>) -> Self {
+        match result {
+            Ok(_) => BroadcastOutcome::Issued,
+            Err(CoreError::KnowledgeIncomplete) => BroadcastOutcome::Deferred,
+            Err(_) => BroadcastOutcome::Failed,
+        }
     }
 }
 
-/// What the scenario driver needs from an actor executor, beyond the
-/// fault hooks of [`FaultSink`]: a clock, a way to advance it, commands
-/// against one process's [`ProtocolActor`], and read access to the
-/// protocols and wire metrics. Implemented by [`Simulation`] and
-/// [`ShardedKernel`] over [`ProtocolActor`]s — the two executors expose
-/// the same inherent surface, so both impls come from one macro body.
+/// What an executor's processes and wire have seen so far: the half of a
+/// [`ScenarioReport`] that does not come from the scripts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Observed {
+    /// Broadcast deliveries per process.
+    pub delivered: BTreeMap<ProcessId, u64>,
+    /// Per-process adversary-containment counters.
+    pub audits: BTreeMap<ProcessId, ProtocolAudit>,
+    /// Emissions destroyed by the message adversary.
+    pub suppressed: u64,
+    /// Wire metrics (see [`ScenarioReport::metrics`] for which executors
+    /// fill them exactly).
+    pub metrics: Metrics,
+}
+
+/// What [`ScenarioRun`] needs from the thing it drives, beyond the fault
+/// hooks of [`FaultSink`]: a clock in script ticks, a way to let ticks
+/// pass, a way to ask a process to broadcast, and a look at the outcome.
+///
+/// Five executors exist: [`Simulation`] and [`ShardedKernel`] over
+/// [`ProtocolActor`]s (one macro body below — the two expose the same
+/// inherent surface) and, in `diffuse-net`, the wall-clock fabric, the
+/// virtual-time fabric and the UDP process cluster.
 pub trait Executor: FaultSink {
-    /// The protocol run at every process.
-    type Protocol: Protocol;
-    /// Current simulated time.
+    /// The current script tick. Simulated time on the deterministic
+    /// executors; on wall-clock ones the *logical* tick the driver has
+    /// advanced to, not a reading of the wall clock.
     fn now(&self) -> SimTime;
-    /// Advances `n` ticks, fast-forwarding idle stretches when possible.
-    fn run_ticks(&mut self, n: u64);
-    /// Runs `f` against `id`'s actor with a live context; `false` (and
-    /// nothing run) if the process is unknown or down.
-    fn command(
-        &mut self,
-        id: ProcessId,
-        f: impl FnOnce(&mut ProtocolActor<Self::Protocol>, &mut Context<'_, Message>),
-    ) -> bool;
-    /// `(id, protocol)` pairs in ascending id order.
-    fn protocols(&self) -> impl Iterator<Item = (ProcessId, &Self::Protocol)>;
-    /// Wire metrics so far.
-    fn metrics(&self) -> Metrics;
+    /// Lets `ticks` ticks pass: the deterministic executors run their
+    /// tick engine (fast-forwarding idle stretches), the wall-clock ones
+    /// sleep until the target tick begins.
+    fn advance(&mut self, ticks: u64);
+    /// Asks `origin` to broadcast `payload` now. Executors whose node
+    /// runtimes retry on their own never answer
+    /// [`BroadcastOutcome::Deferred`].
+    fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome;
+    /// Deliveries, audits and wire counters so far, in process-id order.
+    fn observed(&self) -> Observed;
 }
 
 macro_rules! impl_executor {
@@ -686,26 +688,34 @@ macro_rules! impl_executor {
         }
 
         impl<P: $($bound)+> Executor for $executor<ProtocolActor<P>> {
-            type Protocol = P;
             fn now(&self) -> SimTime {
                 $executor::now(self)
             }
-            fn run_ticks(&mut self, n: u64) {
-                $executor::run_ticks(self, n);
+            fn advance(&mut self, ticks: u64) {
+                $executor::run_ticks(self, ticks);
             }
-            fn command(
-                &mut self,
-                id: ProcessId,
-                f: impl FnOnce(&mut ProtocolActor<P>, &mut Context<'_, Message>),
-            ) -> bool {
-                $executor::command(self, id, f)
+            /// A down or unknown origin runs nothing and is retried.
+            fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
+                let mut outcome = BroadcastOutcome::Deferred;
+                $executor::command(self, origin, |actor, ctx| {
+                    outcome = BroadcastOutcome::of(&actor.broadcast_now(ctx, payload.clone()));
+                });
+                outcome
             }
-            fn protocols(&self) -> impl Iterator<Item = (ProcessId, &P)> {
-                self.nodes().map(|(id, actor)| (id, actor.protocol()))
-            }
-            fn metrics(&self) -> Metrics {
+            fn observed(&self) -> Observed {
                 let $sim = self;
-                $metrics
+                let metrics: Metrics = $metrics;
+                let mut seen = Observed {
+                    suppressed: metrics.suppressed_by_adversary(),
+                    metrics,
+                    ..Observed::default()
+                };
+                for (id, actor) in self.nodes() {
+                    let protocol = actor.protocol();
+                    seen.delivered.insert(id, protocol.delivered().len() as u64);
+                    seen.audits.insert(id, protocol.audit());
+                }
+                seen
             }
         }
     };
@@ -718,17 +728,19 @@ impl_executor!(
     Protocol + Send
 );
 
-/// A scenario instantiated on an actor [`Executor`]: owns the executor
-/// plus a [`ScriptSchedule`] over the workload and fault scripts, and
-/// applies script events at exactly their scheduled times while the
-/// clock advances (fast-forwarding through idle stretches whenever the
-/// executor allows it). On the sharded executor script events apply on
-/// the coordinator *between* run segments, while no worker thread is
-/// live, so every shard observes each fault at the same tick barrier.
+/// A scenario instantiated on an [`Executor`]: owns the executor plus
+/// the cursors over the workload and fault scripts, applies script events
+/// at exactly their scheduled ticks while the executor lets time pass,
+/// and assembles the [`ScenarioReport`]. On the sharded executor script
+/// events apply on the coordinator *between* run segments, while no
+/// worker thread is live, so every shard observes each fault at the same
+/// tick barrier.
 ///
-/// Use it through its two aliases, [`ScenarioSim`] (the kernel) and
-/// [`ShardedScenarioSim`]; being one type, the two cannot drift apart in
-/// script semantics.
+/// The kernel and the sharded executor are reached through
+/// [`Scenario::sim`] / [`Scenario::sim_sharded`] and the aliases
+/// [`ScenarioSim`] / [`ShardedScenarioSim`]; `diffuse-net`'s runners wrap
+/// their own executors with [`ScenarioRun::over`]. Being one type, no two
+/// of them can drift apart in script semantics.
 pub struct ScenarioRun<S> {
     sim: S,
     topology: Topology,
@@ -756,9 +768,11 @@ impl<S: Executor> std::fmt::Debug for ScenarioRun<S> {
 }
 
 impl<S: Executor> ScenarioRun<S> {
-    fn over(scenario: &Scenario, sim: S) -> Self {
+    /// Puts `scenario`'s scripts in front of `executor`, which must have
+    /// been built from the same scenario and stand at tick zero.
+    pub fn over(scenario: &Scenario, executor: S) -> Self {
         ScenarioRun {
-            sim,
+            sim: executor,
             topology: scenario.topology.clone(),
             base_config: scenario.config.clone(),
             script: ScriptSchedule::new(scenario),
@@ -773,26 +787,33 @@ impl<S: Executor> ScenarioRun<S> {
     }
 
     /// Mutable access to the underlying executor (extra fault
-    /// injection, manual commands).
+    /// injection, manual commands, stopping a wall-clock executor before
+    /// the report).
     pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
     }
 
     /// Scripted broadcasts that failed non-retryably at issue time.
     pub fn failed_broadcasts(&self) -> u64 {
-        self.script.failed_broadcasts()
+        self.script.failed
     }
 
     /// Scripted broadcasts currently deferred (incomplete knowledge or a
     /// down origin), awaiting their next per-tick retry.
     pub fn pending_broadcasts(&self) -> u64 {
-        self.script.pending()
+        self.script.deferred.len() as u64
     }
 
-    /// Applies every script event due at or before the current time —
-    /// faults before broadcasts at equal times, each script in time
-    /// order — and retries deferred broadcasts. Returns the time to run
+    /// Applies every script event due at or before the current tick —
+    /// faults before broadcasts at equal times (a broadcast scheduled at
+    /// the moment of a heal sees the healed links), each script in time
+    /// order, deferred broadcasts first — and returns the tick to advance
     /// to next: the earliest remaining script event, capped at `end`.
+    ///
+    /// A liar is on record before its fault is applied, so a corruption
+    /// the executor could not inject still never counts its target as a
+    /// correct node. A retryable broadcast goes back in the queue for the
+    /// next tick; anything else that did not issue counts as failed.
     fn apply_due_events(&mut self, end: SimTime) -> SimTime {
         let now = self.sim.now();
         for action in self.script.due_faults(now) {
@@ -802,74 +823,55 @@ impl<S: Executor> ScenarioRun<S> {
             self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut self.sim);
         }
         for event in self.script.due_broadcasts(now) {
-            self.issue_broadcast(event);
+            match self.sim.issue(event.origin, &event.payload) {
+                BroadcastOutcome::Issued => {}
+                BroadcastOutcome::Deferred => self.script.deferred.push((now + 1, event)),
+                BroadcastOutcome::Failed => self.script.failed += 1,
+            }
         }
         self.script.next_time().filter(|&t| t <= end).unwrap_or(end)
     }
 
-    /// Issues one scripted broadcast. Retryable outcomes — incomplete
-    /// knowledge, a currently-down origin — are deferred to the next
-    /// tick (mirroring the net runtime, which retries its pending
-    /// broadcasts until they succeed); anything else counts as failed.
-    fn issue_broadcast(&mut self, event: WorkloadEvent) {
-        let now = self.sim.now();
-        let mut outcome = Ok(());
-        let issued = self.sim.command(event.origin, |actor, ctx| {
-            outcome = actor.broadcast_now(ctx, event.payload.clone()).map(|_| ());
-        });
-        let retry = !issued || matches!(outcome, Err(crate::CoreError::KnowledgeIncomplete));
-        if retry {
-            self.script.defer(now + 1, event);
-        } else if outcome.is_err() {
-            self.script.record_failed();
-        }
-    }
-
-    /// Containment metrics assembled from per-node protocol audits, the
-    /// scripted liar set, and the executor's suppression counter.
-    pub fn containment(&self) -> Containment {
-        let audits: BTreeMap<ProcessId, ProtocolAudit> = self
-            .sim
-            .protocols()
-            .map(|(id, protocol)| (id, protocol.audit()))
-            .collect();
-        Containment::assemble(
-            &self.corrupt,
-            &audits,
-            self.sim.metrics().suppressed_by_adversary(),
-        )
-    }
-
-    /// Advances `n` ticks, applying script events at their scheduled
-    /// times. Idle stretches between events fast-forward when the
-    /// executor allows it.
+    /// The driver loop: for `n` ticks, applies the due script events and
+    /// lets `advance` take the executor up to the next one, stopping early
+    /// if it answers with a hit.
     ///
     /// An event scheduled exactly at the run's final tick is *not*
     /// applied by this run — its sends could never be delivered inside
-    /// the horizon — but fires at the start of a subsequent run. The
-    /// fabric runner draws the same boundary.
-    pub fn run_ticks(&mut self, n: u64) {
+    /// the horizon — but is the first thing a subsequent run does.
+    fn drive<T>(&mut self, n: u64, mut advance: impl FnMut(&mut S, u64) -> Option<T>) -> Option<T> {
         let end = self.sim.now() + n;
         while self.sim.now() < end {
             let target = self.apply_due_events(end);
-            self.sim.run_ticks(target - self.sim.now());
+            let budget = target - self.sim.now();
+            if let Some(hit) = advance(&mut self.sim, budget) {
+                return Some(hit);
+            }
         }
+        None
+    }
+
+    /// Advances `n` ticks, applying script events at their scheduled
+    /// times (up to, not including, the final tick's).
+    pub fn run_ticks(&mut self, n: u64) {
+        self.drive(n, |sim, ticks| {
+            sim.advance(ticks);
+            None::<()>
+        });
     }
 
     /// The run's outcome so far. Broadcasts still deferred when the
-    /// report is taken count as failed — they never issued. Deliveries
-    /// are listed in id order; shard metrics are merged in shard order.
+    /// report is taken count as failed — they never issued. Containment
+    /// is assembled from the executor's per-process audits against the
+    /// scripted liar set.
     pub fn report(&self) -> ScenarioReport {
+        let seen = self.sim.observed();
         ScenarioReport {
-            delivered: self
-                .sim
-                .protocols()
-                .map(|(id, protocol)| (id, protocol.delivered().len() as u64))
-                .collect(),
-            failed_broadcasts: self.script.failed_broadcasts() + self.script.pending(),
+            delivered: seen.delivered,
+            failed_broadcasts: self.failed_broadcasts() + self.pending_broadcasts(),
             skipped_faults: self.skipped_faults,
-            containment: self.containment(),
-            metrics: Some(self.sim.metrics()),
+            containment: Containment::assemble(&self.corrupt, &seen.audits, seen.suppressed),
+            metrics: Some(seen.metrics),
         }
     }
 }
@@ -884,18 +886,9 @@ impl<P: Protocol> ScenarioSim<P> {
         check_every: u64,
         max_ticks: u64,
     ) -> Option<SimTime> {
-        let end = self.sim.now() + max_ticks;
-        while self.sim.now() < end {
-            let target = self.apply_due_events(end);
-            let budget = target - self.sim.now();
-            if let Some(hit) = self
-                .sim
-                .run_until_every(&mut predicate, check_every, budget)
-            {
-                return Some(hit);
-            }
-        }
-        None
+        self.drive(max_ticks, |sim, budget| {
+            sim.run_until_every(&mut predicate, check_every, budget)
+        })
     }
 }
 
@@ -938,6 +931,209 @@ mod tests {
         let cut = partition_cut(&ring, &[p(0), p(1), p(2)]);
         // Exactly two links cross a contiguous arc cut of a ring.
         assert_eq!(cut.len(), 2);
+    }
+
+    /// One call the driver made on the [`Recorder`], stamped with the
+    /// tick it was made at.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Loss(u64),
+        Corrupt(u64, ProcessId),
+        Issue(u64, ProcessId, &'static str),
+        Advance(u64, u64),
+    }
+
+    /// A fake executor: records what the driver asks of it and answers
+    /// from a script, so the rules of running a scenario are pinned as
+    /// call sequences, once, with no engine underneath.
+    #[derive(Default)]
+    struct Recorder {
+        now: SimTime,
+        calls: Vec<Call>,
+        /// Answers to successive `issue` calls; `Issued` once exhausted.
+        answers: std::collections::VecDeque<BroadcastOutcome>,
+        /// Whether `inject_corrupt` reaches its target.
+        corruptible: bool,
+        seen: Observed,
+    }
+
+    impl FaultSink for Recorder {
+        fn set_loss(&mut self, _: LinkId, _: Probability) {
+            self.calls.push(Call::Loss(self.now.ticks()));
+        }
+        fn force_down(&mut self, _: ProcessId, _: u64) {}
+        fn inject_corrupt(&mut self, process: ProcessId, _: CorruptionMode, _: u64) -> bool {
+            self.calls.push(Call::Corrupt(self.now.ticks(), process));
+            self.corruptible
+        }
+    }
+
+    impl Executor for Recorder {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn advance(&mut self, ticks: u64) {
+            self.calls.push(Call::Advance(self.now.ticks(), ticks));
+            self.now += ticks;
+        }
+        fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
+            let name = ["first", "second", "third"]
+                .into_iter()
+                .find(|name| name.as_bytes() == payload.as_bytes())
+                .expect("a payload these tests script");
+            self.calls.push(Call::Issue(self.now.ticks(), origin, name));
+            self.answers.pop_front().unwrap_or(BroadcastOutcome::Issued)
+        }
+        fn observed(&self) -> Observed {
+            self.seen.clone()
+        }
+    }
+
+    fn recorded(
+        workload: Workload,
+        faults: FaultScript,
+        recorder: Recorder,
+    ) -> ScenarioRun<Recorder> {
+        let scenario = Scenario::builder(generators::ring(3).unwrap())
+            .workload(workload)
+            .faults(faults)
+            .build();
+        ScenarioRun::over(&scenario, recorder)
+    }
+
+    fn spike() -> FaultAction {
+        FaultAction::SetLoss {
+            link: LinkId::new(p(0), p(1)).unwrap(),
+            loss: Probability::ONE,
+        }
+    }
+
+    #[test]
+    fn a_fault_is_applied_before_a_broadcast_of_the_same_tick() {
+        let mut run = recorded(
+            Workload::new().broadcast(SimTime::new(5), p(0), Payload::from("first")),
+            FaultScript::new().at(SimTime::new(5), spike()),
+            Recorder::default(),
+        );
+        run.run_ticks(8);
+        assert_eq!(
+            run.sim().calls,
+            [
+                Call::Advance(0, 5),
+                Call::Loss(5),
+                Call::Issue(5, p(0), "first"),
+                Call::Advance(5, 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_deferred_broadcast_is_retried_next_tick_and_never_overtaken() {
+        use BroadcastOutcome::Deferred;
+        let mut run = recorded(
+            Workload::new()
+                .broadcast(SimTime::new(3), p(0), Payload::from("first"))
+                .broadcast(SimTime::new(4), p(0), Payload::from("second"))
+                .broadcast(SimTime::new(9), p(1), Payload::from("third")),
+            FaultScript::new(),
+            Recorder {
+                answers: [Deferred, Deferred, Deferred].into(),
+                ..Recorder::default()
+            },
+        );
+        run.run_ticks(10);
+        assert_eq!(
+            run.sim().calls,
+            [
+                Call::Advance(0, 3),
+                Call::Issue(3, p(0), "first"),
+                // Retried at now + 1, not at the next script event …
+                Call::Advance(3, 1),
+                // … and ahead of the newly-due broadcast from its origin.
+                Call::Issue(4, p(0), "first"),
+                Call::Issue(4, p(0), "second"),
+                Call::Advance(4, 1),
+                Call::Issue(5, p(0), "first"),
+                Call::Issue(5, p(0), "second"),
+                Call::Advance(5, 4),
+                Call::Issue(9, p(1), "third"),
+                Call::Advance(9, 1),
+            ]
+        );
+        assert_eq!(run.report().failed_broadcasts, 0);
+    }
+
+    #[test]
+    fn an_event_at_the_horizon_tick_waits_for_the_next_run() {
+        let mut run = recorded(
+            Workload::new().broadcast(SimTime::new(10), p(2), Payload::from("first")),
+            FaultScript::new().at(SimTime::new(10), spike()),
+            Recorder::default(),
+        );
+        run.run_ticks(10);
+        assert_eq!(run.sim().calls, [Call::Advance(0, 10)]);
+        run.run_ticks(5);
+        assert_eq!(
+            run.sim().calls[1..],
+            [
+                Call::Loss(10),
+                Call::Issue(10, p(2), "first"),
+                Call::Advance(10, 5),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_broadcast_still_pending_at_report_time_counts_as_failed() {
+        use BroadcastOutcome::{Deferred, Failed};
+        let mut run = recorded(
+            Workload::new()
+                .broadcast(SimTime::ZERO, p(0), Payload::from("first"))
+                .broadcast(SimTime::new(1), p(1), Payload::from("second")),
+            FaultScript::new(),
+            Recorder {
+                // "first" never issues; "second" fails outright at tick 1.
+                answers: [Deferred, Deferred, Failed, Deferred].into(),
+                ..Recorder::default()
+            },
+        );
+        run.run_ticks(3);
+        assert_eq!(run.failed_broadcasts(), 1, "only the outright failure");
+        assert_eq!(run.pending_broadcasts(), 1);
+        assert_eq!(run.report().failed_broadcasts, 2);
+    }
+
+    #[test]
+    fn an_unreachable_liar_is_both_on_record_and_a_skipped_fault() {
+        // The executor cannot inject the window, yet the target must not
+        // be counted as a correct node: its emissions and what it offered
+        // to p0 land in the containment metrics.
+        let mut seen = Observed::default();
+        seen.audits.entry(p(2)).or_default().corrupt_emissions = 7;
+        seen.audits.entry(p(0)).or_default().sender(p(2)).offered = 3;
+        seen.audits.entry(p(0)).or_default().sender(p(1)).offered = 100;
+        let mut run = recorded(
+            Workload::new(),
+            FaultScript::new().at(
+                SimTime::new(1),
+                FaultAction::Corrupt {
+                    process: p(2),
+                    mode: CorruptionMode::StaleReplay,
+                    window: 4,
+                },
+            ),
+            Recorder {
+                corruptible: false,
+                seen,
+                ..Recorder::default()
+            },
+        );
+        run.run_ticks(2);
+        assert_eq!(run.sim().calls[1], Call::Corrupt(1, p(2)));
+        let report = run.report();
+        assert_eq!(report.skipped_faults, 1);
+        assert_eq!(report.containment.corrupt_emissions, 7);
+        assert_eq!(report.containment.corrupt_offers, 3);
     }
 
     #[test]

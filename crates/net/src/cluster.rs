@@ -4,9 +4,10 @@
 //! that drives the simulation kernel and the thread fabric — but every
 //! node is a separate OS process, speaking the v2 wire codec over a
 //! [`UdpTransport`](crate::UdpTransport) wrapped in a
-//! [`ChaosTransport`](crate::ChaosTransport). Script application order
-//! comes from the shared [`ScriptSchedule`], so all three substrates
-//! execute the same events; fault actions translate to wire-level
+//! [`ChaosTransport`](crate::ChaosTransport). The scripts are walked by
+//! the same `ScenarioRun` driver as on every other substrate — a live
+//! [`UdpCluster`] is one more [`Executor`] — so all of them execute the
+//! same events; fault actions translate to wire-level
 //! behavior (loss/partition → per-link egress loss in the worker's
 //! chaos policy, crash → the node runtime's cooperative crash window,
 //! lying nodes → chaos-level heartbeat rewriting, the message adversary
@@ -39,15 +40,17 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use diffuse_core::scenario::{FaultSink, Scenario, ScenarioReport, ScriptSchedule};
+use diffuse_core::scenario::{
+    Executor, FaultSink, Observed, Scenario, ScenarioReport, ScenarioRun,
+};
 use diffuse_core::{
-    adversary_seed, AdaptiveBroadcast, AdaptiveParams, Containment, CorruptionMode,
+    adversary_seed, AdaptiveBroadcast, AdaptiveParams, BroadcastOutcome, CorruptionMode,
     NetworkKnowledge, OptimalBroadcast, Payload, Protocol, ProtocolAudit, ReferenceGossip,
 };
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{Metrics, SimTime};
 
-use crate::clock::{monotonic_now, WallClock};
+use crate::clock::{monotonic_now, WallClock, WallSession};
 use crate::{spawn_node, ChaosTransport, NetError, UdpTransport};
 
 /// Environment variable that turns the host binary into a cluster node
@@ -687,6 +690,15 @@ struct ClusterNode {
     alive: bool,
 }
 
+impl ClusterNode {
+    /// Sends one control line; a worker that cannot take it is dead.
+    fn write_line(&mut self, line: &str) -> bool {
+        self.alive =
+            self.alive && writeln!(self.stdin, "{line}").is_ok() && self.stdin.flush().is_ok();
+        self.alive
+    }
+}
+
 /// A running multi-process UDP cluster: one OS process per scenario
 /// process, plus the control plumbing to drive workloads and faults
 /// into it. Most callers go through [`run_scenario_on_udp_cluster`] or
@@ -707,22 +719,24 @@ pub struct UdpCluster {
     metrics: Metrics,
     malformed: u64,
     done_counts: BTreeMap<ProcessId, u64>,
-    /// Processes a `FaultAction::Corrupt` was scripted against.
-    corrupt: BTreeSet<ProcessId>,
     /// Per-worker adversary-containment audits, merged from `A` lines.
     audits: BTreeMap<ProcessId, ProtocolAudit>,
     /// Emissions destroyed by the message adversary, cluster-wide.
     suppressed: u64,
+    /// Pins logical tick zero to the moment the launch handshake ended.
+    session: WallSession,
+    /// The logical tick the driver has advanced to.
+    tick: SimTime,
 }
 
-/// The report a finished cluster run produces, alongside the
-/// cross-substrate [`ScenarioReport`].
+/// What a finished cluster run saw, for drivers that walk their own
+/// plan (the soak harness) instead of a [`Scenario`]'s scripts.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// The substrate-independent report: unique broadcasts delivered
-    /// per process, failed broadcasts (filled by the scenario driver),
-    /// zero skipped faults, and merged best-effort wire [`Metrics`].
-    pub report: ScenarioReport,
+    /// Unique broadcasts delivered per process, per-worker audits, the
+    /// suppression count and merged best-effort wire [`Metrics`] — what
+    /// the scenario driver builds a [`ScenarioReport`] from.
+    pub observed: Observed,
     /// Exactly which `(origin, seq)` broadcasts each process delivered
     /// — what the soak harness's completeness assertion runs on.
     pub delivered_ids: BTreeMap<ProcessId, BTreeSet<(ProcessId, u64)>>,
@@ -762,9 +776,10 @@ impl UdpCluster {
             metrics: Metrics::new(),
             malformed: 0,
             done_counts: BTreeMap::new(),
-            corrupt: BTreeSet::new(),
             audits: BTreeMap::new(),
             suppressed: 0,
+            session: WallClock::new(options.tick_interval).begin(),
+            tick: SimTime::ZERO,
         };
         let ids: Vec<ProcessId> = topology.processes().collect();
         for &id in &ids {
@@ -804,6 +819,7 @@ impl UdpCluster {
             let book = cluster.peers_line(id);
             cluster.write_line(id, &book);
         }
+        cluster.session = WallClock::new(options.tick_interval).begin();
         Ok(cluster)
     }
 
@@ -869,17 +885,16 @@ impl UdpCluster {
     }
 
     fn write_line(&mut self, id: ProcessId, line: &str) -> bool {
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return false;
-        };
-        if !node.alive {
-            return false;
-        }
-        let ok = writeln!(node.stdin, "{line}").is_ok() && node.stdin.flush().is_ok();
-        if !ok {
-            node.alive = false;
-        }
-        ok
+        self.nodes
+            .get_mut(&id)
+            .is_some_and(|node| node.write_line(line))
+    }
+
+    /// Writes `line` to every worker; `true` iff a live one took it.
+    fn write_all(&mut self, line: &str) -> bool {
+        self.nodes
+            .values_mut()
+            .fold(false, |reached, node| node.write_line(line) | reached)
     }
 
     /// Folds one worker event into the cluster's accumulated state.
@@ -945,20 +960,13 @@ impl UdpCluster {
             Some((min, max)) => format!("DELAY {} {}", min.as_micros(), max.as_micros()),
             None => "DELAY off".to_string(),
         };
-        let ids: Vec<ProcessId> = self.nodes.keys().copied().collect();
-        for id in ids {
-            self.write_line(id, &line);
-        }
+        self.write_all(&line);
     }
 
     /// Sets the egress duplication probability on every node's chaos
     /// policy. Like delay, a real-network-only fault.
     pub fn set_duplicate_all(&mut self, p: Probability) {
-        let line = format!("DUP {}", p.value());
-        let ids: Vec<ProcessId> = self.nodes.keys().copied().collect();
-        for id in ids {
-            self.write_line(id, &line);
-        }
+        self.write_all(&format!("DUP {}", p.value()));
     }
 
     /// Whether `id`'s worker process is still believed alive.
@@ -1014,15 +1022,12 @@ impl UdpCluster {
         Ok(())
     }
 
-    /// Stops every worker, collects final deliveries and metrics, and
-    /// produces the cluster report. `failed_broadcasts` and
-    /// `skipped_faults` are supplied by the driver (the cluster cannot
-    /// see schedule-level failures or skips).
-    pub fn finish(mut self, failed_broadcasts: u64, skipped_faults: u64) -> ClusterReport {
-        let ids: Vec<ProcessId> = self.nodes.keys().copied().collect();
-        for &id in &ids {
-            self.write_line(id, "STOP");
-        }
+    /// Waits out the settle window (in-flight datagrams and deliveries
+    /// drain), stops every worker, and folds their final deliveries,
+    /// metrics and audits into the accumulated state.
+    fn stop(&mut self) {
+        self.session.settle(self.options.settle);
+        self.write_all("STOP");
         // Each live worker answers STOP with metrics + DONE and exits;
         // readers signal Exited on EOF. Give the slowest a generous but
         // bounded window.
@@ -1033,7 +1038,7 @@ impl UdpCluster {
             .filter(|(_, n)| !n.alive)
             .map(|(&id, _)| id)
             .collect();
-        while finished.len() < ids.len() {
+        while finished.len() < self.nodes.len() {
             let remaining = deadline.saturating_duration_since(monotonic_now());
             match self.events_rx.recv_timeout(remaining) {
                 Ok((id, WorkerEvent::Exited)) => {
@@ -1050,20 +1055,14 @@ impl UdpCluster {
             let _ = node.child.wait();
         }
         self.pump();
+    }
 
-        let delivered = self
-            .delivered_ids
-            .iter()
-            .map(|(&id, set)| (id, set.len() as u64))
-            .collect();
+    /// Settles, stops every worker, and hands back everything the
+    /// cluster saw.
+    pub fn finish(mut self) -> ClusterReport {
+        self.stop();
         ClusterReport {
-            report: ScenarioReport {
-                delivered,
-                failed_broadcasts,
-                skipped_faults,
-                containment: Containment::assemble(&self.corrupt, &self.audits, self.suppressed),
-                metrics: Some(self.metrics.clone()),
-            },
+            observed: self.observed(),
             delivered_ids: self.delivered_ids.clone(),
             malformed_frames: self.malformed,
         }
@@ -1081,7 +1080,7 @@ impl Drop for UdpCluster {
 /// its own side), crashes become cooperative windows in the target
 /// worker's node runtime. The per-variant fault semantics live in
 /// [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply) —
-/// the same code path as the kernel and fabric drivers.
+/// the same code path as on every other executor.
 impl FaultSink for UdpCluster {
     fn set_loss(&mut self, link: LinkId, loss: Probability) {
         let line = format!(
@@ -1099,10 +1098,6 @@ impl FaultSink for UdpCluster {
     }
 
     fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        // Recorded as scripted-corrupt even if the write fails, so the
-        // containment assembly never misclassifies a liar as correct
-        // (the kernel driver records before applying the same way).
-        self.corrupt.insert(process);
         self.write_line(process, &format!("CORRUPT {mode} {window}"))
     }
 
@@ -1110,13 +1105,46 @@ impl FaultSink for UdpCluster {
         // A cluster-wide policy: every worker's chaos layer suppresses
         // its own egress. Reaching any live worker counts as executed —
         // dead workers have no emissions left to suppress.
-        let line = format!("ADV {d} {window}");
-        let ids: Vec<ProcessId> = self.nodes.keys().copied().collect();
-        let mut reached = false;
-        for id in ids {
-            reached |= self.write_line(id, &line);
+        self.write_all(&format!("ADV {d} {window}"))
+    }
+}
+
+/// The cluster as an [`Executor`]: a script tick is a real sleep on the
+/// parent, after which whatever the workers reported meanwhile is folded
+/// in; deliveries are unique `(origin, seq)` broadcasts per process, and
+/// metrics and audits arrive when the workers stop.
+impl Executor for UdpCluster {
+    fn now(&self) -> SimTime {
+        self.tick
+    }
+
+    fn advance(&mut self, ticks: u64) {
+        self.tick += ticks;
+        self.session.sleep_until(self.tick);
+        self.pump();
+    }
+
+    /// A worker retries a broadcast it cannot issue yet inside its node
+    /// runtime, so the only failure visible from here is a dead worker.
+    fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
+        if self.broadcast(origin, payload.as_bytes()) {
+            BroadcastOutcome::Issued
+        } else {
+            BroadcastOutcome::Failed
         }
-        reached
+    }
+
+    fn observed(&self) -> Observed {
+        Observed {
+            delivered: self
+                .delivered_ids
+                .iter()
+                .map(|(&id, set)| (id, set.len() as u64))
+                .collect(),
+            audits: self.audits.clone(),
+            suppressed: self.suppressed,
+            metrics: self.metrics.clone(),
+        }
     }
 }
 
@@ -1141,39 +1169,17 @@ pub fn run_scenario_on_udp_cluster(
     options: UdpClusterOptions,
     protocol: ProtocolSpec,
 ) -> Result<ScenarioReport, NetError> {
-    let mut cluster = UdpCluster::launch(
+    let cluster = UdpCluster::launch(
         &scenario.topology,
         &scenario.config,
         scenario.seed,
         protocol,
         options,
     )?;
-
-    // Identical driver shape to the wall fabric: shared ScriptSchedule
-    // order (faults before broadcasts at equal times), events strictly
-    // before the horizon.
-    let clock = WallClock::new(options.tick_interval);
-    let mut script = ScriptSchedule::new(scenario);
-    let horizon_tick = SimTime::new(options.run_ticks);
-    let session = clock.begin();
-    let mut skipped = 0u64;
-    while let Some(at) = script.next_time().filter(|&at| at < horizon_tick) {
-        session.sleep_until(at);
-        cluster.pump();
-        for action in script.due_faults(at) {
-            skipped += action.apply(&scenario.topology, &scenario.config, &mut cluster);
-        }
-        for event in script.due_broadcasts(at) {
-            if !cluster.broadcast(event.origin, event.payload.as_bytes()) {
-                script.record_failed();
-            }
-        }
-    }
-    session.sleep_until(horizon_tick);
-    session.settle(options.settle);
-
-    let report = cluster.finish(script.failed_broadcasts(), skipped);
-    Ok(report.report)
+    let mut run = ScenarioRun::over(scenario, cluster);
+    run.run_ticks(options.run_ticks);
+    run.sim_mut().stop();
+    Ok(run.report())
 }
 
 #[cfg(test)]

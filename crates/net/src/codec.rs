@@ -1,8 +1,9 @@
 //! Binary wire codec for protocol messages.
 //!
 //! Hand-written, length-prefixed, little-endian encoding over [`bytes`].
-//! No serde format crate is used (see DESIGN.md §4.11): the format is a
-//! few dozen lines, versioned, and property-tested for round-trips.
+//! No serde format crate is used: the container has no crates.io access
+//! (README "Offline dependency shims"), and the format is a few dozen
+//! lines, versioned, and property-tested for round-trips.
 //!
 //! Frame layout: `version:u8 | tag:u8 | body…` with tags
 //! `1 = Data`, `2 = Gossip`, `3 = Ack`, `4 = Heartbeat (full view)`,

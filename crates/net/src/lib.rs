@@ -56,4 +56,4 @@ pub use scenario::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, Fabri
 pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Fabric, FabricControl, FabricTransport, Transport};
 pub use udp::{UdpTransport, MAX_DATAGRAM};
-pub use virtual_time::{BroadcastOutcome, VirtualClock, VirtualNet, VirtualOptions};
+pub use virtual_time::{VirtualClock, VirtualNet};

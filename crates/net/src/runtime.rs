@@ -22,14 +22,14 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_core::{
-    Actions, BroadcastId, CoreError, CorruptionMode, Event, Payload, Protocol, ProtocolAudit,
+    Actions, BroadcastId, BroadcastOutcome, CorruptionMode, Event, Payload, Protocol, ProtocolAudit,
 };
 use diffuse_sim::{SimTime, TimerId};
 use parking_lot::Mutex;
 
 use crate::clock::{Clock, WallClock, WallSession};
 use crate::codec::{decode_message, encode_message};
-use crate::virtual_time::{BroadcastOutcome, Turn, VirtualClock};
+use crate::virtual_time::{Turn, VirtualClock};
 use crate::{NetError, Transport};
 
 /// Commands accepted by a running node.
@@ -197,9 +197,9 @@ impl NodeHandle {
     }
 
     /// Like [`NodeHandle::shutdown`], but returns the protocol's final
-    /// [`ProtocolAudit`] — the receiver-side adversary-containment
-    /// counters the UDP cluster worker ships back over its control
-    /// channel.
+    /// [`ProtocolAudit`] — the adversary-containment counters both
+    /// fabric scenario runners collect this way, and the UDP cluster
+    /// worker ships back over its control channel.
     pub fn shutdown_with_audit(mut self) -> ProtocolAudit {
         self.shutdown_in_place();
         self.final_audit.lock().take().unwrap_or_default()
@@ -393,11 +393,8 @@ fn run_wall_node<P, T>(
         //    commands to down processes the same way.
         if !down {
             pending_broadcasts.retain(|payload| {
-                match protocol.broadcast(now, payload.clone(), &mut actions) {
-                    Ok(_) => false,
-                    Err(CoreError::KnowledgeIncomplete) => !shutting_down,
-                    Err(_) => false, // non-retryable; drop
-                }
+                let result = protocol.broadcast(now, payload.clone(), &mut actions);
+                BroadcastOutcome::of(&result) == BroadcastOutcome::Deferred && !shutting_down
             });
             absorb_timers(&mut timers, &mut actions);
             flush(&mut actions, &transport, &delivery_tx);
@@ -492,7 +489,6 @@ fn run_virtual_node<P, T>(
         wakeup_counter.fetch_add(1, Ordering::Relaxed);
         let now = clock.now();
         let mut outcome = None;
-        let mut audit = None;
         match turn {
             Turn::Start => protocol.on_start(now, &mut actions),
             Turn::Deliver { from, frame } => {
@@ -512,16 +508,12 @@ fn run_virtual_node<P, T>(
                 protocol.on_event(now, Event::Recovery { down_ticks }, &mut actions)
             }
             Turn::Broadcast(payload) => {
-                outcome = Some(match protocol.broadcast(now, payload, &mut actions) {
-                    Ok(_) => BroadcastOutcome::Issued,
-                    Err(CoreError::KnowledgeIncomplete) => BroadcastOutcome::Deferred,
-                    Err(_) => BroadcastOutcome::Failed,
-                });
+                let result = protocol.broadcast(now, payload, &mut actions);
+                outcome = Some(BroadcastOutcome::of(&result));
             }
             Turn::Corrupt { mode, window } => {
                 protocol.on_event(now, Event::Corrupt { mode, window }, &mut actions)
             }
-            Turn::Audit => audit = Some(protocol.audit()),
         }
         // A broadcast that did not issue is not flushed — anything it
         // buffered waits for the next handler, exactly like the kernel's
@@ -536,7 +528,7 @@ fn run_virtual_node<P, T>(
             flush(&mut actions, &transport, &delivery_tx);
             actions.take_timer_ops()
         };
-        clock.complete_turn(timer_ops, outcome, audit);
+        clock.complete_turn(timer_ops, outcome);
     }
     *audit_slot.lock() = Some(protocol.audit());
 }

@@ -1,14 +1,14 @@
 //! Running a [`Scenario`] on the in-memory fabric of real threads —
 //! under either clock.
 //!
-//! The same scenario value that drives the deterministic simulation
-//! kernel (`Scenario::run_sim`) runs here on `diffuse-net`'s lossy
-//! [`Fabric`](crate::Fabric): one node thread per process, workload
-//! broadcasts issued and fault actions injected at their scripted times.
-//! Two timing modes exist:
+//! Neither runner here walks the scenario's scripts or builds its
+//! report: both hand an [`Executor`] to `diffuse-core`'s
+//! [`ScenarioRun`], the one driver every substrate shares, and say only
+//! how their fabric lets a tick pass, reaches a process, and is joined
+//! at the end.
 //!
-//! * [`run_scenario_on_fabric`] — **wall clock**: script times translate
-//!   to real sleeps (`tick × tick_interval`). Loss sampling rides a
+//! * [`run_scenario_on_fabric`] — **wall clock**: advancing to a script
+//!   tick is a real sleep (`tick × tick_interval`). Loss sampling rides a
 //!   different RNG stream and real scheduling, so outcomes are
 //!   statistically — not bitwise — equivalent to the kernel.
 //! * [`run_scenario_on_fabric_virtual`] — **virtual clock**: node
@@ -16,8 +16,8 @@
 //!   kernel's own tick engine through their turns, so the run completes in
 //!   milliseconds of wall time, needs no settle slack, and its
 //!   [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim` for
-//!   the same scenario — delivery counts, failure counts, and wire
-//!   metrics included.
+//!   the same scenario — delivery counts, failure counts, containment
+//!   and wire metrics included.
 //!
 //! Every [`FaultAction`](diffuse_core::scenario::FaultAction) — including [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash), executed
 //! cooperatively by the node runtimes, and the adversarial pair
@@ -27,19 +27,24 @@
 //! is zero for every scenario. The wall-clock runner executes
 //! everything except `MessageAdversary` (its transports have no
 //! deterministic suppression hook); such events are counted in
-//! `skipped_faults` rather than silently dropped.
+//! `skipped_faults` rather than silently dropped. On both clocks the
+//! per-process audits behind [`ScenarioReport::containment`] are the
+//! ones the node threads leave behind when they are joined
+//! ([`NodeHandle::shutdown_with_audit`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use diffuse_core::scenario::{FaultAction, FaultSink, Scenario, ScenarioReport, ScriptSchedule};
-use diffuse_core::{Containment, CorruptionMode, Protocol, ProtocolAudit};
-use diffuse_model::{Probability, ProcessId};
+use diffuse_core::scenario::{
+    Executor, FaultSink, Observed, Scenario, ScenarioReport, ScenarioRun,
+};
+use diffuse_core::{BroadcastOutcome, CorruptionMode, Payload, Protocol};
+use diffuse_model::{LinkId, Probability, ProcessId};
 use diffuse_sim::SimTime;
 
-use crate::clock::{Clock, WallClock};
-use crate::virtual_time::{BroadcastOutcome, VirtualNet, VirtualOptions};
-use crate::{spawn_node_with_clock, Fabric, FabricControl, NodeHandle};
+use crate::clock::{Clock, WallClock, WallSession};
+use crate::virtual_time::VirtualNet;
+use crate::{spawn_node_with_clock, Fabric, FabricControl, FabricTransport, NodeHandle};
 
 /// Options for a wall-clock fabric scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +70,129 @@ impl Default for FabricScenarioOptions {
     }
 }
 
+/// The node threads of one fabric run, and what they left behind once
+/// joined.
+struct Nodes {
+    handles: BTreeMap<ProcessId, NodeHandle>,
+    /// Delivery counts and final audits, empty until [`Nodes::join`].
+    reported: Observed,
+}
+
+impl Nodes {
+    /// One node thread per transport, in id order, each under the clock
+    /// `clock_of` hands it.
+    fn spawn<P: Protocol + Send + 'static>(
+        transports: BTreeMap<ProcessId, FabricTransport>,
+        mut make: impl FnMut(ProcessId) -> P,
+        clock_of: impl Fn(ProcessId) -> Clock,
+    ) -> Self {
+        let handles = transports
+            .into_iter()
+            .map(|(id, transport)| (id, spawn_node_with_clock(make(id), transport, clock_of(id))))
+            .collect();
+        Nodes {
+            handles,
+            reported: Observed::default(),
+        }
+    }
+
+    /// Counts every node's deliveries, then shuts the threads down and
+    /// keeps each protocol's final audit.
+    fn join(&mut self) {
+        for (&id, handle) in &self.handles {
+            let mut count = 0u64;
+            while let Ok(Some(_)) = handle.next_delivery(Duration::from_millis(1)) {
+                count += 1;
+            }
+            self.reported.delivered.insert(id, count);
+        }
+        for (id, handle) in std::mem::take(&mut self.handles) {
+            self.reported
+                .audits
+                .insert(id, handle.shutdown_with_audit());
+        }
+    }
+}
+
+/// The wall-clock fabric as an [`Executor`]: a script tick is a real
+/// sleep, loss overrides go through the [`FabricControl`], and whatever
+/// targets one process goes through its [`NodeHandle`].
+struct WallFabric {
+    control: FabricControl,
+    session: WallSession,
+    /// The logical tick the driver has advanced to.
+    tick: SimTime,
+    nodes: Nodes,
+}
+
+impl FaultSink for WallFabric {
+    fn set_loss(&mut self, link: LinkId, loss: Probability) {
+        self.control.set_loss(link, loss);
+    }
+
+    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
+        // Cooperative: the node runtime goes deaf for the window.
+        // An unknown process is a no-op, as in the kernel.
+        if let Some(handle) = self.nodes.handles.get(&process) {
+            let _ = handle.inject_crash(down_ticks);
+        }
+    }
+
+    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
+        self.nodes
+            .handles
+            .get(&process)
+            .is_some_and(|handle| handle.inject_corrupt(mode, window).is_ok())
+    }
+    // set_message_adversary keeps the default `false`: the wall
+    // fabric's transports have no deterministic suppression hook, so
+    // the action is honestly reported as skipped.
+}
+
+impl Executor for WallFabric {
+    fn now(&self) -> SimTime {
+        self.tick
+    }
+
+    fn advance(&mut self, ticks: u64) {
+        self.tick += ticks;
+        self.session.sleep_until(self.tick);
+    }
+
+    /// A node that cannot issue yet (incomplete knowledge, crash window)
+    /// retries inside its own runtime, so the only failure visible from
+    /// here is a node that is already gone.
+    fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
+        match self.nodes.handles.get(&origin) {
+            Some(handle) if handle.broadcast(payload.clone()).is_ok() => BroadcastOutcome::Issued,
+            _ => BroadcastOutcome::Failed,
+        }
+    }
+
+    /// Transport-level counters — best effort, **not** kernel-comparable
+    /// (see [`FabricControl::metrics`]); read after the join they include
+    /// the nodes' shutdown sends.
+    fn observed(&self) -> Observed {
+        Observed {
+            metrics: self.control.metrics(),
+            ..self.nodes.reported.clone()
+        }
+    }
+}
+
 /// Runs `scenario` on the in-memory fabric under the wall clock and
 /// reports deliveries.
 ///
-/// Fault actions are applied through a [`FabricControl`];
 /// [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash) runs cooperatively — the target node's runtime
 /// drops inbound traffic and suppresses timers for the scripted window,
-/// then fires a recovery event — so no fault is skipped. Workload
-/// broadcasts that the node rejects at issue time (node already gone)
-/// are counted in [`ScenarioReport::failed_broadcasts`]; broadcasts a
-/// node *defers* (e.g. incomplete knowledge) are retried by its runtime
-/// until they issue, matching the kernel `ScenarioSim`'s per-tick retry
-/// of deferred broadcasts.
+/// then fires a recovery event — and
+/// [`FaultAction::Corrupt`](diffuse_core::scenario::FaultAction::Corrupt) opens the window on the node's protocol
+/// stack, with [`ScenarioReport::containment`] assembled from the nodes'
+/// final audits. Workload broadcasts that the node rejects at issue time
+/// (node already gone) are counted in
+/// [`ScenarioReport::failed_broadcasts`]; broadcasts a node *defers*
+/// (e.g. incomplete knowledge) are retried by its runtime until they
+/// issue.
 ///
 /// The report's [`metrics`](ScenarioReport::metrics) are filled from
 /// transport-level counters — best effort and **not kernel-comparable**
@@ -85,119 +201,77 @@ impl Default for FabricScenarioOptions {
 pub fn run_scenario_on_fabric<P, F>(
     scenario: &Scenario,
     options: FabricScenarioOptions,
-    mut make: F,
+    make: F,
 ) -> ScenarioReport
 where
     P: Protocol + Send + 'static,
     F: FnMut(ProcessId) -> P,
 {
-    let (mut transports, control) =
+    let (transports, control) =
         Fabric::build_with_control(&scenario.topology, scenario.config.clone(), scenario.seed);
     let clock = WallClock::new(options.tick_interval);
-    let ids: Vec<ProcessId> = scenario.topology.processes().collect();
-    let mut handles: BTreeMap<ProcessId, NodeHandle> = BTreeMap::new();
-    for &id in &ids {
-        let transport = transports.remove(&id).expect("one transport per process");
-        handles.insert(
-            id,
-            spawn_node_with_clock(make(id), transport, Clock::Wall(clock)),
-        );
-    }
-
-    // Script application order (faults before broadcasts at equal
-    // times, each script in time order) comes from the shared
-    // ScriptSchedule, so both substrates execute the same events.
-    // Events at or past the horizon never fire — the kernel's
-    // ScenarioSim applies script events strictly before its run horizon
-    // (a broadcast at the final tick could never be delivered inside
-    // it), and the two substrates must agree on which events a run
-    // executes.
-    let mut script = ScriptSchedule::new(scenario);
-    let mut skipped = 0u64;
-    let horizon_tick = SimTime::new(options.run_ticks);
-    let session = clock.begin();
-    while let Some(at) = script.next_time().filter(|&at| at < horizon_tick) {
-        session.sleep_until(at);
-        for action in script.due_faults(at) {
-            let mut sink = WallSink {
-                control: &control,
-                handles: &handles,
-            };
-            skipped += action.apply(&scenario.topology, &scenario.config, &mut sink);
-        }
-        for event in script.due_broadcasts(at) {
-            let ok = handles
-                .get(&event.origin)
-                .is_some_and(|h| h.broadcast(event.payload.clone()).is_ok());
-            if !ok {
-                script.record_failed();
-            }
-        }
-    }
-
-    // Let the scenario play out to its horizon, plus settle time.
-    session.sleep_until(horizon_tick);
-    session.settle(options.settle);
-
-    // Drain deliveries, then shut everything down.
-    let mut delivered = BTreeMap::new();
-    for (&id, handle) in &handles {
-        let mut count = 0u64;
-        while let Ok(Some(_)) = handle.next_delivery(Duration::from_millis(1)) {
-            count += 1;
-        }
-        delivered.insert(id, count);
-    }
-    for (_, handle) in handles {
-        handle.shutdown();
-    }
-
-    ScenarioReport {
-        delivered,
-        failed_broadcasts: script.failed_broadcasts(),
-        skipped_faults: skipped,
-        // Wall runs do not collect protocol audits (node threads are
-        // joined without an audit hook) — containment metrics come from
-        // the kernel and virtual-time substrates.
-        containment: Containment::default(),
-        // Transport-level counters: best effort, NOT kernel-comparable
-        // (different RNG stream, real scheduling, delivered-at-enqueue
-        // semantics — see FabricControl::metrics). Collected after the
-        // shutdown drain so late sends are included.
-        metrics: Some(control.metrics()),
-    }
+    let fabric = WallFabric {
+        control,
+        nodes: Nodes::spawn(transports, make, |_| Clock::Wall(clock)),
+        session: clock.begin(),
+        tick: SimTime::ZERO,
+    };
+    let mut run = ScenarioRun::over(scenario, fabric);
+    run.run_ticks(options.run_ticks);
+    // Let in-flight frames and deliveries drain, then join the nodes.
+    let fabric = run.sim_mut();
+    fabric.session.settle(options.settle);
+    fabric.nodes.join();
+    run.report()
 }
 
-/// The wall-clock fabric's [`FaultSink`]: loss overrides go through the
-/// [`FabricControl`], crashes become cooperative windows on the node
-/// runtimes. The per-variant semantics live in [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply),
-/// shared with the kernel driver and the virtual runner.
-struct WallSink<'a> {
-    control: &'a FabricControl,
-    handles: &'a BTreeMap<ProcessId, NodeHandle>,
+/// The virtual-time fabric as an [`Executor`]: every hook is the
+/// [`VirtualNet`] authority's, i.e. the kernel's own tick engine.
+struct VirtualFabric {
+    net: VirtualNet,
+    nodes: Nodes,
 }
 
-impl FaultSink for WallSink<'_> {
-    fn set_loss(&mut self, link: diffuse_model::LinkId, loss: Probability) {
-        self.control.set_loss(link, loss);
+impl FaultSink for VirtualFabric {
+    fn set_loss(&mut self, link: LinkId, loss: Probability) {
+        self.net.set_loss(link, loss);
     }
 
     fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        // Cooperative: the node runtime goes deaf for the window.
-        // An unknown process is a no-op, as in the kernel.
-        if let Some(handle) = self.handles.get(&process) {
-            let _ = handle.inject_crash(down_ticks);
-        }
+        self.net.force_down(process, down_ticks);
     }
 
     fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.handles
-            .get(&process)
-            .is_some_and(|handle| handle.inject_corrupt(mode, window).is_ok())
+        self.net.inject_corrupt(process, mode, window)
     }
-    // set_message_adversary keeps the default `false`: the wall
-    // fabric's transports have no deterministic suppression hook, so
-    // the action is honestly reported as skipped.
+
+    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
+        self.net.set_message_adversary(d, window);
+        true
+    }
+}
+
+impl Executor for VirtualFabric {
+    fn now(&self) -> SimTime {
+        self.net.now()
+    }
+
+    fn advance(&mut self, ticks: u64) {
+        self.net.run_ticks(ticks);
+    }
+
+    fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
+        self.net.broadcast(origin, payload.clone())
+    }
+
+    fn observed(&self) -> Observed {
+        let metrics = self.net.metrics();
+        Observed {
+            suppressed: metrics.suppressed_by_adversary(),
+            metrics,
+            ..self.nodes.reported.clone()
+        }
+    }
 }
 
 /// Runs `scenario` on the virtual-time fabric for `run_ticks` virtual
@@ -207,128 +281,39 @@ impl FaultSink for WallSink<'_> {
 /// seed): calling this twice yields byte-identical reports, and the
 /// report equals `scenario.run_sim(run_ticks, make)`'s field for field —
 /// per-process delivery counts, failed-broadcast counts, skipped faults
-/// (zero on both) *and* wire [`Metrics`](diffuse_sim::Metrics). No wall
-/// time is consumed beyond the actual compute; there are no settle
-/// sleeps.
+/// (zero on both), containment *and* wire
+/// [`Metrics`](diffuse_sim::Metrics). No wall time is consumed beyond the
+/// actual compute; there are no settle sleeps.
 pub fn run_scenario_on_fabric_virtual<P, F>(
     scenario: &Scenario,
     run_ticks: u64,
-    mut make: F,
+    make: F,
 ) -> ScenarioReport
 where
     P: Protocol + Send + 'static,
     F: FnMut(ProcessId) -> P,
 {
-    let (mut transports, net) = Fabric::build_virtual(
+    let (transports, net) = Fabric::build_virtual(
         &scenario.topology,
         scenario.config.clone(),
-        scenario.seed,
-        VirtualOptions::for_scenario(scenario),
+        scenario.sim_options(),
     );
-    let ids: Vec<ProcessId> = scenario.topology.processes().collect();
-    let mut handles: BTreeMap<ProcessId, NodeHandle> = BTreeMap::new();
-    for &id in &ids {
-        let transport = transports.remove(&id).expect("one transport per process");
-        handles.insert(
-            id,
-            spawn_node_with_clock(make(id), transport, Clock::Virtual(net.clock(id))),
-        );
-    }
-
-    // The driver below is the kernel's ScenarioSim::run_ticks, executed
-    // against the time authority instead of the Simulation: apply due
-    // script events, advance to the next script time (or the horizon),
-    // repeat. Faults at t=0 land before the on_start turns — the same
-    // order the kernel's lazy start produces.
-    let mut script = ScriptSchedule::new(scenario);
-    let mut skipped = 0u64;
-    let mut corrupt: BTreeSet<ProcessId> = BTreeSet::new();
-    let end = SimTime::new(run_ticks);
-    loop {
-        let now = net.now();
-        if now >= end {
-            break;
-        }
-        for action in script.due_faults(now) {
-            if let FaultAction::Corrupt { process, .. } = &action {
-                corrupt.insert(*process);
-            }
-            skipped += action.apply(&scenario.topology, &scenario.config, &mut VirtualSink(&net));
-        }
-        net.start();
-        for event in script.due_broadcasts(now) {
-            match net.broadcast(event.origin, event.payload.clone()) {
-                BroadcastOutcome::Issued => {}
-                BroadcastOutcome::Deferred => script.defer(now + 1, event),
-                BroadcastOutcome::Failed => script.record_failed(),
-            }
-        }
-        let target = script.next_time().filter(|&t| t <= end).unwrap_or(end);
-        net.run_ticks(target - net.now());
-    }
-
-    // Collect per-node protocol audits while the node threads are
-    // still parked (an audit turn runs no handler and draws no
-    // randomness), then assemble containment exactly as the kernel
-    // driver does.
-    let audits: BTreeMap<ProcessId, ProtocolAudit> =
-        ids.iter().map(|&id| (id, net.audit(id))).collect();
-    let suppressed = net.suppressed_by_adversary();
-
-    // Nothing is in flight past the horizon by construction; release
-    // the parked node threads and collect.
-    net.shutdown();
-    let mut delivered = BTreeMap::new();
-    for (&id, handle) in &handles {
-        let mut count = 0u64;
-        while let Ok(Some(_)) = handle.next_delivery(Duration::from_millis(1)) {
-            count += 1;
-        }
-        delivered.insert(id, count);
-    }
-    for (_, handle) in handles {
-        handle.shutdown();
-    }
-
-    ScenarioReport {
-        delivered,
-        failed_broadcasts: script.failed_broadcasts() + script.pending(),
-        skipped_faults: skipped,
-        containment: Containment::assemble(&corrupt, &audits, suppressed),
-        metrics: Some(net.metrics()),
-    }
-}
-
-/// The virtual-time authority's [`FaultSink`]. The per-variant
-/// semantics live in [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply) — the *same* code path the
-/// kernel's `ScenarioSim` executes, which is what keeps fault behavior
-/// bit-comparable across substrates.
-struct VirtualSink<'a>(&'a VirtualNet);
-
-impl FaultSink for VirtualSink<'_> {
-    fn set_loss(&mut self, link: diffuse_model::LinkId, loss: Probability) {
-        self.0.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.0.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.0.inject_corrupt(process, mode, window)
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.0.set_message_adversary(d, window);
-        true
-    }
+    let nodes = Nodes::spawn(transports, make, |id| Clock::Virtual(net.clock(id)));
+    let mut run = ScenarioRun::over(scenario, VirtualFabric { net, nodes });
+    run.run_ticks(run_ticks);
+    // Nothing is in flight past the horizon by construction: release
+    // the parked node threads and join them.
+    let fabric = run.sim_mut();
+    fabric.net.shutdown();
+    fabric.nodes.join();
+    run.report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use diffuse_core::scenario::{FaultAction, FaultScript, Workload};
-    use diffuse_core::{NetworkKnowledge, OptimalBroadcast, Payload};
+    use diffuse_core::{NetworkKnowledge, OptimalBroadcast};
     use diffuse_graph::generators;
     use diffuse_model::Configuration;
 
@@ -434,6 +419,58 @@ mod tests {
         assert_eq!(report.skipped_faults, 0, "{report:?}");
         assert_eq!(report.delivered[&p(1)], 0, "crashed node stays deaf");
         assert!(report.delivered[&p(0)] >= 1, "{report:?}");
+    }
+
+    /// A scripted lying node on the wall-clock fabric: the driver records
+    /// the liar and the joined node threads hand back their audits, so
+    /// containment is reported here as on every other executor.
+    #[test]
+    fn scripted_corruption_is_audited_on_the_wall_fabric() {
+        use diffuse_core::{AdaptiveBroadcast, AdaptiveParams, Adversary};
+        let topology = generators::complete(4).unwrap();
+        let all: Vec<ProcessId> = topology.processes().collect();
+        let neighbors = |id: ProcessId| topology.neighbors(id).collect::<Vec<_>>();
+        let scenario = Scenario::builder(topology.clone())
+            .seed(11)
+            .workload(Workload::new().broadcast(SimTime::new(60), p(1), Payload::from("x")))
+            .faults(FaultScript::new().at(
+                SimTime::new(20),
+                FaultAction::Corrupt {
+                    process: p(0),
+                    mode: CorruptionMode::UnderstateDistortion,
+                    window: 40,
+                },
+            ))
+            .build();
+        let report = run_scenario_on_fabric(
+            &scenario,
+            FabricScenarioOptions {
+                run_ticks: 120,
+                ..FabricScenarioOptions::default()
+            },
+            |id| {
+                Adversary::new(
+                    AdaptiveBroadcast::new(
+                        id,
+                        all.clone(),
+                        neighbors(id),
+                        AdaptiveParams::default(),
+                    ),
+                    11,
+                )
+            },
+        );
+        assert_eq!(report.skipped_faults, 0, "{report:?}");
+        let c = report.containment;
+        assert!(
+            c.corrupt_emissions > 0,
+            "the liar's audit was collected: {c:?}"
+        );
+        assert!(
+            c.corrupt_offers > 0,
+            "and so were the correct nodes': {c:?}"
+        );
+        assert_eq!(c.bound_violations, 0, "{c:?}");
     }
 
     /// The virtual-time runner is deterministic: two runs of a scenario

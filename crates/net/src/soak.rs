@@ -40,12 +40,10 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use diffuse_core::scenario::FaultSink;
+use diffuse_core::scenario::{Executor, FaultSink};
 use diffuse_core::{Containment, CorruptionMode};
 use diffuse_model::{Probability, ProcessId, Topology};
-use diffuse_sim::SimTime;
 
-use crate::clock::WallClock;
 use crate::cluster::{ProtocolSpec, UdpCluster, UdpClusterOptions};
 use crate::NetError;
 
@@ -329,18 +327,15 @@ pub fn run_soak(options: SoakOptions) -> Result<SoakReport, NetError> {
     let stream_gap = 10;
     let resume_margin = 20;
 
-    let clock = WallClock::new(tick_interval);
-    let session = clock.begin();
+    // The plan below is walked by hand rather than as a `Scenario`:
+    // SIGKILL and restart are not `FaultAction`s. Time still passes the
+    // one way it does for every cluster run — `Executor::advance`.
     let mut accepted = 0u64;
     let mut accepted_exempt = 0u64;
     let mut skipped_faults = 0u64;
     let mut killed = false;
     let mut seq = 0u64;
-    let mut tick = 0u64;
-    while tick < options.load_ticks {
-        session.sleep_until(SimTime::new(tick));
-        cluster.pump();
-
+    for tick in 0..options.load_ticks {
         if options.adversary {
             if tick == adv_start && !cluster.set_message_adversary(1, 50) {
                 skipped_faults += 1;
@@ -423,14 +418,16 @@ pub fn run_soak(options: SoakOptions) -> Result<SoakReport, NetError> {
                 accepted += 1;
             }
         }
-        tick += 1;
+        cluster.advance(1);
     }
-    // Quiesce: let the last rumors run out their TTL, then stop.
-    session.sleep_until(SimTime::new(options.load_ticks + drain_ticks));
-    session.settle(cluster_options.settle);
+    // Quiesce: let the last rumors run out their TTL, then settle and
+    // stop.
+    cluster.advance(drain_ticks);
 
     let correct: Vec<ProcessId> = topology.processes().filter(|&p| p != exempt).collect();
-    let report = cluster.finish(0, skipped_faults);
+    let report = cluster.finish();
+    // The harness scripted the liar, so the harness names it.
+    let liars: BTreeSet<ProcessId> = options.adversary.then_some(liar).into_iter().collect();
 
     // The guarantee: every correct process delivered every broadcast
     // accepted from a correct origin. Origins deliver locally too, so
@@ -447,12 +444,7 @@ pub fn run_soak(options: SoakOptions) -> Result<SoakReport, NetError> {
         }
     }
 
-    let sent_total = report
-        .report
-        .metrics
-        .as_ref()
-        .map(|m| m.sent_total())
-        .unwrap_or(0);
+    let seen = &report.observed;
     Ok(SoakReport {
         accepted,
         accepted_exempt,
@@ -461,8 +453,8 @@ pub fn run_soak(options: SoakOptions) -> Result<SoakReport, NetError> {
         liar: options.adversary.then_some(liar),
         missing,
         malformed_frames: report.malformed_frames,
-        sent_total,
-        containment: report.report.containment,
-        skipped_faults: report.report.skipped_faults,
+        sent_total: seen.metrics.sent_total(),
+        containment: Containment::assemble(&liars, &seen.audits, seen.suppressed),
+        skipped_faults,
     })
 }

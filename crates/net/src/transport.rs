@@ -6,13 +6,13 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse_sim::{LossBatcher, Metrics};
+use diffuse_sim::{LossBatcher, Metrics, SimOptions};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::codec::frame_kind;
-use crate::virtual_time::{VirtualCore, VirtualNet, VirtualOptions};
+use crate::virtual_time::{VirtualCore, VirtualNet};
 use crate::NetError;
 
 /// A point-to-point frame transport bound to one process.
@@ -133,18 +133,19 @@ impl Fabric {
     /// [`Clock::Virtual`](crate::Clock::Virtual)`(net.clock(id))`, then
     /// drive the run through the returned [`VirtualNet`].
     ///
-    /// A virtual fabric run is a deterministic function of
-    /// `(topology, loss, seed, options, script)`: re-running it yields a
-    /// byte-identical outcome, and running the same scenario on the
-    /// simulation kernel yields the *same* delivery counts and wire
-    /// metrics (asserted by `tests/fabric_conformance.rs`).
+    /// `options` are the simulation kernel's own (seed, link delay, crash
+    /// model — `Scenario::sim_options` for a scenario): a virtual fabric
+    /// run is a deterministic function of
+    /// `(topology, loss, options, script)`, re-running it yields a
+    /// byte-identical outcome, and a kernel built from the same four
+    /// yields the *same* delivery counts and wire metrics (asserted by
+    /// `tests/fabric_conformance.rs`).
     pub fn build_virtual(
         topology: &Topology,
         loss: Configuration,
-        seed: u64,
-        options: VirtualOptions,
+        options: SimOptions,
     ) -> (BTreeMap<ProcessId, FabricTransport>, VirtualNet) {
-        let net = VirtualNet::new(topology.clone(), loss, seed, options);
+        let net = VirtualNet::new(topology.clone(), loss, options);
         // The authority owns the live loss table and RNG; the wall-path
         // copies in FabricShared would be dead state, so the shared
         // side carries an empty configuration and a fixed seed instead

@@ -36,13 +36,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use diffuse_core::{CorruptionMode, Payload, ProtocolAudit, TimerOp};
+use diffuse_core::{BroadcastOutcome, CorruptionMode, Payload, TimerOp};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{
-    CrashModel, Effects, Handler, Input, Lane, LaneEnv, Metrics, SimMessage, SimTime, Site, TimerId,
+    Effects, Handler, Input, Lane, LaneEnv, Metrics, SimMessage, SimOptions, SimTime, Site, TimerId,
 };
-
-use diffuse_core::scenario::Scenario;
 
 use crate::codec::frame_kind;
 
@@ -75,24 +73,6 @@ pub(crate) enum Turn {
         /// Window length in ticks.
         window: u64,
     },
-    /// Report the protocol's audit counters back to the authority
-    /// (granted once per node at collection time; runs no handler and
-    /// draws no randomness).
-    Audit,
-}
-
-/// What a broadcast turn produced (see [`VirtualNet::broadcast`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BroadcastOutcome {
-    /// The broadcast issued; its sends are on the (virtual) wire.
-    Issued,
-    /// The broadcast could not issue yet for a retryable reason — the
-    /// origin is down, unknown, or its topology knowledge is still
-    /// incomplete. Scenario drivers retry one tick later, exactly like
-    /// the kernel's `ScenarioSim`.
-    Deferred,
-    /// The broadcast failed non-retryably.
-    Failed,
 }
 
 /// An encoded frame on the virtual wire: the lane's message type.
@@ -121,8 +101,6 @@ struct NodeSlot {
     timer_ops: Vec<TimerOp>,
     /// Outcome reported by the last broadcast turn.
     outcome: Option<BroadcastOutcome>,
-    /// Audit reported by the last audit turn.
-    audit: Option<ProtocolAudit>,
 }
 
 /// The turn hand-off board: everything node threads read or write.
@@ -245,39 +223,6 @@ impl Handler<Frame> for Turns<'_> {
     }
 }
 
-/// Options for a virtual-time fabric (mirrors the kernel's
-/// `SimOptions` minus the seed, which the fabric builder takes
-/// directly).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VirtualOptions {
-    /// Message latency in ticks (clamped to at least 1).
-    pub link_delay: u64,
-    /// How processes crash and recover. Anything but
-    /// [`CrashModel::AlwaysUp`] draws per-tick randomness and therefore
-    /// disables fast-forwarding, exactly as in the kernel.
-    pub crash_model: CrashModel,
-}
-
-impl Default for VirtualOptions {
-    fn default() -> Self {
-        VirtualOptions {
-            link_delay: 1,
-            crash_model: CrashModel::AlwaysUp,
-        }
-    }
-}
-
-impl VirtualOptions {
-    /// The options a [`Scenario`] implies (same fields
-    /// `Scenario::sim_options` feeds the kernel).
-    pub fn for_scenario(scenario: &Scenario) -> Self {
-        VirtualOptions {
-            link_delay: scenario.link_delay,
-            crash_model: scenario.crash_model,
-        }
-    }
-}
-
 /// The virtual-time authority over one fabric: the driver half.
 ///
 /// Obtained from [`Fabric::build_virtual`](crate::Fabric::build_virtual)
@@ -297,12 +242,11 @@ pub struct VirtualNet {
 }
 
 impl VirtualNet {
-    pub(crate) fn new(
-        topology: Topology,
-        loss: Configuration,
-        seed: u64,
-        options: VirtualOptions,
-    ) -> Self {
+    /// `options` are the engine's own: the seed of its one RNG stream,
+    /// the link delay, and the crash model (anything but `AlwaysUp`
+    /// draws per-tick randomness and so disables fast-forwarding,
+    /// exactly as in the kernel).
+    pub(crate) fn new(topology: Topology, loss: Configuration, options: SimOptions) -> Self {
         let ids: Vec<ProcessId> = topology.processes().collect();
         let nodes = ids.iter().map(|&id| (id, NodeSlot::default())).collect();
         VirtualNet {
@@ -316,7 +260,7 @@ impl VirtualNet {
                         event_driven: true,
                         boundaries: Vec::new(),
                     },
-                    lane: Lane::new(0, 1, ids, seed),
+                    lane: Lane::new(0, 1, ids, options.seed),
                 }),
                 board: Mutex::new(Board {
                     now: SimTime::ZERO,
@@ -379,11 +323,6 @@ impl VirtualNet {
         self.core.driver().lane.set_message_adversary(d, window);
     }
 
-    /// Emissions destroyed by the message adversary so far.
-    pub fn suppressed_by_adversary(&self) -> u64 {
-        self.core.driver().lane.suppressed_by_adversary()
-    }
-
     /// Grants `turn` to `id` as an external command, with the kernel's
     /// `Simulation::command` semantics: starts the net if needed and
     /// returns `None` — running no handler — when the process is
@@ -409,22 +348,6 @@ impl VirtualNet {
     /// handler) when the process is unknown, down, or retired.
     pub fn inject_corrupt(&self, id: ProcessId, mode: CorruptionMode, window: u64) -> bool {
         self.command(id, Turn::Corrupt { mode, window }).is_some()
-    }
-
-    /// Collects `id`'s protocol audit counters by granting an audit
-    /// turn (no handler runs, no randomness is drawn, and the lane is
-    /// not involved). Returns the all-zero audit for unknown or retired
-    /// nodes. Call after the run horizon and before
-    /// [`VirtualNet::shutdown`].
-    pub fn audit(&self, id: ProcessId) -> ProtocolAudit {
-        self.core
-            .grant(id, self.now(), Turn::Audit, &mut Effects::default());
-        self.core
-            .board()
-            .nodes
-            .get_mut(&id)
-            .and_then(|node| node.audit.take())
-            .unwrap_or_default()
     }
 
     /// Runs every node's `on_start` handler, in process-id order.
@@ -514,20 +437,12 @@ impl VirtualClock {
 
     /// Reports the granted turn as finished, publishing the timer
     /// operations the handler emitted (the lane applies them in emission
-    /// order) and, for audit turns, the protocol's audit counters.
-    pub(crate) fn complete_turn(
-        &self,
-        timer_ops: Vec<TimerOp>,
-        outcome: Option<BroadcastOutcome>,
-        audit: Option<ProtocolAudit>,
-    ) {
+    /// order) and, for broadcast turns, the outcome.
+    pub(crate) fn complete_turn(&self, timer_ops: Vec<TimerOp>, outcome: Option<BroadcastOutcome>) {
         let mut board = self.core.board();
         if let Some(node) = board.nodes.get_mut(&self.id) {
             node.timer_ops = timer_ops;
             node.outcome = outcome;
-            if audit.is_some() {
-                node.audit = audit;
-            }
             node.done = true;
         }
         self.core.cv.notify_all();
@@ -555,7 +470,11 @@ mod tests {
     fn two_node_net() -> VirtualNet {
         let mut topology = Topology::new();
         topology.add_link(p(0), p(1)).unwrap();
-        VirtualNet::new(topology, Configuration::new(), 7, VirtualOptions::default())
+        VirtualNet::new(
+            topology,
+            Configuration::new(),
+            SimOptions::default().with_seed(7),
+        )
     }
 
     /// The authority alone (no node threads): time advances, fast

@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use diffuse_core::{NetworkKnowledge, OptimalBroadcast};
 use diffuse_model::{Configuration, ProcessId, Topology};
-use diffuse_net::{spawn_node, spawn_node_with_clock, Clock, Fabric, VirtualOptions};
+use diffuse_net::{spawn_node, spawn_node_with_clock, Clock, Fabric};
+use diffuse_sim::SimOptions;
 
 /// CPU time consumed by this process so far, from /proc (Linux CI).
 #[cfg(target_os = "linux")]
@@ -84,8 +85,7 @@ fn idle_virtual_node_performs_zero_wakeups() {
     let (mut transports, net) = Fabric::build_virtual(
         &topology,
         Configuration::new(),
-        7,
-        VirtualOptions::default(),
+        SimOptions::default().with_seed(7),
     );
     // OptimalBroadcast schedules no timers: both nodes are fully idle.
     let handles: Vec<_> = [ProcessId::new(0), ProcessId::new(1)]

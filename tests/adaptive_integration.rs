@@ -270,7 +270,7 @@ fn partition_heals_and_knowledge_recovers() {
 
 #[test]
 fn paper_literal_mode_fails_to_converge_where_default_succeeds() {
-    // The ablation behind DESIGN.md §4.4: the literal reconciliation
+    // The ablation behind `ReconcileMode::SeqGap`: the literal reconciliation
     // formula penalizes successful heartbeats, so its loss estimates stay
     // far from the truth.
     let topology = generators::ring(6).unwrap();

@@ -240,6 +240,58 @@ fn adaptive_protocol_conformance() {
     }
 }
 
+/// The two edges of the shared script driver that need an executor's
+/// cooperation, across the seed matrix: an origin forced down by a fault
+/// of the very tick its broadcast is due (the fault lands first, the
+/// issue is refused and retried every tick until the recovery), and a
+/// broadcast plus a fault scheduled exactly at the horizon tick (neither
+/// fires). Kernel and virtual fabric must agree on both to the bit.
+#[test]
+fn horizon_edge_and_downed_origin_conformance() {
+    for seed in SEED_MATRIX {
+        let (mut scenario, horizon) = random_scenario(seed);
+        let processes: Vec<ProcessId> = scenario.topology.processes().collect();
+        let origin = processes[seed as usize % processes.len()];
+        let at = SimTime::new(horizon / 3);
+        scenario.workload = Workload::new()
+            .broadcast(at, origin, Payload::from("origin is down"))
+            .broadcast(SimTime::new(horizon), origin, Payload::from("never"));
+        scenario.faults = FaultScript::new()
+            .at(
+                at,
+                FaultAction::Crash {
+                    process: origin,
+                    down_ticks: 6,
+                },
+            )
+            .at(
+                SimTime::new(horizon),
+                FaultAction::Partition {
+                    island: vec![origin],
+                },
+            );
+        let topology = scenario.topology.clone();
+        let neighbors = |id: ProcessId| topology.neighbors(id).collect::<Vec<_>>();
+        let steps = processes.len() as u32 + 2;
+        let sim = scenario.run_sim(horizon, |id| ReferenceGossip::new(id, neighbors(id), steps));
+        // Not vacuous: the refused broadcast did issue after the outage,
+        // and the one at the horizon tick did not.
+        assert_eq!(sim.failed_broadcasts, 0, "seed {seed}: {sim:?}");
+        assert_eq!(sim.delivered[&origin], 1, "seed {seed}: {sim:?}");
+        assert_conformant(
+            &scenario,
+            horizon,
+            sim,
+            || {
+                run_scenario_on_fabric_virtual(&scenario, horizon, |id| {
+                    ReferenceGossip::new(id, neighbors(id), steps)
+                })
+            },
+            "horizon edge + downed origin",
+        );
+    }
+}
+
 /// Passes every received message through the wire codec before the
 /// wrapped protocol sees it — what the fabric's runtime does to each
 /// frame, minus the threads.
