@@ -112,9 +112,9 @@ pub fn run(effort: &Effort) -> Vec<Table> {
         trajectory.push_row(vec![t.to_string(), fmt(estimate), phase.to_string()]);
     }
 
-    // Substrate 2: the same scenario value on the fabric of real
-    // threads, with the gossip protocol (broadcast-only workload) — run
-    // against a kernel reference in both of the fabric's timing modes.
+    // Substrate 2: the same scenario value on the in-memory fabric,
+    // with the gossip protocol (broadcast-only workload) — run against
+    // a kernel reference in both of the fabric's timing modes.
     // Under virtual time the fabric report must be *bit-identical* to
     // the kernel's; under the wall clock it is only statistically
     // comparable (different RNG stream, real scheduling).

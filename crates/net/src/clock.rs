@@ -3,11 +3,12 @@
 //! Every node runtime runs against a [`Clock`]. Under a [`WallClock`]
 //! the runtime maps real elapsed time onto logical [`SimTime`] ticks and
 //! sleeps on its transport between deadlines — the deployment behavior.
-//! Under a [`VirtualClock`](crate::VirtualClock) the runtime parks on a
-//! shared time authority ([`VirtualNet`](crate::VirtualNet)) that only
-//! advances virtual time when every runtime is quiescent, making fabric
-//! execution a deterministic function of `(scenario, seed)` with no real
-//! sleeping at all.
+//! Under a [`VirtualClock`](crate::VirtualClock) the runtime is
+//! installed on a shared time authority
+//! ([`VirtualNet`](crate::VirtualNet)) that runs one node's turn at a
+//! time on its driver's thread, making fabric execution a deterministic
+//! function of `(scenario, seed)` with no threads and no real sleeping
+//! at all.
 //!
 //! This module is the **only** file allowed to call `Instant::now`,
 //! `SystemTime::now`, or `thread::sleep` — the `diffuse-lint`
@@ -30,9 +31,9 @@ pub enum Clock {
     /// Real time: one logical tick corresponds to a fixed wall-clock
     /// interval, and the runtime sleeps on its transport.
     Wall(WallClock),
-    /// Virtual time: the runtime executes handler turns granted by a
-    /// [`VirtualNet`](crate::VirtualNet) and never touches the wall
-    /// clock.
+    /// Virtual time: the runtime executes handler turns when a
+    /// [`VirtualNet`](crate::VirtualNet) runs them and never touches the
+    /// wall clock.
     Virtual(VirtualClock),
 }
 

@@ -15,11 +15,11 @@
 //!   drives the protocol, schedules logical ticks from wall time, and
 //!   surfaces deliveries through a [`NodeHandle`];
 //! * [`Clock`] — wall time vs. virtual time. Under a
-//!   [`VirtualClock`] the node threads park on a [`VirtualNet`] time
-//!   authority that steps the simulation's tick engine (one phase
-//!   order, one RNG stream) through their turns, making fabric runs
-//!   deterministic and bit-comparable to kernel runs (see
-//!   [`run_scenario_on_fabric_virtual`] and
+//!   [`VirtualClock`] a node has no thread: its runtime is installed on
+//!   a [`VirtualNet`] time authority that steps the simulation's tick
+//!   engine (one phase order, one RNG stream) and runs the nodes' turns
+//!   inline, making fabric runs deterministic and bit-comparable to
+//!   kernel runs (see [`run_scenario_on_fabric_virtual`] and
 //!   `tests/fabric_conformance.rs`).
 //!
 //! # Example

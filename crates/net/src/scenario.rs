@@ -1,5 +1,5 @@
-//! Running a [`Scenario`] on the in-memory fabric of real threads —
-//! under either clock.
+//! Running a [`Scenario`] on the in-memory fabric — real threads under
+//! the wall clock, inline turns under the virtual one.
 //!
 //! Neither runner here walks the scenario's scripts or builds its
 //! report: both hand an [`Executor`] to `diffuse-core`'s
@@ -12,12 +12,12 @@
 //!   different RNG stream and real scheduling, so outcomes are
 //!   statistically — not bitwise — equivalent to the kernel.
 //! * [`run_scenario_on_fabric_virtual`] — **virtual clock**: node
-//!   threads park on a [`VirtualNet`] time authority that steps the
-//!   kernel's own tick engine through their turns, so the run completes in
-//!   milliseconds of wall time, needs no settle slack, and its
-//!   [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim` for
-//!   the same scenario — delivery counts, failure counts, containment
-//!   and wire metrics included.
+//!   runtimes are installed on a [`VirtualNet`] time authority that steps
+//!   the kernel's own tick engine and runs their turns on this thread, so
+//!   the run costs a kernel run plus the codec, needs no settle slack,
+//!   and its [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim`
+//!   for the same scenario — delivery counts, failure counts,
+//!   containment and wire metrics included.
 //!
 //! Every [`FaultAction`](diffuse_core::scenario::FaultAction) — including [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash), executed
 //! cooperatively by the node runtimes, and the adversarial pair
@@ -29,7 +29,8 @@
 //! deterministic suppression hook); such events are counted in
 //! `skipped_faults` rather than silently dropped. On both clocks the
 //! per-process audits behind [`ScenarioReport::containment`] are the
-//! ones the node threads leave behind when they are joined
+//! ones the nodes leave behind when they are shut down — the thread
+//! joined, the virtual runtime retired
 //! ([`NodeHandle::shutdown_with_audit`]).
 
 use std::collections::BTreeMap;
@@ -70,8 +71,7 @@ impl Default for FabricScenarioOptions {
     }
 }
 
-/// The node threads of one fabric run, and what they left behind once
-/// joined.
+/// The nodes of one fabric run, and what they left behind once joined.
 struct Nodes {
     handles: BTreeMap<ProcessId, NodeHandle>,
     /// Delivery counts and final audits, empty until [`Nodes::join`].
@@ -79,7 +79,7 @@ struct Nodes {
 }
 
 impl Nodes {
-    /// One node thread per transport, in id order, each under the clock
+    /// One node per transport, in id order, each under the clock
     /// `clock_of` hands it.
     fn spawn<P: Protocol + Send + 'static>(
         transports: BTreeMap<ProcessId, FabricTransport>,
@@ -96,12 +96,14 @@ impl Nodes {
         }
     }
 
-    /// Counts every node's deliveries, then shuts the threads down and
+    /// Counts every node's deliveries, then shuts the nodes down and
     /// keeps each protocol's final audit.
     fn join(&mut self) {
         for (&id, handle) in &self.handles {
             let mut count = 0u64;
-            while let Ok(Some(_)) = handle.next_delivery(Duration::from_millis(1)) {
+            // No waiting: the wall runner has settled, and a virtual
+            // run's deliveries were all surfaced inside `run_ticks`.
+            while let Ok(Some(_)) = handle.next_delivery(Duration::ZERO) {
                 count += 1;
             }
             self.reported.delivered.insert(id, count);
@@ -301,11 +303,8 @@ where
     let nodes = Nodes::spawn(transports, make, |id| Clock::Virtual(net.clock(id)));
     let mut run = ScenarioRun::over(scenario, VirtualFabric { net, nodes });
     run.run_ticks(run_ticks);
-    // Nothing is in flight past the horizon by construction: release
-    // the parked node threads and join them.
-    let fabric = run.sim_mut();
-    fabric.net.shutdown();
-    fabric.nodes.join();
+    // Nothing is in flight past the horizon by construction.
+    run.sim_mut().nodes.join();
     run.report()
 }
 

@@ -128,10 +128,11 @@ impl Fabric {
 
     /// Builds a *virtual-time* fabric: one transport per process plus the
     /// [`VirtualNet`] time authority that schedules every delivery, timer
-    /// and loss draw deterministically. Spawn each transport with
-    /// [`spawn_node_with_clock`](crate::spawn_node_with_clock) and
-    /// [`Clock::Virtual`](crate::Clock::Virtual)`(net.clock(id))`, then
-    /// drive the run through the returned [`VirtualNet`].
+    /// and loss draw deterministically. Hand each transport to
+    /// [`spawn_node_with_clock`](crate::spawn_node_with_clock) with
+    /// [`Clock::Virtual`](crate::Clock::Virtual)`(net.clock(id))` — which
+    /// installs the node on the authority, spawning nothing — then drive
+    /// the run through the returned [`VirtualNet`].
     ///
     /// `options` are the simulation kernel's own (seed, link delay, crash
     /// model — `Scenario::sim_options` for a scenario): a virtual fabric

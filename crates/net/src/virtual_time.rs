@@ -1,16 +1,17 @@
 //! The virtual-time authority: deterministic execution of the fabric.
 //!
-//! Under a [`VirtualClock`], node threads do not sleep on their
-//! transports. Each thread parks on a shared [`VirtualNet`] — a
-//! barrier-style time authority — and executes *turns* the authority
-//! grants one at a time: deliver this frame, fire this timer, recover
-//! from this crash, issue this broadcast. Virtual time only advances
-//! when every runtime is quiescent (parked, waiting for its next turn).
+//! Under a [`VirtualClock`] a node has no thread. Its runtime — protocol,
+//! transport, counters — is installed on a shared [`VirtualNet`], the
+//! time authority, and executes *turns* the authority runs one at a
+//! time on the thread that drives it: deliver this frame, fire this
+//! timer, recover from this crash, issue this broadcast. Exactly one
+//! node runs at any moment by construction, so every node is quiescent
+//! whenever virtual time advances.
 //!
 //! The authority is a driver of the simulation's tick engine: it steps
 //! one [`diffuse_sim::Lane`] over encoded frames, and its
-//! [`Handler`] — the only thing a lane takes from its driver — grants
-//! the turn to the parked node thread and collects the sends and timer
+//! [`Handler`] — the only thing a lane takes from its driver — runs the
+//! turn on the node's installed runtime and collects the sends and timer
 //! operations that turn produced. Phase order, loss sampling, burst
 //! staggering, the timer table and fast-forwarding are the lane's, i.e.
 //! the very code [`diffuse_sim::Simulation`] runs; node runtimes buffer
@@ -18,23 +19,28 @@
 //! the turn completes consumes the RNG in the kernel's order. A fabric
 //! run under virtual time is therefore *bit-identical* to the same
 //! scenario on the kernel — same per-process delivery counts, same wire
-//! [`Metrics`] — and `tests/fabric_conformance.rs` asserts it, which now
+//! [`Metrics`] — and `tests/fabric_conformance.rs` asserts it, which
 //! checks this turn driver (plus codec and runtime) against the inline
 //! one rather than one hand-written tick against another.
 //!
-//! Two locks, never nested the wrong way round: the lane and its
-//! environment sit behind the *driver's* lock, taken only by the thread
-//! driving the [`VirtualNet`]; the turn hand-off board sits behind its
-//! own lock and condition variable, the only state node threads touch.
+//! Locks exist only so the handles are `Send + Sync`; driven from one
+//! thread, nothing ever waits on one. The lane and its environment sit
+//! behind the *driver's* lock, held for a whole `run_ticks`; each node's
+//! runtime sits behind its own, held for the turn it runs; the wire —
+//! the clock reading and the send buffer of the one node holding a turn
+//! — behind a third, taken per send. A handler that panics unwinds
+//! through all three to the caller of `run_ticks`/`broadcast` and takes
+//! its runtime with it; the authority stays readable
+//! ([`VirtualNet::now`], [`VirtualNet::metrics`]).
 //!
 //! Eventless stretches fast-forward exactly like the kernel: when no
 //! delivery or timer is due and no forced outage is counting down, the
-//! clock jumps — node threads are never woken, which the idle-runtime
-//! test asserts as *zero* wakeups over an idle stretch.
+//! clock jumps — no turn runs, which the idle-runtime test asserts as
+//! *zero* wakeups over an idle stretch.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use diffuse_core::{BroadcastOutcome, CorruptionMode, Payload, TimerOp};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
@@ -44,7 +50,7 @@ use diffuse_sim::{
 
 use crate::codec::frame_kind;
 
-/// One instruction handed to a parked node thread by the authority.
+/// One instruction the authority runs on a node's installed runtime.
 #[derive(Debug)]
 pub(crate) enum Turn {
     /// Run the protocol's `on_start` handler.
@@ -75,6 +81,25 @@ pub(crate) enum Turn {
     },
 }
 
+/// A node runtime installed on the authority (see
+/// [`spawn_node_with_clock`](crate::spawn_node_with_clock)).
+pub(crate) trait TurnRunner: Send {
+    /// Runs one turn at virtual time `now`: the handler, then the flush
+    /// of its sends through the node's transport (which buffers them on
+    /// the authority). Appends the handler's timer operations to
+    /// `timer_ops` and returns the outcome of a broadcast turn.
+    fn run(
+        &mut self,
+        now: SimTime,
+        turn: Turn,
+        timer_ops: &mut Vec<TimerOp>,
+    ) -> Option<BroadcastOutcome>;
+
+    /// The node leaves the authority for good: records its protocol's
+    /// final audit where its handle will look for it.
+    fn retire(self: Box<Self>);
+}
+
 /// An encoded frame on the virtual wire: the lane's message type.
 #[derive(Debug, Clone)]
 struct Frame(Vec<u8>);
@@ -85,32 +110,15 @@ impl SimMessage for Frame {
     }
 }
 
-/// Per-node hand-off state.
-#[derive(Debug, Default)]
-struct NodeSlot {
-    /// A granted turn awaiting pickup by the node thread.
-    turn: Option<Turn>,
-    /// Set by the node thread when the granted turn completed.
-    done: bool,
-    /// The node thread exited (shutdown, handle drop, or panic); the
-    /// authority skips it from now on.
-    retired: bool,
-    /// Frames the node sent during its current turn, in send order.
-    sends: Vec<(ProcessId, Frame)>,
-    /// Timer operations reported by the last completed turn.
-    timer_ops: Vec<TimerOp>,
-    /// Outcome reported by the last broadcast turn.
-    outcome: Option<BroadcastOutcome>,
-}
-
-/// The turn hand-off board: everything node threads read or write.
-struct Board {
-    /// Virtual time as of the last granted turn (or finished run).
+/// What the node holding a turn reads and writes through its clock and
+/// transport.
+struct Wire {
+    /// Virtual time as of the last turn run (or finished run).
     now: SimTime,
     /// The node currently holding a turn (sends are only legal from it).
     holder: Option<ProcessId>,
-    nodes: BTreeMap<ProcessId, NodeSlot>,
-    shutdown: bool,
+    /// Frames the holder sent during its turn, in send order.
+    sends: Vec<(ProcessId, Frame)>,
 }
 
 /// The engine state: one lane over frames plus its environment.
@@ -121,8 +129,11 @@ struct Driver {
 
 pub(crate) struct VirtualCore {
     driver: Mutex<Driver>,
-    board: Mutex<Board>,
-    cv: Condvar,
+    wire: Mutex<Wire>,
+    /// Every process of the topology; `None` until its runtime is
+    /// installed and again once it retired (or panicked) — either way the
+    /// authority skips the node.
+    nodes: BTreeMap<ProcessId, Mutex<Option<Box<dyn TurnRunner>>>>,
 }
 
 impl fmt::Debug for VirtualCore {
@@ -131,78 +142,67 @@ impl fmt::Debug for VirtualCore {
     }
 }
 
+/// Locks through poisoning: a panicking handler unwinds while all three
+/// locks are held, and each guards data that is valid at every step (a
+/// runtime taken out for its turn is simply gone).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 impl VirtualCore {
-    fn driver(&self) -> MutexGuard<'_, Driver> {
-        self.driver
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn board(&self) -> MutexGuard<'_, Board> {
-        self.board
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Buffers one encoded frame sent by the node holding the turn; the
     /// lane validates, loss-samples and schedules it when the turn
     /// completes.
     pub(crate) fn send(&self, from: ProcessId, to: ProcessId, frame: &[u8]) {
-        let mut board = self.board();
+        let mut wire = lock(&self.wire);
         debug_assert_eq!(
-            board.holder,
+            wire.holder,
             Some(from),
             "virtual sends must come from the node holding the turn"
         );
-        if let Some(node) = board.nodes.get_mut(&from) {
-            node.sends.push((to, Frame(frame.to_vec())));
-        }
+        wire.sends.push((to, Frame(frame.to_vec())));
     }
 
-    /// Grants `turn` to node `id` at virtual time `now`, blocks until
-    /// the node thread completed it (or retired), and moves what the turn
-    /// produced into `fx`. Returns the broadcast outcome, if any.
+    /// Runs `turn` on node `id`'s runtime at virtual time `now`, here and
+    /// now, and moves what the turn produced into `fx`. Returns `None`,
+    /// having run nothing, for a node without a runtime; otherwise the
+    /// outcome of a broadcast turn.
     fn grant(
         &self,
         id: ProcessId,
         now: SimTime,
         turn: Turn,
         fx: &mut Effects<Frame>,
-    ) -> Option<BroadcastOutcome> {
-        let mut board = self.board();
+    ) -> Option<Option<BroadcastOutcome>> {
+        let mut node = lock(self.nodes.get(&id)?);
+        // Out of its slot for the turn, so a panicking handler drops it
+        // on the way up instead of leaving a half-run protocol installed.
+        let mut runner = node.take()?;
         {
-            let node = board.nodes.get_mut(&id)?;
-            if node.retired {
-                return None;
-            }
-            debug_assert!(node.turn.is_none() && !node.done, "one turn at a time");
-            node.turn = Some(turn);
-            node.outcome = None;
+            let mut wire = lock(&self.wire);
+            wire.now = now;
+            wire.holder = Some(id);
         }
-        board.now = now;
-        board.holder = Some(id);
-        self.cv.notify_all();
-        loop {
-            let node = &board.nodes[&id];
-            if node.done || node.retired {
-                break;
-            }
-            board = self
-                .cv
-                .wait(board)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let outcome = runner.run(now, turn, &mut fx.timer_ops);
+        *node = Some(runner);
+        let mut wire = lock(&self.wire);
+        wire.holder = None;
+        fx.outbox.append(&mut wire.sends);
+        Some(outcome)
+    }
+
+    /// Permanently removes `id` from scheduling. Idempotent.
+    fn retire(&self, id: ProcessId) {
+        let runner = self.nodes.get(&id).and_then(|node| lock(node).take());
+        if let Some(runner) = runner {
+            runner.retire();
         }
-        board.holder = None;
-        let node = board.nodes.get_mut(&id).expect("registered above");
-        node.done = false;
-        node.turn = None; // a retired node may never have picked it up
-        fx.outbox.append(&mut node.sends);
-        fx.timer_ops.append(&mut node.timer_ops);
-        node.outcome.take()
     }
 }
 
-/// How the authority runs a handler: as a turn on the node's own thread.
+/// How the authority runs a handler: as a turn on the node's runtime.
 struct Turns<'a>(&'a VirtualCore);
 
 impl Handler<Frame> for Turns<'_> {
@@ -230,12 +230,16 @@ impl Handler<Frame> for Turns<'_> {
 /// the scheduler: [`VirtualNet::run_ticks`] advances virtual time
 /// through the engine's phase order, [`VirtualNet::broadcast`] issues
 /// commands, [`VirtualNet::set_loss`] / [`VirtualNet::force_down`]
-/// inject faults. Drive it from a single thread.
+/// inject faults. Drive it from a single thread: every node's handlers
+/// run on it, and a protocol panic unwinds out of the call that ran the
+/// turn.
 ///
-/// Node threads must be spawned (via
-/// [`spawn_node_with_clock`](crate::spawn_node_with_clock) with
-/// [`Clock::Virtual`](crate::Clock::Virtual)) before time is advanced —
-/// a granted turn blocks until its node picks it up.
+/// Node runtimes are installed with
+/// [`spawn_node_with_clock`](crate::spawn_node_with_clock) and
+/// [`Clock::Virtual`](crate::Clock::Virtual). A process whose runtime
+/// was never installed is skipped exactly like a retired one: it holds
+/// its place in the topology, its inbound frames count as delivered on
+/// the wire, and no handler runs.
 #[derive(Debug, Clone)]
 pub struct VirtualNet {
     core: Arc<VirtualCore>,
@@ -248,7 +252,7 @@ impl VirtualNet {
     /// exactly as in the kernel).
     pub(crate) fn new(topology: Topology, loss: Configuration, options: SimOptions) -> Self {
         let ids: Vec<ProcessId> = topology.processes().collect();
-        let nodes = ids.iter().map(|&id| (id, NodeSlot::default())).collect();
+        let nodes = ids.iter().map(|&id| (id, Mutex::new(None))).collect();
         VirtualNet {
             core: Arc::new(VirtualCore {
                 driver: Mutex::new(Driver {
@@ -262,13 +266,12 @@ impl VirtualNet {
                     },
                     lane: Lane::new(0, 1, ids, options.seed),
                 }),
-                board: Mutex::new(Board {
+                wire: Mutex::new(Wire {
                     now: SimTime::ZERO,
                     holder: None,
-                    nodes,
-                    shutdown: false,
+                    sends: Vec::new(),
                 }),
-                cv: Condvar::new(),
+                nodes,
             }),
         }
     }
@@ -287,24 +290,24 @@ impl VirtualNet {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.driver().lane.now()
+        lock(&self.core.driver).lane.now()
     }
 
     /// Wire-level metrics so far — the same counters, with the same
     /// values, a kernel run of the same scenario produces.
     pub fn metrics(&self) -> Metrics {
-        self.core.driver().lane.metrics().clone()
+        lock(&self.core.driver).lane.metrics().clone()
     }
 
     /// Returns `true` iff the process is currently up (unknown processes
     /// are down, as in the kernel).
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.core.driver().lane.is_up(id)
+        lock(&self.core.driver).lane.is_up(id)
     }
 
     /// Overrides one link's loss probability for all future sends.
     pub fn set_loss(&self, link: LinkId, p: Probability) {
-        self.core.driver().env.loss.set_loss(link, p);
+        lock(&self.core.driver).env.loss.set_loss(link, p);
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection),
@@ -312,7 +315,7 @@ impl VirtualNet {
     /// immediately, deliveries drop until the recovery tick, timers fire
     /// on it right after the recovery event.
     pub fn force_down(&self, id: ProcessId, ticks: u64) {
-        self.core.driver().lane.force_down(id, ticks);
+        lock(&self.core.driver).lane.force_down(id, ticks);
     }
 
     /// (Re)configures the scheduled message adversary — the kernel's
@@ -320,32 +323,31 @@ impl VirtualNet {
     /// stream seeding, so adversarial runs stay bit-identical to the
     /// kernel. `d == 0` deactivates it.
     pub fn set_message_adversary(&self, d: u32, window: u64) {
-        self.core.driver().lane.set_message_adversary(d, window);
+        lock(&self.core.driver)
+            .lane
+            .set_message_adversary(d, window);
     }
 
-    /// Grants `turn` to `id` as an external command, with the kernel's
+    /// Runs `turn` on `id` as an external command, with the kernel's
     /// `Simulation::command` semantics: starts the net if needed and
     /// returns `None` — running no handler — when the process is
-    /// unknown, down or retired. Otherwise the turn's sends and timer
-    /// operations are applied like any handler's.
+    /// unknown, down or without a runtime. Otherwise the turn's sends
+    /// and timer operations are applied like any handler's.
     fn command(&self, id: ProcessId, turn: Turn) -> Option<Option<BroadcastOutcome>> {
         self.start();
-        if self.core.board().nodes.get(&id).is_some_and(|n| n.retired) {
-            return None;
-        }
-        let mut driver = self.core.driver();
+        let mut driver = lock(&self.core.driver);
         let Driver { env, lane } = &mut *driver;
-        let mut outcome = None;
+        let mut ran = None;
         lane.command(env, id, |site, fx| {
-            outcome = self.core.grant(site.id, site.now, turn, fx);
-        })
-        .then_some(outcome)
+            ran = self.core.grant(site.id, site.now, turn, fx);
+        });
+        ran
     }
 
-    /// Opens a corruption window on `id`'s protocol stack by granting
-    /// it a `Turn::Corrupt` — the fabric's hook for
+    /// Opens a corruption window on `id`'s protocol stack by running a
+    /// `Turn::Corrupt` on it — the fabric's hook for
     /// `FaultAction::Corrupt`. Refuses (returns `false`, running no
-    /// handler) when the process is unknown, down, or retired.
+    /// handler) when the process is unknown, down, or without a runtime.
     pub fn inject_corrupt(&self, id: ProcessId, mode: CorruptionMode, window: u64) -> bool {
         self.command(id, Turn::Corrupt { mode, window }).is_some()
     }
@@ -355,7 +357,7 @@ impl VirtualNet {
     /// [`VirtualNet::broadcast`] call it implicitly, mirroring the
     /// kernel's lazy start.
     pub fn start(&self) {
-        let mut driver = self.core.driver();
+        let mut driver = lock(&self.core.driver);
         let Driver { env, lane } = &mut *driver;
         lane.start(env, &mut Turns(&self.core));
     }
@@ -375,18 +377,19 @@ impl VirtualNet {
     /// order at every busy tick and fast-forwarding over eventless
     /// stretches when nothing can observe the difference.
     pub fn run_ticks(&self, n: u64) {
-        let mut driver = self.core.driver();
+        let mut driver = lock(&self.core.driver);
         let Driver { env, lane } = &mut *driver;
         let end = lane.now() + n;
         lane.run_to(env, end, &mut Turns(&self.core));
-        self.core.board().now = end;
+        lock(&self.core.wire).now = end;
     }
 
-    /// Releases every parked node thread; they exit their turn loops.
-    /// Call before joining node handles.
+    /// Retires every node: each runtime records its final audit and no
+    /// further turn runs. Node handles may be shut down before or after.
     pub fn shutdown(&self) {
-        self.core.board().shutdown = true;
-        self.core.cv.notify_all();
+        for &id in self.core.nodes.keys() {
+            self.core.retire(id);
+        }
     }
 }
 
@@ -409,59 +412,35 @@ impl VirtualClock {
     /// Current virtual time: the tick of the turn being executed (or,
     /// between runs, the tick the last run ended on).
     pub fn now(&self) -> SimTime {
-        self.core.board().now
+        lock(&self.core.wire).now
     }
 
-    /// Parks until the authority grants this node a turn. Returns `None`
-    /// on shutdown or retirement — the runtime exits its loop.
-    pub(crate) fn next_turn(&self) -> Option<Turn> {
-        let mut board = self.core.board();
-        loop {
-            if board.shutdown {
-                return None;
-            }
-            let node = board.nodes.get_mut(&self.id)?;
-            if node.retired {
-                return None;
-            }
-            if let Some(turn) = node.turn.take() {
-                return Some(turn);
-            }
-            board = self
-                .core
-                .cv
-                .wait(board)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+    /// Installs this node's runtime on the authority, which runs its
+    /// turns from now on. (A clock for a process outside the topology
+    /// installs nothing.)
+    pub(crate) fn install(&self, runner: Box<dyn TurnRunner>) {
+        if let Some(node) = self.core.nodes.get(&self.id) {
+            *lock(node) = Some(runner);
         }
     }
 
-    /// Reports the granted turn as finished, publishing the timer
-    /// operations the handler emitted (the lane applies them in emission
-    /// order) and, for broadcast turns, the outcome.
-    pub(crate) fn complete_turn(&self, timer_ops: Vec<TimerOp>, outcome: Option<BroadcastOutcome>) {
-        let mut board = self.core.board();
-        if let Some(node) = board.nodes.get_mut(&self.id) {
-            node.timer_ops = timer_ops;
-            node.outcome = outcome;
-            node.done = true;
-        }
-        self.core.cv.notify_all();
-    }
-
-    /// Permanently removes this node from scheduling (thread exit or
-    /// handle drop). Idempotent.
+    /// Permanently removes this node from scheduling (handle shutdown or
+    /// drop). Idempotent.
     pub(crate) fn retire(&self) {
-        let mut board = self.core.board();
-        if let Some(node) = board.nodes.get_mut(&self.id) {
-            node.retired = true;
-        }
-        self.core.cv.notify_all();
+        self.core.retire(self.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use diffuse_core::{
+        Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, Protocol,
+    };
+
     use super::*;
+    use crate::{spawn_node_with_clock, Clock, Fabric};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -477,15 +456,11 @@ mod tests {
         )
     }
 
-    /// The authority alone (no node threads): time advances, fast
+    /// The authority alone (no runtime installed): time advances, fast
     /// forward lands exactly on the horizon, faults mutate crash state.
     #[test]
     fn time_advances_without_events() {
         let net = two_node_net();
-        // Mark nodes retired so start() does not block waiting for
-        // threads that were never spawned.
-        net.clock(p(0)).retire();
-        net.clock(p(1)).retire();
         net.run_ticks(1000);
         assert_eq!(net.now(), SimTime::new(1000));
         assert_eq!(net.metrics(), Metrics::new());
@@ -494,8 +469,6 @@ mod tests {
     #[test]
     fn forced_outage_counts_down_with_kernel_semantics() {
         let net = two_node_net();
-        net.clock(p(0)).retire();
-        net.clock(p(1)).retire();
         net.run_ticks(1); // start + move off tick zero
         net.force_down(p(1), 5);
         assert!(!net.is_up(p(1)));
@@ -510,8 +483,6 @@ mod tests {
     #[test]
     fn broadcast_to_down_or_unknown_origin_is_deferred_without_a_turn() {
         let net = two_node_net();
-        net.clock(p(0)).retire();
-        net.clock(p(1)).retire();
         net.force_down(p(0), 3);
         assert_eq!(
             net.broadcast(p(0), Payload::from("x")),
@@ -521,5 +492,129 @@ mod tests {
             net.broadcast(p(9), Payload::from("x")),
             BroadcastOutcome::Deferred
         );
+    }
+
+    /// A registered process whose runtime was never spawned is skipped
+    /// exactly like a retired one: its neighbours' frames and its own
+    /// start turn go nowhere, and time advances past them instead of
+    /// waiting for a node that is not there.
+    #[test]
+    fn a_node_without_a_runtime_is_skipped() {
+        // 0 — 1 — 2, with runtimes on 0 and 1 only.
+        let mut topology = Topology::new();
+        topology.add_link(p(0), p(1)).unwrap();
+        topology.add_link(p(1), p(2)).unwrap();
+        let (mut transports, net) = Fabric::build_virtual(
+            &topology,
+            Configuration::new(),
+            SimOptions::default().with_seed(7),
+        );
+        let handles: Vec<_> = [p(0), p(1)]
+            .into_iter()
+            .map(|id| {
+                spawn_node_with_clock(
+                    AdaptiveBroadcast::new(
+                        id,
+                        vec![p(0), p(1), p(2)],
+                        topology.neighbors(id).collect(),
+                        AdaptiveParams::default(),
+                    ),
+                    transports.remove(&id).unwrap(),
+                    Clock::Virtual(net.clock(id)),
+                )
+            })
+            .collect();
+
+        net.run_ticks(200);
+        assert_eq!(net.now(), SimTime::new(200));
+        assert!(handles.iter().all(|h| h.wakeups() > 1), "the others ran");
+        let to_absent = LinkId::new(p(1), p(2)).unwrap();
+        assert!(
+            net.metrics().sent_over(to_absent) > 0,
+            "p1 heartbeats its absent neighbour across the wire"
+        );
+        // Commands to it are refused like commands to a retired node.
+        assert_eq!(
+            net.broadcast(p(2), Payload::from("x")),
+            BroadcastOutcome::Deferred
+        );
+        assert!(!net.inject_corrupt(p(2), CorruptionMode::UnderstateDistortion, 5));
+    }
+
+    /// Arms one periodic timer and panics the second time it fires.
+    struct PanicsOnSecondHeartbeat {
+        id: ProcessId,
+        beats: u32,
+    }
+
+    impl Protocol for PanicsOnSecondHeartbeat {
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+            actions.set_timer(TimerId::new(0), now + 10);
+        }
+
+        fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+            if let Event::Timer(timer) = event {
+                self.beats += 1;
+                assert!(self.beats < 2, "second heartbeat");
+                actions.set_timer(timer, now + 10);
+            }
+        }
+
+        fn broadcast(
+            &mut self,
+            _: SimTime,
+            _: Payload,
+            _: &mut Actions,
+        ) -> Result<BroadcastId, CoreError> {
+            unreachable!("the test issues no broadcast")
+        }
+
+        fn delivered(&self) -> &[(BroadcastId, Payload)] {
+            &[]
+        }
+    }
+
+    /// A protocol panic inside a turn is the driver's panic: it unwinds
+    /// out of `run_ticks` — no thread dies quietly, no node goes mute —
+    /// and the authority can still be read afterwards.
+    #[test]
+    fn a_protocol_panic_unwinds_to_the_driver() {
+        let (mut transports, net) = {
+            let mut topology = Topology::new();
+            topology.add_link(p(0), p(1)).unwrap();
+            Fabric::build_virtual(&topology, Configuration::new(), SimOptions::default())
+        };
+        let handle = spawn_node_with_clock(
+            PanicsOnSecondHeartbeat { id: p(0), beats: 0 },
+            transports.remove(&p(0)).unwrap(),
+            Clock::Virtual(net.clock(p(0))),
+        );
+        net.run_ticks(15);
+        assert_eq!(handle.wakeups(), 2, "start, then the first heartbeat");
+
+        let panic = catch_unwind(AssertUnwindSafe(|| net.run_ticks(15)))
+            .expect_err("the second heartbeat's panic must reach run_ticks' caller");
+        assert_eq!(
+            panic.downcast_ref::<&str>().copied(),
+            Some("second heartbeat")
+        );
+
+        assert_eq!(
+            net.now(),
+            SimTime::new(20),
+            "stopped in the tick that panicked"
+        );
+        assert_eq!(net.metrics(), Metrics::new());
+        assert_eq!(handle.wakeups(), 3);
+        // The runtime went down with its handler; the node is skipped.
+        assert_eq!(
+            net.broadcast(p(0), Payload::from("x")),
+            BroadcastOutcome::Deferred
+        );
+        handle.shutdown();
     }
 }

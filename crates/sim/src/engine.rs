@@ -17,8 +17,8 @@
 //! * [`ShardedKernel`](crate::ShardedKernel) — `W` lanes over an
 //!   id-range partition, one worker thread each, exchanging cross-lane
 //!   flights at tick barriers;
-//! * `diffuse-net`'s `VirtualNet` — one lane over encoded frames whose
-//!   handler grants a turn to a parked node thread.
+//! * `diffuse-net`'s `VirtualNet` — one lane over encoded frames,
+//!   stepped inline, whose handler runs a turn on the node's runtime.
 //!
 //! # Determinism contract
 //!

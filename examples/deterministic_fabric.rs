@@ -1,14 +1,15 @@
 //! Two substrates, one truth: the same scenario — partition, forced
 //! crash, heal — run on the deterministic simulation kernel and on the
-//! *virtual-time fabric* of real threads, producing bit-identical
-//! reports.
+//! *virtual-time fabric* — node runtimes, transports and the wire
+//! codec, minus the threads — producing bit-identical reports.
 //!
-//! Under a [`VirtualClock`](diffuse::net::VirtualClock), node threads
-//! park on a [`VirtualNet`](diffuse::net::VirtualNet) time authority
-//! that steps the kernel's own tick engine (same phase order, same RNG
-//! streams) through node-thread turns, so a fabric run is a pure
-//! function of `(scenario, seed)`: no sleeps, no settle margins, no
-//! flaky assertions — and running it twice gives you the same bytes.
+//! Under a [`VirtualClock`](diffuse::net::VirtualClock), node runtimes
+//! are installed on a [`VirtualNet`](diffuse::net::VirtualNet) time
+//! authority that steps the kernel's own tick engine (same phase order,
+//! same RNG streams) and runs their turns on this thread, so a fabric
+//! run is a pure function of `(scenario, seed)`: no sleeps, no settle
+//! margins, no flaky assertions — and running it twice gives you the
+//! same bytes.
 //!
 //! ```text
 //! cargo run --release --example deterministic_fabric

@@ -24,9 +24,9 @@
 //!   reference baseline), the `reach`/`optimize` machinery, and the
 //!   [`Scenario`](core::Scenario) engine;
 //! * [`net`] — wire codec, lossy in-memory fabric, UDP transport, and a
-//!   deadline-sleeping node runtime that also runs under a *virtual
-//!   clock* ([`net::VirtualNet`]) for deterministic, kernel-bit-exact
-//!   fabric executions.
+//!   deadline-sleeping node runtime that also runs, threadless, under a
+//!   *virtual clock* ([`net::VirtualNet`]) for deterministic,
+//!   kernel-bit-exact fabric executions.
 //!
 //! # Quickstart
 //!

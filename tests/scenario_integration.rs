@@ -1,6 +1,6 @@
 //! Integration tests for the unified `Scenario` layer: scripted
 //! workloads and fault scripts running identically on the simulation
-//! kernel and on the in-memory fabric of real threads.
+//! kernel and on the in-memory fabric.
 
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, Workload};
 use diffuse::core::{
@@ -63,7 +63,7 @@ fn loss_spike_scenario_runs_on_kernel_and_fabric() {
     );
     assert_eq!(sim_report.failed_broadcasts, 0);
 
-    // Substrate 2: the same scenario value on real threads under the
+    // Substrate 2: the same scenario value on the fabric under the
     // virtual clock. No margins, no settle: the report must be equal
     // field for field.
     let fabric_report = run_scenario_on_fabric_virtual(&scenario, 160, |id| {
