@@ -5,9 +5,10 @@
 //! [`Protocol::on_event`] entry point and emit [`Actions`] — sends, local
 //! deliveries, and timer (re)schedules — without touching any transport.
 //! The same protocol instance therefore runs unchanged on the
-//! deterministic simulator (via [`ProtocolActor`]), on real sockets (via
-//! `diffuse-net`'s runtime), and under the legacy per-tick polling driver
-//! (via [`LegacyTickShim`]).
+//! deterministic simulator (via [`ProtocolActor`], its messages handed
+//! over in memory or crossing a [`Wire`] as encoded frames), on real
+//! sockets (via `diffuse-net`'s runtime), and under the legacy per-tick
+//! polling driver (via [`LegacyTickShim`]).
 //!
 //! Timers replace the old `handle_tick` polling contract: instead of
 //! being woken every tick to re-check its deadlines, a protocol schedules
@@ -17,6 +18,7 @@
 //! between.
 
 use core::fmt;
+use core::marker::PhantomData;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -389,23 +391,69 @@ pub trait Protocol {
     }
 }
 
-/// Adapter running any [`Protocol`] inside the deterministic simulator.
+/// How a [`ProtocolActor`]'s messages travel between processes: what the
+/// simulated network carries in place of the [`Message`] itself.
+///
+/// The kernel runners use [`InProcess`]; `diffuse-net`'s virtual-time
+/// fabric puts encoded frames in flight, which is all that sets it apart
+/// from the kernel.
+pub trait Wire {
+    /// What is in flight (`Send`, so the sharded executor can move it
+    /// between worker threads).
+    type Frame: SimMessage + Send;
+
+    /// Called on every message the actor sends — lost ones included.
+    fn pack(message: Message) -> Self::Frame;
+
+    /// Called on every frame delivered to the actor, before its protocol
+    /// sees the message.
+    fn unpack(frame: Self::Frame) -> Message;
+}
+
+/// The identity [`Wire`]: messages are handed over in memory, their
+/// `Arc`-shared bodies included.
+#[derive(Debug)]
+pub struct InProcess;
+
+impl Wire for InProcess {
+    type Frame = Message;
+
+    fn pack(message: Message) -> Message {
+        message
+    }
+
+    fn unpack(frame: Message) -> Message {
+        frame
+    }
+}
+
+/// Adapter running any [`Protocol`] inside the deterministic simulator,
+/// its messages travelling as `W` says (see [`Wire`]).
 ///
 /// Deliveries are accumulated on the protocol itself (see
 /// [`Protocol::delivered`]); sends are forwarded to the simulated
 /// network.
 #[derive(Debug)]
-pub struct ProtocolActor<P> {
+pub struct ProtocolActor<P, W = InProcess> {
     protocol: P,
     actions: Actions,
+    wire: PhantomData<fn() -> W>,
 }
 
 impl<P: Protocol> ProtocolActor<P> {
-    /// Wraps a protocol for simulation.
+    /// Wraps a protocol for simulation, messages handed over in memory.
     pub fn new(protocol: P) -> Self {
+        ProtocolActor::over(protocol)
+    }
+}
+
+impl<P: Protocol, W: Wire> ProtocolActor<P, W> {
+    /// Wraps a protocol for simulation over the wire `W`.
+    pub fn over(protocol: P) -> Self {
         ProtocolActor {
             protocol,
             actions: Actions::new(),
+            wire: PhantomData,
         }
     }
 
@@ -428,7 +476,7 @@ impl<P: Protocol> ProtocolActor<P> {
     /// Propagates the protocol's broadcast error.
     pub fn broadcast_now(
         &mut self,
-        ctx: &mut Context<'_, Message>,
+        ctx: &mut Context<'_, W::Frame>,
         payload: Payload,
     ) -> Result<BroadcastId, crate::CoreError> {
         let id = self
@@ -441,14 +489,14 @@ impl<P: Protocol> ProtocolActor<P> {
     /// Feeds an out-of-band event (e.g. [`Event::Corrupt`] from a fault
     /// script) to the protocol and flushes the resulting sends into the
     /// simulation context.
-    pub fn inject_event(&mut self, ctx: &mut Context<'_, Message>, event: Event) {
+    pub fn inject_event(&mut self, ctx: &mut Context<'_, W::Frame>, event: Event) {
         self.protocol.on_event(ctx.now(), event, &mut self.actions);
         self.flush(ctx);
     }
 
-    fn flush(&mut self, ctx: &mut Context<'_, Message>) {
+    fn flush(&mut self, ctx: &mut Context<'_, W::Frame>) {
         for (to, message) in self.actions.take_sends() {
-            ctx.send(to, message);
+            ctx.send(to, W::pack(message));
         }
         for (timer, op) in self.actions.take_timer_ops() {
             match op {
@@ -461,15 +509,16 @@ impl<P: Protocol> ProtocolActor<P> {
     }
 }
 
-impl<P: Protocol> Actor for ProtocolActor<P> {
-    type Message = Message;
+impl<P: Protocol, W: Wire> Actor for ProtocolActor<P, W> {
+    type Message = W::Frame;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, W::Frame>) {
         self.protocol.on_start(ctx.now(), &mut self.actions);
         self.flush(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: ProcessId, message: Message) {
+    fn on_message(&mut self, ctx: &mut Context<'_, W::Frame>, from: ProcessId, frame: W::Frame) {
+        let message = W::unpack(frame);
         self.protocol.on_event(
             ctx.now(),
             Event::Message { from, message },
@@ -478,13 +527,13 @@ impl<P: Protocol> Actor for ProtocolActor<P> {
         self.flush(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, W::Frame>, timer: TimerId) {
         self.protocol
             .on_event(ctx.now(), Event::Timer(timer), &mut self.actions);
         self.flush(ctx);
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, Message>, down_ticks: u64) {
+    fn on_recover(&mut self, ctx: &mut Context<'_, W::Frame>, down_ticks: u64) {
         self.protocol
             .on_event(ctx.now(), Event::Recovery { down_ticks }, &mut self.actions);
         self.flush(ctx);

@@ -1,4 +1,4 @@
-//! One scenario description, one driver, five executors.
+//! One scenario description, one driver, five ways to execute it.
 //!
 //! A [`Scenario`] composes everything that defines an experiment run —
 //! a [`Topology`], a per-link loss [`Configuration`], a [`CrashModel`],
@@ -15,11 +15,12 @@
 //! record before its fault is applied — is therefore written once. It
 //! drives anything that implements [`Executor`]: the simulation kernel
 //! and the sharded executor here ([`ScenarioSim`],
-//! [`ShardedScenarioSim`]), and `diffuse-net`'s wall-clock fabric,
-//! virtual-time fabric and multi-process UDP cluster
-//! (`run_scenario_on_fabric`, `run_scenario_on_fabric_virtual`,
+//! [`ShardedScenarioSim`]), and `diffuse-net`'s wall-clock fabric and
+//! multi-process UDP cluster (`run_scenario_on_fabric`,
 //! `run_scenario_on_udp_cluster`), which differ only in how they let
-//! time pass and how they reach a process.
+//! time pass and how they reach a process. The fifth way,
+//! `run_scenario_on_fabric_virtual`, is the kernel again, over
+//! [`ProtocolActor`]s whose [`Wire`] puts encoded frames in flight.
 //!
 //! The paper's fixed benchmark scripts (Figures 4–6) are instances of
 //! this shape: pick a topology family, a uniform configuration, a
@@ -60,7 +61,7 @@ use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
 
 use crate::adversary::{Containment, CorruptionMode, ProtocolAudit};
-use crate::protocol::{Event, Payload, Protocol, ProtocolActor};
+use crate::protocol::{Event, Payload, Protocol, ProtocolActor, Wire};
 use crate::CoreError;
 
 /// One scripted broadcast: at `at`, `origin` broadcasts `payload`.
@@ -165,11 +166,10 @@ pub enum FaultAction {
     /// Restore every link to the scenario's base configuration.
     Heal,
     /// Force a process down for `down_ticks` ticks. The simulation kernel
-    /// executes this through `Simulation::force_down`; the fabric executes
-    /// it *cooperatively* — the node's runtime drops inbound traffic and
-    /// suppresses timers for the window, then fires
-    /// [`Event::Recovery`] — so no substrate
-    /// reports it as skipped.
+    /// executes this through `Simulation::force_down`; the wall-clock
+    /// substrates execute it *cooperatively* — the node's runtime drops
+    /// inbound traffic and suppresses timers for the window, then fires
+    /// [`Event::Recovery`] — so no substrate reports it as skipped.
     Crash {
         /// The crashing process.
         process: ProcessId,
@@ -503,10 +503,10 @@ pub struct ScenarioReport {
     /// to issue before the run ends are counted here too.
     pub failed_broadcasts: u64,
     /// Fault events the substrate could not execute. Every
-    /// [`FaultAction`] variant is executable on the kernel, the sharded
-    /// executor, and the virtual-time fabric (forced crashes run
-    /// cooperatively on the fabric), so this is zero on a healthy run
-    /// there; substrates without a corruption or suppression hook count
+    /// [`FaultAction`] variant is executable on the kernel (hence on
+    /// the virtual-time fabric) and the sharded executor, so this is
+    /// zero on a healthy run there; substrates without a corruption or
+    /// suppression hook count
     /// [`FaultAction::Corrupt`] / [`FaultAction::MessageAdversary`]
     /// events here instead of silently dropping them.
     pub skipped_faults: u64,
@@ -641,10 +641,11 @@ pub struct Observed {
 /// hooks of [`FaultSink`]: a clock in script ticks, a way to let ticks
 /// pass, a way to ask a process to broadcast, and a look at the outcome.
 ///
-/// Five executors exist: [`Simulation`] and [`ShardedKernel`] over
-/// [`ProtocolActor`]s (one macro body below — the two expose the same
-/// inherent surface) and, in `diffuse-net`, the wall-clock fabric, the
-/// virtual-time fabric and the UDP process cluster.
+/// Four implementations exist: [`Simulation`] and [`ShardedKernel`] over
+/// [`ProtocolActor`]s at any [`Wire`] (one macro body below — the two
+/// expose the same inherent surface; `diffuse-net`'s virtual-time fabric
+/// is the first of them over encoded frames) and, in `diffuse-net`, the
+/// wall-clock fabric and the UDP process cluster.
 pub trait Executor: FaultSink {
     /// The current script tick. Simulated time on the deterministic
     /// executors; on wall-clock ones the *logical* tick the driver has
@@ -669,7 +670,7 @@ macro_rules! impl_executor {
         /// live context, with the resulting sends flushed like any
         /// handler's (on the sharded executor: by the coordinator between
         /// segments, so the injection lands at a tick barrier).
-        impl<P: $($bound)+> FaultSink for $executor<ProtocolActor<P>> {
+        impl<P: $($bound)+, W: Wire> FaultSink for $executor<ProtocolActor<P, W>> {
             fn set_loss(&mut self, link: LinkId, loss: Probability) {
                 $executor::set_loss(self, link, loss);
             }
@@ -687,7 +688,7 @@ macro_rules! impl_executor {
             }
         }
 
-        impl<P: $($bound)+> Executor for $executor<ProtocolActor<P>> {
+        impl<P: $($bound)+, W: Wire> Executor for $executor<ProtocolActor<P, W>> {
             fn now(&self) -> SimTime {
                 $executor::now(self)
             }

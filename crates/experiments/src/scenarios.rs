@@ -1,7 +1,8 @@
 //! The `scenario` surface of the `repro` binary: a partition-then-heal
 //! script, built once with the [`Scenario`] API and executed on *both*
-//! substrates — the deterministic simulation kernel and the
-//! multi-threaded in-memory fabric.
+//! substrates — the deterministic simulation kernel and the in-memory
+//! fabric, in virtual time (the kernel with encoded frames in flight)
+//! and on real threads under the wall clock.
 //!
 //! This is the general scenario engine the figure harnesses are now
 //! instances of: topology × configuration × crash model × workload ×

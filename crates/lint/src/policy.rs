@@ -3,11 +3,12 @@
 //! Three classes of code exist in this workspace:
 //!
 //! * **Deterministic** — the algorithm, estimator, and simulation
-//!   crates. Their outputs must be a pure function of their inputs
-//!   (topology, scenario, seed): senders and receivers re-derive the
-//!   *same* broadcast plans, and the virtual-time fabric replays the
-//!   kernel's RNG stream draw-for-draw. Iteration-order hazards
-//!   (`HashMap`/`HashSet`) are banned here outright, and so is
+//!   crates, plus the wire codec (`crates/net/src/codec.rs`, an
+//!   exact-file override). Their outputs must be a pure function of
+//!   their inputs (topology, scenario, seed): senders and receivers
+//!   re-derive the *same* broadcast plans, and the virtual-time fabric
+//!   is the kernel with the codec's frames in flight. Iteration-order
+//!   hazards (`HashMap`/`HashSet`) are banned here outright, and so is
 //!   threading — one RNG stream means one thread of execution.
 //! * **RelaxedDeterminism** — the sharded executor modules. They are
 //!   *reproducible by construction* (per-shard RNG streams derived from
@@ -67,6 +68,12 @@ const DETERMINISTIC: &[&str] = &[
 /// listed: it stays strict-deterministic (no threads, no locks).
 const RELAXED_DETERMINISM: &[&str] = &["crates/sim/src/shard.rs", "crates/sim/src/shard_rng.rs"];
 
+/// Deterministic files inside a wall-aware crate, as exact files. The
+/// wire codec defines the frames the virtual-time fabric puts in flight
+/// on the kernel, so `tests/fabric_conformance.rs`'s bit-identity rests
+/// on it: no threads, no wall clock, no unordered iteration.
+const DETERMINISTIC_FILES: &[&str] = &["crates/net/src/codec.rs"];
+
 const WALL_AWARE: &[&str] = &[
     "crates/net/",
     "crates/experiments/",
@@ -89,9 +96,13 @@ pub fn classify(path: &str) -> Option<CrateClass> {
         return None;
     }
     // Exact-file overrides come before the prefix tables: the sharded
-    // executor lives inside the deterministic `crates/sim/` prefix.
+    // executor lives inside the deterministic `crates/sim/` prefix, the
+    // wire codec inside the wall-aware `crates/net/` one.
     if RELAXED_DETERMINISM.contains(&path) {
         return Some(CrateClass::RelaxedDeterminism);
+    }
+    if DETERMINISTIC_FILES.contains(&path) {
+        return Some(CrateClass::Deterministic);
     }
     if DETERMINISTIC.iter().any(|p| path.starts_with(p)) {
         return Some(CrateClass::Deterministic);
@@ -130,13 +141,27 @@ mod tests {
             classify("crates/core/src/adaptive.rs"),
             Some(CrateClass::Deterministic)
         );
+        // The wire codec is the one deterministic file of the net crate
+        // (its frames are what the virtual-time fabric runs on); every
+        // other module there stays wall-aware. The chaos/cluster/soak
+        // stack is so by design (real sockets, real processes) but still
+        // inside the lint's scope.
         assert_eq!(
-            classify("crates/net/src/runtime.rs"),
-            Some(CrateClass::WallAware)
+            classify("crates/net/src/codec.rs"),
+            Some(CrateClass::Deterministic)
         );
-        // The chaos/cluster/soak stack is wall-aware by design (real
-        // sockets, real processes) but still inside the lint's scope.
-        for module in ["chaos.rs", "cluster.rs", "soak.rs"] {
+        for module in [
+            "chaos.rs",
+            "clock.rs",
+            "cluster.rs",
+            "error.rs",
+            "lib.rs",
+            "runtime.rs",
+            "scenario.rs",
+            "soak.rs",
+            "transport.rs",
+            "udp.rs",
+        ] {
             assert_eq!(
                 classify(&format!("crates/net/src/{module}")),
                 Some(CrateClass::WallAware)

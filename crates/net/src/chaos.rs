@@ -35,7 +35,7 @@
 //! that is how `FaultScript` actions land on a live UDP process.
 //!
 //! This module is wall-aware by design (hold-back deadlines are real
-//! instants); it must never be used under a virtual clock.
+//! instants); it must never be used in a deterministic run.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

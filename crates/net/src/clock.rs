@@ -1,14 +1,10 @@
-//! The clock abstraction: wall time vs. virtual time.
+//! The wall clock: real elapsed time mapped onto logical ticks.
 //!
-//! Every node runtime runs against a [`Clock`]. Under a [`WallClock`]
-//! the runtime maps real elapsed time onto logical [`SimTime`] ticks and
-//! sleeps on its transport between deadlines — the deployment behavior.
-//! Under a [`VirtualClock`](crate::VirtualClock) the runtime is
-//! installed on a shared time authority
-//! ([`VirtualNet`](crate::VirtualNet)) that runs one node's turn at a
-//! time on its driver's thread, making fabric execution a deterministic
-//! function of `(scenario, seed)` with no threads and no real sleeping
-//! at all.
+//! A node runtime maps real elapsed time onto logical [`SimTime`] ticks
+//! through a [`WallClock`] and sleeps on its transport between
+//! deadlines. (Deterministic runs have no clock of their own: the
+//! virtual-time fabric is the simulation kernel with encoded frames in
+//! flight, and its time is the kernel's.)
 //!
 //! This module is the **only** file allowed to call `Instant::now`,
 //! `SystemTime::now`, or `thread::sleep` — the `diffuse-lint`
@@ -19,39 +15,12 @@ use std::time::{Duration, Instant};
 
 use diffuse_sim::SimTime;
 
-use crate::virtual_time::VirtualClock;
-
-/// The time source a node runtime is driven by.
-///
-/// Constructed with [`Clock::wall`] for deployments and demos, or
-/// obtained from [`VirtualNet::clock`](crate::VirtualNet::clock) for
-/// deterministic virtual-time runs.
-#[derive(Debug, Clone)]
-pub enum Clock {
-    /// Real time: one logical tick corresponds to a fixed wall-clock
-    /// interval, and the runtime sleeps on its transport.
-    Wall(WallClock),
-    /// Virtual time: the runtime executes handler turns when a
-    /// [`VirtualNet`](crate::VirtualNet) runs them and never touches the
-    /// wall clock.
-    Virtual(VirtualClock),
-}
-
-impl Clock {
-    /// A wall clock whose logical tick lasts `tick_interval` (clamped to
-    /// at least one millisecond).
-    pub fn wall(tick_interval: Duration) -> Self {
-        Clock::Wall(WallClock::new(tick_interval))
-    }
-}
-
 /// Reads the monotonic clock.
 ///
 /// The single sanctioned raw `Instant::now` outside [`WallSession`]:
 /// the chaos layer ([`ChaosTransport`](crate::ChaosTransport)) stamps
 /// hold-back release deadlines and receive budgets with it, and the
-/// cluster driver uses it for handshake timeouts. Virtual-time code
-/// must never call this — it is wall-aware by construction.
+/// cluster driver uses it for handshake timeouts.
 #[allow(clippy::disallowed_methods)] // clock.rs is the sanctioned wall-clock site
 pub(crate) fn monotonic_now() -> Instant {
     Instant::now()
@@ -163,6 +132,9 @@ mod tests {
         assert_eq!(session.until(SimTime::ZERO), Duration::ZERO);
         session.sleep_until(SimTime::ZERO);
         session.settle(Duration::ZERO);
+        // A tick at or above the floor passes through unchanged.
+        let tick = Duration::from_millis(3);
+        assert_eq!(WallClock::new(tick).tick_interval(), tick);
     }
 
     #[test]
@@ -171,13 +143,5 @@ mod tests {
         transient_backoff(0);
         let after = monotonic_now();
         assert!(after >= before);
-    }
-
-    #[test]
-    fn clock_wall_constructor() {
-        let Clock::Wall(w) = Clock::wall(Duration::from_millis(3)) else {
-            panic!("expected a wall clock");
-        };
-        assert_eq!(w.tick_interval(), Duration::from_millis(3));
     }
 }

@@ -199,7 +199,9 @@ impl Protocol for ClusterProtocol {
 #[derive(Debug, Clone)]
 struct NodeSpec {
     id: ProcessId,
-    tick: Duration,
+    /// Holds the clamped tick: the node's runtime, the corruption window
+    /// and the message adversary's window all take their tick from here.
+    clock: WallClock,
     seed: u64,
     bind: SocketAddr,
     protocol: ProtocolSpec,
@@ -237,7 +239,7 @@ impl NodeSpec {
         format!(
             "1|{}|{}|{}|{}|{}|{}|{}|{}",
             self.id.index(),
-            self.tick.as_micros(),
+            self.clock.tick_interval().as_micros(),
             self.seed,
             self.bind,
             self.protocol.encode(),
@@ -253,7 +255,7 @@ impl NodeSpec {
             return Err(NetError::Invalid("unknown node spec version or shape"));
         }
         let id = ProcessId::new(parse_num(Some(fields[1]))?);
-        let tick = Duration::from_micros(parse_num(Some(fields[2]))?);
+        let clock = WallClock::new(Duration::from_micros(parse_num(Some(fields[2]))?));
         let seed = parse_num(Some(fields[3]))?;
         let bind: SocketAddr = fields[4]
             .parse()
@@ -285,7 +287,7 @@ impl NodeSpec {
         }
         Ok(NodeSpec {
             id,
-            tick,
+            clock,
             seed,
             bind,
             protocol,
@@ -480,7 +482,8 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
     }
 
     let protocol = spec.protocol.build(spec.id, &spec.topology, &spec.config);
-    let handle = spawn_node(protocol, chaos, spec.tick);
+    let tick = spec.clock.tick_interval();
+    let handle = spawn_node(protocol, chaos, tick);
 
     // Remaining commands arrive on a reader thread so the main loop can
     // pump deliveries concurrently; EOF (parent death) reads as Stop.
@@ -519,7 +522,7 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
                     // execution of `FaultAction::Corrupt`): the liar's
                     // stream is the same per-(seed, id) stream the
                     // in-process Adversary wrapper would draw from.
-                    let tick_us = u64::try_from(spec.tick.as_micros()).unwrap_or(u64::MAX);
+                    let tick_us = u64::try_from(tick.as_micros()).unwrap_or(u64::MAX);
                     control.set_corrupt(
                         mode,
                         Duration::from_micros(tick_us.saturating_mul(window)),
@@ -527,7 +530,7 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
                     );
                 }
                 Ok(WorkerCommand::Adversary(d, window)) => {
-                    control.set_message_adversary(d, window, spec.tick);
+                    control.set_message_adversary(d, window, tick);
                 }
                 Ok(WorkerCommand::Stop) => break 'run,
                 Err(_) => break,
@@ -837,7 +840,7 @@ impl UdpCluster {
     fn spawn_worker(&mut self, id: ProcessId, bind: SocketAddr) -> Result<(), NetError> {
         let spec = NodeSpec {
             id,
-            tick: self.options.tick_interval,
+            clock: WallClock::new(self.options.tick_interval),
             seed: self.seed,
             bind,
             protocol: self.protocol,
@@ -1211,7 +1214,7 @@ mod tests {
         ] {
             let spec = NodeSpec {
                 id: p(1),
-                tick: Duration::from_micros(2500),
+                clock: WallClock::new(Duration::from_micros(2500)),
                 seed: 0xDEAD_BEEF,
                 bind: "127.0.0.1:34567".parse().unwrap(),
                 protocol,
@@ -1220,7 +1223,7 @@ mod tests {
             };
             let decoded = NodeSpec::decode(&spec.encode()).unwrap();
             assert_eq!(decoded.id, spec.id);
-            assert_eq!(decoded.tick, spec.tick);
+            assert_eq!(decoded.clock, spec.clock);
             assert_eq!(decoded.seed, spec.seed);
             assert_eq!(decoded.bind, spec.bind);
             assert_eq!(decoded.protocol, spec.protocol);
@@ -1228,6 +1231,15 @@ mod tests {
             let link = LinkId::new(p(0), p(1)).unwrap();
             assert_eq!(decoded.config.loss(link), config.loss(link));
         }
+    }
+
+    /// A sub-millisecond `tick_interval` reaches the worker clamped like
+    /// the parent's own session, so a scripted window of `w` ticks lasts
+    /// `w` of the ticks the node's runtime actually counts.
+    #[test]
+    fn node_spec_carries_the_clamped_tick() {
+        let spec = NodeSpec::decode("1|0|200|2|127.0.0.1:1|adaptive|0||").unwrap();
+        assert_eq!(spec.clock.tick_interval(), Duration::from_millis(1));
     }
 
     #[test]

@@ -20,9 +20,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use diffuse_bayes::{BeliefEstimator, Distortion, Estimate};
 use diffuse_core::{
     BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
-    Payload, View, WireTree,
+    Payload, View, Wire, WireTree,
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
+use diffuse_sim::SimMessage;
 
 use crate::NetError;
 
@@ -79,13 +80,12 @@ pub fn encode_message(message: &Message) -> Bytes {
 }
 
 /// Reads a frame's metric kind (`"data"` / `"ack"` / `"heartbeat"`,
-/// matching [`SimMessage::kind`](diffuse_sim::SimMessage::kind) on the
-/// decoded [`Message`]) from the two-byte header alone, without decoding
-/// the body. Unknown or truncated headers report the generic kind.
+/// matching [`SimMessage::kind`] on the decoded [`Message`]) from the
+/// two-byte header alone, without decoding the body. Unknown or
+/// truncated headers report the generic kind.
 ///
-/// Used by the virtual-time fabric to account sent-message metrics at
-/// send time exactly as the kernel does, without paying a full decode
-/// per send.
+/// Used by both fabrics to account sent-message metrics at send time
+/// exactly as the kernel does, without paying a full decode per send.
 pub fn frame_kind(frame: &[u8]) -> &'static str {
     match frame {
         [WIRE_VERSION, TAG_DATA, ..] | [WIRE_VERSION, TAG_GOSSIP, ..] => "data",
@@ -153,6 +153,36 @@ pub fn decode_message(mut buf: &[u8]) -> Result<Message, NetError> {
         return Err(NetError::Invalid("trailing bytes after message"));
     }
     Ok(message)
+}
+
+/// An encoded message in flight on the virtual-time fabric.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame(Bytes);
+
+impl SimMessage for Frame {
+    fn kind(&self) -> &'static str {
+        frame_kind(&self.0)
+    }
+}
+
+/// The virtual-time fabric's [`Wire`]: a message is encoded where its
+/// sender's handler emits it — so lost copies are encoded too — and what
+/// the simulated network carries, counts and delivers is the frame.
+#[derive(Debug)]
+pub(crate) struct Encoded;
+
+impl Wire for Encoded {
+    type Frame = Frame;
+
+    fn pack(message: Message) -> Frame {
+        Frame(encode_message(&message))
+    }
+
+    /// Frames here never come from a network: one that does not decode
+    /// is a codec bug, not hostile input, and must not be dropped quietly.
+    fn unpack(frame: Frame) -> Message {
+        decode_message(&frame.0).expect("a frame this process encoded decodes")
+    }
 }
 
 // ---- primitive readers (bounds-checked) --------------------------------

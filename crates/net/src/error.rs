@@ -28,9 +28,6 @@ pub enum NetError {
     },
     /// The transport is closed.
     Closed,
-    /// The operation is not available in the node's clock mode (the
-    /// message names the virtual-time API to use instead).
-    Unsupported(&'static str),
     /// Underlying socket error.
     Io(std::io::Error),
 }
@@ -81,7 +78,6 @@ impl fmt::Display for NetError {
                 )
             }
             NetError::Closed => write!(f, "transport is closed"),
-            NetError::Unsupported(what) => write!(f, "unsupported in this clock mode: {what}"),
             NetError::Io(e) => write!(f, "io error: {e}"),
         }
     }

@@ -12,15 +12,13 @@
 //!   with per-link Bernoulli loss — the simulator's network model on real
 //!   threads) and [`UdpTransport`] (one datagram per frame);
 //! * [`spawn_node`] — a per-node runtime thread that decodes frames,
-//!   drives the protocol, schedules logical ticks from wall time, and
-//!   surfaces deliveries through a [`NodeHandle`];
-//! * [`Clock`] — wall time vs. virtual time. Under a
-//!   [`VirtualClock`] a node has no thread: its runtime is installed on
-//!   a [`VirtualNet`] time authority that steps the simulation's tick
-//!   engine (one phase order, one RNG stream) and runs the nodes' turns
-//!   inline, making fabric runs deterministic and bit-comparable to
-//!   kernel runs (see [`run_scenario_on_fabric_virtual`] and
-//!   `tests/fabric_conformance.rs`).
+//!   drives the protocol, schedules logical ticks from wall time
+//!   ([`WallClock`]), and surfaces deliveries through a [`NodeHandle`];
+//! * [`run_scenario_on_fabric_virtual`] — the deterministic counterpart:
+//!   the simulation kernel itself with encoded frames in flight (every
+//!   message is encoded where it is sent and decoded where it arrives),
+//!   so its runs are bit-comparable to kernel runs and whatever differs
+//!   is the codec's doing (`tests/fabric_conformance.rs`).
 //!
 //! # Example
 //!
@@ -42,18 +40,16 @@ mod scenario;
 mod soak;
 mod transport;
 mod udp;
-mod virtual_time;
 
 pub use chaos::{ChaosControl, ChaosCounters, ChaosPolicy, ChaosTransport};
-pub use clock::{Clock, WallClock};
+pub use clock::WallClock;
 pub use cluster::{
     maybe_run_udp_worker, run_scenario_on_udp_cluster, ClusterReport, ProtocolSpec, UdpCluster,
     UdpClusterOptions, UDP_WORKER_ENV,
 };
 pub use error::NetError;
-pub use runtime::{spawn_node, spawn_node_with_clock, NodeHandle};
+pub use runtime::{spawn_node, NodeHandle};
 pub use scenario::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, FabricScenarioOptions};
 pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Fabric, FabricControl, FabricTransport, Transport};
 pub use udp::{UdpTransport, MAX_DATAGRAM};
-pub use virtual_time::{VirtualClock, VirtualNet};

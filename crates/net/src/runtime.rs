@@ -1,21 +1,17 @@
 //! The node runtime: a sans-io [`Protocol`] driven over a real
-//! [`Transport`] — on a thread of its own under the wall clock, as turns
-//! on the driver's thread under the virtual one.
+//! [`Transport`] on a thread of its own, under the wall clock.
 //!
-//! Under a [`WallClock`](crate::WallClock) the node is a thread whose
-//! loop is event-driven: it sleeps on the transport until either a
-//! frame arrives or the protocol's next timer deadline is reached —
-//! there is no fixed per-tick wakeup. `tick_interval` only defines the
-//! wall-clock length of one logical [`SimTime`] tick (the unit in which
-//! protocols express their deadlines), so a protocol whose next
-//! heartbeat is 100 ticks away leaves the thread asleep for 100 tick
+//! The node's loop is event-driven: it sleeps on the transport until
+//! either a frame arrives or the protocol's next timer deadline is
+//! reached — there is no fixed per-tick wakeup. `tick_interval` only
+//! defines the wall-clock length of one logical [`SimTime`] tick (the
+//! unit in which protocols express their deadlines), so a protocol whose
+//! next heartbeat is 100 ticks away leaves the thread asleep for 100 tick
 //! intervals instead of being polled 100 times.
 //!
-//! Under a [`VirtualClock`](crate::VirtualClock) there is no thread and
-//! no loop: the same per-node state is installed on the fabric's time
-//! authority, which runs its handler turns inline, exactly when and in
-//! the order it decides — no wall clock, no sleeping, bit-reproducible
-//! runs (see [`crate::VirtualNet`]).
+//! Frames here come from a network: one that does not decode is counted
+//! and dropped. (Deterministic runs do not pass through this module —
+//! see [`run_scenario_on_fabric_virtual`](crate::run_scenario_on_fabric_virtual).)
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,15 +20,13 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_core::{
-    Actions, BroadcastId, BroadcastOutcome, CorruptionMode, Event, Payload, Protocol,
-    ProtocolAudit, TimerOp,
+    Actions, BroadcastId, BroadcastOutcome, CorruptionMode, Event, Payload, Protocol, ProtocolAudit,
 };
 use diffuse_sim::{SimTime, TimerId};
 use parking_lot::Mutex;
 
-use crate::clock::{Clock, WallClock, WallSession};
+use crate::clock::{WallClock, WallSession};
 use crate::codec::{decode_message, encode_message};
-use crate::virtual_time::{Turn, TurnRunner, VirtualClock};
 use crate::{NetError, Transport};
 
 /// Commands accepted by a running node.
@@ -47,12 +41,10 @@ enum Command {
 /// How long the loop will sleep at most before re-checking its command
 /// queue, when no timer deadline comes sooner. Bounds the latency of
 /// [`NodeHandle::broadcast`] and [`NodeHandle::shutdown`] without
-/// per-tick polling. (Wall clock only — a virtual node never polls.)
+/// per-tick polling.
 const COMMAND_POLL: Duration = Duration::from_millis(25);
 
-/// Handle to a running node: a thread of its own under the wall clock,
-/// a runtime installed on its [`VirtualNet`](crate::VirtualNet) under the
-/// virtual one.
+/// Handle to a running node thread.
 ///
 /// Dropping the handle without calling [`NodeHandle::shutdown`] performs
 /// the same orderly shutdown: the node thread is asked to stop, given
@@ -60,9 +52,6 @@ const COMMAND_POLL: Duration = Duration::from_millis(25);
 /// sends, and then joined — an in-progress send is never aborted
 /// mid-frame. The only difference is that pending *deliveries* can no
 /// longer be read, because the receiving end goes away with the handle.
-/// (A virtual-time node has no queue and nothing in progress between
-/// turns: shutting it down retires it from its authority, which skips
-/// it from then on.)
 ///
 /// One exception to the drain: a node shut down *inside* a cooperative
 /// crash window (see [`NodeHandle::inject_crash`]) stays crashed — its
@@ -70,26 +59,14 @@ const COMMAND_POLL: Duration = Duration::from_millis(25);
 /// is, by scenario semantics, down.
 #[derive(Debug)]
 pub struct NodeHandle {
+    commands: Sender<Command>,
     deliveries: Receiver<(BroadcastId, Payload)>,
     wakeups: Arc<AtomicU64>,
     malformed: Arc<AtomicU64>,
     /// The protocol's final [`ProtocolAudit`], written by the node as it
-    /// exits its thread or retires from its authority.
+    /// exits its thread.
     final_audit: Arc<Mutex<Option<ProtocolAudit>>>,
-    host: Host,
-}
-
-/// Where a node's protocol runs, and how its handle reaches it.
-#[derive(Debug)]
-enum Host {
-    /// On the node's own thread, fed through a command queue.
-    Thread {
-        commands: Sender<Command>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    },
-    /// On the thread driving the node's virtual-time authority, which
-    /// takes commands itself; the handle can only retire the node.
-    Authority(VirtualClock),
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl NodeHandle {
@@ -97,26 +74,13 @@ impl NodeHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node — deterministic
-    /// runs issue broadcasts through
-    /// [`VirtualNet::broadcast`](crate::VirtualNet::broadcast), which
-    /// pins them to an exact virtual tick. Broadcast errors inside the
-    /// node (e.g. incomplete knowledge) are retried on subsequent
-    /// wakeups until they succeed.
+    /// Returns [`NetError::Closed`] if the node has shut down. Broadcast
+    /// errors inside the node (e.g. incomplete knowledge) are retried on
+    /// subsequent wakeups until they succeed.
     pub fn broadcast(&self, payload: Payload) -> Result<(), NetError> {
-        self.commands("broadcasts on a virtual-time node go through VirtualNet::broadcast")?
+        self.commands
             .send(Command::Broadcast(payload))
             .map_err(|_| NetError::Closed)
-    }
-
-    /// The wall node's command queue; on a virtual-time node, the error
-    /// naming the `VirtualNet` method to use instead.
-    fn commands(&self, virtual_route: &'static str) -> Result<&Sender<Command>, NetError> {
-        match &self.host {
-            Host::Thread { commands, .. } => Ok(commands),
-            Host::Authority(_) => Err(NetError::Unsupported(virtual_route)),
-        }
     }
 
     /// Injects a cooperative crash: from its next wakeup the node drops
@@ -127,12 +91,8 @@ impl NodeHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node (use
-    /// [`VirtualNet::force_down`](crate::VirtualNet::force_down)).
+    /// Returns [`NetError::Closed`] if the node has shut down.
     pub fn inject_crash(&self, down_ticks: u64) -> Result<(), NetError> {
-        let commands =
-            self.commands("crashes on a virtual-time node go through VirtualNet::force_down")?;
         // A zero-length outage is a no-op on every substrate (the
         // kernel's force_down early-returns); installing an empty
         // window would still suppress one loop iteration and fire a
@@ -140,7 +100,7 @@ impl NodeHandle {
         if down_ticks == 0 {
             return Ok(());
         }
-        commands
+        self.commands
             .send(Command::Crash { down_ticks })
             .map_err(|_| NetError::Closed)
     }
@@ -154,11 +114,9 @@ impl NodeHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node (use
-    /// [`VirtualNet::inject_corrupt`](crate::VirtualNet::inject_corrupt)).
+    /// Returns [`NetError::Closed`] if the node has shut down.
     pub fn inject_corrupt(&self, mode: CorruptionMode, window: u64) -> Result<(), NetError> {
-        self.commands("corruption on a virtual-time node goes through VirtualNet::inject_corrupt")?
+        self.commands
             .send(Command::Corrupt { mode, window })
             .map_err(|_| NetError::Closed)
     }
@@ -181,14 +139,10 @@ impl NodeHandle {
         }
     }
 
-    /// How many times the node's event loop has woken up so far.
-    ///
-    /// On a wall clock: received a frame, fired a timer, or polled for
-    /// commands — an idle node with no pending timers wakes only at the
-    /// command-poll cadence (tens of milliseconds), not once per tick.
-    /// On a virtual clock: executed a turn — an idle node wakes exactly
-    /// *zero* times however much virtual time passes, which the
-    /// idle-runtime test asserts as an exact count.
+    /// How many times the node's event loop has woken up so far:
+    /// received a frame, fired a timer, or polled for commands — an idle
+    /// node with no pending timers wakes only at the command-poll cadence
+    /// (tens of milliseconds), not once per tick.
     pub fn wakeups(&self) -> u64 {
         self.wakeups.load(Ordering::Relaxed)
     }
@@ -196,38 +150,32 @@ impl NodeHandle {
     /// How many inbound frames failed to decode and were dropped.
     ///
     /// Malformed or truncated wire data is never an error and never a
-    /// panic — the frame is counted here and the loop moves on, on both
-    /// the wall and the virtual clock. A nonzero count against a
-    /// well-behaved fabric indicates frame corruption or a version skew.
+    /// panic — the frame is counted here and the loop moves on. A nonzero
+    /// count against a well-behaved fabric indicates frame corruption or
+    /// a version skew.
     pub fn malformed_frames(&self) -> u64 {
         self.malformed.load(Ordering::Relaxed)
     }
 
-    /// Requests shutdown and joins the node thread, or retires the
-    /// virtual-time node (see the type-level docs for the drop
-    /// equivalent).
+    /// Requests shutdown and joins the node thread (see the type-level
+    /// docs for the drop equivalent).
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     /// Like [`NodeHandle::shutdown`], but returns the protocol's final
-    /// [`ProtocolAudit`] — the adversary-containment counters both
-    /// fabric scenario runners collect this way, and the UDP cluster
-    /// worker ships back over its control channel.
+    /// [`ProtocolAudit`] — the adversary-containment counters the
+    /// wall-clock fabric's scenario runner collects this way, and the UDP
+    /// cluster worker ships back over its control channel.
     pub fn shutdown_with_audit(mut self) -> ProtocolAudit {
         self.shutdown_in_place();
         self.final_audit.lock().take().unwrap_or_default()
     }
 
     fn shutdown_in_place(&mut self) {
-        match &mut self.host {
-            Host::Thread { commands, thread } => {
-                let _ = commands.send(Command::Shutdown);
-                if let Some(thread) = thread.take() {
-                    let _ = thread.join();
-                }
-            }
-            Host::Authority(clock) => clock.retire(),
+        let _ = self.commands.send(Command::Shutdown);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -239,42 +187,23 @@ impl Drop for NodeHandle {
 }
 
 /// Spawns `protocol` on a dedicated thread, driven by `transport`; one
-/// logical [`SimTime`] tick corresponds to `tick_interval` of wall time.
+/// logical [`SimTime`] tick corresponds to `tick_interval` of wall time
+/// (clamped to at least one millisecond).
 ///
-/// Equivalent to [`spawn_node_with_clock`] with
-/// [`Clock::wall`]`(tick_interval)`.
+/// The runtime decodes incoming frames, routes them to the protocol,
+/// fires the protocol's timers at their deadlines, encodes and transmits
+/// outgoing messages, surfaces deliveries through the returned handle,
+/// and retries pending broadcasts whose knowledge was still incomplete.
+///
+/// Between events the thread sleeps until
+/// `min(next timer deadline, command poll)` — it does not busy-wake once
+/// per tick.
 pub fn spawn_node<P, T>(protocol: P, transport: T, tick_interval: Duration) -> NodeHandle
 where
     P: Protocol + Send + 'static,
     T: Transport + 'static,
 {
-    spawn_node_with_clock(protocol, transport, Clock::wall(tick_interval))
-}
-
-/// Starts `protocol` as a node driven by `transport` under the given
-/// [`Clock`]: on a dedicated thread under [`Clock::Wall`], as a runtime
-/// installed on the clock's authority under [`Clock::Virtual`].
-///
-/// The runtime decodes incoming frames, routes them to the protocol,
-/// fires the protocol's timers at their deadlines, encodes and transmits
-/// outgoing messages, surfaces deliveries through the returned handle,
-/// and (wall clock) retries pending broadcasts whose knowledge was still
-/// incomplete.
-///
-/// Under [`Clock::Wall`], between events the thread sleeps until
-/// `min(next timer deadline, command poll)` — it does not busy-wake once
-/// per tick. Under [`Clock::Virtual`] nothing is spawned: the clock's
-/// [`VirtualNet`](crate::VirtualNet) authority runs the node's handler
-/// turns on whichever thread drives it, where a panicking protocol
-/// unwinds into that driver's `run_ticks`/`broadcast` call. The
-/// transport must be one of the virtual fabric's own (see
-/// [`Fabric::build_virtual`](crate::Fabric::build_virtual)), and must
-/// belong to the same process id as the clock.
-pub fn spawn_node_with_clock<P, T>(protocol: P, transport: T, clock: Clock) -> NodeHandle
-where
-    P: Protocol + Send + 'static,
-    T: Transport + 'static,
-{
+    let (commands, command_rx) = unbounded::<Command>();
     let (delivery_tx, deliveries) = unbounded::<(BroadcastId, Payload)>();
     let wakeups = Arc::new(AtomicU64::new(0));
     let malformed = Arc::new(AtomicU64::new(0));
@@ -288,32 +217,19 @@ where
         malformed_counter: Arc::clone(&malformed),
         audit_slot: Arc::clone(&final_audit),
     };
-    let host = match clock {
-        Clock::Wall(wall) => {
-            let (commands, command_rx) = unbounded::<Command>();
-            let thread = std::thread::spawn(move || run_wall_node(node, wall, command_rx));
-            Host::Thread {
-                commands,
-                thread: Some(thread),
-            }
-        }
-        Clock::Virtual(virt) => {
-            virt.install(Box::new(node));
-            Host::Authority(virt)
-        }
-    };
+    let clock = WallClock::new(tick_interval);
+    let thread = std::thread::spawn(move || run_wall_node(node, clock, command_rx));
     NodeHandle {
+        commands,
         deliveries,
         wakeups,
         malformed,
         final_audit,
-        host,
+        thread: Some(thread),
     }
 }
 
-/// One node's runtime state, whichever clock drives it: moved onto the
-/// node's own thread under the wall clock, installed on the time
-/// authority under the virtual one.
+/// The state a node's thread takes with it.
 struct Node<P, T> {
     protocol: P,
     transport: T,
@@ -481,64 +397,6 @@ where
     *audit_slot.lock() = Some(protocol.audit());
 }
 
-/// The virtual-clock node: no loop — the authority calls in with each
-/// turn.
-impl<P: Protocol + Send, T: Transport> TurnRunner for Node<P, T> {
-    /// Executes exactly the handler invocation the authority asks for.
-    fn run(
-        &mut self,
-        now: SimTime,
-        turn: Turn,
-        timer_ops: &mut Vec<TimerOp>,
-    ) -> Option<BroadcastOutcome> {
-        self.wakeup_counter.fetch_add(1, Ordering::Relaxed);
-        let (protocol, actions) = (&mut self.protocol, &mut self.actions);
-        let mut outcome = None;
-        match turn {
-            Turn::Start => protocol.on_start(now, actions),
-            Turn::Deliver { from, frame } => {
-                match decode_message(&frame) {
-                    Ok(message) => {
-                        protocol.on_event(now, Event::Message { from, message }, actions)
-                    }
-                    // Malformed frames are counted and dropped, as on
-                    // the wall clock.
-                    Err(_) => {
-                        self.malformed_counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Turn::Timer(timer) => protocol.on_event(now, Event::Timer(timer), actions),
-            Turn::Recover { down_ticks } => {
-                protocol.on_event(now, Event::Recovery { down_ticks }, actions)
-            }
-            Turn::Broadcast(payload) => {
-                let result = protocol.broadcast(now, payload, actions);
-                outcome = Some(BroadcastOutcome::of(&result));
-            }
-            Turn::Corrupt { mode, window } => {
-                protocol.on_event(now, Event::Corrupt { mode, window }, actions)
-            }
-        }
-        // A broadcast that did not issue is not flushed — anything it
-        // buffered waits for the next handler, exactly like the kernel's
-        // ProtocolActor (whose failed broadcast_now returns before its
-        // flush).
-        if !matches!(
-            outcome,
-            Some(BroadcastOutcome::Deferred | BroadcastOutcome::Failed)
-        ) {
-            flush(actions, &self.transport, &self.delivery_tx);
-            timer_ops.extend(actions.take_timer_ops());
-        }
-        outcome
-    }
-
-    fn retire(self: Box<Self>) {
-        *self.audit_slot.lock() = Some(self.protocol.audit());
-    }
-}
-
 /// Moves the timer operations a handler emitted into the runtime's
 /// timer table.
 fn absorb_timers(timers: &mut BTreeMap<TimerId, SimTime>, actions: &mut Actions) {
@@ -566,7 +424,6 @@ fn flush<T: Transport>(
         // Unknown peers can legitimately occur while topology knowledge
         // is still spreading, so send failures are ignored here.
         let _ = transport.send(to, &frame);
-        let _ = message; // frame moved out; silence potential lints
     }
     for (id, payload) in actions.take_deliveries() {
         let _ = deliveries.send((id, payload));
@@ -577,10 +434,8 @@ fn flush<T: Transport>(
 mod tests {
     use std::collections::BTreeMap;
 
-    use diffuse_core::{AdaptiveBroadcast, AdaptiveParams, NetworkKnowledge, OptimalBroadcast};
-    use diffuse_graph::generators;
-    use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-    use diffuse_sim::{Metrics, SimOptions};
+    use diffuse_core::{NetworkKnowledge, OptimalBroadcast};
+    use diffuse_model::{Configuration, ProcessId, Topology};
 
     use super::*;
     use crate::Fabric;
@@ -726,88 +581,5 @@ mod tests {
 
         h0.shutdown();
         h1.shutdown();
-    }
-
-    /// Shutting down (or dropping) a virtual-time node's handle between
-    /// two `run_ticks` calls retires it mid-script: its pending timers and
-    /// the frames its neighbours keep sending it become skipped turns, the
-    /// run completes, and — nothing being left to scheduling — a second
-    /// identical run reproduces the other nodes' deliveries and the wire
-    /// metrics.
-    #[test]
-    fn virtual_handle_dropped_mid_script_retires_the_node() {
-        let run = || -> (BTreeMap<ProcessId, Vec<Payload>>, Metrics) {
-            let topology = generators::ring(4).unwrap();
-            let loss = Configuration::uniform(
-                &topology,
-                Probability::ZERO,
-                Probability::new(0.02).unwrap(),
-            );
-            let (transports, net) =
-                Fabric::build_virtual(&topology, loss, SimOptions::default().with_seed(11));
-            let all: Vec<ProcessId> = topology.processes().collect();
-            let mut handles: BTreeMap<ProcessId, NodeHandle> = transports
-                .into_iter()
-                .map(|(id, transport)| {
-                    let protocol = AdaptiveBroadcast::new(
-                        id,
-                        all.clone(),
-                        topology.neighbors(id).collect(),
-                        AdaptiveParams::default(),
-                    );
-                    let clock = Clock::Virtual(net.clock(id));
-                    (id, spawn_node_with_clock(protocol, transport, clock))
-                })
-                .collect();
-
-            net.run_ticks(150);
-            assert!(handles[&p(2)].wakeups() > 1, "p2 took part until now");
-            let audit = handles.remove(&p(2)).unwrap().shutdown_with_audit();
-            assert!(
-                audit.per_sender.values().any(|sender| sender.offered > 0),
-                "the audit is taken as the node retires: {audit:?}"
-            );
-
-            let into_retired = LinkId::new(p(1), p(2)).unwrap();
-            let sent_before = net.metrics().sent_over(into_retired);
-            // Long enough for p2's silence to push the others' trees
-            // around it.
-            net.run_ticks(300);
-            assert_eq!(
-                net.broadcast(p(0), Payload::from("after the drop")),
-                BroadcastOutcome::Issued
-            );
-            net.run_ticks(150);
-            assert_eq!(net.now(), SimTime::new(600), "the run completes");
-            assert!(
-                net.metrics().sent_over(into_retired) > sent_before,
-                "p1 kept sending to the retired node; those turns were skipped"
-            );
-            assert_eq!(
-                net.broadcast(p(2), Payload::from("x")),
-                BroadcastOutcome::Deferred,
-                "a retired node takes no commands"
-            );
-
-            let delivered = handles
-                .iter()
-                .map(|(&id, handle)| {
-                    let drained =
-                        std::iter::from_fn(|| handle.next_delivery(Duration::ZERO).ok().flatten());
-                    (id, drained.map(|(_, payload)| payload).collect())
-                })
-                .collect();
-            (delivered, net.metrics())
-        };
-
-        let (delivered, metrics) = run();
-        for id in [p(0), p(1), p(3)] {
-            assert_eq!(
-                delivered[&id],
-                [Payload::from("after the drop")],
-                "{id} is reached around the retired node"
-            );
-        }
-        assert_eq!((delivered, metrics), run(), "a second identical run");
     }
 }

@@ -1,36 +1,34 @@
 //! Running a [`Scenario`] on the in-memory fabric — real threads under
-//! the wall clock, inline turns under the virtual one.
+//! the wall clock, or the simulation kernel with encoded frames in flight.
 //!
 //! Neither runner here walks the scenario's scripts or builds its
 //! report: both hand an [`Executor`] to `diffuse-core`'s
-//! [`ScenarioRun`], the one driver every substrate shares, and say only
-//! how their fabric lets a tick pass, reaches a process, and is joined
-//! at the end.
+//! [`ScenarioRun`], the one driver every substrate shares.
 //!
-//! * [`run_scenario_on_fabric`] — **wall clock**: advancing to a script
-//!   tick is a real sleep (`tick × tick_interval`). Loss sampling rides a
-//!   different RNG stream and real scheduling, so outcomes are
-//!   statistically — not bitwise — equivalent to the kernel.
-//! * [`run_scenario_on_fabric_virtual`] — **virtual clock**: node
-//!   runtimes are installed on a [`VirtualNet`] time authority that steps
-//!   the kernel's own tick engine and runs their turns on this thread, so
-//!   the run costs a kernel run plus the codec, needs no settle slack,
-//!   and its [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim`
-//!   for the same scenario — delivery counts, failure counts,
-//!   containment and wire metrics included.
+//! * [`run_scenario_on_fabric`] — **wall clock**: node threads over
+//!   [`FabricTransport`]s; advancing to a script tick is a real sleep
+//!   (`tick × tick_interval`). Loss sampling rides a different RNG stream
+//!   and real scheduling, so outcomes are statistically — not bitwise —
+//!   equivalent to the kernel.
+//! * [`run_scenario_on_fabric_virtual`] — **virtual time**: the kernel
+//!   itself ([`Simulation`]), whose actors put every message through the
+//!   wire codec ([`Encoded`]) — no threads, no transports, no executor of
+//!   its own. The run costs a kernel run plus the codec, needs no settle
+//!   slack, and its [`ScenarioReport`] is *bit-identical* to
+//!   `Scenario::run_sim` for the same scenario — delivery counts, failure
+//!   counts, containment and wire metrics included.
 //!
-//! Every [`FaultAction`](diffuse_core::scenario::FaultAction) — including [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash), executed
-//! cooperatively by the node runtimes, and the adversarial pair
-//! [`FaultAction::Corrupt`](diffuse_core::scenario::FaultAction::Corrupt) /
-//! [`FaultAction::MessageAdversary`](diffuse_core::scenario::FaultAction::MessageAdversary) —
-//! runs on the virtual clock, so its [`ScenarioReport::skipped_faults`]
-//! is zero for every scenario. The wall-clock runner executes
-//! everything except `MessageAdversary` (its transports have no
-//! deterministic suppression hook); such events are counted in
-//! `skipped_faults` rather than silently dropped. On both clocks the
-//! per-process audits behind [`ScenarioReport::containment`] are the
-//! ones the nodes leave behind when they are shut down — the thread
-//! joined, the virtual runtime retired
+//! Every [`FaultAction`](diffuse_core::scenario::FaultAction) runs in
+//! virtual time, the kernel executing it, so its
+//! [`ScenarioReport::skipped_faults`] is zero for every scenario. The
+//! wall-clock runner executes
+//! [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash)
+//! cooperatively in the node runtimes and everything else except
+//! [`FaultAction::MessageAdversary`](diffuse_core::scenario::FaultAction::MessageAdversary)
+//! (its transports have no deterministic suppression hook); such events
+//! are counted in `skipped_faults` rather than silently dropped. The
+//! per-process audits behind its [`ScenarioReport::containment`] are the
+//! ones the node threads leave behind when they are joined
 //! ([`NodeHandle::shutdown_with_audit`]).
 
 use std::collections::BTreeMap;
@@ -39,13 +37,13 @@ use std::time::Duration;
 use diffuse_core::scenario::{
     Executor, FaultSink, Observed, Scenario, ScenarioReport, ScenarioRun,
 };
-use diffuse_core::{BroadcastOutcome, CorruptionMode, Payload, Protocol};
+use diffuse_core::{BroadcastOutcome, CorruptionMode, Payload, Protocol, ProtocolActor};
 use diffuse_model::{LinkId, Probability, ProcessId};
-use diffuse_sim::SimTime;
+use diffuse_sim::{SimTime, Simulation};
 
-use crate::clock::{Clock, WallClock, WallSession};
-use crate::virtual_time::VirtualNet;
-use crate::{spawn_node_with_clock, Fabric, FabricControl, FabricTransport, NodeHandle};
+use crate::clock::{WallClock, WallSession};
+use crate::codec::Encoded;
+use crate::{spawn_node, Fabric, FabricControl, NodeHandle};
 
 /// Options for a wall-clock fabric scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +53,7 @@ pub struct FabricScenarioOptions {
     /// How many logical ticks to run before collecting the report.
     pub run_ticks: u64,
     /// Extra wall-clock settle time after the last tick, letting
-    /// in-flight frames and deliveries drain. (Wall clock only — the
-    /// virtual-time runner needs no settle slack: when the authority
-    /// reaches the horizon, nothing is in flight by construction.)
+    /// in-flight frames and deliveries drain.
     pub settle: Duration,
 }
 
@@ -71,38 +67,26 @@ impl Default for FabricScenarioOptions {
     }
 }
 
-/// The nodes of one fabric run, and what they left behind once joined.
-struct Nodes {
+/// The wall-clock fabric as an [`Executor`]: a script tick is a real
+/// sleep, loss overrides go through the [`FabricControl`], and whatever
+/// targets one process goes through its [`NodeHandle`].
+struct WallFabric {
+    control: FabricControl,
+    session: WallSession,
+    /// The logical tick the driver has advanced to.
+    tick: SimTime,
     handles: BTreeMap<ProcessId, NodeHandle>,
-    /// Delivery counts and final audits, empty until [`Nodes::join`].
+    /// Delivery counts and final audits, empty until [`WallFabric::join`].
     reported: Observed,
 }
 
-impl Nodes {
-    /// One node per transport, in id order, each under the clock
-    /// `clock_of` hands it.
-    fn spawn<P: Protocol + Send + 'static>(
-        transports: BTreeMap<ProcessId, FabricTransport>,
-        mut make: impl FnMut(ProcessId) -> P,
-        clock_of: impl Fn(ProcessId) -> Clock,
-    ) -> Self {
-        let handles = transports
-            .into_iter()
-            .map(|(id, transport)| (id, spawn_node_with_clock(make(id), transport, clock_of(id))))
-            .collect();
-        Nodes {
-            handles,
-            reported: Observed::default(),
-        }
-    }
-
+impl WallFabric {
     /// Counts every node's deliveries, then shuts the nodes down and
     /// keeps each protocol's final audit.
     fn join(&mut self) {
         for (&id, handle) in &self.handles {
             let mut count = 0u64;
-            // No waiting: the wall runner has settled, and a virtual
-            // run's deliveries were all surfaced inside `run_ticks`.
+            // No waiting: the runner has settled.
             while let Ok(Some(_)) = handle.next_delivery(Duration::ZERO) {
                 count += 1;
             }
@@ -116,17 +100,6 @@ impl Nodes {
     }
 }
 
-/// The wall-clock fabric as an [`Executor`]: a script tick is a real
-/// sleep, loss overrides go through the [`FabricControl`], and whatever
-/// targets one process goes through its [`NodeHandle`].
-struct WallFabric {
-    control: FabricControl,
-    session: WallSession,
-    /// The logical tick the driver has advanced to.
-    tick: SimTime,
-    nodes: Nodes,
-}
-
 impl FaultSink for WallFabric {
     fn set_loss(&mut self, link: LinkId, loss: Probability) {
         self.control.set_loss(link, loss);
@@ -135,14 +108,13 @@ impl FaultSink for WallFabric {
     fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
         // Cooperative: the node runtime goes deaf for the window.
         // An unknown process is a no-op, as in the kernel.
-        if let Some(handle) = self.nodes.handles.get(&process) {
+        if let Some(handle) = self.handles.get(&process) {
             let _ = handle.inject_crash(down_ticks);
         }
     }
 
     fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.nodes
-            .handles
+        self.handles
             .get(&process)
             .is_some_and(|handle| handle.inject_corrupt(mode, window).is_ok())
     }
@@ -165,7 +137,7 @@ impl Executor for WallFabric {
     /// retries inside its own runtime, so the only failure visible from
     /// here is a node that is already gone.
     fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
-        match self.nodes.handles.get(&origin) {
+        match self.handles.get(&origin) {
             Some(handle) if handle.broadcast(payload.clone()).is_ok() => BroadcastOutcome::Issued,
             _ => BroadcastOutcome::Failed,
         }
@@ -177,7 +149,7 @@ impl Executor for WallFabric {
     fn observed(&self) -> Observed {
         Observed {
             metrics: self.control.metrics(),
-            ..self.nodes.reported.clone()
+            ..self.reported.clone()
         }
     }
 }
@@ -203,7 +175,7 @@ impl Executor for WallFabric {
 pub fn run_scenario_on_fabric<P, F>(
     scenario: &Scenario,
     options: FabricScenarioOptions,
-    make: F,
+    mut make: F,
 ) -> ScenarioReport
 where
     P: Protocol + Send + 'static,
@@ -211,11 +183,15 @@ where
 {
     let (transports, control) =
         Fabric::build_with_control(&scenario.topology, scenario.config.clone(), scenario.seed);
-    let clock = WallClock::new(options.tick_interval);
     let fabric = WallFabric {
         control,
-        nodes: Nodes::spawn(transports, make, |_| Clock::Wall(clock)),
-        session: clock.begin(),
+        // One node per transport, spawned in id order.
+        handles: transports
+            .into_iter()
+            .map(|(id, transport)| (id, spawn_node(make(id), transport, options.tick_interval)))
+            .collect(),
+        reported: Observed::default(),
+        session: WallClock::new(options.tick_interval).begin(),
         tick: SimTime::ZERO,
     };
     let mut run = ScenarioRun::over(scenario, fabric);
@@ -223,88 +199,39 @@ where
     // Let in-flight frames and deliveries drain, then join the nodes.
     let fabric = run.sim_mut();
     fabric.session.settle(options.settle);
-    fabric.nodes.join();
+    fabric.join();
     run.report()
 }
 
-/// The virtual-time fabric as an [`Executor`]: every hook is the
-/// [`VirtualNet`] authority's, i.e. the kernel's own tick engine.
-struct VirtualFabric {
-    net: VirtualNet,
-    nodes: Nodes,
-}
-
-impl FaultSink for VirtualFabric {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.net.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.net.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.net.inject_corrupt(process, mode, window)
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.net.set_message_adversary(d, window);
-        true
-    }
-}
-
-impl Executor for VirtualFabric {
-    fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    fn advance(&mut self, ticks: u64) {
-        self.net.run_ticks(ticks);
-    }
-
-    fn issue(&mut self, origin: ProcessId, payload: &Payload) -> BroadcastOutcome {
-        self.net.broadcast(origin, payload.clone())
-    }
-
-    fn observed(&self) -> Observed {
-        let metrics = self.net.metrics();
-        Observed {
-            suppressed: metrics.suppressed_by_adversary(),
-            metrics,
-            ..self.nodes.reported.clone()
-        }
-    }
-}
-
-/// Runs `scenario` on the virtual-time fabric for `run_ticks` virtual
-/// ticks and reports deliveries.
+/// Runs `scenario` in virtual time with every message crossing the wire
+/// codec, for `run_ticks` ticks, and reports deliveries.
 ///
-/// The run is a deterministic function of the scenario (including its
-/// seed): calling this twice yields byte-identical reports, and the
-/// report equals `scenario.run_sim(run_ticks, make)`'s field for field —
-/// per-process delivery counts, failed-broadcast counts, skipped faults
-/// (zero on both), containment *and* wire
-/// [`Metrics`](diffuse_sim::Metrics). No wall time is consumed beyond the
-/// actual compute; there are no settle sleeps.
+/// This is `scenario.run_sim(run_ticks, make)` with one difference: what
+/// a process sends is encoded where its handler emits it, travels, is
+/// lost or delivered as a frame, and is decoded where it arrives. The
+/// report therefore equals the kernel's field for field — per-process
+/// delivery counts, failed-broadcast counts, skipped faults (zero on
+/// both), containment *and* wire [`Metrics`](diffuse_sim::Metrics) —
+/// exactly when the codec is invisible to protocols, which is what
+/// `tests/fabric_conformance.rs` asserts. A frame that fails to decode
+/// panics: it was encoded a few ticks earlier by this very process.
 pub fn run_scenario_on_fabric_virtual<P, F>(
     scenario: &Scenario,
     run_ticks: u64,
-    make: F,
+    mut make: F,
 ) -> ScenarioReport
 where
-    P: Protocol + Send + 'static,
+    P: Protocol,
     F: FnMut(ProcessId) -> P,
 {
-    let (transports, net) = Fabric::build_virtual(
-        &scenario.topology,
+    let kernel = Simulation::new(
+        scenario.topology.clone(),
         scenario.config.clone(),
+        |id| ProtocolActor::<P, Encoded>::over(make(id)),
         scenario.sim_options(),
     );
-    let nodes = Nodes::spawn(transports, make, |id| Clock::Virtual(net.clock(id)));
-    let mut run = ScenarioRun::over(scenario, VirtualFabric { net, nodes });
+    let mut run = ScenarioRun::over(scenario, kernel);
     run.run_ticks(run_ticks);
-    // Nothing is in flight past the horizon by construction.
-    run.sim_mut().nodes.join();
     run.report()
 }
 
@@ -364,7 +291,7 @@ mod tests {
                 Payload::from("beyond the horizon"),
             ))
             .build();
-        // Elapsed-time measurement goes through the Clock abstraction:
+        // Elapsed-time measurement goes through the clock abstraction:
         // a 1 ms-tick WallSession counts wall milliseconds as ticks.
         let stopwatch = WallClock::new(Duration::from_millis(1)).begin();
         let report = run_scenario_on_fabric(

@@ -6,13 +6,12 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse_sim::{LossBatcher, Metrics, SimOptions};
+use diffuse_sim::{LossBatcher, Metrics};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::codec::frame_kind;
-use crate::virtual_time::{VirtualCore, VirtualNet};
 use crate::NetError;
 
 /// A point-to-point frame transport bound to one process.
@@ -58,16 +57,10 @@ struct FabricShared {
     /// lock — they are only ever used together, per send.
     rng: Mutex<(StdRng, LossBatcher)>,
     inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Vec<u8>)>>,
-    /// Transport-level wire counters for wall-clock runs (sent / lost /
+    /// Transport-level wire counters (sent / lost /
     /// enqueued-as-delivered per kind and link). Best effort: see
-    /// [`FabricControl::metrics`] for the caveats. The virtual-time
-    /// fabric bypasses this (its authority accounts kernel-exact
-    /// metrics).
+    /// [`FabricControl::metrics`] for the caveats.
     metrics: Mutex<Metrics>,
-    /// Set on a virtual-time fabric: sends route through the time
-    /// authority (deterministic loss sampling, staggered arrival
-    /// scheduling) instead of the wall-clock channel path above.
-    virtual_core: Option<Arc<VirtualCore>>,
 }
 
 /// A lossy in-memory network connecting a set of [`FabricTransport`]s
@@ -122,46 +115,6 @@ impl Fabric {
         loss: Configuration,
         seed: u64,
     ) -> (BTreeMap<ProcessId, FabricTransport>, FabricControl) {
-        let (transports, shared) = Fabric::assemble(topology, loss, seed, None);
-        (transports, FabricControl { shared })
-    }
-
-    /// Builds a *virtual-time* fabric: one transport per process plus the
-    /// [`VirtualNet`] time authority that schedules every delivery, timer
-    /// and loss draw deterministically. Hand each transport to
-    /// [`spawn_node_with_clock`](crate::spawn_node_with_clock) with
-    /// [`Clock::Virtual`](crate::Clock::Virtual)`(net.clock(id))` — which
-    /// installs the node on the authority, spawning nothing — then drive
-    /// the run through the returned [`VirtualNet`].
-    ///
-    /// `options` are the simulation kernel's own (seed, link delay, crash
-    /// model — `Scenario::sim_options` for a scenario): a virtual fabric
-    /// run is a deterministic function of
-    /// `(topology, loss, options, script)`, re-running it yields a
-    /// byte-identical outcome, and a kernel built from the same four
-    /// yields the *same* delivery counts and wire metrics (asserted by
-    /// `tests/fabric_conformance.rs`).
-    pub fn build_virtual(
-        topology: &Topology,
-        loss: Configuration,
-        options: SimOptions,
-    ) -> (BTreeMap<ProcessId, FabricTransport>, VirtualNet) {
-        let net = VirtualNet::new(topology.clone(), loss, options);
-        // The authority owns the live loss table and RNG; the wall-path
-        // copies in FabricShared would be dead state, so the shared
-        // side carries an empty configuration and a fixed seed instead
-        // of a second, misleading source of truth.
-        let (transports, _shared) =
-            Fabric::assemble(topology, Configuration::new(), 0, Some(net.core()));
-        (transports, net)
-    }
-
-    fn assemble(
-        topology: &Topology,
-        loss: Configuration,
-        seed: u64,
-        virtual_core: Option<Arc<VirtualCore>>,
-    ) -> (BTreeMap<ProcessId, FabricTransport>, Arc<FabricShared>) {
         let mut inboxes = BTreeMap::new();
         let mut receivers = BTreeMap::new();
         for p in topology.processes() {
@@ -175,7 +128,6 @@ impl Fabric {
             rng: Mutex::new((StdRng::seed_from_u64(seed), LossBatcher::new())),
             inboxes,
             metrics: Mutex::new(Metrics::new()),
-            virtual_core,
         });
         let transports = receivers
             .into_iter()
@@ -190,7 +142,7 @@ impl Fabric {
                 )
             })
             .collect();
-        (transports, shared)
+        (transports, FabricControl { shared })
     }
 }
 
@@ -220,7 +172,8 @@ impl FabricControl {
     /// (the transport cannot see cooperative crash windows, which drop
     /// frames inside the node runtime), and there is no
     /// receiver-down accounting. Useful for dashboards and sanity
-    /// checks; use the virtual-time fabric for bit-exact metrics.
+    /// checks; use [`run_scenario_on_fabric_virtual`](crate::run_scenario_on_fabric_virtual)
+    /// for bit-exact metrics.
     pub fn metrics(&self) -> Metrics {
         self.shared.metrics.lock().clone()
     }
@@ -256,15 +209,6 @@ impl Transport for FabricTransport {
     }
 
     fn send(&self, to: ProcessId, frame: &[u8]) -> Result<(), NetError> {
-        // On a virtual-time fabric the send is buffered for the turn
-        // and the authority's engine lane owns link validation, loss
-        // sampling and arrival scheduling; invalid destinations are
-        // counted there (as the kernel counts them), not surfaced as
-        // errors.
-        if let Some(core) = &self.shared.virtual_core {
-            core.send(self.id, to, frame);
-            return Ok(());
-        }
         // One metrics guard per send: every node thread shares this
         // mutex, so the hot path must not re-acquire it per counter.
         let Ok(link) = LinkId::new(self.id, to) else {

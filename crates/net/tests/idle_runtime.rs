@@ -8,8 +8,7 @@ use std::time::Duration;
 
 use diffuse_core::{NetworkKnowledge, OptimalBroadcast};
 use diffuse_model::{Configuration, ProcessId, Topology};
-use diffuse_net::{spawn_node, spawn_node_with_clock, Clock, Fabric};
-use diffuse_sim::SimOptions;
+use diffuse_net::{spawn_node, Fabric};
 
 /// CPU time consumed by this process so far, from /proc (Linux CI).
 #[cfg(target_os = "linux")]
@@ -67,54 +66,4 @@ fn idle_node_sleeps_instead_of_busy_waking() {
         );
     }
     handle.shutdown();
-}
-
-/// Under the virtual clock the bound is not statistical but *exact*: an
-/// idle node performs zero wakeups across any idle stretch, because the
-/// time authority fast-forwards over eventless ticks without granting a
-/// single turn. (The wall-clock loop above can only bound its wakeups by
-/// the command-poll cadence; a /proc CPU-time ceiling was the best it
-/// could assert.)
-#[test]
-fn idle_virtual_node_performs_zero_wakeups() {
-    let mut topology = Topology::new();
-    topology
-        .add_link(ProcessId::new(0), ProcessId::new(1))
-        .unwrap();
-    let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-    let (mut transports, net) = Fabric::build_virtual(
-        &topology,
-        Configuration::new(),
-        SimOptions::default().with_seed(7),
-    );
-    // OptimalBroadcast schedules no timers: both nodes are fully idle.
-    let handles: Vec<_> = [ProcessId::new(0), ProcessId::new(1)]
-        .into_iter()
-        .map(|id| {
-            spawn_node_with_clock(
-                OptimalBroadcast::new(id, knowledge.clone(), 0.99),
-                transports.remove(&id).unwrap(),
-                Clock::Virtual(net.clock(id)),
-            )
-        })
-        .collect();
-
-    net.start();
-    let after_start: Vec<u64> = handles.iter().map(|h| h.wakeups()).collect();
-    assert_eq!(after_start, vec![1, 1], "exactly the on_start turn each");
-
-    // A hundred thousand idle virtual ticks: zero additional wakeups —
-    // not "few", zero.
-    net.run_ticks(100_000);
-    assert_eq!(net.now().ticks(), 100_000);
-    let after_idle: Vec<u64> = handles.iter().map(|h| h.wakeups()).collect();
-    assert_eq!(
-        after_idle, after_start,
-        "an idle stretch must wake nobody under virtual time"
-    );
-
-    net.shutdown();
-    for handle in handles {
-        handle.shutdown();
-    }
 }

@@ -10,15 +10,15 @@
 //! receiving the [`Site`] it runs at, the [`Input`] to handle and the
 //! [`Effects`] (sends and timer operations) to fill in.
 //!
-//! Three drivers step lanes:
+//! Two drivers step lanes:
 //!
 //! * [`Simulation`](crate::Simulation) — one lane, stepped inline on the
-//!   caller's thread, handlers are [`Actor`](crate::Actor) calls;
+//!   caller's thread, handlers are [`Actor`](crate::Actor) calls
+//!   (`diffuse-net`'s virtual-time fabric is this driver over encoded
+//!   frames);
 //! * [`ShardedKernel`](crate::ShardedKernel) — `W` lanes over an
 //!   id-range partition, one worker thread each, exchanging cross-lane
-//!   flights at tick barriers;
-//! * `diffuse-net`'s `VirtualNet` — one lane over encoded frames,
-//!   stepped inline, whose handler runs a turn on the node's runtime.
+//!   flights at tick barriers.
 //!
 //! # Determinism contract
 //!

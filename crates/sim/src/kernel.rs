@@ -183,9 +183,9 @@ impl SimOptions {
 /// holds the lossy network derived from a [`Topology`] plus per-link loss
 /// probabilities, the crash model, and the one seeded RNG that drives
 /// all randomness in deterministic order, so equal seeds reproduce runs
-/// exactly. The other executors drive the same lane code from worker
-/// threads ([`ShardedKernel`](crate::ShardedKernel)) or node-thread turns
-/// (`diffuse-net`'s virtual-time fabric).
+/// exactly. [`ShardedKernel`](crate::ShardedKernel) drives the same lane
+/// code from worker threads; `diffuse-net`'s virtual-time fabric is this
+/// type over actors that exchange encoded frames.
 ///
 /// Each tick runs the engine's phases (see [`Lane::step`]):
 ///
@@ -621,6 +621,8 @@ mod tests {
         // force_down takes effect immediately for commands.
         assert!(!sim.command(p(0), |_, ctx| ctx.send(p(1), 1)));
         assert!(sim.command(p(1), |_, ctx| ctx.send(p(0), 1)));
+        // An unknown process is refused like a down one.
+        assert!(!sim.command(p(9), |_, ctx| ctx.send(p(1), 1)));
     }
 
     #[test]
@@ -772,30 +774,43 @@ mod tests {
 
     #[test]
     fn fast_forward_skips_idle_ticks_without_changing_behavior() {
-        let run = |period| {
+        let run = |period, kick: bool, ticks| {
             let mut sim = Simulation::new(
                 pair_topology(),
                 Configuration::new(),
                 |_| TimerEcho::new(period),
                 SimOptions::default(),
             );
-            sim.command(p(0), |_, ctx| ctx.send(p(1), 1));
-            sim.run_ticks(1000);
+            if kick {
+                sim.command(p(0), |_, ctx| ctx.send(p(1), 1));
+            }
+            sim.run_ticks(ticks);
             (
                 sim.now(),
+                sim.busy_ticks(),
                 sim.node(p(0)).unwrap().beats.clone(),
                 sim.node(p(1)).unwrap().fired.clone(),
                 sim.metrics().clone(),
             )
         };
-        let (now, beats, fired, metrics) = run(100);
+        let (now, busy, beats, fired, metrics) = run(100, true, 1000);
         // The clock still lands exactly on the horizon.
         assert_eq!(now, SimTime::new(1000));
+        // Executed: the delivery, the one-shot and the ten beats.
+        assert_eq!(busy, 12);
         assert_eq!(beats.len(), 10);
         // The message at tick 1 armed p1's one-shot for tick 6.
         assert!(fired.contains(&(SimTime::new(6), ONESHOT)));
         assert_eq!(metrics.sent_total(), 1);
         assert_eq!(metrics.delivered_total(), 1);
+
+        // Two actors without a timer and nothing in flight: an idle
+        // stretch executes not few ticks but none.
+        let (now, busy, beats, fired, metrics) = run(0, false, 100_000);
+        assert_eq!(now, SimTime::new(100_000));
+        assert_eq!(busy, 0);
+        assert!(beats.is_empty() && fired.is_empty());
+        assert_eq!(metrics, Metrics::new());
     }
 
     #[test]

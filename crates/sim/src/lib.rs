@@ -12,7 +12,7 @@
 //!   only tick in the workspace; a driver supplies a [`Handler`];
 //! * [`Simulation`] — the kernel: one lane stepped inline;
 //!   [`ShardedKernel`] — `W` lanes on worker threads (`diffuse-net`'s
-//!   virtual-time fabric is the third driver);
+//!   virtual-time fabric is the kernel over encoded frames);
 //! * [`Actor`] — the protocol interface (message/tick/recovery handlers);
 //! * [`CrashModel`] — process crash/recovery processes realizing the
 //!   paper's stationary down-fraction `P_i` (i.i.d. per tick, or a

@@ -33,10 +33,10 @@ impl Metrics {
     /// outbox flush batches per destination and kind, since it is the
     /// Monte-Carlo hot path.
     ///
-    /// The recorders are public so alternate substrates (e.g.
-    /// `diffuse-net`'s virtual-time fabric) can account their wire events
-    /// in the same counters and be compared field-for-field against a
-    /// kernel run.
+    /// The recorders are public so alternate substrates (`diffuse-net`'s
+    /// wall-clock fabric and chaos layer) can account their wire events
+    /// in the same counters and be read side by side with a kernel
+    /// run's.
     pub fn record_sent_batch(&mut self, link: LinkId, kind: &'static str, n: u64) {
         self.sent_total += n;
         *self.sent_by_kind.entry(kind).or_insert(0) += n;

@@ -1,15 +1,15 @@
 //! Two substrates, one truth: the same scenario — partition, forced
 //! crash, heal — run on the deterministic simulation kernel and on the
-//! *virtual-time fabric* — node runtimes, transports and the wire
-//! codec, minus the threads — producing bit-identical reports.
+//! *virtual-time fabric* — the same kernel with every message encoded
+//! where it is sent and decoded where it arrives — producing
+//! bit-identical reports.
 //!
-//! Under a [`VirtualClock`](diffuse::net::VirtualClock), node runtimes
-//! are installed on a [`VirtualNet`](diffuse::net::VirtualNet) time
-//! authority that steps the kernel's own tick engine (same phase order,
-//! same RNG streams) and runs their turns on this thread, so a fabric
-//! run is a pure function of `(scenario, seed)`: no sleeps, no settle
-//! margins, no flaky assertions — and running it twice gives you the
-//! same bytes.
+//! The fabric run has the kernel's tick engine under it (same phase
+//! order, same RNG streams) and bytes in flight instead of shared
+//! values, so it is a pure function of `(scenario, seed)`: no sleeps, no
+//! settle margins, no flaky assertions — running it twice gives you the
+//! same bytes, and equality with the kernel says the wire codec is
+//! invisible to the protocol.
 //!
 //! ```text
 //! cargo run --release --example deterministic_fabric

@@ -23,10 +23,10 @@
 //! * [`core`] — the broadcast protocols (optimal, adaptive, gossip
 //!   reference baseline), the `reach`/`optimize` machinery, and the
 //!   [`Scenario`](core::Scenario) engine;
-//! * [`net`] — wire codec, lossy in-memory fabric, UDP transport, and a
-//!   deadline-sleeping node runtime that also runs, threadless, under a
-//!   *virtual clock* ([`net::VirtualNet`]) for deterministic,
-//!   kernel-bit-exact fabric executions.
+//! * [`net`] — wire codec, lossy in-memory fabric, UDP transport, a
+//!   deadline-sleeping node runtime, and the *virtual-time* fabric
+//!   ([`net::run_scenario_on_fabric_virtual`]): the kernel with encoded
+//!   frames in flight, for deterministic, kernel-bit-exact executions.
 //!
 //! # Quickstart
 //!
@@ -72,9 +72,10 @@
 //! let report = scenario.run_sim(100, |id| OptimalBroadcast::new(id, knowledge.clone(), 0.9999));
 //! assert!(report.all_delivered_at_least(2));
 //!
-//! // The same value runs on the fabric of real threads: statistically
+//! // The same value runs on the fabric: on real threads, statistically,
 //! // under the wall clock (`net::run_scenario_on_fabric`), or
-//! // *bit-identically* to the kernel under the virtual clock.
+//! // *bit-identically* to the kernel in virtual time, every message
+//! // crossing the wire codec.
 //! let fabric = diffuse::net::run_scenario_on_fabric_virtual(&scenario, 100, |id| {
 //!     OptimalBroadcast::new(id, knowledge.clone(), 0.9999)
 //! });

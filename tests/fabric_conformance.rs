@@ -1,18 +1,19 @@
-//! Exact cross-substrate conformance: the virtual-time fabric (node
-//! runtimes, transports and the wire codec) must be *bit-identical* to
-//! the deterministic simulation kernel.
+//! Exact cross-substrate conformance: the virtual-time fabric — the
+//! simulation kernel with every message crossing the wire codec — must
+//! be *bit-identical* to the kernel handing messages over in memory.
 //!
 //! A scenario — topology × loss configuration × crash model × scripted
 //! workload × fault script — is run twice: once on the kernel
 //! (`Scenario::run_sim`) and once on the fabric under virtual time
-//! (`run_scenario_on_fabric_virtual`, where the `VirtualNet` time
-//! authority runs the nodes' turns inline). The resulting
-//! [`ScenarioReport`]s are compared with `assert_eq!` — per-process
-//! delivery counts, failed-broadcast counts, skipped faults, *and* the
-//! full wire [`Metrics`] (sent/lost/delivered per kind and per link). No
-//! settle sleeps, no tolerance margins: every field must agree exactly,
-//! across randomized topologies, loss configurations, seeds and fault
-//! scripts.
+//! (`run_scenario_on_fabric_virtual`: same engine, same script driver,
+//! encoded frames in flight). The resulting [`ScenarioReport`]s are
+//! compared with `assert_eq!` — per-process delivery counts,
+//! failed-broadcast counts, skipped faults, *and* the full wire
+//! [`Metrics`] (sent/lost/delivered per kind and per link). No settle
+//! sleeps, no tolerance margins: every field must agree exactly, across
+//! randomized topologies, loss configurations, seeds and fault scripts.
+//! Since the two runs share everything but the codec, a disagreement
+//! means a protocol could tell a decoded message from the original.
 //!
 //! The generator below is seeded from a fixed matrix, so CI runs the
 //! same cases forever; the suite is wall-clock-independent (the only
@@ -20,12 +21,10 @@
 
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
 use diffuse::core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, NetworkKnowledge,
-    OptimalBroadcast, Payload, Protocol, ProtocolAudit, ReferenceGossip,
+    AdaptiveBroadcast, AdaptiveParams, NetworkKnowledge, OptimalBroadcast, Payload, ReferenceGossip,
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
-use diffuse::net::codec::{decode_message, encode_message};
 use diffuse::net::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, FabricScenarioOptions};
 use diffuse::sim::{CrashModel, SimTime};
 use rand::rngs::StdRng;
@@ -293,50 +292,6 @@ fn horizon_edge_and_downed_origin_conformance() {
     }
 }
 
-/// Passes every received message through the wire codec before the
-/// wrapped protocol sees it — what the fabric's runtime does to each
-/// frame, minus the threads.
-struct OverTheWire<P>(P);
-
-impl<P: Protocol> Protocol for OverTheWire<P> {
-    fn id(&self) -> ProcessId {
-        self.0.id()
-    }
-
-    fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
-        self.0.on_start(now, actions);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
-        let event = match event {
-            Event::Message { from, message } => Event::Message {
-                from,
-                message: decode_message(&encode_message(&message))
-                    .expect("an encoded message decodes"),
-            },
-            other => other,
-        };
-        self.0.on_event(now, event, actions);
-    }
-
-    fn broadcast(
-        &mut self,
-        now: SimTime,
-        payload: Payload,
-        actions: &mut Actions,
-    ) -> Result<BroadcastId, CoreError> {
-        self.0.broadcast(now, payload, actions)
-    }
-
-    fn delivered(&self) -> &[(BroadcastId, Payload)] {
-        self.0.delivered()
-    }
-
-    fn audit(&self) -> ProtocolAudit {
-        self.0.audit()
-    }
-}
-
 /// The script of e2e finding (iv): long enough for a belief vector's f64
 /// sum to drift a few ULP off 1, which is all it took for a decoded
 /// estimate to differ from the one handed over by `Arc`.
@@ -380,17 +335,21 @@ fn finding_iv() -> (
     (scenario, 400, make)
 }
 
-/// Wire transparency, at kernel speed: a protocol must not be able to
-/// tell a message that crossed the codec from one handed over in memory.
-/// Checked on the finding-(iv) script and on the adaptive seeds above,
-/// entirely on the kernel — no fabric threads.
+/// Wire transparency: a protocol must not be able to tell a message that
+/// crossed the codec from one handed over in memory. Checked on the
+/// finding-(iv) script (~26 000 adaptive handler runs a side) and on the
+/// adaptive seeds above with default parameters.
 #[test]
 fn the_codec_is_invisible_to_protocols() {
     let (scenario, horizon, make) = finding_iv();
-    assert_eq!(
-        scenario.run_sim(horizon, &make),
-        scenario.run_sim(horizon, |id| OverTheWire(make(id))),
-        "finding (iv) script: decode(encode(m)) changed a run"
+    let sim = scenario.run_sim(horizon, &make);
+    assert_eq!(sim.skipped_faults + sim.failed_broadcasts, 0, "{sim:?}");
+    assert_conformant(
+        &scenario,
+        horizon,
+        sim,
+        || run_scenario_on_fabric_virtual(&scenario, horizon, &make),
+        "finding (iv)",
     );
     for seed in [11u64, 42, 0xADA] {
         let (scenario, horizon) = random_scenario(seed.wrapping_add(0x5EED));
@@ -406,28 +365,10 @@ fn the_codec_is_invisible_to_protocols() {
         };
         assert_eq!(
             scenario.run_sim(horizon, make),
-            scenario.run_sim(horizon, |id| OverTheWire(make(id))),
+            run_scenario_on_fabric_virtual(&scenario, horizon, make),
             "seed {seed}: decode(encode(m)) changed a run"
         );
     }
-}
-
-/// The finding-(iv) script itself, kernel against virtual fabric (two
-/// fabric runs of ~26 000 adaptive turns each: ~14 s in debug, ~1 s in
-/// release).
-#[test]
-#[ignore = "release-only: CI runs it via --ignored"]
-fn finding_iv_script_conformance() {
-    let (scenario, horizon, make) = finding_iv();
-    let sim = scenario.run_sim(horizon, &make);
-    assert_eq!(sim.skipped_faults + sim.failed_broadcasts, 0, "{sim:?}");
-    assert_conformant(
-        &scenario,
-        horizon,
-        sim,
-        || run_scenario_on_fabric_virtual(&scenario, horizon, &make),
-        "finding (iv)",
-    );
 }
 
 /// The adversarial fault family: a scripted lying node
