@@ -11,8 +11,8 @@ use diffuse_bayes::BeliefEstimator;
 use diffuse_bench::{fixture, fixture_tree};
 use diffuse_core::{
     optimize, optimize_greedy, reach, Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId,
-    DataMessage, LegacyTickShim, Message, MessageVector, NetworkKnowledge, OptimalBroadcast,
-    Payload, Protocol, ProtocolActor, SharedWireTree, WireTree,
+    DataMessage, Message, MessageVector, NetworkKnowledge, OptimalBroadcast, Payload, Protocol,
+    ProtocolActor, SelfTimed, SharedWireTree, WireTree,
 };
 use diffuse_experiments::scale::{converged_params, KernelOrderSystem};
 use diffuse_graph::maximum_reliability_tree;
@@ -146,7 +146,7 @@ fn bench_bayes(c: &mut Criterion) {
 
 /// One full heartbeat round (emit + suspicion scan + self tick on every
 /// node, then every heartbeat merged at its receiver), driving the
-/// production `on_event` path directly — no shim or kernel overhead, so
+/// production `on_event` path directly — no driver or kernel overhead, so
 /// the number stays comparable across PRs.
 fn heartbeat_round(
     b: &mut criterion::Bencher,
@@ -328,14 +328,14 @@ fn bench_codec(c: &mut Criterion) {
     // A realistic heartbeat from a live 20-node adaptive instance.
     let (topology, _) = fixture(20, 4, 0.0);
     let all: Vec<ProcessId> = topology.processes().collect();
-    let mut node = LegacyTickShim::new(AdaptiveBroadcast::new(
+    let mut node = SelfTimed::new(AdaptiveBroadcast::new(
         ProcessId::new(0),
         all,
         topology.neighbors(ProcessId::new(0)).collect(),
         AdaptiveParams::default(),
     ));
     let mut actions = Actions::new();
-    node.handle_tick(SimTime::new(1), &mut actions);
+    node.fire_due(SimTime::new(1), &mut actions);
     let (_, heartbeat) = actions.take_sends().remove(0);
     let frame = encode_message(&heartbeat);
     group.bench_function("encode_heartbeat", |b| {
@@ -347,69 +347,11 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event-driven fast-forward win on a fig5-style convergence run in
-/// the heartbeat-dominated idle regime (δ = 600: almost every tick is
-/// idle). The baseline reconstructs the pre-redesign driver — poll every
-/// deadline check (heartbeat guard, full suspicion scan, self-tick
-/// guard) on every tick — which is behaviorally identical (guarded
-/// no-ops) but pays the old per-tick cost. Both variants produce
-/// bit-identical metrics; the ratio of the two benches is the speedup
-/// captured in BENCH_micro.json.
+/// A fig5-style convergence run in the heartbeat-dominated idle regime
+/// (δ = 600: almost every tick is idle, so the kernel fast-forwards).
+/// The comparison against per-tick polling is made — and asserted — by
+/// `tests/event_driven_equivalence.rs`'s release-lane gate.
 fn bench_fast_forward(c: &mut Criterion) {
-    use diffuse_core::{Event, Message};
-    use diffuse_sim::{Actor, Context};
-
-    /// The pre-redesign per-tick polling driver (see module docs).
-    struct PollingAdaptive {
-        protocol: AdaptiveBroadcast,
-        actions: Actions,
-    }
-
-    impl PollingAdaptive {
-        fn flush(&mut self, ctx: &mut Context<'_, Message>) {
-            for (to, m) in self.actions.take_sends() {
-                ctx.send(to, m);
-            }
-            self.actions.clear(); // polling driver: timer ops ignored
-        }
-    }
-
-    impl Actor for PollingAdaptive {
-        type Message = Message;
-
-        fn on_message(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            from: ProcessId,
-            message: Message,
-        ) {
-            let now = ctx.now();
-            self.protocol
-                .on_event(now, Event::Message { from, message }, &mut self.actions);
-            self.flush(ctx);
-        }
-
-        fn on_tick(&mut self, ctx: &mut Context<'_, Message>) {
-            let now = ctx.now();
-            for timer in [
-                AdaptiveBroadcast::HEARTBEAT,
-                AdaptiveBroadcast::SUSPICION,
-                AdaptiveBroadcast::SELF_TICK,
-            ] {
-                self.protocol
-                    .on_event(now, Event::Timer(timer), &mut self.actions);
-            }
-            self.flush(ctx);
-        }
-
-        fn on_recover(&mut self, ctx: &mut Context<'_, Message>, down_ticks: u64) {
-            let now = ctx.now();
-            self.protocol
-                .on_event(now, Event::Recovery { down_ticks }, &mut self.actions);
-            self.flush(ctx);
-        }
-    }
-
     let mut group = c.benchmark_group("fastforward");
     group
         .sample_size(10)
@@ -434,26 +376,6 @@ fn bench_fast_forward(c: &mut Criterion) {
                         topology.neighbors(id).collect(),
                         params.clone(),
                     ))
-                },
-                SimOptions::default().with_seed(1),
-            );
-            sim.run_ticks(ticks);
-            sim.metrics().sent_total()
-        })
-    });
-    group.bench_function("fig5_tick_polling_d600", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new(
-                topology.clone(),
-                config.clone(),
-                |id| PollingAdaptive {
-                    protocol: AdaptiveBroadcast::new(
-                        id,
-                        all.clone(),
-                        topology.neighbors(id).collect(),
-                        params.clone(),
-                    ),
-                    actions: Actions::new(),
                 },
                 SimOptions::default().with_seed(1),
             );

@@ -366,29 +366,29 @@ impl Default for EmissionCache {
 /// # Example
 ///
 /// Two neighbors exchanging heartbeats learn that their link is
-/// reliable. [`LegacyTickShim`](crate::LegacyTickShim) drives the timers
-/// from a plain tick loop:
+/// reliable. [`SelfTimed`](crate::SelfTimed) keeps each one's timer
+/// table, so a plain loop over time can drive both:
 ///
 /// ```
-/// use diffuse_core::{AdaptiveBroadcast, AdaptiveParams, Actions, LegacyTickShim};
+/// use diffuse_core::{AdaptiveBroadcast, AdaptiveParams, Actions, SelfTimed};
 /// use diffuse_model::{LinkId, ProcessId};
 /// use diffuse_sim::SimTime;
 ///
 /// let ids = vec![ProcessId::new(0), ProcessId::new(1)];
-/// let mut a = LegacyTickShim::new(AdaptiveBroadcast::new(
+/// let mut a = SelfTimed::new(AdaptiveBroadcast::new(
 ///     ids[0], ids.clone(), vec![ids[1]], AdaptiveParams::default()));
-/// let mut b = LegacyTickShim::new(AdaptiveBroadcast::new(
+/// let mut b = SelfTimed::new(AdaptiveBroadcast::new(
 ///     ids[1], ids.clone(), vec![ids[0]], AdaptiveParams::default()));
 ///
 /// let mut actions = Actions::new();
 /// for t in 1..50u64 {
 ///     let now = SimTime::new(t);
-///     a.handle_tick(now, &mut actions);
+///     a.fire_due(now, &mut actions);
 ///     for (to, m) in actions.take_sends() {
 ///         assert_eq!(to, ids[1]);
 ///         b.handle_message(now, ids[0], m, &mut actions);
 ///     }
-///     b.handle_tick(now, &mut actions);
+///     b.fire_due(now, &mut actions);
 ///     for (_, m) in actions.take_sends() {
 ///         a.handle_message(now, ids[1], m, &mut actions);
 ///     }
@@ -1625,12 +1625,12 @@ mod tests {
     use super::*;
     use diffuse_bayes::Distortion;
 
-    use crate::protocol::LegacyTickShim;
+    use crate::protocol::SelfTimed;
 
-    type Shim = LegacyTickShim<AdaptiveBroadcast>;
+    type Timed = SelfTimed<AdaptiveBroadcast>;
 
-    fn shim(node: AdaptiveBroadcast) -> Shim {
-        LegacyTickShim::new(node)
+    fn timed(node: AdaptiveBroadcast) -> Timed {
+        SelfTimed::new(node)
     }
 
     fn p(i: u32) -> ProcessId {
@@ -1641,32 +1641,32 @@ mod tests {
         AdaptiveParams::default()
     }
 
-    fn line3() -> (Shim, Shim, Shim) {
+    fn line3() -> (Timed, Timed, Timed) {
         // 0 — 1 — 2.
         let all = vec![p(0), p(1), p(2)];
         (
-            shim(AdaptiveBroadcast::new(
+            timed(AdaptiveBroadcast::new(
                 p(0),
                 all.clone(),
                 vec![p(1)],
                 params(),
             )),
-            shim(AdaptiveBroadcast::new(
+            timed(AdaptiveBroadcast::new(
                 p(1),
                 all.clone(),
                 vec![p(0), p(2)],
                 params(),
             )),
-            shim(AdaptiveBroadcast::new(p(2), all, vec![p(1)], params())),
+            timed(AdaptiveBroadcast::new(p(2), all, vec![p(1)], params())),
         )
     }
 
     /// Runs one tick for every node, routing messages instantly.
-    fn exchange(nodes: &mut [&mut Shim], now: SimTime) {
+    fn exchange(nodes: &mut [&mut Timed], now: SimTime) {
         let mut actions = Actions::new();
         let mut pending: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
         for node in nodes.iter_mut() {
-            node.handle_tick(now, &mut actions);
+            node.fire_due(now, &mut actions);
             let from = node.protocol().id();
             for (to, m) in actions.take_sends() {
                 pending.push((from, to, m));
@@ -1690,13 +1690,13 @@ mod tests {
         let pr = params()
             .with_evidence_batch(4)
             .with_link_blame(LinkBlame::OnReconcile);
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             pr.clone(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
         let link = LinkId::new(p(0), p(1)).unwrap();
         let initial = a.protocol().link_estimate(link).unwrap().clone();
 
@@ -1728,13 +1728,13 @@ mod tests {
     fn evidence_batch_one_reproduces_per_observation_updates() {
         let all = vec![p(0), p(1)];
         let pr = params().with_evidence_batch(1);
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             pr.clone(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
         let link = LinkId::new(p(0), p(1)).unwrap();
         let initial = a.protocol().link_estimate(link).unwrap().clone();
 
@@ -1753,7 +1753,7 @@ mod tests {
 
     #[test]
     fn self_uptime_evidence_flushes_in_batches() {
-        let mut node = shim(AdaptiveBroadcast::new(
+        let mut node = timed(AdaptiveBroadcast::new(
             p(0),
             vec![p(0)],
             vec![],
@@ -1762,7 +1762,7 @@ mod tests {
         let mut actions = Actions::new();
         let initial = node.protocol().process_estimate(p(0)).unwrap().clone();
         for t in 1..=3u64 {
-            node.handle_tick(SimTime::new(t), &mut actions);
+            node.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
         assert!(node
@@ -1771,7 +1771,7 @@ mod tests {
             .unwrap()
             .beliefs()
             .bits_eq(initial.beliefs()));
-        node.handle_tick(SimTime::new(4), &mut actions);
+        node.fire_due(SimTime::new(4), &mut actions);
         let mut expected = initial.beliefs().clone();
         expected.increase_reliability(4);
         assert!(node
@@ -1887,13 +1887,13 @@ mod tests {
     #[test]
     fn silence_triggers_suspicions_and_decreases_beliefs() {
         let all = vec![p(0), p(1)];
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             params(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
 
         // Warm up with healthy exchanges.
         for t in 1..=20u64 {
@@ -1904,7 +1904,7 @@ mod tests {
         // Now b goes silent; a ticks alone.
         let mut actions = Actions::new();
         for t in 21..=40u64 {
-            a.handle_tick(SimTime::new(t), &mut actions);
+            a.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
         let suspected = a.protocol().estimated_crash(p(1)).unwrap().value();
@@ -1925,25 +1925,25 @@ mod tests {
         // then resumes: the link's timeout-time decreases are exactly
         // undone because no sequence gap appears.
         let all = vec![p(0), p(1)];
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             params(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
         let l01 = LinkId::new(p(0), p(1)).unwrap();
         let mut actions = Actions::new();
 
         // Healthy warm-up.
         for t in 1..=30u64 {
             let now = SimTime::new(t);
-            a.handle_tick(now, &mut actions);
+            a.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 b.handle_message(now, p(0), m, &mut actions);
             }
             actions.clear();
-            b.handle_tick(now, &mut actions);
+            b.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 a.handle_message(now, p(1), m, &mut actions);
             }
@@ -1953,14 +1953,14 @@ mod tests {
 
         // b silent (crashed) for 15 periods: a suspects, link degrades.
         for t in 31..=45u64 {
-            a.handle_tick(SimTime::new(t), &mut actions);
+            a.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
         let during = a.protocol().estimated_loss(l01).unwrap().value();
         assert!(during > healthy, "{healthy} → {during}");
 
         // b resumes; its seq advanced by 0 while down (it sent nothing).
-        b.handle_tick(SimTime::new(46), &mut actions);
+        b.fire_due(SimTime::new(46), &mut actions);
         let now = SimTime::new(46);
         for (_, m) in actions.take_sends() {
             a.handle_message(now, p(1), m, &mut actions);
@@ -1975,13 +1975,13 @@ mod tests {
     #[test]
     fn seq_gaps_blame_the_link() {
         let all = vec![p(0), p(1)];
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             params(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
         let l01 = LinkId::new(p(0), p(1)).unwrap();
 
         let mut actions = Actions::new();
@@ -1989,12 +1989,12 @@ mod tests {
         let mut dropped = 0u32;
         for t in 1..=90u64 {
             let now = SimTime::new(t);
-            a.handle_tick(now, &mut actions);
+            a.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 b.handle_message(now, p(0), m, &mut actions);
                 actions.clear();
             }
-            b.handle_tick(now, &mut actions);
+            b.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 drop_every -= 1;
                 if drop_every == 0 {
@@ -2017,10 +2017,10 @@ mod tests {
     #[test]
     fn events_3_and_4_shape_self_estimate() {
         let all = vec![p(0), p(1)];
-        let mut node = shim(AdaptiveBroadcast::new(p(0), all, vec![p(1)], params()));
+        let mut node = timed(AdaptiveBroadcast::new(p(0), all, vec![p(1)], params()));
         let mut actions = Actions::new();
         for t in 1..=50u64 {
-            node.handle_tick(SimTime::new(t), &mut actions);
+            node.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
         let up_only = node.protocol().estimated_crash(p(0)).unwrap().value();
@@ -2152,25 +2152,25 @@ mod tests {
     #[test]
     fn recovery_excuses_missed_heartbeats() {
         let all = vec![p(0), p(1)];
-        let mut a = shim(AdaptiveBroadcast::new(
+        let mut a = timed(AdaptiveBroadcast::new(
             p(0),
             all.clone(),
             vec![p(1)],
             params(),
         ));
-        let mut b = shim(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
+        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], params()));
         let l01 = LinkId::new(p(0), p(1)).unwrap();
 
         let mut actions = Actions::new();
         // Healthy warm-up.
         for t in 1..=30u64 {
             let now = SimTime::new(t);
-            a.handle_tick(now, &mut actions);
+            a.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 b.handle_message(now, p(0), m, &mut actions);
             }
             actions.clear();
-            b.handle_tick(now, &mut actions);
+            b.fire_due(now, &mut actions);
             for (_, m) in actions.take_sends() {
                 a.handle_message(now, p(1), m, &mut actions);
             }
@@ -2181,13 +2181,13 @@ mod tests {
         // a is down for ticks 31–50: b keeps sending (messages vanish),
         // b's seq advances by 20.
         for t in 31..=50u64 {
-            b.handle_tick(SimTime::new(t), &mut actions);
+            b.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
         a.handle_recovery(SimTime::new(51), 20, &mut actions);
         actions.clear();
         // Next heartbeat from b arrives with a 20-gap; all excused.
-        b.handle_tick(SimTime::new(51), &mut actions);
+        b.fire_due(SimTime::new(51), &mut actions);
         let sends = actions.take_sends();
         let now = SimTime::new(51);
         for (_, m) in sends {

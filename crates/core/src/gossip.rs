@@ -342,10 +342,10 @@ impl Protocol for ReferenceGossip {
 mod tests {
     use super::*;
 
-    use crate::protocol::LegacyTickShim;
+    use crate::protocol::SelfTimed;
 
-    fn shim(node: ReferenceGossip) -> LegacyTickShim<ReferenceGossip> {
-        LegacyTickShim::new(node)
+    fn timed(node: ReferenceGossip) -> SelfTimed<ReferenceGossip> {
+        SelfTimed::new(node)
     }
 
     fn p(i: u32) -> ProcessId {
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn broadcast_floods_on_following_ticks() {
-        let mut node = shim(ReferenceGossip::new(p(0), vec![p(1), p(2)], 2));
+        let mut node = timed(ReferenceGossip::new(p(0), vec![p(1), p(2)], 2));
         let mut actions = Actions::new();
         let id = node
             .broadcast(SimTime::ZERO, Payload::from("x"), &mut actions)
@@ -376,16 +376,16 @@ mod tests {
         assert_eq!(actions.deliveries().len(), 1);
 
         let mut tick1 = Actions::new();
-        node.handle_tick(SimTime::new(1), &mut tick1);
+        node.fire_due(SimTime::new(1), &mut tick1);
         assert_eq!(tick1.sends().len(), 2); // both neighbors
 
         let mut tick2 = Actions::new();
-        node.handle_tick(SimTime::new(2), &mut tick2);
+        node.fire_due(SimTime::new(2), &mut tick2);
         assert_eq!(tick2.sends().len(), 2); // no acks yet → keep pushing
 
         // Step budget exhausted.
         let mut tick3 = Actions::new();
-        node.handle_tick(SimTime::new(3), &mut tick3);
+        node.fire_due(SimTime::new(3), &mut tick3);
         assert!(tick3.sends().is_empty());
         assert_eq!(node.protocol().data_sent(), 4);
         assert!(node.protocol().has_delivered(id));
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn receipt_triggers_ack_delivery_and_forwarding() {
-        let mut node = shim(ReferenceGossip::new(p(1), vec![p(0), p(2)], 3));
+        let mut node = timed(ReferenceGossip::new(p(1), vec![p(0), p(2)], 3));
         let id = BroadcastId {
             origin: p(0),
             seq: 0,
@@ -408,14 +408,14 @@ mod tests {
 
         // Next tick: forwards only to p2 (rule a excludes p0).
         let mut tick = Actions::new();
-        node.handle_tick(SimTime::new(2), &mut tick);
+        node.fire_due(SimTime::new(2), &mut tick);
         let targets: Vec<ProcessId> = tick.sends().iter().map(|(to, _)| *to).collect();
         assert_eq!(targets, vec![p(2)]);
     }
 
     #[test]
     fn duplicate_receipt_is_acked_but_not_redelivered() {
-        let mut node = shim(ReferenceGossip::new(p(1), vec![p(0), p(2)], 3));
+        let mut node = timed(ReferenceGossip::new(p(1), vec![p(0), p(2)], 3));
         let id = BroadcastId {
             origin: p(0),
             seq: 0,
@@ -430,13 +430,13 @@ mod tests {
 
         // Both neighbors are now sources → nothing left to forward to.
         let mut tick = Actions::new();
-        node.handle_tick(SimTime::new(2), &mut tick);
+        node.fire_due(SimTime::new(2), &mut tick);
         assert!(tick.sends().is_empty());
     }
 
     #[test]
     fn acks_suppress_forwarding() {
-        let mut node = shim(ReferenceGossip::new(p(0), vec![p(1), p(2)], 5));
+        let mut node = timed(ReferenceGossip::new(p(0), vec![p(1), p(2)], 5));
         let mut actions = Actions::new();
         let id = node
             .broadcast(SimTime::ZERO, Payload::from("x"), &mut actions)
@@ -444,7 +444,7 @@ mod tests {
         node.handle_message(SimTime::new(1), p(1), Message::Ack { id }, &mut actions);
 
         let mut tick = Actions::new();
-        node.handle_tick(SimTime::new(1), &mut tick);
+        node.fire_due(SimTime::new(1), &mut tick);
         let targets: Vec<ProcessId> = tick.sends().iter().map(|(to, _)| *to).collect();
         assert_eq!(targets, vec![p(2)]); // p1 suppressed by its ack
     }
@@ -453,7 +453,7 @@ mod tests {
     fn received_ttl_bounds_forwarding() {
         // A copy arriving with ttl = 0 is delivered but never forwarded:
         // the global step budget is exhausted.
-        let mut node = shim(ReferenceGossip::new(p(1), vec![p(0), p(2)], 9));
+        let mut node = timed(ReferenceGossip::new(p(1), vec![p(0), p(2)], 9));
         let id = BroadcastId {
             origin: p(0),
             seq: 0,
@@ -462,21 +462,21 @@ mod tests {
         node.handle_message(SimTime::new(1), p(0), data_with_ttl(id, 0), &mut a);
         assert_eq!(node.protocol().delivered().len(), 1);
         let mut tick = Actions::new();
-        node.handle_tick(SimTime::new(2), &mut tick);
+        node.fire_due(SimTime::new(2), &mut tick);
         assert!(tick.sends().is_empty());
     }
 
     #[test]
     fn late_duplicates_after_completion_do_not_restart() {
-        let mut node = shim(ReferenceGossip::new(p(1), vec![p(0)], 1));
+        let mut node = timed(ReferenceGossip::new(p(1), vec![p(0)], 1));
         let id = BroadcastId {
             origin: p(0),
             seq: 0,
         };
         let mut a = Actions::new();
         node.handle_message(SimTime::new(1), p(0), data_with_ttl(id, 1), &mut a);
-        node.handle_tick(SimTime::new(2), &mut a); // consumes the only step
-        node.handle_tick(SimTime::new(3), &mut a); // cleans up state
+        node.fire_due(SimTime::new(2), &mut a); // consumes the only step
+        node.fire_due(SimTime::new(3), &mut a); // cleans up state
 
         let mut late = Actions::new();
         node.handle_message(SimTime::new(4), p(0), data(id), &mut late);
@@ -484,7 +484,7 @@ mod tests {
         assert_eq!(late.sends().len(), 1);
         assert!(late.deliveries().is_empty());
         let mut tick = Actions::new();
-        node.handle_tick(SimTime::new(5), &mut tick);
+        node.fire_due(SimTime::new(5), &mut tick);
         assert!(tick.sends().is_empty());
     }
 
@@ -492,7 +492,7 @@ mod tests {
     fn broadcast_event_behaves_like_broadcast_call() {
         // Event::Broadcast is the fire-and-forget entry point drivers
         // without a return channel use; it must match broadcast().
-        let mut node = shim(ReferenceGossip::new(p(0), vec![p(1)], 2));
+        let mut node = timed(ReferenceGossip::new(p(0), vec![p(1)], 2));
         let mut actions = Actions::new();
         node.protocol_mut().on_event(
             SimTime::ZERO,

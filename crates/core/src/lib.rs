@@ -93,7 +93,7 @@ pub use params::{
 };
 pub use protocol::{
     Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
-    InProcess, LegacyTickShim, Message, Payload, Protocol, ProtocolActor, TimerOp, Wire,
+    InProcess, Message, Payload, Protocol, ProtocolActor, SelfTimed, TimerOp, Wire,
 };
 pub use reach::{link_success, pow_det, reach, reach_recursive, MessageVector};
 pub use scenario::{

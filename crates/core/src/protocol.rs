@@ -6,16 +6,15 @@
 //! deliveries, and timer (re)schedules — without touching any transport.
 //! The same protocol instance therefore runs unchanged on the
 //! deterministic simulator (via [`ProtocolActor`], its messages handed
-//! over in memory or crossing a [`Wire`] as encoded frames), on real
-//! sockets (via `diffuse-net`'s runtime), and under the legacy per-tick
-//! polling driver (via [`LegacyTickShim`]).
+//! over in memory or crossing a [`Wire`] as encoded frames) and wherever
+//! no timer service exists (via [`SelfTimed`], which keeps the protocol's
+//! timer table itself: `diffuse-net`'s runtime on real sockets, tests
+//! stepping a protocol by hand).
 //!
-//! Timers replace the old `handle_tick` polling contract: instead of
-//! being woken every tick to re-check its deadlines, a protocol schedules
-//! a named [`TimerId`] at an absolute [`SimTime`] with
-//! [`Actions::set_timer`] and is woken exactly there. Drivers that know
-//! every deadline can sleep or fast-forward through the idle time in
-//! between.
+//! Time wakes a protocol through timers only: it schedules a named
+//! [`TimerId`] at an absolute [`SimTime`] with [`Actions::set_timer`] and
+//! is woken exactly there. Drivers that know every deadline can sleep or
+//! fast-forward through the idle time in between.
 
 use core::fmt;
 use core::marker::PhantomData;
@@ -323,16 +322,8 @@ impl Actions {
 ///    (timers that come due during a crash fire right after the
 ///    [`Event::Recovery`]).
 ///
-/// # Migration from the tick API
-///
-/// Until PR 3 this trait exposed a `handle_message`/`handle_tick`/
-/// `handle_recovery` trio and drivers polled `handle_tick` every tick.
-/// `handle_message` and `handle_recovery` survive as provided
-/// convenience wrappers around [`Protocol::on_event`]; per-tick polling
-/// is available through [`LegacyTickShim`], which owns the timer table
-/// and fires due timers from its `handle_tick`. New drivers should
-/// deliver events and timers directly — that is what lets the simulator
-/// fast-forward and the net runtime sleep between deadlines.
+/// A driver with no timer service of its own gets both from
+/// [`SelfTimed`].
 pub trait Protocol {
     /// This process's identity.
     fn id(&self) -> ProcessId;
@@ -538,44 +529,31 @@ impl<P: Protocol, W: Wire> Actor for ProtocolActor<P, W> {
             .on_event(ctx.now(), Event::Recovery { down_ticks }, &mut self.actions);
         self.flush(ctx);
     }
-
-    /// Event-driven: the kernel may fast-forward over eventless ticks.
-    fn wants_ticks(&self) -> bool {
-        false
-    }
 }
 
-/// Per-tick polling driver for an event-driven [`Protocol`] — the
-/// migration shim for code written against the pre-timer API.
+/// A [`Protocol`] plus the timer table a host without a timer service
+/// must keep for it.
 ///
-/// The shim owns the protocol's timer table: timer operations emitted
-/// into [`Actions`] are absorbed after every call, and `handle_tick`
-/// fires whatever is due at the given time (in [`TimerId`] order, the
-/// legacy intra-tick order). Driving a protocol through the shim once
-/// per tick is behaviorally identical to delivering its timers at their
-/// deadlines — a property the workspace's simulation tests assert
-/// bit-exactly — it merely wastes the idle ticks the timer API exists to
-/// skip.
-///
-/// The shim also implements the simulator's [`Actor`] interface with
-/// `wants_ticks() == true`, so a `Simulation<LegacyTickShim<P>>` is the
-/// reference tick-polling execution to compare an event-driven
-/// `Simulation<ProtocolActor<P>>` against.
+/// [`ProtocolActor`] hands a protocol's timer operations to the
+/// simulator's engine. A host with no such service — `diffuse-net`'s
+/// wall-clock node loop, a test stepping a protocol by hand — runs it
+/// through this type: every call moves the timer operations the protocol
+/// left in [`Actions`] into the table (callers see only sends and
+/// deliveries), [`SelfTimed::fire_due`] delivers what has come due, and
+/// [`SelfTimed::next_deadline`] says how long the host may sleep.
 #[derive(Debug)]
-pub struct LegacyTickShim<P> {
+pub struct SelfTimed<P> {
     protocol: P,
     timers: BTreeMap<TimerId, SimTime>,
-    scratch: Actions,
     started: bool,
 }
 
-impl<P: Protocol> LegacyTickShim<P> {
-    /// Wraps a protocol for per-tick driving.
+impl<P: Protocol> SelfTimed<P> {
+    /// Wraps a protocol that has not started yet.
     pub fn new(protocol: P) -> Self {
-        LegacyTickShim {
+        SelfTimed {
             protocol,
             timers: BTreeMap::new(),
-            scratch: Actions::new(),
             started: false,
         }
     }
@@ -585,41 +563,45 @@ impl<P: Protocol> LegacyTickShim<P> {
         &self.protocol
     }
 
-    /// Mutable access to the wrapped protocol.
+    /// Mutable access to the wrapped protocol. Timer operations it emits
+    /// when called directly stay in the caller's [`Actions`].
     pub fn protocol_mut(&mut self) -> &mut P {
         &mut self.protocol
     }
 
-    /// Unwraps the protocol.
-    pub fn into_inner(self) -> P {
-        self.protocol
+    /// The earliest pending timer deadline, if any timer is armed.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.timers.values().min().copied()
     }
 
-    /// Moves the timer operations buffered in `actions` into the shim's
-    /// timer table (callers never see them).
-    fn absorb_timers(&mut self, actions: &mut Actions) {
+    fn keep_timers(&mut self, actions: &mut Actions) {
         for (timer, op) in actions.take_timer_ops() {
             match op {
-                Some(at) => {
-                    self.timers.insert(timer, at);
-                }
-                None => {
-                    self.timers.remove(&timer);
-                }
-            }
+                Some(at) => self.timers.insert(timer, at),
+                None => self.timers.remove(&timer),
+            };
         }
     }
 
-    fn ensure_started(&mut self, now: SimTime, actions: &mut Actions) {
-        if self.started {
-            return;
+    /// Runs [`Protocol::on_start`] unless it already ran. Every other
+    /// entry point calls this first, so the protocol starts exactly once,
+    /// before its first event of any kind.
+    pub fn start(&mut self, now: SimTime, actions: &mut Actions) {
+        if !self.started {
+            self.started = true;
+            self.protocol.on_start(now, actions);
+            self.keep_timers(actions);
         }
-        self.started = true;
-        self.protocol.on_start(now, actions);
-        self.absorb_timers(actions);
     }
 
-    /// Delivers a message (legacy signature).
+    /// Feeds one event to the protocol.
+    pub fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+        self.start(now, actions);
+        self.protocol.on_event(now, event, actions);
+        self.keep_timers(actions);
+    }
+
+    /// Convenience wrapper: feeds an [`Event::Message`].
     pub fn handle_message(
         &mut self,
         now: SimTime,
@@ -627,35 +609,26 @@ impl<P: Protocol> LegacyTickShim<P> {
         message: Message,
         actions: &mut Actions,
     ) {
-        self.ensure_started(now, actions);
-        self.protocol
-            .on_event(now, Event::Message { from, message }, actions);
-        self.absorb_timers(actions);
+        self.on_event(now, Event::Message { from, message }, actions);
     }
 
-    /// Polls the clock: fires every timer due at or before `now`, in
-    /// [`TimerId`] order (legacy signature).
-    pub fn handle_tick(&mut self, now: SimTime, actions: &mut Actions) {
-        self.ensure_started(now, actions);
-        loop {
-            let Some((&timer, _)) = self.timers.iter().find(|&(_, &at)| at <= now) else {
-                return;
-            };
+    /// Convenience wrapper: feeds an [`Event::Recovery`].
+    pub fn handle_recovery(&mut self, now: SimTime, down_ticks: u64, actions: &mut Actions) {
+        self.on_event(now, Event::Recovery { down_ticks }, actions);
+    }
+
+    /// Fires every timer due at or before `now`, lowest [`TimerId`]
+    /// first, looping so that a timer an earlier one arms for `now`
+    /// still fires in this call.
+    pub fn fire_due(&mut self, now: SimTime, actions: &mut Actions) {
+        self.start(now, actions);
+        while let Some((&timer, _)) = self.timers.iter().find(|&(_, &at)| at <= now) {
             self.timers.remove(&timer);
-            self.protocol.on_event(now, Event::Timer(timer), actions);
-            self.absorb_timers(actions);
+            self.on_event(now, Event::Timer(timer), actions);
         }
     }
 
-    /// Reports a crash recovery (legacy signature).
-    pub fn handle_recovery(&mut self, now: SimTime, down_ticks: u64, actions: &mut Actions) {
-        self.ensure_started(now, actions);
-        self.protocol
-            .on_event(now, Event::Recovery { down_ticks }, actions);
-        self.absorb_timers(actions);
-    }
-
-    /// Initiates a broadcast (legacy signature).
+    /// Initiates a broadcast.
     ///
     /// # Errors
     ///
@@ -666,73 +639,189 @@ impl<P: Protocol> LegacyTickShim<P> {
         payload: Payload,
         actions: &mut Actions,
     ) -> Result<BroadcastId, crate::CoreError> {
-        self.ensure_started(now, actions);
+        self.start(now, actions);
         let result = self.protocol.broadcast(now, payload, actions);
-        self.absorb_timers(actions);
+        self.keep_timers(actions);
         result
-    }
-
-    /// Runs a broadcast and flushes the resulting sends into a
-    /// simulation context (mirror of [`ProtocolActor::broadcast_now`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the protocol's broadcast error.
-    pub fn broadcast_now(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        payload: Payload,
-    ) -> Result<BroadcastId, crate::CoreError> {
-        self.drive(ctx, |shim, now, actions| {
-            shim.broadcast(now, payload, actions)
-        })
-    }
-
-    /// Runs `f` against a scratch [`Actions`] and flushes the resulting
-    /// sends into the simulation context.
-    fn drive<R>(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        f: impl FnOnce(&mut Self, SimTime, &mut Actions) -> R,
-    ) -> R {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = f(self, ctx.now(), &mut scratch);
-        for (to, message) in scratch.take_sends() {
-            ctx.send(to, message);
-        }
-        scratch.clear();
-        self.scratch = scratch;
-        result
-    }
-}
-
-impl<P: Protocol> Actor for LegacyTickShim<P> {
-    type Message = Message;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-        self.drive(ctx, |shim, now, actions| shim.ensure_started(now, actions));
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: ProcessId, message: Message) {
-        self.drive(ctx, |shim, now, actions| {
-            shim.handle_message(now, from, message, actions);
-        });
-    }
-
-    fn on_tick(&mut self, ctx: &mut Context<'_, Message>) {
-        self.drive(ctx, |shim, now, actions| shim.handle_tick(now, actions));
-    }
-
-    fn on_recover(&mut self, ctx: &mut Context<'_, Message>, down_ticks: u64) {
-        self.drive(ctx, |shim, now, actions| {
-            shim.handle_recovery(now, down_ticks, actions);
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
+
+    /// Logs every call it receives and answers each with the next
+    /// scripted batch of timer operations.
+    #[derive(Default)]
+    struct Scripted {
+        replies: VecDeque<Vec<TimerOp>>,
+        log: Vec<String>,
+    }
+
+    impl Scripted {
+        fn answer(&mut self, call: String, actions: &mut Actions) {
+            self.log.push(call);
+            for (timer, op) in self.replies.pop_front().unwrap_or_default() {
+                match op {
+                    Some(at) => actions.set_timer(timer, at),
+                    None => actions.cancel_timer(timer),
+                }
+            }
+        }
+    }
+
+    impl Protocol for Scripted {
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+
+        fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+            self.answer(format!("start@{}", now.ticks()), actions);
+        }
+
+        fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+            let what = match event {
+                Event::Message { .. } => "message".to_string(),
+                Event::Timer(timer) => timer.to_string(),
+                Event::Recovery { .. } => "recovery".to_string(),
+                Event::Broadcast(_) => "broadcast event".to_string(),
+                Event::Corrupt { .. } => "corrupt".to_string(),
+            };
+            self.answer(format!("{what}@{}", now.ticks()), actions);
+        }
+
+        fn broadcast(
+            &mut self,
+            now: SimTime,
+            _payload: Payload,
+            actions: &mut Actions,
+        ) -> Result<BroadcastId, crate::CoreError> {
+            self.answer(format!("broadcast@{}", now.ticks()), actions);
+            Err(crate::CoreError::KnowledgeIncomplete)
+        }
+
+        fn delivered(&self) -> &[(BroadcastId, Payload)] {
+            &[]
+        }
+    }
+
+    fn scripted(replies: Vec<Vec<TimerOp>>) -> SelfTimed<Scripted> {
+        SelfTimed::new(Scripted {
+            replies: replies.into(),
+            log: Vec::new(),
+        })
+    }
+
+    fn t(id: u32) -> TimerId {
+        TimerId::new(id)
+    }
+
+    fn at(ticks: u64) -> Option<SimTime> {
+        Some(SimTime::new(ticks))
+    }
+
+    fn ack() -> Message {
+        let id = BroadcastId {
+            origin: ProcessId::new(1),
+            seq: 0,
+        };
+        Message::Ack { id }
+    }
+
+    #[test]
+    fn self_timed_fires_due_timers_lowest_id_first() {
+        let mut node = scripted(vec![
+            // on_start: three timers due at 5 (armed out of id order),
+            // one later.
+            vec![(t(3), at(5)), (t(1), at(5)), (t(4), at(5)), (t(2), at(9))],
+            // timer#1, the first to fire: arms a lower id for the current
+            // tick and cancels a due one.
+            vec![(t(0), at(5)), (t(4), None)],
+        ]);
+        let mut actions = Actions::new();
+        node.fire_due(SimTime::new(4), &mut actions);
+        assert_eq!(node.protocol().log, ["start@4"]);
+        node.fire_due(SimTime::new(5), &mut actions);
+        assert_eq!(
+            node.protocol().log,
+            ["start@4", "timer#1@5", "timer#0@5", "timer#3@5"]
+        );
+        assert_eq!(node.next_deadline(), at(9));
+        // An overdue timer fires at the time of the call.
+        node.fire_due(SimTime::new(12), &mut actions);
+        assert_eq!(node.protocol().log.last().unwrap(), "timer#2@12");
+        assert_eq!(node.next_deadline(), None);
+        // Callers see sends and deliveries only, never timer operations.
+        assert!(actions.is_empty());
+    }
+
+    #[test]
+    fn self_timed_next_deadline_tracks_set_reset_cancel_and_fire() {
+        let mut node = scripted(vec![
+            vec![],                               // on_start: nothing armed
+            vec![(t(7), at(30)), (t(2), at(20))], // message: set two
+            vec![(t(2), at(40))],                 // recovery: re-set the earlier one
+            vec![(t(7), None)],                   // broadcast: cancel the other
+            vec![(t(2), at(50)), (t(2), at(45))], // timer#2: re-arms itself, twice
+        ]);
+        let mut actions = Actions::new();
+        let now = SimTime::new(1);
+        node.start(now, &mut actions);
+        assert_eq!(node.next_deadline(), None);
+        node.handle_message(now, ProcessId::new(1), ack(), &mut actions);
+        assert_eq!(node.next_deadline(), at(20));
+        node.handle_recovery(now, 3, &mut actions);
+        assert_eq!(node.next_deadline(), at(30));
+        assert!(node.broadcast(now, Payload::empty(), &mut actions).is_err());
+        assert_eq!(node.next_deadline(), at(40));
+        // Not yet due: nothing fires, nothing moves.
+        node.fire_due(SimTime::new(39), &mut actions);
+        assert_eq!(node.next_deadline(), at(40));
+        // Firing clears the deadline; the last operation of the handler
+        // decides the new one.
+        node.fire_due(SimTime::new(40), &mut actions);
+        assert_eq!(node.next_deadline(), at(45));
+        assert_eq!(node.protocol().log.last().unwrap(), "timer#2@40");
+        assert!(actions.is_empty());
+    }
+
+    #[test]
+    fn self_timed_starts_once_before_the_first_event_of_any_kind() {
+        type Entry = fn(&mut SelfTimed<Scripted>, SimTime, &mut Actions);
+        let entries: [(&str, Entry); 6] = [
+            ("start@3", |n, now, a| n.start(now, a)),
+            ("timer#0@3", |n, now, a| n.fire_due(now, a)),
+            ("recovery@3", |n, now, a| n.handle_recovery(now, 1, a)),
+            ("broadcast@3", |n, now, a| {
+                let _ = n.broadcast(now, Payload::empty(), a);
+            }),
+            ("broadcast event@3", |n, now, a| {
+                n.on_event(now, Event::Broadcast(Payload::empty()), a);
+            }),
+            ("message@3", |n, now, a| {
+                n.handle_message(now, ProcessId::new(1), ack(), a);
+            }),
+        ];
+        for (first, entry) in entries {
+            // on_start arms a timer that is already due, so `fire_due`
+            // as the first call has something to fire.
+            let mut node = scripted(vec![vec![(t(0), at(0))]]);
+            let mut actions = Actions::new();
+            entry(&mut node, SimTime::new(3), &mut actions);
+            let mut expected = vec!["start@3".to_string()];
+            if first != "start@3" {
+                expected.push(first.to_string());
+            }
+            assert_eq!(node.protocol().log, expected);
+            // Later calls, `start` included, never start it again.
+            node.start(SimTime::new(4), &mut actions);
+            node.handle_recovery(SimTime::new(4), 1, &mut actions);
+            expected.push("recovery@4".to_string());
+            assert_eq!(node.protocol().log, expected, "{first}");
+        }
+    }
 
     #[test]
     fn payload_conversions() {

@@ -7,22 +7,23 @@
 //! defines the wall-clock length of one logical [`SimTime`] tick (the
 //! unit in which protocols express their deadlines), so a protocol whose
 //! next heartbeat is 100 ticks away leaves the thread asleep for 100 tick
-//! intervals instead of being polled 100 times.
+//! intervals instead of being polled 100 times. The deadlines live in
+//! [`SelfTimed`], the one timer table outside the simulator's engine.
 //!
 //! Frames here come from a network: one that does not decode is counted
 //! and dropped. (Deterministic runs do not pass through this module —
 //! see [`run_scenario_on_fabric_virtual`](crate::run_scenario_on_fabric_virtual).)
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_core::{
-    Actions, BroadcastId, BroadcastOutcome, CorruptionMode, Event, Payload, Protocol, ProtocolAudit,
+    Actions, BroadcastId, BroadcastOutcome, CorruptionMode, Event, Payload, Protocol,
+    ProtocolAudit, SelfTimed,
 };
-use diffuse_sim::{SimTime, TimerId};
+use diffuse_sim::SimTime;
 use parking_lot::Mutex;
 
 use crate::clock::{WallClock, WallSession};
@@ -257,7 +258,7 @@ where
     T: Transport,
 {
     let Node {
-        mut protocol,
+        protocol,
         mut transport,
         mut actions,
         delivery_tx,
@@ -266,13 +267,12 @@ where
         audit_slot,
     } = node;
     let session: WallSession = clock.begin();
-    let mut timers: BTreeMap<TimerId, SimTime> = BTreeMap::new();
+    let mut protocol = SelfTimed::new(protocol);
     let mut pending_broadcasts: Vec<Payload> = Vec::new();
     let mut crash: Option<CrashWindow> = None;
 
     let mut now = SimTime::ZERO;
-    protocol.on_start(now, &mut actions);
-    absorb_timers(&mut timers, &mut actions);
+    protocol.start(now, &mut actions);
     flush(&mut actions, &transport, &delivery_tx);
 
     let mut shutting_down = false;
@@ -292,7 +292,6 @@ where
                 },
                 &mut actions,
             );
-            absorb_timers(&mut timers, &mut actions);
             flush(&mut actions, &transport, &delivery_tx);
         }
 
@@ -313,7 +312,6 @@ where
                 }
                 Ok(Command::Corrupt { mode, window }) => {
                     protocol.on_event(now, Event::Corrupt { mode, window }, &mut actions);
-                    absorb_timers(&mut timers, &mut actions);
                     flush(&mut actions, &transport, &delivery_tx);
                 }
                 Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => {
@@ -334,7 +332,6 @@ where
                 let result = protocol.broadcast(now, payload.clone(), &mut actions);
                 BroadcastOutcome::of(&result) == BroadcastOutcome::Deferred && !shutting_down
             });
-            absorb_timers(&mut timers, &mut actions);
             flush(&mut actions, &transport, &delivery_tx);
         }
 
@@ -350,12 +347,8 @@ where
         // 3. Fire timers that are due at the current logical tick
         //    (suppressed while down; they fire on the recovery wakeup).
         if !down {
-            while let Some((&timer, _)) = timers.iter().find(|&(_, &at)| at <= now) {
-                timers.remove(&timer);
-                protocol.on_event(now, Event::Timer(timer), &mut actions);
-                absorb_timers(&mut timers, &mut actions);
-                flush(&mut actions, &transport, &delivery_tx);
-            }
+            protocol.fire_due(now, &mut actions);
+            flush(&mut actions, &transport, &delivery_tx);
         }
 
         // 4. Sleep until the next deadline (or the command-poll cap),
@@ -363,7 +356,7 @@ where
         //    deadline is the recovery tick.
         let next_deadline = match &crash {
             Some(window) => Some(window.until),
-            None => timers.values().min().copied(),
+            None => protocol.next_deadline(),
         };
         let budget = next_deadline
             .map(|at| session.until(at))
@@ -379,7 +372,6 @@ where
                     match decode_message(&frame) {
                         Ok(message) => {
                             protocol.on_event(now, Event::Message { from, message }, &mut actions);
-                            absorb_timers(&mut timers, &mut actions);
                             flush(&mut actions, &transport, &delivery_tx);
                         }
                         // Malformed frames from the network are
@@ -394,22 +386,7 @@ where
             Err(_) => break 'run,
         }
     }
-    *audit_slot.lock() = Some(protocol.audit());
-}
-
-/// Moves the timer operations a handler emitted into the runtime's
-/// timer table.
-fn absorb_timers(timers: &mut BTreeMap<TimerId, SimTime>, actions: &mut Actions) {
-    for (timer, op) in actions.take_timer_ops() {
-        match op {
-            Some(at) => {
-                timers.insert(timer, at);
-            }
-            None => {
-                timers.remove(&timer);
-            }
-        }
-    }
+    *audit_slot.lock() = Some(protocol.protocol().audit());
 }
 
 /// Transmits queued sends and surfaces deliveries.

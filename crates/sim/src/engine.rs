@@ -22,7 +22,7 @@
 //!
 //! # Determinism contract
 //!
-//! Each tick proceeds in four phases over the lane's processes:
+//! Each tick proceeds in three phases over the lane's processes:
 //!
 //! 1. crash/recovery transitions in id order (recoveries run
 //!    [`Input::Recover`]);
@@ -30,11 +30,11 @@
 //!    order — with one lane, send order;
 //! 3. [`Input::Timer`] for every due timer of an up process, in
 //!    `(process, timer)` order, looping so timers armed for the current
-//!    tick still fire on it;
-//! 4. [`Input::Tick`] for every up process in id order, unless the run
-//!    is event-driven ([`LaneEnv::event_driven`]).
+//!    tick still fire on it.
 //!
-//! After every handler its timer operations are applied in emission
+//! Nothing else wakes a process: a tick on which none of the three is
+//! due runs no handler, which is what lets [`Lane::skip_idle`] jump over
+//! it. After every handler its timer operations are applied in emission
 //! order and its sends are flushed: link check, sent count, message
 //! adversary, batched loss run ([`LossBatcher`]), same-destination
 //! stagger, schedule. All randomness comes from streams seeded at
@@ -51,7 +51,7 @@ use rand::SeedableRng;
 
 use crate::adversary::MessageAdversary;
 use crate::crash::CrashState;
-use crate::kernel::SimMessage;
+use crate::kernel::{SimMessage, SimOptions};
 use crate::loss::LossBatcher;
 use crate::{CrashModel, Metrics, SimTime, TimerId};
 
@@ -64,20 +64,35 @@ pub struct LaneEnv {
     pub topology: Topology,
     /// Current per-link loss probabilities.
     pub loss: Configuration,
-    /// Message latency in ticks (at least 1).
-    pub link_delay: u64,
+    /// Message latency in ticks. Private so it stays at least 1: a
+    /// message sent during tick `t` is never due before `t + 1`, which
+    /// both the phase order and the shards' end-of-tick exchange rely on.
+    link_delay: u64,
     /// How processes crash and recover.
     pub crash_model: CrashModel,
-    /// `true` when no handler wants [`Input::Tick`]: phase 4 is skipped
-    /// and — with a crash model that draws no per-tick randomness —
-    /// eventless ticks are fast-forwarded.
-    pub event_driven: bool,
     /// First process id of each lane, ascending. With a single lane the
     /// content is irrelevant (every destination is local).
     pub boundaries: Vec<ProcessId>,
 }
 
 impl LaneEnv {
+    /// The environment both drivers build from their constructor
+    /// arguments; `options.link_delay` is clamped to at least 1 tick.
+    pub fn new(
+        topology: Topology,
+        loss: Configuration,
+        options: SimOptions,
+        boundaries: Vec<ProcessId>,
+    ) -> Self {
+        LaneEnv {
+            topology,
+            loss,
+            link_delay: options.link_delay.max(1),
+            crash_model: options.crash_model,
+            boundaries,
+        }
+    }
+
     /// The lane owning process `id` (for an id no lane owns: the lane
     /// whose range it would fall into).
     pub fn lane_of(&self, id: ProcessId) -> usize {
@@ -118,8 +133,6 @@ pub enum Input<M> {
         /// Length of the outage, in ticks.
         down_ticks: u64,
     },
-    /// The per-tick poll of a run that is not event-driven.
-    Tick,
 }
 
 /// How a driver runs one handler: the single thing a [`Lane`] does not
@@ -582,18 +595,16 @@ impl<M: SimMessage> Lane<M> {
     /// `status` of every lane of the run. Returns `false` once the
     /// horizon is reached; otherwise the caller must [`Lane::step`].
     ///
-    /// When the run is event-driven, the crash model draws no per-tick
-    /// randomness and no forced outage is counting down, the clock jumps
-    /// to just before the next delivery or timer deadline (or straight
-    /// to `end` if none is due by then). The jump is unobservable — no
-    /// handler would have run and no randomness been drawn on the
-    /// skipped ticks.
+    /// When the crash model draws no per-tick randomness and no forced
+    /// outage is counting down, the clock jumps to just before the next
+    /// delivery or timer deadline (or straight to `end` if none is due
+    /// by then). The jump is unobservable — no handler would have run
+    /// and no randomness been drawn on the skipped ticks.
     pub fn skip_idle(&mut self, env: &LaneEnv, end: SimTime, status: LaneStatus) -> bool {
         if self.now >= end {
             return false;
         }
-        if env.event_driven && status.forced_outages == 0 && env.crash_model == CrashModel::AlwaysUp
-        {
+        if status.forced_outages == 0 && env.crash_model == CrashModel::AlwaysUp {
             match status.next_wake {
                 // Step onto the event rather than past it: the event may
                 // re-enable crashes via force_down, so callers re-check
@@ -623,7 +634,7 @@ impl<M: SimMessage> Lane<M> {
         }
     }
 
-    /// Advances the lane by one tick (phases 1–4 of the module docs).
+    /// Advances the lane by one tick (phases 1–3 of the module docs).
     pub fn step(&mut self, env: &LaneEnv, handler: &mut (impl Handler<M> + ?Sized)) {
         self.start(env, handler);
         self.now += 1;
@@ -666,16 +677,6 @@ impl<M: SimMessage> Lane<M> {
 
         // Phase 3: timers due this tick, in (process, timer) order.
         self.fire_due_timers(env, handler);
-
-        // Phase 4: tick handlers for up processes, id order (skipped
-        // entirely when the run is event-driven).
-        if !env.event_driven {
-            for slot in 0..self.ids.len() {
-                if self.crash[slot].up {
-                    self.dispatch(env, slot, |site, fx| handler.handle(site, Input::Tick, fx));
-                }
-            }
-        }
     }
 
     /// Takes the flights this lane addressed to lane `dst` since the
@@ -741,14 +742,12 @@ mod tests {
 
     #[test]
     fn skip_idle_jumps_to_just_before_the_wake_and_never_backwards() {
-        let env = LaneEnv {
-            topology: Topology::new(),
-            loss: Configuration::new(),
-            link_delay: 1,
-            crash_model: CrashModel::AlwaysUp,
-            event_driven: true,
-            boundaries: Vec::new(),
-        };
+        let env = LaneEnv::new(
+            Topology::new(),
+            Configuration::new(),
+            SimOptions::default(),
+            Vec::new(),
+        );
         let wake = |at| LaneStatus {
             next_wake: Some(SimTime::new(at)),
             forced_outages: 0,

@@ -22,10 +22,11 @@ impl SimMessage for u64 {}
 
 /// A protocol instance living at one process of the simulated system.
 ///
-/// Handlers run only while the process is up. Crashes are omission
-/// windows: a down process receives nothing and observes no ticks; on
-/// recovery [`Actor::on_recover`] reports how long the outage lasted
-/// (the input to the paper's Event 4).
+/// An actor runs when a message, one of its timers or its recovery is
+/// due, and at no other time. Handlers run only while the process is up.
+/// Crashes are omission windows: a down process receives nothing and its
+/// timers wait; on recovery [`Actor::on_recover`] reports how long the
+/// outage lasted (the input to the paper's Event 4).
 pub trait Actor {
     /// The message type this actor exchanges.
     type Message: SimMessage;
@@ -43,15 +44,6 @@ pub trait Actor {
         message: Self::Message,
     );
 
-    /// Called once per tick while the process is up.
-    ///
-    /// Actors that report [`Actor::wants_ticks`]` == false` never receive
-    /// this call; they are driven purely by messages and timers, which
-    /// lets the kernel fast-forward over eventless stretches of time.
-    fn on_tick(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        let _ = ctx;
-    }
-
     /// Called when a timer scheduled through [`Context::set_timer`]
     /// reaches its deadline (while the process is up). Timers that come
     /// due during a crash fire on the recovery tick, after
@@ -64,17 +56,6 @@ pub trait Actor {
     /// ticks, before any other handler on the recovery tick.
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Message>, down_ticks: u64) {
         let _ = (ctx, down_ticks);
-    }
-
-    /// Whether this actor needs [`Actor::on_tick`] every tick.
-    ///
-    /// Defaults to `true` (the legacy polling contract). Event-driven
-    /// actors — everything built on `diffuse-core`'s timer-scheduled
-    /// `Protocol` — return `false`; when *every* actor does, the kernel
-    /// may jump over ticks on which no message, timer, or crash event is
-    /// due.
-    fn wants_ticks(&self) -> bool {
-        true
     }
 }
 
@@ -137,7 +118,7 @@ impl<M> Context<'_, M> {
 pub struct SimOptions {
     /// RNG seed; equal seeds yield bit-identical runs.
     pub seed: u64,
-    /// Message latency in ticks (must be at least 1).
+    /// Message latency in ticks (the drivers raise 0 to 1).
     pub link_delay: u64,
     /// How processes crash and recover.
     pub crash_model: CrashModel,
@@ -194,14 +175,12 @@ impl SimOptions {
 /// 2. delivery of messages due this tick, in send order;
 /// 3. [`Actor::on_timer`] for every due timer, in `(process, timer)`
 ///    order;
-/// 4. [`Actor::on_tick`] for every up process, in id order (skipped when
-///    every actor is event-driven — see [`Actor::wants_ticks`]);
 ///
 /// and after every handler its sends are loss-sampled and scheduled
 /// `link_delay` ticks ahead.
 ///
-/// When every actor is event-driven and the crash model is
-/// [`CrashModel::AlwaysUp`], [`Simulation::run_ticks`] and
+/// When the crash model is [`CrashModel::AlwaysUp`] and no forced outage
+/// is counting down, [`Simulation::run_ticks`] and
 /// [`Simulation::run_until_every`] *fast-forward*: ticks on which no
 /// delivery, timer, or forced recovery is due are skipped wholesale,
 /// which costs nothing and changes nothing (no handler would have run
@@ -261,7 +240,6 @@ impl<A: Actor> Handler<A::Message> for [A] {
             Input::Message { from, message } => actor.on_message(ctx, from, message),
             Input::Timer(timer) => actor.on_timer(ctx, timer),
             Input::Recover { down_ticks } => actor.on_recover(ctx, down_ticks),
-            Input::Tick => actor.on_tick(ctx),
         }
     }
 }
@@ -290,22 +268,15 @@ impl<A: Actor> Simulation<A> {
         let ids: Vec<ProcessId> = topology.processes().collect();
         let actors: Vec<A> = ids.iter().copied().map(make_actor).collect();
         Simulation {
-            env: LaneEnv {
-                topology,
-                loss,
-                link_delay: options.link_delay,
-                crash_model: options.crash_model,
-                event_driven: actors.iter().all(|a| !a.wants_ticks()),
-                boundaries: Vec::new(),
-            },
             lane: Lane::new(0, 1, ids, options.seed),
+            env: LaneEnv::new(topology, loss, options, Vec::new()),
             actors,
         }
     }
 
     /// How many ticks were actually *executed* (crash/delivery/timer
-    /// phases run) rather than fast-forwarded. On an event-driven run
-    /// the gap to `now()` is the number of skipped idle ticks.
+    /// phases run) rather than fast-forwarded: the gap to `now()` is the
+    /// number of skipped idle ticks.
     pub fn busy_ticks(&self) -> u64 {
         self.lane.busy_ticks()
     }
@@ -394,53 +365,24 @@ impl<A: Actor> Simulation<A> {
 
     /// Runs `n` ticks.
     ///
-    /// When every actor is event-driven and the crash model draws no
-    /// per-tick randomness, eventless stretches are fast-forwarded: the
-    /// clock jumps straight to the next message delivery or timer
+    /// When the crash model draws no per-tick randomness and no forced
+    /// outage is counting down, eventless stretches are fast-forwarded:
+    /// the clock jumps straight to the next message delivery or timer
     /// deadline. The jump is unobservable — no handler runs and no
     /// randomness is drawn on the skipped ticks — so runs are
-    /// bit-identical to tick-by-tick execution.
+    /// bit-identical to tick-by-tick execution ([`Simulation::step`]).
     pub fn run_ticks(&mut self, n: u64) {
         let end = self.lane.now() + n;
         self.lane.run_to(&self.env, end, &mut self.actors[..]);
     }
 
-    /// Steps until `predicate` returns `true` (checked before the first
-    /// step and after every step) or `max_ticks` have elapsed.
-    ///
-    /// Returns the time at which the predicate first held, or `None` on
-    /// timeout. The simulation is advanced tick by tick so the predicate
-    /// observes every intermediate state; use
-    /// [`Simulation::run_until_every`] for fast-forwarded periodic
-    /// checks.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&Simulation<A>) -> bool,
-        max_ticks: u64,
-    ) -> Option<SimTime> {
-        self.lane.start(&self.env, &mut self.actors[..]);
-        if predicate(self) {
-            return Some(self.now());
-        }
-        for _ in 0..max_ticks {
-            self.step();
-            if predicate(self) {
-                return Some(self.now());
-            }
-        }
-        None
-    }
-
     /// Runs until `predicate` holds, evaluating it only at multiples of
     /// `check_every` ticks (and before the first step, when the current
-    /// time is such a multiple), giving up after `max_ticks`.
+    /// time is such a multiple), giving up after `max_ticks`. Returns the
+    /// time at which the predicate first held, or `None` on timeout.
     ///
     /// Between checkpoints the simulation advances with
     /// [`Simulation::run_ticks`], so eventless stretches fast-forward.
-    /// This matches the long-standing harness idiom of a per-tick
-    /// `run_until` whose predicate short-circuits on
-    /// `now % check_every != 0` — same checkpoints, same result, without
-    /// visiting the idle ticks in between.
     pub fn run_until_every(
         &mut self,
         mut predicate: impl FnMut(&Simulation<A>) -> bool,
@@ -478,7 +420,6 @@ mod tests {
     struct Counter {
         received: Vec<(ProcessId, u64)>,
         recovered_after: Vec<u64>,
-        ticks: u64,
     }
 
     impl Counter {
@@ -486,7 +427,6 @@ mod tests {
             Counter {
                 received: Vec::new(),
                 recovered_after: Vec::new(),
-                ticks: 0,
             }
         }
     }
@@ -496,10 +436,6 @@ mod tests {
 
         fn on_message(&mut self, _ctx: &mut Context<'_, u64>, from: ProcessId, n: u64) {
             self.received.push((from, n));
-        }
-
-        fn on_tick(&mut self, _ctx: &mut Context<'_, u64>) {
-            self.ticks += 1;
         }
 
         fn on_recover(&mut self, _ctx: &mut Context<'_, u64>, down_ticks: u64) {
@@ -604,9 +540,6 @@ mod tests {
         sim.run_ticks(3);
         assert!(sim.is_up(p(1)));
         assert_eq!(sim.node(p(1)).unwrap().recovered_after, vec![5]);
-        // The outage covers ticks 1–4 entirely; recovery happens in tick
-        // 5's crash phase, so tick handlers run again from tick 5 on.
-        assert_eq!(sim.node(p(1)).unwrap().ticks, sim.now().ticks() - 4);
     }
 
     #[test]
@@ -655,26 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_reports_first_hit_time() {
-        let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
-            |_| Counter::new(),
-            SimOptions::default(),
-        );
-        sim.command(p(0), |_, ctx| ctx.send(p(1), 1));
-        let hit = sim.run_until(
-            |s| s.node(p(1)).is_some_and(|n| !n.received.is_empty()),
-            100,
-        );
-        assert_eq!(hit, Some(SimTime::new(1)));
-        // Timeout case.
-        let miss = sim.run_until(|_| false, 5);
-        assert_eq!(miss, None);
-        assert_eq!(sim.now(), SimTime::new(6));
-    }
-
-    #[test]
     fn set_loss_changes_future_transmissions() {
         let mut sim = Simulation::new(
             pair_topology(),
@@ -712,8 +625,8 @@ mod tests {
         assert_eq!(sim.node(p(1)).unwrap().received.len(), 3);
     }
 
-    /// Event-driven actor: echoes every message after a per-message
-    /// timer, plus a periodic "beat" timer.
+    /// Echoes every message after a per-message timer, plus a periodic
+    /// "beat" timer.
     struct TimerEcho {
         beat_period: u64,
         beats: Vec<SimTime>,
@@ -752,10 +665,6 @@ mod tests {
                 self.beats.push(ctx.now());
                 ctx.set_timer(BEAT, ctx.now() + self.beat_period);
             }
-        }
-
-        fn wants_ticks(&self) -> bool {
-            false
         }
     }
 
@@ -831,9 +740,6 @@ mod tests {
                 assert_eq!(timer, TimerId::new(3));
                 self.fired += 1;
             }
-            fn wants_ticks(&self) -> bool {
-                false
-            }
         }
         let mut sim = Simulation::new(
             pair_topology(),
@@ -871,28 +777,31 @@ mod tests {
 
     #[test]
     fn run_until_every_checks_only_at_multiples() {
-        let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
-            |_| TimerEcho::new(7),
-            SimOptions::default(),
-        );
-        let mut checked_at: Vec<u64> = Vec::new();
-        let hit = sim.run_until_every(
-            |s| {
-                // Record the observation times; converge once a beat
-                // has fired (first beat is at tick 7).
-                let t = s.now().ticks();
-                !s.node(p(0)).unwrap().beats.is_empty() && t > 0 && {
-                    checked_at.push(t);
-                    true
-                }
-            },
-            5,
-            100,
-        );
-        assert_eq!(hit, Some(SimTime::new(10)));
-        assert_eq!(sim.now(), SimTime::new(10));
+        // The first beat fires at tick 7: seen at the next multiple of
+        // `check_every` — on tick 7 itself when every tick is checked.
+        for (check_every, first_hit) in [(5, 10), (1, 7)] {
+            let mut sim = Simulation::new(
+                pair_topology(),
+                Configuration::new(),
+                |_| TimerEcho::new(7),
+                SimOptions::default(),
+            );
+            let mut checked_at: Vec<u64> = Vec::new();
+            let hit = sim.run_until_every(
+                |s| {
+                    checked_at.push(s.now().ticks());
+                    !s.node(p(0)).unwrap().beats.is_empty()
+                },
+                check_every,
+                100,
+            );
+            assert_eq!(hit, Some(SimTime::new(first_hit)));
+            assert_eq!(sim.now(), SimTime::new(first_hit));
+            assert!(checked_at.iter().all(|t| t % check_every == 0));
+            // Timeout: no hit, and the clock stops at the horizon.
+            assert_eq!(sim.run_until_every(|_| false, check_every, 5), None);
+            assert_eq!(sim.now(), SimTime::new(first_hit + 5));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`Simulation`] — the kernel: one lane stepped inline;
 //!   [`ShardedKernel`] — `W` lanes on worker threads (`diffuse-net`'s
 //!   virtual-time fabric is the kernel over encoded frames);
-//! * [`Actor`] — the protocol interface (message/tick/recovery handlers);
+//! * [`Actor`] — the protocol interface (message/timer/recovery handlers);
 //! * [`CrashModel`] — process crash/recovery processes realizing the
 //!   paper's stationary down-fraction `P_i` (i.i.d. per tick, or a
 //!   two-state Markov chain with crash *episodes*);
@@ -21,8 +21,8 @@
 //!   link, matching the quantities plotted in the paper's figures.
 //!
 //! Protocol state survives crashes (the paper grants stable storage);
-//! crashes are omission windows during which a process neither sends,
-//! receives, nor observes ticks.
+//! crashes are omission windows during which a process neither sends
+//! nor receives, and its timers wait for the recovery.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -191,18 +191,8 @@ impl<A: Actor> ShardedKernel<A> {
                 ),
             });
         }
-        let event_driven = shards
-            .iter()
-            .all(|s| s.actors.iter().all(|a| !a.wants_ticks()));
         ShardedKernel {
-            env: LaneEnv {
-                topology,
-                loss,
-                link_delay: options.link_delay,
-                crash_model: options.crash_model,
-                event_driven,
-                boundaries,
-            },
+            env: LaneEnv::new(topology, loss, options, boundaries),
             shards,
         }
     }
@@ -390,7 +380,7 @@ mod tests {
         t
     }
 
-    /// Event-driven flood actor: forwards hop-decremented copies to all
+    /// Flood actor: forwards hop-decremented copies to all
     /// neighbors; every delivery is recorded.
     struct Relay {
         neighbors: Vec<ProcessId>,
@@ -415,13 +405,9 @@ mod tests {
                 }
             }
         }
-
-        fn wants_ticks(&self) -> bool {
-            false
-        }
     }
 
-    /// Periodic event-driven beeper for timer/fast-forward coverage.
+    /// Periodic beeper for timer/fast-forward coverage.
     struct Beeper {
         period: u64,
         beats: Vec<SimTime>,
@@ -439,10 +425,6 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, u64>, timer: TimerId) {
             self.beats.push(ctx.now());
             ctx.set_timer(timer, ctx.now() + self.period);
-        }
-
-        fn wants_ticks(&self) -> bool {
-            false
         }
     }
 
@@ -495,6 +477,47 @@ mod tests {
         let (sharded_received, sharded_metrics) = run_sharded(&topology, &loss, 42, 1, 40);
         assert_eq!(kernel_received, sharded_received);
         assert_eq!(kernel.metrics(), &sharded_metrics);
+    }
+
+    /// `SimOptions::link_delay` is a public field; a zero there must not
+    /// let a message arrive in the tick it was sent (the precondition of
+    /// the end-of-tick exchange, see the module docs) on either driver.
+    #[test]
+    fn zero_link_delay_behaves_as_one_on_both_drivers() {
+        let topology = ring(6);
+        // (kernel, W = 2) wire metrics after `ticks` ticks of a flood.
+        let run = |link_delay: u64, ticks: u64| {
+            let options = SimOptions {
+                link_delay,
+                ..SimOptions::default()
+            };
+            let mut kernel = Simulation::new(
+                topology.clone(),
+                Configuration::new(),
+                make_relay(&topology),
+                options.clone(),
+            );
+            kernel.command(p(0), |_, ctx| ctx.send(p(1), 6));
+            kernel.run_ticks(ticks);
+            let mut sharded = ShardedKernel::new(
+                topology.clone(),
+                Configuration::new(),
+                make_relay(&topology),
+                options,
+                2,
+            );
+            sharded.command(p(0), |_, ctx| ctx.send(p(1), 6));
+            sharded.run_ticks(ticks);
+            (kernel.metrics().clone(), sharded.metrics())
+        };
+        // One tick delivers the one message sent before it and none of
+        // the copies forwarded during it.
+        let (kernel, sharded) = run(0, 1);
+        assert_eq!(kernel.delivered_total(), 1);
+        assert_eq!(sharded.delivered_total(), 1);
+        for ticks in [1, 3, 40] {
+            assert_eq!(run(0, ticks), run(1, ticks), "after {ticks} ticks");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use core::ops::{Add, AddAssign, Sub};
 
 /// The identity of a named timer owned by one actor.
 ///
-/// Timers replace per-tick polling: an actor schedules a timer at an
+/// Timers are the only way time wakes an actor: it schedules a timer at an
 /// absolute [`SimTime`] deadline and is woken with
 /// [`Actor::on_timer`](crate::Actor::on_timer) when the deadline is
 /// reached. Each `(actor, TimerId)` pair names at most one pending

@@ -91,15 +91,17 @@
 //!
 //! # Migrating from the per-tick API (pre-PR 3)
 //!
-//! The `Protocol` trait no longer has `handle_tick`; protocols schedule
-//! [`TimerId`](core::TimerId)s via
-//! [`Actions::set_timer`](core::Actions::set_timer) and are woken at
-//! their deadlines. `handle_message`/`handle_recovery` survive as thin
-//! wrappers over `on_event`. Code that drove a protocol with a manual
-//! tick loop should wrap it in [`core::LegacyTickShim`], which owns the
-//! timer table and fires due timers from its `handle_tick` — bit-for-bit
-//! the old behavior. Event-driven drivers (the kernel, the net runtime)
-//! skip or sleep through the idle ticks the old API had to poll.
+//! The `Protocol` trait has no `handle_tick` and the simulator's `Actor`
+//! no per-tick callback: protocols schedule [`TimerId`](core::TimerId)s
+//! via [`Actions::set_timer`](core::Actions::set_timer) and are woken at
+//! their deadlines, so the kernel skips and the net runtime sleeps
+//! through the idle ticks the old API had to poll.
+//! `handle_message`/`handle_recovery` survive as thin wrappers over
+//! `on_event`. Code that drives a protocol from a loop of its own wraps
+//! it in [`core::SelfTimed`], which keeps the protocol's timer table:
+//! call `fire_due(now, ..)` where `handle_tick` used to be called (every
+//! tick, or only at `next_deadline()`) — the same timers fire at the
+//! same times in the same order.
 //!
 //! See the `examples/` directory for runnable scenarios and the
 //! `diffuse-experiments` crate for the paper's full evaluation

@@ -1,22 +1,110 @@
 //! The frozen-stream guarantee across the timer redesign: driving a
-//! protocol through explicitly scheduled timers (the event-driven
-//! kernel, `ProtocolActor`) is *bit-identical* to polling it once per
-//! tick (the legacy driver, `LegacyTickShim`) — same send sequences,
-//! same RNG stream consumption, same metrics, same learned estimates —
-//! while being free to fast-forward over the idle ticks in between.
+//! protocol through explicitly scheduled timers (`ProtocolActor`, woken
+//! only where something is due) is *bit-identical* to polling it once
+//! per tick ([`Polled`], the reference) — same send sequences, same RNG
+//! stream consumption, same metrics, same learned estimates — while
+//! being free to fast-forward over the idle ticks in between; and a
+//! fast-forwarded run is bit-identical to the same run stepped tick by
+//! tick.
 
 use std::time::Instant;
 
 use diffuse::core::{
-    AdaptiveBroadcast, AdaptiveParams, LegacyTickShim, Payload, ProtocolActor, ReferenceGossip,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, Message, Payload,
+    Protocol, ProtocolActor, ReferenceGossip, SelfTimed,
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse::sim::{Metrics, SimOptions, Simulation};
+use diffuse::sim::{Actor, Context, Metrics, SimOptions, SimTime, Simulation, TimerId};
 use proptest::prelude::*;
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
+}
+
+/// The polled reference: a protocol that keeps its own timer table and
+/// is woken on *every* tick it is up to run `poll` — by one ordinary
+/// engine timer that re-arms itself at `now + 1`, so the engine never
+/// finds an idle tick to skip. Due engine timers fire in process order
+/// after the tick's recoveries and deliveries, and a down process's
+/// timer waits for its recovery: the old per-tick handler's place in the
+/// tick.
+struct Polled<P> {
+    node: SelfTimed<P>,
+    poll: fn(&mut SelfTimed<P>, SimTime, &mut Actions),
+    actions: Actions,
+}
+
+const POLL: TimerId = TimerId::new(0);
+
+impl<P: Protocol> Polled<P> {
+    fn new(protocol: P, poll: fn(&mut SelfTimed<P>, SimTime, &mut Actions)) -> Self {
+        Polled {
+            node: SelfTimed::new(protocol),
+            poll,
+            actions: Actions::new(),
+        }
+    }
+
+    /// The reference for any protocol: fire whatever its table says is
+    /// due.
+    fn firing_due(protocol: P) -> Self {
+        Polled::new(protocol, SelfTimed::fire_due)
+    }
+
+    fn protocol(&self) -> &P {
+        self.node.protocol()
+    }
+
+    fn run<R>(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        f: impl FnOnce(&mut SelfTimed<P>, SimTime, &mut Actions) -> R,
+    ) -> R {
+        let result = f(&mut self.node, ctx.now(), &mut self.actions);
+        for (to, message) in self.actions.take_sends() {
+            ctx.send(to, message);
+        }
+        self.actions.clear();
+        result
+    }
+
+    fn broadcast_now(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        payload: Payload,
+    ) -> Result<BroadcastId, CoreError> {
+        self.run(ctx, |node, now, actions| {
+            node.broadcast(now, payload, actions)
+        })
+    }
+}
+
+impl<P: Protocol> Actor for Polled<P> {
+    type Message = Message;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+        ctx.set_timer(POLL, ctx.now() + 1);
+        self.run(ctx, SelfTimed::start);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: ProcessId, message: Message) {
+        self.run(ctx, |node, now, actions| {
+            node.handle_message(now, from, message, actions);
+        });
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _: TimerId) {
+        ctx.set_timer(POLL, ctx.now() + 1);
+        let poll = self.poll;
+        self.run(ctx, poll);
+    }
+
+    fn on_recover(&mut self, ctx: &mut Context<'_, Message>, down_ticks: u64) {
+        self.run(ctx, |node, now, actions| {
+            node.handle_recovery(now, down_ticks, actions);
+        });
+    }
 }
 
 /// Fingerprint of one adaptive run: wire metrics plus every node's
@@ -64,15 +152,16 @@ fn fingerprint_adaptive(
     }
 }
 
-fn adaptive_timer_run(
+type TimerSim = Simulation<ProtocolActor<AdaptiveBroadcast>>;
+
+fn adaptive_timer_sim(
     topology: &Topology,
     config: &Configuration,
     params: &AdaptiveParams,
     seed: u64,
-    ticks: u64,
-) -> AdaptiveFingerprint {
+) -> TimerSim {
     let all: Vec<ProcessId> = topology.processes().collect();
-    let mut sim = Simulation::new(
+    Simulation::new(
         topology.clone(),
         config.clone(),
         |id| {
@@ -84,7 +173,17 @@ fn adaptive_timer_run(
             ))
         },
         SimOptions::default().with_seed(seed),
-    );
+    )
+}
+
+fn adaptive_timer_run(
+    topology: &Topology,
+    config: &Configuration,
+    params: &AdaptiveParams,
+    seed: u64,
+    ticks: u64,
+) -> AdaptiveFingerprint {
+    let mut sim = adaptive_timer_sim(topology, config, params, seed);
     sim.run_ticks(ticks);
     let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
     fingerprint_adaptive(nodes, sim.metrics(), topology)
@@ -102,7 +201,7 @@ fn adaptive_tick_run(
         topology.clone(),
         config.clone(),
         |id| {
-            LegacyTickShim::new(AdaptiveBroadcast::new(
+            Polled::firing_due(AdaptiveBroadcast::new(
                 id,
                 all.clone(),
                 topology.neighbors(id).collect(),
@@ -186,7 +285,7 @@ proptest! {
                 topology.clone(),
                 config.clone(),
                 |id| {
-                    LegacyTickShim::new(
+                    Polled::firing_due(
                         ReferenceGossip::new(id, topology.neighbors(id).collect(), steps)
                             .with_step_period(2),
                     )
@@ -201,6 +300,49 @@ proptest! {
             (sim.metrics().clone(), sent)
         };
         prop_assert_eq!(run_fast, run_slow);
+    }
+
+    /// Fast-forward is unobservable, with no polled reference involved:
+    /// the same lossy system with a forced outage mid-run, advanced by
+    /// `run_ticks(n)` (free to jump over idle ticks) and by `n × step()`
+    /// (executes every tick), ends in the same state at the same time.
+    #[test]
+    fn prop_fast_forward_matches_stepping(
+        n in 4u32..12,
+        loss in 0.0f64..0.3,
+        seed in any::<u64>(),
+        delta in 1u64..6,
+        victim in 0u32..4,
+        outage in 1u64..40,
+    ) {
+        let topology = generators::ring(n).unwrap();
+        let config = Configuration::uniform(
+            &topology,
+            Probability::ZERO,
+            Probability::new(loss).unwrap(),
+        );
+        let params = AdaptiveParams::default()
+            .with_heartbeat_period(delta)
+            .with_self_tick_period(delta);
+        let run = |advance: fn(&mut TimerSim, u64)| {
+            let mut sim = adaptive_timer_sim(&topology, &config, &params, seed);
+            advance(&mut sim, 40 * delta);
+            sim.force_down(p(victim), outage);
+            advance(&mut sim, 80 * delta);
+            let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
+            let fingerprint = fingerprint_adaptive(nodes, sim.metrics(), &topology);
+            (fingerprint, sim.now(), sim.busy_ticks())
+        };
+        let (fast, fast_now, fast_busy) = run(Simulation::run_ticks);
+        let (stepped, stepped_now, stepped_busy) = run(|sim, ticks| {
+            for _ in 0..ticks {
+                sim.step();
+            }
+        });
+        prop_assert_eq!(fast, stepped);
+        prop_assert_eq!(fast_now, stepped_now);
+        prop_assert_eq!(stepped_busy, 120 * delta);
+        prop_assert!(fast_busy <= 120 * delta);
     }
 }
 
@@ -244,7 +386,7 @@ fn adaptive_paths_match_through_forced_outages() {
             topology.clone(),
             config.clone(),
             |id| {
-                LegacyTickShim::new(AdaptiveBroadcast::new(
+                Polled::firing_due(AdaptiveBroadcast::new(
                     id,
                     all.clone(),
                     topology.neighbors(id).collect(),
@@ -268,62 +410,19 @@ fn adaptive_paths_match_through_forced_outages() {
 /// the body of the old per-tick `handle_tick`. (Firing a timer event
 /// early is a guarded no-op, so this is behaviorally identical to the
 /// timer path and to the pre-PR code; it merely pays the old per-tick
-/// cost.) Timer operations are discarded: this driver polls.
-struct PollingAdaptive {
-    protocol: AdaptiveBroadcast,
-    actions: diffuse::core::Actions,
-}
-
-impl PollingAdaptive {
-    fn flush(&mut self, ctx: &mut diffuse::sim::Context<'_, diffuse::core::Message>) {
-        for (to, m) in self.actions.take_sends() {
-            ctx.send(to, m);
-        }
-        self.actions.clear();
-    }
-}
-
-impl diffuse::sim::Actor for PollingAdaptive {
-    type Message = diffuse::core::Message;
-
-    fn on_message(
-        &mut self,
-        ctx: &mut diffuse::sim::Context<'_, diffuse::core::Message>,
-        from: ProcessId,
-        message: diffuse::core::Message,
-    ) {
-        use diffuse::core::{Event, Protocol};
-        let now = ctx.now();
-        self.protocol
-            .on_event(now, Event::Message { from, message }, &mut self.actions);
-        self.flush(ctx);
-    }
-
-    fn on_tick(&mut self, ctx: &mut diffuse::sim::Context<'_, diffuse::core::Message>) {
-        use diffuse::core::{Event, Protocol};
-        let now = ctx.now();
+/// cost.) The protocol's own timer table is never consulted: this driver
+/// polls.
+fn polling_adaptive(protocol: AdaptiveBroadcast) -> Polled<AdaptiveBroadcast> {
+    Polled::new(protocol, |node, now, actions| {
         for timer in [
             AdaptiveBroadcast::HEARTBEAT,
             AdaptiveBroadcast::SUSPICION,
             AdaptiveBroadcast::SELF_TICK,
         ] {
-            self.protocol
-                .on_event(now, Event::Timer(timer), &mut self.actions);
+            node.protocol_mut()
+                .on_event(now, Event::Timer(timer), actions);
         }
-        self.flush(ctx);
-    }
-
-    fn on_recover(
-        &mut self,
-        ctx: &mut diffuse::sim::Context<'_, diffuse::core::Message>,
-        down_ticks: u64,
-    ) {
-        use diffuse::core::{Event, Protocol};
-        let now = ctx.now();
-        self.protocol
-            .on_event(now, Event::Recovery { down_ticks }, &mut self.actions);
-        self.flush(ctx);
-    }
+    })
 }
 
 /// The acceptance gate of the redesign: a fig5-style convergence sweep
@@ -353,19 +452,18 @@ fn fig5_style_fast_forward_is_5x_faster_with_identical_metrics() {
         let mut sim = Simulation::new(
             topology.clone(),
             config.clone(),
-            |id| PollingAdaptive {
-                protocol: AdaptiveBroadcast::new(
+            |id| {
+                polling_adaptive(AdaptiveBroadcast::new(
                     id,
                     all.clone(),
                     topology.neighbors(id).collect(),
                     params.clone(),
-                ),
-                actions: diffuse::core::Actions::new(),
+                ))
             },
             SimOptions::default().with_seed(7),
         );
         sim.run_ticks(ticks);
-        let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, &a.protocol)).collect();
+        let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
         fingerprint_adaptive(nodes, sim.metrics(), &topology)
     };
 

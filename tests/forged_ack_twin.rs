@@ -19,7 +19,7 @@
 //!   the receiver keeps emitting *full views* and a liar that turns
 //!   honest can always resynchronize.
 //!
-//! The receiver is driven directly through [`LegacyTickShim`] with the
+//! The receiver is driven directly through [`SelfTimed`] with the
 //! test playing the lying neighbor, because the poisoning must land
 //! *within range* (`ack <= generation`) to be recorded at all — a timing
 //! window the symmetric simulator almost never produces on its own.
@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use diffuse::bayes::{BeliefEstimator, Distortion, Estimate, DEFAULT_INTERVALS};
 use diffuse::core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, LegacyTickShim,
-    Message, Protocol, View,
+    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, Message, Protocol,
+    SelfTimed, View,
 };
 use diffuse::model::{ProcessId, Topology};
 use diffuse::sim::SimTime;
@@ -74,8 +74,8 @@ struct Step {
 
 /// Runs the receiver through the script and returns, per step, a
 /// human-readable summary of the view it emitted to the liar.
-fn run_script(script: &[Step]) -> (LegacyTickShim<AdaptiveBroadcast>, Vec<String>) {
-    let mut shim = LegacyTickShim::new(AdaptiveBroadcast::new(
+fn run_script(script: &[Step]) -> (SelfTimed<AdaptiveBroadcast>, Vec<String>) {
+    let mut node = SelfTimed::new(AdaptiveBroadcast::new(
         RECEIVER,
         vec![RECEIVER, LIAR],
         vec![LIAR],
@@ -85,7 +85,7 @@ fn run_script(script: &[Step]) -> (LegacyTickShim<AdaptiveBroadcast>, Vec<String
     let mut emitted = Vec::new();
     for (i, step) in script.iter().enumerate() {
         let now = SimTime::new(i as u64 + 1);
-        shim.handle_tick(now, &mut actions);
+        node.fire_due(now, &mut actions);
         let sends = actions.take_sends();
         let views: Vec<String> = sends
             .iter()
@@ -100,11 +100,11 @@ fn run_script(script: &[Step]) -> (LegacyTickShim<AdaptiveBroadcast>, Vec<String
         assert_eq!(views.len(), 1, "one heartbeat to the liar per tick");
         emitted.push(views.into_iter().next().unwrap());
         if let Some((seq, ack)) = step.liar_ack {
-            shim.handle_message(now, LIAR, liar_heartbeat(seq, ack), &mut actions);
+            node.handle_message(now, LIAR, liar_heartbeat(seq, ack), &mut actions);
             actions.clear();
         }
     }
-    (shim, emitted)
+    (node, emitted)
 }
 
 fn step(liar_ack: Option<(u64, u64)>) -> Step {
@@ -187,7 +187,7 @@ fn future_forged_acks_fall_back_to_full_views_until_honesty_returns() {
         step(Some((3, 3))),       // honesty returns: generation 3 exists
         step(None),
     ];
-    let (shim, emissions) = run_script(&script);
+    let (node, emissions) = run_script(&script);
 
     // Every heartbeat up to the honest ack is a full view: the rejected
     // acks left the recorded ack at 0, the first-contact state.
@@ -195,12 +195,12 @@ fn future_forged_acks_fall_back_to_full_views_until_honesty_returns() {
     assert_eq!(emissions[1], "full@2");
     assert_eq!(emissions[2], "full@3");
     assert_eq!(
-        shim.protocol().audit().future_acks_rejected,
+        node.protocol().audit().future_acks_rejected,
         2,
         "both future acks counted"
     );
 
     // The honest ack of generation 3 re-enables deltas immediately.
     assert_eq!(emissions[3], "delta 3..4");
-    assert_eq!(shim.protocol().error_count(), 0);
+    assert_eq!(node.protocol().error_count(), 0);
 }

@@ -31,13 +31,13 @@ fn live_protocol_messages_round_trip_the_codec() {
     node.broadcast(SimTime::ZERO, Payload::from("codec me"), &mut actions)
         .unwrap();
 
-    let mut adaptive = diffuse::core::LegacyTickShim::new(AdaptiveBroadcast::new(
+    let mut adaptive = diffuse::core::SelfTimed::new(AdaptiveBroadcast::new(
         p(0),
         topology.processes().collect(),
         topology.neighbors(p(0)).collect(),
         AdaptiveParams::default().with_intervals(16),
     ));
-    adaptive.handle_tick(SimTime::new(1), &mut actions);
+    adaptive.fire_due(SimTime::new(1), &mut actions);
 
     let sends = actions.take_sends();
     assert!(sends.iter().any(|(_, m)| matches!(m, Message::Data(_))));
