@@ -14,21 +14,21 @@
 //!   corruption window is active, rewrites the wrapped protocol's
 //!   outgoing heartbeats in place. An *inactive* adversary is
 //!   bit-for-bit the inner protocol, so every node of a scenario can be
-//!   wrapped and the fault script alone decides who lies — on the sim
-//!   kernel, the sharded kernel, and the virtual fabric alike.
+//!   wrapped and the fault script alone decides who lies — on all five
+//!   executors alike (a UDP worker wraps whatever it runs).
 //! * [`ProtocolAudit`] / [`SenderAudit`] are the receiver-side counters
 //!   (entries offered vs. adopted per sender, future acks rejected) that
 //!   [`Containment`] aggregates into scenario-level containment metrics.
 //!
 //! Corrupted estimates are fabricated through [`Estimate::forged`] — the
 //! single constructor that can mint arbitrary distortion stamps — and the
-//! workspace lint confines its callers to this module, the chaos layer,
-//! and tests. The containment theorem this machinery checks is
-//! structural: honest stores only ever ingest remote content through
-//! `adopt_if_better`/`adopt`, which store it at `theirs.distortion + 1 ≥
-//! 1`, so no lie can ever occupy an honest store at distortion 0 — and
-//! first-hand (distortion-0) honest knowledge can therefore never lose to
-//! a forgery under the strict `<` ranking.
+//! workspace lint confines its callers to this module and tests. The
+//! containment theorem this machinery checks is structural: honest stores
+//! only ever ingest remote content through `adopt_if_better`/`adopt`,
+//! which store it at `theirs.distortion + 1 ≥ 1`, so no lie can ever
+//! occupy an honest store at distortion 0 — and first-hand (distortion-0)
+//! honest knowledge can therefore never lose to a forgery under the
+//! strict `<` ranking.
 
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,8 +73,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// kernel's delivery stream and the message adversary's suppression
 /// stream, so the same scripted liar draws the same corruption schedule
 /// on every substrate.
-#[must_use]
-pub fn adversary_seed(run_seed: u64, id: ProcessId) -> u64 {
+fn adversary_seed(run_seed: u64, id: ProcessId) -> u64 {
     splitmix64(run_seed ^ LIAR_SALT ^ u64::from(id.index()).wrapping_mul(GOLDEN))
 }
 
@@ -273,8 +272,8 @@ struct ActiveWindow {
 /// one over plain `P`. [`Event::Corrupt`] (injected by the scenario
 /// engine's fault scripts) opens a window during which every outgoing
 /// [`Message::Heartbeat`] is rewritten per the scripted
-/// [`CorruptionMode`], drawing from the node's private
-/// [`adversary_seed`] stream.
+/// [`CorruptionMode`], drawing from the node's private stream (a pure
+/// function of the run seed and its id).
 #[derive(Debug)]
 pub struct Adversary<P> {
     inner: P,
@@ -319,9 +318,12 @@ impl<P: Protocol> Adversary<P> {
         self.active.as_ref().is_some_and(|w| now < w.until)
     }
 
-    /// Rewrites the queued heartbeat sends in place if a window is
-    /// active, preserving send order.
-    fn rewrite(&mut self, now: SimTime, actions: &mut Actions) {
+    /// Rewrites in place, if a window is active, the heartbeats queued
+    /// after the first `kept` sends — what the wrapped call appended —
+    /// preserving send order. Earlier ones were rewritten when their own
+    /// handler returned: a host may run several handlers into one
+    /// [`Actions`] before it flushes ([`crate::SelfTimed::fire_due`]).
+    fn rewrite(&mut self, now: SimTime, kept: usize, actions: &mut Actions) {
         let mode = match &self.active {
             Some(w) if now < w.until => w.mode,
             Some(_) => {
@@ -333,13 +335,12 @@ impl<P: Protocol> Adversary<P> {
             }
             None => return,
         };
-        let sends = actions.take_sends();
-        if sends.is_empty() {
+        if actions.sends().len() == kept {
             return;
         }
-        for (to, message) in sends {
+        for (i, (to, message)) in actions.take_sends().into_iter().enumerate() {
             let message = match message {
-                Message::Heartbeat(hb) => {
+                Message::Heartbeat(hb) if i >= kept => {
                     self.corrupt_emissions += 1;
                     Message::Heartbeat(corrupt_heartbeat(mode, hb, &mut self.rng, &mut self.stale))
                 }
@@ -356,8 +357,9 @@ impl<P: Protocol> Protocol for Adversary<P> {
     }
 
     fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+        let kept = actions.sends().len();
         self.inner.on_start(now, actions);
-        self.rewrite(now, actions);
+        self.rewrite(now, kept, actions);
     }
 
     fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
@@ -369,8 +371,9 @@ impl<P: Protocol> Protocol for Adversary<P> {
             self.stale = None;
             return;
         }
+        let kept = actions.sends().len();
         self.inner.on_event(now, event, actions);
-        self.rewrite(now, actions);
+        self.rewrite(now, kept, actions);
     }
 
     fn broadcast(
@@ -379,8 +382,9 @@ impl<P: Protocol> Protocol for Adversary<P> {
         payload: Payload,
         actions: &mut Actions,
     ) -> Result<BroadcastId, CoreError> {
+        let kept = actions.sends().len();
         let id = self.inner.broadcast(now, payload, actions)?;
-        self.rewrite(now, actions);
+        self.rewrite(now, kept, actions);
         Ok(id)
     }
 
@@ -395,15 +399,13 @@ impl<P: Protocol> Protocol for Adversary<P> {
     }
 }
 
-/// Rewrites one heartbeat per the scripted corruption mode — the single
-/// corruption kernel shared by the in-process [`Adversary`] wrapper and
-/// the UDP cluster's chaos-level frame rewriting.
+/// Rewrites one heartbeat per the scripted corruption mode.
 ///
 /// Draw discipline (part of the cross-substrate determinism contract):
 /// [`CorruptionMode::UnderstateDistortion`] and
 /// [`CorruptionMode::ForgeAck`] consume exactly one `u64` draw per
 /// heartbeat; [`CorruptionMode::StaleReplay`] consumes none.
-pub fn corrupt_heartbeat(
+fn corrupt_heartbeat(
     mode: CorruptionMode,
     mut hb: HeartbeatMessage,
     rng: &mut StdRng,
@@ -572,6 +574,67 @@ mod tests {
             &mut stale,
         );
         assert!(hb.ack > 4 && hb.ack <= 4 + 64);
+    }
+
+    /// [`SelfTimed::fire_due`](crate::SelfTimed::fire_due) runs every due
+    /// timer into one `Actions` before its host flushes; the engine's
+    /// actor flushes after each. Either way a heartbeat is corrupted once:
+    /// one emission counted, one draw taken, the same forged ack.
+    #[test]
+    fn one_fire_due_corrupts_each_heartbeat_once() {
+        use crate::{AdaptiveBroadcast, AdaptiveParams, SelfTimed};
+        let node = || {
+            let adaptive = AdaptiveBroadcast::new(
+                p(0),
+                vec![p(0), p(1), p(2)],
+                vec![p(1), p(2)],
+                AdaptiveParams::default(),
+            );
+            Adversary::new(adaptive, 7)
+        };
+        let lie = Event::Corrupt {
+            mode: CorruptionMode::ForgeAck,
+            window: 100_000,
+        };
+        let forged_acks = |actions: &mut Actions| -> Vec<u64> {
+            let heartbeat = |(_, message)| match message {
+                Message::Heartbeat(hb) => Some(hb.ack),
+                _ => None,
+            };
+            actions
+                .take_sends()
+                .into_iter()
+                .filter_map(heartbeat)
+                .collect()
+        };
+
+        // Flush per event, in the order `fire_due` fires (lowest id first).
+        let mut flushed = node();
+        let mut actions = Actions::new();
+        flushed.on_start(SimTime::ZERO, &mut actions);
+        let armed = actions.take_timer_ops();
+        assert_eq!(armed.len(), 3, "heartbeat, suspicion, self-tick: {armed:?}");
+        let all_due = armed.iter().filter_map(|&(_, at)| at).max().unwrap();
+        flushed.on_event(SimTime::ZERO, lie.clone(), &mut actions);
+        let mut expected = Vec::new();
+        for timer in [
+            AdaptiveBroadcast::HEARTBEAT,
+            AdaptiveBroadcast::SUSPICION,
+            AdaptiveBroadcast::SELF_TICK,
+        ] {
+            flushed.on_event(all_due, Event::Timer(timer), &mut actions);
+            expected.extend(forged_acks(&mut actions));
+        }
+
+        // One `fire_due`, one flush, as the wall runtime does.
+        let mut hosted = SelfTimed::new(node());
+        hosted.on_event(SimTime::ZERO, lie, &mut actions);
+        hosted.fire_due(all_due, &mut actions);
+        let sent = forged_acks(&mut actions);
+        assert_eq!(sent.len(), 2, "one heartbeat per neighbour");
+        assert_eq!(hosted.protocol().corrupt_emissions(), 2);
+        assert_eq!(sent, expected);
+        assert!(sent.iter().all(|&ack| ack > 0), "both acks are forged");
     }
 
     #[test]

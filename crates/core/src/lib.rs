@@ -75,10 +75,7 @@ mod tree;
 mod waterfill;
 
 pub use adaptive::AdaptiveBroadcast;
-pub use adversary::{
-    adversary_seed, corrupt_heartbeat, Adversary, Containment, CorruptionMode, ProtocolAudit,
-    SenderAudit,
-};
+pub use adversary::{Adversary, Containment, CorruptionMode, ProtocolAudit, SenderAudit};
 pub use diffuse_sim::TimerId;
 pub use error::CoreError;
 pub use gossip::ReferenceGossip;

@@ -4,15 +4,16 @@
 //! that drives the simulation kernel and the thread fabric — but every
 //! node is a separate OS process, speaking the v2 wire codec over a
 //! [`UdpTransport`](crate::UdpTransport) wrapped in a
-//! [`ChaosTransport`](crate::ChaosTransport). The scripts are walked by
-//! the same `ScenarioRun` driver as on every other substrate — a live
+//! [`ChaosTransport`](crate::ChaosTransport) — the node a wall-fabric
+//! thread runs, on a socket instead of a channel. The scripts are walked
+//! by the same `ScenarioRun` driver as on every other substrate — a live
 //! [`UdpCluster`] is one more [`Executor`] — so all of them execute the
-//! same events; fault actions translate to wire-level
-//! behavior (loss/partition → per-link egress loss in the worker's
-//! chaos policy, crash → the node runtime's cooperative crash window,
-//! lying nodes → chaos-level heartbeat rewriting, the message adversary
-//! → chaos-level egress suppression), and nothing is ever skipped
-//! ([`ScenarioReport::skipped_faults`] is zero).
+//! same events; fault actions land where they do on the wall fabric
+//! (loss/partition → per-link egress loss in the worker's chaos policy,
+//! the message adversary → chaos-level egress suppression, crash → the
+//! node runtime's cooperative crash window, lying nodes → a corruption
+//! window on the worker's [`Adversary`]-wrapped protocol), and nothing
+//! is ever skipped ([`ScenarioReport::skipped_faults`] is zero).
 //!
 //! # Worker processes
 //!
@@ -27,13 +28,15 @@
 //!
 //! The parent talks to each worker over its stdin/stdout pipes (an
 //! ordered, reliable control channel, deliberately *not* the lossy UDP
-//! data plane): peer address books, workload broadcasts, fault updates
-//! and the stop request go down; the bound address, per-delivery
-//! records and final wire metrics come back. Workers exit cleanly on
+//! data plane): the peer address book and then [`WorkerCommand`] lines —
+//! workload broadcasts, fault updates, the stop request — go down; the
+//! bound address, per-delivery records and final wire metrics and audits
+//! come back. Workers exit cleanly on
 //! `STOP`, on EOF (parent death), and report — never panic over —
 //! malformed wire input.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -44,7 +47,7 @@ use diffuse_core::scenario::{
     Executor, FaultSink, Observed, Scenario, ScenarioReport, ScenarioRun,
 };
 use diffuse_core::{
-    adversary_seed, AdaptiveBroadcast, AdaptiveParams, BroadcastOutcome, CorruptionMode,
+    AdaptiveBroadcast, AdaptiveParams, Adversary, BroadcastOutcome, CorruptionMode,
     NetworkKnowledge, OptimalBroadcast, Payload, Protocol, ProtocolAudit, ReferenceGossip,
 };
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
@@ -373,8 +376,9 @@ pub fn maybe_run_udp_worker() {
     std::process::exit(code);
 }
 
-/// Parent → worker control commands.
-#[derive(Debug)]
+/// Parent → worker control commands: one line each on the worker's
+/// stdin, written by [`fmt::Display`] and read back by [`parse_command`].
+#[derive(Debug, PartialEq)]
 enum WorkerCommand {
     Broadcast(Vec<u8>),
     Crash(u64),
@@ -386,6 +390,27 @@ enum WorkerCommand {
     /// (Re)configure the message adversary: `ADV <d> <window_ticks>`.
     Adversary(u32, u64),
     Stop,
+}
+
+impl fmt::Display for WorkerCommand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkerCommand::Broadcast(payload) => write!(f, "BCAST {}", hex_encode(payload)),
+            WorkerCommand::Crash(ticks) => write!(f, "CRASH {ticks}"),
+            WorkerCommand::Loss(link, p) => {
+                let (lo, hi) = (link.lo().index(), link.hi().index());
+                write!(f, "LOSS {lo} {hi} {}", p.value())
+            }
+            WorkerCommand::Delay(Some((min, max))) => {
+                write!(f, "DELAY {} {}", min.as_micros(), max.as_micros())
+            }
+            WorkerCommand::Delay(None) => f.write_str("DELAY off"),
+            WorkerCommand::Duplicate(p) => write!(f, "DUP {}", p.value()),
+            WorkerCommand::Corrupt(mode, window) => write!(f, "CORRUPT {mode} {window}"),
+            WorkerCommand::Adversary(d, window) => write!(f, "ADV {d} {window}"),
+            WorkerCommand::Stop => f.write_str("STOP"),
+        }
+    }
 }
 
 fn parse_command(line: &str) -> Result<WorkerCommand, NetError> {
@@ -443,18 +468,8 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
     let spec = NodeSpec::decode(spec)?;
     let transport = UdpTransport::bind(spec.id, spec.bind, BTreeMap::new())?;
     let local = transport.local_addr()?;
-    // Per-node chaos seed: decorrelate the loss streams of different
-    // nodes while keeping each a pure function of (seed, id).
-    let chaos_seed = spec
-        .seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(u64::from(spec.id.index()));
-    let (mut chaos, control) = ChaosTransport::new(transport, chaos_seed);
-    // The scenario's base link loss applies from the first frame; the
-    // paper's model is egress-side Bernoulli per transmission.
-    for link in spec.topology.links().filter(|l| l.touches(spec.id)) {
-        control.set_link_loss(link, spec.config.loss(link));
-    }
+    let (mut chaos, control) =
+        ChaosTransport::for_node(transport, spec.seed, &spec.topology, &spec.config);
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -481,9 +496,11 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
         chaos.inner_mut().register_peer(peer, addr);
     }
 
+    // Any worker can be scripted to lie; outside a corruption window the
+    // adversary is the protocol it wraps, bit for bit.
     let protocol = spec.protocol.build(spec.id, &spec.topology, &spec.config);
     let tick = spec.clock.tick_interval();
-    let handle = spawn_node(protocol, chaos, tick);
+    let handle = spawn_node(Adversary::new(protocol, spec.seed), chaos, tick);
 
     // Remaining commands arrive on a reader thread so the main loop can
     // pump deliveries concurrently; EOF (parent death) reads as Stop.
@@ -518,16 +535,7 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
                 Ok(WorkerCommand::Delay(range)) => control.set_delay(range),
                 Ok(WorkerCommand::Duplicate(p)) => control.set_duplicate(p),
                 Ok(WorkerCommand::Corrupt(mode, window)) => {
-                    // Chaos-level frame rewriting (the ISSUE's UDP
-                    // execution of `FaultAction::Corrupt`): the liar's
-                    // stream is the same per-(seed, id) stream the
-                    // in-process Adversary wrapper would draw from.
-                    let tick_us = u64::try_from(tick.as_micros()).unwrap_or(u64::MAX);
-                    control.set_corrupt(
-                        mode,
-                        Duration::from_micros(tick_us.saturating_mul(window)),
-                        adversary_seed(spec.seed, spec.id),
-                    );
+                    let _ = handle.inject_corrupt(mode, window);
                 }
                 Ok(WorkerCommand::Adversary(d, window)) => {
                     control.set_message_adversary(d, window, tick);
@@ -566,10 +574,9 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
     }
     writeln!(out, "M LOST {}", control.lost()).map_err(NetError::Io)?;
     writeln!(out, "M SUPP {}", control.suppressed()).map_err(NetError::Io)?;
-    // Adversary-containment audit: corrupt emissions come from the
-    // chaos layer (corruption is wire-level on this substrate), the
-    // receiver-side counters from the protocol.
-    writeln!(out, "A CE {}", control.corrupted()).map_err(NetError::Io)?;
+    // Adversary-containment audit, all of it the protocol's own: what
+    // it emitted inside a corruption window, what it was offered.
+    writeln!(out, "A CE {}", audit.corrupt_emissions).map_err(NetError::Io)?;
     writeln!(out, "A FUT {}", audit.future_acks_rejected).map_err(NetError::Io)?;
     for (sender, sa) in &audit.per_sender {
         writeln!(
@@ -602,7 +609,8 @@ enum WorkerEvent {
     Delivered(&'static str, u64),
     Lost(u64),
     Suppressed(u64),
-    /// Heartbeats the worker's chaos layer rewrote (lying nodes only).
+    /// Heartbeats the worker's protocol emitted inside a corruption
+    /// window (lying nodes only).
     AuditEmissions(u64),
     /// Future-stamped acks the worker's protocol rejected.
     AuditFuture(u64),
@@ -695,7 +703,7 @@ struct ClusterNode {
 
 impl ClusterNode {
     /// Sends one control line; a worker that cannot take it is dead.
-    fn write_line(&mut self, line: &str) -> bool {
+    fn write_line(&mut self, line: &dyn fmt::Display) -> bool {
         self.alive =
             self.alive && writeln!(self.stdin, "{line}").is_ok() && self.stdin.flush().is_ok();
         self.alive
@@ -887,17 +895,17 @@ impl UdpCluster {
         }
     }
 
-    fn write_line(&mut self, id: ProcessId, line: &str) -> bool {
+    fn write_line(&mut self, id: ProcessId, line: &dyn fmt::Display) -> bool {
         self.nodes
             .get_mut(&id)
             .is_some_and(|node| node.write_line(line))
     }
 
-    /// Writes `line` to every worker; `true` iff a live one took it.
-    fn write_all(&mut self, line: &str) -> bool {
+    /// Sends `command` to every worker; `true` iff a live one took it.
+    fn write_all(&mut self, command: WorkerCommand) -> bool {
         self.nodes
             .values_mut()
-            .fold(false, |reached, node| node.write_line(line) | reached)
+            .fold(false, |reached, node| node.write_line(&command) | reached)
     }
 
     /// Folds one worker event into the cluster's accumulated state.
@@ -951,25 +959,20 @@ impl UdpCluster {
     /// Asks `origin` to broadcast `payload`; returns whether the
     /// command reached a live worker.
     pub fn broadcast(&mut self, origin: ProcessId, payload: &[u8]) -> bool {
-        let line = format!("BCAST {}", hex_encode(payload));
-        self.write_line(origin, &line)
+        self.write_line(origin, &WorkerCommand::Broadcast(payload.to_vec()))
     }
 
     /// Applies an ingress delay/reorder window to every node's chaos
     /// policy (`None` clears it). A real-network fault with no kernel
     /// counterpart, so it lives outside `FaultScript`.
     pub fn set_delay_all(&mut self, range: Option<(Duration, Duration)>) {
-        let line = match range {
-            Some((min, max)) => format!("DELAY {} {}", min.as_micros(), max.as_micros()),
-            None => "DELAY off".to_string(),
-        };
-        self.write_all(&line);
+        self.write_all(WorkerCommand::Delay(range));
     }
 
     /// Sets the egress duplication probability on every node's chaos
     /// policy. Like delay, a real-network-only fault.
     pub fn set_duplicate_all(&mut self, p: Probability) {
-        self.write_all(&format!("DUP {}", p.value()));
+        self.write_all(WorkerCommand::Duplicate(p));
     }
 
     /// Whether `id`'s worker process is still believed alive.
@@ -1030,7 +1033,7 @@ impl UdpCluster {
     /// metrics and audits into the accumulated state.
     fn stop(&mut self) {
         self.session.settle(self.options.settle);
-        self.write_all("STOP");
+        self.write_all(WorkerCommand::Stop);
         // Each live worker answers STOP with metrics + DONE and exits;
         // readers signal Exited on EOF. Give the slowest a generous but
         // bounded window.
@@ -1080,35 +1083,30 @@ impl Drop for UdpCluster {
 
 /// [`FaultSink`] over a live cluster: loss overrides fan out to both
 /// link endpoints' chaos policies (each worker applies egress loss on
-/// its own side), crashes become cooperative windows in the target
+/// its own side), crashes and lies become windows in the target
 /// worker's node runtime. The per-variant fault semantics live in
 /// [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply) —
 /// the same code path as on every other executor.
 impl FaultSink for UdpCluster {
     fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        let line = format!(
-            "LOSS {} {} {}",
-            link.lo().index(),
-            link.hi().index(),
-            loss.value()
-        );
-        self.write_line(link.lo(), &line);
-        self.write_line(link.hi(), &line);
+        let command = WorkerCommand::Loss(link, loss);
+        self.write_line(link.lo(), &command);
+        self.write_line(link.hi(), &command);
     }
 
     fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.write_line(process, &format!("CRASH {down_ticks}"));
+        self.write_line(process, &WorkerCommand::Crash(down_ticks));
     }
 
     fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.write_line(process, &format!("CORRUPT {mode} {window}"))
+        self.write_line(process, &WorkerCommand::Corrupt(mode, window))
     }
 
     fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
         // A cluster-wide policy: every worker's chaos layer suppresses
         // its own egress. Reaching any live worker counts as executed —
         // dead workers have no emissions left to suppress.
-        self.write_all(&format!("ADV {d} {window}"))
+        self.write_all(WorkerCommand::Adversary(d, window))
     }
 }
 
@@ -1264,48 +1262,48 @@ mod tests {
         assert!(hex_decode("zz").is_err(), "non-hex digit");
     }
 
+    /// Every command survives the trip down a worker's stdin: what the
+    /// parent writes is the hand-written line, and the worker reads it
+    /// back as the command.
     #[test]
     fn control_commands_parse() {
-        assert!(matches!(
-            parse_command("BCAST 68690a").unwrap(),
-            WorkerCommand::Broadcast(b) if b == b"hi\n"
-        ));
-        assert!(matches!(
-            parse_command("CRASH 40").unwrap(),
-            WorkerCommand::Crash(40)
-        ));
-        assert!(matches!(
-            parse_command("LOSS 0 3 0.5").unwrap(),
-            WorkerCommand::Loss(_, _)
-        ));
-        assert!(matches!(
-            parse_command("DELAY 1000 5000").unwrap(),
-            WorkerCommand::Delay(Some(_))
-        ));
-        assert!(matches!(
-            parse_command("DELAY off").unwrap(),
-            WorkerCommand::Delay(None)
-        ));
-        assert!(matches!(
-            parse_command("DUP 0.25").unwrap(),
-            WorkerCommand::Duplicate(_)
-        ));
-        assert!(matches!(
-            parse_command("CORRUPT understate 40").unwrap(),
-            WorkerCommand::Corrupt(CorruptionMode::UnderstateDistortion, 40)
-        ));
-        assert!(matches!(
-            parse_command("CORRUPT forge-ack 12").unwrap(),
-            WorkerCommand::Corrupt(CorruptionMode::ForgeAck, 12)
-        ));
-        assert!(matches!(
-            parse_command("ADV 2 30").unwrap(),
-            WorkerCommand::Adversary(2, 30)
-        ));
-        assert!(matches!(
-            parse_command("STOP").unwrap(),
-            WorkerCommand::Stop
-        ));
+        let half = Probability::new(0.5).unwrap();
+        let ms = Duration::from_millis;
+        for (line, command) in [
+            ("BCAST 68690a", WorkerCommand::Broadcast(b"hi\n".to_vec())),
+            ("BCAST ", WorkerCommand::Broadcast(Vec::new())),
+            ("CRASH 40", WorkerCommand::Crash(40)),
+            (
+                "LOSS 0 3 0.5",
+                WorkerCommand::Loss(LinkId::new(p(3), p(0)).unwrap(), half),
+            ),
+            (
+                "DELAY 1000 5000",
+                WorkerCommand::Delay(Some((ms(1), ms(5)))),
+            ),
+            ("DELAY off", WorkerCommand::Delay(None)),
+            (
+                "DUP 0.25",
+                WorkerCommand::Duplicate(Probability::new(0.25).unwrap()),
+            ),
+            (
+                "CORRUPT understate 40",
+                WorkerCommand::Corrupt(CorruptionMode::UnderstateDistortion, 40),
+            ),
+            (
+                "CORRUPT stale 7",
+                WorkerCommand::Corrupt(CorruptionMode::StaleReplay, 7),
+            ),
+            (
+                "CORRUPT forge-ack 12",
+                WorkerCommand::Corrupt(CorruptionMode::ForgeAck, 12),
+            ),
+            ("ADV 2 30", WorkerCommand::Adversary(2, 30)),
+            ("STOP", WorkerCommand::Stop),
+        ] {
+            assert_eq!(parse_command(line).unwrap(), command, "{line:?}");
+            assert_eq!(command.to_string(), line);
+        }
         assert!(parse_command("FLY me to the moon").is_err());
         assert!(parse_command("LOSS 3 3 0.5").is_err(), "self-loop");
         assert!(parse_command("CORRUPT warp-drive 4").is_err());

@@ -7,10 +7,13 @@
 //! * [`codec`] — a versioned, length-prefixed binary wire format for
 //!   [`Message`](diffuse_core::Message) (hand-written over [`bytes`],
 //!   property-tested for round-trips and decoder totality);
-//! * [`Transport`] — the frame-transport abstraction, with two
-//!   implementations: the lossy in-memory [`Fabric`] (crossbeam channels
-//!   with per-link Bernoulli loss — the simulator's network model on real
-//!   threads) and [`UdpTransport`] (one datagram per frame);
+//! * [`Transport`] — the frame-transport abstraction, with two wires —
+//!   the in-memory [`Fabric`] (crossbeam channels along topology links)
+//!   and [`UdpTransport`] (one datagram per frame) — and one decorator
+//!   that makes either of them faulty: [`ChaosTransport`], seeded
+//!   per-link Bernoulli loss (the simulator's network model on real
+//!   threads and processes) plus delay, duplication and the message
+//!   adversary, reconfigurable while the node runs;
 //! * [`spawn_node`] — a per-node runtime thread that decodes frames,
 //!   drives the protocol, schedules logical ticks from wall time
 //!   ([`WallClock`]), and surfaces deliveries through a [`NodeHandle`];
@@ -51,5 +54,5 @@ pub use error::NetError;
 pub use runtime::{spawn_node, NodeHandle};
 pub use scenario::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, FabricScenarioOptions};
 pub use soak::{run_soak, SoakOptions, SoakReport};
-pub use transport::{Fabric, FabricControl, FabricTransport, Transport};
+pub use transport::{Fabric, FabricTransport, Transport};
 pub use udp::{UdpTransport, MAX_DATAGRAM};

@@ -109,9 +109,9 @@ impl NodeHandle {
     /// Opens a corruption window: from its next wakeup the node's
     /// protocol stack sees [`Event::Corrupt`] — an
     /// [`Adversary`](diffuse_core::Adversary)-wrapped protocol starts
-    /// rewriting its heartbeats for `window` logical ticks. The fabric
-    /// analogue of the kernel driver's scripted
-    /// `FaultAction::Corrupt` injection.
+    /// rewriting its heartbeats for `window` logical ticks. How a
+    /// scripted `FaultAction::Corrupt` lands on a wall-clock node, be it
+    /// a fabric thread or a UDP worker process.
     ///
     /// # Errors
     ///
@@ -430,7 +430,7 @@ mod tests {
         topology.add_link(p(1), p(2)).unwrap();
         let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
 
-        let mut transports = Fabric::build(&topology, Configuration::new(), 5);
+        let mut transports = Fabric::build(&topology);
         let mut handles: BTreeMap<ProcessId, NodeHandle> = BTreeMap::new();
         for id in [p(0), p(1), p(2)] {
             let transport = transports.remove(&id).unwrap();
@@ -464,7 +464,7 @@ mod tests {
         let mut topology = Topology::new();
         topology.add_link(p(0), p(1)).unwrap();
         let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-        let mut transports = Fabric::build(&topology, Configuration::new(), 5);
+        let mut transports = Fabric::build(&topology);
         let handle = spawn_node(
             OptimalBroadcast::new(p(0), knowledge, 0.99),
             transports.remove(&p(0)).unwrap(),
@@ -492,7 +492,7 @@ mod tests {
         let mut topology = Topology::new();
         topology.add_link(p(0), p(1)).unwrap();
         let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-        let mut transports = Fabric::build(&topology, Configuration::new(), 11);
+        let mut transports = Fabric::build(&topology);
         let t1 = transports.remove(&p(1)).unwrap();
         let t0 = transports.remove(&p(0)).unwrap();
 
@@ -525,7 +525,7 @@ mod tests {
         let mut topology = Topology::new();
         topology.add_link(p(0), p(1)).unwrap();
         let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-        let mut transports = Fabric::build(&topology, Configuration::new(), 3);
+        let mut transports = Fabric::build(&topology);
         let t1 = transports.remove(&p(1)).unwrap();
         let t0 = transports.remove(&p(0)).unwrap();
         let tick = Duration::from_millis(2);

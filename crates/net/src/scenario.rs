@@ -6,8 +6,10 @@
 //! [`ScenarioRun`], the one driver every substrate shares.
 //!
 //! * [`run_scenario_on_fabric`] — **wall clock**: node threads over
-//!   [`FabricTransport`]s; advancing to a script tick is a real sleep
-//!   (`tick × tick_interval`). Loss sampling rides a different RNG stream
+//!   [`ChaosTransport`]-wrapped [`FabricTransport`](crate::FabricTransport)s
+//!   — the node a UDP worker process runs, on channels instead of
+//!   sockets; advancing to a script tick is a real sleep
+//!   (`tick × tick_interval`). Loss sampling rides per-node RNG streams
 //!   and real scheduling, so outcomes are statistically — not bitwise —
 //!   equivalent to the kernel.
 //! * [`run_scenario_on_fabric_virtual`] — **virtual time**: the kernel
@@ -18,17 +20,15 @@
 //!   `Scenario::run_sim` for the same scenario — delivery counts, failure
 //!   counts, containment and wire metrics included.
 //!
-//! Every [`FaultAction`](diffuse_core::scenario::FaultAction) runs in
-//! virtual time, the kernel executing it, so its
-//! [`ScenarioReport::skipped_faults`] is zero for every scenario. The
-//! wall-clock runner executes
-//! [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash)
-//! cooperatively in the node runtimes and everything else except
-//! [`FaultAction::MessageAdversary`](diffuse_core::scenario::FaultAction::MessageAdversary)
-//! (its transports have no deterministic suppression hook); such events
-//! are counted in `skipped_faults` rather than silently dropped. The
-//! per-process audits behind its [`ScenarioReport::containment`] are the
-//! ones the node threads leave behind when they are joined
+//! Every [`FaultAction`](diffuse_core::scenario::FaultAction) runs on
+//! both, so [`ScenarioReport::skipped_faults`] is zero for every
+//! scenario: in virtual time the kernel executes it; under the wall clock
+//! loss, partitions and the message adversary land in the nodes' chaos
+//! policies ([`ChaosControl`]) and crashes and lying-node windows in
+//! their runtimes ([`NodeHandle::inject_crash`],
+//! [`NodeHandle::inject_corrupt`]). The per-process audits behind the
+//! wall runner's [`ScenarioReport::containment`] are the ones the node
+//! threads leave behind when they are joined
 //! ([`NodeHandle::shutdown_with_audit`]).
 
 use std::collections::BTreeMap;
@@ -43,7 +43,7 @@ use diffuse_sim::{SimTime, Simulation};
 
 use crate::clock::{WallClock, WallSession};
 use crate::codec::Encoded;
-use crate::{spawn_node, Fabric, FabricControl, NodeHandle};
+use crate::{spawn_node, ChaosControl, ChaosTransport, Fabric, NodeHandle};
 
 /// Options for a wall-clock fabric scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +68,17 @@ impl Default for FabricScenarioOptions {
 }
 
 /// The wall-clock fabric as an [`Executor`]: a script tick is a real
-/// sleep, loss overrides go through the [`FabricControl`], and whatever
-/// targets one process goes through its [`NodeHandle`].
+/// sleep, what happens on the wire goes through the nodes'
+/// [`ChaosControl`]s, and what happens to one process through its
+/// [`NodeHandle`].
 struct WallFabric {
-    control: FabricControl,
+    clock: WallClock,
     session: WallSession,
     /// The logical tick the driver has advanced to.
     tick: SimTime,
     handles: BTreeMap<ProcessId, NodeHandle>,
+    /// Every node's wire policy and counters; they outlive the join.
+    chaos: BTreeMap<ProcessId, ChaosControl>,
     /// Delivery counts and final audits, empty until [`WallFabric::join`].
     reported: Observed,
 }
@@ -102,7 +105,12 @@ impl WallFabric {
 
 impl FaultSink for WallFabric {
     fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.control.set_loss(link, loss);
+        // Loss is egress-side: each endpoint drops its own sends.
+        for end in [link.lo(), link.hi()] {
+            if let Some(chaos) = self.chaos.get(&end) {
+                chaos.set_link_loss(link, loss);
+            }
+        }
     }
 
     fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
@@ -118,9 +126,15 @@ impl FaultSink for WallFabric {
             .get(&process)
             .is_some_and(|handle| handle.inject_corrupt(mode, window).is_ok())
     }
-    // set_message_adversary keeps the default `false`: the wall
-    // fabric's transports have no deterministic suppression hook, so
-    // the action is honestly reported as skipped.
+
+    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
+        // A fabric-wide policy: every node's chaos layer suppresses its
+        // own egress, windows counted in the run's ticks.
+        for chaos in self.chaos.values() {
+            chaos.set_message_adversary(d, window, self.clock.tick_interval());
+        }
+        true
+    }
 }
 
 impl Executor for WallFabric {
@@ -143,14 +157,16 @@ impl Executor for WallFabric {
         }
     }
 
-    /// Transport-level counters — best effort, **not** kernel-comparable
-    /// (see [`FabricControl::metrics`]); read after the join they include
-    /// the nodes' shutdown sends.
+    /// The nodes' chaos counters, merged — best effort, **not**
+    /// kernel-comparable (see [`ChaosControl::metrics`]); read after the
+    /// join they include the nodes' shutdown sends.
     fn observed(&self) -> Observed {
-        Observed {
-            metrics: self.control.metrics(),
-            ..self.reported.clone()
+        let mut observed = self.reported.clone();
+        for chaos in self.chaos.values() {
+            observed.metrics.merge(&chaos.metrics());
+            observed.suppressed += chaos.suppressed();
         }
+        observed
     }
 }
 
@@ -161,17 +177,19 @@ impl Executor for WallFabric {
 /// drops inbound traffic and suppresses timers for the scripted window,
 /// then fires a recovery event — and
 /// [`FaultAction::Corrupt`](diffuse_core::scenario::FaultAction::Corrupt) opens the window on the node's protocol
-/// stack, with [`ScenarioReport::containment`] assembled from the nodes'
-/// final audits. Workload broadcasts that the node rejects at issue time
-/// (node already gone) are counted in
+/// stack (wrap what `make` returns in an
+/// [`Adversary`](diffuse_core::Adversary) for it to lie), with
+/// [`ScenarioReport::containment`] assembled from the nodes' final audits
+/// and the chaos layers' suppression counts. Workload broadcasts that the
+/// node rejects at issue time (node already gone) are counted in
 /// [`ScenarioReport::failed_broadcasts`]; broadcasts a node *defers*
 /// (e.g. incomplete knowledge) are retried by its runtime until they
 /// issue.
 ///
-/// The report's [`metrics`](ScenarioReport::metrics) are filled from
-/// transport-level counters — best effort and **not kernel-comparable**
-/// (different RNG stream, real scheduling, delivered-at-enqueue
-/// semantics; see [`FabricControl::metrics`]).
+/// The report's [`metrics`](ScenarioReport::metrics) are the nodes'
+/// merged chaos counters — best effort and **not kernel-comparable**
+/// (per-node RNG streams, real scheduling, delivered-at-transport-release
+/// semantics; see [`ChaosControl::metrics`]), as on the UDP cluster.
 pub fn run_scenario_on_fabric<P, F>(
     scenario: &Scenario,
     options: FabricScenarioOptions,
@@ -181,17 +199,25 @@ where
     P: Protocol + Send + 'static,
     F: FnMut(ProcessId) -> P,
 {
-    let (transports, control) =
-        Fabric::build_with_control(&scenario.topology, scenario.config.clone(), scenario.seed);
+    // One node per endpoint, spawned in id order.
+    let (mut handles, mut chaos) = (BTreeMap::new(), BTreeMap::new());
+    for (id, endpoint) in Fabric::build(&scenario.topology) {
+        let (transport, control) = ChaosTransport::for_node(
+            endpoint,
+            scenario.seed,
+            &scenario.topology,
+            &scenario.config,
+        );
+        handles.insert(id, spawn_node(make(id), transport, options.tick_interval));
+        chaos.insert(id, control);
+    }
+    let clock = WallClock::new(options.tick_interval);
     let fabric = WallFabric {
-        control,
-        // One node per transport, spawned in id order.
-        handles: transports
-            .into_iter()
-            .map(|(id, transport)| (id, spawn_node(make(id), transport, options.tick_interval)))
-            .collect(),
+        clock,
+        handles,
+        chaos,
         reported: Observed::default(),
-        session: WallClock::new(options.tick_interval).begin(),
+        session: clock.begin(),
         tick: SimTime::ZERO,
     };
     let mut run = ScenarioRun::over(scenario, fabric);
@@ -347,9 +373,11 @@ mod tests {
         assert!(report.delivered[&p(0)] >= 1, "{report:?}");
     }
 
-    /// A scripted lying node on the wall-clock fabric: the driver records
-    /// the liar and the joined node threads hand back their audits, so
-    /// containment is reported here as on every other executor.
+    /// A scripted lying node and a message adversary on the wall-clock
+    /// fabric: the driver records the liar, the joined node threads hand
+    /// back their audits and the chaos layers their suppression counts, so
+    /// nothing is skipped and containment is reported here as on every
+    /// other executor.
     #[test]
     fn scripted_corruption_is_audited_on_the_wall_fabric() {
         use diffuse_core::{AdaptiveBroadcast, AdaptiveParams, Adversary};
@@ -359,14 +387,25 @@ mod tests {
         let scenario = Scenario::builder(topology.clone())
             .seed(11)
             .workload(Workload::new().broadcast(SimTime::new(60), p(1), Payload::from("x")))
-            .faults(FaultScript::new().at(
-                SimTime::new(20),
-                FaultAction::Corrupt {
-                    process: p(0),
-                    mode: CorruptionMode::UnderstateDistortion,
-                    window: 40,
-                },
-            ))
+            .faults(
+                FaultScript::new()
+                    .at(
+                        SimTime::new(20),
+                        FaultAction::Corrupt {
+                            process: p(0),
+                            mode: CorruptionMode::UnderstateDistortion,
+                            window: 40,
+                        },
+                    )
+                    .at(
+                        SimTime::new(30),
+                        FaultAction::MessageAdversary { d: 1, window: 10 },
+                    )
+                    .at(
+                        SimTime::new(80),
+                        FaultAction::MessageAdversary { d: 0, window: 10 },
+                    ),
+            )
             .build();
         let report = run_scenario_on_fabric(
             &scenario,
@@ -397,6 +436,8 @@ mod tests {
             "and so were the correct nodes': {c:?}"
         );
         assert_eq!(c.bound_violations, 0, "{c:?}");
+        assert!(c.suppressed_emissions > 0, "the adversary acted: {c:?}");
+        assert!(report.all_delivered_at_least(1), "{report:?}");
     }
 
     /// The virtual-time runner is deterministic: two runs of a scenario

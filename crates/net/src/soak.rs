@@ -10,11 +10,11 @@
 //!   node (SIGKILL, fresh process, same port), over the gossip
 //!   protocol;
 //! * the **adversary profile** ([`SoakOptions::adversary`]): one
-//!   scripted lying node (chaos-level heartbeat rewriting inside a
-//!   corruption window) plus a cluster-wide message adversary
-//!   (deterministic bounded egress suppression), over the adaptive
-//!   protocol — gossip emits no heartbeats, so only the adaptive
-//!   regime gives a liar something to lie about.
+//!   scripted lying node (its `Adversary`-wrapped protocol rewrites
+//!   heartbeats inside a corruption window) plus a cluster-wide
+//!   message adversary (deterministic bounded egress suppression),
+//!   over the adaptive protocol — gossip emits no heartbeats, so only
+//!   the adaptive regime gives a liar something to lie about.
 //!
 //! The delivery guarantee under test is the paper's: every broadcast
 //! accepted from a correct origin must eventually be delivered by

@@ -37,7 +37,7 @@ fn idle_node_sleeps_instead_of_busy_waking() {
         .add_link(ProcessId::new(0), ProcessId::new(1))
         .unwrap();
     let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-    let mut transports = Fabric::build(&topology, Configuration::new(), 7);
+    let mut transports = Fabric::build(&topology);
     // OptimalBroadcast schedules no timers: the node is fully idle.
     let handle = spawn_node(
         OptimalBroadcast::new(ProcessId::new(0), knowledge, 0.99),

@@ -28,7 +28,7 @@ use diffuse_core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, GossipMessage,
     HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, View, WireTree,
 };
-use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
+use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_net::codec::{decode_message, encode_message, frame_kind, WIRE_VERSION};
 use diffuse_net::{spawn_node, Fabric, NodeHandle, Transport, UdpTransport, MAX_DATAGRAM};
 use diffuse_sim::SimTime;
@@ -129,8 +129,7 @@ fn await_malformed(handle: &NodeHandle, expect: u64, deadline_polls: u32) -> u64
 fn fabric_node_counts_malformed_and_keeps_delivering() {
     let mut topology = Topology::new();
     topology.add_link(p(0), p(1)).unwrap();
-    let config = Configuration::uniform(&topology, Probability::ZERO, Probability::ZERO);
-    let mut transports = Fabric::build(&topology, config, 5);
+    let mut transports = Fabric::build(&topology);
     let node_transport = transports.remove(&p(1)).unwrap();
     let injector = transports.remove(&p(0)).unwrap();
 
@@ -444,8 +443,7 @@ fn self_loop_link_frames_are_rejected_by_the_decoder() {
 fn fabric_adaptive_node_survives_hostile_heartbeats() {
     let mut topology = Topology::new();
     let direct = topology.add_link(p(0), p(1)).unwrap();
-    let config = Configuration::uniform(&topology, Probability::ZERO, Probability::ZERO);
-    let mut transports = Fabric::build(&topology, config, 5);
+    let mut transports = Fabric::build(&topology);
     let node_transport = transports.remove(&p(1)).unwrap();
     let injector = transports.remove(&p(0)).unwrap();
 

@@ -34,9 +34,9 @@ impl Metrics {
     /// Monte-Carlo hot path.
     ///
     /// The recorders are public so alternate substrates (`diffuse-net`'s
-    /// wall-clock fabric and chaos layer) can account their wire events
-    /// in the same counters and be read side by side with a kernel
-    /// run's.
+    /// chaos layer, the faulty wire of every wall-clock node) can account
+    /// their wire events in the same counters and be read side by side
+    /// with a kernel run's.
     pub fn record_sent_batch(&mut self, link: LinkId, kind: &'static str, n: u64) {
         self.sent_total += n;
         *self.sent_by_kind.entry(kind).or_insert(0) += n;

@@ -23,7 +23,8 @@
 //! * [`core`] — the broadcast protocols (optimal, adaptive, gossip
 //!   reference baseline), the `reach`/`optimize` machinery, and the
 //!   [`Scenario`](core::Scenario) engine;
-//! * [`net`] — wire codec, lossy in-memory fabric, UDP transport, a
+//! * [`net`] — wire codec, in-memory fabric, UDP transport, the seeded
+//!   fault layer that wraps either ([`net::ChaosTransport`]), a
 //!   deadline-sleeping node runtime, and the *virtual-time* fabric
 //!   ([`net::run_scenario_on_fabric_virtual`]): the kernel with encoded
 //!   frames in flight, for deterministic, kernel-bit-exact executions.

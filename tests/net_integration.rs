@@ -11,7 +11,7 @@ use diffuse::core::{
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse::net::{codec, spawn_node, Fabric, UdpTransport};
+use diffuse::net::{codec, spawn_node, ChaosTransport, Fabric, UdpTransport};
 use diffuse::sim::SimTime;
 
 fn p(i: u32) -> ProcessId {
@@ -54,14 +54,14 @@ fn live_protocol_messages_round_trip_the_codec() {
 #[test]
 #[allow(clippy::disallowed_methods)] // real-thread test sleeps on wall time
 fn adaptive_protocol_learns_over_fabric_threads() {
-    // Three adaptive nodes on real threads over the lossy in-memory
-    // fabric: after a while, the edge node has learned the remote link.
+    // Three adaptive nodes on real threads over the in-memory fabric:
+    // after a while, the edge node has learned the remote link.
     let mut topology = Topology::new();
     topology.add_link(p(0), p(1)).unwrap();
     topology.add_link(p(1), p(2)).unwrap();
     let all: Vec<ProcessId> = topology.processes().collect();
 
-    let mut transports = Fabric::build(&topology, Configuration::new(), 77);
+    let mut transports = Fabric::build(&topology);
     let mut handles = Vec::new();
     let mut probes = Vec::new();
     for &id in &all {
@@ -158,11 +158,12 @@ fn fabric_loss_injection_affects_live_protocols() {
 
     let mut loss = Configuration::new();
     loss.set_loss(link, Probability::ONE);
-    let mut transports = Fabric::build(&topology, loss, 3);
-    let t1 = transports.remove(&p(1)).unwrap();
-    let t0 = transports.remove(&p(0)).unwrap();
-    // Keep a handle for healing the link later.
-    let heal = |t: &diffuse::net::FabricTransport| t.set_loss(link, Probability::ZERO);
+    let mut transports = Fabric::build(&topology);
+    let mut lossy =
+        |id| ChaosTransport::for_node(transports.remove(&id).unwrap(), 3, &topology, &loss);
+    let (t1, _) = lossy(p(1));
+    // Keep node 0's control for healing the link later.
+    let (t0, control) = lossy(p(0));
 
     let h1 = spawn_node(
         OptimalBroadcast::new(p(1), knowledge.clone(), 0.99),
@@ -170,7 +171,8 @@ fn fabric_loss_injection_affects_live_protocols() {
         Duration::from_millis(2),
     );
 
-    heal(&t0); // heal before node 0 spawns; its first broadcast crosses
+    // Heal before node 0 spawns; its first broadcast crosses.
+    control.set_link_loss(link, Probability::ZERO);
     let h0 = spawn_node(
         OptimalBroadcast::new(p(0), knowledge, 0.99),
         t0,
