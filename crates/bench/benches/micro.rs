@@ -441,6 +441,47 @@ fn bench_sharded_executor(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tick engine's per-message cost with almost no protocol on top:
+/// one reference-gossip broadcast flooding a generated
+/// `G(10 000, 2 ln n / n)` on the kernel, instantiate to report. The row
+/// is the whole run; divide by the message count printed once up front
+/// (a function of the fixed seed only) for ns per message. The same
+/// shape as `crates/e2e`'s `gossip_flood_n10k`, at a quarter of its
+/// broadcasts.
+fn bench_engine_flood(c: &mut Criterion) {
+    use diffuse_core::scenario::{Scenario, Workload};
+    use diffuse_core::ReferenceGossip;
+    use diffuse_graph::generators;
+    use rand::SeedableRng;
+
+    let n = 10_000u32;
+    let edge_probability = 2.0 * f64::from(n).ln() / f64::from(n);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let topology =
+        generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap();
+    let scenario = Scenario::builder(topology)
+        .seed(1)
+        .workload(Workload::new().broadcast(SimTime::ZERO, ProcessId::new(0), Payload::from("m")))
+        .build();
+    let horizon = 24;
+    let topology = &scenario.topology;
+    let make = |id: ProcessId| ReferenceGossip::new(id, topology.neighbors(id).collect(), 8);
+
+    let report = scenario.run_sim(horizon, make);
+    assert!(report.all_delivered_at_least(1), "the flood must saturate");
+    let sent = report.metrics.as_ref().map_or(0, |m| m.sent_total());
+    println!("engine/flood_n10k_msgs: {sent} messages per iteration");
+
+    let mut group = c.benchmark_group("engine");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(4));
+    group.bench_function("flood_n10k_msgs", |b| {
+        b.iter(|| scenario.run_sim(horizon, make))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mrt,
@@ -451,6 +492,7 @@ criterion_group!(
     bench_delta_view_ops,
     bench_codec,
     bench_fast_forward,
-    bench_sharded_executor
+    bench_sharded_executor,
+    bench_engine_flood
 );
 criterion_main!(benches);

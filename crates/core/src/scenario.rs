@@ -465,10 +465,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the link delay in ticks (clamped to at least 1).
+    /// Sets the link delay in ticks (the tick engine raises 0 to 1).
     #[must_use]
     pub fn link_delay(mut self, ticks: u64) -> Self {
-        self.scenario.link_delay = ticks.max(1);
+        self.scenario.link_delay = ticks;
         self
     }
 
@@ -664,7 +664,7 @@ pub trait Executor: FaultSink {
 }
 
 macro_rules! impl_executor {
-    ($executor:ident, |$sim:ident| $metrics:expr, $($bound:tt)+) => {
+    ($executor:ident, $($bound:tt)+) => {
         /// Loss, crash and suppression hooks delegate to the executor;
         /// corruption windows are injected as [`Event::Corrupt`] through a
         /// live context, with the resulting sends flushed like any
@@ -704,8 +704,7 @@ macro_rules! impl_executor {
                 outcome
             }
             fn observed(&self) -> Observed {
-                let $sim = self;
-                let metrics: Metrics = $metrics;
+                let metrics = $executor::metrics(self);
                 let mut seen = Observed {
                     suppressed: metrics.suppressed_by_adversary(),
                     metrics,
@@ -722,12 +721,8 @@ macro_rules! impl_executor {
     };
 }
 
-impl_executor!(Simulation, |sim| Simulation::metrics(sim).clone(), Protocol);
-impl_executor!(
-    ShardedKernel,
-    |sim| ShardedKernel::metrics(sim),
-    Protocol + Send
-);
+impl_executor!(Simulation, Protocol);
+impl_executor!(ShardedKernel, Protocol + Send);
 
 /// A scenario instantiated on an [`Executor`]: owns the executor plus
 /// the cursors over the workload and fault scripts, applies script events
@@ -1180,6 +1175,46 @@ mod tests {
         assert_eq!(report.delivered[&p(0)], 2);
         assert_eq!(report.delivered[&p(1)], 1);
         assert_eq!(report.delivered[&p(2)], 1);
+    }
+
+    #[test]
+    fn spike_and_heal_reach_the_very_next_flush() {
+        // A fault applies before a broadcast of the same tick, and the
+        // optimal broadcast sends its copies in the issuing command: the
+        // spike must already govern that flush, the heal the next one.
+        let topology = generators::ring(4).unwrap();
+        let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
+        let spike = FaultAction::DegradeAll {
+            loss: Probability::ONE,
+        };
+        let scenario = Scenario::builder(topology)
+            .workload(
+                Workload::new()
+                    .broadcast(SimTime::new(5), p(0), Payload::from("spiked"))
+                    .broadcast(SimTime::new(6), p(0), Payload::from("healed")),
+            )
+            .faults(
+                FaultScript::new()
+                    .at(SimTime::new(5), spike)
+                    .at(SimTime::new(6), FaultAction::Heal),
+            )
+            .build();
+        let mut run = scenario.sim(|id| OptimalBroadcast::new(id, knowledge.clone(), 0.999));
+        run.run_ticks(6);
+        let spiked = run.sim().metrics();
+        assert!(spiked.sent_total() > 0);
+        assert_eq!(spiked.lost_in_link(), spiked.sent_total());
+        run.run_ticks(20);
+        let report = run.report();
+        assert_eq!(
+            report.metrics.as_ref().unwrap().lost_in_link(),
+            spiked.lost_in_link()
+        );
+        assert_eq!(report.delivered[&p(0)], 2);
+        assert!(
+            report.delivered.values().skip(1).all(|&n| n == 1),
+            "{report:?}"
+        );
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! The tick engine: one *lane* of the discrete-event simulation.
 //!
 //! A [`Lane`] owns everything a tick needs — the clock, the crash table,
-//! the flight heap, the timer table, the loss / adversary / crash RNG
-//! streams and the wire [`Metrics`] — and holds the workspace's only
+//! the flight calendar, the timer table, the loss / adversary / crash
+//! RNG streams and the wire counters — and holds the workspace's only
 //! definitions of the tick's phase order ([`Lane::step`]), handler
 //! dispatch, the outbox flush, timer-op application, the due-timer loop,
 //! the next-wake computation and the fast-forward jump. How a handler
 //! *runs* is the one thing a lane takes from its driver: a [`Handler`]
 //! receiving the [`Site`] it runs at, the [`Input`] to handle and the
 //! [`Effects`] (sends and timer operations) to fill in.
+//!
+//! What never changes during a run is indexed once, in [`LaneEnv::new`]:
+//! the topology becomes a link table (a row of neighbours per process,
+//! links numbered by position) that carries the loss probabilities, so a
+//! send costs one search in the sender's row and one increment at the
+//! link's position. The public [`Metrics`] are assembled from those
+//! positions only when read ([`LaneEnv::metrics`]).
 //!
 //! Two drivers step lanes:
 //!
@@ -27,7 +34,11 @@
 //! 1. crash/recovery transitions in id order (recoveries run
 //!    [`Input::Recover`]);
 //! 2. deliveries due this tick, in `(arrival, source lane, sequence)`
-//!    order — with one lane, send order;
+//!    order — with one lane, send order. Nothing compares flights to
+//!    get it: a lane numbers its flights as it emits them and every
+//!    driver moves batches in push order, so each `(arrival, source
+//!    lane)` bucket of the flight calendar fills in ascending sequence,
+//!    and buckets are taken in key order;
 //! 3. [`Input::Timer`] for every due timer of an up process, in
 //!    `(process, timer)` order, looping so timers armed for the current
 //!    tick still fire on it.
@@ -35,17 +46,16 @@
 //! Nothing else wakes a process: a tick on which none of the three is
 //! due runs no handler, which is what lets [`Lane::skip_idle`] jump over
 //! it. After every handler its timer operations are applied in emission
-//! order and its sends are flushed: link check, sent count, message
+//! order and its sends are flushed: link lookup, sent count, message
 //! adversary, batched loss run ([`LossBatcher`]), same-destination
 //! stagger, schedule. All randomness comes from streams seeded at
 //! construction and consumed in that fixed order, so equal seeds replay
 //! bit-identically — on every driver, because there is no second copy of
 //! this code to drift.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
+use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,29 +65,143 @@ use crate::kernel::{SimMessage, SimOptions};
 use crate::loss::LossBatcher;
 use crate::{CrashModel, Metrics, SimTime, TimerId};
 
+/// One entry of a process's row in the [`LinkTable`]: a neighbour and
+/// the position of the link to it.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    to: ProcessId,
+    link: u32,
+}
+
+/// The network as the outbox flush reads it: the topology's shape frozen
+/// into rows (CSR), links numbered by their position in
+/// [`Topology::links`] order. Only `loss` changes after construction.
+#[derive(Debug, Clone)]
+struct LinkTable {
+    /// Every process, ascending; row `r` belongs to `ids[r]`.
+    ids: Vec<ProcessId>,
+    /// Row `r` is `hops[row_start[r]..row_start[r + 1]]`, ascending by
+    /// neighbour.
+    row_start: Vec<u32>,
+    hops: Vec<Hop>,
+    /// Current loss probability of each link, by position.
+    loss: Vec<f64>,
+}
+
+impl LinkTable {
+    /// Numbers the links in one walk of [`Topology::links`]. That order
+    /// ascends by `(lo, hi)`, so appending link `k` to both endpoints'
+    /// rows as it is met leaves every row ascending: a row receives its
+    /// lower neighbours (in `lo` order) before the walk reaches the
+    /// row's own process as `lo`.
+    fn build(topology: &Topology, loss: &Configuration) -> Self {
+        let ids: Vec<ProcessId> = topology.processes().collect();
+        let mut row_start = Vec::with_capacity(ids.len() + 1);
+        let mut total = 0u32;
+        for &id in &ids {
+            row_start.push(total);
+            total += topology.degree(id) as u32;
+        }
+        row_start.push(total);
+        let mut table = LinkTable {
+            ids,
+            row_start,
+            hops: vec![
+                Hop {
+                    to: ProcessId::new(0),
+                    link: 0,
+                };
+                total as usize
+            ],
+            loss: vec![0.0; total as usize / 2],
+        };
+        let mut cursor = table.row_start.clone();
+        for (position, link) in topology.links().enumerate() {
+            for (at, to) in [(link.lo(), link.hi()), (link.hi(), link.lo())] {
+                let row = table.row_of(at).expect("a link's endpoints are processes");
+                table.hops[cursor[row] as usize] = Hop {
+                    to,
+                    link: position as u32,
+                };
+                cursor[row] += 1;
+            }
+        }
+        for (link, p) in loss.loss_entries() {
+            table.set_loss(link, p);
+        }
+        table
+    }
+
+    fn row(&self, row: usize) -> &[Hop] {
+        &self.hops[self.row_start[row] as usize..self.row_start[row + 1] as usize]
+    }
+
+    /// Every link in position order: a link was numbered when the walk
+    /// met it from its lower endpoint, so that is each row's hops to
+    /// higher neighbours, rows ascending.
+    fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.ids.iter().enumerate().flat_map(move |(row, &lo)| {
+            let up = self.row(row).iter().filter(move |hop| hop.to > lo);
+            up.map(move |hop| LinkId::new(lo, hop.to).expect("a row has no hop to itself"))
+        })
+    }
+
+    /// The row of process `id`: its own index when ids are `0..n` (the
+    /// generated graphs), a search otherwise.
+    fn row_of(&self, id: ProcessId) -> Option<usize> {
+        let guess = id.index() as usize;
+        if self.ids.get(guess) == Some(&id) {
+            return Some(guess);
+        }
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The position of the link from row `row`'s process to `to`, or
+    /// `None` if `to` is not its neighbour.
+    fn link_from(&self, row: usize, to: ProcessId) -> Option<u32> {
+        let hops = self.row(row);
+        let hop = hops.binary_search_by_key(&to, |hop| hop.to).ok()?;
+        Some(hops[hop].link)
+    }
+
+    /// Sets one link's loss probability; a link the topology does not
+    /// have is ignored.
+    fn set_loss(&mut self, link: LinkId, p: Probability) {
+        let row = self.row_of(link.lo());
+        if let Some(position) = row.and_then(|row| self.link_from(row, link.hi())) {
+            self.loss[position as usize] = p.value();
+        }
+    }
+}
+
 /// What a lane's driver knows about the run: the network, the crash
 /// model, and how the process set is split over lanes. Lanes only read
-/// it; drivers mutate it between steps (e.g. scripted loss changes).
+/// it; drivers mutate it between steps (scripted loss changes).
 #[derive(Debug, Clone)]
 pub struct LaneEnv {
-    /// The simulated network graph.
-    pub topology: Topology,
-    /// Current per-link loss probabilities.
-    pub loss: Configuration,
+    /// The simulated network graph — for readers; the flush reads
+    /// `links`, built from it once, so neither is writable from outside.
+    topology: Topology,
+    links: LinkTable,
     /// Message latency in ticks. Private so it stays at least 1: a
     /// message sent during tick `t` is never due before `t + 1`, which
-    /// both the phase order and the shards' end-of-tick exchange rely on.
+    /// the phase order, the shards' end-of-tick exchange and the flight
+    /// calendar (nothing lands in the bucket being drained) rely on.
     link_delay: u64,
     /// How processes crash and recover.
     pub crash_model: CrashModel,
-    /// First process id of each lane, ascending. With a single lane the
-    /// content is irrelevant (every destination is local).
-    pub boundaries: Vec<ProcessId>,
+    /// First process id of each lane, ascending; empty with a single
+    /// lane (every destination is local).
+    boundaries: Vec<ProcessId>,
 }
 
 impl LaneEnv {
     /// The environment both drivers build from their constructor
-    /// arguments; `options.link_delay` is clamped to at least 1 tick.
+    /// arguments. `topology` and `loss` are indexed into the link table
+    /// here, once (loss entries of links the topology lacks are
+    /// dropped); `options.link_delay` is clamped to at least 1 tick;
+    /// `boundaries` holds each lane's first process id, or nothing for a
+    /// single lane.
     pub fn new(
         topology: Topology,
         loss: Configuration,
@@ -85,12 +209,22 @@ impl LaneEnv {
         boundaries: Vec<ProcessId>,
     ) -> Self {
         LaneEnv {
+            links: LinkTable::build(&topology, &loss),
             topology,
-            loss,
             link_delay: options.link_delay.max(1),
             crash_model: options.crash_model,
             boundaries,
         }
+    }
+
+    /// The simulated network graph.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Number of lanes the process set is split over.
+    pub fn lanes(&self) -> usize {
+        self.boundaries.len().max(1)
     }
 
     /// The lane owning process `id` (for an id no lane owns: the lane
@@ -99,6 +233,29 @@ impl LaneEnv {
         self.boundaries
             .partition_point(|&b| b <= id)
             .saturating_sub(1)
+    }
+
+    /// Overrides one link's loss probability from the next flush on; a
+    /// link the topology does not have is ignored.
+    pub fn set_loss(&mut self, link: LinkId, p: Probability) {
+        self.links.set_loss(link, p);
+    }
+
+    /// The run's wire [`Metrics`], assembled from its `lanes`: their
+    /// per-link vectors added element-wise, then the map built once
+    /// (links that carried nothing get no entry).
+    pub fn metrics<'a, M: 'a>(&self, lanes: impl IntoIterator<Item = &'a Lane<M>>) -> Metrics {
+        let mut total = Metrics::new();
+        let mut sent = vec![0u64; self.links.loss.len()];
+        for lane in lanes {
+            total.merge(&lane.metrics);
+            for (sum, &n) in sent.iter_mut().zip(&lane.link_sent) {
+                *sum += n;
+            }
+        }
+        let per_link = self.links.link_ids().zip(sent);
+        total.set_sent_per_link(per_link.filter(|&(_, n)| n > 0));
+        total
     }
 }
 
@@ -193,9 +350,10 @@ fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// A message in flight, ordered by `(arrival, source lane, sequence)` —
-/// a merge key no thread interleaving can perturb. With one lane it
-/// reduces to `(arrival, sequence)`: global send order.
+/// A message in flight. Flights are delivered in `(arrival, source lane,
+/// sequence)` order — a merge key no thread interleaving can perturb;
+/// with one lane it reduces to `(arrival, sequence)`: global send order.
+/// The flight calendar keeps that order without comparing flights.
 #[derive(Debug)]
 pub struct Flight<M> {
     at: SimTime,
@@ -206,37 +364,98 @@ pub struct Flight<M> {
     message: M,
 }
 
-impl<M> PartialEq for Flight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
+/// Most flights a calendar chunk holds. Every chunk of the pool ends up
+/// this large once it has served a busy bucket, so a run with many
+/// small buckets in the air (staggered bursts) pays for the cap in
+/// memory; the flood workloads run as fast at 128 as at 512.
+const CHUNK: usize = 128;
+
+/// The flights in the air, bucketed by `(arrival tick, source lane)`.
+///
+/// A lane numbers its flights in emission order, schedules its own at
+/// once and hands the others over in batches that every driver drains
+/// and accepts in push order, so the flights of one source lane reach
+/// [`Calendar::push`] in ascending sequence — appending to the `(at,
+/// lane)` bucket *is* `(at, lane, seq)` order, and delivery is popping
+/// the first bucket while its tick is due.
+///
+/// A bucket is a list of chunks of at most [`CHUNK`] flights, recycled
+/// through one free list. One growing `Vec` per bucket would keep the
+/// draining tick's whole allocation alive while the next tick's fills;
+/// with chunks the filling bucket takes over the drained one's memory
+/// a chunk at a time. A chunk grows like any `Vec` up to that cap,
+/// so a run with a handful of flights per tick holds a handful of slots.
+struct Calendar<M> {
+    /// No bucket and no chunk in a bucket is ever empty.
+    buckets: BTreeMap<(SimTime, u32), VecDeque<Vec<Flight<M>>>>,
+    free: Vec<Vec<Flight<M>>>,
+}
+
+impl<M> Calendar<M> {
+    fn new() -> Self {
+        Calendar {
+            buckets: BTreeMap::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, flight: Flight<M>) {
+        let chunks = self.buckets.entry((flight.at, flight.lane)).or_default();
+        debug_assert!(
+            chunks
+                .back()
+                .and_then(|chunk| chunk.last())
+                .is_none_or(|last| last.seq < flight.seq),
+            "a source lane's flights must arrive in ascending sequence"
+        );
+        match chunks.back_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(flight),
+            _ => {
+                let mut chunk = self.free.pop().unwrap_or_default();
+                chunk.push(flight);
+                chunks.push_back(chunk);
+            }
+        }
+    }
+
+    /// The earliest arrival tick.
+    fn next_at(&self) -> Option<SimTime> {
+        self.buckets.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Takes the next chunk, in delivery order, of the flights due at or
+    /// before `now`; the caller drains it and gives it back to
+    /// [`Calendar::recycle`].
+    fn pop_due(&mut self, now: SimTime) -> Option<Vec<Flight<M>>> {
+        let mut first = self.buckets.first_entry().filter(|e| e.key().0 <= now)?;
+        let chunk = first.get_mut().pop_front();
+        if first.get().is_empty() {
+            first.remove();
+        }
+        chunk
+    }
+
+    fn recycle(&mut self, chunk: Vec<Flight<M>>) {
+        debug_assert!(chunk.is_empty());
+        self.free.push(chunk);
+    }
+
+    fn len(&self) -> usize {
+        self.buckets.values().flatten().map(Vec::len).sum()
     }
 }
 
-impl<M> Eq for Flight<M> {}
-
-impl<M> PartialOrd for Flight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Flight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.lane, self.seq).cmp(&(other.at, other.lane, other.seq))
-    }
-}
-
-/// Per-destination cache for one outbox flush: link validity, loss
-/// probability, owning lane, stagger offset and per-kind sent counts are
-/// resolved once per destination instead of once per message.
+/// Per-destination cache for one outbox flush: link position, loss
+/// probability, owning lane and stagger offset are resolved once per
+/// destination instead of once per message.
+#[derive(Clone, Copy)]
 struct BurstSlot {
     to: ProcessId,
     /// `None`: invalid destination (non-neighbor, self-loop, unknown).
-    link: Option<LinkId>,
+    link: Option<u32>,
     loss: f64,
     lane: u32,
     stagger: u64,
-    sent: Vec<(&'static str, u64)>,
 }
 
 /// One lane of the simulation (see the module docs).
@@ -244,6 +463,8 @@ pub struct Lane<M> {
     index: u32,
     /// The lane's processes, ascending; `crash` is parallel to it.
     ids: Vec<ProcessId>,
+    /// The link-table row of `ids[0]`: slot `s` sends from row `base + s`.
+    base: usize,
     crash: Vec<CrashState>,
     forced_outages: usize,
     now: SimTime,
@@ -258,9 +479,12 @@ pub struct Lane<M> {
     /// Scheduled message adversary on its own seeded stream. Inactive by
     /// default, so adversary-free runs draw nothing from it.
     adversary: MessageAdversary,
+    /// Wire metrics, except that sent copies are counted per link in
+    /// `link_sent`, by link position; [`LaneEnv::metrics`] joins the two.
     metrics: Metrics,
+    link_sent: Vec<u64>,
     next_seq: u64,
-    in_flight: BinaryHeap<Reverse<Flight<M>>>,
+    in_flight: Calendar<M>,
     /// Flights bound for other lanes, per destination lane, until the
     /// driver moves them ([`Lane::take_outbound`] / [`Lane::accept`]).
     outbound: Vec<Vec<Flight<M>>>,
@@ -269,7 +493,7 @@ pub struct Lane<M> {
     /// … mirrored as a deadline-ordered queue for due-scans and wakes.
     timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
     /// Reused buffers: the handler's effects, the due-timer pass, and
-    /// the flush's per-destination slots (steady state allocates nothing).
+    /// the flush's per-destination slots.
     effects: Effects<M>,
     due_scratch: Vec<(ProcessId, TimerId, usize)>,
     burst_scratch: Vec<BurstSlot>,
@@ -287,15 +511,25 @@ impl<M> std::fmt::Debug for Lane<M> {
 }
 
 impl<M: SimMessage> Lane<M> {
-    /// Creates lane `index` of `lanes` over the ascending process ids
-    /// `ids`. `seed` feeds the lane's delivery stream verbatim and its
-    /// suppression stream through [`suppression_seed`](crate::suppression_seed).
-    pub fn new(index: usize, lanes: usize, ids: Vec<ProcessId>, seed: u64) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+    /// Creates lane `index` of `env`'s split, over the processes `env`
+    /// assigns to it. `seed` feeds the lane's delivery stream verbatim
+    /// and its suppression stream through
+    /// [`suppression_seed`](crate::suppression_seed).
+    pub fn new(env: &LaneEnv, index: usize, seed: u64) -> Self {
+        // The lane's rows run from its own first process to the next
+        // lane's.
+        let all = &env.links.ids;
+        let row_of_first = |lane: usize, otherwise: usize| {
+            let first = env.boundaries.get(lane);
+            first.map_or(otherwise, |&first| all.partition_point(|&id| id < first))
+        };
+        let base = row_of_first(index, 0);
+        let ids = all[base..row_of_first(index + 1, all.len())].to_vec();
         Lane {
             index: index as u32,
             crash: vec![CrashState::new(); ids.len()],
             ids,
+            base,
             forced_outages: 0,
             now: SimTime::ZERO,
             busy_ticks: 0,
@@ -304,9 +538,10 @@ impl<M: SimMessage> Lane<M> {
             loss_runs: LossBatcher::new(),
             adversary: MessageAdversary::inactive(seed),
             metrics: Metrics::new(),
+            link_sent: vec![0; env.links.loss.len()],
             next_seq: 0,
-            in_flight: BinaryHeap::new(),
-            outbound: (0..lanes).map(|_| Vec::new()).collect(),
+            in_flight: Calendar::new(),
+            outbound: (0..env.lanes()).map(|_| Vec::new()).collect(),
             timers: BTreeMap::new(),
             timer_queue: BTreeSet::new(),
             effects: Effects::default(),
@@ -345,14 +580,10 @@ impl<M: SimMessage> Lane<M> {
         self.slot_of(id).is_some_and(|slot| self.crash[slot].up)
     }
 
-    /// Collected wire metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Resets collected metrics (e.g. after warm-up).
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
+        self.link_sent.fill(0);
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
@@ -417,7 +648,7 @@ impl<M: SimMessage> Lane<M> {
         };
         run(site, &mut self.effects);
         self.apply_timer_ops(site.id);
-        self.flush_outbox(env, site.id);
+        self.flush_outbox(env, site);
     }
 
     /// Applies the last handler's set/cancel timer operations for `id`.
@@ -443,59 +674,43 @@ impl<M: SimMessage> Lane<M> {
     /// a whole burst in one tick would make one receiver-crash sample
     /// destroy every copy at once.
     ///
-    /// This is the Monte-Carlo inner loop: link validation, loss
-    /// probability and owning lane are resolved once per distinct
-    /// destination of the burst (a small linear cache instead of
-    /// per-message map walks), and sent-message metrics are recorded in
-    /// per-destination batches. Loss decisions come from the batched
+    /// This is the Monte-Carlo inner loop: the link (one search in the
+    /// sender's row of the link table), its loss probability and the
+    /// owning lane are resolved once per distinct destination of the
+    /// burst, and a sent copy is one increment at its link's position.
+    /// Loss decisions come from the batched
     /// geometric sampler ([`LossBatcher`]) rather than one `gen_bool` per
     /// message: the RNG is consulted only when a lossy cell needs a fresh
     /// run length, in send order per the sampler's documented total
     /// order, so seeded streams stay frozen.
-    fn flush_outbox(&mut self, env: &LaneEnv, from: ProcessId) {
-        // Slots from previous flushes are recycled in place (their
-        // per-kind Vecs keep their allocations); `live` marks how many
-        // belong to *this* flush.
+    fn flush_outbox(&mut self, env: &LaneEnv, site: Site) {
+        let from = site.id;
+        let row = self.base + site.slot;
         let slots = &mut self.burst_scratch;
-        let mut live = 0usize;
-        let mut invalid = 0u64;
+        slots.clear();
         for (to, message) in self.effects.outbox.drain(..) {
-            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
+            let slot_index = match slots.iter().position(|s| s.to == to) {
                 Some(i) => i,
                 None => {
-                    let link = LinkId::new(from, to)
-                        .ok()
-                        .filter(|&l| env.topology.contains_link(l));
-                    let mut fresh = BurstSlot {
+                    let link = env.links.link_from(row, to);
+                    slots.push(BurstSlot {
                         to,
                         link,
-                        loss: link.map(|l| env.loss.loss(l).value()).unwrap_or(0.0),
+                        loss: link.map_or(0.0, |l| env.links.loss[l as usize]),
                         lane: env.lane_of(to) as u32,
                         stagger: 0,
-                        sent: Vec::new(),
-                    };
-                    if live == slots.len() {
-                        slots.push(fresh);
-                    } else {
-                        fresh.sent = std::mem::take(&mut slots[live].sent);
-                        fresh.sent.clear();
-                        slots[live] = fresh;
-                    }
-                    live += 1;
-                    live - 1
+                    });
+                    slots.len() - 1
                 }
             };
             let slot = &mut slots[slot_index];
-            if slot.link.is_none() {
-                invalid += 1;
+            let Some(link) = slot.link else {
+                self.metrics.record_invalid_batch(1);
                 continue;
-            }
-            // Sent metrics count pre-loss copies, batched per kind.
-            let kind = message.kind();
-            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => slot.sent.push((kind, 1)),
-            }
+            };
+            // Sent metrics count pre-loss copies.
+            self.link_sent[link as usize] += 1;
+            self.metrics.record_sent_kind(message.kind(), 1);
             // The message adversary acts before link loss and consumes
             // no loss draws (it has its own stream), so surviving
             // messages see the exact loss schedule of an adversary-free
@@ -520,22 +735,13 @@ impl<M: SimMessage> Lane<M> {
                 to,
                 message,
             };
+            debug_assert!(flight.at > self.now, "link delay is at least one tick");
             slot.stagger += 1;
             self.next_seq += 1;
             if slot.lane == self.index {
-                self.in_flight.push(Reverse(flight));
+                self.in_flight.push(flight);
             } else {
                 self.outbound[slot.lane as usize].push(flight);
-            }
-        }
-        if invalid > 0 {
-            self.metrics.record_invalid_batch(invalid);
-        }
-        for slot in slots[..live].iter() {
-            if let Some(link) = slot.link {
-                for &(kind, n) in &slot.sent {
-                    self.metrics.record_sent_batch(link, kind, n);
-                }
             }
         }
     }
@@ -583,7 +789,7 @@ impl<M: SimMessage> Lane<M> {
     /// This lane's next-tick status: its earliest pending delivery or
     /// timer deadline, and its forced-outage count.
     pub fn status(&self) -> LaneStatus {
-        let flight = self.in_flight.peek().map(|Reverse(f)| f.at);
+        let flight = self.in_flight.next_at();
         let timer = self.timer_queue.first().map(|&(at, _, _)| at);
         LaneStatus {
             next_wake: earliest(flight, timer),
@@ -657,22 +863,22 @@ impl<M: SimMessage> Lane<M> {
             });
         }
 
-        // Phase 2: deliveries due this tick, in flight-key order.
-        while self
-            .in_flight
-            .peek()
-            .is_some_and(|Reverse(flight)| flight.at <= self.now)
-        {
-            let Reverse(flight) = self.in_flight.pop().expect("peeked");
-            let Some(slot) = self.slot_of(flight.to).filter(|&s| self.crash[s].up) else {
-                self.metrics.record_dropped_receiver_down();
-                continue;
-            };
-            self.metrics.record_delivered(flight.message.kind());
-            let Flight { from, message, .. } = flight;
-            self.dispatch(env, slot, |site, fx| {
-                handler.handle(site, Input::Message { from, message }, fx);
-            });
+        // Phase 2: deliveries due this tick, in flight-key order. What
+        // they send is due on a later tick, so it never joins a bucket
+        // being drained.
+        while let Some(mut chunk) = self.in_flight.pop_due(self.now) {
+            for flight in chunk.drain(..) {
+                let Some(slot) = self.slot_of(flight.to).filter(|&s| self.crash[s].up) else {
+                    self.metrics.record_dropped_receiver_down();
+                    continue;
+                };
+                self.metrics.record_delivered(flight.message.kind());
+                let Flight { from, message, .. } = flight;
+                self.dispatch(env, slot, |site, fx| {
+                    handler.handle(site, Input::Message { from, message }, fx);
+                });
+            }
+            self.in_flight.recycle(chunk);
         }
 
         // Phase 3: timers due this tick, in (process, timer) order.
@@ -685,36 +891,310 @@ impl<M: SimMessage> Lane<M> {
         self.outbound[dst].drain(..)
     }
 
-    /// Accepts flights another lane addressed to this one. The heap's
-    /// key makes the arrival order of batches irrelevant.
+    /// Accepts flights another lane addressed to this one: one source
+    /// lane's batches in the order it emitted them (the calendar's
+    /// precondition); how the source lanes interleave is irrelevant.
     pub fn accept(&mut self, flights: impl IntoIterator<Item = Flight<M>>) {
-        self.in_flight.extend(flights.into_iter().map(Reverse));
+        for flight in flights {
+            self.in_flight.push(flight);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
 
     fn flight(at: u64, lane: u32, seq: u64) -> Flight<u64> {
         Flight {
             at: SimTime::new(at),
             lane,
             seq,
-            from: ProcessId::new(0),
-            to: ProcessId::new(1),
-            message: 0,
+            from: p(0),
+            to: p(1),
+            message: seq,
+        }
+    }
+
+    /// The order the flight heap kept by comparing flights — the oracle
+    /// the calendar's append order is tested against.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Key {
+        at: SimTime,
+        lane: u32,
+        seq: u64,
+    }
+
+    impl Key {
+        fn of(flight: &Flight<u64>) -> Key {
+            Key {
+                at: flight.at,
+                lane: flight.lane,
+                seq: flight.seq,
+            }
         }
     }
 
     #[test]
-    fn flights_order_by_arrival_then_lane_then_sequence() {
-        assert!(flight(1, 9, 9) < flight(2, 0, 0));
-        assert!(flight(2, 0, 9) < flight(2, 1, 0));
-        assert!(flight(2, 1, 0) < flight(2, 1, 1));
+    fn keys_order_by_arrival_then_lane_then_sequence() {
+        let key = |at, lane, seq| Key::of(&flight(at, lane, seq));
+        assert!(key(1, 9, 9) < key(2, 0, 0));
+        assert!(key(2, 0, 9) < key(2, 1, 0));
+        assert!(key(2, 1, 0) < key(2, 1, 1));
         // The record carries 32 bytes besides the message: ~10⁵ of them
         // are alive at once in the large gossip floods.
         assert_eq!(std::mem::size_of::<Flight<()>>(), 32);
+    }
+
+    /// Drives a calendar and a reference heap through the same run, the
+    /// way a lane of a four-lane run sees it: while a tick's flights are
+    /// delivered the local lane (0) schedules bursts at once; what the
+    /// three other lanes emitted during the tick is accepted afterwards,
+    /// one batch per source lane. Bursts stagger up to 40 ticks past the
+    /// link delay, so many buckets are live and a bucket is appended to
+    /// over many ticks.
+    fn calendar_matches_heap(seed: u64) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let link_delay = rng.gen_range(1..=5u64);
+        let mut calendar: Calendar<u64> = Calendar::new();
+        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        let mut next_seq = [0u64; 4];
+        let burst = |rng: &mut rand::rngs::StdRng, now: u64, lane: usize, seq: &mut [u64; 4]| {
+            let copies = rng.gen_range(0..=40u64);
+            let first = seq[lane];
+            seq[lane] += copies;
+            (0..copies).map(move |stagger| {
+                flight(now + link_delay + stagger, lane as u32, first + stagger)
+            })
+        };
+        let schedule =
+            |flight: Flight<u64>, calendar: &mut Calendar<u64>, heap: &mut BinaryHeap<_>| {
+                heap.push(Reverse(Key::of(&flight)));
+                calendar.push(flight);
+            };
+        for flight in burst(&mut rng, 0, 0, &mut next_seq) {
+            schedule(flight, &mut calendar, &mut heap);
+        }
+        for now in 1..=12u64 {
+            let now_t = SimTime::new(now);
+            assert_eq!(calendar.next_at(), heap.peek().map(|Reverse(key)| key.at));
+            while let Some(mut chunk) = calendar.pop_due(now_t) {
+                for delivered in chunk.drain(..) {
+                    assert_eq!(delivered.message, delivered.seq);
+                    assert_eq!(heap.pop(), Some(Reverse(Key::of(&delivered))));
+                    if rng.gen_range(0..10) < 3 {
+                        for flight in burst(&mut rng, now, 0, &mut next_seq) {
+                            schedule(flight, &mut calendar, &mut heap);
+                        }
+                    }
+                }
+                calendar.recycle(chunk);
+            }
+            assert!(heap.peek().is_none_or(|Reverse(key)| key.at > now_t));
+            for lane in 1..4 {
+                for _ in 0..rng.gen_range(0..3) {
+                    for flight in burst(&mut rng, now, lane, &mut next_seq) {
+                        schedule(flight, &mut calendar, &mut heap);
+                    }
+                }
+            }
+            assert_eq!(calendar.len(), heap.len());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_calendar_delivers_in_heap_order(seed in any::<u64>()) {
+            calendar_matches_heap(seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "large case count; CI runs it in release via --include-ignored"]
+        fn prop_calendar_delivers_in_heap_order_at_scale(seed in any::<u64>()) {
+            calendar_matches_heap(seed);
+        }
+    }
+
+    /// Forwards every message with hops left to one other process.
+    struct PassOn {
+        ids: Vec<ProcessId>,
+    }
+
+    impl Handler<u64> for PassOn {
+        fn handle(&mut self, site: Site, input: Input<u64>, fx: &mut Effects<u64>) {
+            if let Input::Message { message: hops, .. } = input {
+                if hops > 0 {
+                    let n = self.ids.len();
+                    let step = 1 + hops as usize % (n - 1);
+                    fx.outbox.push((self.ids[(site.slot + step) % n], hops - 1));
+                }
+            }
+        }
+    }
+
+    fn complete(n: u32) -> Topology {
+        let mut topology = Topology::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                topology.add_link(p(a), p(b)).unwrap();
+            }
+        }
+        topology
+    }
+
+    #[test]
+    fn drained_chunks_are_refilled_not_reallocated() {
+        let n = 40u32;
+        let env = LaneEnv::new(
+            complete(n),
+            Configuration::new(),
+            SimOptions::default(),
+            Vec::new(),
+        );
+        let mut lane: Lane<u64> = Lane::new(&env, 0, 1);
+        let mut handler = PassOn {
+            ids: lane.ids().to_vec(),
+        };
+        // Every process sends one 60-hop message to every other: a
+        // steady n(n-1) flights in the air for 60 ticks.
+        for &from in &handler.ids.clone() {
+            lane.command(&env, from, |site, fx| {
+                let others = handler.ids.iter().filter(|&&to| to != site.id);
+                fx.outbox.extend(others.map(|&to| (to, 60)));
+            });
+        }
+        let (mut peak, mut live_buckets) = (lane.in_flight.len(), 1);
+        for _ in 0..70 {
+            lane.step(&env, &mut handler);
+            peak = peak.max(lane.in_flight.len());
+            live_buckets = live_buckets.max(lane.in_flight.buckets.len());
+        }
+        assert_eq!(lane.in_flight.len(), 0);
+        let delivered = env.metrics([&lane]).delivered_total();
+        assert_eq!(delivered, u64::from(n * (n - 1)) * 61);
+        assert!(delivered as usize > 50 * peak);
+        // Empty again, every chunk ever allocated is on the free list:
+        // what the peak needed, plus the partly filled tail of each live
+        // bucket and the chunk being drained.
+        let allocated = lane.in_flight.free.len();
+        assert!(
+            allocated <= peak.div_ceil(CHUNK) + live_buckets + 1,
+            "{allocated} chunks for a peak of {peak} flights in {live_buckets} buckets"
+        );
+    }
+
+    /// A graph whose ids are not `0..n`, with an isolated process.
+    fn sparse() -> Topology {
+        let mut topology = Topology::new();
+        for (a, b) in [(40, 3), (3, 11), (11, 40), (10, 11), (7, 90)] {
+            topology.add_link(p(a), p(b)).unwrap();
+        }
+        topology.add_process(p(5));
+        topology
+    }
+
+    #[test]
+    fn link_table_rows_ascend_and_number_links_in_topology_order() {
+        let topology = sparse();
+        let link = |a, b| LinkId::new(p(a), p(b)).unwrap();
+        let mut loss = Configuration::new();
+        loss.set_loss(link(3, 11), Probability::new(0.25).unwrap());
+        loss.set_loss(link(7, 90), Probability::ONE);
+        // Entries of links the topology lacks, sorting before, between
+        // and after its own, are dropped.
+        for (a, b) in [(1, 2), (3, 12), (10, 40), (95, 99)] {
+            loss.set_loss(link(a, b), Probability::new(0.5).unwrap());
+        }
+        let table = LinkTable::build(&topology, &loss);
+        assert_eq!(table.ids, topology.processes().collect::<Vec<_>>());
+        let link_ids: Vec<LinkId> = table.link_ids().collect();
+        assert_eq!(link_ids, topology.links().collect::<Vec<_>>());
+        let lossy: Vec<(LinkId, f64)> = link_ids
+            .iter()
+            .copied()
+            .zip(table.loss.iter().copied())
+            .filter(|&(_, p)| p > 0.0)
+            .collect();
+        assert_eq!(lossy, vec![(link(3, 11), 0.25), (link(7, 90), 1.0)]);
+        for (row, &id) in table.ids.iter().enumerate() {
+            assert_eq!(table.row_of(id), Some(row));
+            let hops = table.row(row);
+            let neighbors: Vec<ProcessId> = hops.iter().map(|hop| hop.to).collect();
+            assert_eq!(
+                neighbors,
+                topology.neighbors(id).collect::<Vec<_>>(),
+                "{id}"
+            );
+            for hop in hops {
+                assert_eq!(
+                    link_ids[hop.link as usize],
+                    link(id.index(), hop.to.index())
+                );
+                assert_eq!(table.link_from(row, hop.to), Some(hop.link));
+            }
+        }
+        // Non-neighbours, the process itself and unknown ids are not in
+        // the row.
+        let row = table.row_of(p(3)).unwrap();
+        for to in [10, 3, 5, 99] {
+            assert_eq!(table.link_from(row, p(to)), None, "p3 -> p{to}");
+        }
+        assert_eq!(table.row_of(p(4)), None);
+        assert_eq!(table.row_of(p(0)), None);
+    }
+
+    #[test]
+    fn set_loss_writes_one_link_and_ignores_links_outside_the_topology() {
+        let link = |a, b| LinkId::new(p(a), p(b)).unwrap();
+        let mut env = LaneEnv::new(
+            sparse(),
+            Configuration::new(),
+            SimOptions::default(),
+            Vec::new(),
+        );
+        let before = env.links.loss.clone();
+        // Both endpoints exist but are not adjacent; one endpoint
+        // unknown; both unknown.
+        for outside in [link(3, 10), link(5, 7), link(3, 99), link(1, 2)] {
+            env.set_loss(outside, Probability::ONE);
+        }
+        assert_eq!(env.links.loss, before);
+        env.set_loss(link(40, 11), Probability::new(0.5).unwrap());
+        let position = env.links.link_ids().position(|l| l == link(11, 40));
+        let mut expected = before;
+        expected[position.unwrap()] = 0.5;
+        assert_eq!(env.links.loss, expected);
+    }
+
+    #[test]
+    fn lanes_take_their_rows_from_the_boundaries() {
+        let env = LaneEnv::new(
+            sparse(),
+            Configuration::new(),
+            SimOptions::default(),
+            vec![p(3), p(10), p(40)],
+        );
+        assert_eq!(env.lanes(), 3);
+        let ids = |index| Lane::<u64>::new(&env, index, 1).ids;
+        assert_eq!(ids(0), vec![p(3), p(5), p(7)]);
+        assert_eq!(ids(1), vec![p(10), p(11)]);
+        assert_eq!(ids(2), vec![p(40), p(90)]);
+        assert_eq!(Lane::<u64>::new(&env, 1, 1).base, 3);
+        for id in env.topology().processes() {
+            assert!(ids(env.lane_of(id)).contains(&id), "{id}");
+        }
     }
 
     #[test]
@@ -753,7 +1233,7 @@ mod tests {
             forced_outages: 0,
         };
         let end = SimTime::new(100);
-        let mut lane: Lane<u64> = Lane::new(0, 1, vec![ProcessId::new(0)], 1);
+        let mut lane: Lane<u64> = Lane::new(&env, 0, 1);
         // An overdue wake (even at tick zero) steps from where we are.
         assert!(lane.skip_idle(&env, end, wake(0)));
         assert_eq!(lane.now(), SimTime::ZERO);

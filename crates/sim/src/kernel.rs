@@ -118,7 +118,7 @@ impl<M> Context<'_, M> {
 pub struct SimOptions {
     /// RNG seed; equal seeds yield bit-identical runs.
     pub seed: u64,
-    /// Message latency in ticks (the drivers raise 0 to 1).
+    /// Message latency in ticks (the engine raises 0 to 1).
     pub link_delay: u64,
     /// How processes crash and recover.
     pub crash_model: CrashModel,
@@ -142,10 +142,10 @@ impl SimOptions {
         self
     }
 
-    /// Replaces the link delay (clamped to at least 1 tick).
+    /// Replaces the link delay (the engine raises 0 to 1).
     #[must_use]
     pub fn with_link_delay(mut self, ticks: u64) -> Self {
-        self.link_delay = ticks.max(1);
+        self.link_delay = ticks;
         self
     }
 
@@ -248,7 +248,7 @@ impl<A: Actor> std::fmt::Debug for Simulation<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("lane", &self.lane)
-            .field("metrics", self.lane.metrics())
+            .field("metrics", &self.metrics())
             .finish_non_exhaustive()
     }
 }
@@ -265,13 +265,11 @@ impl<A: Actor> Simulation<A> {
         make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
     ) -> Self {
-        let ids: Vec<ProcessId> = topology.processes().collect();
-        let actors: Vec<A> = ids.iter().copied().map(make_actor).collect();
-        Simulation {
-            lane: Lane::new(0, 1, ids, options.seed),
-            env: LaneEnv::new(topology, loss, options, Vec::new()),
-            actors,
-        }
+        let seed = options.seed;
+        let env = LaneEnv::new(topology, loss, options, Vec::new());
+        let lane = Lane::new(&env, 0, seed);
+        let actors: Vec<A> = lane.ids().iter().copied().map(make_actor).collect();
+        Simulation { env, lane, actors }
     }
 
     /// How many ticks were actually *executed* (crash/delivery/timer
@@ -288,12 +286,13 @@ impl<A: Actor> Simulation<A> {
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.env.topology
+        self.env.topology()
     }
 
-    /// Collected metrics.
-    pub fn metrics(&self) -> &Metrics {
-        self.lane.metrics()
+    /// Collected metrics, assembled from the lane's dense counters on
+    /// every call: read them once per report, not per tick.
+    pub fn metrics(&self) -> Metrics {
+        self.env.metrics([&self.lane])
     }
 
     /// Resets collected metrics (e.g. after warm-up).
@@ -324,9 +323,9 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Overrides the loss probability of one link (e.g. to heal or break
-    /// a path mid-run).
+    /// a path mid-run). A link the topology does not have is ignored.
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.env.loss.set_loss(link, p);
+        self.env.set_loss(link, p);
     }
 
     /// (Re)configures the message adversary: from now on it destroys up
@@ -581,7 +580,7 @@ mod tests {
                 sim.command(p(0), |_, ctx| ctx.send(p(1), 1));
                 sim.step();
             }
-            sim.metrics().clone()
+            sim.metrics()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -601,6 +600,57 @@ mod tests {
         sim.run_ticks(3);
         let received = &sim.node(p(1)).unwrap().received;
         assert_eq!(received, &vec![(p(0), 1)]);
+    }
+
+    #[test]
+    fn metrics_list_only_links_that_carried_traffic_and_reset_to_zero() {
+        let mut topology = pair_topology();
+        topology.add_link(p(1), p(2)).unwrap();
+        topology.add_link(p(0), p(2)).unwrap();
+        let mut sim = Simulation::new(
+            topology,
+            Configuration::new(),
+            |_| Counter::new(),
+            SimOptions::default(),
+        );
+        let used = LinkId::new(p(1), p(2)).unwrap();
+        sim.command(p(2), |_, ctx| ctx.send(p(1), 1));
+        sim.command(p(1), |_, ctx| ctx.send(p(2), 2));
+        sim.run_ticks(2);
+        let metrics = sim.metrics();
+        assert_eq!(metrics.per_link().collect::<Vec<_>>(), vec![(used, 2)]);
+        assert_eq!(metrics.sent_of_kind("message"), 2);
+        assert_eq!(metrics.delivered_total(), 2);
+        assert_eq!(metrics, sim.metrics());
+
+        sim.reset_metrics();
+        assert_eq!(sim.metrics(), Metrics::new());
+        sim.command(p(0), |_, ctx| ctx.send(p(1), 3));
+        assert_eq!(sim.metrics().sent_over(used), 0);
+        assert_eq!(sim.metrics().sent_total(), 1);
+    }
+
+    #[test]
+    fn set_loss_outside_the_topology_is_ignored() {
+        let mut topology = pair_topology();
+        topology.add_process(p(2));
+        let mut sim = Simulation::new(
+            topology,
+            Configuration::new(),
+            |_| Counter::new(),
+            SimOptions::default(),
+        );
+        sim.set_loss(LinkId::new(p(0), p(2)).unwrap(), Probability::ONE);
+        sim.set_loss(LinkId::new(p(1), p(9)).unwrap(), Probability::ONE);
+        sim.command(p(0), |_, ctx| {
+            ctx.send(p(1), 1);
+            ctx.send(p(2), 2);
+        });
+        sim.run_ticks(2);
+        // p0-p2 is still not a link, and p0-p1 still lossless.
+        assert_eq!(sim.metrics().dropped_invalid(), 1);
+        assert_eq!(sim.metrics().lost_in_link(), 0);
+        assert_eq!(sim.node(p(1)).unwrap().received, vec![(p(0), 1)]);
     }
 
     #[test]
@@ -699,7 +749,7 @@ mod tests {
                 sim.busy_ticks(),
                 sim.node(p(0)).unwrap().beats.clone(),
                 sim.node(p(1)).unwrap().fired.clone(),
-                sim.metrics().clone(),
+                sim.metrics(),
             )
         };
         let (now, busy, beats, fired, metrics) = run(100, true, 1000);

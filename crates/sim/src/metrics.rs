@@ -38,9 +38,22 @@ impl Metrics {
     /// their wire events in the same counters and be read side by side
     /// with a kernel run's.
     pub fn record_sent_batch(&mut self, link: LinkId, kind: &'static str, n: u64) {
+        self.record_sent_kind(kind, n);
+        *self.sent_per_link.entry(link).or_insert(0) += n;
+    }
+
+    /// Records `n` sent copies of one kind and leaves their link out:
+    /// the tick engine counts links by position in a vector of its own
+    /// and hands them over once ([`Metrics::set_sent_per_link`]).
+    pub(crate) fn record_sent_kind(&mut self, kind: &'static str, n: u64) {
         self.sent_total += n;
         *self.sent_by_kind.entry(kind).or_insert(0) += n;
-        *self.sent_per_link.entry(link).or_insert(0) += n;
+    }
+
+    /// Replaces the per-link sent counts. `counts` ascends by link, so
+    /// the map is built in one bulk load; it must hold no zero.
+    pub(crate) fn set_sent_per_link(&mut self, counts: impl Iterator<Item = (LinkId, u64)>) {
+        self.sent_per_link = counts.collect();
     }
 
     /// Records one message delivered to a running receiver.

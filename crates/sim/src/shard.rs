@@ -3,8 +3,8 @@
 //! [`ShardedKernel`] partitions the process set into `W` contiguous
 //! id-range shards and gives each one [`Lane`] of the tick engine and one
 //! worker thread. Within a tick every worker steps its lane — the
-//! engine's phases over its own processes, its own flight heap and its
-//! own RNG stream; cross-shard sends are batched by the lane and
+//! engine's phases over its own processes, its own flight calendar and
+//! its own RNG stream; cross-shard sends are batched by the lane and
 //! exchanged at a tick barrier. Since the link delay is at least one
 //! tick, a message sent during tick `t` is never due before `t + 1`, so
 //! the end-of-tick exchange always lands in time.
@@ -22,9 +22,10 @@
 //! * Every lane draws from a private RNG seeded by
 //!   [`crate::shard_seed`]`(run_seed, shard)` — a pure function of the
 //!   run seed and the stable shard id, never of thread scheduling.
-//! * Flights carry `(arrival, source lane, source seq)` and the delivery
-//!   heap orders by exactly that key, so the merge order is independent
-//!   of which worker published first.
+//! * Flights are delivered in `(arrival, source lane, source seq)`
+//!   order: the lane's calendar keeps one bucket per `(arrival, source
+//!   lane)` and each source lane's batches reach it in emission order,
+//!   so the merge order is independent of which worker published first.
 //! * The fast-forward decision is taken by *global consensus*: each
 //!   lane publishes its [`LaneStatus`] at the barrier, and every worker
 //!   feeds the identical combined status to [`Lane::skip_idle`]. The
@@ -86,7 +87,7 @@ impl<A: Actor> Shard<A> {
     /// the globally published statuses, and a flight exchange after
     /// every step.
     fn run_segment(&mut self, env: &LaneEnv, shared: &Shared<A::Message>, end: SimTime) {
-        let workers = env.boundaries.len();
+        let workers = env.lanes();
         let index = self.lane.index();
         // Prime the status board so the first decision sees every shard.
         shared.status.lock().expect(PANICKED)[index] = self.lane.status();
@@ -113,8 +114,10 @@ impl<A: Actor> Shard<A> {
                 slot.extend(self.lane.take_outbound(dst));
             }
             shared.barrier.wait();
-            // The heap's key makes the drain order irrelevant; ascending
-            // source order keeps the pass fully deterministic anyway.
+            // Source lanes land in separate calendar buckets, so the
+            // order they are drained in is irrelevant; what the key
+            // relies on is that one source's flights stay in the order
+            // that lane pushed them, which `extend` and `drain` keep.
             for src in (0..workers).filter(|&src| src != index) {
                 let mut slot = shared.mailboxes[index * workers + src]
                     .lock()
@@ -173,28 +176,24 @@ impl<A: Actor> ShardedKernel<A> {
         let workers = workers.clamp(1, ids.len().max(1));
         let base = ids.len() / workers;
         let extra = ids.len() % workers;
-        let mut shards = Vec::with_capacity(workers);
-        let mut boundaries = Vec::with_capacity(workers);
-        let mut cursor = 0usize;
-        for index in 0..workers {
-            let len = base + usize::from(index < extra);
-            let chunk = ids[cursor..cursor + len].to_vec();
-            cursor += len;
-            boundaries.push(chunk.first().copied().unwrap_or(ProcessId::new(0)));
-            shards.push(Shard {
-                actors: chunk.iter().copied().map(&mut make_actor).collect(),
-                lane: Lane::new(
-                    index,
-                    workers,
-                    chunk,
-                    shard_seed(options.seed, index as u32),
-                ),
-            });
-        }
-        ShardedKernel {
-            env: LaneEnv::new(topology, loss, options, boundaries),
-            shards,
-        }
+        // Shard `index` starts `index` base-sized chunks in, plus one
+        // process for every earlier shard that took an extra.
+        let boundaries = (0..workers)
+            .map(|index| ids.get(index * base + index.min(extra)).copied())
+            .map(|first| first.unwrap_or(ProcessId::new(0)))
+            .collect();
+        let seed = options.seed;
+        let env = LaneEnv::new(topology, loss, options, boundaries);
+        let shards = (0..workers)
+            .map(|index| {
+                let lane = Lane::new(&env, index, shard_seed(seed, index as u32));
+                Shard {
+                    actors: lane.ids().iter().copied().map(&mut make_actor).collect(),
+                    lane,
+                }
+            })
+            .collect();
+        ShardedKernel { env, shards }
     }
 
     /// Number of worker shards (after clamping).
@@ -209,7 +208,7 @@ impl<A: Actor> ShardedKernel<A> {
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.env.topology
+        self.env.topology()
     }
 
     /// Ticks actually executed (fast-forwarded ticks are not counted).
@@ -218,13 +217,11 @@ impl<A: Actor> ShardedKernel<A> {
         self.shards[0].lane.busy_ticks()
     }
 
-    /// Wire metrics aggregated over all shards (merged in shard order).
+    /// Wire metrics aggregated over all shards, assembled on every call
+    /// (see [`crate::Simulation::metrics`]).
     pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::new();
-        for shard in &self.shards {
-            total.merge(shard.lane.metrics());
-        }
-        total
+        self.env
+            .metrics(self.shards.iter().map(|shard| &shard.lane))
     }
 
     /// Resets every shard's collected metrics (e.g. after warm-up).
@@ -264,7 +261,7 @@ impl<A: Actor> ShardedKernel<A> {
     /// Overrides one link's loss probability. Applied between run
     /// segments, so every shard observes the change at the same tick.
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.env.loss.set_loss(link, p);
+        self.env.set_loss(link, p);
     }
 
     /// (Re)configures every shard's message adversary (see
@@ -290,7 +287,7 @@ impl<A: Actor> ShardedKernel<A> {
     /// as an external command. Returns `false` (and does nothing) if the
     /// process is unknown or down. Commands execute on the coordinator
     /// between segments; any sends route into the owning shards'
-    /// heaps immediately.
+    /// calendars immediately.
     pub fn command(
         &mut self,
         id: ProcessId,
@@ -307,7 +304,7 @@ impl<A: Actor> ShardedKernel<A> {
     }
 
     /// Coordinator-side flight exchange (no worker is running): moves
-    /// whatever shard `s` addressed to its siblings into their heaps.
+    /// whatever shard `s` addressed to its siblings into their calendars.
     fn route_from(&mut self, s: usize) {
         for dst in (0..self.shards.len()).filter(|&dst| dst != s) {
             let batch: Vec<_> = self.shards[s].lane.take_outbound(dst).collect();
@@ -476,7 +473,7 @@ mod tests {
 
         let (sharded_received, sharded_metrics) = run_sharded(&topology, &loss, 42, 1, 40);
         assert_eq!(kernel_received, sharded_received);
-        assert_eq!(kernel.metrics(), &sharded_metrics);
+        assert_eq!(kernel.metrics(), sharded_metrics);
     }
 
     /// `SimOptions::link_delay` is a public field; a zero there must not
@@ -508,7 +505,7 @@ mod tests {
             );
             sharded.command(p(0), |_, ctx| ctx.send(p(1), 6));
             sharded.run_ticks(ticks);
-            (kernel.metrics().clone(), sharded.metrics())
+            (kernel.metrics(), sharded.metrics())
         };
         // One tick delivers the one message sent before it and none of
         // the copies forwarded during it.
@@ -566,7 +563,7 @@ mod tests {
                 r.sort_unstable();
             }
             assert_eq!(expected, received, "W={workers}");
-            assert_eq!(kernel.metrics(), &metrics, "W={workers}");
+            assert_eq!(kernel.metrics(), metrics, "W={workers}");
         }
     }
 

@@ -164,7 +164,7 @@ fn simulator_runs_are_deterministic_per_seed() {
             a.broadcast_now(ctx, Payload::from("x")).unwrap();
         });
         sim.run_ticks(25);
-        (sim.metrics().clone(), delivered_count(&sim))
+        (sim.metrics(), delivered_count(&sim))
     };
     assert_eq!(run(42), run(42));
 }

@@ -186,7 +186,7 @@ fn adaptive_timer_run(
     let mut sim = adaptive_timer_sim(topology, config, params, seed);
     sim.run_ticks(ticks);
     let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-    fingerprint_adaptive(nodes, sim.metrics(), topology)
+    fingerprint_adaptive(nodes, &sim.metrics(), topology)
 }
 
 fn adaptive_tick_run(
@@ -212,7 +212,7 @@ fn adaptive_tick_run(
     );
     sim.run_ticks(ticks);
     let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-    fingerprint_adaptive(nodes, sim.metrics(), topology)
+    fingerprint_adaptive(nodes, &sim.metrics(), topology)
 }
 
 proptest! {
@@ -278,7 +278,7 @@ proptest! {
             });
             sim.run_ticks(2 * (steps as u64 + 2) + 3);
             let sent: Vec<u64> = sim.nodes().map(|(_, a)| a.protocol().data_sent()).collect();
-            (sim.metrics().clone(), sent)
+            (sim.metrics(), sent)
         };
         let run_slow = {
             let mut sim = Simulation::new(
@@ -297,7 +297,7 @@ proptest! {
             });
             sim.run_ticks(2 * (steps as u64 + 2) + 3);
             let sent: Vec<u64> = sim.nodes().map(|(_, a)| a.protocol().data_sent()).collect();
-            (sim.metrics().clone(), sent)
+            (sim.metrics(), sent)
         };
         prop_assert_eq!(run_fast, run_slow);
     }
@@ -330,7 +330,7 @@ proptest! {
             sim.force_down(p(victim), outage);
             advance(&mut sim, 80 * delta);
             let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-            let fingerprint = fingerprint_adaptive(nodes, sim.metrics(), &topology);
+            let fingerprint = fingerprint_adaptive(nodes, &sim.metrics(), &topology);
             (fingerprint, sim.now(), sim.busy_ticks())
         };
         let (fast, fast_now, fast_busy) = run(Simulation::run_ticks);
@@ -379,7 +379,7 @@ fn adaptive_paths_match_through_forced_outages() {
         sim.force_down(p(2), 17);
         sim.run_ticks(100);
         let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-        fingerprint_adaptive(nodes, sim.metrics(), &topology)
+        fingerprint_adaptive(nodes, &sim.metrics(), &topology)
     };
     let tick_path = {
         let mut sim = Simulation::new(
@@ -399,7 +399,7 @@ fn adaptive_paths_match_through_forced_outages() {
         sim.force_down(p(2), 17);
         sim.run_ticks(100);
         let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-        fingerprint_adaptive(nodes, sim.metrics(), &topology)
+        fingerprint_adaptive(nodes, &sim.metrics(), &topology)
     };
     assert_eq!(timer_path, tick_path);
 }
@@ -464,7 +464,7 @@ fn fig5_style_fast_forward_is_5x_faster_with_identical_metrics() {
         );
         sim.run_ticks(ticks);
         let nodes: Vec<_> = sim.nodes().map(|(id, a)| (id, a.protocol())).collect();
-        fingerprint_adaptive(nodes, sim.metrics(), &topology)
+        fingerprint_adaptive(nodes, &sim.metrics(), &topology)
     };
 
     // Warm both paths once (allocator, page faults), then time.
