@@ -17,19 +17,21 @@
 //!
 //! # Delta heartbeats
 //!
-//! Under the default [`ViewMode::Delta`], heartbeats carry only the view
-//! entries whose [`Estimate::version`] moved since the last generation
-//! the receiver acknowledged (piggybacked on its own heartbeats back to
-//! us), with a full-view fallback on first contact, on any topology
-//! change, and until the latest full view is acknowledged. Deltas are
-//! *cumulative since their base*, so a lost heartbeat merely widens the
-//! next delta instead of wedging convergence. The receiver keeps a
-//! cheap copy-on-write mirror of each neighbor's view plus a per-entry
+//! Algorithm 4 (line 17) has every heartbeat carry the sender's whole
+//! `(Λ_k, C_k)` view. Here heartbeats carry only the view entries whose
+//! [`Estimate::version`] moved since the last generation the receiver
+//! acknowledged (piggybacked on its own heartbeats back to us), with a
+//! full-view fallback on first contact, on any topology change, and
+//! until the latest full view is acknowledged. Deltas are *cumulative
+//! since their base*, so a lost heartbeat merely widens the next delta
+//! instead of wedging convergence. The receiver keeps a cheap
+//! copy-on-write mirror of each neighbor's view plus a per-entry
 //! evaluation memo, which is what makes skipping unchanged entries an
 //! *exact* optimization: the resulting estimates, broadcast plans and
-//! wire metrics are bit-identical to [`ViewMode::Full`] (the paper's
-//! literal data flow, kept as the executable specification) — asserted
-//! by the full-vs-delta equivalence property test.
+//! wire metrics are bit-identical to a run in which every delta is
+//! replaced in flight by the full view it stands for
+//! ([`AdaptiveBroadcast::view`]) — asserted by
+//! `tests/delta_equivalence.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -41,7 +43,7 @@ use diffuse_sim::{SimTime, TimerId};
 use crate::adversary::ProtocolAudit;
 use crate::knowledge::{DeltaView, View};
 use crate::optimal::propagate;
-use crate::params::{AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode, ViewMode};
+use crate::params::{AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode};
 use crate::protocol::{
     Actions, BroadcastId, Event, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol,
 };
@@ -418,7 +420,7 @@ pub struct AdaptiveBroadcast {
 
     /// Sender-side delta emission state.
     emission: EmissionCache,
-    /// Receiver-side per-neighbor view mirrors (delta mode only).
+    /// Receiver-side per-neighbor view mirrors, the base deltas apply to.
     mirrors: BTreeMap<ProcessId, NeighborMirror>,
     /// Recycled frame-member index buffers for delta merges.
     member_scratch: (Vec<u32>, Vec<u32>),
@@ -457,10 +459,13 @@ impl AdaptiveBroadcast {
     /// processes connected to `id` by direct links, the only thing a
     /// process initially knows about `Λ`.
     ///
+    /// `params` gets the builders' clamps whether or not it came through
+    /// them: both periods at least 1 tick, `evidence_batch` in `1..=32`.
+    ///
     /// # Panics
     ///
     /// Panics if `neighbors` contains `id` itself or processes outside
-    /// `all_processes`.
+    /// `all_processes`, or if `params.intervals == 0`.
     pub fn new(
         id: ProcessId,
         all_processes: Vec<ProcessId>,
@@ -472,6 +477,18 @@ impl AdaptiveBroadcast {
             neighbors.iter().all(|n| all_processes.contains(n)),
             "neighbors must be part of the system membership"
         );
+        let AdaptiveParams {
+            intervals,
+            heartbeat_period,
+            self_tick_period,
+            evidence_batch,
+            ..
+        } = params;
+        let params = params
+            .with_intervals(intervals)
+            .with_heartbeat_period(heartbeat_period)
+            .with_self_tick_period(self_tick_period)
+            .with_evidence_batch(evidence_batch);
         let mut all = all_processes;
         all.sort_unstable();
         all.dedup();
@@ -604,14 +621,30 @@ impl AdaptiveBroadcast {
         NetworkKnowledge::exact(Topology::clone(&self.topology), config)
     }
 
-    /// Full-view snapshot (the [`ViewMode::Full`]
-    /// executable-specification path, also used to seed tests). Shares
-    /// the same copy-on-write cache as delta emission: entries whose
-    /// estimate did not move since the last emission are `Arc`-shared,
-    /// not re-cloned, so full-view mode pays per *changed* entry too.
-    fn build_full_view(&mut self) -> Arc<View> {
-        self.sync_view_cache();
-        Arc::clone(&self.emission.view)
+    /// The `(Λ_k, C_k)` view a full heartbeat would carry now (Algorithm
+    /// 4, line 17), stamped with the last emission's generation and the
+    /// current topology version.
+    ///
+    /// Built from the live estimates and topology, sharing nothing with
+    /// the copy-on-write cache heartbeats are emitted from — so right
+    /// after an emission it is the independent statement of what each
+    /// delta heartbeat stands for.
+    pub fn view(&self) -> View {
+        View {
+            generation: self.emission.generation,
+            topology_version: self.topology_version,
+            topology: Arc::new(Topology::clone(&self.topology)),
+            processes: self
+                .peers
+                .iter()
+                .map(|(&p, r)| (p, Arc::new(r.estimate.clone())))
+                .collect(),
+            links: self
+                .links
+                .iter()
+                .map(|(&l, e)| (l, Arc::new(e.clone())))
+                .collect(),
+        }
     }
 
     /// Brings the cached view up to date copy-on-write: only entries
@@ -770,7 +803,7 @@ impl AdaptiveBroadcast {
         let (adjust_pos, adjust_neg): (u32, u32) = match self.params.reconcile {
             ReconcileMode::SeqGap => {
                 // Misses during my own downtime are nobody's fault.
-                let excused = u32::try_from(record.downtime_since_receipt / delta.max(1))
+                let excused = u32::try_from(record.downtime_since_receipt / delta)
                     .unwrap_or(u32::MAX)
                     .min(missed);
                 let blamable = missed - excused;
@@ -797,10 +830,9 @@ impl AdaptiveBroadcast {
                     // touched the link.
                     let blamable = match self.params.reconcile {
                         ReconcileMode::SeqGap => {
-                            let excused =
-                                u32::try_from(record.downtime_since_receipt / delta.max(1))
-                                    .unwrap_or(u32::MAX)
-                                    .min(missed);
+                            let excused = u32::try_from(record.downtime_since_receipt / delta)
+                                .unwrap_or(u32::MAX)
+                                .min(missed);
                             missed - excused
                         }
                         ReconcileMode::PaperLiteral => missed,
@@ -843,8 +875,7 @@ impl AdaptiveBroadcast {
             if self.params.reconcile == ReconcileMode::SeqGap {
                 record.link_up = record.link_up.saturating_add(1);
             }
-            if record.link_up.saturating_add(record.link_down) >= self.params.evidence_batch.max(1)
-            {
+            if record.link_up.saturating_add(record.link_down) >= self.params.evidence_batch {
                 Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
             }
         }
@@ -879,82 +910,11 @@ impl AdaptiveBroadcast {
         }
     }
 
-    /// Merges the sender's full view — the legacy [`ViewMode::Full`]
-    /// data flow (lines 26–32), evaluating every entry through its own
-    /// map lookup with eager deadline maintenance. Kept verbatim as the
-    /// executable specification the delta path is property-tested
-    /// against.
-    fn merge_view_legacy(&mut self, from: ProcessId, view: &View, now: SimTime) {
-        self.merge_topology(from, view.topology_version, &view.topology);
-
-        let mut adopted_count = 0u64;
-        let mut bound_violations = 0u64;
-
-        // Process estimates: lines 26–27, selectBestEstimate for every
-        // process. The sender's self-estimate has distortion 0 and is
-        // always adopted.
-        for (p, theirs) in &view.processes {
-            if *p == self.id {
-                continue; // my own estimate is never overwritten
-            }
-            if let Some(record) = self.peers.get_mut(p) {
-                if record.estimate.adopt_if_better(theirs) {
-                    adopted_count += 1;
-                    if record.estimate.distortion() == Distortion::ZERO {
-                        bound_violations += 1;
-                    }
-                    // Adoption counts as an update of C_k[p_i] (Event 2's
-                    // "not updated … in the last ∆" clock restarts).
-                    let at = now + record.timeout;
-                    if record.deadline != at {
-                        record.deadline = at;
-                        self.deadlines.insert(now, at);
-                    }
-                }
-            }
-        }
-
-        // Link estimates: lines 28–32 — select best for known links,
-        // adopt (distortion + 1) for new ones. My own direct links keep
-        // their first-hand estimates (strict distortion comparison).
-        for (l, theirs) in &view.links {
-            match self.links.get_mut(l) {
-                Some(mine) => {
-                    if mine.adopt_if_better(theirs) {
-                        adopted_count += 1;
-                        if mine.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                    }
-                }
-                None => {
-                    let mut adopted = Estimate::unknown(self.params.intervals);
-                    adopted.adopt(theirs);
-                    adopted_count += 1;
-                    if adopted.distortion() == Distortion::ZERO {
-                        bound_violations += 1;
-                    }
-                    self.links.insert(*l, adopted);
-                    let merged = Arc::make_mut(&mut self.topology);
-                    if !merged.contains_link(*l) {
-                        merged.insert_link(*l);
-                        self.topology_version += 1;
-                    }
-                }
-            }
-        }
-
-        let sa = self.audit.sender(from);
-        sa.offered += (view.processes.len() + view.links.len()) as u64;
-        sa.adopted += adopted_count;
-        sa.bound_violations += bound_violations;
-    }
-
-    /// Delta-mode handling of a *full* view: same merge as the legacy
-    /// path (every entry evaluated), plus the mirror rebuild that arms
-    /// future delta merges. Full views are rare in steady state (first
-    /// contact, topology changes, ack gaps), so the per-entry lookups
-    /// are acceptable here.
+    /// Merges the sender's full view — Algorithm 4, lines 26–32: every
+    /// entry evaluated through its own map lookup — and rebuilds the
+    /// mirror that future delta merges apply to. Full views are rare in
+    /// steady state (first contact, topology changes, ack gaps), so the
+    /// per-entry lookups are acceptable here.
     fn merge_full_view(&mut self, from: ProcessId, view: &Arc<View>, now: SimTime) {
         self.merge_topology(from, view.topology_version, &view.topology);
 
@@ -1277,8 +1237,9 @@ impl AdaptiveBroadcast {
     }
 
     /// Heartbeat emission (lines 14–17): one view snapshot, one sequenced
-    /// heartbeat per neighbor — full or delta per
-    /// [`AdaptiveParams::heartbeat_views`] and per-neighbor ack state.
+    /// heartbeat per neighbor — a delta since the generation it last
+    /// acknowledged, or the full view where a delta has no base to apply
+    /// to.
     fn emit_heartbeats(&mut self, now: SimTime, actions: &mut Actions) {
         if now < self.next_heartbeat {
             // Fired early (e.g. a stale deadline): keep the chain alive.
@@ -1286,74 +1247,52 @@ impl AdaptiveBroadcast {
             return;
         }
         self.my_seq += 1;
-        match self.params.heartbeat_views {
-            ViewMode::Full => {
-                let view = self.build_full_view();
-                for i in 0..self.neighbors.len() {
-                    let n = self.neighbors[i];
-                    actions.send(
-                        n,
-                        Message::Heartbeat(HeartbeatMessage {
-                            seq: self.my_seq,
-                            ack: 0,
-                            view: HeartbeatView::Full(Arc::clone(&view)),
-                        }),
-                    );
-                    self.heartbeats_sent += 1;
-                }
-            }
-            ViewMode::Delta => {
-                self.sync_view_cache();
-                // Deltas are cached per distinct base: in steady state
-                // every neighbor acked the previous emission and one
-                // assembly serves them all.
-                let mut delta_cache: Vec<(u64, Arc<DeltaView>)> = Vec::new();
-                for i in 0..self.neighbors.len() {
-                    let n = self.neighbors[i];
-                    let acked = self.emission.neighbors.get(&n).map_or(0, |st| st.acked);
-                    // Full-view fallback: first contact (nothing acked
-                    // yet), or the neighbor's last merge predates our
-                    // latest topology change — its mirror may carry the
-                    // old topology, which deltas cannot update.
-                    let full = acked < self.emission.topo_change_gen.max(1);
-                    let view = if full {
-                        HeartbeatView::Full(Arc::clone(&self.emission.view))
-                    } else {
-                        let base = acked;
-                        let delta = match delta_cache.iter().find(|(b, _)| *b == base) {
-                            Some((_, d)) => Arc::clone(d),
-                            None => {
-                                let d = self.build_delta(base);
-                                delta_cache.push((base, Arc::clone(&d)));
-                                d
-                            }
-                        };
-                        HeartbeatView::Delta(delta)
-                    };
-                    actions.send(
-                        n,
-                        Message::Heartbeat(HeartbeatMessage {
-                            seq: self.my_seq,
-                            ack: self.ack_for(n),
-                            view,
-                        }),
-                    );
-                    self.heartbeats_sent += 1;
-                }
-            }
+        self.sync_view_cache();
+        // Deltas are cached per distinct base: in steady state every
+        // neighbor acked the previous emission and one assembly serves
+        // them all.
+        let mut delta_cache: Vec<(u64, Arc<DeltaView>)> = Vec::new();
+        for i in 0..self.neighbors.len() {
+            let n = self.neighbors[i];
+            let acked = self.emission.neighbors.get(&n).map_or(0, |st| st.acked);
+            // Full-view fallback: first contact (nothing acked yet), or
+            // the neighbor's last merge predates our latest topology
+            // change — its mirror may carry the old topology, which
+            // deltas cannot update.
+            let full = acked < self.emission.topo_change_gen.max(1);
+            let view = if full {
+                HeartbeatView::Full(Arc::clone(&self.emission.view))
+            } else {
+                let base = acked;
+                let delta = match delta_cache.iter().find(|(b, _)| *b == base) {
+                    Some((_, d)) => Arc::clone(d),
+                    None => {
+                        let d = self.build_delta(base);
+                        delta_cache.push((base, Arc::clone(&d)));
+                        d
+                    }
+                };
+                HeartbeatView::Delta(delta)
+            };
+            actions.send(
+                n,
+                Message::Heartbeat(HeartbeatMessage {
+                    seq: self.my_seq,
+                    ack: self.ack_for(n),
+                    view,
+                }),
+            );
+            self.heartbeats_sent += 1;
         }
-        // `max(1)`: the params fields are pub, and a period of 0 must
-        // degrade to once per tick (the legacy behavior), not a
-        // same-tick timer livelock.
-        self.next_heartbeat = now + self.params.heartbeat_period.max(1);
+        self.next_heartbeat = now + self.params.heartbeat_period;
         actions.set_timer(Self::HEARTBEAT, self.next_heartbeat);
     }
 
     /// Event 2: per-peer staleness checks over every peer whose deadline
-    /// has passed — one iteration of the peer map in both view modes
-    /// (cheap: most peers fail the `now < deadline` test and are
-    /// skipped; the deadline *schedule* only decides when this scan
-    /// fires, see [`DeadlineQueue`]).
+    /// has passed — one iteration of the peer map per scan (cheap: most
+    /// peers fail the `now < deadline` test and are skipped; the deadline
+    /// *schedule* only decides when this scan fires, see
+    /// [`DeadlineQueue`]).
     fn run_suspicion_scan(&mut self, now: SimTime, actions: &mut Actions) {
         let is_neighbor: BTreeSet<ProcessId> = self.neighbors.iter().copied().collect();
         let blame_link_now = self.params.link_blame == LinkBlame::OnTimeout
@@ -1400,7 +1339,7 @@ impl AdaptiveBroadcast {
         // Line 39 (paper mode): the link to a suspected neighbor is
         // charged as well — batched like every other link observation.
         if blame_link_now {
-            let batch = self.params.evidence_batch.max(1);
+            let batch = self.params.evidence_batch;
             for p in suspected_neighbors {
                 let link = LinkId::new(self.id, p).expect("neighbor differs");
                 if let Some(estimate) = self.links.get_mut(&link) {
@@ -1430,12 +1369,12 @@ impl AdaptiveBroadcast {
         }
         if let Some(me) = self.peers.get_mut(&self.id) {
             self.self_up = self.self_up.saturating_add(1);
-            if self.self_up >= self.params.evidence_batch.max(1) {
+            if self.self_up >= self.params.evidence_batch {
                 me.estimate.beliefs_mut().increase_reliability(self.self_up);
                 self.self_up = 0;
             }
         }
-        self.next_self_tick = now + self.params.self_tick_period.max(1);
+        self.next_self_tick = now + self.params.self_tick_period;
         actions.set_timer(Self::SELF_TICK, self.next_self_tick);
     }
 
@@ -1457,41 +1396,26 @@ impl AdaptiveBroadcast {
                 let fresh = self.peers.get(&from).is_some_and(|r| seq > r.last_seq);
                 // Event 1: reconcile the direct link, then merge the view.
                 self.reconcile_link(from, seq, now);
-                if self.params.heartbeat_views == ViewMode::Delta {
-                    // The sender's ack of *our* emissions anchors the
-                    // base of our future deltas to it. Hardened against
-                    // lying senders two ways: acks naming a generation
-                    // we never emitted are rejected (and counted), and
-                    // the freshest heartbeat's ack is taken *verbatim*
-                    // rather than max-merged — honest acks are monotone
-                    // in `seq`, so for conformant senders this is the
-                    // old behavior bit for bit, while a within-range
-                    // forged ack gets repaired by the liar's next
-                    // honest heartbeat instead of wedging delta
-                    // emission to that neighbor forever.
-                    let generation = self.emission.generation;
-                    let st = self.emission.neighbors.entry(from).or_default();
-                    if ack > generation {
-                        self.audit.future_acks_rejected += 1;
-                    } else if fresh {
-                        st.acked = ack;
-                    }
+                // The sender's ack of *our* emissions anchors the base of
+                // our future deltas to it. Hardened against lying senders
+                // two ways: acks naming a generation we never emitted are
+                // rejected (and counted), and the freshest heartbeat's ack
+                // is taken *verbatim* rather than max-merged — honest acks
+                // are monotone in `seq`, so for conformant senders this is
+                // the old behavior bit for bit, while a within-range forged
+                // ack gets repaired by the liar's next honest heartbeat
+                // instead of wedging delta emission to that neighbor
+                // forever.
+                let generation = self.emission.generation;
+                let st = self.emission.neighbors.entry(from).or_default();
+                if ack > generation {
+                    self.audit.future_acks_rejected += 1;
+                } else if fresh {
+                    st.acked = ack;
                 }
-                match (&view, self.params.heartbeat_views) {
-                    (HeartbeatView::Full(v), ViewMode::Full) => {
-                        self.merge_view_legacy(from, v, now)
-                    }
-                    (HeartbeatView::Full(v), ViewMode::Delta) => self.merge_full_view(from, v, now),
-                    (HeartbeatView::Delta(d), ViewMode::Delta) => {
-                        self.merge_delta_view(from, d, now)
-                    }
-                    (HeartbeatView::Delta(_), ViewMode::Full) => {
-                        // A full-view node keeps no mirrors and cannot
-                        // apply deltas. (Mixed systems never produce
-                        // this: a full-view node acks 0, so delta-mode
-                        // senders keep sending it full views.)
-                        self.errors += 1;
-                    }
+                match &view {
+                    HeartbeatView::Full(v) => self.merge_full_view(from, v, now),
+                    HeartbeatView::Delta(d) => self.merge_delta_view(from, d, now),
                 }
                 // Receipt and adoption push peer deadlines around; keep
                 // the suspicion timer at the new earliest one.
@@ -1546,7 +1470,7 @@ impl AdaptiveBroadcast {
                 self.deadlines.insert(now, at);
             }
         }
-        self.next_self_tick = now + self.params.self_tick_period.max(1);
+        self.next_self_tick = now + self.params.self_tick_period;
         self.next_heartbeat = now; // announce recovery promptly
         actions.set_timer(Self::HEARTBEAT, self.next_heartbeat);
         actions.set_timer(Self::SELF_TICK, self.next_self_tick);
@@ -2115,7 +2039,7 @@ mod tests {
     fn heartbeats_from_strangers_are_ignored() {
         let all = vec![p(0), p(1), p(2)];
         let mut node = AdaptiveBroadcast::new(all[0], all.clone(), vec![p(1)], params());
-        let view = node.build_full_view();
+        let view = Arc::new(node.view());
         let mut actions = Actions::new();
         node.handle_message(
             SimTime::new(1),
@@ -2134,8 +2058,8 @@ mod tests {
     fn duplicate_heartbeat_seq_is_idempotent() {
         let all = vec![p(0), p(1)];
         let mut a = AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params());
-        let mut b = AdaptiveBroadcast::new(p(1), all, vec![p(0)], params());
-        let view = b.build_full_view();
+        let b = AdaptiveBroadcast::new(p(1), all, vec![p(0)], params());
+        let view = Arc::new(b.view());
         let mut actions = Actions::new();
         let hb = Message::Heartbeat(HeartbeatMessage {
             seq: 1,
@@ -2203,7 +2127,7 @@ mod tests {
     /// First contact is always a full view; once the receiver's ack
     /// comes back, emissions switch to deltas.
     #[test]
-    fn delta_mode_full_view_fallback_then_deltas() {
+    fn first_contact_is_full_then_deltas() {
         let all = vec![p(0), p(1)];
         let mut a = AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params());
         let mut b = AdaptiveBroadcast::new(p(1), all, vec![p(0)], params());
@@ -2288,7 +2212,7 @@ mod tests {
     #[test]
     fn inapplicable_delta_is_dropped_and_full_view_recovers() {
         let all = vec![p(0), p(1)];
-        let mut a = AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params());
+        let a = AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params());
         let mut b = AdaptiveBroadcast::new(p(1), all, vec![p(0)], params());
         let mut actions = Actions::new();
 
@@ -2313,7 +2237,7 @@ mod tests {
         assert!(b.process_estimate(p(0)).unwrap().distortion().is_infinite());
 
         // A full view (what a conformant sender falls back to) heals it.
-        let view = a.build_full_view();
+        let view = Arc::new(a.view());
         b.handle_message(
             SimTime::new(2),
             p(0),
@@ -2328,6 +2252,111 @@ mod tests {
             b.process_estimate(p(0)).unwrap().distortion(),
             Distortion::finite(1)
         );
+    }
+
+    /// Right after an emission, the naively built `view()` and the
+    /// copy-on-write cache the heartbeats were cut from are the same
+    /// view — every round of a run where both keep moving.
+    #[test]
+    fn view_equals_the_emission_cache_right_after_an_emission() {
+        let (a, b, c) = line3();
+        let mut nodes = [a, b, c];
+        let mut actions = Actions::new();
+        for t in 1..=40u64 {
+            let now = SimTime::new(t);
+            let mut pending = Vec::new();
+            for node in nodes.iter_mut() {
+                let node = node.protocol_mut();
+                for timer in [
+                    AdaptiveBroadcast::HEARTBEAT,
+                    AdaptiveBroadcast::SUSPICION,
+                    AdaptiveBroadcast::SELF_TICK,
+                ] {
+                    node.on_event(now, Event::Timer(timer), &mut actions);
+                    if timer == AdaptiveBroadcast::HEARTBEAT {
+                        assert_eq!(node.emission.generation, t);
+                        assert_eq!(node.view(), *node.emission.view, "tick {t}");
+                    }
+                }
+                let from = node.id();
+                pending.extend(
+                    actions
+                        .take_sends()
+                        .into_iter()
+                        .map(|(to, m)| (from, to, m)),
+                );
+                actions.clear();
+            }
+            for (from, to, m) in pending {
+                nodes[to.index() as usize].handle_message(now, from, m, &mut actions);
+                actions.clear();
+            }
+        }
+        // Not vacuous: the views grew past first contact.
+        assert_eq!(nodes[0].protocol().view().links.len(), 2);
+    }
+
+    /// `AdaptiveParams`' fields are public, so a struct literal skips the
+    /// builders' clamps; the node applies them itself. Zero periods and
+    /// an over-wide batch behave exactly as the builders would have
+    /// made them — through a recovery, which used to divide by the
+    /// self-tick period.
+    #[test]
+    fn struct_literal_params_get_the_builders_clamps() {
+        let literal = AdaptiveParams {
+            heartbeat_period: 0,
+            self_tick_period: 0,
+            evidence_batch: 64,
+            ..params()
+        };
+        let built = params()
+            .with_heartbeat_period(0)
+            .with_self_tick_period(0)
+            .with_evidence_batch(64);
+        let run = |pr: AdaptiveParams| {
+            let all = vec![p(0), p(1)];
+            let mut a = timed(AdaptiveBroadcast::new(
+                p(0),
+                all.clone(),
+                vec![p(1)],
+                pr.clone(),
+            ));
+            let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
+            for t in 1..=40u64 {
+                exchange(&mut [&mut a, &mut b], SimTime::new(t));
+            }
+            a.handle_recovery(SimTime::new(50), 9, &mut Actions::new());
+            for t in 50..=90u64 {
+                exchange(&mut [&mut a, &mut b], SimTime::new(t));
+            }
+            [a, b].map(|node| {
+                let node = node.protocol();
+                let bits = |e: &Estimate| {
+                    let mut v: Vec<u64> =
+                        e.beliefs().beliefs().iter().map(|x| x.to_bits()).collect();
+                    v.push(e.distortion().value().map_or(u64::MAX, u64::from));
+                    v
+                };
+                let processes = node.peers.values().map(|r| bits(&r.estimate));
+                let links = node.links.values().map(bits);
+                (
+                    node.params().clone(),
+                    node.heartbeats_sent(),
+                    processes.chain(links).collect::<Vec<_>>(),
+                )
+            })
+        };
+        assert_eq!(run(literal), run(built));
+    }
+
+    #[test]
+    #[should_panic(expected = "interval")]
+    fn zero_intervals_are_rejected_at_construction() {
+        let pr = AdaptiveParams {
+            intervals: 0,
+            ..params()
+        };
+        let _ = AdaptiveBroadcast::new(p(0), vec![p(0)], vec![], pr);
     }
 
     /// The scan-time schedule is insert-only: superseded times stay

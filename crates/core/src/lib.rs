@@ -11,7 +11,7 @@
 //!   counts meeting a target reliability `K` (Algorithm 2), computed by
 //!   an `O(L log L)` closed-form waterfilling solver
 //!   ([`optimize_waterfill`]) that is bit-identical to the paper's
-//!   increment-at-a-time greedy (kept as [`optimize_greedy`]); plus the
+//!   increment-at-a-time greedy (kept as a test-only reference); plus the
 //!   budget-constrained dual [`optimize_budget`] /
 //!   [`optimize_budget_waterfill`] (Eq. 5) and an exhaustive test oracle
 //!   [`optimize_exhaustive`];
@@ -81,12 +81,9 @@ pub use error::CoreError;
 pub use gossip::ReferenceGossip;
 pub use knowledge::{DeltaView, NetworkKnowledge, View};
 pub use optimal::OptimalBroadcast;
-pub use optimize::{
-    gain, optimize, optimize_budget, optimize_budget_greedy, optimize_exhaustive, optimize_greedy,
-    MessagePlan,
-};
+pub use optimize::{gain, optimize, optimize_budget, optimize_exhaustive, MessagePlan};
 pub use params::{
-    AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode, ViewMode, DEFAULT_EVIDENCE_BATCH,
+    AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode, DEFAULT_EVIDENCE_BATCH,
 };
 pub use protocol::{
     Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
@@ -148,6 +145,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod property_tests {
+    use super::optimize::spec::{optimize_budget_greedy, optimize_greedy};
     use super::tests_support::*;
     use super::*;
     use proptest::prelude::*;

@@ -1,20 +1,15 @@
 //! The `optimize()` function (Algorithm 2) and its budget-constrained dual
 //! (Eq. 5).
 //!
-//! Two interchangeable solvers compute the same plans:
-//!
-//! * [`optimize_greedy`] / [`optimize_budget_greedy`] — the paper's
-//!   increment-at-a-time greedy, kept as the executable specification;
-//! * [`crate::optimize_waterfill`] / [`crate::optimize_budget_waterfill`]
-//!   — an `O(L log L)` closed-form threshold ("waterfilling") solver that
-//!   produces **bit-identical** plans (see `waterfill.rs`).
-//!
 //! [`optimize`] and [`optimize_budget`] are the public entry points and
-//! delegate to the waterfilling solver; the greedy remains exported so
-//! tests and benchmarks can cross-check the two against each other.
+//! delegate to [`crate::optimize_waterfill`] /
+//! [`crate::optimize_budget_waterfill`], an `O(L log L)` closed-form
+//! threshold ("waterfilling") solver (see `waterfill.rs`). The paper's
+//! increment-at-a-time greedy lives on as the test-only module `spec`
+//! at the end of this file: the executable specification the
+//! waterfilling solver is property-tested against, bit for bit.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::reach::{link_success, reach};
 use crate::{CoreError, MessageVector, ReliabilityTree};
@@ -164,102 +159,29 @@ pub fn gain(lambda: f64, m: u32) -> f64 {
     link_success(lambda, m + 1) / current
 }
 
-/// Shared entry validation: target checks, the trivial all-ones solution,
-/// and the dead-link error.
-pub(crate) enum Preflight {
-    /// The all-ones vector already meets the target.
-    Done(MessagePlan),
-    /// Keep optimizing from the all-ones vector.
-    Continue(MessageVector),
-}
-
-pub(crate) fn preflight(tree: &ReliabilityTree, k: f64) -> Result<Preflight, CoreError> {
+/// Shared entry validation: target checks, the trivial all-ones solution
+/// (`Some` — done), and the dead-link error. `None` means: keep
+/// optimizing from the all-ones vector.
+pub(crate) fn preflight(tree: &ReliabilityTree, k: f64) -> Result<Option<MessagePlan>, CoreError> {
     if !k.is_finite() || !(0.0..1.0).contains(&k) {
         return Err(CoreError::InvalidTarget(k));
     }
     let m = MessageVector::ones(tree.link_count());
     let r = reach(tree, &m);
     if r + REACH_EPS >= k {
-        return Ok(Preflight::Done(MessagePlan::new(m, r)));
+        return Ok(Some(MessagePlan::new(m, r)));
     }
     if tree.lambdas().iter().any(|&l| l >= 1.0) {
         return Err(CoreError::TargetUnreachable { best_reach: r });
     }
-    Ok(Preflight::Continue(m))
-}
-
-/// One candidate per link, each at the link's current count in `m`.
-fn seed_heap(tree: &ReliabilityTree, m: &MessageVector) -> BinaryHeap<Candidate> {
-    (0..m.len())
-        .map(|j| Candidate::fresh(tree.lambda(j), m.get(j), j))
-        .collect()
-}
-
-/// Runs the greedy from `m` (with `increments_so_far` increments already
-/// spent) until the exact reach meets `k`.
-///
-/// The stopping rule is *drift-free*: the incrementally-updated running
-/// reach only arms a trigger, and crossing the target is always confirmed
-/// against the exact product — so the plan a run produces is a pure
-/// function of the gain ordering and the exact-reach predicate, which is
-/// what lets the closed-form waterfilling solver reproduce it
-/// bit-for-bit. Each failed confirmation pulls the trigger halfway into
-/// the remaining gap, so confirmations cost `O(L log(1/gap))` total.
-pub(crate) fn greedy_until_target(
-    tree: &ReliabilityTree,
-    mut m: MessageVector,
-    increments_so_far: u64,
-    k: f64,
-) -> Result<MessagePlan, CoreError> {
-    let mut r = reach(tree, &m);
-    if r + REACH_EPS >= k {
-        return Ok(MessagePlan::new(m, r));
-    }
-    let mut heap = seed_heap(tree, &m);
-    let mut increments = increments_so_far;
-    let mut trigger = k - REACH_EPS;
-    loop {
-        let Some(best) = heap.pop() else {
-            return Err(CoreError::TargetUnreachable {
-                best_reach: reach(tree, &m),
-            });
-        };
-        if best.gain <= 1.0 {
-            // No link can improve the reach any further.
-            return Err(CoreError::TargetUnreachable {
-                best_reach: reach(tree, &m),
-            });
-        }
-        m.increment(best.index);
-        r *= best.gain;
-        let lambda = tree.lambda(best.index);
-        let next = best.successor(lambda, m.get(best.index));
-        heap.push(next);
-        increments += 1;
-        if increments % RECOMPUTE_EVERY == 0 {
-            r = reach(tree, &m);
-        }
-        if increments > MAX_INCREMENTS {
-            return Err(CoreError::TargetUnreachable {
-                best_reach: reach(tree, &m),
-            });
-        }
-        if r >= trigger {
-            let exact = reach(tree, &m);
-            if exact + REACH_EPS >= k {
-                return Ok(MessagePlan::new(m, exact));
-            }
-            r = exact;
-            trigger = exact + (k - REACH_EPS - exact) * 0.5;
-        }
-    }
+    Ok(None)
 }
 
 /// Algorithm 2: computes the cheapest `m⃗` with `reach(T, m⃗) ≥ k`.
 ///
 /// Delegates to the `O(L log L)` waterfilling solver
 /// ([`crate::optimize_waterfill`]), which produces plans bit-identical to
-/// the reference greedy [`optimize_greedy`]. Appendix D proves the greedy
+/// the paper's reference greedy. Appendix D proves the greedy
 /// is exactly optimal (the gain function is isotone, giving the
 /// greedy-choice and optimal-substructure properties); the test-suite
 /// cross-checks both solvers against each other and against an exhaustive
@@ -296,29 +218,13 @@ pub fn optimize(tree: &ReliabilityTree, k: f64) -> Result<MessagePlan, CoreError
     crate::waterfill::optimize_waterfill(tree, k)
 }
 
-/// The reference greedy for Algorithm 2: starts from `(1, 1, …, 1)` and
-/// repeatedly increments the link with the maximum gain until the target
-/// is met.
-///
-/// Kept as the executable specification of [`optimize`]; the waterfilling
-/// solver must (and does — property-tested) produce bit-identical plans.
-///
-/// # Errors
-///
-/// Same contract as [`optimize`].
-pub fn optimize_greedy(tree: &ReliabilityTree, k: f64) -> Result<MessagePlan, CoreError> {
-    match preflight(tree, k)? {
-        Preflight::Done(plan) => Ok(plan),
-        Preflight::Continue(m) => greedy_until_target(tree, m, 0, k),
-    }
-}
-
 /// The budget-constrained dual (Eq. 5): maximizes `reach(T, m⃗)` subject
 /// to `c(m⃗) ≤ budget`.
 ///
 /// Delegates to the waterfilling solver
 /// ([`crate::optimize_budget_waterfill`]); plans are bit-identical to the
-/// reference greedy [`optimize_budget_greedy`] (footnote 3 of the paper).
+/// paper's reference greedy with the stop condition `c(m⃗) = budget`
+/// (footnote 3 of the paper).
 ///
 /// # Errors
 ///
@@ -326,36 +232,6 @@ pub fn optimize_greedy(tree: &ReliabilityTree, k: f64) -> Result<MessagePlan, Co
 /// of tree links (every link needs at least one message).
 pub fn optimize_budget(tree: &ReliabilityTree, budget: u64) -> Result<MessagePlan, CoreError> {
     crate::waterfill::optimize_budget_waterfill(tree, budget)
-}
-
-/// The reference greedy for the budget dual: runs the same greedy with
-/// the stop condition `c(m⃗) = budget`.
-///
-/// # Errors
-///
-/// Same contract as [`optimize_budget`].
-pub fn optimize_budget_greedy(
-    tree: &ReliabilityTree,
-    budget: u64,
-) -> Result<MessagePlan, CoreError> {
-    let links = tree.link_count();
-    if budget < links as u64 {
-        return Err(CoreError::BudgetTooSmall { budget, links });
-    }
-    let mut m = MessageVector::ones(links);
-    let mut heap = seed_heap(tree, &m);
-    for _ in 0..budget - links as u64 {
-        let Some(best) = heap.pop() else { break };
-        if best.gain <= 1.0 {
-            break; // nothing can improve further; stay under budget
-        }
-        m.increment(best.index);
-        let lambda = tree.lambda(best.index);
-        let next = best.successor(lambda, m.get(best.index));
-        heap.push(next);
-    }
-    let r = reach(tree, &m);
-    Ok(MessagePlan::new(m, r))
 }
 
 /// Exhaustive oracle for tests: tries every `m⃗` with entries in
@@ -399,8 +275,127 @@ pub fn optimize_exhaustive(
     }
 }
 
+/// The paper's increment-at-a-time greedy for Algorithm 2 and its budget
+/// dual: the executable specification the waterfilling solver must (and
+/// does — property-tested) reproduce bit for bit. Test-only.
+#[cfg(test)]
+pub(crate) mod spec {
+    use std::collections::BinaryHeap;
+
+    use super::{preflight, Candidate, MAX_INCREMENTS, REACH_EPS, RECOMPUTE_EVERY};
+    use crate::reach::reach;
+    use crate::{CoreError, MessagePlan, MessageVector, ReliabilityTree};
+
+    /// One candidate per link, each at the link's current count in `m`.
+    fn seed_heap(tree: &ReliabilityTree, m: &MessageVector) -> BinaryHeap<Candidate> {
+        (0..m.len())
+            .map(|j| Candidate::fresh(tree.lambda(j), m.get(j), j))
+            .collect()
+    }
+
+    /// Runs the greedy from `m` until the exact reach meets `k`.
+    ///
+    /// The stopping rule is *drift-free*: the incrementally-updated
+    /// running reach only arms a trigger, and crossing the target is
+    /// always confirmed against the exact product — so the plan a run
+    /// produces is a pure function of the gain ordering and the
+    /// exact-reach predicate, which is what lets the closed-form
+    /// waterfilling solver reproduce it bit-for-bit. Each failed
+    /// confirmation pulls the trigger halfway into the remaining gap, so
+    /// confirmations cost `O(L log(1/gap))` total.
+    fn greedy_until_target(
+        tree: &ReliabilityTree,
+        mut m: MessageVector,
+        k: f64,
+    ) -> Result<MessagePlan, CoreError> {
+        let mut r = reach(tree, &m);
+        if r + REACH_EPS >= k {
+            return Ok(MessagePlan::new(m, r));
+        }
+        let mut heap = seed_heap(tree, &m);
+        let mut increments = 0u64;
+        let mut trigger = k - REACH_EPS;
+        loop {
+            let Some(best) = heap.pop() else {
+                return Err(CoreError::TargetUnreachable {
+                    best_reach: reach(tree, &m),
+                });
+            };
+            if best.gain <= 1.0 {
+                // No link can improve the reach any further.
+                return Err(CoreError::TargetUnreachable {
+                    best_reach: reach(tree, &m),
+                });
+            }
+            m.increment(best.index);
+            r *= best.gain;
+            let lambda = tree.lambda(best.index);
+            let next = best.successor(lambda, m.get(best.index));
+            heap.push(next);
+            increments += 1;
+            if increments % RECOMPUTE_EVERY == 0 {
+                r = reach(tree, &m);
+            }
+            if increments > MAX_INCREMENTS {
+                return Err(CoreError::TargetUnreachable {
+                    best_reach: reach(tree, &m),
+                });
+            }
+            if r >= trigger {
+                let exact = reach(tree, &m);
+                if exact + REACH_EPS >= k {
+                    return Ok(MessagePlan::new(m, exact));
+                }
+                r = exact;
+                trigger = exact + (k - REACH_EPS - exact) * 0.5;
+            }
+        }
+    }
+
+    /// The reference greedy for Algorithm 2: starts from `(1, 1, …, 1)`
+    /// and repeatedly increments the link with the maximum gain until the
+    /// target is met. Same contract as [`crate::optimize`].
+    pub(crate) fn optimize_greedy(
+        tree: &ReliabilityTree,
+        k: f64,
+    ) -> Result<MessagePlan, CoreError> {
+        match preflight(tree, k)? {
+            Some(plan) => Ok(plan),
+            None => greedy_until_target(tree, MessageVector::ones(tree.link_count()), k),
+        }
+    }
+
+    /// The reference greedy for the budget dual: the same greedy with the
+    /// stop condition `c(m⃗) = budget`. Same contract as
+    /// [`crate::optimize_budget`].
+    pub(crate) fn optimize_budget_greedy(
+        tree: &ReliabilityTree,
+        budget: u64,
+    ) -> Result<MessagePlan, CoreError> {
+        let links = tree.link_count();
+        if budget < links as u64 {
+            return Err(CoreError::BudgetTooSmall { budget, links });
+        }
+        let mut m = MessageVector::ones(links);
+        let mut heap = seed_heap(tree, &m);
+        for _ in 0..budget - links as u64 {
+            let Some(best) = heap.pop() else { break };
+            if best.gain <= 1.0 {
+                break; // nothing can improve further; stay under budget
+            }
+            m.increment(best.index);
+            let lambda = tree.lambda(best.index);
+            let next = best.successor(lambda, m.get(best.index));
+            heap.push(next);
+        }
+        let r = reach(tree, &m);
+        Ok(MessagePlan::new(m, r))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::spec::{optimize_budget_greedy, optimize_greedy};
     use super::*;
     use crate::tests_support::{chain_tree, star_tree, tree_with_lambdas};
 

@@ -55,31 +55,11 @@ pub enum LinkBlame {
     OnReconcile,
 }
 
-/// What the approximation activity's heartbeats carry.
-///
-/// Both modes produce **bit-identical** estimates, broadcast plans and
-/// wire metrics — asserted by the full-vs-delta equivalence property
-/// test — because a delta heartbeat, combined with the receiver-side
-/// mirror of the sender's view, reconstructs exactly the merges a full
-/// view would have performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ViewMode {
-    /// Heartbeats carry the entries changed since the receiver's last
-    /// acknowledged merge (cumulative deltas keyed by a view
-    /// generation), with a full-view fallback on first contact, on any
-    /// topology change, and until the latest full view is acknowledged.
-    /// The default: per-heartbeat cost is O(changes), not
-    /// O(processes + links).
-    #[default]
-    Delta,
-    /// Every heartbeat carries the complete `(Λ_k, C_k)` view and the
-    /// receiver re-evaluates every entry — the paper's literal
-    /// Algorithm 4 data flow, kept as the executable specification (and
-    /// the baseline the delta path is benchmarked against).
-    Full,
-}
-
 /// Parameters of the adaptive protocol (Section 4).
+///
+/// The fields are public, so a struct literal can bypass the builders'
+/// clamps; [`AdaptiveBroadcast::new`](crate::AdaptiveBroadcast::new)
+/// applies them again, once, to whatever it is given.
 ///
 /// Use the builder-style `with_*` methods to adjust individual knobs:
 ///
@@ -111,9 +91,6 @@ pub struct AdaptiveParams {
     pub correction: CorrectionMode,
     /// When the link (vs the process) takes the blame for silence.
     pub link_blame: LinkBlame,
-    /// What heartbeats carry: changed-entry deltas (default) or full
-    /// views (the executable specification).
-    pub heartbeat_views: ViewMode,
     /// How many link/self observations accumulate before they are folded
     /// into the Bayesian estimator as one batched
     /// `increase_reliability(k)` / `decrease_reliability(k)` update.
@@ -141,7 +118,6 @@ impl Default for AdaptiveParams {
             reconcile: ReconcileMode::default(),
             correction: CorrectionMode::default(),
             link_blame: LinkBlame::default(),
-            heartbeat_views: ViewMode::default(),
             evidence_batch: DEFAULT_EVIDENCE_BATCH,
         }
     }
@@ -218,19 +194,6 @@ impl AdaptiveParams {
         self
     }
 
-    /// Replaces the heartbeat view mode.
-    #[must_use]
-    pub fn with_heartbeat_views(mut self, mode: ViewMode) -> Self {
-        self.heartbeat_views = mode;
-        self
-    }
-
-    /// Shorthand for the full-view executable-specification mode.
-    #[must_use]
-    pub fn with_full_views(self) -> Self {
-        self.with_heartbeat_views(ViewMode::Full)
-    }
-
     /// The paper-literal parameterization (for ablations): literal
     /// reconciliation, Bayesian correction, timeout-time link blame.
     #[must_use]
@@ -253,16 +216,7 @@ mod tests {
         assert_eq!(p.reconcile, ReconcileMode::SeqGap);
         assert_eq!(p.correction, CorrectionMode::Exact);
         assert_eq!(p.link_blame, LinkBlame::OnTimeout);
-        assert_eq!(p.heartbeat_views, ViewMode::Delta);
         assert!(p.timeout_growth);
-    }
-
-    #[test]
-    fn view_mode_builders() {
-        let p = AdaptiveParams::default().with_full_views();
-        assert_eq!(p.heartbeat_views, ViewMode::Full);
-        let p = p.with_heartbeat_views(ViewMode::Delta);
-        assert_eq!(p.heartbeat_views, ViewMode::Delta);
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //! class, so a threshold probe costs `O(classes)` — the whole solve is
 //! `O(L log L)` and independent of the total message count.
 
-use crate::optimize::{
-    preflight, MessagePlan, Preflight, MAX_INCREMENTS, REACH_EPS, RECOMPUTE_EVERY,
-};
+use crate::optimize::{preflight, MessagePlan, MAX_INCREMENTS, REACH_EPS, RECOMPUTE_EVERY};
 use crate::reach::{link_success, pow_det, reach};
 use crate::{gain, CoreError, MessageVector, ReliabilityTree};
 
@@ -312,18 +310,18 @@ fn counts_at_total(tree: &ReliabilityTree, target: u64) -> MessageVector {
 /// binary-searches the gain threshold characterizing the optimal plan and
 /// finishes with an exact greedy step over the boundary increments.
 ///
-/// Produces plans **bit-identical** to
-/// [`optimize_greedy`](crate::optimize_greedy) — a protocol requirement,
-/// since every receiver of a wire tree must re-derive the sender's exact
-/// plan — while the cost is independent of the total message count.
+/// Produces plans **bit-identical** to the paper's increment-at-a-time
+/// greedy (the test-only reference in `optimize.rs`) — a protocol
+/// requirement, since every receiver of a wire tree must re-derive the
+/// sender's exact plan — while the cost is independent of the total
+/// message count.
 ///
 /// # Errors
 ///
 /// Same contract as [`crate::optimize`].
 pub fn optimize_waterfill(tree: &ReliabilityTree, k: f64) -> Result<MessagePlan, CoreError> {
-    match preflight(tree, k)? {
-        Preflight::Done(plan) => return Ok(plan),
-        Preflight::Continue(..) => {}
+    if let Some(plan) = preflight(tree, k)? {
+        return Ok(plan);
     }
     let classes = LambdaClasses::build(tree.lambdas());
     let g_max = classes.max_first_gain();
@@ -591,8 +589,8 @@ fn class_cursor_tail(
 
 /// `O(L log L)` waterfilling form of [`crate::optimize_budget`] (Eq. 5):
 /// spends exactly `budget` messages (or stops early once no link offers
-/// any gain), bit-identical to
-/// [`optimize_budget_greedy`](crate::optimize_budget_greedy).
+/// any gain), bit-identical to the reference budget greedy (test-only,
+/// in `optimize.rs`).
 ///
 /// # Errors
 ///
@@ -613,8 +611,8 @@ pub fn optimize_budget_waterfill(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimize::spec::{optimize_budget_greedy, optimize_greedy};
     use crate::tests_support::{chain_tree, star_tree, tree_with_lambdas};
-    use crate::{optimize_budget_greedy, optimize_greedy};
 
     #[test]
     fn increments_above_matches_the_exact_definition() {

@@ -12,7 +12,7 @@
 //! | `hetero` | [`hetero`] | §7 future work — heterogeneous losses |
 //! | `refine` | [`refine`] | §7 future work — interval refinement |
 //! | `scenario` | [`scenarios`] | partition-then-heal script on both substrates |
-//! | `scale` | [`scale`] | thousand-node rounds, delta vs full heartbeats |
+//! | `scale` | [`scale`] | thousand-node heartbeat rounds, delta vs full-view size |
 //!
 //! Run everything with the `repro` binary:
 //!

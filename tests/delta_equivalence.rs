@@ -1,25 +1,35 @@
-//! Full-view vs delta-view equivalence: the two heartbeat modes must be
-//! **bit-identical** in everything observable.
+//! Delta heartbeats against the full views they stand for: a run must be
+//! **bit-identical** whether its delta heartbeats arrive as deltas or
+//! are expanded, in flight, into the sender's whole `(Λ_k, C_k)` view.
 //!
-//! The adaptive protocol's delta heartbeats ([`ViewMode::Delta`], the
-//! default) are an optimization with a proof obligation: a run that
-//! gossips only changed view entries must produce exactly the state a
-//! full-view run ([`ViewMode::Full`], the executable specification)
-//! produces — same per-node estimates bit for bit, same broadcast
-//! plans, same wire [`Metrics`] — across random topologies, per-link
-//! loss, heartbeat periods, forced outages, and stochastic crash
-//! models. Heartbeat *sends* are one-per-neighbor-per-period in both
-//! modes, so the kernel's frozen loss RNG stream consumes identically
-//! and the two runs see the same drops; everything after that is on the
-//! merge logic, which these tests pin down.
+//! Algorithm 4 (line 17) has every heartbeat carry the full view; the
+//! adaptive protocol sends cumulative deltas instead, and that is an
+//! optimization with a proof obligation. [`ExpandDeltas`] discharges it
+//! without a second production path: it wraps a node and rewrites every
+//! outgoing delta into [`AdaptiveBroadcast::view`] — built naively from
+//! the node's live estimates, sharing nothing with the emission cache
+//! the delta was cut from — with the same `seq` and `ack`. Receivers
+//! then merge every heartbeat as a full view. The plain run and the
+//! expanded run must agree on per-node estimates bit for bit, broadcast
+//! plans, error counts and the whole [`ScenarioReport`] (deliveries and
+//! wire `Metrics`) across random topologies, per-link loss, heartbeat
+//! periods, forced outages and stochastic crash models. Heartbeat
+//! *sends* are one per neighbor per period either way, so the kernel's
+//! loss stream consumes identically and both runs see the same drops;
+//! everything after that is on the merge logic, which these tests pin
+//! down.
+
+use std::sync::Arc;
 
 use diffuse::bayes::Estimate;
-use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, Workload};
+use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
 use diffuse::core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatView, Message, Payload, Protocol, ViewMode,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, HeartbeatView,
+    Message, Payload, Protocol, ProtocolAudit, View,
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
+use diffuse::net::run_scenario_on_fabric_virtual;
 use diffuse::sim::{CrashModel, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,6 +37,62 @@ use rand::{Rng, SeedableRng};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
+}
+
+/// An adaptive node whose delta heartbeats leave it as the full view
+/// they stand for. Like `core::Adversary`, it rewrites what each wrapped
+/// call appended to the sends.
+struct ExpandDeltas(AdaptiveBroadcast);
+
+impl Protocol for ExpandDeltas {
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+
+    fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+        self.0.on_start(now, actions);
+    }
+
+    fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+        let kept = actions.sends().len();
+        self.0.on_event(now, event, actions);
+        let mut full: Option<Arc<View>> = None;
+        for (i, (to, message)) in actions.take_sends().into_iter().enumerate() {
+            let message = match message {
+                Message::Heartbeat(mut hb) if i >= kept => {
+                    if let HeartbeatView::Delta(d) = &hb.view {
+                        let view = full.get_or_insert_with(|| Arc::new(self.0.view()));
+                        assert_eq!(
+                            (view.generation, view.topology_version),
+                            (d.generation, d.topology_version),
+                            "a delta is stamped with the view it was cut from"
+                        );
+                        hb.view = HeartbeatView::Full(Arc::clone(view));
+                    }
+                    Message::Heartbeat(hb)
+                }
+                other => other,
+            };
+            actions.send(to, message);
+        }
+    }
+
+    fn broadcast(
+        &mut self,
+        now: SimTime,
+        payload: Payload,
+        actions: &mut Actions,
+    ) -> Result<BroadcastId, CoreError> {
+        self.0.broadcast(now, payload, actions)
+    }
+
+    fn delivered(&self) -> &[(BroadcastId, Payload)] {
+        self.0.delivered()
+    }
+
+    fn audit(&self) -> ProtocolAudit {
+        self.0.audit()
+    }
 }
 
 /// Bit-exact fingerprint of an estimate: distortion plus every belief's
@@ -54,38 +120,38 @@ fn node_bits(node: &AdaptiveBroadcast) -> Vec<Vec<u64>> {
     out
 }
 
-/// Per-node state fingerprints, per-node broadcast plans, and the
-/// scenario report of one run.
-type ModeOutcome = (
+/// Per-node state fingerprints, broadcast plans and error counts, and
+/// the scenario report of one run.
+type Outcome = (
     Vec<Vec<Vec<u64>>>,
     Vec<Option<String>>,
-    diffuse::core::ScenarioReport,
+    Vec<u64>,
+    ScenarioReport,
 );
 
-/// Runs `scenario` for `ticks` in the given view mode and returns
-/// per-node state fingerprints, broadcast plans, and the report.
-fn run_mode(
+/// Runs `scenario` for `ticks` with every node wrapped by `wrap` and
+/// returns what the two runs must agree on.
+fn run<P: Protocol>(
     scenario: &Scenario,
     ticks: u64,
     params: &AdaptiveParams,
-    mode: ViewMode,
-) -> ModeOutcome {
+    wrap: impl Fn(AdaptiveBroadcast) -> P,
+    inner: impl Fn(&P) -> &AdaptiveBroadcast,
+) -> Outcome {
     let topology = scenario.topology.clone();
     let all: Vec<ProcessId> = topology.processes().collect();
-    let params = params.clone().with_heartbeat_views(mode);
-    let mut run = scenario.sim(|id| {
-        AdaptiveBroadcast::new(
+    let mut sim = scenario.sim(|id| {
+        wrap(AdaptiveBroadcast::new(
             id,
             all.clone(),
             topology.neighbors(id).collect(),
             params.clone(),
-        )
+        ))
     });
-    run.run_ticks(ticks);
-    let mut states = Vec::new();
-    let mut plans = Vec::new();
+    sim.run_ticks(ticks);
+    let (mut states, mut plans, mut errors) = (Vec::new(), Vec::new(), Vec::new());
     for &id in &all {
-        let node = run.sim().node(id).expect("node exists").protocol();
+        let node = inner(sim.sim().node(id).expect("node exists").protocol());
         states.push(node_bits(node));
         // The broadcast plan a node would derive right now — the thing
         // receivers must be able to re-derive bit-identically.
@@ -97,9 +163,9 @@ fn run_mode(
         } else {
             None
         });
+        errors.push(node.error_count());
     }
-    let report = run.report();
-    (states, plans, report)
+    (states, plans, errors, sim.report())
 }
 
 /// A seeded random scenario exercising loss, partitions, crashes,
@@ -178,24 +244,20 @@ fn random_scenario(seed: u64) -> (Scenario, AdaptiveParams, u64) {
     (scenario, params, horizon)
 }
 
-fn assert_modes_equivalent(scenario: &Scenario, params: &AdaptiveParams, ticks: u64, label: &str) {
-    let (full_states, full_plans, full_report) = run_mode(scenario, ticks, params, ViewMode::Full);
-    let (delta_states, delta_plans, delta_report) =
-        run_mode(scenario, ticks, params, ViewMode::Delta);
+fn assert_expansion_invisible(seed: u64) {
+    let (scenario, params, horizon) = random_scenario(seed);
+    let (states, plans, errors, report) = run(&scenario, horizon, &params, |n| n, |n| n);
+    let (x_states, x_plans, x_errors, x_report) =
+        run(&scenario, horizon, &params, ExpandDeltas, |n| &n.0);
     assert_eq!(
-        full_states, delta_states,
-        "{label}: per-node estimates diverged (seed {})",
-        scenario.seed
+        states, x_states,
+        "per-node estimates diverged (seed {seed})"
     );
+    assert_eq!(plans, x_plans, "broadcast plans diverged (seed {seed})");
+    assert_eq!(errors, x_errors, "error counts diverged (seed {seed})");
     assert_eq!(
-        full_plans, delta_plans,
-        "{label}: broadcast plans diverged (seed {})",
-        scenario.seed
-    );
-    assert_eq!(
-        full_report, delta_report,
-        "{label}: reports (deliveries / wire metrics) diverged (seed {})",
-        scenario.seed
+        report, x_report,
+        "reports (deliveries / wire metrics) diverged (seed {seed})"
     );
 }
 
@@ -204,8 +266,7 @@ fn assert_modes_equivalent(scenario: &Scenario, params: &AdaptiveParams, ticks: 
 #[test]
 fn full_and_delta_views_are_bit_identical_across_the_matrix() {
     for seed in [1u64, 2, 3, 5, 8, 13, 21, 0xDE17A, 0xFAB, 0xC0FFEE] {
-        let (scenario, params, horizon) = random_scenario(seed);
-        assert_modes_equivalent(&scenario, &params, horizon, "matrix");
+        assert_expansion_invisible(seed);
     }
 }
 
@@ -215,41 +276,62 @@ proptest! {
     /// Property form: arbitrary seeds, same bit-identity.
     #[test]
     fn prop_full_and_delta_views_are_bit_identical(seed in any::<u64>()) {
+        assert_expansion_invisible(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    #[ignore = "large case count; CI runs it in release via --include-ignored"]
+    fn prop_full_and_delta_views_are_bit_identical_at_scale(seed in any::<u64>()) {
+        assert_expansion_invisible(seed);
+    }
+}
+
+/// Every heartbeat of the expanded run is a full frame, so here each one
+/// crosses `net::codec`'s full-view encoding — and the virtual fabric
+/// must still tell the kernel's story bit for bit.
+#[test]
+fn expanded_full_frames_cross_the_codec_unchanged() {
+    for seed in [11u64, 42, 0xADA] {
         let (scenario, params, horizon) = random_scenario(seed);
-        let (full_states, _, full_report) =
-            run_mode(&scenario, horizon, &params, ViewMode::Full);
-        let (delta_states, _, delta_report) =
-            run_mode(&scenario, horizon, &params, ViewMode::Delta);
-        prop_assert_eq!(full_states, delta_states, "seed {}", seed);
-        prop_assert_eq!(full_report, delta_report, "seed {}", seed);
+        let topology = scenario.topology.clone();
+        let all: Vec<ProcessId> = topology.processes().collect();
+        let make = |id: ProcessId| {
+            ExpandDeltas(AdaptiveBroadcast::new(
+                id,
+                all.clone(),
+                topology.neighbors(id).collect(),
+                params.clone(),
+            ))
+        };
+        assert_eq!(
+            scenario.run_sim(horizon, make),
+            run_scenario_on_fabric_virtual(&scenario, horizon, make),
+            "seed {seed}: kernel and virtual fabric disagree on expanded frames"
+        );
     }
 }
 
 /// Manual-drive harness: routes every send instantly unless the drop
 /// filter claims it.
-fn drive_round(
-    nodes: &mut [AdaptiveBroadcast],
+fn drive_round<P: Protocol>(
+    nodes: &mut [P],
     now: SimTime,
     drop: &mut dyn FnMut(ProcessId, ProcessId, &Message) -> bool,
 ) {
     let mut actions = Actions::new();
     let mut pending: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
     for node in nodes.iter_mut() {
-        node.on_event(
-            now,
-            diffuse::core::Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-            &mut actions,
-        );
-        node.on_event(
-            now,
-            diffuse::core::Event::Timer(AdaptiveBroadcast::SUSPICION),
-            &mut actions,
-        );
-        node.on_event(
-            now,
-            diffuse::core::Event::Timer(AdaptiveBroadcast::SELF_TICK),
-            &mut actions,
-        );
+        for timer in [
+            AdaptiveBroadcast::HEARTBEAT,
+            AdaptiveBroadcast::SUSPICION,
+            AdaptiveBroadcast::SELF_TICK,
+        ] {
+            node.on_event(now, Event::Timer(timer), &mut actions);
+        }
         let from = node.id();
         for (to, m) in actions.take_sends() {
             pending.push((from, to, m));
@@ -267,11 +349,9 @@ fn drive_round(
     }
 }
 
-fn line3(mode: ViewMode) -> Vec<AdaptiveBroadcast> {
+fn line3() -> Vec<AdaptiveBroadcast> {
     let all = vec![p(0), p(1), p(2)];
-    let params = AdaptiveParams::default()
-        .with_intervals(16)
-        .with_heartbeat_views(mode);
+    let params = AdaptiveParams::default().with_intervals(16);
     vec![
         AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params.clone()),
         AdaptiveBroadcast::new(p(1), all.clone(), vec![p(0), p(2)], params.clone()),
@@ -281,13 +361,13 @@ fn line3(mode: ViewMode) -> Vec<AdaptiveBroadcast> {
 
 /// Losing delta heartbeats can never wedge convergence: deltas are
 /// cumulative since the receiver's last acknowledged generation, so the
-/// next one that arrives covers everything the lost ones carried. A
-/// full-view twin run with the *same* drop pattern stays bit-identical
+/// next one that arrives covers everything the lost ones carried. An
+/// expanded twin run with the *same* drop pattern stays bit-identical
 /// throughout — including across the loss window and the recovery.
 #[test]
 fn lost_deltas_recover_and_match_the_full_view_twin() {
-    let mut full = line3(ViewMode::Full);
-    let mut delta = line3(ViewMode::Delta);
+    let mut full: Vec<ExpandDeltas> = line3().into_iter().map(ExpandDeltas).collect();
+    let mut delta = line3();
     // Drop every 1→0 heartbeat during ticks 20..30 (by then the system
     // is warmed up and rides deltas), plus a scattered tail.
     let dropper = |from: ProcessId, to: ProcessId, now: u64| {
@@ -301,17 +381,18 @@ fn lost_deltas_recover_and_match_the_full_view_twin() {
         drive_round(&mut delta, now, &mut delta_drop);
         for (f, d) in full.iter().zip(delta.iter()) {
             assert_eq!(
-                node_bits(f),
+                node_bits(&f.0),
                 node_bits(d),
                 "tick {t}: node {} diverged",
-                f.id()
+                d.id()
             );
+            assert_eq!(f.0.error_count(), d.error_count(), "tick {t}");
         }
     }
     // Convergence was not wedged: the link estimates settled despite
-    // the losses, identically in both modes.
+    // the losses, identically in both runs.
     let l01 = LinkId::new(p(0), p(1)).unwrap();
-    let full_loss = full[0].estimated_loss(l01).unwrap().value();
+    let full_loss = full[0].0.estimated_loss(l01).unwrap().value();
     let delta_loss = delta[0].estimated_loss(l01).unwrap().value();
     assert_eq!(full_loss.to_bits(), delta_loss.to_bits());
 }
@@ -322,7 +403,7 @@ fn lost_deltas_recover_and_match_the_full_view_twin() {
 /// closed by cumulative deltas, never by a wedged mirror.
 #[test]
 fn delta_bases_never_outrun_the_receiver() {
-    let mut nodes = line3(ViewMode::Delta);
+    let mut nodes = line3();
     let mut last_merged_0_from_1 = 0u64; // generation p0 last merged from p1
     for t in 1..=80u64 {
         let now = SimTime::new(t);
@@ -365,7 +446,7 @@ fn delta_bases_never_outrun_the_receiver() {
 /// receiver acks a post-change generation, then returns to deltas.
 #[test]
 fn topology_change_falls_back_to_full_views() {
-    let mut nodes = line3(ViewMode::Delta);
+    let mut nodes = line3();
     // Track the kind of every a→b (0→1) heartbeat per tick.
     let mut kinds: Vec<(u64, bool)> = Vec::new(); // (tick, is_full)
     for t in 1..=12u64 {

@@ -199,44 +199,37 @@ fn randomized_scenarios_optimal_conformance() {
 /// path.
 #[test]
 fn adaptive_protocol_conformance() {
-    // Both heartbeat view modes ride the wire here: the default delta
-    // mode exercises the delta-frame codec end to end (encode at the
-    // sender, decode at the receiver, full-view fallbacks on first
-    // contact and topology changes), the full mode the legacy frames —
-    // and each must match its kernel twin bit for bit.
-    for mode in [
-        diffuse::core::ViewMode::Delta,
-        diffuse::core::ViewMode::Full,
-    ] {
-        for seed in [11u64, 42, 0xADA] {
-            let (mut scenario, horizon) = random_scenario(seed.wrapping_add(0x5EED));
-            // A tick-0 broadcast is deferred until topology knowledge
-            // completes — both substrates must retry it identically.
-            scenario.workload = Workload::new()
-                .broadcast(SimTime::ZERO, p(0), Payload::from("too early"))
-                .broadcast(SimTime::new(horizon / 2), p(1), Payload::from("later"));
-            let topology = scenario.topology.clone();
-            let all: Vec<ProcessId> = topology.processes().collect();
-            let params = AdaptiveParams::default()
-                .with_intervals(16)
-                .with_heartbeat_views(mode);
-            let make = |id: ProcessId| {
-                AdaptiveBroadcast::new(
-                    id,
-                    all.clone(),
-                    topology.neighbors(id).collect(),
-                    params.clone(),
-                )
-            };
-            let sim = scenario.run_sim(horizon, make);
-            assert_conformant(
-                &scenario,
-                horizon,
-                sim,
-                || run_scenario_on_fabric_virtual(&scenario, horizon, make),
-                &format!("adaptive ({mode:?} views)"),
-            );
-        }
+    // Delta frames ride the wire end to end (encode at the sender,
+    // decode at the receiver, full-view fallbacks on first contact and
+    // topology changes) and must match the kernel twin bit for bit.
+    // (Every-frame-full runs cross the codec in
+    // `tests/delta_equivalence.rs`.)
+    for seed in [11u64, 42, 0xADA] {
+        let (mut scenario, horizon) = random_scenario(seed.wrapping_add(0x5EED));
+        // A tick-0 broadcast is deferred until topology knowledge
+        // completes — both substrates must retry it identically.
+        scenario.workload = Workload::new()
+            .broadcast(SimTime::ZERO, p(0), Payload::from("too early"))
+            .broadcast(SimTime::new(horizon / 2), p(1), Payload::from("later"));
+        let topology = scenario.topology.clone();
+        let all: Vec<ProcessId> = topology.processes().collect();
+        let params = AdaptiveParams::default().with_intervals(16);
+        let make = |id: ProcessId| {
+            AdaptiveBroadcast::new(
+                id,
+                all.clone(),
+                topology.neighbors(id).collect(),
+                params.clone(),
+            )
+        };
+        let sim = scenario.run_sim(horizon, make);
+        assert_conformant(
+            &scenario,
+            horizon,
+            sim,
+            || run_scenario_on_fabric_virtual(&scenario, horizon, make),
+            "adaptive",
+        );
     }
 }
 
@@ -377,18 +370,15 @@ fn the_codec_is_invisible_to_protocols() {
 /// must be *bit-identical* across the kernel and the virtual fabric —
 /// same corrupted heartbeats (the adversary RNG streams are keyed by
 /// `(run seed, process)` on both substrates), same suppression draws,
-/// same containment counters, zero skips. Both heartbeat view modes
-/// ride the wire, so forged frames cross the delta codec too.
+/// same containment counters, zero skips. Forged frames cross the
+/// delta codec too.
 #[test]
 fn adversarial_scenarios_conformance() {
     use diffuse::core::{Adversary, CorruptionMode};
-    for (mode, view) in [
-        (
-            CorruptionMode::UnderstateDistortion,
-            diffuse::core::ViewMode::Delta,
-        ),
-        (CorruptionMode::StaleReplay, diffuse::core::ViewMode::Full),
-        (CorruptionMode::ForgeAck, diffuse::core::ViewMode::Delta),
+    for mode in [
+        CorruptionMode::UnderstateDistortion,
+        CorruptionMode::StaleReplay,
+        CorruptionMode::ForgeAck,
     ] {
         let (mut scenario, horizon) = random_scenario(0xBAD ^ mode as u64);
         let processes: Vec<ProcessId> = scenario.topology.processes().collect();
@@ -415,9 +405,7 @@ fn adversarial_scenarios_conformance() {
             );
         let topology = scenario.topology.clone();
         let all: Vec<ProcessId> = topology.processes().collect();
-        let params = AdaptiveParams::default()
-            .with_intervals(16)
-            .with_heartbeat_views(view);
+        let params = AdaptiveParams::default().with_intervals(16);
         let seed = scenario.seed;
         let make = |id: ProcessId| {
             Adversary::new(
@@ -442,7 +430,7 @@ fn adversarial_scenarios_conformance() {
             horizon,
             sim,
             || run_scenario_on_fabric_virtual(&scenario, horizon, make),
-            &format!("adversarial ({mode}, {view:?} views)"),
+            &format!("adversarial ({mode})"),
         );
     }
 }
