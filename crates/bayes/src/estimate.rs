@@ -220,11 +220,23 @@ impl Estimate {
         }
     }
 
+    /// A copy of this estimate — beliefs, distortion, version and taint —
+    /// that shares the belief storage but leaves out the estimator's undo
+    /// checkpoint, which only its owner's
+    /// [`undo_decrease`](BeliefEstimator::undo_decrease) can use.
+    pub fn shared(&self) -> Estimate {
+        Estimate {
+            beliefs: self.beliefs.share(),
+            ..*self
+        }
+    }
+
     /// Algorithm 3, `selectBestEstimate`: if `theirs` is strictly less
     /// distorted than `self`, adopt it and increment the distortion (the
     /// adopted copy is second-hand). Returns `true` if adopted.
     ///
-    /// Adoption is cheap: the belief vector is shared copy-on-write.
+    /// Adoption is cheap: the belief vector is shared copy-on-write, and
+    /// the source's undo checkpoint stays behind.
     /// The version is bumped only when the adoption actually changes the
     /// stored bits — re-adopting an identical estimate (the steady state
     /// for entries reachable through several equally distorted
@@ -237,7 +249,7 @@ impl Estimate {
             if self.distortion != distortion || !self.beliefs.bits_eq(&theirs.beliefs) {
                 self.version += 1;
             }
-            self.beliefs = theirs.beliefs.clone();
+            self.beliefs = theirs.beliefs.share();
             self.distortion = distortion;
             self.tainted = theirs.tainted;
             true
@@ -254,7 +266,7 @@ impl Estimate {
         if self.distortion != distortion || !self.beliefs.bits_eq(&theirs.beliefs) {
             self.version += 1;
         }
-        self.beliefs = theirs.beliefs.clone();
+        self.beliefs = theirs.beliefs.share();
         self.distortion = distortion;
         self.tainted = theirs.tainted;
     }
@@ -409,6 +421,46 @@ mod tests {
         assert!(!Estimate::unknown(4).tainted());
         assert!(!Estimate::first_hand(4).tainted());
         assert!(!Estimate::from_parts(BeliefEstimator::new(4), Distortion::finite(2)).tainted());
+    }
+
+    #[test]
+    fn shared_copies_keep_bits_distortion_version_and_taint() {
+        // lint:allow(adversary-forge): a tainted source shows taint is kept.
+        let mut source = Estimate::forged(BeliefEstimator::new(10), Distortion::finite(2));
+        source.beliefs_mut().decrease_reliability(3);
+        let copy = source.shared();
+        assert!(copy.beliefs().bits_eq(source.beliefs()));
+        assert!(copy.beliefs().shares_storage_with(source.beliefs()));
+        assert_eq!(copy.distortion(), source.distortion());
+        assert_eq!(copy.version(), source.version());
+        assert!(copy.tainted());
+    }
+
+    /// The source's checkpoint covers the source's own decrease: an
+    /// adopter or a shared copy undoing the same factor divides it out
+    /// numerically, as an estimator decoded from those bits would.
+    #[test]
+    fn copies_undo_numerically_not_from_the_source_checkpoint() {
+        let mut source = Estimate::first_hand(50);
+        source.beliefs_mut().increase_reliability(10);
+        source.beliefs_mut().decrease_reliability(3);
+        let mut numeric =
+            BeliefEstimator::from_beliefs(source.beliefs().beliefs().to_vec()).unwrap();
+        numeric.undo_decrease(3);
+
+        let mut adopted = Estimate::unknown(50);
+        assert!(adopted.adopt_if_better(&source));
+        let mut learned = Estimate::unknown(50);
+        learned.adopt(&source);
+        for mut e in [adopted, learned, source.shared()] {
+            e.beliefs_mut().undo_decrease(3);
+            assert!(e.beliefs().bits_eq(&numeric));
+        }
+        // The source itself still restores its snapshot bit-exactly.
+        let mut expected = BeliefEstimator::new(50);
+        expected.increase_reliability(10);
+        source.beliefs_mut().undo_decrease(3);
+        assert!(source.beliefs().bits_eq(&expected));
     }
 
     #[test]

@@ -381,6 +381,17 @@ impl BeliefEstimator {
         self.undo_checkpoint = None;
     }
 
+    /// A copy sharing this estimator's belief storage but not its undo
+    /// checkpoint: what adoption and view caching copy. Only
+    /// [`undo_decrease`](BeliefEstimator::undo_decrease) reads the
+    /// checkpoint, and only on the estimator that took it.
+    pub(crate) fn share(&self) -> BeliefEstimator {
+        BeliefEstimator {
+            beliefs: Arc::clone(&self.beliefs),
+            undo_checkpoint: None,
+        }
+    }
+
     /// Returns `true` when both estimators share the same belief storage
     /// (used to verify the copy-on-write adoption path).
     pub fn shares_storage_with(&self, other: &BeliefEstimator) -> bool {

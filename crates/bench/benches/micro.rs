@@ -281,16 +281,24 @@ fn bench_delta_view_ops(c: &mut Criterion) {
         })
     });
     group.bench_function("merge_delta", |b| {
-        // Re-merging the same frame: reconcile dedups on the repeated
-        // seq, and the changed-entry walk plus the unchanged-entry fast
-        // paths run every iteration — the steady-state receive cost.
+        // Re-merging the same frame under a fresh seq each time (a stale
+        // one is dropped unmerged): link reconciliation, the changed-entry
+        // walk and the unchanged-entry fast paths run every iteration —
+        // the steady-state receive cost.
         let from = all[sender_idx];
         let node = &mut nodes[receiver_idx];
+        let Message::Heartbeat(heartbeat) = &delta_message else {
+            unreachable!("picked a heartbeat above")
+        };
+        let mut seq = heartbeat.seq;
         b.iter(|| {
+            seq += 1;
+            let mut heartbeat = heartbeat.clone();
+            heartbeat.seq = seq;
             node.handle_message(
                 SimTime::new(tick),
                 from,
-                delta_message.clone(),
+                Message::Heartbeat(heartbeat),
                 &mut actions,
             );
             actions.clear();

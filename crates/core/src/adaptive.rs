@@ -32,6 +32,17 @@
 //! replaced in flight by the full view it stands for
 //! ([`AdaptiveBroadcast::view`]) — asserted by
 //! `tests/delta_equivalence.rs`.
+//!
+//! # Slots, not keys
+//!
+//! A heartbeat is handled without a map lookup. Estimates live in
+//! vectors — processes by position in the fixed, sorted membership,
+//! links append-only in the order they were learned, the direct links
+//! first — and everything the heartbeat path touches holds the position
+//! it needs: a peer record the slot of its direct link, a mirror entry
+//! the slot of its local estimate, the emission cache the slot behind
+//! each cached link. Keys are resolved once, where a key first arrives:
+//! at construction and in full-view merges.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -40,7 +51,7 @@ use diffuse_bayes::{Distortion, Estimate};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{SimTime, TimerId};
 
-use crate::adversary::ProtocolAudit;
+use crate::adversary::{ProtocolAudit, SenderAudit};
 use crate::knowledge::{DeltaView, View};
 use crate::optimal::propagate;
 use crate::params::{AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode};
@@ -54,6 +65,11 @@ use crate::{CoreError, NetworkKnowledge};
 struct PeerRecord {
     /// The Bayesian estimate with its distortion factor.
     estimate: Estimate,
+    /// Neighbors only: the slot of the direct link in `links`, which is
+    /// also this neighbor's position in `neighbors` (and in every
+    /// per-neighbor vector) — construction appends the direct links
+    /// first, in neighbor order. A neighbor is a peer with this set.
+    direct: Option<u32>,
     /// Sequence number of the last heartbeat received (neighbors only).
     last_seq: u64,
     /// Suspicions since the last heartbeat (neighbors only).
@@ -75,6 +91,18 @@ struct PeerRecord {
     /// for free: `reconcile_link` cancels unfounded suspicions against this
     /// counter (integer arithmetic) before any estimator-level undo.
     link_down: u32,
+}
+
+impl PeerRecord {
+    /// Restarts the Event-2 staleness clock: the next check is one
+    /// timeout from `now`.
+    fn restart_clock(&mut self, now: SimTime, deadlines: &mut DeadlineQueue) {
+        let at = now + self.timeout;
+        if self.deadline != at {
+            self.deadline = at;
+            deadlines.insert(now, at);
+        }
+    }
 }
 
 /// The suspicion-deadline schedule: the set of times at which an
@@ -227,6 +255,10 @@ enum MirrorValue {
 #[derive(Debug)]
 struct MirrorEntry<K> {
     key: K,
+    /// Slot of our own estimate for `key` — in `peers` for processes, in
+    /// `links` for links — resolved once, by the full-view merge that
+    /// built the mirror.
+    slot: u32,
     /// The neighbor's estimate as last seen (see [`MirrorValue`]).
     value: MirrorValue,
     /// Our own estimate's version when this entry was last evaluated.
@@ -246,7 +278,10 @@ struct NeighborMirror {
     /// The most recent frame merged; `MirrorValue::Latest` entries
     /// resolve into it.
     latest: HeartbeatView,
+    /// The frame's peers other than this process, in frame order: only
+    /// they are ever evaluated.
     processes: Vec<MirrorEntry<ProcessId>>,
+    /// Every link of the frame, in frame order.
     links: Vec<MirrorEntry<LinkId>>,
     /// Ascending indices of `processes` entries currently pointing at
     /// `latest`.
@@ -305,11 +340,23 @@ fn materialize_dropped<K>(
     }
 }
 
-/// Sender-side per-neighbor delta bookkeeping.
-#[derive(Debug, Default, Clone)]
-struct NeighborEmission {
-    /// Latest generation this neighbor acknowledged (0 = none yet).
-    acked: u64,
+/// Algorithm 3 on one view entry: adopts `theirs` into `mine` if it is
+/// less distorted, tallying the adoption. Returns whether it adopted.
+fn evaluate(mine: &mut Estimate, theirs: &Estimate, tally: &mut SenderAudit) -> bool {
+    let adopted = mine.adopt_if_better(theirs);
+    if adopted {
+        count_adoption(tally, mine);
+    }
+    adopted
+}
+
+/// Tallies one adoption, and a broken containment bound if it landed at
+/// distortion 0 (adoption increments distortion, so it never should).
+fn count_adoption(tally: &mut SenderAudit, adopted: &Estimate) {
+    tally.adopted += 1;
+    if adopted.distortion() == Distortion::ZERO {
+        tally.bound_violations += 1;
+    }
 }
 
 /// Sender-side emission state: the cached copy-on-write view and the
@@ -319,24 +366,30 @@ struct EmissionCache {
     /// Emission counter; stamped into every outgoing view frame.
     generation: u64,
     /// The cached full view, rebuilt copy-on-write per emission for the
-    /// entries whose version moved.
+    /// entries whose version moved. Its estimates are
+    /// [`Estimate::shared`] copies: they carry no undo checkpoint.
     view: Arc<View>,
-    /// Per `view.processes` entry: (estimate version at last sync,
-    /// generation of the last sync that changed it).
+    /// Per `view.processes` entry (that is, per peer slot): (estimate
+    /// version at last sync, generation of the last sync that changed
+    /// it).
     proc_sync: Vec<(u64, u64)>,
     /// Same, for `view.links`.
     link_sync: Vec<(u64, u64)>,
+    /// Per `view.links` entry: its slot in `links`. `view.links`
+    /// ascends by [`LinkId`]; `links` is in learning order.
+    link_slots: Vec<u32>,
     /// The generation at which our topology version last changed. A
     /// neighbor whose ack predates it may hold a mirror with the old
     /// topology, so it gets full views until a newer ack arrives;
     /// everyone else gets deltas.
     topo_change_gen: u64,
-    /// Per-neighbor ack bookkeeping.
-    neighbors: BTreeMap<ProcessId, NeighborEmission>,
+    /// Per neighbor, in `neighbors` order: the latest generation it
+    /// acknowledged (0 = none yet).
+    acked: Vec<u64>,
 }
 
-impl Default for EmissionCache {
-    fn default() -> Self {
+impl EmissionCache {
+    fn new(neighbors: usize) -> Self {
         EmissionCache {
             generation: 0,
             view: Arc::new(View {
@@ -348,8 +401,9 @@ impl Default for EmissionCache {
             }),
             proc_sync: Vec::new(),
             link_sync: Vec::new(),
+            link_slots: Vec::new(),
             topo_change_gen: 0,
-            neighbors: BTreeMap::new(),
+            acked: vec![0; neighbors],
         }
     }
 }
@@ -403,7 +457,9 @@ impl Default for EmissionCache {
 pub struct AdaptiveBroadcast {
     id: ProcessId,
     params: AdaptiveParams,
+    /// Distinct; heartbeats go out in this order.
     neighbors: Vec<ProcessId>,
+    /// The membership `Π`, sorted; fixed for the node's lifetime.
     all_processes: Vec<ProcessId>,
 
     /// `Λ_k` — the known topology (always includes this process).
@@ -412,16 +468,31 @@ pub struct AdaptiveBroadcast {
     /// Last topology version merged from each neighbor.
     merged_versions: BTreeMap<ProcessId, u64>,
 
-    peers: BTreeMap<ProcessId, PeerRecord>,
-    links: BTreeMap<LinkId, Estimate>,
+    /// `C_k` over processes: `peers[i]` belongs to `all_processes[i]`.
+    peers: Vec<PeerRecord>,
+    /// This process's slot in `peers`.
+    self_slot: usize,
+    /// `C_k` over links, append-only in the order they were learned:
+    /// slots `0..neighbors.len()` are the direct links, in neighbor
+    /// order.
+    links: Vec<Estimate>,
+    /// The slot in `links` of each known link. Consulted only where a
+    /// link arrives by key — full-view merges, the public accessors,
+    /// snapshots, and the emission cache when links were learned.
+    link_index: BTreeMap<LinkId, u32>,
     /// Insert-only schedule of Event-2 scan times (see
     /// [`DeadlineQueue`]).
     deadlines: DeadlineQueue,
 
     /// Sender-side delta emission state.
     emission: EmissionCache,
-    /// Receiver-side per-neighbor view mirrors, the base deltas apply to.
-    mirrors: BTreeMap<ProcessId, NeighborMirror>,
+    /// Receiver-side mirror of each neighbor's view, in `neighbors`
+    /// order: the base its deltas apply to, absent until one of its full
+    /// views was merged.
+    mirrors: Vec<Option<NeighborMirror>>,
+    /// Offers and adoptions per neighbor, in `neighbors` order; a
+    /// neighbor has an audit row once its mirror exists.
+    sender_audits: Vec<SenderAudit>,
     /// Recycled frame-member index buffers for delta merges.
     member_scratch: (Vec<u32>, Vec<u32>),
 
@@ -439,8 +510,8 @@ pub struct AdaptiveBroadcast {
     delivered: Vec<(BroadcastId, Payload)>,
     errors: u64,
     heartbeats_sent: u64,
-    /// Adversary-facing receiver counters: per-sender entries offered
-    /// vs. adopted, and future-stamped acks rejected.
+    /// Adversary-facing receiver counters other than the per-sender rows
+    /// (`sender_audits`): future-stamped acks rejected.
     audit: ProtocolAudit,
 }
 
@@ -464,8 +535,9 @@ impl AdaptiveBroadcast {
     ///
     /// # Panics
     ///
-    /// Panics if `neighbors` contains `id` itself or processes outside
-    /// `all_processes`, or if `params.intervals == 0`.
+    /// Panics if `all_processes` lacks `id`, if `neighbors` contains `id`
+    /// itself, a process twice or processes outside `all_processes`, or
+    /// if `params.intervals == 0`.
     pub fn new(
         id: ProcessId,
         all_processes: Vec<ProcessId>,
@@ -476,6 +548,10 @@ impl AdaptiveBroadcast {
         assert!(
             neighbors.iter().all(|n| all_processes.contains(n)),
             "neighbors must be part of the system membership"
+        );
+        assert!(
+            all_processes.contains(&id),
+            "a process is part of the system membership"
         );
         let AdaptiveParams {
             intervals,
@@ -495,56 +571,65 @@ impl AdaptiveBroadcast {
 
         let u = params.intervals;
         let delta = params.heartbeat_period;
-        let mut peers = BTreeMap::new();
-        for &p in &all {
-            peers.insert(
-                p,
-                PeerRecord {
-                    // Lines 2–7: unknown estimates, ∞ distortion, timeout δ.
-                    estimate: Estimate::unknown(u),
-                    last_seq: 0,
-                    suspected: 0,
-                    timeout: delta,
-                    // Grace period: no suspicions before the first
-                    // heartbeats can possibly arrive.
-                    deadline: SimTime::new(2 * delta + 1),
-                    downtime_since_receipt: 0,
-                    link_up: 0,
-                    link_down: 0,
-                },
-            );
-        }
+        let slot_of = |p: &ProcessId| all.binary_search(p).expect("validated above");
+        let mut peers: Vec<PeerRecord> = all
+            .iter()
+            .map(|_| PeerRecord {
+                // Lines 2–7: unknown estimates, ∞ distortion, timeout δ.
+                estimate: Estimate::unknown(u),
+                direct: None,
+                last_seq: 0,
+                suspected: 0,
+                timeout: delta,
+                // Grace period: no suspicions before the first
+                // heartbeats can possibly arrive.
+                deadline: SimTime::new(2 * delta + 1),
+                downtime_since_receipt: 0,
+                link_up: 0,
+                link_down: 0,
+            })
+            .collect();
         // Line 8: p_k sees itself with no distortion.
-        if let Some(me) = peers.get_mut(&id) {
-            me.estimate = Estimate::first_hand(u);
-        }
+        let self_slot = slot_of(&id);
+        peers[self_slot].estimate = Estimate::first_hand(u);
 
         // Lines 9–12: Λ_k starts with the direct links, at distortion 0.
         let mut topology = Topology::new();
         topology.add_process(id);
-        let mut links = BTreeMap::new();
-        for &n in &neighbors {
-            let link = topology.add_link(id, n).expect("validated above");
-            links.insert(link, Estimate::first_hand(u));
+        let mut links = Vec::with_capacity(neighbors.len());
+        let mut link_index = BTreeMap::new();
+        for (slot, n) in (0u32..).zip(&neighbors) {
+            let link = topology.add_link(id, *n).expect("validated above");
+            assert!(
+                link_index.insert(link, slot).is_none(),
+                "neighbors must be distinct"
+            );
+            links.push(Estimate::first_hand(u));
+            peers[slot_of(n)].direct = Some(slot);
         }
 
         let mut deadlines = DeadlineQueue::default();
-        for (_, r) in peers.iter().filter(|&(&p, _)| p != id) {
-            deadlines.insert(SimTime::ZERO, r.deadline);
+        for (slot, r) in peers.iter().enumerate() {
+            if slot != self_slot {
+                deadlines.insert(SimTime::ZERO, r.deadline);
+            }
         }
 
         AdaptiveBroadcast {
             id,
-            neighbors,
             all_processes: all,
             topology: Arc::new(topology),
             topology_version: 1,
             merged_versions: BTreeMap::new(),
             peers,
+            self_slot,
             links,
+            link_index,
             deadlines,
-            emission: EmissionCache::default(),
-            mirrors: BTreeMap::new(),
+            emission: EmissionCache::new(neighbors.len()),
+            mirrors: neighbors.iter().map(|_| None).collect(),
+            sender_audits: vec![SenderAudit::default(); neighbors.len()],
+            neighbors,
             member_scratch: (Vec::new(), Vec::new()),
             self_up: 0,
             my_seq: 0,
@@ -573,23 +658,33 @@ impl AdaptiveBroadcast {
     /// Current estimate of a process's crash probability (posterior
     /// mean), or `None` for unknown processes.
     pub fn estimated_crash(&self, p: ProcessId) -> Option<Probability> {
-        self.peers.get(&p).map(|r| r.estimate.beliefs().mean())
+        self.process_estimate(p).map(|e| e.beliefs().mean())
     }
 
     /// Current estimate of a link's loss probability (posterior mean), or
     /// `None` for unknown links.
     pub fn estimated_loss(&self, l: LinkId) -> Option<Probability> {
-        self.links.get(&l).map(|e| e.beliefs().mean())
+        self.link_estimate(l).map(|e| e.beliefs().mean())
     }
 
     /// The full estimate (posterior + distortion) for a process.
     pub fn process_estimate(&self, p: ProcessId) -> Option<&Estimate> {
-        self.peers.get(&p).map(|r| &r.estimate)
+        let slot = self.all_processes.binary_search(&p).ok()?;
+        Some(&self.peers[slot].estimate)
     }
 
     /// The full estimate for a link.
     pub fn link_estimate(&self, l: LinkId) -> Option<&Estimate> {
-        self.links.get(&l)
+        let &slot = self.link_index.get(&l)?;
+        Some(&self.links[slot as usize])
+    }
+
+    /// The known links in ascending [`LinkId`] order, with their slots'
+    /// estimates.
+    fn links_by_key(&self) -> impl Iterator<Item = (LinkId, &Estimate)> {
+        self.link_index
+            .iter()
+            .map(|(&l, &slot)| (l, &self.links[slot as usize]))
     }
 
     /// Heartbeats sent so far.
@@ -612,10 +707,10 @@ impl AdaptiveBroadcast {
     /// probabilities (posterior means), ready for MRT construction.
     pub fn knowledge_snapshot(&self) -> NetworkKnowledge {
         let mut config = Configuration::new();
-        for (&p, record) in &self.peers {
+        for (&p, record) in self.all_processes.iter().zip(&self.peers) {
             config.set_crash(p, record.estimate.beliefs().mean());
         }
-        for (&l, estimate) in &self.links {
+        for (l, estimate) in self.links_by_key() {
             config.set_loss(l, estimate.beliefs().mean());
         }
         NetworkKnowledge::exact(Topology::clone(&self.topology), config)
@@ -635,14 +730,14 @@ impl AdaptiveBroadcast {
             topology_version: self.topology_version,
             topology: Arc::new(Topology::clone(&self.topology)),
             processes: self
-                .peers
+                .all_processes
                 .iter()
+                .zip(&self.peers)
                 .map(|(&p, r)| (p, Arc::new(r.estimate.clone())))
                 .collect(),
             links: self
-                .links
-                .iter()
-                .map(|(&l, e)| (l, Arc::new(e.clone())))
+                .links_by_key()
+                .map(|(l, e)| (l, Arc::new(e.clone())))
                 .collect(),
         }
     }
@@ -652,30 +747,37 @@ impl AdaptiveBroadcast {
     /// touched, and each such entry records the new generation as its
     /// last-change generation (the key deltas are filtered by).
     fn sync_view_cache(&mut self) {
-        self.emission.generation += 1;
-        let g = self.emission.generation;
-        if self.emission.proc_sync.is_empty() {
+        let cache = &mut self.emission;
+        cache.generation += 1;
+        let g = cache.generation;
+        if cache.proc_sync.is_empty() {
             // First emission: build the cache outright.
-            self.emission.topo_change_gen = g;
-            self.emission.proc_sync = self
+            cache.topo_change_gen = g;
+            cache.proc_sync = self
                 .peers
-                .values()
+                .iter()
                 .map(|r| (r.estimate.version(), g))
                 .collect();
-            self.emission.link_sync = self.links.values().map(|e| (e.version(), g)).collect();
-            self.emission.view = Arc::new(View {
+            cache.link_slots = self.link_index.values().copied().collect();
+            cache.link_sync = cache
+                .link_slots
+                .iter()
+                .map(|&slot| (self.links[slot as usize].version(), g))
+                .collect();
+            cache.view = Arc::new(View {
                 generation: g,
                 topology_version: self.topology_version,
                 topology: Arc::clone(&self.topology),
                 processes: self
-                    .peers
+                    .all_processes
                     .iter()
-                    .map(|(&p, r)| (p, Arc::new(r.estimate.clone())))
+                    .zip(&self.peers)
+                    .map(|(&p, r)| (p, Arc::new(r.estimate.shared())))
                     .collect(),
                 links: self
-                    .links
+                    .link_index
                     .iter()
-                    .map(|(&l, e)| (l, Arc::new(e.clone())))
+                    .map(|(&l, &slot)| (l, Arc::new(self.links[slot as usize].shared())))
                     .collect(),
             });
             return;
@@ -683,40 +785,50 @@ impl AdaptiveBroadcast {
         // `make_mut` clones the view only if a previous emission's frame
         // is still alive somewhere; entry clones are Arc-cheap either
         // way.
-        let view = Arc::make_mut(&mut self.emission.view);
+        let view = Arc::make_mut(&mut cache.view);
         view.generation = g;
         if view.topology_version != self.topology_version {
             view.topology_version = self.topology_version;
             view.topology = Arc::clone(&self.topology);
-            self.emission.topo_change_gen = g;
+            cache.topo_change_gen = g;
         }
         // Processes: the membership is fixed, so the cache walks in
-        // lockstep with the peer map.
+        // lockstep with the peer slots.
         for ((record, entry), sync) in self
             .peers
-            .values()
+            .iter()
             .zip(view.processes.iter_mut())
-            .zip(self.emission.proc_sync.iter_mut())
+            .zip(cache.proc_sync.iter_mut())
         {
             let v = record.estimate.version();
             if v != sync.0 {
-                entry.1 = Arc::new(record.estimate.clone());
+                entry.1 = Arc::new(record.estimate.shared());
                 *sync = (v, g);
             }
         }
-        // Links: a monotone-growing sorted set — lockstep walk with
-        // insertion for newly learned links.
-        for (i, (&l, e)) in self.links.iter().enumerate() {
-            if i == view.links.len() || view.links[i].0 != l {
-                view.links.insert(i, (l, Arc::new(e.clone())));
-                self.emission.link_sync.insert(i, (e.version(), g));
-            } else {
-                let v = e.version();
-                let sync = &mut self.emission.link_sync[i];
-                if v != sync.0 {
-                    view.links[i].1 = Arc::new(e.clone());
-                    *sync = (v, g);
+        if cache.link_slots.len() != self.links.len() {
+            // Links were learned since the last emission: walk the key
+            // index, inserting each new link at its sorted position.
+            for (i, (&l, &slot)) in self.link_index.iter().enumerate() {
+                if i == view.links.len() || view.links[i].0 != l {
+                    let e = &self.links[slot as usize];
+                    view.links.insert(i, (l, Arc::new(e.shared())));
+                    cache.link_sync.insert(i, (e.version(), g));
+                    cache.link_slots.insert(i, slot);
                 }
+            }
+        }
+        for ((&slot, entry), sync) in cache
+            .link_slots
+            .iter()
+            .zip(view.links.iter_mut())
+            .zip(cache.link_sync.iter_mut())
+        {
+            let e = &self.links[slot as usize];
+            let v = e.version();
+            if v != sync.0 {
+                entry.1 = Arc::new(e.shared());
+                *sync = (v, g);
             }
         }
     }
@@ -749,10 +861,18 @@ impl AdaptiveBroadcast {
         })
     }
 
-    /// The latest view generation we merged from `n` — the ack we
-    /// piggyback on heartbeats to `n` (0 = nothing merged yet).
-    fn ack_for(&self, n: ProcessId) -> u64 {
-        self.mirrors.get(&n).map_or(0, |m| m.generation)
+    /// The latest view generation we merged from neighbor `n` (a position
+    /// in `neighbors`) — the ack we piggyback on heartbeats to it (0 =
+    /// nothing merged yet).
+    fn ack_for(&self, n: usize) -> u64 {
+        self.mirrors[n].as_ref().map_or(0, |m| m.generation)
+    }
+
+    /// `from`'s slot in `peers` and position in `neighbors`, if it is a
+    /// neighbor.
+    fn neighbor_slot(&self, from: ProcessId) -> Option<(usize, usize)> {
+        let slot = self.all_processes.binary_search(&from).ok()?;
+        Some((slot, self.peers[slot].direct? as usize))
     }
 
     /// Folds pending link evidence into the estimator and clears the
@@ -785,17 +905,14 @@ impl AdaptiveBroadcast {
     /// only moves once per batch, not once per heartbeat. Reads of the
     /// link estimate lag the newest `evidence_batch - 1` observations by
     /// design.
-    fn reconcile_link(&mut self, from: ProcessId, seq: u64, now: SimTime) {
-        let link = LinkId::new(self.id, from).expect("sender differs from self");
-        let Some(record) = self.peers.get_mut(&from) else {
-            return;
-        };
-        let gap = seq.saturating_sub(record.last_seq);
-        if gap == 0 {
-            // Duplicate or reordered heartbeat: estimates were already
-            // merged for a newer one; skip bookkeeping.
-            return;
-        }
+    ///
+    /// `slot` is a neighbor's peer slot and `seq` is fresh (above its
+    /// `last_seq`).
+    fn reconcile_link(&mut self, slot: usize, seq: u64, now: SimTime) {
+        let record = &mut self.peers[slot];
+        let estimate =
+            &mut self.links[record.direct.expect("heartbeats come from neighbors") as usize];
+        let gap = seq - record.last_seq;
         let missed = (gap - 1) as u32;
 
         let delta = self.params.heartbeat_period;
@@ -823,61 +940,64 @@ impl AdaptiveBroadcast {
             }
         };
 
-        if let Some(estimate) = self.links.get_mut(&link) {
-            match self.params.link_blame {
-                LinkBlame::OnReconcile => {
-                    // Blame exactly the proven losses; suspicions never
-                    // touched the link.
-                    let blamable = match self.params.reconcile {
-                        ReconcileMode::SeqGap => {
-                            let excused = u32::try_from(record.downtime_since_receipt / delta)
-                                .unwrap_or(u32::MAX)
-                                .min(missed);
-                            missed - excused
+        match self.params.link_blame {
+            LinkBlame::OnReconcile => {
+                // Blame exactly the proven losses; suspicions never
+                // touched the link.
+                let blamable = match self.params.reconcile {
+                    ReconcileMode::SeqGap => {
+                        let excused = u32::try_from(record.downtime_since_receipt / delta)
+                            .unwrap_or(u32::MAX)
+                            .min(missed);
+                        missed - excused
+                    }
+                    ReconcileMode::PaperLiteral => missed,
+                };
+                record.link_down = record.link_down.saturating_add(blamable);
+            }
+            LinkBlame::OnTimeout => {
+                // Suspicions already charged the link; settle the
+                // difference.
+                if adjust_pos > 0 {
+                    match self.params.correction {
+                        CorrectionMode::Exact => {
+                            // Unfounded suspicions that are still pending
+                            // cancel as integers — exact by construction.
+                            // Only suspicions already folded into the
+                            // estimator need an estimator-level undo, on
+                            // the settled (flushed) state.
+                            let cancel = adjust_pos.min(record.link_down);
+                            record.link_down -= cancel;
+                            let undo = adjust_pos - cancel;
+                            if undo > 0 {
+                                Self::flush_link_evidence(
+                                    estimate,
+                                    &mut record.link_up,
+                                    &mut record.link_down,
+                                );
+                                // The one reader of an undo checkpoint,
+                                // on an estimate nothing can be adopted
+                                // over — which is why adoption and the
+                                // emission cache may leave checkpoints
+                                // out of their copies.
+                                debug_assert_eq!(estimate.distortion(), Distortion::ZERO);
+                                estimate.beliefs_mut().undo_decrease(undo);
+                            }
                         }
-                        ReconcileMode::PaperLiteral => missed,
-                    };
-                    record.link_down = record.link_down.saturating_add(blamable);
-                }
-                LinkBlame::OnTimeout => {
-                    // Suspicions already charged the link; settle the
-                    // difference.
-                    if adjust_pos > 0 {
-                        match self.params.correction {
-                            CorrectionMode::Exact => {
-                                // Unfounded suspicions that are still
-                                // pending cancel as integers — exact by
-                                // construction. Only suspicions already
-                                // folded into the estimator need an
-                                // estimator-level undo, on the settled
-                                // (flushed) state.
-                                let cancel = adjust_pos.min(record.link_down);
-                                record.link_down -= cancel;
-                                let undo = adjust_pos - cancel;
-                                if undo > 0 {
-                                    Self::flush_link_evidence(
-                                        estimate,
-                                        &mut record.link_up,
-                                        &mut record.link_down,
-                                    );
-                                    estimate.beliefs_mut().undo_decrease(undo);
-                                }
-                            }
-                            CorrectionMode::Bayes => {
-                                record.link_up = record.link_up.saturating_add(adjust_pos);
-                            }
+                        CorrectionMode::Bayes => {
+                            record.link_up = record.link_up.saturating_add(adjust_pos);
                         }
                     }
-                    record.link_down = record.link_down.saturating_add(adjust_neg);
                 }
+                record.link_down = record.link_down.saturating_add(adjust_neg);
             }
-            // The received heartbeat itself is a success observation.
-            if self.params.reconcile == ReconcileMode::SeqGap {
-                record.link_up = record.link_up.saturating_add(1);
-            }
-            if record.link_up.saturating_add(record.link_down) >= self.params.evidence_batch {
-                Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
-            }
+        }
+        // The received heartbeat itself is a success observation.
+        if self.params.reconcile == ReconcileMode::SeqGap {
+            record.link_up = record.link_up.saturating_add(1);
+        }
+        if record.link_up.saturating_add(record.link_down) >= self.params.evidence_batch {
+            Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
         }
 
         // Line 23: repeated over-suspicion means the timeout is too tight.
@@ -887,11 +1007,7 @@ impl AdaptiveBroadcast {
         record.suspected = 0;
         record.last_seq = seq;
         record.downtime_since_receipt = 0;
-        let at = now + record.timeout;
-        if record.deadline != at {
-            record.deadline = at;
-            self.deadlines.insert(now, at);
-        }
+        record.restart_clock(now, &mut self.deadlines);
     }
 
     /// Topology part of a view merge: apply only when the sender's
@@ -910,105 +1026,91 @@ impl AdaptiveBroadcast {
         }
     }
 
-    /// Merges the sender's full view — Algorithm 4, lines 26–32: every
-    /// entry evaluated through its own map lookup — and rebuilds the
-    /// mirror that future delta merges apply to. Full views are rare in
-    /// steady state (first contact, topology changes, ack gaps), so the
-    /// per-entry lookups are acceptable here.
-    fn merge_full_view(&mut self, from: ProcessId, view: &Arc<View>, now: SimTime) {
-        self.merge_topology(from, view.topology_version, &view.topology);
+    /// Merges neighbor `n`'s full view — Algorithm 4, lines 26–32: every
+    /// entry looked up by key and evaluated — and rebuilds the mirror that
+    /// future delta merges apply to, with each entry's local slot resolved
+    /// here, once. Full views are rare in steady state (first contact,
+    /// topology changes, ack gaps), so the per-entry lookups are
+    /// acceptable here.
+    fn merge_full_view(&mut self, n: usize, view: &Arc<View>, now: SimTime) {
+        self.merge_topology(self.neighbors[n], view.topology_version, &view.topology);
+        let tally = &mut self.sender_audits[n];
+        tally.offered += (view.processes.len() + view.links.len()) as u64;
 
-        let mut adopted_count = 0u64;
-        let mut bound_violations = 0u64;
-
-        let mut mirror = NeighborMirror {
-            generation: view.generation,
-            topology_version: view.topology_version,
-            latest: HeartbeatView::Full(Arc::clone(view)),
-            processes: Vec::with_capacity(view.processes.len()),
-            links: Vec::with_capacity(view.links.len()),
-            latest_procs: (0..view.processes.len() as u32).collect(),
-            latest_links: (0..view.links.len() as u32).collect(),
-        };
-        for (i, (p, theirs)) in view.processes.iter().enumerate() {
-            let (my_version, adopted) = if *p == self.id {
-                (0, false)
-            } else if let Some(record) = self.peers.get_mut(p) {
-                let adopted = record.estimate.adopt_if_better(theirs);
-                if adopted {
-                    adopted_count += 1;
-                    if record.estimate.distortion() == Distortion::ZERO {
-                        bound_violations += 1;
-                    }
-                    let at = now + record.timeout;
-                    if record.deadline != at {
-                        record.deadline = at;
-                        self.deadlines.insert(now, at);
-                    }
-                }
-                (record.estimate.version(), adopted)
-            } else {
-                (0, false)
+        let mut processes = Vec::with_capacity(view.processes.len());
+        for (i, (p, theirs)) in (0u32..).zip(&view.processes) {
+            // My own entry is never evaluated, and processes outside the
+            // membership have no estimate to evaluate against.
+            let Some(slot) = self
+                .all_processes
+                .binary_search(p)
+                .ok()
+                .filter(|&slot| slot != self.self_slot)
+            else {
+                continue;
             };
-            mirror.processes.push(MirrorEntry {
+            let record = &mut self.peers[slot];
+            let adopted = evaluate(&mut record.estimate, theirs, tally);
+            if adopted {
+                record.restart_clock(now, &mut self.deadlines);
+            }
+            processes.push(MirrorEntry {
                 key: *p,
-                value: MirrorValue::Latest(i as u32),
-                my_version,
+                slot: slot as u32,
+                value: MirrorValue::Latest(i),
+                my_version: record.estimate.version(),
                 adopted,
             });
         }
-        for (i, (l, theirs)) in view.links.iter().enumerate() {
-            let (adopted, my_version) = match self.links.get_mut(l) {
-                Some(mine) => {
-                    let adopted = mine.adopt_if_better(theirs);
-                    if adopted {
-                        adopted_count += 1;
-                        if mine.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                    }
-                    (adopted, mine.version())
-                }
+        let mut links = Vec::with_capacity(view.links.len());
+        for (i, (l, theirs)) in (0u32..).zip(&view.links) {
+            let (slot, adopted) = match self.link_index.get(l) {
+                Some(&slot) => (
+                    slot,
+                    evaluate(&mut self.links[slot as usize], theirs, tally),
+                ),
                 None => {
                     let mut fresh = Estimate::unknown(self.params.intervals);
                     fresh.adopt(theirs);
-                    adopted_count += 1;
-                    if fresh.distortion() == Distortion::ZERO {
-                        bound_violations += 1;
-                    }
-                    let v = fresh.version();
-                    self.links.insert(*l, fresh);
+                    count_adoption(tally, &fresh);
+                    let slot = self.links.len() as u32;
+                    self.links.push(fresh);
+                    self.link_index.insert(*l, slot);
                     let merged = Arc::make_mut(&mut self.topology);
                     if !merged.contains_link(*l) {
                         merged.insert_link(*l);
                         self.topology_version += 1;
                     }
-                    (true, v)
+                    (slot, true)
                 }
             };
-            mirror.links.push(MirrorEntry {
+            links.push(MirrorEntry {
                 key: *l,
-                value: MirrorValue::Latest(i as u32),
-                my_version,
+                slot,
+                value: MirrorValue::Latest(i),
+                my_version: self.links[slot as usize].version(),
                 adopted,
             });
         }
-        self.mirrors.insert(from, mirror);
-
-        let sa = self.audit.sender(from);
-        sa.offered += (view.processes.len() + view.links.len()) as u64;
-        sa.adopted += adopted_count;
-        sa.bound_violations += bound_violations;
+        self.mirrors[n] = Some(NeighborMirror {
+            generation: view.generation,
+            topology_version: view.topology_version,
+            latest: HeartbeatView::Full(Arc::clone(view)),
+            latest_procs: (0..processes.len() as u32).collect(),
+            latest_links: (0..links.len() as u32).collect(),
+            processes,
+            links,
+        });
     }
 
-    /// Merges a delta view: evaluates the changed entries, re-evaluates
-    /// entries our own side touched since their last evaluation, and
-    /// handles everything else with the exact fast paths (deadline
-    /// restart for previously adopted entries, nothing for previously
-    /// rejected ones). See the module docs for why this is bit-identical
-    /// to merging the sender's full view.
-    fn merge_delta_view(&mut self, from: ProcessId, delta: &Arc<DeltaView>, now: SimTime) {
-        let Some(mirror) = self.mirrors.get_mut(&from) else {
+    /// Merges a delta view from neighbor `n`: evaluates the changed
+    /// entries, re-evaluates entries our own side touched since their
+    /// last evaluation, and handles everything else with the exact fast
+    /// paths (deadline restart for previously adopted entries, nothing for
+    /// previously rejected ones). See the module docs for why this is
+    /// bit-identical to merging the sender's full view.
+    fn merge_delta_view(&mut self, n: usize, delta: &Arc<DeltaView>, now: SimTime) {
+        let Some(mirror) = self.mirrors[n].as_mut() else {
             // No full view merged yet: the delta has no base to apply
             // to. A conformant sender never does this (it sends full
             // views until we ack one); drop defensively.
@@ -1023,9 +1125,8 @@ impl AdaptiveBroadcast {
             self.errors += 1;
             return;
         }
-
-        let mut adopted_count = 0u64;
-        let mut bound_violations = 0u64;
+        let tally = &mut self.sender_audits[n];
+        tally.offered += (delta.processes.len() + delta.links.len()) as u64;
 
         // Swap in the new frame; the old one stays alive through this
         // merge for value resolution and the materialization pass.
@@ -1038,152 +1139,69 @@ impl AdaptiveBroadcast {
         new_procs.clear();
         new_links.clear();
 
-        let id = self.id;
-        let peers = &mut self.peers;
-        let deadlines = &mut self.deadlines;
-        {
-            let mut di = 0usize; // cursor into the (sorted) delta entries
-            let mut peers_it = peers.iter_mut().peekable();
-            for (ei, entry) in mirror.processes.iter_mut().enumerate() {
-                while di < delta.processes.len() && delta.processes[di].0 < entry.key {
-                    di += 1;
-                }
-                let changed = di < delta.processes.len() && delta.processes[di].0 == entry.key;
-                if changed {
-                    entry.value = MirrorValue::Latest(di as u32);
-                    new_procs.push(ei as u32);
-                }
-                if entry.key == id {
-                    // My own estimate is never overwritten; the mirror
-                    // was just kept current above.
-                    continue;
-                }
-                // Advance the (sorted) peer cursor to this entry.
-                let record = loop {
-                    match peers_it.peek_mut() {
-                        Some((&p, _)) if p < entry.key => {
-                            peers_it.next();
-                        }
-                        Some((&p, _)) if p == entry.key => {
-                            break Some(peers_it.next().expect("peeked").1)
-                        }
-                        _ => break None,
-                    }
-                };
-                let Some(record) = record else { continue };
-                if changed {
-                    // The sender's entry changed: evaluate, exactly as a
-                    // full view would.
-                    let theirs = &delta.processes[di].1;
-                    let adopted = record.estimate.adopt_if_better(theirs);
-                    if adopted {
-                        adopted_count += 1;
-                        if record.estimate.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                        let at = now + record.timeout;
-                        if record.deadline != at {
-                            record.deadline = at;
-                            deadlines.insert(now, at);
-                        }
-                    }
-                    entry.adopted = adopted;
-                    entry.my_version = record.estimate.version();
-                } else if record.estimate.version() != entry.my_version {
-                    // Our side changed since the last evaluation
-                    // (suspicion-scan distortion drift, adoption from
-                    // another neighbor, recovery): re-evaluate against
-                    // the mirrored value, as a full view would.
-                    let theirs = match &entry.value {
-                        MirrorValue::Inline(e) => e,
-                        MirrorValue::Latest(idx) => frame_process(&old_frame, *idx),
-                    };
-                    let adopted = record.estimate.adopt_if_better(theirs);
-                    if adopted {
-                        adopted_count += 1;
-                        if record.estimate.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                        let at = now + record.timeout;
-                        if record.deadline != at {
-                            record.deadline = at;
-                            deadlines.insert(now, at);
-                        }
-                    }
-                    entry.adopted = adopted;
-                    entry.my_version = record.estimate.version();
-                } else if entry.adopted {
-                    // Unchanged on both sides, last evaluation adopted:
-                    // a full view would re-adopt the bitwise identical
-                    // value — a value no-op whose only effect is
-                    // restarting the entry's Event-2 staleness clock.
-                    let at = now + record.timeout;
-                    if record.deadline != at {
-                        record.deadline = at;
-                        deadlines.insert(now, at);
-                    }
-                }
-                // else: unchanged on both sides and last evaluation
-                // rejected — a full view would reject again; skip.
+        let mut di = 0usize; // cursor into the (sorted) delta entries
+        for (ei, entry) in (0u32..).zip(mirror.processes.iter_mut()) {
+            while di < delta.processes.len() && delta.processes[di].0 < entry.key {
+                di += 1;
             }
+            let record = &mut self.peers[entry.slot as usize];
+            let theirs = if di < delta.processes.len() && delta.processes[di].0 == entry.key {
+                // The sender's entry changed: evaluate, exactly as a full
+                // view would.
+                entry.value = MirrorValue::Latest(di as u32);
+                new_procs.push(ei);
+                &delta.processes[di].1
+            } else if record.estimate.version() != entry.my_version {
+                // Our side changed since the last evaluation
+                // (suspicion-scan distortion drift, adoption from another
+                // neighbor, recovery): re-evaluate against the mirrored
+                // value, as a full view would.
+                match &entry.value {
+                    MirrorValue::Inline(e) => e,
+                    MirrorValue::Latest(idx) => frame_process(&old_frame, *idx),
+                }
+            } else {
+                if entry.adopted {
+                    // Unchanged on both sides, last evaluation adopted: a
+                    // full view would re-adopt the bitwise identical value
+                    // — a value no-op whose only effect is restarting the
+                    // entry's Event-2 staleness clock.
+                    record.restart_clock(now, &mut self.deadlines);
+                }
+                // Otherwise the last evaluation rejected, and a full view
+                // would reject again.
+                continue;
+            };
+            entry.adopted = evaluate(&mut record.estimate, theirs, tally);
+            if entry.adopted {
+                record.restart_clock(now, &mut self.deadlines);
+            }
+            entry.my_version = record.estimate.version();
         }
 
-        let links = &mut self.links;
-        {
-            let mut di = 0usize;
-            let mut links_it = links.iter_mut().peekable();
-            for (ei, entry) in mirror.links.iter_mut().enumerate() {
-                while di < delta.links.len() && delta.links[di].0 < entry.key {
-                    di += 1;
-                }
-                let changed = di < delta.links.len() && delta.links[di].0 == entry.key;
-                if changed {
-                    entry.value = MirrorValue::Latest(di as u32);
-                    new_links.push(ei as u32);
-                }
-                let mine = loop {
-                    match links_it.peek_mut() {
-                        Some((&l, _)) if l < entry.key => {
-                            links_it.next();
-                        }
-                        Some((&l, _)) if l == entry.key => {
-                            break Some(links_it.next().expect("peeked").1)
-                        }
-                        _ => break None,
-                    }
-                };
-                // Every mirrored link exists locally: the full-view
-                // merge that built the mirror inserted it.
-                let Some(mine) = mine else { continue };
-                if changed {
-                    let adopted = mine.adopt_if_better(&delta.links[di].1);
-                    if adopted {
-                        adopted_count += 1;
-                        if mine.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                    }
-                    entry.adopted = adopted;
-                    entry.my_version = mine.version();
-                } else if mine.version() != entry.my_version {
-                    let theirs = match &entry.value {
-                        MirrorValue::Inline(e) => e,
-                        MirrorValue::Latest(idx) => frame_link(&old_frame, *idx),
-                    };
-                    let adopted = mine.adopt_if_better(theirs);
-                    if adopted {
-                        adopted_count += 1;
-                        if mine.distortion() == Distortion::ZERO {
-                            bound_violations += 1;
-                        }
-                    }
-                    entry.adopted = adopted;
-                    entry.my_version = mine.version();
-                }
-                // Unchanged on both sides: links carry no Event-2
-                // clock, and re-adoption would be a bitwise value
-                // no-op, so there is nothing to replay.
+        let mut di = 0usize;
+        for (ei, entry) in (0u32..).zip(mirror.links.iter_mut()) {
+            while di < delta.links.len() && delta.links[di].0 < entry.key {
+                di += 1;
             }
+            let mine = &mut self.links[entry.slot as usize];
+            let theirs = if di < delta.links.len() && delta.links[di].0 == entry.key {
+                entry.value = MirrorValue::Latest(di as u32);
+                new_links.push(ei);
+                &delta.links[di].1
+            } else if mine.version() != entry.my_version {
+                match &entry.value {
+                    MirrorValue::Inline(e) => e,
+                    MirrorValue::Latest(idx) => frame_link(&old_frame, *idx),
+                }
+            } else {
+                // Unchanged on both sides: links carry no Event-2 clock,
+                // and re-adoption would be a bitwise value no-op, so
+                // there is nothing to replay.
+                continue;
+            };
+            entry.adopted = evaluate(mine, theirs, tally);
+            entry.my_version = mine.version();
         }
 
         // Materialize what the old frame still backed before dropping it.
@@ -1204,11 +1222,6 @@ impl AdaptiveBroadcast {
         self.member_scratch.0 = std::mem::replace(&mut mirror.latest_procs, new_procs);
         self.member_scratch.1 = std::mem::replace(&mut mirror.latest_links, new_links);
         mirror.generation = delta.generation;
-
-        let sa = self.audit.sender(from);
-        sa.offered += (delta.processes.len() + delta.links.len()) as u64;
-        sa.adopted += adopted_count;
-        sa.bound_violations += bound_violations;
     }
 }
 
@@ -1219,8 +1232,8 @@ impl AdaptiveBroadcast {
     #[cfg(test)]
     fn use_exact_deadlines(&mut self) {
         let mut exact = DeadlineQueue::exact();
-        for (&p, r) in &self.peers {
-            if p != self.id {
+        for (slot, r) in self.peers.iter().enumerate() {
+            if slot != self.self_slot {
                 exact.insert(SimTime::ZERO, r.deadline);
             }
         }
@@ -1253,8 +1266,7 @@ impl AdaptiveBroadcast {
         // them all.
         let mut delta_cache: Vec<(u64, Arc<DeltaView>)> = Vec::new();
         for i in 0..self.neighbors.len() {
-            let n = self.neighbors[i];
-            let acked = self.emission.neighbors.get(&n).map_or(0, |st| st.acked);
+            let acked = self.emission.acked[i];
             // Full-view fallback: first contact (nothing acked yet), or
             // the neighbor's last merge predates our latest topology
             // change — its mirror may carry the old topology, which
@@ -1275,10 +1287,10 @@ impl AdaptiveBroadcast {
                 HeartbeatView::Delta(delta)
             };
             actions.send(
-                n,
+                self.neighbors[i],
                 Message::Heartbeat(HeartbeatMessage {
                     seq: self.my_seq,
-                    ack: self.ack_for(n),
+                    ack: self.ack_for(i),
                     view,
                 }),
             );
@@ -1289,19 +1301,18 @@ impl AdaptiveBroadcast {
     }
 
     /// Event 2: per-peer staleness checks over every peer whose deadline
-    /// has passed — one iteration of the peer map per scan (cheap: most
+    /// has passed — one pass over the peer slots per scan (cheap: most
     /// peers fail the `now < deadline` test and are skipped; the deadline
     /// *schedule* only decides when this scan fires, see
     /// [`DeadlineQueue`]).
     fn run_suspicion_scan(&mut self, now: SimTime, actions: &mut Actions) {
-        let is_neighbor: BTreeSet<ProcessId> = self.neighbors.iter().copied().collect();
         let blame_link_now = self.params.link_blame == LinkBlame::OnTimeout
             || self.params.reconcile == ReconcileMode::PaperLiteral;
-        let mut suspected_neighbors: Vec<ProcessId> = Vec::new();
+        let batch = self.params.evidence_batch;
 
         self.deadlines.expire(now);
-        for (&p, record) in self.peers.iter_mut() {
-            if p == self.id {
+        for (slot, record) in self.peers.iter_mut().enumerate() {
+            if slot == self.self_slot {
                 continue;
             }
             if now < record.deadline {
@@ -1311,7 +1322,7 @@ impl AdaptiveBroadcast {
                 self.deadlines.rearm(now, record.deadline);
                 continue;
             }
-            if is_neighbor.contains(&p) {
+            if let Some(direct) = record.direct {
                 // Lines 36–38: suspect the neighbor and decrease its
                 // reliability belief. The suspicion is *first-hand*
                 // evidence observed at network distance 1, so the
@@ -1322,38 +1333,26 @@ impl AdaptiveBroadcast {
                 record.suspected += 1;
                 record.estimate.beliefs_mut().decrease_reliability(1);
                 record.estimate.set_distortion(Distortion::finite(1));
-                suspected_neighbors.push(p);
+                // Line 39 (paper mode): the link to the suspected
+                // neighbor is charged as well — batched like every other
+                // link observation.
+                if blame_link_now {
+                    record.link_down = record.link_down.saturating_add(1);
+                    if record.link_up.saturating_add(record.link_down) >= batch {
+                        Self::flush_link_evidence(
+                            &mut self.links[direct as usize],
+                            &mut record.link_up,
+                            &mut record.link_down,
+                        );
+                    }
+                }
             } else {
                 // Line 35: remote knowledge gets distorted with time.
                 record
                     .estimate
                     .set_distortion(record.estimate.distortion().incremented());
             }
-            let at = now + record.timeout;
-            if record.deadline != at {
-                record.deadline = at;
-                self.deadlines.insert(now, at);
-            }
-        }
-
-        // Line 39 (paper mode): the link to a suspected neighbor is
-        // charged as well — batched like every other link observation.
-        if blame_link_now {
-            let batch = self.params.evidence_batch;
-            for p in suspected_neighbors {
-                let link = LinkId::new(self.id, p).expect("neighbor differs");
-                if let Some(estimate) = self.links.get_mut(&link) {
-                    let record = self.peers.get_mut(&p).expect("suspected peer exists");
-                    record.link_down = record.link_down.saturating_add(1);
-                    if record.link_up.saturating_add(record.link_down) >= batch {
-                        Self::flush_link_evidence(
-                            estimate,
-                            &mut record.link_up,
-                            &mut record.link_down,
-                        );
-                    }
-                }
-            }
+            record.restart_clock(now, &mut self.deadlines);
         }
         self.arm_suspicion(actions);
     }
@@ -1367,12 +1366,11 @@ impl AdaptiveBroadcast {
             actions.set_timer(Self::SELF_TICK, self.next_self_tick);
             return;
         }
-        if let Some(me) = self.peers.get_mut(&self.id) {
-            self.self_up = self.self_up.saturating_add(1);
-            if self.self_up >= self.params.evidence_batch {
-                me.estimate.beliefs_mut().increase_reliability(self.self_up);
-                self.self_up = 0;
-            }
+        self.self_up = self.self_up.saturating_add(1);
+        if self.self_up >= self.params.evidence_batch {
+            let me = &mut self.peers[self.self_slot].estimate;
+            me.beliefs_mut().increase_reliability(self.self_up);
+            self.self_up = 0;
         }
         self.next_self_tick = now + self.params.self_tick_period;
         actions.set_timer(Self::SELF_TICK, self.next_self_tick);
@@ -1387,15 +1385,11 @@ impl AdaptiveBroadcast {
     ) {
         match message {
             Message::Heartbeat(HeartbeatMessage { seq, ack, view }) => {
-                if !self.neighbors.contains(&from) {
+                let Some((slot, n)) = self.neighbor_slot(from) else {
                     self.errors += 1;
                     return;
-                }
-                // Freshness is decided against the pre-reconcile
-                // sequence state (reconciliation advances `last_seq`).
-                let fresh = self.peers.get(&from).is_some_and(|r| seq > r.last_seq);
-                // Event 1: reconcile the direct link, then merge the view.
-                self.reconcile_link(from, seq, now);
+                };
+                let fresh = seq > self.peers[slot].last_seq;
                 // The sender's ack of *our* emissions anchors the base of
                 // our future deltas to it. Hardened against lying senders
                 // two ways: acks naming a generation we never emitted are
@@ -1406,16 +1400,23 @@ impl AdaptiveBroadcast {
                 // ack gets repaired by the liar's next honest heartbeat
                 // instead of wedging delta emission to that neighbor
                 // forever.
-                let generation = self.emission.generation;
-                let st = self.emission.neighbors.entry(from).or_default();
-                if ack > generation {
+                if ack > self.emission.generation {
                     self.audit.future_acks_rejected += 1;
                 } else if fresh {
-                    st.acked = ack;
+                    self.emission.acked[n] = ack;
                 }
+                if !fresh {
+                    // A duplicate, or a heartbeat a newer one overtook on
+                    // a reordering wire: its view is older than what we
+                    // merged, so merging it would roll estimates, the
+                    // mirror and our next ack back.
+                    return;
+                }
+                // Event 1: reconcile the direct link, then merge the view.
+                self.reconcile_link(slot, seq, now);
                 match &view {
-                    HeartbeatView::Full(v) => self.merge_full_view(from, v, now),
-                    HeartbeatView::Delta(d) => self.merge_delta_view(from, d, now),
+                    HeartbeatView::Full(v) => self.merge_full_view(n, v, now),
+                    HeartbeatView::Delta(d) => self.merge_delta_view(n, d, now),
                 }
                 // Receipt and adoption push peer deadlines around; keep
                 // the suspicion timer at the new earliest one.
@@ -1448,26 +1449,20 @@ impl AdaptiveBroadcast {
         // Event 4: a crash lasting n × ∆tick is n failure observations.
         let n =
             u32::try_from((down_ticks / self.params.self_tick_period).max(1)).unwrap_or(u32::MAX);
-        if let Some(me) = self.peers.get_mut(&self.id) {
-            // Settle any pending uptime evidence first (canonical order:
-            // successes precede failures), then charge the crash.
-            if self.self_up > 0 {
-                me.estimate.beliefs_mut().increase_reliability(self.self_up);
-                self.self_up = 0;
-            }
-            me.estimate.beliefs_mut().decrease_reliability(n);
+        let me = &mut self.peers[self.self_slot].estimate;
+        // Settle any pending uptime evidence first (canonical order:
+        // successes precede failures), then charge the crash.
+        if self.self_up > 0 {
+            me.beliefs_mut().increase_reliability(self.self_up);
+            self.self_up = 0;
         }
+        me.beliefs_mut().decrease_reliability(n);
         // My silence was my fault, not my neighbors': excuse the misses I
         // caused and give everyone a fresh grace period.
-        for (&p, record) in self.peers.iter_mut() {
-            if p == self.id {
-                continue;
-            }
-            record.downtime_since_receipt += down_ticks;
-            let at = now + record.timeout;
-            if record.deadline != at {
-                record.deadline = at;
-                self.deadlines.insert(now, at);
+        for (slot, record) in self.peers.iter_mut().enumerate() {
+            if slot != self.self_slot {
+                record.downtime_since_receipt += down_ticks;
+                record.restart_clock(now, &mut self.deadlines);
             }
         }
         self.next_self_tick = now + self.params.self_tick_period;
@@ -1540,7 +1535,18 @@ impl Protocol for AdaptiveBroadcast {
     }
 
     fn audit(&self) -> ProtocolAudit {
-        self.audit.clone()
+        let mut audit = self.audit.clone();
+        for ((&n, mirror), sa) in self
+            .neighbors
+            .iter()
+            .zip(&self.mirrors)
+            .zip(&self.sender_audits)
+        {
+            if mirror.is_some() {
+                audit.per_sender.insert(n, *sa);
+            }
+        }
+        audit
     }
 }
 
@@ -1753,6 +1759,73 @@ mod tests {
     #[should_panic(expected = "neighbor")]
     fn self_neighbor_is_rejected() {
         let _ = AdaptiveBroadcast::new(p(0), vec![p(0)], vec![p(0)], params());
+    }
+
+    /// A neighbor listed twice would get two heartbeats per emission,
+    /// and it has one direct link.
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn duplicate_neighbors_are_rejected() {
+        let _ = AdaptiveBroadcast::new(p(0), vec![p(0), p(1)], vec![p(1), p(1)], params());
+    }
+
+    /// On a wire that reorders (chaos delay or duplication, UDP), a
+    /// heartbeat can arrive after a newer one from the same sender. Its
+    /// view is older than what was merged, and its entries are less
+    /// distorted than the copies adopted from the newer one (d versus
+    /// d + 1), so merging it would roll the receiver back. Here p0's t50
+    /// and t52 heartbeats are held back and delivered newest first at
+    /// t60: the late t50 frame must leave p1 exactly as the t52 frame
+    /// left it — its estimate of p0 and the ack of its next heartbeat.
+    #[test]
+    fn a_stale_heartbeat_rolls_nothing_back() {
+        let run = |deliver_stale: bool| {
+            let all = vec![p(0), p(1)];
+            // Batch 1: p0's self estimate moves every tick, so every
+            // frame carries it.
+            let pr = params().with_evidence_batch(1);
+            let mut a = timed(AdaptiveBroadcast::new(
+                p(0),
+                all.clone(),
+                vec![p(1)],
+                pr.clone(),
+            ));
+            let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
+            let mut actions = Actions::new();
+            let mut held = Vec::new();
+            for t in 1..60u64 {
+                let now = SimTime::new(t);
+                a.fire_due(now, &mut actions);
+                for (_, m) in actions.take_sends() {
+                    match t {
+                        50 | 52 => held.push(m),
+                        51.. => {} // lost
+                        _ => b.handle_message(now, p(0), m, &mut actions),
+                    }
+                }
+                actions.clear();
+                b.fire_due(now, &mut actions);
+                for (_, m) in actions.take_sends() {
+                    a.handle_message(now, p(1), m, &mut actions);
+                }
+                actions.clear();
+            }
+            let now = SimTime::new(60);
+            let stale = held.remove(0);
+            b.handle_message(now, p(0), held.remove(0), &mut actions);
+            if deliver_stale {
+                b.handle_message(now, p(0), stale, &mut actions);
+            }
+            actions.clear();
+            b.fire_due(now, &mut actions);
+            let Some((_, Message::Heartbeat(next))) = actions.take_sends().pop() else {
+                panic!("p1 heartbeats at t60");
+            };
+            let e = b.protocol().process_estimate(p(0)).unwrap();
+            let bits: Vec<u64> = e.beliefs().beliefs().iter().map(|x| x.to_bits()).collect();
+            (bits, e.distortion(), next.ack)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -2256,44 +2329,62 @@ mod tests {
 
     /// Right after an emission, the naively built `view()` and the
     /// copy-on-write cache the heartbeats were cut from are the same
-    /// view — every round of a run where both keep moving.
+    /// view, its links ascending by id — every round of a run where both
+    /// keep moving. On the relabelled line `7 — 2 — 0`, p7 learns link
+    /// `0–2` after its direct link `2–7`: slot order is not key order,
+    /// and the cache inserts in front of an entry it already holds.
     #[test]
     fn view_equals_the_emission_cache_right_after_an_emission() {
         let (a, b, c) = line3();
-        let mut nodes = [a, b, c];
-        let mut actions = Actions::new();
-        for t in 1..=40u64 {
-            let now = SimTime::new(t);
-            let mut pending = Vec::new();
-            for node in nodes.iter_mut() {
-                let node = node.protocol_mut();
-                for timer in [
-                    AdaptiveBroadcast::HEARTBEAT,
-                    AdaptiveBroadcast::SUSPICION,
-                    AdaptiveBroadcast::SELF_TICK,
-                ] {
-                    node.on_event(now, Event::Timer(timer), &mut actions);
-                    if timer == AdaptiveBroadcast::HEARTBEAT {
-                        assert_eq!(node.emission.generation, t);
-                        assert_eq!(node.view(), *node.emission.view, "tick {t}");
+        let relabelled =
+            [(7, vec![p(2)]), (2, vec![p(7), p(0)]), (0, vec![p(2)])].map(|(id, n)| {
+                timed(AdaptiveBroadcast::new(
+                    p(id),
+                    vec![p(7), p(2), p(0)],
+                    n,
+                    params(),
+                ))
+            });
+        // Per run: node 0's link slots, in ascending link id order.
+        for (mut nodes, slots) in [([a, b, c], [0, 1]), (relabelled, [1, 0])] {
+            let mut actions = Actions::new();
+            for t in 1..=40u64 {
+                let now = SimTime::new(t);
+                let mut pending = Vec::new();
+                for node in nodes.iter_mut() {
+                    let node = node.protocol_mut();
+                    for timer in [
+                        AdaptiveBroadcast::HEARTBEAT,
+                        AdaptiveBroadcast::SUSPICION,
+                        AdaptiveBroadcast::SELF_TICK,
+                    ] {
+                        node.on_event(now, Event::Timer(timer), &mut actions);
+                        if timer == AdaptiveBroadcast::HEARTBEAT {
+                            let cached = &node.emission.view;
+                            assert_eq!(node.emission.generation, t);
+                            assert_eq!(node.view(), **cached, "tick {t}");
+                            assert!(cached.links.windows(2).all(|w| w[0].0 < w[1].0));
+                        }
                     }
+                    let from = node.id();
+                    pending.extend(
+                        actions
+                            .take_sends()
+                            .into_iter()
+                            .map(|(to, m)| (from, to, m)),
+                    );
+                    actions.clear();
                 }
-                let from = node.id();
-                pending.extend(
-                    actions
-                        .take_sends()
-                        .into_iter()
-                        .map(|(to, m)| (from, to, m)),
-                );
-                actions.clear();
+                for (from, to, m) in pending {
+                    let to = nodes.iter_mut().find(|n| n.protocol().id() == to);
+                    to.unwrap().handle_message(now, from, m, &mut actions);
+                    actions.clear();
+                }
             }
-            for (from, to, m) in pending {
-                nodes[to.index() as usize].handle_message(now, from, m, &mut actions);
-                actions.clear();
-            }
+            // Not vacuous: the views grew past first contact.
+            let learned = nodes[0].protocol().link_index.values().copied();
+            assert!(learned.eq(slots));
         }
-        // Not vacuous: the views grew past first contact.
-        assert_eq!(nodes[0].protocol().view().links.len(), 2);
     }
 
     /// `AdaptiveParams`' fields are public, so a struct literal skips the
@@ -2337,8 +2428,8 @@ mod tests {
                     v.push(e.distortion().value().map_or(u64::MAX, u64::from));
                     v
                 };
-                let processes = node.peers.values().map(|r| bits(&r.estimate));
-                let links = node.links.values().map(bits);
+                let processes = node.peers.iter().map(|r| bits(&r.estimate));
+                let links = node.links_by_key().map(|(_, e)| bits(e));
                 (
                     node.params().clone(),
                     node.heartbeats_sent(),

@@ -362,8 +362,9 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     assert_eq!(node.audit().future_acks_rejected, 1);
 
     // 4. A generation rollback: a full view re-announcing generation 2
-    //    (after 12) with *worse* estimates and a stale heartbeat seq.
-    //    Strict adopt-if-better displaces nothing.
+    //    (after 12) with *worse* estimates and a stale heartbeat seq (2
+    //    after 4). A heartbeat older than one already merged is dropped
+    //    unmerged, so it displaces nothing.
     let worse = Arc::new(Estimate::from_parts(
         BeliefEstimator::new(DEFAULT_INTERVALS),
         Distortion::finite(40),
@@ -380,7 +381,7 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     assert_eq!(snapshot(&node), before, "rollback view displaces nothing");
 
     // The rollback must not wedge the stream: a later honest delta
-    // based on the rolled-back generation still merges and adopts.
+    // still merges and adopts.
     let adopted_before = node
         .audit()
         .per_sender

@@ -28,11 +28,12 @@ use diffuse::core::{
     Message, Payload, Protocol, ProtocolAudit, View,
 };
 use diffuse::graph::generators;
-use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
+use diffuse::model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse::net::run_scenario_on_fabric_virtual;
 use diffuse::sim::{CrashModel, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 fn p(i: u32) -> ProcessId {
@@ -168,17 +169,36 @@ fn run<P: Protocol>(
     (states, plans, errors, sim.report())
 }
 
+/// Renames process `i` of a generated topology (ids `0..n`) to
+/// `7 + 3·π(i)` for a permutation `π` drawn from `rng`: a node's slot in
+/// the sorted membership then differs from its id, and it learns links
+/// out of `LinkId` order.
+fn relabel(topology: &Topology, rng: &mut StdRng) -> Topology {
+    let mut pi: Vec<u32> = (0..topology.process_count() as u32).collect();
+    pi.shuffle(rng);
+    let label = |q: ProcessId| p(7 + 3 * pi[q.index() as usize]);
+    let mut out = Topology::new();
+    for link in topology.links() {
+        let (a, b) = link.endpoints();
+        out.add_link(label(a), label(b)).unwrap();
+    }
+    out
+}
+
 /// A seeded random scenario exercising loss, partitions, crashes,
-/// degradation and workload broadcasts.
-fn random_scenario(seed: u64) -> (Scenario, AdaptiveParams, u64) {
+/// degradation and workload broadcasts, on ids `0..n` or `relabel`led.
+fn random_scenario(seed: u64, relabelled: bool) -> (Scenario, AdaptiveParams, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(4u32..=9);
-    let topology = match rng.gen_range(0u32..4) {
+    let mut topology = match rng.gen_range(0u32..4) {
         0 => generators::ring(n).unwrap(),
         1 => generators::circulant(n.max(5), 4).unwrap(),
         2 => generators::line(n).unwrap(),
         _ => generators::star(n).unwrap(),
     };
+    if relabelled {
+        topology = relabel(&topology, &mut rng);
+    }
     let mut config = Configuration::new();
     for link in topology.links() {
         config.set_loss(link, Probability::new(rng.gen_range(0.0..0.4)).unwrap());
@@ -244,8 +264,8 @@ fn random_scenario(seed: u64) -> (Scenario, AdaptiveParams, u64) {
     (scenario, params, horizon)
 }
 
-fn assert_expansion_invisible(seed: u64) {
-    let (scenario, params, horizon) = random_scenario(seed);
+fn assert_expansion_invisible(seed: u64, relabelled: bool) {
+    let (scenario, params, horizon) = random_scenario(seed, relabelled);
     let (states, plans, errors, report) = run(&scenario, horizon, &params, |n| n, |n| n);
     let (x_states, x_plans, x_errors, x_report) =
         run(&scenario, horizon, &params, ExpandDeltas, |n| &n.0);
@@ -262,11 +282,13 @@ fn assert_expansion_invisible(seed: u64) {
 }
 
 /// The fixed regression matrix: every seed expands into a different
-/// topology family, loss configuration, fault script and crash model.
+/// topology family, loss configuration, fault script and crash model,
+/// every other one relabelled.
 #[test]
 fn full_and_delta_views_are_bit_identical_across_the_matrix() {
-    for seed in [1u64, 2, 3, 5, 8, 13, 21, 0xDE17A, 0xFAB, 0xC0FFEE] {
-        assert_expansion_invisible(seed);
+    let seeds = [1u64, 2, 3, 5, 8, 13, 21, 0xDE17A, 0xFAB, 0xC0FFEE];
+    for (i, seed) in seeds.into_iter().enumerate() {
+        assert_expansion_invisible(seed, i % 2 == 1);
     }
 }
 
@@ -275,8 +297,8 @@ proptest! {
 
     /// Property form: arbitrary seeds, same bit-identity.
     #[test]
-    fn prop_full_and_delta_views_are_bit_identical(seed in any::<u64>()) {
-        assert_expansion_invisible(seed);
+    fn prop_full_and_delta_views_are_bit_identical(seed in any::<u64>(), relabelled in any::<bool>()) {
+        assert_expansion_invisible(seed, relabelled);
     }
 }
 
@@ -285,8 +307,11 @@ proptest! {
 
     #[test]
     #[ignore = "large case count; CI runs it in release via --include-ignored"]
-    fn prop_full_and_delta_views_are_bit_identical_at_scale(seed in any::<u64>()) {
-        assert_expansion_invisible(seed);
+    fn prop_full_and_delta_views_are_bit_identical_at_scale(
+        seed in any::<u64>(),
+        relabelled in any::<bool>(),
+    ) {
+        assert_expansion_invisible(seed, relabelled);
     }
 }
 
@@ -296,7 +321,7 @@ proptest! {
 #[test]
 fn expanded_full_frames_cross_the_codec_unchanged() {
     for seed in [11u64, 42, 0xADA] {
-        let (scenario, params, horizon) = random_scenario(seed);
+        let (scenario, params, horizon) = random_scenario(seed, false);
         let topology = scenario.topology.clone();
         let all: Vec<ProcessId> = topology.processes().collect();
         let make = |id: ProcessId| {
