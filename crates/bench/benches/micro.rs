@@ -15,10 +15,11 @@ use diffuse_core::{
     SharedWireTree, WireTree,
 };
 use diffuse_experiments::scale::{converged_params, KernelOrderSystem};
-use diffuse_graph::maximum_reliability_tree;
-use diffuse_model::ProcessId;
+use diffuse_graph::{generators, maximum_reliability_tree};
+use diffuse_model::{Configuration, Probability, ProcessId};
 use diffuse_net::codec::{decode_message, encode_message};
 use diffuse_sim::{SimOptions, SimTime, Simulation};
+use rand::SeedableRng;
 
 fn bench_mrt(c: &mut Criterion) {
     let mut group = c.benchmark_group("mrt");
@@ -33,6 +34,23 @@ fn bench_mrt(c: &mut Criterion) {
             |b, (t, cfg)| b.iter(|| maximum_reliability_tree(t, cfg, ProcessId::new(0)).unwrap()),
         );
     }
+    // The graph `crates/e2e`'s gossip workloads build their reference
+    // plans on for seed 1: G(10 000, 2 ln n / n), 92 588 links.
+    let n = 10_000u32;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let edge_probability = 2.0 * f64::from(n).ln() / f64::from(n);
+    let topology =
+        generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap();
+    let config = Configuration::uniform(
+        &topology,
+        Probability::ZERO,
+        Probability::new(0.05).unwrap(),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("prim", "er_n10000"),
+        &(topology, config),
+        |b, (t, cfg)| b.iter(|| maximum_reliability_tree(t, cfg, ProcessId::new(1)).unwrap()),
+    );
     group.finish();
 }
 
@@ -390,7 +408,6 @@ fn bench_fast_forward(c: &mut Criterion) {
 fn bench_sharded_executor(c: &mut Criterion) {
     use diffuse_core::scenario::{Scenario, Workload};
     use diffuse_core::{Payload, ReferenceGossip};
-    use diffuse_graph::generators;
 
     let n = 1000u32;
     let topology = generators::circulant(n, 8).unwrap();
@@ -445,8 +462,6 @@ fn bench_sharded_executor(c: &mut Criterion) {
 fn bench_engine_flood(c: &mut Criterion) {
     use diffuse_core::scenario::{Scenario, Workload};
     use diffuse_core::ReferenceGossip;
-    use diffuse_graph::generators;
-    use rand::SeedableRng;
 
     let n = 10_000u32;
     let edge_probability = 2.0 * f64::from(n).ln() / f64::from(n);

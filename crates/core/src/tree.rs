@@ -393,7 +393,7 @@ pub type SharedWireTree = Arc<WireTree>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_model::{Probability, Topology};
+    use diffuse_model::{LinkId, Probability, Topology};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -482,6 +482,37 @@ mod tests {
             assert!((back.lambda(i) - rt.lambda(i)).abs() < 1e-15);
         }
         assert_eq!(back.children(p(0)), rt.children(p(0)));
+    }
+
+    #[test]
+    fn relabelled_tree_round_trips_the_wire() {
+        // sample_tree with every id i relabelled 7 + 3·π(i), π = (2 0 3 1):
+        // the root p13 is neither the smallest id nor at its own position.
+        let relabel = |i: u32| p(7 + 3 * [2, 0, 3, 1][i as usize]);
+        let (tree, config) = sample_tree();
+        let parents = tree
+            .edges()
+            .map(|(a, b)| (relabel(b.index()), relabel(a.index())));
+        let tree = SpanningTree::from_parents(relabel(0), parents.collect()).unwrap();
+        let mut relabelled = Configuration::new();
+        for (a, b) in [(0, 1), (0, 2), (1, 3)] {
+            let loss = config.loss(LinkId::new(p(a), p(b)).unwrap());
+            relabelled.set_loss(LinkId::new(relabel(a), relabel(b)).unwrap(), loss);
+        }
+        for i in 0..4 {
+            relabelled.set_crash(relabel(i), config.crash(p(i)));
+        }
+
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &relabelled).unwrap();
+        assert_eq!(rt.root(), p(13));
+        assert_eq!(rt.children(p(13)), &[p(7), p(16)]);
+        let wire = rt.to_wire();
+        assert_eq!(wire.parts().1, &[p(13), p(7), p(16), p(10)]);
+        let back = ReliabilityTree::from_wire(&wire).unwrap();
+        assert_eq!(back, rt);
+        assert_eq!(back.tree(), &tree);
+        assert_eq!(back.index_of(p(10)), Some(2));
+        assert_eq!(back.to_wire(), wire);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::iter::Peekable;
 
-use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
+use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::spanning::{position_of, rows};
 use crate::{GraphError, SpanningTree};
 
 /// Edge weight wrapper giving `f64` reliabilities a total order.
@@ -39,6 +41,32 @@ impl Ord for Weight {
 /// tie-breaking (smaller [`LinkId`] wins) so that all processes sharing the
 /// same view build the same tree.
 ///
+/// # Algorithm
+///
+/// Prim over *positions*: processes are numbered in ascending id order
+/// and links in ascending [`LinkId`] order. One walk of the topology's
+/// links, merge-joined with the configuration's sorted loss entries,
+/// builds a compressed adjacency and `1 - L` once per link; one merge-join
+/// of the crash entries gives `1 - P` per process. Entries for processes
+/// or links outside the topology are skipped; missing ones count as zero.
+/// With `n` processes and `m` links this takes `O(n + m)` memory and
+/// `O(m log m)` time.
+///
+/// * **Weight.** A candidate edge pushed from `u` (in the tree) to `v`
+///   weighs `((1-P_u) · (1-L_{u,v})) · (1-P_v)`, multiplied in that order
+///   with [`Probability`]'s clamped product — exactly
+///   [`Configuration::link_reliability`]`(u, v)`. With non-zero crash
+///   probabilities the two directions of one link can differ in the last
+///   bit, so the weight is computed in push direction, never once per
+///   link.
+/// * **Tie-break.** Candidates pop by `(weight, Reverse(link), u, v)`:
+///   highest reliability first, then the smaller [`LinkId`]. Positions
+///   are monotone in ids, so this is the order of the same key over ids.
+/// * **Pruning.** A candidate is pushed only if its target is outside the
+///   tree and it beats the best candidate already pushed towards that
+///   target. Any other candidate would pop after that one and be
+///   discarded as stale, so the pops that grow the tree are unchanged.
+///
 /// # Errors
 ///
 /// * [`GraphError::UnknownRoot`] if `root` is not in `topology`;
@@ -63,49 +91,83 @@ pub fn maximum_reliability_tree(
     config: &Configuration,
     root: ProcessId,
 ) -> Result<SpanningTree, GraphError> {
-    if !topology.contains_process(root) {
-        return Err(GraphError::UnknownRoot(root));
-    }
+    let ids: Vec<ProcessId> = topology.processes().collect();
+    let root_at = position_of(&ids, root).ok_or(GraphError::UnknownRoot(root))?;
+    let total = ids.len();
+    let position = |p| position_of(&ids, p).expect("link endpoints are processes") as u32;
+    // `1 - P` per process and `1 - L` per link, links numbered in
+    // ascending `LinkId` order; `adjacency` row `i` holds the
+    // `(neighbor, link)` pairs of process `i`.
+    let mut crashes = config.crash_entries().peekable();
+    let up: Vec<Probability> = ids
+        .iter()
+        .map(|&p| merge_lookup(&mut crashes, p).complement())
+        .collect();
+    let mut losses = config.loss_entries().peekable();
+    let (keep, ends): (Vec<Probability>, Vec<(u32, u32)>) = topology
+        .links()
+        .map(|l| {
+            let keep = merge_lookup(&mut losses, l).complement();
+            (keep, (position(l.lo()), position(l.hi())))
+        })
+        .unzip();
+    let (start, adjacency) = rows(
+        total,
+        ends.iter()
+            .zip(0..)
+            .flat_map(|(&(a, b), link)| [(a, (b, link)), (b, (a, link))]),
+    );
 
-    let total = topology.process_count();
-    let mut parent: BTreeMap<ProcessId, ProcessId> = BTreeMap::new();
-    let mut in_tree: BTreeMap<ProcessId, ()> = BTreeMap::new();
-    in_tree.insert(root, ());
-
-    // Max-heap over (weight, Reverse(link)): highest reliability first,
-    // smallest link id among equals.
-    let mut frontier: BinaryHeap<(Weight, Reverse<LinkId>, ProcessId, ProcessId)> =
-        BinaryHeap::new();
-    let push_edges =
-        |from: ProcessId,
-         frontier: &mut BinaryHeap<(Weight, Reverse<LinkId>, ProcessId, ProcessId)>| {
-            for to in topology.neighbors(from) {
-                let w = Weight(config.link_reliability(from, to).value());
-                let link = LinkId::new(from, to).expect("no self-loops in topology");
-                frontier.push((w, Reverse(link), from, to));
+    let mut in_tree = vec![false; total];
+    let mut best: Vec<Option<Candidate>> = vec![None; total];
+    let mut parent = vec![root_at as u32; total];
+    let mut frontier: BinaryHeap<Candidate> = BinaryHeap::new();
+    in_tree[root_at] = true;
+    let (mut joined, mut reached) = (root_at, 1);
+    while reached < total {
+        let from = joined as u32;
+        for &(to, link) in &adjacency[start[joined] as usize..start[joined + 1] as usize] {
+            if in_tree[to as usize] {
+                continue;
             }
-        };
-    push_edges(root, &mut frontier);
-
-    while let Some((_, _, from, to)) = frontier.pop() {
-        if in_tree.contains_key(&to) {
-            continue; // lazily discarded stale edge
+            let w = up[joined] * keep[link as usize] * up[to as usize];
+            let candidate = (Weight(w.value()), Reverse(link), from, to);
+            if Some(candidate) > best[to as usize] {
+                best[to as usize] = Some(candidate);
+                frontier.push(candidate);
+            }
         }
-        in_tree.insert(to, ());
-        parent.insert(to, from);
-        push_edges(to, &mut frontier);
-        if in_tree.len() == total {
+        let Some((_, _, from, to)) =
+            std::iter::from_fn(|| frontier.pop()).find(|c| !in_tree[c.3 as usize])
+        else {
             break;
-        }
+        };
+        in_tree[to as usize] = true;
+        parent[to as usize] = from;
+        (joined, reached) = (to as usize, reached + 1);
     }
 
-    if in_tree.len() != total {
-        return Err(GraphError::Disconnected {
-            reached: in_tree.len(),
-            total,
-        });
+    if reached != total {
+        return Err(GraphError::Disconnected { reached, total });
     }
-    SpanningTree::from_parents(root, parent)
+    SpanningTree::from_positions(ids, root_at, parent)
+}
+
+/// A frontier entry `(weight, Reverse(link), from, to)`, link and
+/// endpoints by position.
+type Candidate = (Weight, Reverse<u32>, u32, u32);
+
+/// The probability `entries` (ascending by key) holds for `key`, zero if
+/// none. Consumes every entry up to `key`, so keys must be asked in
+/// ascending order.
+fn merge_lookup<K: Ord, I: Iterator<Item = (K, Probability)>>(
+    entries: &mut Peekable<I>,
+    key: K,
+) -> Probability {
+    while entries.next_if(|(k, _)| *k < key).is_some() {}
+    entries
+        .next_if(|(k, _)| *k == key)
+        .map_or(Probability::ZERO, |(_, p)| p)
 }
 
 /// Disjoint-set (union-find) with path halving and union by size.
@@ -187,8 +249,7 @@ fn tree_from_edges(
 /// Functionally equivalent to [`maximum_reliability_tree`] — the total
 /// reliability of both trees is always identical (the maximum spanning
 /// forest weight is unique even when the tree itself is not). Provided as
-/// an independent implementation for cross-checking, and because Kruskal
-/// can be faster on very sparse graphs.
+/// an independent implementation for cross-checking.
 ///
 /// # Errors
 ///
@@ -201,12 +262,9 @@ pub fn maximum_reliability_tree_kruskal(
     if !topology.contains_process(root) {
         return Err(GraphError::UnknownRoot(root));
     }
-    // Dense index for union-find.
-    let index: BTreeMap<ProcessId, u32> = topology
-        .processes()
-        .enumerate()
-        .map(|(i, p)| (p, i as u32))
-        .collect();
+    // Positions index the union-find.
+    let ids: Vec<ProcessId> = topology.processes().collect();
+    let at = |p| position_of(&ids, p).expect("link endpoints are processes") as u32;
 
     let mut edges: Vec<(Weight, LinkId)> = topology
         .links()
@@ -215,12 +273,12 @@ pub fn maximum_reliability_tree_kruskal(
     // Highest reliability first; smaller link id among equals.
     edges.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-    let mut dsu = DisjointSets::new(index.len());
-    let mut chosen = Vec::with_capacity(index.len().saturating_sub(1));
+    let mut dsu = DisjointSets::new(ids.len());
+    let mut chosen = Vec::with_capacity(ids.len().saturating_sub(1));
     for (_, link) in edges {
-        if dsu.union(index[&link.lo()], index[&link.hi()]) {
+        if dsu.union(at(link.lo()), at(link.hi())) {
             chosen.push(link);
-            if chosen.len() + 1 == index.len() {
+            if chosen.len() + 1 == ids.len() {
                 break;
             }
         }
@@ -247,17 +305,14 @@ pub fn random_spanning_tree<R: Rng + ?Sized>(
     if !topology.contains_process(root) {
         return Err(GraphError::UnknownRoot(root));
     }
-    let index: BTreeMap<ProcessId, u32> = topology
-        .processes()
-        .enumerate()
-        .map(|(i, p)| (p, i as u32))
-        .collect();
+    let ids: Vec<ProcessId> = topology.processes().collect();
+    let at = |p| position_of(&ids, p).expect("link endpoints are processes") as u32;
     let mut edges: Vec<LinkId> = topology.links().collect();
     edges.shuffle(rng);
-    let mut dsu = DisjointSets::new(index.len());
-    let mut chosen = Vec::with_capacity(index.len().saturating_sub(1));
+    let mut dsu = DisjointSets::new(ids.len());
+    let mut chosen = Vec::with_capacity(ids.len().saturating_sub(1));
     for link in edges {
-        if dsu.union(index[&link.lo()], index[&link.hi()]) {
+        if dsu.union(at(link.lo()), at(link.hi())) {
             chosen.push(link);
         }
     }
@@ -267,7 +322,6 @@ pub fn random_spanning_tree<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_model::Probability;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -378,5 +432,69 @@ mod tests {
         assert!(dsu.union(0, 3));
         assert!(!dsu.union(1, 2));
         assert_eq!(dsu.find(0), dsu.find(2));
+    }
+}
+
+/// Prim over maps: the oracle the property tests hold
+/// [`maximum_reliability_tree`] to, tree for tree.
+#[cfg(test)]
+pub(crate) mod spec {
+    use super::*;
+
+    /// Algorithm 6 over `BTreeMap`s: every weight read through
+    /// [`Configuration::link_reliability`], every candidate pushed and
+    /// stale ones skipped when popped.
+    pub(crate) fn maximum_reliability_tree(
+        topology: &Topology,
+        config: &Configuration,
+        root: ProcessId,
+    ) -> Result<SpanningTree, GraphError> {
+        if !topology.contains_process(root) {
+            return Err(GraphError::UnknownRoot(root));
+        }
+
+        let total = topology.process_count();
+        let mut parent: BTreeMap<ProcessId, ProcessId> = BTreeMap::new();
+        let mut in_tree: BTreeMap<ProcessId, ()> = BTreeMap::new();
+        in_tree.insert(root, ());
+
+        // Max-heap over (weight, Reverse(link)): highest reliability first,
+        // smallest link id among equals.
+        let mut frontier: BinaryHeap<(Weight, Reverse<LinkId>, ProcessId, ProcessId)> =
+            BinaryHeap::new();
+        let push_edges = |from: ProcessId,
+                          frontier: &mut BinaryHeap<(
+            Weight,
+            Reverse<LinkId>,
+            ProcessId,
+            ProcessId,
+        )>| {
+            for to in topology.neighbors(from) {
+                let w = Weight(config.link_reliability(from, to).value());
+                let link = LinkId::new(from, to).expect("no self-loops in topology");
+                frontier.push((w, Reverse(link), from, to));
+            }
+        };
+        push_edges(root, &mut frontier);
+
+        while let Some((_, _, from, to)) = frontier.pop() {
+            if in_tree.contains_key(&to) {
+                continue; // lazily discarded stale edge
+            }
+            in_tree.insert(to, ());
+            parent.insert(to, from);
+            push_edges(to, &mut frontier);
+            if in_tree.len() == total {
+                break;
+            }
+        }
+
+        if in_tree.len() != total {
+            return Err(GraphError::Disconnected {
+                reached: in_tree.len(),
+                total,
+            });
+        }
+        SpanningTree::from_parents(root, parent)
     }
 }

@@ -21,13 +21,56 @@ use crate::GraphError;
 ///
 /// A tree over `n` processes always has exactly `n - 1` links, as the
 /// paper observes.
+///
+/// Internally every process is addressed by its *position* in the
+/// ascending `ids`, so position order is id order. A lookup by
+/// [`ProcessId`] is one comparison when the ids are `0..n` and a binary
+/// search otherwise. Every field follows from `ids` and the parent
+/// pointers, so the derived `==` is tree equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanningTree {
-    root: ProcessId,
-    parent: BTreeMap<ProcessId, ProcessId>,
-    children: BTreeMap<ProcessId, Vec<ProcessId>>,
-    /// BFS order; `order[0]` is the root.
-    order: Vec<ProcessId>,
+    /// The tree's processes in ascending id order.
+    ids: Vec<ProcessId>,
+    /// `parent[i]` is the position of `ids[i]`'s parent; the root's entry
+    /// is its own position.
+    parent: Vec<u32>,
+    /// Row offsets into `children`; `child_start.len() == ids.len() + 1`.
+    child_start: Vec<u32>,
+    /// The children of every position, row by row, each row ascending.
+    children: Vec<ProcessId>,
+    /// Positions in BFS order; `order[0]` is the root.
+    order: Vec<u32>,
+}
+
+/// Groups `(row, value)` pairs into compressed rows over `0..n`: row `r`
+/// is `values[start[r]..start[r + 1]]`, in input order. Returns
+/// `(start, values)`.
+pub(crate) fn rows<T: Copy + Default>(
+    n: usize,
+    pairs: impl Iterator<Item = (u32, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; n + 1];
+    for (r, _) in pairs.clone() {
+        start[r as usize + 1] += 1;
+    }
+    for r in 0..n {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut values = vec![T::default(); start[n] as usize];
+    for (r, v) in pairs {
+        values[fill[r as usize] as usize] = v;
+        fill[r as usize] += 1;
+    }
+    (start, values)
+}
+
+/// Position of `p` in the ascending, duplicate-free `ids`.
+pub(crate) fn position_of(ids: &[ProcessId], p: ProcessId) -> Option<usize> {
+    match ids.get(p.as_usize()) {
+        Some(&q) if q == p => Some(p.as_usize()),
+        _ => ids.binary_search(&p).ok(),
+    }
 }
 
 impl SpanningTree {
@@ -48,45 +91,64 @@ impl SpanningTree {
         if parents.contains_key(&root) {
             return Err(GraphError::MalformedTree("root must not have a parent"));
         }
-        let mut children: BTreeMap<ProcessId, Vec<ProcessId>> = BTreeMap::new();
-        children.entry(root).or_default();
-        for (&child, &parent) in &parents {
-            if child == parent {
+        let mut ids: Vec<ProcessId> = parents.keys().copied().collect();
+        let root_at = ids.partition_point(|&p| p < root);
+        ids.insert(root_at, root);
+        let mut parent = vec![root_at as u32; ids.len()];
+        // Keys ascend, so the j-th key sits at position j, or j + 1 past
+        // the root.
+        for (j, (&child, &par)) in parents.iter().enumerate() {
+            if child == par {
                 return Err(GraphError::MalformedTree("process is its own parent"));
             }
-            if parent != root && !parents.contains_key(&parent) {
-                return Err(GraphError::MalformedTree("parent is not in the tree"));
-            }
-            children.entry(parent).or_default();
-            children.entry(child).or_default();
-            children
-                .get_mut(&parent)
-                .expect("just inserted")
-                .push(child);
+            let at = position_of(&ids, par)
+                .ok_or(GraphError::MalformedTree("parent is not in the tree"))?;
+            parent[j + usize::from(j >= root_at)] = at as u32;
         }
-        for c in children.values_mut() {
-            c.sort_unstable();
-        }
+        SpanningTree::from_positions(ids, root_at, parent)
+    }
+
+    /// Builds a rooted tree over `ids` (ascending, duplicate-free) from
+    /// parent positions: `parent[i]` is the position of `ids[i]`'s parent
+    /// and `parent[root]` is ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::MalformedTree`] when some process does not
+    /// reach `root` by following parents (a cycle).
+    pub(crate) fn from_positions(
+        ids: Vec<ProcessId>,
+        root: usize,
+        mut parent: Vec<u32>,
+    ) -> Result<Self, GraphError> {
+        let n = ids.len();
+        parent[root] = root as u32;
+
+        // Filled in ascending child position, so every row ascends.
+        let (child_start, kids) = rows(
+            n,
+            (0..n).filter(|&i| i != root).map(|i| (parent[i], i as u32)),
+        );
 
         // Breadth-first traversal also detects unreachable nodes (cycles).
-        let mut order = Vec::with_capacity(parents.len() + 1);
-        order.push(root);
+        let mut order = Vec::with_capacity(n);
+        order.push(root as u32);
         let mut head = 0;
         while head < order.len() {
-            let p = order[head];
+            let p = order[head] as usize;
             head += 1;
-            if let Some(kids) = children.get(&p) {
-                order.extend(kids.iter().copied());
-            }
+            order.extend_from_slice(&kids[child_start[p] as usize..child_start[p + 1] as usize]);
         }
-        if order.len() != parents.len() + 1 {
+        if order.len() != n {
             return Err(GraphError::MalformedTree(
                 "parent map contains a cycle or disconnected component",
             ));
         }
+        let children = kids.iter().map(|&k| ids[k as usize]).collect();
         Ok(SpanningTree {
-            root,
-            parent: parents,
+            ids,
+            parent,
+            child_start,
             children,
             order,
         })
@@ -94,32 +156,36 @@ impl SpanningTree {
 
     /// The root process `p_s` (the broadcaster).
     pub fn root(&self) -> ProcessId {
-        self.root
+        self.ids[self.order[0] as usize]
     }
 
     /// Number of processes in the tree.
     pub fn process_count(&self) -> usize {
-        self.order.len()
+        self.ids.len()
     }
 
     /// Number of links in the tree — always `process_count() - 1`.
     pub fn link_count(&self) -> usize {
-        self.order.len() - 1
+        self.ids.len() - 1
     }
 
     /// Returns `true` iff `p` belongs to the tree.
     pub fn contains(&self, p: ProcessId) -> bool {
-        p == self.root || self.parent.contains_key(&p)
+        position_of(&self.ids, p).is_some()
     }
 
     /// The parent `pred(p)`; `None` for the root or unknown processes.
     pub fn parent(&self, p: ProcessId) -> Option<ProcessId> {
-        self.parent.get(&p).copied()
+        let i = position_of(&self.ids, p)?;
+        let q = self.parent[i] as usize;
+        (q != i).then(|| self.ids[q])
     }
 
     /// The children of `p` in ascending id order.
     pub fn children(&self, p: ProcessId) -> &[ProcessId] {
-        self.children.get(&p).map_or(&[], Vec::as_slice)
+        position_of(&self.ids, p).map_or(&[], |i| {
+            &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+        })
     }
 
     /// Returns `true` iff `p` is a leaf (`T_p = ⊥` in the paper).
@@ -137,27 +203,25 @@ impl SpanningTree {
 
     /// Processes in breadth-first order; the root comes first.
     pub fn processes(&self) -> impl ExactSizeIterator<Item = ProcessId> + '_ {
-        self.order.iter().copied()
+        self.order.iter().map(|&i| self.ids[i as usize])
     }
 
     /// Tree edges as `(parent, child)` pairs in breadth-first order of the
     /// child.
     pub fn edges(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
-        self.order
-            .iter()
-            .skip(1)
-            .map(move |&c| (self.parent[&c], c))
+        self.order.iter().skip(1).map(move |&c| {
+            let c = c as usize;
+            (self.ids[self.parent[c] as usize], self.ids[c])
+        })
     }
 
     /// Depth of every process (root at 0), keyed by process.
     pub fn depths(&self) -> BTreeMap<ProcessId, u32> {
-        let mut depths = BTreeMap::new();
-        depths.insert(self.root, 0u32);
-        for &p in self.order.iter().skip(1) {
-            let d = depths[&self.parent[&p]] + 1;
-            depths.insert(p, d);
+        let mut depth = vec![0u32; self.ids.len()];
+        for &c in self.order.iter().skip(1) {
+            depth[c as usize] = depth[self.parent[c as usize] as usize] + 1;
         }
-        depths
+        self.ids.iter().copied().zip(depth).collect()
     }
 
     /// Number of processes in the subtree `T_p` rooted at `p`, including
@@ -179,7 +243,7 @@ impl SpanningTree {
     /// tree links.
     pub fn to_topology(&self) -> Topology {
         let mut t = Topology::new();
-        t.add_process(self.root);
+        t.add_process(self.root());
         for (parent, child) in self.edges() {
             t.add_link(parent, child).expect("tree has no self-loops");
         }
@@ -291,6 +355,38 @@ mod tests {
         assert_eq!(topo.process_count(), 8);
         assert_eq!(topo.link_count(), 7);
         assert!(topo.contains_link(LinkId::new(p(5), p(1)).unwrap()));
+    }
+
+    #[test]
+    fn sparse_ids_inserted_out_of_order_keep_sorted_children_and_bfs_order() {
+        // Root p40 sits between smaller and larger ids, and no id equals
+        // its position: 40 → {7, 900}; 900 → {13, 501}; 7 → {2}; 13 → {88}.
+        let mut parents = BTreeMap::new();
+        for (child, parent) in [(501, 900), (2, 7), (900, 40), (88, 13), (13, 900), (7, 40)] {
+            parents.insert(p(child), p(parent));
+        }
+        let t = SpanningTree::from_parents(p(40), parents).unwrap();
+        assert_eq!(t.root(), p(40));
+        assert_eq!(t.process_count(), 7);
+        assert_eq!(t.children(p(40)), &[p(7), p(900)]);
+        assert_eq!(t.children(p(900)), &[p(13), p(501)]);
+        assert_eq!(t.children(p(7)), &[p(2)]);
+        assert!(t.is_leaf(p(88)));
+        assert!(t.children(p(3)).is_empty());
+        let order: Vec<ProcessId> = t.processes().collect();
+        assert_eq!(order, [40, 7, 900, 2, 13, 501, 88].map(p));
+        assert_eq!(t.parent(p(88)), Some(p(13)));
+        assert_eq!(t.parent(p(40)), None);
+        assert_eq!(t.parent(p(3)), None);
+        assert!(t.contains(p(2)) && t.contains(p(900)) && !t.contains(p(3)));
+        assert_eq!(
+            t.link_to(p(501)),
+            Some(LinkId::new(p(900), p(501)).unwrap())
+        );
+        let edges: Vec<_> = t.edges().collect();
+        assert_eq!(edges[..3], [(p(40), p(7)), (p(40), p(900)), (p(7), p(2))]);
+        assert_eq!(t.depths()[&p(88)], 3);
+        assert_eq!(t.subtree_size(p(900)), 4);
     }
 
     #[test]

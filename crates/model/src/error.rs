@@ -21,6 +21,9 @@ pub enum ModelError {
     DuplicateLink(LinkId),
     /// An operation required a non-empty topology.
     EmptyTopology,
+    /// An operation required a connected topology, and some process
+    /// cannot reach another.
+    Disconnected,
 }
 
 impl fmt::Display for ModelError {
@@ -34,6 +37,7 @@ impl fmt::Display for ModelError {
             ModelError::UnknownLink(l) => write!(f, "link {l} is not in the topology"),
             ModelError::DuplicateLink(l) => write!(f, "link {l} is already in the topology"),
             ModelError::EmptyTopology => write!(f, "operation requires a non-empty topology"),
+            ModelError::Disconnected => write!(f, "operation requires a connected topology"),
         }
     }
 }
@@ -55,6 +59,7 @@ mod tests {
             (ModelError::UnknownLink(l), "l0,1"),
             (ModelError::DuplicateLink(l), "already"),
             (ModelError::EmptyTopology, "non-empty"),
+            (ModelError::Disconnected, "connected"),
         ] {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{msg:?} should contain {needle:?}");

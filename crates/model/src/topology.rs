@@ -237,11 +237,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::EmptyTopology`] for the empty topology. A
-    /// disconnected topology has no finite diameter and also yields
-    /// [`ModelError::EmptyTopology`]'s sibling semantics via `None`-like
-    /// error [`ModelError::EmptyTopology`]; callers should check
-    /// [`Topology::is_connected`] first.
+    /// * [`ModelError::EmptyTopology`] for the empty topology;
+    /// * [`ModelError::Disconnected`] when some process cannot reach
+    ///   another, so no finite diameter exists.
     pub fn diameter(&self) -> Result<u32, ModelError> {
         if self.is_empty() {
             return Err(ModelError::EmptyTopology);
@@ -250,7 +248,7 @@ impl Topology {
         for p in self.processes() {
             let dist = self.bfs_distances(p);
             if dist.len() != self.process_count() {
-                return Err(ModelError::EmptyTopology);
+                return Err(ModelError::Disconnected);
             }
             best = best.max(dist.values().copied().max().unwrap_or(0));
         }
@@ -368,7 +366,7 @@ mod tests {
         assert_eq!(t.process_count(), 0);
         assert_eq!(t.link_count(), 0);
         assert!(t.is_connected());
-        assert!(t.diameter().is_err());
+        assert_eq!(t.diameter(), Err(ModelError::EmptyTopology));
         assert_eq!(t.average_degree(), 0.0);
     }
 
@@ -455,7 +453,7 @@ mod tests {
         assert_eq!(components.len(), 2);
         assert_eq!(components[0], vec![p(0), p(1)]);
         assert_eq!(components[1], vec![p(2), p(3)]);
-        assert!(t.diameter().is_err());
+        assert_eq!(t.diameter(), Err(ModelError::Disconnected));
     }
 
     #[test]
