@@ -11,8 +11,8 @@ use diffuse_bayes::BeliefEstimator;
 use diffuse_bench::{fixture, fixture_tree};
 use diffuse_core::{
     optimize, reach, Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, Message,
-    MessageVector, NetworkKnowledge, OptimalBroadcast, Payload, Protocol, ProtocolActor, SelfTimed,
-    SharedWireTree, WireTree,
+    MessageVector, NetworkKnowledge, OptimalBroadcast, Payload, Protocol, ProtocolActor,
+    ReliabilityTree, SelfTimed, SharedWireTree,
 };
 use diffuse_experiments::scale::{converged_params, KernelOrderSystem};
 use diffuse_graph::{generators, maximum_reliability_tree};
@@ -82,10 +82,10 @@ fn bench_reach_and_optimize(c: &mut Criterion) {
 /// One first receipt of a data message at an interior node of the
 /// n = 240 MRT: deliver, then forward to the children in the shipped
 /// tree. `fresh` hands every receipt its own tree instance, as a decoded
-/// frame is on the fabric and UDP paths — validate, `from_wire`,
-/// `optimize`, every time. `shared` hands every receipt the one
-/// instance whose plan an earlier receiver already derived, as the sim
-/// kernel and `ShardedKernel` do for all but the first of n receivers.
+/// frame is on the fabric and UDP paths — validate, `optimize`, every
+/// time. `shared` hands every receipt the one instance whose plan an
+/// earlier receiver already derived, as the sim kernel and
+/// `ShardedKernel` do for all but the first of n receivers.
 fn bench_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan");
     group
@@ -112,16 +112,15 @@ fn bench_plan(c: &mut Criterion) {
         );
         actions.sends().len()
     };
-    let wire = tree.to_wire();
-    let (_, nodes, parent, lambda) = wire.parts();
+    let (_, nodes, parent, lambda) = tree.parts();
     group.bench_function("first_receipt_n240_fresh", |b| {
         b.iter(|| {
             let decoded =
-                WireTree::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec());
+                ReliabilityTree::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec());
             first_receipt(Arc::new(decoded.expect("well-formed")))
         })
     });
-    let shared = Arc::new(wire);
+    let shared = Arc::new(tree.to_wire());
     assert!(
         first_receipt(Arc::clone(&shared)) > 0,
         "the receiver forwards"

@@ -22,7 +22,7 @@ pub fn fixture_tree(n: u32, connectivity: u32, loss: f64) -> ReliabilityTree {
     let (topology, config) = fixture(n, connectivity, loss);
     let mrt =
         maximum_reliability_tree(&topology, &config, ProcessId::new(0)).expect("connected fixture");
-    ReliabilityTree::from_spanning_tree(&mrt, &config).expect("labelled")
+    ReliabilityTree::from_spanning_tree(&mrt, &config)
 }
 
 #[cfg(test)]

@@ -1513,9 +1513,8 @@ impl Protocol for AdaptiveBroadcast {
             return Err(CoreError::KnowledgeIncomplete);
         }
         let knowledge = self.knowledge_snapshot();
-        let tree = knowledge.reliability_tree(self.id)?;
+        let wire = Arc::new(knowledge.reliability_tree(self.id)?);
         let k = self.params.target_reliability;
-        let wire = Arc::new(tree.to_planned_wire(k));
         let id = BroadcastId {
             origin: self.id,
             seq: self.next_bcast_seq,

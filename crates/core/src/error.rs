@@ -36,7 +36,8 @@ pub enum CoreError {
     /// before their first heartbeats propagate).
     KnowledgeIncomplete,
     /// A wire-encoded tree was malformed (wrong lengths, unknown parent
-    /// indices, or out-of-range probabilities).
+    /// indices, out-of-range probabilities, or nodes out of canonical
+    /// order).
     MalformedWireTree(&'static str),
     /// The process is not part of the tree it was asked to forward.
     NotInTree(ProcessId),

@@ -44,13 +44,12 @@ impl NetworkKnowledge {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::KnowledgeIncomplete`] if the known topology does not
-    ///   span all known processes (or does not contain `root`);
-    /// * any labelling error from [`ReliabilityTree::from_spanning_tree`].
+    /// Returns [`CoreError::KnowledgeIncomplete`] if the known topology
+    /// does not span all known processes (or does not contain `root`).
     pub fn reliability_tree(&self, root: ProcessId) -> Result<ReliabilityTree, CoreError> {
         let tree = maximum_reliability_tree(&self.topology, &self.config, root)
             .map_err(|_| CoreError::KnowledgeIncomplete)?;
-        ReliabilityTree::from_spanning_tree(&tree, &self.config)
+        Ok(ReliabilityTree::from_spanning_tree(&tree, &self.config))
     }
 
     /// Builds the full broadcast plan for a sender: the MRT plus the
@@ -237,7 +236,63 @@ mod tests {
         let tree = k.reliability_tree(p(0)).unwrap();
         assert_eq!(tree.root(), p(0));
         // p3 must be reached through p1, not the 60%-loss link from p2.
-        assert_eq!(tree.tree().parent(p(3)), Some(p(1)));
+        assert_eq!(tree.parent(p(3)), Some(p(1)));
+    }
+
+    /// Every tree a broadcaster builds is already in the canonical order
+    /// a receiver demands: its parts come back through `from_parts`
+    /// unchanged, from every root, on tie-heavy uniform loss and on mixed
+    /// loss, on dense ids and on relabelled sparse ones.
+    #[test]
+    fn every_built_tree_round_trips_its_parts() {
+        use diffuse_graph::generators;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        let mut pi: Vec<u32> = (0..50).collect();
+        pi.shuffle(&mut rng);
+        let mut relabelled = Topology::new();
+        for link in generators::circulant(50, 4).unwrap().links() {
+            let (a, b) = link.endpoints();
+            let label = |q: ProcessId| p(7 + 3 * pi[q.as_usize()]);
+            relabelled.add_link(label(a), label(b)).unwrap();
+        }
+        let mut singleton = Topology::new();
+        singleton.add_process(p(5));
+        let topologies = [
+            generators::ring(30).unwrap(),
+            generators::circulant(100, 4).unwrap(),
+            generators::erdos_renyi_connected(60, 0.1, 64, &mut rng).unwrap(),
+            relabelled,
+            singleton,
+        ];
+        for topology in topologies {
+            let uniform = Configuration::uniform(
+                &topology,
+                Probability::ZERO,
+                Probability::new(0.05).unwrap(),
+            );
+            let mut mixed = uniform.clone();
+            for link in topology.links() {
+                let loss = [0.01, 0.05, 0.2][rng.gen_range(0..3usize)];
+                mixed.set_loss(link, Probability::new(loss).unwrap());
+            }
+            for config in [uniform, mixed] {
+                let knowledge = NetworkKnowledge::exact(topology.clone(), config);
+                for root in topology.processes() {
+                    let tree = knowledge.reliability_tree(root).unwrap();
+                    let (r, nodes, parent, lambda) = tree.parts();
+                    let back = ReliabilityTree::from_parts(
+                        r,
+                        nodes.to_vec(),
+                        parent.to_vec(),
+                        lambda.to_vec(),
+                    );
+                    assert_eq!(back, Ok(tree.clone()), "root {root:?}");
+                }
+            }
+        }
     }
 
     #[test]

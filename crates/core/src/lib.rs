@@ -31,18 +31,17 @@
 //! # Example
 //!
 //! ```
-//! use diffuse_core::{optimize, reach, MessageVector, ReliabilityTree, WireTree};
+//! use diffuse_core::{optimize, reach, MessageVector, ReliabilityTree};
 //! use diffuse_model::ProcessId;
 //!
 //! # fn main() -> Result<(), diffuse_core::CoreError> {
 //! // A two-link chain: root → p1 (λ=0.2) → p2 (λ=0.05).
-//! let wire = WireTree::from_parts(
+//! let tree = ReliabilityTree::from_parts(
 //!     ProcessId::new(0),
 //!     vec![ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)],
 //!     vec![0, 1],
 //!     vec![0.2, 0.05],
 //! )?;
-//! let tree = ReliabilityTree::from_wire(&wire)?;
 //!
 //! // One copy per link reaches everyone with probability 0.76.
 //! let base = reach(&tree, &MessageVector::ones(2));
@@ -94,7 +93,7 @@ pub use scenario::{
     BroadcastOutcome, FaultAction, FaultScript, FaultSink, Scenario, ScenarioBuilder,
     ScenarioReport, ScenarioSim, ShardedScenarioSim, Workload, WorkloadEvent,
 };
-pub use tree::{ReliabilityTree, SharedWireTree, WireTree};
+pub use tree::{ReliabilityTree, SharedWireTree};
 pub use waterfill::{optimize_budget_waterfill, optimize_waterfill};
 
 /// Shared fixtures for the crate's unit tests.
@@ -102,7 +101,7 @@ pub use waterfill::{optimize_budget_waterfill, optimize_waterfill};
 pub(crate) mod tests_support {
     use diffuse_model::ProcessId;
 
-    use crate::{ReliabilityTree, WireTree};
+    use crate::ReliabilityTree;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -113,9 +112,7 @@ pub(crate) mod tests_support {
         let n = lambdas.len();
         let nodes: Vec<ProcessId> = (0..=n as u32).map(p).collect();
         let parent: Vec<u32> = (0..n as u32).collect();
-        let wire =
-            WireTree::from_parts(p(0), nodes, parent, lambdas.to_vec()).expect("valid chain");
-        ReliabilityTree::from_wire(&wire).expect("valid chain")
+        ReliabilityTree::from_parts(p(0), nodes, parent, lambdas.to_vec()).expect("valid chain")
     }
 
     /// A star: root `0` with one leaf per λ.
@@ -123,8 +120,7 @@ pub(crate) mod tests_support {
         let n = lambdas.len();
         let nodes: Vec<ProcessId> = (0..=n as u32).map(p).collect();
         let parent: Vec<u32> = vec![0; n];
-        let wire = WireTree::from_parts(p(0), nodes, parent, lambdas.to_vec()).expect("valid star");
-        ReliabilityTree::from_wire(&wire).expect("valid star")
+        ReliabilityTree::from_parts(p(0), nodes, parent, lambdas.to_vec()).expect("valid star")
     }
 
     /// A mixed-shape tree: `0 → {1, 2}`, `1 → {3, 4}`, `2 → {5}`.
@@ -132,14 +128,12 @@ pub(crate) mod tests_support {
         let nodes: Vec<ProcessId> = (0..6u32).map(p).collect();
         let parent = vec![0, 0, 1, 1, 2];
         let lambdas = vec![0.1, 0.3, 0.2, 0.05, 0.4];
-        let wire = WireTree::from_parts(p(0), nodes, parent, lambdas).expect("valid tree");
-        ReliabilityTree::from_wire(&wire).expect("valid tree")
+        ReliabilityTree::from_parts(p(0), nodes, parent, lambdas).expect("valid tree")
     }
 
     /// A single-process tree (no links).
     pub fn singleton_tree() -> ReliabilityTree {
-        let wire = WireTree::from_parts(p(0), vec![p(0)], vec![], vec![]).expect("valid singleton");
-        ReliabilityTree::from_wire(&wire).expect("valid singleton")
+        ReliabilityTree::from_parts(p(0), vec![p(0)], vec![], vec![]).expect("valid singleton")
     }
 }
 
@@ -168,7 +162,7 @@ mod property_tests {
                     (0..tree.link_count()).map(|_| rng.gen_range(1..5)).collect();
                 let m = MessageVector::from_counts(counts);
                 let a = reach(&tree, &m);
-                let b = reach_recursive(&tree, &m, tree.tree().root());
+                let b = reach_recursive(&tree, &m, tree.root());
                 prop_assert!((a - b).abs() < 1e-12);
             }
         }
@@ -311,7 +305,9 @@ mod property_tests {
     }
 
     /// A random tree over `lambdas.len() + 1` processes: node `i + 1`
-    /// hangs off a uniformly chosen earlier node, covering chains, stars
+    /// hangs off a node at a uniformly drawn earlier position, the draws
+    /// sorted into canonical BFS order. Sorting keeps every draw at or
+    /// before its own position and reaches every shape — chains, stars
     /// and everything between.
     fn random_shape_tree(lambdas: &[f64], seed: u64) -> ReliabilityTree {
         use diffuse_model::ProcessId;
@@ -319,9 +315,9 @@ mod property_tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = lambdas.len();
         let nodes: Vec<ProcessId> = (0..=n as u32).map(ProcessId::new).collect();
-        let parent: Vec<u32> = (0..n as u32).map(|i| rng.gen_range(0..=i)).collect();
-        let wire = WireTree::from_parts(ProcessId::new(0), nodes, parent, lambdas.to_vec())
-            .expect("valid random tree");
-        ReliabilityTree::from_wire(&wire).expect("valid random tree")
+        let mut parent: Vec<u32> = (0..n as u32).map(|i| rng.gen_range(0..=i)).collect();
+        parent.sort_unstable();
+        ReliabilityTree::from_parts(ProcessId::new(0), nodes, parent, lambdas.to_vec())
+            .expect("valid random tree")
     }
 }

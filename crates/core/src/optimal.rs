@@ -11,13 +11,12 @@ use crate::tree::SharedWireTree;
 use crate::{CoreError, NetworkKnowledge};
 
 /// Forwards a data message to the executing process's children in the
-/// wire tree, sending the per-link counts computed by `optimize`
+/// shipped tree, sending the per-link counts computed by `optimize`
 /// (Algorithm 1's `propagate`). Shared by the optimal and adaptive
 /// protocols. Nothing is sent when it fails.
 ///
 /// # Errors
 ///
-/// * [`CoreError::MalformedWireTree`] if the wire tree is inconsistent;
 /// * [`CoreError::NotInTree`] if `self_id` does not appear in the tree;
 /// * any [`optimize`](crate::optimize) error.
 pub(crate) fn propagate(
@@ -109,8 +108,7 @@ impl OptimalBroadcast {
         if let Some(tree) = &self.cached_tree {
             return Ok(Arc::clone(tree));
         }
-        let tree = self.knowledge.reliability_tree(self.id)?;
-        let wire: SharedWireTree = Arc::new(tree.to_planned_wire(self.target));
+        let wire: SharedWireTree = Arc::new(self.knowledge.reliability_tree(self.id)?);
         self.cached_tree = Some(Arc::clone(&wire));
         Ok(wire)
     }
@@ -371,25 +369,55 @@ mod tests {
 
     mod plan_memo {
         use super::*;
-        use crate::tree::WireTree;
         use crate::{optimize, ReliabilityTree};
+        use diffuse_graph::SpanningTree;
         use proptest::prelude::*;
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
 
         const STRANGER: u32 = 10_000;
 
-        /// `propagate` as it was before the memo: derive on every call,
-        /// forward from the labelled tree.
-        fn reference(me: ProcessId, wire: &WireTree, k: f64) -> Result<Vec<ProcessId>, CoreError> {
-            let tree = ReliabilityTree::from_wire(wire)?;
-            if !tree.tree().contains(me) {
+        /// The tree a wire's parent positions span, whatever the order of
+        /// its positions (parents must precede children).
+        fn rebuild(nodes: &[ProcessId], parent: &[u32]) -> SpanningTree {
+            let parents = nodes[1..]
+                .iter()
+                .zip(parent)
+                .map(|(&q, &par)| (q, nodes[par as usize]));
+            SpanningTree::from_parents(nodes[0], parents.collect()).expect("parents precede")
+        }
+
+        /// `propagate` as it was before the labelled tree was its own
+        /// wire form: rebuild the tree, re-index λ by the rebuilt tree's
+        /// BFS order, optimize on every call, forward to the rebuilt
+        /// tree's children.
+        fn reference(
+            me: ProcessId,
+            wire: &ReliabilityTree,
+            k: f64,
+        ) -> Result<Vec<ProcessId>, CoreError> {
+            let (root, nodes, parent, lambda) = wire.parts();
+            let tree = rebuild(nodes, parent);
+            if !tree.contains(me) {
                 return Err(CoreError::NotInTree(me));
             }
-            let plan = optimize(&tree, k)?;
+            let order: Vec<ProcessId> = tree.processes().collect();
+            let at = |order: &[ProcessId], q| order.iter().position(|&o| o == q).unwrap();
+            let reindexed = ReliabilityTree::from_parts(
+                root,
+                order.clone(),
+                tree.edges()
+                    .map(|(par, _)| at(&order, par) as u32)
+                    .collect(),
+                order[1..]
+                    .iter()
+                    .map(|&q| lambda[at(nodes, q) - 1])
+                    .collect(),
+            )?;
+            let plan = optimize(&reindexed, k)?;
             let mut sends = Vec::new();
             for &child in tree.children(me) {
-                let j = tree.index_of(child).expect("children have link indices");
+                let j = at(&order, child) - 1;
                 sends.extend((0..plan.count(j)).map(|_| child));
             }
             Ok(sends)
@@ -412,62 +440,103 @@ mod tests {
             sent.map(|()| actions.sends().iter().map(|(to, _)| *to).collect())
         }
 
+        /// Forwarding from `shared` — memo filled by the first member —
+        /// and from private, memo-empty copies equals the reference for
+        /// every member and a stranger, with `k` and with another `K`.
+        fn check_forwarding(shared: &SharedWireTree, k: f64, other_k: f64) {
+            let (_, nodes, _, _) = shared.parts();
+            let mut receivers = nodes.to_vec();
+            receivers.push(ProcessId::new(STRANGER));
+            for &me in &receivers {
+                let fresh = Arc::new(shared.to_wire());
+                assert!(!fresh.is_planned());
+                let expected = reference(me, &fresh, k);
+                assert_eq!(&destinations(me, &fresh, k), &expected);
+                assert_eq!(&destinations(me, shared, k), &expected);
+                assert!(shared.is_planned());
+                // Another K is served without disturbing the memo.
+                assert_eq!(
+                    destinations(me, shared, other_k),
+                    reference(me, &fresh, other_k)
+                );
+                assert_eq!(&destinations(me, shared, k), &expected);
+            }
+        }
+
         proptest! {
             /// Forwarding from a shared, memo-filled instance is
             /// forwarding from a private, memo-empty one, and both are
-            /// the per-call derivation: same destinations, order and
-            /// counts — or same error — for every member and a stranger,
-            /// on any wire order, for a receiver with another `K`, from
-            /// the origin's seeded instance, and on trees no decoder
-            /// would let through.
+            /// the per-call rebuild-and-reindex derivation: same
+            /// destinations, order and counts — or same error — for every
+            /// member and a stranger, for a receiver with another `K`. A
+            /// tree out of canonical order, or otherwise malformed, is
+            /// refused by `from_parts`, as every decoded frame is.
             #[test]
             fn prop_memoised_forwarding_equals_per_call_derivation(
                 lambdas in proptest::collection::vec(0.0f64..0.99, 1..10),
                 seed in any::<u64>(),
                 k_pick in 0usize..3,
-                hostile in 0usize..5,
+                hostile in 0usize..8,
             ) {
                 const KS: [f64; 3] = [0.9, 0.999, 0.999999];
                 let (k, other_k) = (KS[k_pick], KS[(k_pick + 1) % 3]);
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let n = lambdas.len();
-                // Ids land on wire positions at random, so siblings are
-                // rarely in ascending wire order.
+                // Ids land on positions at random; sorted parent draws and
+                // ascending sibling runs make the order canonical.
                 let mut nodes: Vec<ProcessId> = (0..=n as u32).map(ProcessId::new).collect();
                 nodes.shuffle(&mut rng);
                 let mut parent: Vec<u32> = (0..n as u32).map(|i| rng.gen_range(0..=i)).collect();
+                parent.sort_unstable();
+                let mut run = 0;
+                while run < n {
+                    let end = run + parent[run..].partition_point(|&q| q == parent[run]);
+                    nodes[run + 1..end + 1].sort_unstable();
+                    run = end;
+                }
                 let mut lambda = lambdas;
                 match hostile {
                     1 => parent[0] = 1,        // forward parent
                     2 => nodes[n] = nodes[0],  // duplicate node
                     3 => lambda[n - 1] = 1.5,  // λ out of range
                     4 => lambda[0] = 1.0,      // well-formed, target unreachable
+                    5 if n >= 2 => {
+                        // descending siblings
+                        parent[1] = 0;
+                        if nodes[1] < nodes[2] {
+                            nodes.swap(1, 2);
+                        }
+                    }
+                    6 if n >= 3 => {
+                        // a parent before a smaller one
+                        parent[n - 2] = parent[n - 2].max(1);
+                        parent[n - 1] = 0;
+                    }
+                    7 => {
+                        // shuffled positions, parents anywhere earlier
+                        nodes[1..].shuffle(&mut rng);
+                        for (i, q) in parent.iter_mut().enumerate() {
+                            *q = rng.gen_range(0..=i as u32);
+                        }
+                    }
                     _ => {}
                 }
-                let private =
-                    || Arc::new(WireTree::unchecked(nodes.clone(), parent.clone(), lambda.clone()));
-                let shared = private();
-                let mut receivers = nodes.clone();
-                receivers.push(ProcessId::new(STRANGER));
-
-                for &me in &receivers {
-                    let fresh = private();
-                    prop_assert!(!fresh.is_planned());
-                    let expected = reference(me, &fresh, k);
-                    prop_assert_eq!(&destinations(me, &fresh, k), &expected);
-                    prop_assert_eq!(&destinations(me, &shared, k), &expected);
-                    prop_assert!(shared.is_planned());
-                    // Another K is served without disturbing the memo.
-                    prop_assert_eq!(destinations(me, &shared, other_k), reference(me, &fresh, other_k));
-                    prop_assert_eq!(&destinations(me, &shared, k), &expected);
-                }
-
-                if let Ok(tree) = ReliabilityTree::from_wire(&shared) {
-                    let seeded = Arc::new(tree.to_planned_wire(k));
-                    prop_assert!(seeded.is_planned());
-                    for &me in &receivers {
-                        prop_assert_eq!(destinations(me, &seeded, k), reference(me, &shared, k));
-                    }
+                // Canonical iff the positions are the BFS order of the
+                // tree the parents span.
+                let malformed = match hostile {
+                    1..=3 => true,
+                    _ => !rebuild(&nodes, &parent).processes().eq(nodes.iter().copied()),
+                };
+                prop_assert!(
+                    malformed || !matches!((hostile, n), (5, 2..) | (6, 3..)),
+                    "case {} left the order canonical",
+                    hostile
+                );
+                let built = ReliabilityTree::from_parts(nodes[0], nodes, parent, lambda);
+                if malformed {
+                    prop_assert!(matches!(built, Err(CoreError::MalformedWireTree(_))));
+                } else {
+                    check_forwarding(&Arc::new(built.unwrap()), k, other_k);
                 }
             }
         }

@@ -196,18 +196,17 @@ pub(crate) fn preflight(tree: &ReliabilityTree, k: f64) -> Result<Option<Message
 /// # Example
 ///
 /// ```
-/// use diffuse_core::{optimize, ReliabilityTree, WireTree};
+/// use diffuse_core::{optimize, ReliabilityTree};
 /// use diffuse_model::ProcessId;
 ///
 /// # fn main() -> Result<(), diffuse_core::CoreError> {
 /// // One link losing 10% of traffic: three copies give 0.999.
-/// let wire = WireTree::from_parts(
+/// let tree = ReliabilityTree::from_parts(
 ///     ProcessId::new(0),
 ///     vec![ProcessId::new(0), ProcessId::new(1)],
 ///     vec![0],
 ///     vec![0.1],
 /// )?;
-/// let tree = ReliabilityTree::from_wire(&wire)?;
 /// let plan = optimize(&tree, 0.999)?;
 /// assert_eq!(plan.total_messages(), 3);
 /// assert!(plan.reach() >= 0.999);

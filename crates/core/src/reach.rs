@@ -162,24 +162,21 @@ pub fn reach_recursive(tree: &ReliabilityTree, m: &MessageVector, root: ProcessI
         tree.link_count(),
         "message vector must cover every tree link"
     );
-    assert!(
-        tree.tree().contains(root),
-        "reach_recursive root must be in the tree"
-    );
+    let root = tree
+        .position(root)
+        .expect("reach_recursive root must be in the tree");
     // Eq. 1 unfolds to Π over every link of the subtree below `root`:
     // each child contributes `(1 - λ_j^{m_j}) · reach(T_j)`, so walking
     // the subtree once and multiplying the per-link success of every
     // visited child is exactly the recursive product, evaluated
-    // iteratively (pre-order) instead of on the call stack.
+    // iteratively (pre-order) instead of on the call stack. Link `j`
+    // leads into position `j + 1`.
     let mut product = 1.0;
-    let mut stack: Vec<ProcessId> = vec![root];
-    while let Some(p) = stack.pop() {
-        for &child in tree.children(p) {
-            let j = tree
-                .index_of(child)
-                .expect("children always have a link index");
+    let mut stack = vec![root];
+    while let Some(at) = stack.pop() {
+        for j in tree.links_below(at) {
             product *= link_success(tree.lambda(j), m.get(j));
-            stack.push(child);
+            stack.push(j + 1);
         }
     }
     product

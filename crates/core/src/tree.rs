@@ -1,112 +1,164 @@
-//! Reliability-labelled trees and their wire representation.
+//! The reliability-labelled tree, in the one layout it is built, optimized
+//! and shipped in.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use diffuse_graph::SpanningTree;
 use diffuse_model::{Configuration, ProcessId};
 
-use crate::{optimize, CoreError};
+use crate::{optimize, CoreError, MessagePlan};
 
 /// A spanning tree labelled for the optimization problem of Section 3.2.
 ///
-/// Every non-root process `p_i` is assigned a dense *link index*
-/// (breadth-first order) addressing the tree link `l_i` that leads to it,
-/// and every link carries its single-transmission failure probability
-/// `λ_i = 1 - (1 - P_{pred(i)})(1 - L_i)(1 - P_i)` (Eq. 1).
+/// Algorithm 1 sends `(m, mrt_j)` — the message together with the tree it
+/// must follow — and this type is that `mrt_j` as well as the tree the
+/// optimizer works on. It is positional:
 ///
-/// The λ labels are *baked in* at construction: Algorithm 1 ships the tree
-/// together with data messages, and every receiver must re-derive exactly
-/// the same per-link message counts, so all of them must work from the
-/// sender's reliability view rather than their own.
-#[derive(Debug, Clone, PartialEq)]
+/// * `nodes` lists the processes in *canonical* breadth-first order: the
+///   root first, the children of every process after those of each
+///   process before it, siblings in ascending id;
+/// * `parent[i]` is the position in `nodes` of the parent of
+///   `nodes[i + 1]`;
+/// * link `i` is the tree link into `nodes[i + 1]`, and `lambda[i]` its
+///   single-transmission failure probability
+///   `λ_i = 1 - (1 - P_{pred(i)})(1 - L_i)(1 - P_i)` (Eq. 1).
+///
+/// A link index is therefore a wire position, and a process's children
+/// are one contiguous, ascending run of `nodes`.
+///
+/// The λ labels are *baked in* at construction: every receiver must
+/// re-derive exactly the sender's per-link message counts, so all of
+/// them work from the sender's reliability view rather than their own.
+///
+/// Invariants (checked by [`from_parts`](Self::from_parts), which every
+/// decoded frame goes through):
+///
+/// * `nodes` is non-empty and duplicate-free, `nodes[0]` is the root;
+/// * `parent.len() == lambda.len() == nodes.len() - 1`;
+/// * `parent[i] <= i` (parents precede children);
+/// * `parent` is non-decreasing and siblings ascend (canonical order);
+/// * every λ is a finite value in `[0, 1]`.
+///
+/// Every receiver of one instance derives the same plan from it, so the
+/// first derivation is kept in a write-once memo. The memo is no part of
+/// the value: equality, `Debug`, [`parts`](Self::parts) and the codec
+/// ignore it, and a tree built by `from_parts` starts without one.
+#[derive(Clone)]
 pub struct ReliabilityTree {
-    tree: SpanningTree,
-    /// `index_of[p]` is the link index of the link leading to `p`.
-    index_of: BTreeMap<ProcessId, usize>,
-    /// `process_at[i]` is the process reached through link index `i`.
-    process_at: Vec<ProcessId>,
-    /// `lambda[i]` is λ of link index `i`.
+    nodes: Vec<ProcessId>,
+    parent: Vec<u32>,
     lambda: Vec<f64>,
+    plan: OnceLock<PlanMemo>,
+}
+
+/// What forwarding needs from one [`optimize`] derivation.
+#[derive(Clone)]
+struct PlanMemo {
+    /// Bits of the target `K` the derivation ran with.
+    k_bits: u64,
+    /// The plan, indexed by link, or the error the derivation ended in.
+    plan: Result<MessagePlan, CoreError>,
+}
+
+impl PartialEq for ReliabilityTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl fmt::Debug for ReliabilityTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReliabilityTree")
+            .field("nodes", &self.nodes)
+            .field("parent", &self.parent)
+            .field("lambda", &self.lambda)
+            .finish()
+    }
 }
 
 impl ReliabilityTree {
-    /// Labels `tree` with λ values computed from `config`.
+    /// Labels `tree` with λ values computed from `config`, in one walk of
+    /// its breadth-first edges.
+    pub fn from_spanning_tree(tree: &SpanningTree, config: &Configuration) -> Self {
+        let mut nodes = Vec::with_capacity(tree.process_count());
+        let mut parent = Vec::with_capacity(tree.link_count());
+        let mut lambda = Vec::with_capacity(tree.link_count());
+        nodes.push(tree.root());
+        // Edges come in BFS order of the child, so their parents appear
+        // in non-decreasing position: one forward cursor finds them all.
+        let mut at = 0;
+        for (par, child) in tree.edges() {
+            while nodes[at] != par {
+                at += 1;
+            }
+            parent.push(at as u32);
+            nodes.push(child);
+            lambda.push(config.lambda(par, child).value());
+        }
+        ReliabilityTree {
+            nodes,
+            parent,
+            lambda,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// Builds a tree from raw parts — the codec's inverse of
+    /// [`parts`](Self::parts) — with an empty plan memo.
     ///
     /// # Errors
     ///
-    /// Never fails today; the `Result` reserves room for future
-    /// validation and keeps call sites uniform with
-    /// [`ReliabilityTree::from_wire`].
-    pub fn from_spanning_tree(
-        tree: &SpanningTree,
-        config: &Configuration,
+    /// Returns [`CoreError::MalformedWireTree`] if the parts break an
+    /// invariant listed on [`ReliabilityTree`].
+    pub fn from_parts(
+        root: ProcessId,
+        nodes: Vec<ProcessId>,
+        parent: Vec<u32>,
+        lambda: Vec<f64>,
     ) -> Result<Self, CoreError> {
-        let mut index_of = BTreeMap::new();
-        let mut process_at = Vec::with_capacity(tree.link_count());
-        let mut lambda = Vec::with_capacity(tree.link_count());
-        for (parent, child) in tree.edges() {
-            index_of.insert(child, process_at.len());
-            process_at.push(child);
-            lambda.push(config.lambda(parent, child).value());
-        }
+        validate(root, &nodes, &parent, &lambda)?;
         Ok(ReliabilityTree {
-            tree: tree.clone(),
-            index_of,
-            process_at,
+            nodes,
+            parent,
             lambda,
+            plan: OnceLock::new(),
         })
     }
 
-    /// Reconstructs a labelled tree from its wire form.
+    /// Raw field access for codecs: `(root, nodes, parent, lambda)`.
+    pub fn parts(&self) -> (ProcessId, &[ProcessId], &[u32], &[f64]) {
+        (self.root(), &self.nodes, &self.parent, &self.lambda)
+    }
+
+    /// A copy without the plan memo, as a frame's receiver holds it.
+    /// Together with [`from_wire`](Self::from_wire) it prices the path
+    /// a tree takes across a process boundary.
+    pub fn to_wire(&self) -> Self {
+        ReliabilityTree {
+            nodes: self.nodes.clone(),
+            parent: self.parent.clone(),
+            lambda: self.lambda.clone(),
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// What a decoded frame's receiver does with the tree it was sent:
+    /// [`from_parts`](Self::from_parts) over `wire`'s
+    /// [`parts`](Self::parts), validation included.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::MalformedWireTree`] if the wire data is
-    /// inconsistent (see [`WireTree`] invariants).
-    pub fn from_wire(wire: &WireTree) -> Result<Self, CoreError> {
-        wire.validate()?;
-        let mut parents = BTreeMap::new();
-        for (i, &p) in wire.nodes.iter().enumerate().skip(1) {
-            let parent = wire.nodes[wire.parent[i - 1] as usize];
-            parents.insert(p, parent);
-        }
-        let tree = SpanningTree::from_parents(wire.root, parents)
-            .map_err(|_| CoreError::MalformedWireTree("parent indices do not form a tree"))?;
-
-        // Re-index in the *tree's* BFS order; λ values come from the wire.
-        let wire_index: BTreeMap<ProcessId, usize> = wire
-            .nodes
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, &p)| (p, i - 1))
-            .collect();
-        let mut index_of = BTreeMap::new();
-        let mut process_at = Vec::with_capacity(tree.link_count());
-        let mut lambda = Vec::with_capacity(tree.link_count());
-        for (_, child) in tree.edges() {
-            index_of.insert(child, process_at.len());
-            process_at.push(child);
-            lambda.push(wire.lambda[wire_index[&child]]);
-        }
-        Ok(ReliabilityTree {
-            tree,
-            index_of,
-            process_at,
-            lambda,
-        })
-    }
-
-    /// The underlying rooted tree.
-    pub fn tree(&self) -> &SpanningTree {
-        &self.tree
+    /// Returns [`CoreError::MalformedWireTree`] as `from_parts` does.
+    pub fn from_wire(wire: &Self) -> Result<Self, CoreError> {
+        let (root, nodes, parent, lambda) = wire.parts();
+        Self::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec())
     }
 
     /// The root (broadcasting) process.
     pub fn root(&self) -> ProcessId {
-        self.tree.root()
+        self.nodes[0]
     }
 
     /// Number of tree links (`|Π| - 1`).
@@ -128,272 +180,141 @@ impl ReliabilityTree {
         &self.lambda
     }
 
-    /// Link index of the link leading to `p`; `None` for the root or
-    /// unknown processes.
-    pub fn index_of(&self, p: ProcessId) -> Option<usize> {
-        self.index_of.get(&p).copied()
-    }
-
     /// The process reached through link index `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn process_at(&self, i: usize) -> ProcessId {
-        self.process_at[i]
+        self.nodes[i + 1]
     }
 
-    /// Children of `p` in the tree (its direct subtrees `S_p`).
+    /// The parent `pred(p)`; `None` for the root or unknown processes.
+    pub fn parent(&self, p: ProcessId) -> Option<ProcessId> {
+        let at = self.position(p)?;
+        (at > 0).then(|| self.nodes[self.parent[at - 1] as usize])
+    }
+
+    /// Children of `p` in ascending id order (its direct subtrees `S_p`).
     pub fn children(&self, p: ProcessId) -> &[ProcessId] {
-        self.tree.children(p)
+        self.position(p).map_or(&[], |at| {
+            let links = self.links_below(at);
+            &self.nodes[links.start + 1..links.end + 1]
+        })
     }
 
-    /// Serializes into the wire form shipped with data messages.
-    pub fn to_wire(&self) -> WireTree {
-        let mut nodes = Vec::with_capacity(self.tree.process_count());
-        nodes.push(self.root());
-        let mut node_index: BTreeMap<ProcessId, u32> = BTreeMap::new();
-        node_index.insert(self.root(), 0);
-        let mut parent = Vec::with_capacity(self.link_count());
-        let mut lambda = Vec::with_capacity(self.link_count());
-        for (par, child) in self.tree.edges() {
-            parent.push(node_index[&par]);
-            node_index.insert(child, nodes.len() as u32);
-            nodes.push(child);
-            lambda.push(self.lambda[self.index_of[&child]]);
-        }
-        WireTree {
-            root: self.root(),
-            nodes,
-            parent,
-            lambda,
-            plan: OnceLock::new(),
-        }
+    /// Tree edges as `(parent, child)` pairs in link-index order.
+    pub fn edges(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
+        self.parent
+            .iter()
+            .zip(&self.nodes[1..])
+            .map(|(&par, &child)| (self.nodes[par as usize], child))
     }
 
-    /// [`to_wire`](Self::to_wire) with the forwarding plan for target
-    /// `k` already derived from `self`: the origin holds the labelled
-    /// tree, so it skips the `from_wire` round trip (which rebuilds
-    /// exactly `self`) that its receivers would otherwise start from.
-    pub(crate) fn to_planned_wire(&self, k: f64) -> WireTree {
-        let mut wire = self.to_wire();
-        wire.plan = OnceLock::from(PlanMemo {
-            k_bits: k.to_bits(),
-            counts: wire.counts_from(self, k),
-        });
-        wire
-    }
-}
-
-/// What forwarding needs from one `from_wire` + `optimize` derivation.
-#[derive(Clone)]
-struct PlanMemo {
-    /// Bits of the target `K` the derivation ran with.
-    k_bits: u64,
-    /// Copies per link — `counts[i]` for the link into `nodes[i + 1]` —
-    /// or the error the derivation ended in.
-    counts: Result<Vec<u32>, CoreError>,
-}
-
-/// The serializable tree representation attached to data messages.
-///
-/// Algorithm 1 sends `(m, mrt_j)` — the message together with the tree it
-/// must follow. `WireTree` is that `mrt_j`: a compact, position-indexed
-/// encoding with the sender's λ per link, so every receiver re-derives
-/// the same [`MessagePlan`](crate::MessagePlan) deterministically.
-///
-/// Invariants (checked by [`ReliabilityTree::from_wire`]):
-///
-/// * `nodes` is non-empty and duplicate-free, `nodes[0]` is `root`;
-/// * `parent.len() == lambda.len() == nodes.len() - 1`;
-/// * `parent[i] < i + 1` (parents precede children — BFS order);
-/// * every λ is a finite value in `[0, 1]`.
-///
-/// Every receiver of one instance derives the same plan from it, so the
-/// first derivation is kept in a write-once memo. The memo is no part of
-/// the value: equality, `Debug`, [`parts`](WireTree::parts) and the
-/// codec ignore it, and a tree built by [`from_parts`](WireTree::from_parts)
-/// — every decoded frame — starts without one and is validated by its
-/// own receiver.
-#[derive(Clone)]
-pub struct WireTree {
-    root: ProcessId,
-    nodes: Vec<ProcessId>,
-    parent: Vec<u32>,
-    lambda: Vec<f64>,
-    plan: OnceLock<PlanMemo>,
-}
-
-impl PartialEq for WireTree {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl fmt::Debug for WireTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WireTree")
-            .field("root", &self.root)
-            .field("nodes", &self.nodes)
-            .field("parent", &self.parent)
-            .field("lambda", &self.lambda)
-            .finish()
-    }
-}
-
-impl WireTree {
-    /// The tree's root process.
-    pub fn root(&self) -> ProcessId {
-        self.root
+    /// Position of `p` in `nodes`.
+    pub(crate) fn position(&self, p: ProcessId) -> Option<usize> {
+        self.nodes.iter().position(|&q| q == p)
     }
 
-    /// Number of processes in the tree.
-    pub fn process_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` iff `p` appears in the tree.
-    pub fn contains(&self, p: ProcessId) -> bool {
-        self.nodes.contains(&p)
-    }
-
-    /// Raw field access for codecs: `(root, nodes, parent, lambda)`.
-    pub fn parts(&self) -> (ProcessId, &[ProcessId], &[u32], &[f64]) {
-        (self.root, &self.nodes, &self.parent, &self.lambda)
-    }
-
-    /// Rebuilds a wire tree from raw parts (the codec's inverse of
-    /// [`WireTree::parts`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MalformedWireTree`] on inconsistent input.
-    pub fn from_parts(
-        root: ProcessId,
-        nodes: Vec<ProcessId>,
-        parent: Vec<u32>,
-        lambda: Vec<f64>,
-    ) -> Result<Self, CoreError> {
-        let wire = WireTree {
-            root,
-            nodes,
-            parent,
-            lambda,
-            plan: OnceLock::new(),
-        };
-        wire.validate()?;
-        Ok(wire)
-    }
-
-    /// Approximate encoded size in bytes (for bandwidth accounting).
-    pub fn wire_size(&self) -> usize {
-        4 + self.nodes.len() * 4 + self.parent.len() * 4 + self.lambda.len() * 8
+    /// Indices of the links from the process at position `at` to its
+    /// children: one run, since `parent` is non-decreasing.
+    pub(crate) fn links_below(&self, at: usize) -> Range<usize> {
+        let start = self.parent.partition_point(|&q| (q as usize) < at);
+        let end = start + self.parent[start..].partition_point(|&q| q as usize == at);
+        start..end
     }
 
     /// The copies `self_id` sends to each of its children to meet target
-    /// `k`, children in ascending id order (the
-    /// [`SpanningTree::children`] order).
+    /// `k`, children in ascending id order.
     ///
-    /// The first call derives the whole tree's counts through
-    /// [`ReliabilityTree::from_wire`] and [`optimize`] and keeps them;
-    /// later calls with the same `k` — every other receiver of this
-    /// instance — only look their children up. A differing `k` derives
-    /// afresh and keeps nothing.
+    /// The first call with a member's id runs [`optimize`] on the tree
+    /// and keeps the plan; later calls with the same `k` — every other
+    /// receiver of this instance — only look their children up. A
+    /// differing `k` derives afresh and keeps nothing.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::MalformedWireTree`] if the tree is inconsistent;
-    /// * [`CoreError::NotInTree`] if `self_id` does not appear in it;
+    /// * [`CoreError::NotInTree`] if `self_id` does not appear in the tree;
     /// * any [`optimize`] error.
     pub(crate) fn forwards(
         &self,
         self_id: ProcessId,
         k: f64,
     ) -> Result<Vec<(ProcessId, u32)>, CoreError> {
+        let me = self
+            .position(self_id)
+            .ok_or(CoreError::NotInTree(self_id))?;
         let memo = self.plan.get_or_init(|| PlanMemo {
             k_bits: k.to_bits(),
-            counts: self.derive_counts(k),
+            plan: optimize(self, k),
         });
         let fresh;
-        let counts = if memo.k_bits == k.to_bits() {
-            &memo.counts
+        let plan = if memo.k_bits == k.to_bits() {
+            &memo.plan
         } else {
-            fresh = self.derive_counts(k);
+            fresh = optimize(self, k);
             &fresh
         };
-        // As without the memo: a malformed tree is that to everyone,
-        // and a well-formed one misses a stranger before it is optimized.
-        let me = self.nodes.iter().position(|&p| p == self_id);
-        let (counts, me) = match (counts, me) {
-            (Err(e @ CoreError::MalformedWireTree(_)), _) => return Err(e.clone()),
-            (_, None) => return Err(CoreError::NotInTree(self_id)),
-            (Err(e), _) => return Err(e.clone()),
-            (Ok(counts), Some(me)) => (counts, me),
-        };
-        let mut forwards: Vec<_> = (0..counts.len())
-            .filter(|&i| self.parent[i] as usize == me)
-            .map(|i| (self.nodes[i + 1], counts[i]))
-            .collect();
-        forwards.sort_unstable();
-        Ok(forwards)
-    }
-
-    fn derive_counts(&self, k: f64) -> Result<Vec<u32>, CoreError> {
-        self.counts_from(&ReliabilityTree::from_wire(self)?, k)
-    }
-
-    /// `optimize(tree, k)` re-indexed by wire position; `tree` is
-    /// `from_wire(self)`.
-    fn counts_from(&self, tree: &ReliabilityTree, k: f64) -> Result<Vec<u32>, CoreError> {
-        let plan = optimize(tree, k)?;
-        let link = |p| tree.index_of(p).expect("every non-root node has a link");
-        Ok(self.nodes[1..]
-            .iter()
-            .map(|&p| plan.count(link(p)))
+        let plan = plan.as_ref().map_err(CoreError::clone)?;
+        Ok(self
+            .links_below(me)
+            .map(|i| (self.nodes[i + 1], plan.count(i)))
             .collect())
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        if self.nodes.is_empty() {
-            return Err(CoreError::MalformedWireTree("empty node list"));
-        }
-        if self.nodes[0] != self.root {
-            return Err(CoreError::MalformedWireTree("nodes[0] must be the root"));
-        }
-        if self.parent.len() != self.nodes.len() - 1 || self.lambda.len() != self.parent.len() {
-            return Err(CoreError::MalformedWireTree("length mismatch"));
-        }
-        for (i, &par) in self.parent.iter().enumerate() {
-            if par as usize > i {
-                return Err(CoreError::MalformedWireTree(
-                    "parent index must precede child (BFS order)",
-                ));
-            }
-        }
-        let mut sorted = self.nodes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != self.nodes.len() {
-            return Err(CoreError::MalformedWireTree("duplicate process in tree"));
-        }
-        if self
-            .lambda
-            .iter()
-            .any(|l| !l.is_finite() || !(0.0..=1.0).contains(l))
-        {
-            return Err(CoreError::MalformedWireTree("lambda out of range"));
-        }
-        Ok(())
     }
 }
 
-/// A shared, immutable wire tree as carried inside data messages.
-pub type SharedWireTree = Arc<WireTree>;
+fn validate(
+    root: ProcessId,
+    nodes: &[ProcessId],
+    parent: &[u32],
+    lambda: &[f64],
+) -> Result<(), CoreError> {
+    if nodes.is_empty() {
+        return Err(CoreError::MalformedWireTree("empty node list"));
+    }
+    if nodes[0] != root {
+        return Err(CoreError::MalformedWireTree("nodes[0] must be the root"));
+    }
+    if parent.len() != nodes.len() - 1 || lambda.len() != parent.len() {
+        return Err(CoreError::MalformedWireTree("length mismatch"));
+    }
+    if parent.iter().enumerate().any(|(i, &par)| par as usize > i) {
+        return Err(CoreError::MalformedWireTree(
+            "parent index must precede child (BFS order)",
+        ));
+    }
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    if sorted.len() != nodes.len() {
+        return Err(CoreError::MalformedWireTree("duplicate process in tree"));
+    }
+    // Link i + 1 follows link i: its parent comes no earlier, and a
+    // sibling only with a larger id.
+    for (i, w) in parent.windows(2).enumerate() {
+        if w[1] < w[0] || (w[1] == w[0] && nodes[i + 2] < nodes[i + 1]) {
+            return Err(CoreError::MalformedWireTree(
+                "nodes must be in canonical BFS order",
+            ));
+        }
+    }
+    if lambda
+        .iter()
+        .any(|l| !l.is_finite() || !(0.0..=1.0).contains(l))
+    {
+        return Err(CoreError::MalformedWireTree("lambda out of range"));
+    }
+    Ok(())
+}
+
+/// A shared, immutable tree as carried inside data messages.
+pub type SharedWireTree = Arc<ReliabilityTree>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use diffuse_model::{LinkId, Probability, Topology};
+    use std::collections::BTreeMap;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -401,19 +322,7 @@ mod tests {
 
     /// Test access for this crate's suites (private fields are in
     /// reach of this module only).
-    impl WireTree {
-        /// A tree that skipped validation, as no decoder or constructor
-        /// yields one: the input `from_wire`'s own checks exist for.
-        pub(crate) fn unchecked(nodes: Vec<ProcessId>, parent: Vec<u32>, lambda: Vec<f64>) -> Self {
-            WireTree {
-                root: nodes[0],
-                nodes,
-                parent,
-                lambda,
-                plan: OnceLock::new(),
-            }
-        }
-
+    impl ReliabilityTree {
         /// Whether the plan memo is filled.
         pub(crate) fn is_planned(&self) -> bool {
             self.plan.get().is_some()
@@ -442,20 +351,29 @@ mod tests {
     #[test]
     fn labels_follow_bfs_order() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
         assert_eq!(rt.link_count(), 3);
         assert_eq!(rt.process_at(0), p(1));
         assert_eq!(rt.process_at(1), p(2));
         assert_eq!(rt.process_at(2), p(3));
-        assert_eq!(rt.index_of(p(3)), Some(2));
-        assert_eq!(rt.index_of(p(0)), None);
-        assert_eq!(rt.index_of(p(42)), None);
+        assert_eq!(rt.parts().2, &[0, 0, 1]);
+        assert_eq!(
+            rt.edges().collect::<Vec<_>>(),
+            tree.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(rt.parent(p(3)), Some(p(1)));
+        assert_eq!(rt.parent(p(0)), None);
+        assert_eq!(rt.parent(p(42)), None);
+        assert_eq!(rt.children(p(0)), &[p(1), p(2)]);
+        assert_eq!(rt.children(p(1)), &[p(3)]);
+        assert!(rt.children(p(2)).is_empty() && rt.children(p(42)).is_empty());
+        assert_eq!((rt.position(p(3)), rt.position(p(42))), (Some(3), None));
     }
 
     #[test]
     fn lambda_matches_formula() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
         // λ for link 0→1: 1 - 0.9 * 0.8 * 0.9.
         assert!((rt.lambda(0) - (1.0 - 0.9 * 0.8 * 0.9)).abs() < 1e-12);
         // λ for link 1→3: 1 - 0.9 * 0.8 * 0.5 (p3 crashes half the time).
@@ -466,22 +384,12 @@ mod tests {
     #[test]
     fn wire_round_trip_preserves_everything() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
         let wire = rt.to_wire();
         assert_eq!(wire.root(), p(0));
-        assert_eq!(wire.process_count(), 4);
-        assert!(wire.contains(p(3)));
-        assert!(!wire.contains(p(9)));
-        assert!(wire.wire_size() > 0);
-
+        assert_eq!(wire, rt);
         let back = ReliabilityTree::from_wire(&wire).unwrap();
-        assert_eq!(back.root(), rt.root());
-        assert_eq!(back.link_count(), rt.link_count());
-        for i in 0..rt.link_count() {
-            assert_eq!(back.process_at(i), rt.process_at(i));
-            assert!((back.lambda(i) - rt.lambda(i)).abs() < 1e-15);
-        }
-        assert_eq!(back.children(p(0)), rt.children(p(0)));
+        assert_eq!(back, rt);
     }
 
     #[test]
@@ -503,82 +411,115 @@ mod tests {
             relabelled.set_crash(relabel(i), config.crash(p(i)));
         }
 
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &relabelled).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &relabelled);
         assert_eq!(rt.root(), p(13));
         assert_eq!(rt.children(p(13)), &[p(7), p(16)]);
-        let wire = rt.to_wire();
-        assert_eq!(wire.parts().1, &[p(13), p(7), p(16), p(10)]);
-        let back = ReliabilityTree::from_wire(&wire).unwrap();
+        assert_eq!(rt.parts().1, &[p(13), p(7), p(16), p(10)]);
+        assert_eq!(rt.process_at(2), p(10));
+        assert_eq!(rt.parent(p(10)), Some(p(7)));
+        let back = ReliabilityTree::from_wire(&rt.to_wire()).unwrap();
         assert_eq!(back, rt);
-        assert_eq!(back.tree(), &tree);
-        assert_eq!(back.index_of(p(10)), Some(2));
-        assert_eq!(back.to_wire(), wire);
+        assert_eq!(
+            back.edges().collect::<Vec<_>>(),
+            tree.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn from_parts_validates() {
-        // Valid single-edge tree.
-        let ok = WireTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![0.5]);
-        assert!(ok.is_ok());
+        let build = |root, nodes: &[u32], parent: Vec<u32>, lambda: Vec<f64>| {
+            ReliabilityTree::from_parts(
+                p(root),
+                nodes.iter().map(|&i| p(i)).collect(),
+                parent,
+                lambda,
+            )
+        };
+        // Valid single-edge tree, and a canonical 0 → {1, 2}, 1 → {3}.
+        assert!(build(0, &[0, 1], vec![0], vec![0.5]).is_ok());
+        assert!(build(0, &[0, 1, 2, 3], vec![0, 0, 1], vec![0.1; 3]).is_ok());
 
+        let malformed = |r: Result<ReliabilityTree, CoreError>| {
+            matches!(r, Err(CoreError::MalformedWireTree(_)))
+        };
         // Root mismatch.
-        assert!(matches!(
-            WireTree::from_parts(p(1), vec![p(0), p(1)], vec![0], vec![0.5]),
-            Err(CoreError::MalformedWireTree(_))
-        ));
+        assert!(malformed(build(1, &[0, 1], vec![0], vec![0.5])));
         // Length mismatch.
-        assert!(WireTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![]).is_err());
+        assert!(malformed(build(0, &[0, 1], vec![0], vec![])));
         // Forward parent reference.
-        assert!(
-            WireTree::from_parts(p(0), vec![p(0), p(1), p(2)], vec![2, 0], vec![0.1, 0.1]).is_err()
-        );
+        assert!(malformed(build(0, &[0, 1, 2], vec![2, 0], vec![0.1; 2])));
         // Duplicate node.
-        assert!(
-            WireTree::from_parts(p(0), vec![p(0), p(1), p(1)], vec![0, 0], vec![0.1, 0.1]).is_err()
-        );
+        assert!(malformed(build(0, &[0, 1, 1], vec![0, 0], vec![0.1; 2])));
         // Lambda out of range.
-        assert!(WireTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![1.5]).is_err());
+        assert!(malformed(build(0, &[0, 1], vec![0], vec![1.5])));
         // Empty.
-        assert!(WireTree::from_parts(p(0), vec![], vec![], vec![]).is_err());
+        assert!(malformed(build(0, &[], vec![], vec![])));
+        // Well-formed trees out of canonical order: descending siblings,
+        // a decreasing parent (p3 under the root after p2 under p1), and
+        // the canonical tree's positions shuffled.
+        assert!(malformed(build(
+            0,
+            &[0, 2, 1, 3],
+            vec![0, 0, 1],
+            vec![0.1; 3]
+        )));
+        assert!(malformed(build(
+            0,
+            &[0, 1, 2, 3],
+            vec![0, 1, 0],
+            vec![0.1; 3]
+        )));
+        assert!(malformed(build(
+            0,
+            &[0, 3, 1, 2],
+            vec![0, 1, 0],
+            vec![0.1; 3]
+        )));
     }
 
     #[test]
     fn plan_memo_is_no_part_of_the_value() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
         let fresh = rt.to_wire();
-        let (root, nodes, parent, lambda) = fresh.parts();
-        let rebuilt =
-            WireTree::from_parts(root, nodes.to_vec(), parent.to_vec(), lambda.to_vec()).unwrap();
+        let rebuilt = ReliabilityTree::from_wire(&fresh).unwrap();
         assert!(!fresh.is_planned() && !rebuilt.is_planned());
 
-        let (debug, size) = (format!("{fresh:?}"), fresh.wire_size());
+        let debug = format!("{fresh:?}");
         let derived = fresh.clone();
         derived.forwards(p(1), 0.999).unwrap();
-        let seeded = rt.to_planned_wire(0.999);
         let failed = fresh.clone();
         assert!(failed.forwards(p(0), 2.0).is_err());
-        for filled in [&derived, &seeded, &failed] {
+        for filled in [&derived, &failed] {
             assert!(filled.is_planned());
             assert_eq!(filled, &fresh);
             assert_eq!(filled.parts(), fresh.parts());
             assert_eq!(format!("{filled:?}"), debug);
-            assert_eq!(filled.wire_size(), size);
+            assert!(!filled.to_wire().is_planned());
         }
-        // The origin's seed is what a receiver would have derived.
+        // The memo holds optimize's plan as it is, link for link.
+        let plan = optimize(&rt, 0.999).unwrap();
         for q in [p(0), p(1), p(2), p(3)] {
-            assert_eq!(seeded.forwards(q, 0.999), fresh.forwards(q, 0.999));
+            let expected: Vec<_> = (0..rt.link_count())
+                .filter(|&i| rt.parent(rt.process_at(i)) == Some(q))
+                .map(|i| (rt.process_at(i), plan.count(i)))
+                .collect();
+            assert_eq!(derived.forwards(q, 0.999).unwrap(), expected);
+            assert_eq!(fresh.forwards(q, 0.999).unwrap(), expected);
         }
+        // A stranger is told so before any optimizer error.
+        assert_eq!(failed.forwards(p(9), 2.0), Err(CoreError::NotInTree(p(9))));
     }
 
     #[test]
     fn singleton_tree_round_trips() {
         let tree = SpanningTree::from_parents(p(7), BTreeMap::new()).unwrap();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &Configuration::new()).unwrap();
+        let rt = ReliabilityTree::from_spanning_tree(&tree, &Configuration::new());
         assert_eq!(rt.link_count(), 0);
-        let wire = rt.to_wire();
-        let back = ReliabilityTree::from_wire(&wire).unwrap();
-        assert_eq!(back.root(), p(7));
-        assert_eq!(back.link_count(), 0);
+        assert_eq!(rt.root(), p(7));
+        assert!(rt.children(p(7)).is_empty());
+        let back = ReliabilityTree::from_wire(&rt.to_wire()).unwrap();
+        assert_eq!(back, rt);
+        assert_eq!(back.forwards(p(7), 0.999).unwrap(), vec![]);
     }
 }

@@ -20,7 +20,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use diffuse_bayes::{BeliefEstimator, Distortion, Estimate};
 use diffuse_core::{
     BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
-    Payload, View, Wire, WireTree,
+    Payload, ReliabilityTree, View, Wire,
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_sim::SimMessage;
@@ -249,7 +249,7 @@ fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, NetError> {
     Ok(out)
 }
 
-fn put_wire_tree(buf: &mut BytesMut, tree: &WireTree) {
+fn put_wire_tree(buf: &mut BytesMut, tree: &ReliabilityTree) {
     let (root, nodes, parents, lambdas) = tree.parts();
     buf.put_u32_le(root.index());
     buf.put_u32_le(nodes.len() as u32);
@@ -264,7 +264,7 @@ fn put_wire_tree(buf: &mut BytesMut, tree: &WireTree) {
     }
 }
 
-fn get_wire_tree(buf: &mut &[u8]) -> Result<WireTree, NetError> {
+fn get_wire_tree(buf: &mut &[u8]) -> Result<ReliabilityTree, NetError> {
     let root = ProcessId::new(get_u32(buf)?);
     let n = get_count(buf)?;
     if n == 0 {
@@ -285,7 +285,7 @@ fn get_wire_tree(buf: &mut &[u8]) -> Result<WireTree, NetError> {
     // `from_parts` validates and yields a tree with an empty plan memo:
     // nothing derived in the sender's address space crosses the wire,
     // and this frame's receiver derives its own forwarding plan.
-    WireTree::from_parts(root, nodes, parents, lambdas)
+    ReliabilityTree::from_parts(root, nodes, parents, lambdas)
         .map_err(|_| NetError::Invalid("malformed wire tree"))
 }
 
@@ -463,8 +463,9 @@ mod tests {
         }
     }
 
-    fn sample_tree() -> WireTree {
-        WireTree::from_parts(p(0), vec![p(0), p(1), p(2)], vec![0, 1], vec![0.25, 0.01]).unwrap()
+    fn sample_tree() -> ReliabilityTree {
+        ReliabilityTree::from_parts(p(0), vec![p(0), p(1), p(2)], vec![0, 1], vec![0.25, 0.01])
+            .unwrap()
     }
 
     fn sample_view() -> View {
@@ -570,6 +571,44 @@ mod tests {
         assert_eq!(encode_message(&decoded), pristine);
         assert_eq!(decoded, in_process);
         assert_eq!(format!("{decoded:?}"), format!("{in_process:?}"));
+    }
+
+    /// A data frame whose tree is well-formed but out of canonical order
+    /// is refused like any other malformed tree.
+    #[test]
+    fn trees_out_of_canonical_order_are_rejected() {
+        let frame = |nodes: &[u32], parents: &[u32]| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(WIRE_VERSION);
+            buf.put_u8(TAG_DATA);
+            put_broadcast_id(&mut buf, sample_id());
+            put_bytes(&mut buf, b"m");
+            buf.put_u32_le(nodes[0]);
+            buf.put_u32_le(nodes.len() as u32);
+            for &n in nodes {
+                buf.put_u32_le(n);
+            }
+            for &q in parents {
+                buf.put_u32_le(q);
+            }
+            for _ in parents {
+                buf.put_u64_le(0.1f64.to_bits());
+            }
+            buf.freeze()
+        };
+        // 0 → {1, 2}, 1 → {3, 4} in canonical order decodes.
+        assert!(decode_message(&frame(&[0, 1, 2, 3, 4], &[0, 0, 1, 1])).is_ok());
+        let hostile: [(&[u32], &[u32]); 3] = [
+            (&[0, 2, 1, 3, 4], &[0, 0, 2, 2]), // descending siblings
+            (&[0, 1, 3, 2, 4], &[0, 1, 0, 1]), // a decreasing parent
+            (&[0, 2, 1, 4, 3], &[0, 0, 2, 2]), // shuffled positions
+        ];
+        for (nodes, parents) in hostile {
+            assert!(matches!(
+                decode_message(&frame(nodes, parents)),
+                Err(NetError::Invalid("malformed wire tree"))
+            ));
+        }
     }
 
     /// A delta frame of one changed entry is far smaller than the full
@@ -774,7 +813,7 @@ mod property_tests {
             let n = lambdas.len() as u32;
             let nodes: Vec<ProcessId> = (0..=n).map(ProcessId::new).collect();
             let parents: Vec<u32> = (0..n).collect();
-            let tree = WireTree::from_parts(ProcessId::new(0), nodes, parents, lambdas).unwrap();
+            let tree = ReliabilityTree::from_parts(ProcessId::new(0), nodes, parents, lambdas).unwrap();
             let message = Message::Data(DataMessage {
                 id: BroadcastId { origin: ProcessId::new(0), seq: 1 },
                 payload: Payload::from("x"),

@@ -26,7 +26,8 @@ use std::time::Duration;
 use diffuse_bayes::{BeliefEstimator, Distortion, Estimate, DEFAULT_INTERVALS};
 use diffuse_core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, GossipMessage,
-    HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, View, WireTree,
+    HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, ReliabilityTree,
+    View,
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_net::codec::{decode_message, encode_message, frame_kind, WIRE_VERSION};
@@ -489,7 +490,7 @@ fn fabric_adaptive_node_survives_hostile_heartbeats() {
     }
 
     // Application data after the barrage: the node must still deliver.
-    let tree = WireTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![1.0]).unwrap();
+    let tree = ReliabilityTree::from_parts(p(0), vec![p(0), p(1)], vec![0], vec![1.0]).unwrap();
     let data = Message::Data(DataMessage {
         id: BroadcastId {
             origin: p(0),

@@ -81,7 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let knowledge = node.knowledge_snapshot();
     let tree = knowledge.reliability_tree(ProcessId::new(0))?;
     let uses_victim = tree
-        .tree()
         .edges()
         .any(|(u, v)| LinkId::new(u, v).unwrap() == victim);
     println!(

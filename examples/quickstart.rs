@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("MRT has {} links (bad link avoided)", mrt.link_count());
 
     // 2. optimize() finds the cheapest copies-per-link plan for K = 0.9999.
-    let tree = diffuse::core::ReliabilityTree::from_spanning_tree(&mrt, &config)?;
+    let tree = diffuse::core::ReliabilityTree::from_spanning_tree(&mrt, &config);
     let plan = optimize(&tree, 0.9999)?;
     println!(
         "plan: {} total messages, reach = {:.6}",

@@ -161,9 +161,7 @@ fn heterogeneous_links_are_distinguished() {
 
     let tree = node.knowledge_snapshot().reliability_tree(p(0)).unwrap();
     assert!(
-        tree.tree()
-            .edges()
-            .all(|(u, v)| LinkId::new(u, v).unwrap() != bad),
+        tree.edges().all(|(u, v)| LinkId::new(u, v).unwrap() != bad),
         "learned MRT must avoid the degraded link"
     );
 }
