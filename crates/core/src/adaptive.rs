@@ -1741,14 +1741,14 @@ mod tests {
         let mut node = AdaptiveBroadcast::new(p(0), vec![p(0), p(1)], vec![p(1)], params());
         let mut actions = Actions::new();
         node.on_start(SimTime::ZERO, &mut actions);
-        let armed: Vec<TimerId> = actions.timer_ops().iter().map(|&(t, _)| t).collect();
+        let ops = actions.take_timer_ops();
+        let armed: Vec<TimerId> = ops.iter().map(|&(t, _)| t).collect();
         assert!(armed.contains(&AdaptiveBroadcast::HEARTBEAT));
         assert!(armed.contains(&AdaptiveBroadcast::SUSPICION));
         assert!(armed.contains(&AdaptiveBroadcast::SELF_TICK));
         // The suspicion timer sits at the initial grace deadline 2δ + 1.
         let delta = params().heartbeat_period;
-        assert!(actions
-            .timer_ops()
+        assert!(ops
             .iter()
             .any(|&(t, at)| t == AdaptiveBroadcast::SUSPICION
                 && at == Some(SimTime::new(2 * delta + 1))));

@@ -608,7 +608,8 @@ mod tests {
                 .collect()
         };
 
-        // Flush per event, in the order `fire_due` fires (lowest id first).
+        // Flush per event, in the order `fire_due` fires: one pass,
+        // ascending id.
         let mut flushed = node();
         let mut actions = Actions::new();
         flushed.on_start(SimTime::ZERO, &mut actions);

@@ -503,7 +503,7 @@ mod tests {
         assert_eq!(node.protocol().delivered().len(), 1);
         // The step timer was armed through the same path.
         assert!(actions
-            .timer_ops()
+            .take_timer_ops()
             .iter()
             .any(|&(t, at)| t == ReferenceGossip::STEP && at.is_some()));
     }

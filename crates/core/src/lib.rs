@@ -75,7 +75,7 @@ mod waterfill;
 
 pub use adaptive::AdaptiveBroadcast;
 pub use adversary::{Adversary, Containment, CorruptionMode, ProtocolAudit, SenderAudit};
-pub use diffuse_sim::TimerId;
+pub use diffuse_sim::{TimerId, TimerOp};
 pub use error::CoreError;
 pub use gossip::ReferenceGossip;
 pub use knowledge::{DeltaView, NetworkKnowledge, View};
@@ -86,7 +86,7 @@ pub use params::{
 };
 pub use protocol::{
     Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
-    InProcess, Message, Payload, Protocol, ProtocolActor, SelfTimed, TimerOp, Wire,
+    InProcess, Message, Payload, Protocol, ProtocolActor, SelfTimed, Wire,
 };
 pub use reach::{link_success, pow_det, reach, reach_recursive, MessageVector};
 pub use scenario::{

@@ -7,7 +7,7 @@ use diffuse_bayes::DEFAULT_INTERVALS;
 ///
 /// The variants' docs carry the argument; the test
 /// `paper_literal_mode_fails_to_converge_where_default_succeeds`
-/// (`tests/adaptive_integration.rs`) and the `ablations` bench measure it.
+/// (`tests/adaptive_integration.rs`) measures it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReconcileMode {
     /// `adjust = suspected - missed`, where

@@ -7,9 +7,9 @@
 //! The same protocol instance therefore runs unchanged on the
 //! deterministic simulator (via [`ProtocolActor`], its messages handed
 //! over in memory or crossing a [`Wire`] as encoded frames) and wherever
-//! no timer service exists (via [`SelfTimed`], which keeps the protocol's
-//! timer table itself: `diffuse-net`'s runtime on real sockets, tests
-//! stepping a protocol by hand).
+//! no timer service exists (via [`SelfTimed`], which holds the protocol's
+//! timers itself: `diffuse-net`'s runtime on real sockets, tests stepping
+//! a protocol by hand).
 //!
 //! Time wakes a protocol through timers only: it schedules a named
 //! [`TimerId`] at an absolute [`SimTime`] with [`Actions::set_timer`] and
@@ -18,11 +18,10 @@
 
 use core::fmt;
 use core::marker::PhantomData;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use diffuse_model::ProcessId;
-use diffuse_sim::{Actor, Context, SimMessage, SimTime, TimerId};
+use diffuse_sim::{Actor, Context, SimMessage, SimTime, TimerId, TimerOp, TimerTable};
 
 use crate::adversary::{CorruptionMode, ProtocolAudit};
 use crate::knowledge::{DeltaView, View};
@@ -222,12 +221,6 @@ pub enum Event {
     },
 }
 
-/// A buffered timer operation (see [`Actions::set_timer`]).
-///
-/// `Some(at)` schedules (or moves) the timer to the absolute deadline
-/// `at`; `None` cancels it.
-pub type TimerOp = (TimerId, Option<SimTime>);
-
 /// The outputs of one protocol step.
 #[derive(Debug, Clone, Default)]
 pub struct Actions {
@@ -272,11 +265,6 @@ impl Actions {
     /// Cancels the named timer if it is pending.
     pub fn cancel_timer(&mut self, timer: TimerId) {
         self.timer_ops.push((timer, None));
-    }
-
-    /// Buffered timer operations, in emission order.
-    pub fn timer_ops(&self) -> &[TimerOp] {
-        &self.timer_ops
     }
 
     /// Returns `true` when nothing was produced.
@@ -489,7 +477,7 @@ impl<P: Protocol, W: Wire> ProtocolActor<P, W> {
         for (to, message) in self.actions.take_sends() {
             ctx.send(to, W::pack(message));
         }
-        for (timer, op) in self.actions.take_timer_ops() {
+        for (timer, op) in self.actions.timer_ops.drain(..) {
             match op {
                 Some(at) => ctx.set_timer(timer, at),
                 None => ctx.cancel_timer(timer),
@@ -510,41 +498,29 @@ impl<P: Protocol, W: Wire> Actor for ProtocolActor<P, W> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, W::Frame>, from: ProcessId, frame: W::Frame) {
         let message = W::unpack(frame);
-        self.protocol.on_event(
-            ctx.now(),
-            Event::Message { from, message },
-            &mut self.actions,
-        );
-        self.flush(ctx);
+        self.inject_event(ctx, Event::Message { from, message });
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, W::Frame>, timer: TimerId) {
-        self.protocol
-            .on_event(ctx.now(), Event::Timer(timer), &mut self.actions);
-        self.flush(ctx);
+        self.inject_event(ctx, Event::Timer(timer));
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, W::Frame>, down_ticks: u64) {
-        self.protocol
-            .on_event(ctx.now(), Event::Recovery { down_ticks }, &mut self.actions);
-        self.flush(ctx);
+        self.inject_event(ctx, Event::Recovery { down_ticks });
     }
 }
 
-/// A [`Protocol`] plus the timer table a host without a timer service
-/// must keep for it.
-///
-/// [`ProtocolActor`] hands a protocol's timer operations to the
-/// simulator's engine. A host with no such service — `diffuse-net`'s
-/// wall-clock node loop, a test stepping a protocol by hand — runs it
-/// through this type: every call moves the timer operations the protocol
-/// left in [`Actions`] into the table (callers see only sends and
-/// deliveries), [`SelfTimed::fire_due`] delivers what has come due, and
-/// [`SelfTimed::next_deadline`] says how long the host may sleep.
+/// A [`Protocol`] plus the timers a host without a timer service must
+/// keep for it: `diffuse-net`'s wall-clock node loop, a test stepping a
+/// protocol by hand. Every call moves the timer operations the protocol
+/// left in [`Actions`] into a one-slot [`TimerTable`] (callers see only
+/// sends and deliveries), [`SelfTimed::fire_due`] fires what has come due
+/// by the engine's rule, and [`SelfTimed::next_deadline`] says how long
+/// the host may sleep.
 #[derive(Debug)]
 pub struct SelfTimed<P> {
     protocol: P,
-    timers: BTreeMap<TimerId, SimTime>,
+    timers: TimerTable,
     started: bool,
 }
 
@@ -553,7 +529,7 @@ impl<P: Protocol> SelfTimed<P> {
     pub fn new(protocol: P) -> Self {
         SelfTimed {
             protocol,
-            timers: BTreeMap::new(),
+            timers: TimerTable::new(1),
             started: false,
         }
     }
@@ -571,16 +547,7 @@ impl<P: Protocol> SelfTimed<P> {
 
     /// The earliest pending timer deadline, if any timer is armed.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.timers.values().min().copied()
-    }
-
-    fn keep_timers(&mut self, actions: &mut Actions) {
-        for (timer, op) in actions.take_timer_ops() {
-            match op {
-                Some(at) => self.timers.insert(timer, at),
-                None => self.timers.remove(&timer),
-            };
-        }
+        self.timers.earliest()
     }
 
     /// Runs [`Protocol::on_start`] unless it already ran. Every other
@@ -590,7 +557,7 @@ impl<P: Protocol> SelfTimed<P> {
         if !self.started {
             self.started = true;
             self.protocol.on_start(now, actions);
-            self.keep_timers(actions);
+            self.timers.apply(0, actions.timer_ops.drain(..));
         }
     }
 
@@ -598,7 +565,7 @@ impl<P: Protocol> SelfTimed<P> {
     pub fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
         self.start(now, actions);
         self.protocol.on_event(now, event, actions);
-        self.keep_timers(actions);
+        self.timers.apply(0, actions.timer_ops.drain(..));
     }
 
     /// Convenience wrapper: feeds an [`Event::Message`].
@@ -617,15 +584,19 @@ impl<P: Protocol> SelfTimed<P> {
         self.on_event(now, Event::Recovery { down_ticks }, actions);
     }
 
-    /// Fires every timer due at or before `now`, lowest [`TimerId`]
-    /// first, looping so that a timer an earlier one arms for `now`
-    /// still fires in this call.
+    /// Fires every timer due at or before `now` by the engine's rule,
+    /// [`TimerTable::fire_due`].
     pub fn fire_due(&mut self, now: SimTime, actions: &mut Actions) {
         self.start(now, actions);
-        while let Some((&timer, _)) = self.timers.iter().find(|&(_, &at)| at <= now) {
-            self.timers.remove(&timer);
-            self.on_event(now, Event::Timer(timer), actions);
-        }
+        let protocol = &mut self.protocol;
+        self.timers.fire_due(
+            now,
+            |_| true,
+            |timers, slot, timer| {
+                protocol.on_event(now, Event::Timer(timer), actions);
+                timers.apply(slot, actions.timer_ops.drain(..));
+            },
+        );
     }
 
     /// Initiates a broadcast.
@@ -641,7 +612,7 @@ impl<P: Protocol> SelfTimed<P> {
     ) -> Result<BroadcastId, crate::CoreError> {
         self.start(now, actions);
         let result = self.protocol.broadcast(now, payload, actions);
-        self.keep_timers(actions);
+        self.timers.apply(0, actions.timer_ops.drain(..));
         result
     }
 }
@@ -731,13 +702,13 @@ mod tests {
     }
 
     #[test]
-    fn self_timed_fires_due_timers_lowest_id_first() {
+    fn self_timed_fires_timers_armed_for_now_in_the_next_pass() {
         let mut node = scripted(vec![
             // on_start: three timers due at 5 (armed out of id order),
             // one later.
             vec![(t(3), at(5)), (t(1), at(5)), (t(4), at(5)), (t(2), at(9))],
             // timer#1, the first to fire: arms a lower id for the current
-            // tick and cancels a due one.
+            // tick, which waits for the next pass, and cancels a due one.
             vec![(t(0), at(5)), (t(4), None)],
         ]);
         let mut actions = Actions::new();
@@ -746,7 +717,7 @@ mod tests {
         node.fire_due(SimTime::new(5), &mut actions);
         assert_eq!(
             node.protocol().log,
-            ["start@4", "timer#1@5", "timer#0@5", "timer#3@5"]
+            ["start@4", "timer#1@5", "timer#3@5", "timer#0@5"]
         );
         assert_eq!(node.next_deadline(), at(9));
         // An overdue timer fires at the time of the call.
@@ -755,6 +726,69 @@ mod tests {
         assert_eq!(node.next_deadline(), None);
         // Callers see sends and deliveries only, never timer operations.
         assert!(actions.is_empty());
+    }
+
+    #[test]
+    fn self_timed_fires_same_tick_timers_in_the_kernels_order() {
+        // Three processes whose timer handlers arm timers for the
+        // current tick.
+        let scripts: Vec<Vec<Vec<TimerOp>>> = vec![
+            // p0: timer#1 arms timer#0 for now and cancels timer#4.
+            vec![
+                vec![(t(3), at(5)), (t(1), at(5)), (t(4), at(5)), (t(2), at(9))],
+                vec![(t(0), at(5)), (t(4), None)],
+            ],
+            // p1: timer#0 arms timer#1 for now, after the due timer#2.
+            vec![vec![(t(2), at(3)), (t(0), at(3))], vec![(t(1), at(3))]],
+            // p2: timer#1 pulls timer#0 forward to now; timer#0 re-arms
+            // timer#1 for later.
+            vec![
+                vec![(t(1), at(4)), (t(0), at(6))],
+                vec![(t(0), at(4))],
+                vec![(t(1), at(8))],
+            ],
+        ];
+        let mut topology = diffuse_model::Topology::new();
+        for i in 0..scripts.len() as u32 {
+            topology.add_process(ProcessId::new(i));
+        }
+        let mut sim = diffuse_sim::Simulation::new(
+            topology,
+            diffuse_model::Configuration::new(),
+            |id| ProtocolActor::new(scripted(scripts[id.as_usize()].clone()).protocol),
+            diffuse_sim::SimOptions::default(),
+        );
+        sim.run_ticks(12);
+        let kernel: Vec<Vec<String>> = sim
+            .nodes()
+            .map(|(_, actor)| actor.protocol().log.clone())
+            .collect();
+        let self_timed: Vec<Vec<String>> = scripts
+            .into_iter()
+            .map(|script| {
+                let mut node = scripted(script);
+                let mut actions = Actions::new();
+                for now in 0..=12 {
+                    node.fire_due(SimTime::new(now), &mut actions);
+                }
+                node.protocol.log
+            })
+            .collect();
+        assert_eq!(self_timed, kernel);
+        assert_eq!(
+            kernel,
+            [
+                vec![
+                    "start@0",
+                    "timer#1@5",
+                    "timer#3@5",
+                    "timer#0@5",
+                    "timer#2@9"
+                ],
+                vec!["start@0", "timer#0@3", "timer#2@3", "timer#1@3"],
+                vec!["start@0", "timer#1@4", "timer#0@4", "timer#1@8"],
+            ]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! unit in which protocols express their deadlines), so a protocol whose
 //! next heartbeat is 100 ticks away leaves the thread asleep for 100 tick
 //! intervals instead of being polled 100 times. The deadlines live in
-//! [`SelfTimed`], the one timer table outside the simulator's engine.
+//! [`SelfTimed`]'s `TimerTable`, so timers fire in the kernel's order.
 //!
 //! Frames here come from a network: one that does not decode is counted
 //! and dropped. (Deterministic runs do not pass through this module —

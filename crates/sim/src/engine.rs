@@ -1,14 +1,14 @@
 //! The tick engine: one *lane* of the discrete-event simulation.
 //!
 //! A [`Lane`] owns everything a tick needs — the clock, the crash table,
-//! the flight calendar, the timer table, the loss / adversary / crash
+//! the flight calendar, a [`TimerTable`], the loss / adversary / crash
 //! RNG streams and the wire counters — and holds the workspace's only
 //! definitions of the tick's phase order ([`Lane::step`]), handler
-//! dispatch, the outbox flush, timer-op application, the due-timer loop,
-//! the next-wake computation and the fast-forward jump. How a handler
-//! *runs* is the one thing a lane takes from its driver: a [`Handler`]
-//! receiving the [`Site`] it runs at, the [`Input`] to handle and the
-//! [`Effects`] (sends and timer operations) to fill in.
+//! dispatch, the outbox flush, the next-wake computation and the
+//! fast-forward jump. How a handler *runs* is the one thing a lane takes
+//! from its driver: a [`Handler`] receiving the [`Site`] it runs at, the
+//! [`Input`] to handle and the [`Effects`] (sends and timer operations)
+//! to fill in.
 //!
 //! What never changes during a run is indexed once, in [`LaneEnv::new`]:
 //! the topology becomes a link table (a row of neighbours per process,
@@ -39,9 +39,9 @@
 //!    driver moves batches in push order, so each `(arrival, source
 //!    lane)` bucket of the flight calendar fills in ascending sequence,
 //!    and buckets are taken in key order;
-//! 3. [`Input::Timer`] for every due timer of an up process, in
-//!    `(process, timer)` order, looping so timers armed for the current
-//!    tick still fire on it.
+//! 3. [`Input::Timer`] for every due timer of an up process, by
+//!    [`TimerTable::fire_due`]'s rule: passes in `(process, timer)`
+//!    order, so a timer armed for the current tick still fires on it.
 //!
 //! Nothing else wakes a process: a tick on which none of the three is
 //! due runs no handler, which is what lets [`Lane::skip_idle`] jump over
@@ -53,7 +53,7 @@
 //! bit-identically — on every driver, because there is no second copy of
 //! this code to drift.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ use crate::adversary::MessageAdversary;
 use crate::crash::CrashState;
 use crate::kernel::{SimMessage, SimOptions};
 use crate::loss::LossBatcher;
-use crate::{CrashModel, Metrics, SimTime, TimerId};
+use crate::{CrashModel, Metrics, SimTime, TimerId, TimerOp, TimerTable};
 
 /// One entry of a process's row in the [`LinkTable`]: a neighbour and
 /// the position of the link to it.
@@ -306,8 +306,8 @@ pub trait Handler<M> {
 pub struct Effects<M> {
     /// `(destination, message)` pairs.
     pub outbox: Vec<(ProcessId, M)>,
-    /// `(timer, Some(deadline))` arms or re-arms; `(timer, None)` cancels.
-    pub timer_ops: Vec<(TimerId, Option<SimTime>)>,
+    /// Arms, re-arms and cancels of the handler's own timers.
+    pub timer_ops: Vec<TimerOp>,
 }
 
 impl<M> Default for Effects<M> {
@@ -337,16 +337,9 @@ impl LaneStatus {
     #[must_use]
     pub fn join(self, other: LaneStatus) -> LaneStatus {
         LaneStatus {
-            next_wake: earliest(self.next_wake, other.next_wake),
+            next_wake: self.next_wake.into_iter().chain(other.next_wake).min(),
             forced_outages: self.forced_outages + other.forced_outages,
         }
-    }
-}
-
-fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
     }
 }
 
@@ -488,14 +481,11 @@ pub struct Lane<M> {
     /// Flights bound for other lanes, per destination lane, until the
     /// driver moves them ([`Lane::take_outbound`] / [`Lane::accept`]).
     outbound: Vec<Vec<Flight<M>>>,
-    /// Pending timer deadlines, one per `(process, timer)` pair …
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    /// … mirrored as a deadline-ordered queue for due-scans and wakes.
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    /// Reused buffers: the handler's effects, the due-timer pass, and
-    /// the flush's per-destination slots.
+    /// Pending timer deadlines, one slot per process.
+    timers: TimerTable,
+    /// Reused buffers: the handler's effects and the flush's
+    /// per-destination slots.
     effects: Effects<M>,
-    due_scratch: Vec<(ProcessId, TimerId, usize)>,
     burst_scratch: Vec<BurstSlot>,
 }
 
@@ -528,6 +518,7 @@ impl<M: SimMessage> Lane<M> {
         Lane {
             index: index as u32,
             crash: vec![CrashState::new(); ids.len()],
+            timers: TimerTable::new(ids.len()),
             ids,
             base,
             forced_outages: 0,
@@ -542,10 +533,7 @@ impl<M: SimMessage> Lane<M> {
             next_seq: 0,
             in_flight: Calendar::new(),
             outbound: (0..env.lanes()).map(|_| Vec::new()).collect(),
-            timers: BTreeMap::new(),
-            timer_queue: BTreeSet::new(),
             effects: Effects::default(),
-            due_scratch: Vec::new(),
             burst_scratch: Vec::new(),
         }
     }
@@ -641,28 +629,20 @@ impl<M: SimMessage> Lane<M> {
 
     /// Runs one handler, applies its timer operations, flushes its sends.
     fn dispatch(&mut self, env: &LaneEnv, slot: usize, run: impl FnOnce(Site, &mut Effects<M>)) {
+        self.run(env, slot, run);
+        self.timers.apply(slot, self.effects.timer_ops.drain(..));
+    }
+
+    /// Runs one handler and flushes its sends; its timer operations stay
+    /// in `self.effects`.
+    fn run(&mut self, env: &LaneEnv, slot: usize, run: impl FnOnce(Site, &mut Effects<M>)) {
         let site = Site {
             slot,
             id: self.ids[slot],
             now: self.now,
         };
         run(site, &mut self.effects);
-        self.apply_timer_ops(site.id);
         self.flush_outbox(env, site);
-    }
-
-    /// Applies the last handler's set/cancel timer operations for `id`.
-    fn apply_timer_ops(&mut self, id: ProcessId) {
-        for (timer, op) in self.effects.timer_ops.drain(..) {
-            let key = (id, timer);
-            if let Some(old) = self.timers.remove(&key) {
-                self.timer_queue.remove(&(old, id, timer));
-            }
-            if let Some(at) = op {
-                self.timers.insert(key, at);
-                self.timer_queue.insert((at, id, timer));
-            }
-        }
     }
 
     /// Loss-samples and schedules everything the last handler sent.
@@ -746,53 +726,12 @@ impl<M: SimMessage> Lane<M> {
         }
     }
 
-    /// Fires every pending timer with a deadline at or before `now` whose
-    /// process is up, ordered by `(process, timer)`. Loops so that timers
-    /// armed by recoveries or deliveries for the current tick still fire
-    /// on it; timers of down processes stay pending until recovery.
-    fn fire_due_timers(&mut self, env: &LaneEnv, handler: &mut (impl Handler<M> + ?Sized)) {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            for &(at, id, timer) in self.timer_queue.iter() {
-                if at > self.now {
-                    break;
-                }
-                if let Some(slot) = self.slot_of(id).filter(|&s| self.crash[s].up) {
-                    due.push((id, timer, slot));
-                }
-            }
-            if due.is_empty() {
-                self.due_scratch = due;
-                return;
-            }
-            due.sort_unstable();
-            for &(id, timer, slot) in due.iter() {
-                // An earlier handler in this pass may have cancelled or
-                // re-armed this timer; fire only if it is still due.
-                let Some(&at) = self.timers.get(&(id, timer)) else {
-                    continue;
-                };
-                if at > self.now {
-                    continue;
-                }
-                self.timers.remove(&(id, timer));
-                self.timer_queue.remove(&(at, id, timer));
-                self.dispatch(env, slot, |site, fx| {
-                    handler.handle(site, Input::Timer(timer), fx)
-                });
-            }
-            self.due_scratch = due;
-        }
-    }
-
     /// This lane's next-tick status: its earliest pending delivery or
     /// timer deadline, and its forced-outage count.
     pub fn status(&self) -> LaneStatus {
         let flight = self.in_flight.next_at();
-        let timer = self.timer_queue.first().map(|&(at, _, _)| at);
         LaneStatus {
-            next_wake: earliest(flight, timer),
+            next_wake: flight.into_iter().chain(self.timers.earliest()).min(),
             forced_outages: self.forced_outages,
         }
     }
@@ -881,8 +820,21 @@ impl<M: SimMessage> Lane<M> {
             self.in_flight.recycle(chunk);
         }
 
-        // Phase 3: timers due this tick, in (process, timer) order.
-        self.fire_due_timers(env, handler);
+        // Phase 3: due timers. Handlers fill the table and cannot change
+        // the crash table, so both sit outside `self` while they run.
+        let mut timers = std::mem::take(&mut self.timers);
+        let crash = std::mem::take(&mut self.crash);
+        timers.fire_due(
+            self.now,
+            |slot| crash[slot].up,
+            |timers, slot, timer| {
+                self.run(env, slot, |site, fx| {
+                    handler.handle(site, Input::Timer(timer), fx)
+                });
+                timers.apply(slot, self.effects.timer_ops.drain(..));
+            },
+        );
+        (self.timers, self.crash) = (timers, crash);
     }
 
     /// Takes the flights this lane addressed to lane `dst` since the

@@ -96,13 +96,9 @@ impl<M> Context<'_, M> {
     }
 
     /// Schedules (or re-schedules) this actor's named timer to fire at
-    /// the absolute time `at`.
-    ///
-    /// A deadline at or before the current tick fires during the current
-    /// tick's timer phase if that phase has not yet passed, otherwise on
-    /// the next tick. Re-arming a timer from inside its own
-    /// [`Actor::on_timer`] with a deadline `<= now` is a protocol bug
-    /// (it would fire again within the same tick, livelocking the phase).
+    /// the absolute time `at`. One at or before the current tick fires on
+    /// it if its timer phase is not over, else on the next tick, in the
+    /// order [`TimerTable::fire_due`](crate::TimerTable::fire_due) gives.
     pub fn set_timer(&mut self, timer: TimerId, at: SimTime) {
         self.fx.timer_ops.push((timer, Some(at)));
     }
@@ -168,16 +164,10 @@ impl SimOptions {
 /// code from worker threads; `diffuse-net`'s virtual-time fabric is this
 /// type over actors that exchange encoded frames.
 ///
-/// Each tick runs the engine's phases (see [`Lane::step`]):
-///
-/// 1. crash/recovery transitions (recoveries invoke
-///    [`Actor::on_recover`]);
-/// 2. delivery of messages due this tick, in send order;
-/// 3. [`Actor::on_timer`] for every due timer, in `(process, timer)`
-///    order;
-///
-/// and after every handler its sends are loss-sampled and scheduled
-/// `link_delay` ticks ahead.
+/// Each tick runs the engine's phases ([`Lane::step`]): recoveries
+/// ([`Actor::on_recover`]), deliveries in send order, then due timers
+/// ([`Actor::on_timer`]); every handler's sends are loss-sampled and
+/// scheduled `link_delay` ticks ahead.
 ///
 /// When the crash model is [`CrashModel::AlwaysUp`] and no forced outage
 /// is counting down, [`Simulation::run_ticks`] and

@@ -37,6 +37,7 @@ mod metrics;
 mod shard;
 mod shard_rng;
 mod time;
+mod timers;
 
 pub use adversary::{suppression_seed, MessageAdversary};
 pub use crash::CrashModel;
@@ -47,3 +48,4 @@ pub use metrics::Metrics;
 pub use shard::ShardedKernel;
 pub use shard_rng::shard_seed;
 pub use time::{SimTime, TimerId};
+pub use timers::{TimerOp, TimerTable};

@@ -11,10 +11,10 @@ use core::ops::{Add, AddAssign, Sub};
 /// reached. Each `(actor, TimerId)` pair names at most one pending
 /// deadline — re-scheduling an armed timer moves it.
 ///
-/// Within one tick, due timers fire ordered by `(process id, TimerId)`,
-/// so a protocol that splits its former tick handler across several
-/// timers preserves its old intra-tick ordering by numbering them in the
-/// legacy execution order.
+/// Within one tick, due timers fire in passes of `(process id, TimerId)`
+/// order, so one armed for the current tick fires in the next pass,
+/// whatever its id ([`TimerTable`](crate::TimerTable) holds the deadlines
+/// and the rule; it wants small, dense ids).
 ///
 /// # Example
 ///

@@ -99,10 +99,11 @@
 //! through the idle ticks the old API had to poll.
 //! `handle_message`/`handle_recovery` survive as thin wrappers over
 //! `on_event`. Code that drives a protocol from a loop of its own wraps
-//! it in [`core::SelfTimed`], which keeps the protocol's timer table:
-//! call `fire_due(now, ..)` where `handle_tick` used to be called (every
-//! tick, or only at `next_deadline()`) — the same timers fire at the
-//! same times in the same order.
+//! it in [`core::SelfTimed`], which keeps the protocol's timers in the
+//! same `TimerTable` type the kernel holds: call `fire_due(now, ..)`
+//! where `handle_tick` used to be called (every tick, or only at
+//! `next_deadline()`) — the same timers fire at the same times in the
+//! kernel's order.
 //!
 //! See the `examples/` directory for runnable scenarios and the
 //! `diffuse-experiments` crate for the paper's full evaluation
