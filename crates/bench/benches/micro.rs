@@ -154,64 +154,6 @@ fn bench_bayes(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full heartbeat round (emit + suspicion scan + self tick on every
-/// node, then every heartbeat merged at its receiver), driving the
-/// production `on_event` path directly — no driver or kernel overhead, so
-/// the number stays comparable across PRs.
-fn heartbeat_round(
-    b: &mut criterion::Bencher,
-    topology: &diffuse_model::Topology,
-    params: &AdaptiveParams,
-) {
-    use diffuse_core::Event;
-    let all: Vec<ProcessId> = topology.processes().collect();
-    let mut nodes: Vec<AdaptiveBroadcast> = all
-        .iter()
-        .map(|&id| {
-            AdaptiveBroadcast::new(
-                id,
-                all.clone(),
-                topology.neighbors(id).collect(),
-                params.clone(),
-            )
-        })
-        .collect();
-    let mut actions = Actions::new();
-    let mut tick = 0u64;
-    b.iter(|| {
-        tick += 1;
-        let now = SimTime::new(tick);
-        let mut inboxes: Vec<(usize, ProcessId, diffuse_core::Message)> = Vec::new();
-        for node in nodes.iter_mut() {
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-                &mut actions,
-            );
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::SUSPICION),
-                &mut actions,
-            );
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::SELF_TICK),
-                &mut actions,
-            );
-            let from = node.id();
-            for (to, m) in actions.take_sends() {
-                // Fixture ids are dense 0..n: direct index routing.
-                inboxes.push((to.index() as usize, from, m));
-            }
-            actions.clear();
-        }
-        for (target, from, m) in inboxes {
-            nodes[target].handle_message(now, from, m, &mut actions);
-            actions.clear();
-        }
-    });
-}
-
 fn bench_heartbeat_processing(c: &mut Criterion) {
     // End-to-end cost of one heartbeat round, in the evidence regime
     // (every receipt is fresh Bayesian evidence, so deltas are dense) and
@@ -229,13 +171,14 @@ fn bench_heartbeat_processing(c: &mut Criterion) {
         heartbeat_round(b, &topo100, &AdaptiveParams::default())
     });
     group.bench_function("round_100_nodes_converged", |b| {
-        converged_round(b, &topo100, &converged_params())
+        heartbeat_round(b, &topo100, &converged_params())
     });
     group.finish();
 }
 
-/// One converged-regime heartbeat round (see [`KernelOrderSystem`]).
-fn converged_round(
+/// One steady-state heartbeat round on every node, past a 400-round
+/// warm-up (see [`KernelOrderSystem`]).
+fn heartbeat_round(
     b: &mut criterion::Bencher,
     topology: &diffuse_model::Topology,
     params: &AdaptiveParams,
@@ -278,13 +221,15 @@ fn bench_delta_view_ops(c: &mut Criterion) {
         })
         .map(|(_, _, m)| m.clone())
         .expect("converged system emits delta heartbeats");
+    // The ops below call the protocol directly: the timer operations they
+    // emit stay in `actions`, as in a kernel handler.
     let nodes = &mut system.nodes;
 
     group.bench_function("build_delta", |b| {
         // Each iteration is one steady-state emission: CoW cache sync
         // (version walk, nothing to clone) + per-neighbor delta
         // assembly + sends.
-        let node = &mut nodes[sender_idx];
+        let node = nodes[sender_idx].protocol_mut();
         b.iter(|| {
             tick += 1;
             node.on_event(
@@ -303,7 +248,7 @@ fn bench_delta_view_ops(c: &mut Criterion) {
         // walk and the unchanged-entry fast paths run every iteration —
         // the steady-state receive cost.
         let from = all[sender_idx];
-        let node = &mut nodes[receiver_idx];
+        let node = nodes[receiver_idx].protocol_mut();
         let Message::Heartbeat(heartbeat) = &delta_message else {
             unreachable!("picked a heartbeat above")
         };

@@ -54,7 +54,7 @@ use diffuse_sim::{SimTime, TimerId};
 use crate::adversary::{ProtocolAudit, SenderAudit};
 use crate::knowledge::{DeltaView, View};
 use crate::optimal::propagate;
-use crate::params::{AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode};
+use crate::params::AdaptiveParams;
 use crate::protocol::{
     Actions, BroadcastId, Event, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol,
 };
@@ -897,7 +897,8 @@ impl AdaptiveBroadcast {
 
     /// Event 1 bookkeeping for the link to the heartbeat's sender.
     ///
-    /// Link evidence (the receipt itself, inferred gap losses, and
+    /// Link evidence (the receipt itself under
+    /// [`AdaptiveParams::receipt_evidence`], proven gap losses, and
     /// over-suspicion corrections) accumulates in the peer's pending
     /// counters and is folded into the Bayesian estimator in batches of
     /// [`AdaptiveParams::evidence_batch`] observations — so in the
@@ -912,88 +913,41 @@ impl AdaptiveBroadcast {
         let record = &mut self.peers[slot];
         let estimate =
             &mut self.links[record.direct.expect("heartbeats come from neighbors") as usize];
-        let gap = seq - record.last_seq;
-        let missed = (gap - 1) as u32;
+        // `seq` is a raw wire value: a hostile gap saturates rather than
+        // wrapping to a small count.
+        let missed = u32::try_from(seq - record.last_seq - 1).unwrap_or(u32::MAX);
 
         let delta = self.params.heartbeat_period;
-        let suspected = record.suspected;
-        let (adjust_pos, adjust_neg): (u32, u32) = match self.params.reconcile {
-            ReconcileMode::SeqGap => {
-                // Misses during my own downtime are nobody's fault.
-                let excused = u32::try_from(record.downtime_since_receipt / delta)
-                    .unwrap_or(u32::MAX)
-                    .min(missed);
-                let blamable = missed - excused;
-                if suspected >= blamable {
-                    (suspected - blamable, 0)
-                } else {
-                    (0, blamable - suspected)
-                }
-            }
-            ReconcileMode::PaperLiteral => {
-                let gap32 = u32::try_from(gap).unwrap_or(u32::MAX);
-                if suspected >= gap32 {
-                    (suspected - gap32, 0)
-                } else {
-                    (0, gap32 - suspected)
-                }
-            }
-        };
-
-        match self.params.link_blame {
-            LinkBlame::OnReconcile => {
-                // Blame exactly the proven losses; suspicions never
-                // touched the link.
-                let blamable = match self.params.reconcile {
-                    ReconcileMode::SeqGap => {
-                        let excused = u32::try_from(record.downtime_since_receipt / delta)
-                            .unwrap_or(u32::MAX)
-                            .min(missed);
-                        missed - excused
-                    }
-                    ReconcileMode::PaperLiteral => missed,
-                };
-                record.link_down = record.link_down.saturating_add(blamable);
-            }
-            LinkBlame::OnTimeout => {
-                // Suspicions already charged the link; settle the
-                // difference.
-                if adjust_pos > 0 {
-                    match self.params.correction {
-                        CorrectionMode::Exact => {
-                            // Unfounded suspicions that are still pending
-                            // cancel as integers — exact by construction.
-                            // Only suspicions already folded into the
-                            // estimator need an estimator-level undo, on
-                            // the settled (flushed) state.
-                            let cancel = adjust_pos.min(record.link_down);
-                            record.link_down -= cancel;
-                            let undo = adjust_pos - cancel;
-                            if undo > 0 {
-                                Self::flush_link_evidence(
-                                    estimate,
-                                    &mut record.link_up,
-                                    &mut record.link_down,
-                                );
-                                // The one reader of an undo checkpoint,
-                                // on an estimate nothing can be adopted
-                                // over — which is why adoption and the
-                                // emission cache may leave checkpoints
-                                // out of their copies.
-                                debug_assert_eq!(estimate.distortion(), Distortion::ZERO);
-                                estimate.beliefs_mut().undo_decrease(undo);
-                            }
-                        }
-                        CorrectionMode::Bayes => {
-                            record.link_up = record.link_up.saturating_add(adjust_pos);
-                        }
-                    }
-                }
-                record.link_down = record.link_down.saturating_add(adjust_neg);
+        // Misses during my own downtime are nobody's fault.
+        let excused = u32::try_from(record.downtime_since_receipt / delta)
+            .unwrap_or(u32::MAX)
+            .min(missed);
+        let blamable = missed - excused;
+        // Suspicions already charged the link (line 39); settle the
+        // difference.
+        let over_suspected = record.suspected.saturating_sub(blamable);
+        if over_suspected > 0 {
+            // Unfounded suspicions that are still pending cancel as
+            // integers — exact by construction. Only suspicions already
+            // folded into the estimator need an estimator-level undo, on
+            // the settled (flushed) state.
+            let cancel = over_suspected.min(record.link_down);
+            record.link_down -= cancel;
+            let undo = over_suspected - cancel;
+            if undo > 0 {
+                Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
+                // The one reader of an undo checkpoint, on an estimate
+                // nothing can be adopted over — which is why adoption and
+                // the emission cache may leave checkpoints out of their
+                // copies.
+                debug_assert_eq!(estimate.distortion(), Distortion::ZERO);
+                estimate.beliefs_mut().undo_decrease(undo);
             }
         }
-        // The received heartbeat itself is a success observation.
-        if self.params.reconcile == ReconcileMode::SeqGap {
+        record.link_down = record
+            .link_down
+            .saturating_add(blamable.saturating_sub(record.suspected));
+        if self.params.receipt_evidence {
             record.link_up = record.link_up.saturating_add(1);
         }
         if record.link_up.saturating_add(record.link_down) >= self.params.evidence_batch {
@@ -1001,7 +955,7 @@ impl AdaptiveBroadcast {
         }
 
         // Line 23: repeated over-suspicion means the timeout is too tight.
-        if self.params.timeout_growth && adjust_pos > 1 {
+        if over_suspected > 1 {
             record.timeout += delta;
         }
         record.suspected = 0;
@@ -1306,8 +1260,6 @@ impl AdaptiveBroadcast {
     /// *schedule* only decides when this scan fires, see
     /// [`DeadlineQueue`]).
     fn run_suspicion_scan(&mut self, now: SimTime, actions: &mut Actions) {
-        let blame_link_now = self.params.link_blame == LinkBlame::OnTimeout
-            || self.params.reconcile == ReconcileMode::PaperLiteral;
         let batch = self.params.evidence_batch;
 
         self.deadlines.expire(now);
@@ -1333,18 +1285,16 @@ impl AdaptiveBroadcast {
                 record.suspected += 1;
                 record.estimate.beliefs_mut().decrease_reliability(1);
                 record.estimate.set_distortion(Distortion::finite(1));
-                // Line 39 (paper mode): the link to the suspected
-                // neighbor is charged as well — batched like every other
-                // link observation.
-                if blame_link_now {
-                    record.link_down = record.link_down.saturating_add(1);
-                    if record.link_up.saturating_add(record.link_down) >= batch {
-                        Self::flush_link_evidence(
-                            &mut self.links[direct as usize],
-                            &mut record.link_up,
-                            &mut record.link_down,
-                        );
-                    }
+                // Line 39: the link to the suspected neighbor is charged
+                // as well — batched like every other link observation,
+                // and settled when the next heartbeat arrives.
+                record.link_down = record.link_down.saturating_add(1);
+                if record.link_up.saturating_add(record.link_down) >= batch {
+                    Self::flush_link_evidence(
+                        &mut self.links[direct as usize],
+                        &mut record.link_up,
+                        &mut record.link_down,
+                    );
                 }
             } else {
                 // Line 35: remote knowledge gets distorted with time.
@@ -1611,26 +1561,41 @@ mod tests {
         }
     }
 
+    /// `b`'s heartbeat at tick `t` — its one send, as `b` has one
+    /// neighbor. Only `b`'s timers fire, so a receiver fed these never
+    /// suspects: its link sees the receipts and nothing else.
+    fn heartbeat_from(b: &mut Timed, t: u64) -> Message {
+        let mut actions = Actions::new();
+        b.fire_due(SimTime::new(t), &mut actions);
+        let mut sends = actions.take_sends();
+        assert_eq!(sends.len(), 1, "one heartbeat to the one neighbor");
+        sends.pop().expect("just checked").1
+    }
+
+    /// A pair `0 — 1` under `pr`.
+    fn pair(pr: AdaptiveParams) -> (Timed, Timed) {
+        let all = vec![p(0), p(1)];
+        (
+            timed(AdaptiveBroadcast::new(
+                p(0),
+                all.clone(),
+                vec![p(1)],
+                pr.clone(),
+            )),
+            timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr)),
+        )
+    }
+
     #[test]
     fn link_evidence_flushes_in_batches() {
-        let all = vec![p(0), p(1)];
-        // OnReconcile keeps suspicions off the link so the test sees
-        // exactly the four receipt observations, nothing else.
-        let pr = params()
-            .with_evidence_batch(4)
-            .with_link_blame(LinkBlame::OnReconcile);
-        let mut a = timed(AdaptiveBroadcast::new(
-            p(0),
-            all.clone(),
-            vec![p(1)],
-            pr.clone(),
-        ));
-        let mut b = timed(AdaptiveBroadcast::new(p(1), all, vec![p(0)], pr));
+        let (mut a, mut b) = pair(params().with_evidence_batch(4));
         let link = LinkId::new(p(0), p(1)).unwrap();
         let initial = a.protocol().link_estimate(link).unwrap().clone();
+        let mut actions = Actions::new();
 
         for t in 1..=3u64 {
-            exchange(&mut [&mut a, &mut b], SimTime::new(t));
+            let heartbeat = heartbeat_from(&mut b, t);
+            a.handle_message(SimTime::new(t), p(1), heartbeat, &mut actions);
         }
         // Three receipts are still pending: the estimator has not moved.
         assert!(a
@@ -1640,7 +1605,8 @@ mod tests {
             .beliefs()
             .bits_eq(initial.beliefs()));
 
-        exchange(&mut [&mut a, &mut b], SimTime::new(4));
+        let heartbeat = heartbeat_from(&mut b, 4);
+        a.handle_message(SimTime::new(4), p(1), heartbeat, &mut actions);
         // The fourth receipt fills the batch: exactly one batched
         // increase_reliability(4), bit-for-bit.
         let mut expected = initial.beliefs().clone();
@@ -1651,6 +1617,66 @@ mod tests {
             .unwrap()
             .beliefs()
             .bits_eq(&expected));
+    }
+
+    #[test]
+    fn without_receipt_evidence_only_proven_losses_reach_the_link() {
+        let (mut a, mut b) = pair(params().with_receipt_evidence(false).with_evidence_batch(1));
+        let link = LinkId::new(p(0), p(1)).unwrap();
+        let initial = a.protocol().link_estimate(link).unwrap().clone();
+        let mut actions = Actions::new();
+
+        for t in 1..=10u64 {
+            let heartbeat = heartbeat_from(&mut b, t);
+            a.handle_message(SimTime::new(t), p(1), heartbeat, &mut actions);
+        }
+        // In-order heartbeats are no evidence at all.
+        assert!(a
+            .protocol()
+            .link_estimate(link)
+            .unwrap()
+            .beliefs()
+            .bits_eq(initial.beliefs()));
+
+        // A gap of k = 5: four heartbeats lost on the wire, charged as
+        // exactly four losses.
+        for t in 11..=14u64 {
+            heartbeat_from(&mut b, t);
+        }
+        let heartbeat = heartbeat_from(&mut b, 15);
+        a.handle_message(SimTime::new(15), p(1), heartbeat, &mut actions);
+        let mut expected = initial.beliefs().clone();
+        expected.decrease_reliability(4);
+        assert!(a
+            .protocol()
+            .link_estimate(link)
+            .unwrap()
+            .beliefs()
+            .bits_eq(&expected));
+    }
+
+    #[test]
+    fn a_hostile_seq_gap_saturates_instead_of_wrapping() {
+        let (mut a, mut b) = pair(params());
+        let link = LinkId::new(p(0), p(1)).unwrap();
+        let mut actions = Actions::new();
+        let heartbeat = heartbeat_from(&mut b, 1);
+        a.handle_message(SimTime::new(1), p(1), heartbeat, &mut actions);
+
+        // 2^32 heartbeats claimed missing: truncated to 32 bits, that
+        // would be zero misses and a clean receipt.
+        let Message::Heartbeat(mut heartbeat) = heartbeat_from(&mut b, 2) else {
+            unreachable!("adaptive nodes only heartbeat")
+        };
+        heartbeat.seq += 1 << 32;
+        a.handle_message(
+            SimTime::new(2),
+            p(1),
+            Message::Heartbeat(heartbeat),
+            &mut actions,
+        );
+        let loss = a.protocol().estimated_loss(link).unwrap().value();
+        assert!(loss > 0.9, "a 2^32 gap must read as loss, got {loss}");
     }
 
     #[test]

@@ -81,9 +81,7 @@ pub use gossip::ReferenceGossip;
 pub use knowledge::{DeltaView, NetworkKnowledge, View};
 pub use optimal::OptimalBroadcast;
 pub use optimize::{gain, optimize, optimize_budget, optimize_exhaustive, MessagePlan};
-pub use params::{
-    AdaptiveParams, CorrectionMode, LinkBlame, ReconcileMode, DEFAULT_EVIDENCE_BATCH,
-};
+pub use params::{AdaptiveParams, DEFAULT_EVIDENCE_BATCH};
 pub use protocol::{
     Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
     InProcess, Message, Payload, Protocol, ProtocolActor, SelfTimed, Wire,

@@ -1,59 +1,21 @@
 //! Tunables for the adaptive protocol.
+//!
+//! How a heartbeat reconciles the suspicions its silence caused
+//! (Algorithm 4, Event 1) is fixed. The sequence gap `g` proves `g - 1`
+//! heartbeats were sent and never received; misses the receiver's own
+//! downtime explains are excused. Every suspicion already charged the
+//! link at timeout (line 39), so the receipt settles the difference:
+//! proven losses beyond the suspicions are charged, and suspicions
+//! beyond the proven losses are undone exactly (the posterior divided by
+//! the same likelihood). Repeated over-suspicion grows the peer's timeout
+//! by one heartbeat period (line 23). The rule departs from the paper's
+//! literal `adjust = suspected - g`, which charges a link once per
+//! *successful* heartbeat and cannot converge.
+//!
+//! The one choice left is [`AdaptiveParams::receipt_evidence`]: whether
+//! the received heartbeat is itself a success observation.
 
 use diffuse_bayes::DEFAULT_INTERVALS;
-
-/// How sequence numbers reconcile suspicions on heartbeat receipt
-/// (Algorithm 4, Event 1).
-///
-/// The variants' docs carry the argument; the test
-/// `paper_literal_mode_fails_to_converge_where_default_succeeds`
-/// (`tests/adaptive_integration.rs`) measures it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReconcileMode {
-    /// `adjust = suspected - missed`, where
-    /// `missed = seq_gap - 1` is the number of heartbeats provably sent
-    /// but never received, minus misses excused by the receiver's own
-    /// downtime. Each received heartbeat additionally counts as one
-    /// success observation for the link. This variant converges to the
-    /// true loss rate.
-    #[default]
-    SeqGap,
-    /// The paper's literal formula `adjust = suspected - seq_gap`, with
-    /// no success observations. Provided for the ablation benchmark; it
-    /// penalizes a link once per *successful* heartbeat and cannot
-    /// converge.
-    PaperLiteral,
-}
-
-/// How an over-suspicion (`adjust > 0`) is compensated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CorrectionMode {
-    /// Exactly invert the earlier `decreaseReliability` updates
-    /// (divide the posterior by the same likelihood). Unbiased.
-    #[default]
-    Exact,
-    /// The paper's `increaseReliability` — a fresh Bayesian success
-    /// observation. Does not cancel the earlier decrease exactly, biasing
-    /// the posterior slightly on every over-suspicion.
-    Bayes,
-}
-
-/// When a missing heartbeat is blamed on the *link* (the neighbor process
-/// is always blamed at timeout, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinkBlame {
-    /// The paper's behavior (Algorithm 4, line 39), and the default:
-    /// decrease the link estimate on every timeout, then settle at
-    /// reconciliation — with [`CorrectionMode::Exact`] a sender that was
-    /// merely crashed (no sequence gap) gets its link's decreases undone
-    /// exactly. Reacts immediately to dead links and partitions.
-    #[default]
-    OnTimeout,
-    /// Blame the link only at reconciliation time, when a sequence gap
-    /// *proves* a loss. Unbiased, but a *fully* cut link never reconciles
-    /// and therefore never degrades — kept for the ablation benchmark.
-    OnReconcile,
-}
 
 /// Parameters of the adaptive protocol (Section 4).
 ///
@@ -82,15 +44,16 @@ pub struct AdaptiveParams {
     pub intervals: usize,
     /// Self-monitoring period `∆tick` (Events 3–4), in ticks.
     pub self_tick_period: u64,
-    /// Whether to grow a peer's suspicion timeout after repeated
-    /// over-suspicion (Algorithm 4, line 23).
-    pub timeout_growth: bool,
-    /// Suspicion reconciliation formula.
-    pub reconcile: ReconcileMode,
-    /// Over-suspicion compensation operator.
-    pub correction: CorrectionMode,
-    /// When the link (vs the process) takes the blame for silence.
-    pub link_blame: LinkBlame,
+    /// Whether a fresh heartbeat counts as one success observation for
+    /// the link it crossed (default `true`).
+    ///
+    /// With it, link estimates converge to the true loss rate, and every
+    /// receipt is new evidence, so delta views stay dense. Without it, a
+    /// link is charged only for proven losses and suspicions, so in a
+    /// healthy steady state the views stop moving and deltas shrink to
+    /// the self-tick wave: the converged regime the `scale` sweep
+    /// measures.
+    pub receipt_evidence: bool,
     /// How many link/self observations accumulate before they are folded
     /// into the Bayesian estimator as one batched
     /// `increase_reliability(k)` / `decrease_reliability(k)` update.
@@ -114,10 +77,7 @@ impl Default for AdaptiveParams {
             heartbeat_period: 1,
             intervals: DEFAULT_INTERVALS,
             self_tick_period: 1,
-            timeout_growth: true,
-            reconcile: ReconcileMode::default(),
-            correction: CorrectionMode::default(),
-            link_blame: LinkBlame::default(),
+            receipt_evidence: true,
             evidence_batch: DEFAULT_EVIDENCE_BATCH,
         }
     }
@@ -157,10 +117,11 @@ impl AdaptiveParams {
         self
     }
 
-    /// Enables or disables suspicion-timeout growth.
+    /// Enables or disables receipts as link evidence (see
+    /// [`AdaptiveParams::receipt_evidence`]).
     #[must_use]
-    pub fn with_timeout_growth(mut self, enabled: bool) -> Self {
-        self.timeout_growth = enabled;
+    pub fn with_receipt_evidence(mut self, enabled: bool) -> Self {
+        self.receipt_evidence = enabled;
         self
     }
 
@@ -171,36 +132,6 @@ impl AdaptiveParams {
     pub fn with_evidence_batch(mut self, observations: u32) -> Self {
         self.evidence_batch = observations.clamp(1, 32);
         self
-    }
-
-    /// Replaces the reconciliation mode.
-    #[must_use]
-    pub fn with_reconcile(mut self, mode: ReconcileMode) -> Self {
-        self.reconcile = mode;
-        self
-    }
-
-    /// Replaces the correction mode.
-    #[must_use]
-    pub fn with_correction(mut self, mode: CorrectionMode) -> Self {
-        self.correction = mode;
-        self
-    }
-
-    /// Replaces the link-blame mode.
-    #[must_use]
-    pub fn with_link_blame(mut self, mode: LinkBlame) -> Self {
-        self.link_blame = mode;
-        self
-    }
-
-    /// The paper-literal parameterization (for ablations): literal
-    /// reconciliation, Bayesian correction, timeout-time link blame.
-    #[must_use]
-    pub fn paper_literal(self) -> Self {
-        self.with_reconcile(ReconcileMode::PaperLiteral)
-            .with_correction(CorrectionMode::Bayes)
-            .with_link_blame(LinkBlame::OnTimeout)
     }
 }
 
@@ -213,10 +144,7 @@ mod tests {
         let p = AdaptiveParams::default();
         assert_eq!(p.target_reliability, 0.9999);
         assert_eq!(p.intervals, 100);
-        assert_eq!(p.reconcile, ReconcileMode::SeqGap);
-        assert_eq!(p.correction, CorrectionMode::Exact);
-        assert_eq!(p.link_blame, LinkBlame::OnTimeout);
-        assert!(p.timeout_growth);
+        assert!(p.receipt_evidence);
     }
 
     #[test]
@@ -224,18 +152,10 @@ mod tests {
         let p = AdaptiveParams::default()
             .with_heartbeat_period(0)
             .with_self_tick_period(0)
-            .with_timeout_growth(false);
+            .with_receipt_evidence(false);
         assert_eq!(p.heartbeat_period, 1);
         assert_eq!(p.self_tick_period, 1);
-        assert!(!p.timeout_growth);
-    }
-
-    #[test]
-    fn paper_literal_combination() {
-        let p = AdaptiveParams::default().paper_literal();
-        assert_eq!(p.reconcile, ReconcileMode::PaperLiteral);
-        assert_eq!(p.correction, CorrectionMode::Bayes);
-        assert_eq!(p.link_blame, LinkBlame::OnTimeout);
+        assert!(!p.receipt_evidence);
     }
 
     #[test]

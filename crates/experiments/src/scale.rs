@@ -4,25 +4,26 @@
 //! one steady-state round of the adaptive protocol's approximation
 //! activity as the system grows to n ∈ {100, 300, 1000}, and how much
 //! smaller its delta heartbeats are than the full views Algorithm 4
-//! (line 17) would send. Two regimes are swept:
+//! (line 17) would send. Both regimes reconcile suspicions by the one
+//! rule in `reconcile_link` (see [`AdaptiveParams`]) and differ only in
+//! [`AdaptiveParams::receipt_evidence`] and the self-tick period:
 //!
-//! * **converged** — paper-literal reconciliation with on-reconcile
-//!   blame (a received heartbeat is not itself Bayesian evidence) and
-//!   sparse self-monitoring: after the initial transient the knowledge
-//!   views are stable and deltas shrink to the self-tick wave. This is
-//!   the regime where per-heartbeat cost drops from
-//!   O(processes + links) to O(changes).
-//! * **evidence** (the repo default, SeqGap reconcile) — every heartbeat
-//!   is fresh evidence, so essentially every view entry changes every
-//!   round and deltas are dense.
+//! * **converged** — a received heartbeat is not itself Bayesian
+//!   evidence, and self-monitoring is sparse: after the initial
+//!   transient the knowledge views are stable and deltas shrink to the
+//!   self-tick wave. This is the regime where per-heartbeat cost drops
+//!   from O(processes + links) to O(changes).
+//! * **evidence** (the repo default) — every heartbeat is fresh
+//!   evidence, so essentially every view entry changes every round and
+//!   deltas are dense.
 //!
 //! Each row reports wall-clock µs per round (all nodes: emissions,
 //! suspicion scans, self ticks, merges), the average heartbeat payload
 //! in KB, and the average full view (`AdaptiveBroadcast::view`) a node
-//! holds after the measured rounds — what a paper-literal heartbeat
-//! would carry (the [`View::wire_size`]/[`DeltaView::wire_size`]
-//! accounting; the paper reports ~50 KB full heartbeats at n = 100,
-//! U = 100).
+//! holds after the measured rounds — what a full heartbeat (Algorithm 4,
+//! line 17) would carry (the [`View::wire_size`] /
+//! [`DeltaView::wire_size`] accounting; the paper reports ~50 KB full
+//! heartbeats at n = 100, U = 100).
 //!
 //! [`View::wire_size`]: diffuse_core::View::wire_size
 //! [`DeltaView::wire_size`]: diffuse_core::DeltaView::wire_size
@@ -31,8 +32,8 @@ use std::time::Instant;
 
 use diffuse_core::scenario::{Scenario, ScenarioReport, Workload};
 use diffuse_core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, Event, HeartbeatView, LinkBlame, Message, Payload,
-    Protocol, ReconcileMode, ReferenceGossip,
+    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatView, Message, Payload, Protocol,
+    ReferenceGossip, SelfTimed,
 };
 use diffuse_graph::generators;
 use diffuse_model::ProcessId;
@@ -47,25 +48,25 @@ use crate::Effort;
 /// the sweep below and by the `heartbeat`/`view` micro benches.
 pub fn converged_params() -> AdaptiveParams {
     AdaptiveParams::default()
-        .with_reconcile(ReconcileMode::PaperLiteral)
-        .with_link_blame(LinkBlame::OnReconcile)
+        .with_receipt_evidence(false)
         .with_self_tick_period(50)
 }
 
 /// An adaptive system stepped one heartbeat round at a time in the
 /// kernel's phase order: the previous tick's messages are delivered
-/// *before* timers fire, so suspicion deadlines are always refreshed in
-/// time and Event 2 stays quiet in healthy steady state.
+/// *before* due timers fire, so suspicion deadlines are always refreshed
+/// in time and Event 2 stays quiet in healthy steady state. Each node is
+/// a [`SelfTimed`], so its timers fire by the engine's one rule.
 ///
 /// This is the one shared round driver: the scale sweep below and the
 /// `heartbeat`/`view` micro benches (crates/bench/benches/micro.rs)
-/// both step it, so the phase order cannot silently diverge between
+/// all step it, so the phase order cannot silently diverge between
 /// them. Process ids must be dense `0..n` (the generator families
 /// guarantee it): sends route by index.
 #[derive(Debug)]
 pub struct KernelOrderSystem {
     /// The nodes, indexed by process id.
-    pub nodes: Vec<AdaptiveBroadcast>,
+    pub nodes: Vec<SelfTimed<AdaptiveBroadcast>>,
     /// Messages sent this tick, delivered at the start of the next.
     pub pending: Vec<(u32, ProcessId, Message)>,
     actions: Actions,
@@ -85,12 +86,12 @@ impl KernelOrderSystem {
             nodes: all
                 .iter()
                 .map(|&id| {
-                    AdaptiveBroadcast::new(
+                    SelfTimed::new(AdaptiveBroadcast::new(
                         id,
                         all.clone(),
                         topology.neighbors(id).collect(),
                         params.clone(),
-                    )
+                    ))
                 })
                 .collect(),
             pending: Vec::new(),
@@ -123,22 +124,8 @@ impl KernelOrderSystem {
             self.actions.clear();
         }
         for node in self.nodes.iter_mut() {
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-                &mut self.actions,
-            );
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::SUSPICION),
-                &mut self.actions,
-            );
-            node.on_event(
-                now,
-                Event::Timer(AdaptiveBroadcast::SELF_TICK),
-                &mut self.actions,
-            );
-            let from = node.id();
+            node.fire_due(now, &mut self.actions);
+            let from = node.protocol().id();
             for (to, m) in self.actions.take_sends() {
                 inspect(to, &m);
                 self.pending.push((to.index(), from, m));
@@ -178,7 +165,7 @@ fn measure(n: u32, params: &AdaptiveParams, warmup: u64, rounds: u64) -> (f64, f
     let view_bytes: usize = system
         .nodes
         .iter()
-        .map(|node| node.view().wire_size())
+        .map(|node| node.protocol().view().wire_size())
         .sum();
     let full_kb = view_bytes as f64 / system.nodes.len() as f64 / 1024.0;
     (elapsed * 1e6 / rounds as f64, kb, full_kb)

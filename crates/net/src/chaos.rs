@@ -98,9 +98,6 @@ pub struct ChaosCounters {
     pub transient_send_loss: u64,
     /// Transient inner receive errors absorbed as "no frame".
     pub transient_recv: u64,
-    /// Egress frames destroyed by the message adversary (counted as
-    /// sent, like the kernel's suppression hook).
-    pub suppressed: u64,
 }
 
 /// What a [`ChaosTransport`] shares with its [`ChaosControl`]s, behind
@@ -176,7 +173,8 @@ impl ChaosControl {
         state.adversary.configure(d, window_ticks, SimTime::ZERO);
     }
 
-    /// Egress frames destroyed by the message adversary so far.
+    /// Egress frames destroyed by the message adversary so far (counted
+    /// as sent, like the kernel's suppression hook).
     pub fn suppressed(&self) -> u64 {
         self.state.lock().adversary.suppressed()
     }
@@ -369,7 +367,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             if state.adversary.is_active() {
                 let tick = state.adversary_now();
                 if state.adversary.should_suppress(from, tick) {
-                    state.counters.suppressed += 1;
                     *state.sent_cells.entry((link, kind)).or_insert(0) += 1;
                     return Ok(());
                 }
@@ -683,7 +680,6 @@ mod tests {
         let suppressed = control.suppressed();
         assert!(suppressed >= 1, "an active adversary should act");
         assert!(suppressed <= 4, "budget exceeded: {suppressed}");
-        assert_eq!(control.counters().suppressed, suppressed);
         // Suppressed frames still count as sent, and are not loss.
         assert_eq!(control.metrics().sent_total(), 64);
         assert_eq!(control.lost(), 0);
