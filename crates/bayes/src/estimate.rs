@@ -1,6 +1,7 @@
 //! Distortion-ranked estimates and best-estimate selection (Algorithm 3).
 
 use core::fmt;
+use std::sync::Arc;
 
 use crate::BeliefEstimator;
 
@@ -84,12 +85,106 @@ impl fmt::Display for Distortion {
     }
 }
 
+/// An offer refused because its belief vector has a different number of
+/// intervals than the adopting estimate: mixing resolutions would spread
+/// a foreign `U` through the network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntervalMismatch;
+
+/// One entry of a heartbeat frame: the part of an [`Estimate`] that
+/// crosses the wire — the belief vector (shared, never copied), the
+/// distortion, and the local taint marker.
+///
+/// An offer has no version stamp and no undo checkpoint: both are the
+/// owner's bookkeeping, and the type leaves no room for them to travel.
+/// Every receiver of a frame reads the same entries, so an offer is
+/// immutable — it has no `&mut self` method (the `version-bump-audit`
+/// lint enforces this). Offers are held by value in frames and in
+/// receivers' mirrors, so their size is memory traffic on every mirror
+/// walk: the distortion is stored unpacked, letting the taint marker
+/// share its word, and an offer is 16 bytes.
+#[derive(Debug, Clone)]
+pub struct Offer {
+    beliefs: Arc<Vec<f64>>,
+    /// The finite distortion value; unused when `infinite`.
+    finite: u32,
+    infinite: bool,
+    /// Set only by [`Offer::forged`]; see [`Estimate::tainted`].
+    tainted: bool,
+}
+
+impl PartialEq for Offer {
+    /// Equality over the offered content (beliefs + distortion); the
+    /// local [`tainted`](Offer::tainted) marker is excluded.
+    fn eq(&self, other: &Self) -> bool {
+        self.beliefs == other.beliefs && self.distortion() == other.distortion()
+    }
+}
+
+impl Offer {
+    fn pack(beliefs: &Arc<Vec<f64>>, distortion: Distortion, tainted: bool) -> Self {
+        Offer {
+            beliefs: Arc::clone(beliefs),
+            finite: distortion.value().unwrap_or(0),
+            infinite: distortion.is_infinite(),
+            tainted,
+        }
+    }
+
+    /// An offer of `beliefs` at `distortion` (e.g. decoded from the
+    /// wire). The estimator's undo checkpoint is left behind.
+    pub fn new(beliefs: BeliefEstimator, distortion: Distortion) -> Self {
+        Offer::pack(beliefs.storage(), distortion, false)
+    }
+
+    /// Fabricates an offer with an arbitrary distortion stamp and the
+    /// tainted marker set — the **adversary-only** constructor behind
+    /// every lying-node corruption mode.
+    ///
+    /// Honest protocol code must never call this: honest offers come
+    /// from [`Estimate::offer`] (or the codec's [`Offer::new`]), and
+    /// relayed knowledge always passes through
+    /// [`Estimate::adopt_if_better`] / [`Estimate::adopt`], which
+    /// increment the distortion. The workspace lint (`adversary-forge`)
+    /// confines callers to the adversary modules and tests.
+    pub fn forged(beliefs: BeliefEstimator, distortion: Distortion) -> Self {
+        Offer::pack(beliefs.storage(), distortion, true)
+    }
+
+    /// The offered belief vector, in interval order.
+    pub fn beliefs(&self) -> &[f64] {
+        &self.beliefs
+    }
+
+    /// The offered posterior as an estimator sharing this offer's
+    /// storage.
+    pub fn estimator(&self) -> BeliefEstimator {
+        BeliefEstimator::from_storage(Arc::clone(&self.beliefs))
+    }
+
+    /// The offered distortion.
+    pub fn distortion(&self) -> Distortion {
+        if self.infinite {
+            Distortion::Infinite
+        } else {
+            Distortion::Finite(self.finite)
+        }
+    }
+
+    /// Whether this offer descends from a [`forged`](Offer::forged) one
+    /// (local-only marker; never encoded).
+    pub fn tainted(&self) -> bool {
+        self.tainted
+    }
+}
+
 /// A reliability estimate: a Bayesian posterior plus its distortion.
 ///
 /// This pairs the paper's belief structure (`C_k[p_i]` / `C_k[l_j]`) with
 /// its distortion factor `d`. The protocol-level bookkeeping (heartbeat
 /// sequence numbers, suspicion counters, timeouts) lives with the adaptive
-/// protocol in `diffuse-core`; this type is the portable, gossiped part.
+/// protocol in `diffuse-core`; what of it is gossiped is its
+/// [`Offer`].
 ///
 /// Every estimate carries a monotone [`version`](Estimate::version)
 /// stamp, bumped by **any** mutation of the beliefs or the distortion —
@@ -100,18 +195,18 @@ impl fmt::Display for Distortion {
 /// [`adopt`](Estimate::adopt)) bump it. The adaptive protocol's delta
 /// heartbeats use the version to detect which entries of a knowledge
 /// view changed since the last emission. Versions are local bookkeeping:
-/// they never travel on the wire and are excluded from equality.
+/// an [`Offer`] has none, and equality excludes them.
 #[derive(Debug, Clone, Default)]
 pub struct Estimate {
     beliefs: BeliefEstimator,
     distortion: Distortion,
     version: u64,
-    /// Set only by [`Estimate::forged`] — the adversary-engine marker.
-    /// Like the version it is local bookkeeping: it never travels on the
-    /// wire and is excluded from equality, but it *does* propagate
-    /// through adoption, so white-box containment tests can ask whether
-    /// any poisoned content survives in an honest store and at what
-    /// distortion.
+    /// Set only by adopting a [`forged`](Offer::forged) offer — the
+    /// adversary-engine marker. Like the version it is local
+    /// bookkeeping: it never travels on the wire and is excluded from
+    /// equality, but it *does* propagate through adoption, so white-box
+    /// containment tests can ask whether any poisoned content survives
+    /// in an honest store and at what distortion.
     tainted: bool,
 }
 
@@ -148,36 +243,6 @@ impl Estimate {
         }
     }
 
-    /// Assembles an estimate from its parts (e.g. decoded from the wire),
-    /// at version 0.
-    pub fn from_parts(beliefs: BeliefEstimator, distortion: Distortion) -> Self {
-        Estimate {
-            beliefs,
-            distortion,
-            version: 0,
-            tainted: false,
-        }
-    }
-
-    /// Fabricates an estimate with an arbitrary distortion stamp and the
-    /// tainted marker set — the **adversary-only** constructor behind
-    /// every lying-node corruption mode.
-    ///
-    /// Honest protocol code must never call this: first-hand knowledge
-    /// comes from [`Estimate::first_hand`] and relayed knowledge always
-    /// passes through [`Estimate::adopt_if_better`] /
-    /// [`Estimate::adopt`], which increment the distortion. The
-    /// workspace lint (`adversary-forge`) confines callers to the
-    /// adversary modules and tests.
-    pub fn forged(beliefs: BeliefEstimator, distortion: Distortion) -> Self {
-        Estimate {
-            beliefs,
-            distortion,
-            version: 0,
-            tainted: true,
-        }
-    }
-
     /// The Bayesian posterior over the failure probability.
     pub fn beliefs(&self) -> &BeliefEstimator {
         &self.beliefs
@@ -189,8 +254,8 @@ impl Estimate {
     }
 
     /// Whether this estimate's content descends from a
-    /// [`forged`](Estimate::forged) one (local-only marker; see the
-    /// field docs).
+    /// [`forged`](Offer::forged) offer (local-only marker; see the field
+    /// docs).
     pub fn tainted(&self) -> bool {
         self.tainted
     }
@@ -220,55 +285,59 @@ impl Estimate {
         }
     }
 
-    /// A copy of this estimate — beliefs, distortion, version and taint —
-    /// that shares the belief storage but leaves out the estimator's undo
-    /// checkpoint, which only its owner's
-    /// [`undo_decrease`](BeliefEstimator::undo_decrease) can use.
-    pub fn shared(&self) -> Estimate {
-        Estimate {
-            beliefs: self.beliefs.share(),
-            ..*self
-        }
+    /// What this estimate puts in a heartbeat frame: its belief storage
+    /// (shared, not copied), distortion and taint. Allocates nothing.
+    pub fn offer(&self) -> Offer {
+        Offer::pack(self.beliefs.storage(), self.distortion, self.tainted)
     }
 
     /// Algorithm 3, `selectBestEstimate`: if `theirs` is strictly less
     /// distorted than `self`, adopt it and increment the distortion (the
-    /// adopted copy is second-hand). Returns `true` if adopted.
+    /// adopted copy is second-hand). Returns `Ok(true)` if adopted.
     ///
-    /// Adoption is cheap: the belief vector is shared copy-on-write, and
-    /// the source's undo checkpoint stays behind.
+    /// Adoption is cheap: the belief vector is shared copy-on-write.
     /// The version is bumped only when the adoption actually changes the
-    /// stored bits — re-adopting an identical estimate (the steady state
+    /// stored bits — re-adopting an identical offer (the steady state
     /// for entries reachable through several equally distorted
     /// neighbors) is a value no-op and must not masquerade as a change,
     /// or delta heartbeats would re-gossip the whole converged view
     /// forever.
-    pub fn adopt_if_better(&mut self, theirs: &Estimate) -> bool {
-        if theirs.distortion < self.distortion {
-            let distortion = theirs.distortion.incremented();
-            if self.distortion != distortion || !self.beliefs.bits_eq(&theirs.beliefs) {
-                self.version += 1;
-            }
-            self.beliefs = theirs.beliefs.share();
-            self.distortion = distortion;
-            self.tainted = theirs.tainted;
-            true
+    ///
+    /// # Errors
+    ///
+    /// A less distorted offer whose interval count differs from this
+    /// estimate's is refused with [`IntervalMismatch`], leaving `self`
+    /// untouched.
+    // lint:allow(version-bump-audit): mutates only through `adopt`, which bumps.
+    pub fn adopt_if_better(&mut self, theirs: &Offer) -> Result<bool, IntervalMismatch> {
+        if theirs.distortion() < self.distortion {
+            self.adopt(theirs)?;
+            Ok(true)
         } else {
-            false
+            Ok(false)
         }
     }
 
     /// Adopts `theirs` unconditionally, incrementing distortion — used for
     /// links freshly learned from a neighbor (Algorithm 4, lines 30–32).
     /// Same value-change version rule as [`Estimate::adopt_if_better`].
-    pub fn adopt(&mut self, theirs: &Estimate) {
-        let distortion = theirs.distortion.incremented();
-        if self.distortion != distortion || !self.beliefs.bits_eq(&theirs.beliefs) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses an offer of a different interval count with
+    /// [`IntervalMismatch`], leaving `self` untouched.
+    pub fn adopt(&mut self, theirs: &Offer) -> Result<(), IntervalMismatch> {
+        if theirs.beliefs.len() != self.beliefs.intervals() {
+            return Err(IntervalMismatch);
+        }
+        let distortion = theirs.distortion().incremented();
+        if self.distortion != distortion || !self.beliefs.bits_eq_storage(&theirs.beliefs) {
             self.version += 1;
         }
-        self.beliefs = theirs.beliefs.share();
+        self.beliefs = theirs.estimator();
         self.distortion = distortion;
         self.tainted = theirs.tainted;
+        Ok(())
     }
 }
 
@@ -308,7 +377,7 @@ mod tests {
         let mut theirs = Estimate::first_hand(10);
         theirs.beliefs_mut().decrease_reliability(3);
 
-        assert!(mine.adopt_if_better(&theirs));
+        assert_eq!(mine.adopt_if_better(&theirs.offer()), Ok(true));
         // Adopted copy is second-hand: distortion 0 + 1.
         assert_eq!(mine.distortion(), Distortion::finite(1));
         assert_eq!(mine.beliefs(), theirs.beliefs());
@@ -323,13 +392,13 @@ mod tests {
         let kept = mine.clone();
 
         // Equal distortion: keep ours (strict inequality in Algorithm 3).
-        let other = Estimate::first_hand(10);
-        assert!(!mine.adopt_if_better(&other));
+        let other = Estimate::first_hand(10).offer();
+        assert_eq!(mine.adopt_if_better(&other), Ok(false));
         assert_eq!(mine, kept);
 
         // Worse distortion: keep ours.
-        let worse = Estimate::unknown(10);
-        assert!(!mine.adopt_if_better(&worse));
+        let worse = Estimate::unknown(10).offer();
+        assert_eq!(mine.adopt_if_better(&worse), Ok(false));
         assert_eq!(mine, kept);
     }
 
@@ -338,25 +407,46 @@ mod tests {
         // The paper: "having the distortion factor C_j[p_j].d = 0
         // guarantees that the estimate of p_j concerning its own
         // reliability will always be adopted by p_k".
-        let mut relayed = Estimate::from_parts(BeliefEstimator::new(10), Distortion::finite(1));
+        let mut relayed = Estimate::unknown(10);
+        relayed
+            .adopt(&Offer::new(BeliefEstimator::new(10), Distortion::ZERO))
+            .unwrap();
+        assert_eq!(relayed.distortion(), Distortion::finite(1));
         let self_estimate = Estimate::first_hand(10);
-        assert!(relayed.adopt_if_better(&self_estimate));
+        assert_eq!(relayed.adopt_if_better(&self_estimate.offer()), Ok(true));
     }
 
     #[test]
     fn unconditional_adopt_increments_distortion() {
         let mut mine = Estimate::first_hand(5);
-        let theirs = Estimate::from_parts(BeliefEstimator::new(5), Distortion::finite(7));
-        mine.adopt(&theirs);
+        let theirs = Offer::new(BeliefEstimator::new(5), Distortion::finite(7));
+        assert_eq!(mine.adopt(&theirs), Ok(()));
         assert_eq!(mine.distortion(), Distortion::finite(8));
     }
 
     #[test]
     fn infinite_never_improves_by_adopting_infinite() {
         let mut mine = Estimate::unknown(5);
-        let theirs = Estimate::unknown(5);
-        assert!(!mine.adopt_if_better(&theirs));
+        let theirs = Estimate::unknown(5).offer();
+        assert_eq!(mine.adopt_if_better(&theirs), Ok(false));
         assert!(mine.distortion().is_infinite());
+    }
+
+    #[test]
+    fn foreign_interval_counts_are_refused_after_the_distortion_test() {
+        let foreign = Offer::new(BeliefEstimator::new(4096), Distortion::ZERO);
+        let mut mine = Estimate::unknown(100);
+        let before = mine.clone();
+        assert_eq!(mine.adopt_if_better(&foreign), Err(IntervalMismatch));
+        assert_eq!(mine.adopt(&foreign), Err(IntervalMismatch));
+        assert_eq!(mine, before);
+        assert_eq!(mine.version(), before.version());
+        assert!(mine.distortion().is_infinite());
+
+        // An offer losing on distortion is kept out before its length
+        // is ever read.
+        let mut first_hand = Estimate::first_hand(100);
+        assert_eq!(first_hand.adopt_if_better(&foreign), Ok(false));
     }
 
     #[test]
@@ -376,43 +466,75 @@ mod tests {
 
         // Adoption bumps only when something is adopted.
         let v2 = e.version();
-        let better = Estimate::first_hand(5);
-        assert!(e.adopt_if_better(&better));
+        let better = Estimate::first_hand(5).offer();
+        assert_eq!(e.adopt_if_better(&better), Ok(true));
         assert!(e.version() > v2);
         let v3 = e.version();
-        assert!(!e.adopt_if_better(&Estimate::unknown(5)));
+        assert_eq!(e.adopt_if_better(&Estimate::unknown(5).offer()), Ok(false));
         assert_eq!(e.version(), v3);
 
-        e.adopt(&Estimate::unknown(5));
+        e.adopt(&Estimate::unknown(5).offer()).unwrap();
         assert!(e.version() > v3);
     }
 
     #[test]
-    fn forged_estimates_carry_and_propagate_taint() {
+    fn adoption_moves_the_version_only_when_bits_change() {
+        let mut source = Estimate::first_hand(8);
+        source.beliefs_mut().decrease_reliability(2);
+        let offer = source.offer();
+
+        let mut mine = Estimate::unknown(8);
+        assert_eq!(mine.adopt_if_better(&offer), Ok(true));
+        let v = mine.version();
+        // Re-adopting the same content — shared storage, or an equal copy
+        // decoded from the wire — is a value no-op: adopted, version
+        // unmoved.
+        assert_eq!(mine.adopt_if_better(&offer), Ok(true));
+        assert_eq!(mine.version(), v);
+        let copy = Offer::new(
+            BeliefEstimator::from_beliefs(offer.beliefs().to_vec()).unwrap(),
+            Distortion::ZERO,
+        );
+        assert!(!copy.estimator().shares_storage_with(source.beliefs()));
+        assert_eq!(mine.adopt_if_better(&copy), Ok(true));
+        assert_eq!(mine.version(), v);
+        mine.adopt(&offer).unwrap();
+        assert_eq!(mine.version(), v);
+
+        // Different bits at the same distortion do move it.
+        let mut other = Estimate::first_hand(8);
+        other.beliefs_mut().increase_reliability(2);
+        mine.adopt(&other.offer()).unwrap();
+        assert!(mine.version() > v);
+    }
+
+    #[test]
+    fn forged_offers_carry_and_propagate_taint() {
         // lint:allow(adversary-forge): testing the adversary constructor itself.
-        let poison = Estimate::forged(BeliefEstimator::new(10), Distortion::ZERO);
+        let poison = Offer::forged(BeliefEstimator::new(10), Distortion::ZERO);
         assert!(poison.tainted());
         assert_eq!(poison.distortion(), Distortion::ZERO);
-        assert_eq!(poison.version(), 0);
-        // Taint is excluded from equality, like the version stamp.
-        assert_eq!(poison, Estimate::first_hand(10));
+        // Taint is excluded from equality.
+        assert_eq!(poison, Estimate::first_hand(10).offer());
 
         // Adoption carries the taint into the adopting store, one hop
         // more distorted — the containment bound under test everywhere.
         let mut victim = Estimate::unknown(10);
-        assert!(victim.adopt_if_better(&poison));
+        assert_eq!(victim.adopt_if_better(&poison), Ok(true));
         assert!(victim.tainted());
         assert_eq!(victim.distortion(), Distortion::finite(1));
+        // ... and into what the victim offers onward.
+        assert!(victim.offer().tainted());
 
         // Re-adopting honest content washes the taint back out.
-        let honest = Estimate::first_hand(10);
-        assert!(victim.adopt_if_better(&honest));
+        let honest = Estimate::first_hand(10).offer();
+        assert_eq!(victim.adopt_if_better(&honest), Ok(true));
         assert!(!victim.tainted());
 
         let mut relearned = Estimate::unknown(10);
-        relearned.adopt(&poison);
+        relearned.adopt(&poison).unwrap();
         assert!(relearned.tainted());
-        relearned.adopt(&honest);
+        relearned.adopt(&honest).unwrap();
         assert!(!relearned.tainted());
     }
 
@@ -420,39 +542,49 @@ mod tests {
     fn honest_constructors_are_untainted() {
         assert!(!Estimate::unknown(4).tainted());
         assert!(!Estimate::first_hand(4).tainted());
-        assert!(!Estimate::from_parts(BeliefEstimator::new(4), Distortion::finite(2)).tainted());
+        assert!(!Offer::new(BeliefEstimator::new(4), Distortion::finite(2)).tainted());
+        assert!(!Estimate::first_hand(4).offer().tainted());
     }
 
     #[test]
-    fn shared_copies_keep_bits_distortion_version_and_taint() {
+    fn offers_share_bits_and_carry_distortion_and_taint() {
         // lint:allow(adversary-forge): a tainted source shows taint is kept.
-        let mut source = Estimate::forged(BeliefEstimator::new(10), Distortion::finite(2));
+        let poison = Offer::forged(BeliefEstimator::new(10), Distortion::finite(1));
+        let mut source = Estimate::unknown(10);
+        source.adopt(&poison).unwrap();
         source.beliefs_mut().decrease_reliability(3);
-        let copy = source.shared();
-        assert!(copy.beliefs().bits_eq(source.beliefs()));
-        assert!(copy.beliefs().shares_storage_with(source.beliefs()));
-        assert_eq!(copy.distortion(), source.distortion());
-        assert_eq!(copy.version(), source.version());
-        assert!(copy.tainted());
+        let offer = source.offer();
+        assert!(offer.estimator().bits_eq(source.beliefs()));
+        assert!(offer.estimator().shares_storage_with(source.beliefs()));
+        assert_eq!(offer.beliefs(), source.beliefs().beliefs());
+        assert_eq!(offer.distortion(), source.distortion());
+        assert!(offer.tainted());
     }
 
-    /// The source's checkpoint covers the source's own decrease: an
-    /// adopter or a shared copy undoing the same factor divides it out
-    /// numerically, as an estimator decoded from those bits would.
+    /// An offer taken right after a decrease carries no checkpoint: its
+    /// estimator undoes that decrease numerically, as an estimator
+    /// decoded from the same bits would, and adopting it shares the
+    /// source's storage.
     #[test]
-    fn copies_undo_numerically_not_from_the_source_checkpoint() {
+    fn offers_leave_the_undo_checkpoint_behind() {
         let mut source = Estimate::first_hand(50);
         source.beliefs_mut().increase_reliability(10);
         source.beliefs_mut().decrease_reliability(3);
+        let offer = source.offer();
         let mut numeric =
             BeliefEstimator::from_beliefs(source.beliefs().beliefs().to_vec()).unwrap();
         numeric.undo_decrease(3);
 
+        let mut from_offer = offer.estimator();
+        from_offer.undo_decrease(3);
+        assert!(from_offer.bits_eq(&numeric));
+
         let mut adopted = Estimate::unknown(50);
-        assert!(adopted.adopt_if_better(&source));
+        assert_eq!(adopted.adopt_if_better(&offer), Ok(true));
+        assert!(adopted.beliefs().shares_storage_with(source.beliefs()));
         let mut learned = Estimate::unknown(50);
-        learned.adopt(&source);
-        for mut e in [adopted, learned, source.shared()] {
+        learned.adopt(&offer).unwrap();
+        for mut e in [adopted, learned] {
             e.beliefs_mut().undo_decrease(3);
             assert!(e.beliefs().bits_eq(&numeric));
         }

@@ -381,13 +381,18 @@ impl BeliefEstimator {
         self.undo_checkpoint = None;
     }
 
-    /// A copy sharing this estimator's belief storage but not its undo
-    /// checkpoint: what adoption and view caching copy. Only
-    /// [`undo_decrease`](BeliefEstimator::undo_decrease) reads the
-    /// checkpoint, and only on the estimator that took it.
-    pub(crate) fn share(&self) -> BeliefEstimator {
+    /// The shared belief storage: what an [`Offer`](crate::Offer)
+    /// carries. The undo checkpoint stays behind — only
+    /// [`undo_decrease`](BeliefEstimator::undo_decrease) reads it, and
+    /// only on the estimator that took it.
+    pub(crate) fn storage(&self) -> &Arc<Vec<f64>> {
+        &self.beliefs
+    }
+
+    /// An estimator over shared storage, with no undo checkpoint.
+    pub(crate) fn from_storage(beliefs: Arc<Vec<f64>>) -> BeliefEstimator {
         BeliefEstimator {
-            beliefs: Arc::clone(&self.beliefs),
+            beliefs,
             undo_checkpoint: None,
         }
     }
@@ -406,12 +411,17 @@ impl BeliefEstimator {
     /// bit-identity guarantees, e.g. the adaptive protocol's
     /// changed-entry detection for delta heartbeats.
     pub fn bits_eq(&self, other: &BeliefEstimator) -> bool {
-        Arc::ptr_eq(&self.beliefs, &other.beliefs)
-            || (self.beliefs.len() == other.beliefs.len()
+        self.bits_eq_storage(&other.beliefs)
+    }
+
+    /// [`bits_eq`](BeliefEstimator::bits_eq) against shared storage.
+    pub(crate) fn bits_eq_storage(&self, other: &Arc<Vec<f64>>) -> bool {
+        Arc::ptr_eq(&self.beliefs, other)
+            || (self.beliefs.len() == other.len()
                 && self
                     .beliefs
                     .iter()
-                    .zip(other.beliefs.iter())
+                    .zip(other.iter())
                     .all(|(a, b)| a.to_bits() == b.to_bits()))
     }
 }

@@ -9,7 +9,9 @@
 //! paper's `selectBestEstimate` (Algorithm 3).
 //!
 //! The belief vector is stored copy-on-write, so the epidemic exchange of
-//! estimates between processes costs a pointer copy per adoption.
+//! estimates between processes costs a pointer copy per adoption. What
+//! of an estimate travels is an [`Offer`]: the shared belief vector and
+//! the distortion, without the owner's version stamp or undo checkpoint.
 //!
 //! # Example
 //!
@@ -31,5 +33,5 @@
 mod estimate;
 mod estimator;
 
-pub use estimate::{Distortion, Estimate};
+pub use estimate::{Distortion, Estimate, IntervalMismatch, Offer};
 pub use estimator::{BeliefEstimator, DEFAULT_INTERVALS};

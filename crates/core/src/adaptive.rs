@@ -47,7 +47,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use diffuse_bayes::{Distortion, Estimate};
+use diffuse_bayes::{Distortion, Estimate, Offer};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{SimTime, TimerId};
 
@@ -231,21 +231,21 @@ impl DeadlineQueue {
     }
 }
 
-/// Where a mirrored estimate lives.
+/// Where a mirrored offer lives.
 ///
 /// The common case — an entry updated by the most recent frame — is a
 /// bare index into the mirror's retained `latest` frame, so merging a
-/// dense delta writes one `u32` per entry instead of cloning estimates.
+/// dense delta writes one `u32` per entry instead of cloning offers.
 /// Entries the next frame does *not* update are materialized to
 /// [`MirrorValue::Inline`] before the frame is replaced; that
 /// materialization pass costs exactly the churn difference between two
 /// consecutive frames (zero in a fully dense stream, tiny in a sparse
-/// one).
+/// one). Either way the value fits the 16 bytes of an [`Offer`].
 #[derive(Debug)]
 enum MirrorValue {
-    /// Retained handle, materialized (one `Arc` clone, no estimate copy)
-    /// when its source frame was replaced.
-    Inline(Arc<Estimate>),
+    /// The offer itself, copied out of its source frame when that frame
+    /// was replaced (one belief-vector `Arc` clone, no allocation).
+    Inline(Offer),
     /// Index into the mirror's `latest` frame (the entry's own table:
     /// processes or links).
     Latest(u32),
@@ -291,7 +291,7 @@ struct NeighborMirror {
 }
 
 /// Resolves a process-table index of a retained frame.
-fn frame_process(frame: &HeartbeatView, idx: u32) -> &Arc<Estimate> {
+fn frame_process(frame: &HeartbeatView, idx: u32) -> &Offer {
     match frame {
         HeartbeatView::Full(v) => &v.processes[idx as usize].1,
         HeartbeatView::Delta(d) => &d.processes[idx as usize].1,
@@ -299,7 +299,7 @@ fn frame_process(frame: &HeartbeatView, idx: u32) -> &Arc<Estimate> {
 }
 
 /// Resolves a link-table index of a retained frame.
-fn frame_link(frame: &HeartbeatView, idx: u32) -> &Arc<Estimate> {
+fn frame_link(frame: &HeartbeatView, idx: u32) -> &Offer {
     match frame {
         HeartbeatView::Full(v) => &v.links[idx as usize].1,
         HeartbeatView::Delta(d) => &d.links[idx as usize].1,
@@ -308,14 +308,13 @@ fn frame_link(frame: &HeartbeatView, idx: u32) -> &Arc<Estimate> {
 
 /// Materializes the entries of `old_frame` that the newly merged frame
 /// did not re-point (`old_members \ new_members`, both ascending): their
-/// source frame is about to be dropped, so the mirror takes its own
-/// handle on each such entry (an `Arc` clone — the estimate itself is
-/// shared, never copied). Cost is exactly the churn difference between
-/// the two frames.
+/// source frame is about to be dropped, so the mirror takes its own copy
+/// of each such offer (its belief vector is shared, never copied). Cost
+/// is exactly the churn difference between the two frames.
 fn materialize_dropped<K>(
     entries: &mut [MirrorEntry<K>],
     old_frame: &HeartbeatView,
-    resolve: impl Fn(&HeartbeatView, u32) -> Arc<Estimate>,
+    resolve: impl Fn(&HeartbeatView, u32) -> Offer,
     old_members: &[u32],
     new_members: &[u32],
 ) {
@@ -341,9 +340,19 @@ fn materialize_dropped<K>(
 }
 
 /// Algorithm 3 on one view entry: adopts `theirs` into `mine` if it is
-/// less distorted, tallying the adoption. Returns whether it adopted.
-fn evaluate(mine: &mut Estimate, theirs: &Estimate, tally: &mut SenderAudit) -> bool {
-    let adopted = mine.adopt_if_better(theirs);
+/// less distorted, tallying the adoption. Returns whether it adopted; an
+/// offer refused for a foreign interval count adopts nothing and counts
+/// as an error.
+fn evaluate(
+    mine: &mut Estimate,
+    theirs: &Offer,
+    tally: &mut SenderAudit,
+    errors: &mut u64,
+) -> bool {
+    let adopted = mine.adopt_if_better(theirs).unwrap_or_else(|_| {
+        *errors += 1;
+        false
+    });
     if adopted {
         count_adoption(tally, mine);
     }
@@ -366,8 +375,7 @@ struct EmissionCache {
     /// Emission counter; stamped into every outgoing view frame.
     generation: u64,
     /// The cached full view, rebuilt copy-on-write per emission for the
-    /// entries whose version moved. Its estimates are
-    /// [`Estimate::shared`] copies: they carry no undo checkpoint.
+    /// entries whose version moved.
     view: Arc<View>,
     /// Per `view.processes` entry (that is, per peer slot): (estimate
     /// version at last sync, generation of the last sync that changed
@@ -733,12 +741,9 @@ impl AdaptiveBroadcast {
                 .all_processes
                 .iter()
                 .zip(&self.peers)
-                .map(|(&p, r)| (p, Arc::new(r.estimate.clone())))
+                .map(|(&p, r)| (p, r.estimate.offer()))
                 .collect(),
-            links: self
-                .links_by_key()
-                .map(|(l, e)| (l, Arc::new(e.clone())))
-                .collect(),
+            links: self.links_by_key().map(|(l, e)| (l, e.offer())).collect(),
         }
     }
 
@@ -772,19 +777,19 @@ impl AdaptiveBroadcast {
                     .all_processes
                     .iter()
                     .zip(&self.peers)
-                    .map(|(&p, r)| (p, Arc::new(r.estimate.shared())))
+                    .map(|(&p, r)| (p, r.estimate.offer()))
                     .collect(),
                 links: self
                     .link_index
                     .iter()
-                    .map(|(&l, &slot)| (l, Arc::new(self.links[slot as usize].shared())))
+                    .map(|(&l, &slot)| (l, self.links[slot as usize].offer()))
                     .collect(),
             });
             return;
         }
         // `make_mut` clones the view only if a previous emission's frame
         // is still alive somewhere; entry clones are Arc-cheap either
-        // way.
+        // way, and a refreshed entry is written in place.
         let view = Arc::make_mut(&mut cache.view);
         view.generation = g;
         if view.topology_version != self.topology_version {
@@ -802,7 +807,7 @@ impl AdaptiveBroadcast {
         {
             let v = record.estimate.version();
             if v != sync.0 {
-                entry.1 = Arc::new(record.estimate.shared());
+                entry.1 = record.estimate.offer();
                 *sync = (v, g);
             }
         }
@@ -812,7 +817,7 @@ impl AdaptiveBroadcast {
             for (i, (&l, &slot)) in self.link_index.iter().enumerate() {
                 if i == view.links.len() || view.links[i].0 != l {
                     let e = &self.links[slot as usize];
-                    view.links.insert(i, (l, Arc::new(e.shared())));
+                    view.links.insert(i, (l, e.offer()));
                     cache.link_sync.insert(i, (e.version(), g));
                     cache.link_slots.insert(i, slot);
                 }
@@ -827,17 +832,16 @@ impl AdaptiveBroadcast {
             let e = &self.links[slot as usize];
             let v = e.version();
             if v != sync.0 {
-                entry.1 = Arc::new(e.shared());
+                entry.1 = e.offer();
                 *sync = (v, g);
             }
         }
     }
 
     /// Assembles the delta of entries changed since `base` from the
-    /// (already synced) view cache. Delta entries are `Arc`-shared with
-    /// the cached view — assembling a delta clones handles, never
-    /// estimates, so the former sync-then-assemble double-clone per
-    /// changed entry is gone.
+    /// (already synced) view cache. Delta entries share their belief
+    /// vectors with the cached view — assembling a delta clones offers,
+    /// never belief vectors.
     fn build_delta(&self, base: u64) -> Arc<DeltaView> {
         let view = &self.emission.view;
         Arc::new(DeltaView {
@@ -849,14 +853,14 @@ impl AdaptiveBroadcast {
                 .iter()
                 .zip(&self.emission.proc_sync)
                 .filter(|&(_, &(_, changed))| changed > base)
-                .map(|((p, e), _)| (*p, Arc::clone(e)))
+                .map(|((p, e), _)| (*p, e.clone()))
                 .collect(),
             links: view
                 .links
                 .iter()
                 .zip(&self.emission.link_sync)
                 .filter(|&(_, &(_, changed))| changed > base)
-                .map(|((l, e), _)| (*l, Arc::clone(e)))
+                .map(|((l, e), _)| (*l, e.clone()))
                 .collect(),
         })
     }
@@ -937,9 +941,8 @@ impl AdaptiveBroadcast {
             if undo > 0 {
                 Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
                 // The one reader of an undo checkpoint, on an estimate
-                // nothing can be adopted over — which is why adoption and
-                // the emission cache may leave checkpoints out of their
-                // copies.
+                // nothing can be adopted over — which is why an `Offer`
+                // has no checkpoint to carry.
                 debug_assert_eq!(estimate.distortion(), Distortion::ZERO);
                 estimate.beliefs_mut().undo_decrease(undo);
             }
@@ -1004,7 +1007,7 @@ impl AdaptiveBroadcast {
                 continue;
             };
             let record = &mut self.peers[slot];
-            let adopted = evaluate(&mut record.estimate, theirs, tally);
+            let adopted = evaluate(&mut record.estimate, theirs, tally, &mut self.errors);
             if adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
@@ -1021,11 +1024,21 @@ impl AdaptiveBroadcast {
             let (slot, adopted) = match self.link_index.get(l) {
                 Some(&slot) => (
                     slot,
-                    evaluate(&mut self.links[slot as usize], theirs, tally),
+                    evaluate(
+                        &mut self.links[slot as usize],
+                        theirs,
+                        tally,
+                        &mut self.errors,
+                    ),
                 ),
                 None => {
                     let mut fresh = Estimate::unknown(self.params.intervals);
-                    fresh.adopt(theirs);
+                    if fresh.adopt(theirs).is_err() {
+                        // A link offered at a foreign resolution stays
+                        // unlearned until an offer at ours arrives.
+                        self.errors += 1;
+                        continue;
+                    }
                     count_adoption(tally, &fresh);
                     let slot = self.links.len() as u32;
                     self.links.push(fresh);
@@ -1126,7 +1139,7 @@ impl AdaptiveBroadcast {
                 // would reject again.
                 continue;
             };
-            entry.adopted = evaluate(&mut record.estimate, theirs, tally);
+            entry.adopted = evaluate(&mut record.estimate, theirs, tally, &mut self.errors);
             if entry.adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
@@ -1154,7 +1167,7 @@ impl AdaptiveBroadcast {
                 // there is nothing to replay.
                 continue;
             };
-            entry.adopted = evaluate(mine, theirs, tally);
+            entry.adopted = evaluate(mine, theirs, tally, &mut self.errors);
             entry.my_version = mine.version();
         }
 
@@ -1162,14 +1175,14 @@ impl AdaptiveBroadcast {
         materialize_dropped(
             &mut mirror.processes,
             &old_frame,
-            |f, i| Arc::clone(frame_process(f, i)),
+            |f, i| frame_process(f, i).clone(),
             &mirror.latest_procs,
             &new_procs,
         );
         materialize_dropped(
             &mut mirror.links,
             &old_frame,
-            |f, i| Arc::clone(frame_link(f, i)),
+            |f, i| frame_link(f, i).clone(),
             &mirror.latest_links,
             &new_links,
         );
@@ -2305,6 +2318,19 @@ mod tests {
         );
     }
 
+    /// Frame entries and mirror values are held by value, one per view
+    /// entry per neighbor, so their size is memory: whole `Estimate`s
+    /// there (48 bytes) measured +24 % `peak_rss_mb` on the whole-run
+    /// `adaptive_churn_n100` workload, whose bound is 10 %. It is also
+    /// the stride of every mirror walk: 24-byte offers made converged
+    /// heartbeat rounds slower than the 16-byte `Arc` handles they
+    /// replaced.
+    #[test]
+    fn frame_entries_and_mirror_values_fit_in_16_bytes() {
+        assert!(std::mem::size_of::<Offer>() <= 16);
+        assert!(std::mem::size_of::<MirrorValue>() <= 16);
+    }
+
     /// A delta whose base the receiver never reached is dropped without
     /// corrupting state, and a subsequent full view recovers.
     #[test]
@@ -2323,7 +2349,7 @@ mod tests {
                 generation: 9,
                 base: 7,
                 topology_version: 1,
-                processes: vec![(p(0), Arc::new(Estimate::first_hand(100)))],
+                processes: vec![(p(0), Estimate::first_hand(100).offer())],
                 links: Vec::new(),
             })),
         });

@@ -1,8 +1,9 @@
 //! The adversary engine: lying nodes and their containment accounting.
 //!
 //! The paper's adaptive diffusion is built for *unreliable* environments;
-//! its distortion machinery ([`Estimate::adopt_if_better`]'s strict
-//! ranking, the delta codec's full-view fallback) is what is supposed to
+//! its distortion machinery
+//! ([`Estimate::adopt_if_better`](diffuse_bayes::Estimate::adopt_if_better)'s
+//! strict ranking, the delta codec's full-view fallback) is what is supposed to
 //! contain nodes that do worse than crash — nodes that **lie**. This
 //! module makes such nodes constructible so the containment claims become
 //! testable:
@@ -20,7 +21,7 @@
 //!   (entries offered vs. adopted per sender, future acks rejected) that
 //!   [`Containment`] aggregates into scenario-level containment metrics.
 //!
-//! Corrupted estimates are fabricated through [`Estimate::forged`] — the
+//! Corrupted offers are fabricated through [`Offer::forged`] — the
 //! single constructor that can mint arbitrary distortion stamps — and the
 //! workspace lint confines its callers to this module and tests. The
 //! containment theorem this machinery checks is structural: honest stores
@@ -35,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use diffuse_bayes::{Distortion, Estimate};
+use diffuse_bayes::{Distortion, Offer};
 use diffuse_model::ProcessId;
 use diffuse_sim::SimTime;
 use rand::rngs::StdRng;
@@ -450,16 +451,16 @@ fn corrupt_heartbeat(
 /// Re-stamps every link estimate as a distortion-0 forgery with the
 /// posterior worsened by `k` silence periods.
 fn poison_links(
-    links: &[(diffuse_model::LinkId, Arc<Estimate>)],
+    links: &[(diffuse_model::LinkId, Offer)],
     k: u32,
-) -> Vec<(diffuse_model::LinkId, Arc<Estimate>)> {
+) -> Vec<(diffuse_model::LinkId, Offer)> {
     links
         .iter()
-        .map(|(id, est)| {
-            let mut beliefs = est.beliefs().clone();
+        .map(|(id, offer)| {
+            let mut beliefs = offer.estimator();
             beliefs.decrease_reliability(k);
             // lint:allow(adversary-forge): this *is* the adversary module.
-            (*id, Arc::new(Estimate::forged(beliefs, Distortion::ZERO)))
+            (*id, Offer::forged(beliefs, Distortion::ZERO))
         })
         .collect()
 }
@@ -467,7 +468,7 @@ fn poison_links(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_bayes::BeliefEstimator;
+    use diffuse_bayes::{BeliefEstimator, Estimate};
     use diffuse_model::LinkId;
 
     fn p(i: u32) -> ProcessId {
@@ -489,13 +490,10 @@ mod tests {
             generation: 3,
             topology_version: 1,
             topology: Arc::new(topo),
-            processes: vec![(p(0), Arc::new(Estimate::first_hand(10)))],
+            processes: vec![(p(0), Estimate::first_hand(10).offer())],
             links: vec![(
                 LinkId::new(p(0), p(1)).unwrap(),
-                Arc::new(Estimate::from_parts(
-                    BeliefEstimator::new(10),
-                    Distortion::finite(2),
-                )),
+                Offer::new(BeliefEstimator::new(10), Distortion::finite(2)),
             )],
         }))
     }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use diffuse_bayes::Estimate;
+use diffuse_bayes::Offer;
 use diffuse_graph::maximum_reliability_tree;
 use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
 
@@ -75,12 +75,13 @@ impl NetworkKnowledge {
 ///
 /// Estimates are stored as *sorted vectors* so receivers can merge-join
 /// them against their own ordered maps in linear time. Each entry is an
-/// `Arc<Estimate>` (with copy-on-write belief vectors inside), so the
+/// [`Offer`] held by value — the belief vector behind a shared [`Arc`],
+/// the distortion and the taint marker, 16 bytes in all — so the
 /// sender's cached view and every per-neighbor [`DeltaView`] assembled
-/// from it share one allocation per entry instead of cloning estimates
-/// twice per emission. The topology is behind an [`Arc`] with a version
-/// counter: receivers skip re-merging a topology they have already
-/// merged.
+/// from it share each belief vector, and refreshing an entry allocates
+/// nothing. Versions and undo checkpoints have no field to travel in.
+/// The topology is behind an [`Arc`] with a version counter: receivers
+/// skip re-merging a topology they have already merged.
 ///
 /// Under delta heartbeats the sender keeps one cached `Arc<View>` and
 /// rebuilds it copy-on-write per emission, stamping each emission with a
@@ -100,32 +101,32 @@ pub struct View {
     /// The sender's known topology.
     pub topology: Arc<Topology>,
     /// Process estimates, sorted by process id.
-    pub processes: Vec<(ProcessId, Arc<Estimate>)>,
+    pub processes: Vec<(ProcessId, Offer)>,
     /// Link estimates, sorted by link id.
-    pub links: Vec<(LinkId, Arc<Estimate>)>,
+    pub links: Vec<(LinkId, Offer)>,
 }
 
 impl View {
-    /// Looks up the estimate for a process (binary search).
-    pub fn process_estimate(&self, p: ProcessId) -> Option<&Estimate> {
+    /// Looks up the offered estimate for a process (binary search).
+    pub fn process_offer(&self, p: ProcessId) -> Option<&Offer> {
         self.processes
             .binary_search_by_key(&p, |(id, _)| *id)
             .ok()
-            .map(|i| self.processes[i].1.as_ref())
+            .map(|i| &self.processes[i].1)
     }
 
-    /// Looks up the estimate for a link (binary search).
-    pub fn link_estimate(&self, l: LinkId) -> Option<&Estimate> {
+    /// Looks up the offered estimate for a link (binary search).
+    pub fn link_offer(&self, l: LinkId) -> Option<&Offer> {
         self.links
             .binary_search_by_key(&l, |(id, _)| *id)
             .ok()
-            .map(|i| self.links[i].1.as_ref())
+            .map(|i| &self.links[i].1)
     }
 
     /// Approximate encoded size in bytes, for bandwidth accounting: the
     /// paper reports 50 KB heartbeats for 100 processes with `U = 100`.
     pub fn wire_size(&self) -> usize {
-        let estimate_size = |e: &Estimate| e.beliefs().intervals() * 8 + 8;
+        let estimate_size = |e: &Offer| e.beliefs().len() * 8 + 8;
         8 + self.topology.link_count() * 8
             + self
                 .processes
@@ -162,36 +163,36 @@ pub struct DeltaView {
     /// The sender's topology version — unchanged, by construction, since
     /// the full view the receiver acknowledged.
     pub topology_version: u64,
-    /// Changed process estimates, sorted by process id. Entries are
-    /// [`Arc`]-shared with the sender's cached [`View`].
-    pub processes: Vec<(ProcessId, Arc<Estimate>)>,
-    /// Changed link estimates, sorted by link id. Entries are
-    /// [`Arc`]-shared with the sender's cached [`View`].
-    pub links: Vec<(LinkId, Arc<Estimate>)>,
+    /// Changed process estimates, sorted by process id. Entries share
+    /// their belief vectors with the sender's cached [`View`].
+    pub processes: Vec<(ProcessId, Offer)>,
+    /// Changed link estimates, sorted by link id. Entries share their
+    /// belief vectors with the sender's cached [`View`].
+    pub links: Vec<(LinkId, Offer)>,
 }
 
 impl DeltaView {
-    /// Looks up the changed estimate for a process (binary search).
-    pub fn process_estimate(&self, p: ProcessId) -> Option<&Estimate> {
+    /// Looks up the changed offer for a process (binary search).
+    pub fn process_offer(&self, p: ProcessId) -> Option<&Offer> {
         self.processes
             .binary_search_by_key(&p, |(id, _)| *id)
             .ok()
-            .map(|i| self.processes[i].1.as_ref())
+            .map(|i| &self.processes[i].1)
     }
 
-    /// Looks up the changed estimate for a link (binary search).
-    pub fn link_estimate(&self, l: LinkId) -> Option<&Estimate> {
+    /// Looks up the changed offer for a link (binary search).
+    pub fn link_offer(&self, l: LinkId) -> Option<&Offer> {
         self.links
             .binary_search_by_key(&l, |(id, _)| *id)
             .ok()
-            .map(|i| self.links[i].1.as_ref())
+            .map(|i| &self.links[i].1)
     }
 
     /// Approximate encoded size in bytes (same accounting as
     /// [`View::wire_size`], minus the topology section deltas never
     /// carry).
     pub fn wire_size(&self) -> usize {
-        let estimate_size = |e: &Estimate| e.beliefs().intervals() * 8 + 8;
+        let estimate_size = |e: &Offer| e.beliefs().len() * 8 + 8;
         24 + self
             .processes
             .iter()
@@ -208,7 +209,7 @@ impl DeltaView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_bayes::Distortion;
+    use diffuse_bayes::{Distortion, Estimate};
     use diffuse_model::Probability;
 
     fn p(i: u32) -> ProcessId {
@@ -330,20 +331,18 @@ mod tests {
             topology_version: 1,
             topology: Arc::new(topo),
             processes: vec![
-                (p(0), Arc::new(Estimate::first_hand(10))),
-                (p(1), Arc::new(Estimate::unknown(10))),
+                (p(0), Estimate::first_hand(10).offer()),
+                (p(1), Estimate::unknown(10).offer()),
             ],
-            links: vec![(link, Arc::new(Estimate::first_hand(10)))],
+            links: vec![(link, Estimate::first_hand(10).offer())],
         };
         assert_eq!(
-            view.process_estimate(p(0)).unwrap().distortion(),
+            view.process_offer(p(0)).unwrap().distortion(),
             Distortion::ZERO
         );
-        assert!(view.process_estimate(p(9)).is_none());
-        assert!(view.link_estimate(link).is_some());
-        assert!(view
-            .link_estimate(LinkId::new(p(1), p(2)).unwrap())
-            .is_none());
+        assert!(view.process_offer(p(9)).is_none());
+        assert!(view.link_offer(link).is_some());
+        assert!(view.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
         assert!(view.wire_size() > 3 * 80);
     }
 
@@ -354,15 +353,13 @@ mod tests {
             generation: 7,
             base: 5,
             topology_version: 2,
-            processes: vec![(p(1), Arc::new(Estimate::first_hand(10)))],
-            links: vec![(link, Arc::new(Estimate::unknown(10)))],
+            processes: vec![(p(1), Estimate::first_hand(10).offer())],
+            links: vec![(link, Estimate::unknown(10).offer())],
         };
-        assert!(delta.process_estimate(p(1)).is_some());
-        assert!(delta.process_estimate(p(0)).is_none());
-        assert!(delta.link_estimate(link).is_some());
-        assert!(delta
-            .link_estimate(LinkId::new(p(1), p(2)).unwrap())
-            .is_none());
+        assert!(delta.process_offer(p(1)).is_some());
+        assert!(delta.process_offer(p(0)).is_none());
+        assert!(delta.link_offer(link).is_some());
+        assert!(delta.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
         // Two U=10 estimates: well under a same-shape full view with a
         // topology section, well over the bare header.
         assert!(delta.wire_size() > 2 * 80);

@@ -209,9 +209,9 @@ fn line_rules(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             ));
         }
 
-        // Corruption constructors stay confined: `Estimate::forged`
+        // Corruption constructors stay confined: `Offer::forged`
         // fabricates distortion stamps and the taint marker, which
-        // honest code only ever produces through `first_hand` /
+        // honest code only ever produces through `Estimate::offer` /
         // `adopt_if_better`. The definition site (ESTIMATE_FILE) is
         // exempt; every caller — the adversary engine included — needs
         // a reasoned site pragma, so each forge site is a deliberate,
@@ -221,7 +221,7 @@ fn line_rules(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 &file.path,
                 at,
                 "adversary-forge",
-                "`Estimate::forged` outside the adversary engine; honest estimates come from `first_hand`/`adopt_if_better` — forge sites (adversary module, adversarial tests) need a reasoned site pragma",
+                "`Offer::forged` outside the adversary engine; honest offers come from `Estimate::offer`, and what they carry from `first_hand`/`adopt_if_better` — forge sites (adversary module, adversarial tests) need a reasoned site pragma",
             ));
         }
 

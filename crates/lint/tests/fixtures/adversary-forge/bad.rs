@@ -1,6 +1,6 @@
 // lint-fixture: crates/core/src/honest_path.rs
 //! An honest protocol path fabricating a distortion stamp.
 
-pub fn sneak_perfect_knowledge() -> Estimate {
-    Estimate::forged(BeliefEstimator::new(4), Distortion::ZERO)
+pub fn sneak_perfect_knowledge() -> Offer {
+    Offer::forged(BeliefEstimator::new(4), Distortion::ZERO)
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use diffuse_bayes::{BeliefEstimator, Distortion, Estimate};
+use diffuse_bayes::{BeliefEstimator, Distortion, Offer};
 use diffuse_core::{
     BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
     Payload, ReliabilityTree, View, Wire,
@@ -289,8 +289,8 @@ fn get_wire_tree(buf: &mut &[u8]) -> Result<ReliabilityTree, NetError> {
         .map_err(|_| NetError::Invalid("malformed wire tree"))
 }
 
-fn put_estimate(buf: &mut BytesMut, estimate: &Estimate) {
-    match estimate.distortion() {
+fn put_offer(buf: &mut BytesMut, offer: &Offer) {
+    match offer.distortion() {
         Distortion::Finite(v) => {
             buf.put_u8(0);
             buf.put_u32_le(v);
@@ -300,14 +300,14 @@ fn put_estimate(buf: &mut BytesMut, estimate: &Estimate) {
             buf.put_u32_le(0);
         }
     }
-    let beliefs = estimate.beliefs().beliefs();
+    let beliefs = offer.beliefs();
     buf.put_u32_le(beliefs.len() as u32);
     for b in beliefs {
         buf.put_u64_le(b.to_bits());
     }
 }
 
-fn get_estimate(buf: &mut &[u8]) -> Result<Estimate, NetError> {
+fn get_offer(buf: &mut &[u8]) -> Result<Offer, NetError> {
     let infinite = match get_u8(buf)? {
         0 => false,
         1 => true,
@@ -321,7 +321,7 @@ fn get_estimate(buf: &mut &[u8]) -> Result<Estimate, NetError> {
     }
     let beliefs =
         BeliefEstimator::from_beliefs(beliefs).map_err(|_| NetError::Invalid("bad beliefs"))?;
-    Ok(Estimate::from_parts(
+    Ok(Offer::new(
         beliefs,
         if infinite {
             Distortion::Infinite
@@ -350,13 +350,13 @@ fn put_view(buf: &mut BytesMut, view: &View) {
     buf.put_u32_le(view.processes.len() as u32);
     for (p, e) in &view.processes {
         buf.put_u32_le(p.index());
-        put_estimate(buf, e);
+        put_offer(buf, e);
     }
     buf.put_u32_le(view.links.len() as u32);
     for (l, e) in &view.links {
         buf.put_u32_le(l.lo().index());
         buf.put_u32_le(l.hi().index());
-        put_estimate(buf, e);
+        put_offer(buf, e);
     }
 }
 
@@ -379,7 +379,7 @@ fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
     let mut processes = Vec::with_capacity(n_pe);
     for _ in 0..n_pe {
         let p = ProcessId::new(get_u32(buf)?);
-        processes.push((p, Arc::new(get_estimate(buf)?)));
+        processes.push((p, get_offer(buf)?));
     }
     let n_le = get_count(buf)?;
     let mut links = Vec::with_capacity(n_le);
@@ -387,7 +387,7 @@ fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
         let a = ProcessId::new(get_u32(buf)?);
         let b = ProcessId::new(get_u32(buf)?);
         let link = LinkId::new(a, b).map_err(|_| NetError::Invalid("self-loop link"))?;
-        links.push((link, Arc::new(get_estimate(buf)?)));
+        links.push((link, get_offer(buf)?));
     }
     // Keep the view's sort invariants even against a hostile encoder.
     processes.sort_by_key(|(p, _)| *p);
@@ -408,13 +408,13 @@ fn put_delta_view(buf: &mut BytesMut, delta: &DeltaView) {
     buf.put_u32_le(delta.processes.len() as u32);
     for (p, e) in &delta.processes {
         buf.put_u32_le(p.index());
-        put_estimate(buf, e);
+        put_offer(buf, e);
     }
     buf.put_u32_le(delta.links.len() as u32);
     for (l, e) in &delta.links {
         buf.put_u32_le(l.lo().index());
         buf.put_u32_le(l.hi().index());
-        put_estimate(buf, e);
+        put_offer(buf, e);
     }
 }
 
@@ -426,7 +426,7 @@ fn get_delta_view(buf: &mut &[u8]) -> Result<DeltaView, NetError> {
     let mut processes = Vec::with_capacity(n_pe);
     for _ in 0..n_pe {
         let p = ProcessId::new(get_u32(buf)?);
-        processes.push((p, Arc::new(get_estimate(buf)?)));
+        processes.push((p, get_offer(buf)?));
     }
     let n_le = get_count(buf)?;
     let mut links = Vec::with_capacity(n_le);
@@ -434,7 +434,7 @@ fn get_delta_view(buf: &mut &[u8]) -> Result<DeltaView, NetError> {
         let a = ProcessId::new(get_u32(buf)?);
         let b = ProcessId::new(get_u32(buf)?);
         let link = LinkId::new(a, b).map_err(|_| NetError::Invalid("self-loop link"))?;
-        links.push((link, Arc::new(get_estimate(buf)?)));
+        links.push((link, get_offer(buf)?));
     }
     // Keep the delta's sort invariants even against a hostile encoder.
     processes.sort_by_key(|(p, _)| *p);
@@ -451,6 +451,7 @@ fn get_delta_view(buf: &mut &[u8]) -> Result<DeltaView, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffuse_bayes::Estimate;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -478,11 +479,8 @@ mod tests {
             generation: 12,
             topology_version: 7,
             topology: Arc::new(topology),
-            processes: vec![
-                (p(0), Arc::new(est.clone())),
-                (p(1), Arc::new(Estimate::unknown(5))),
-            ],
-            links: vec![(LinkId::new(p(0), p(1)).unwrap(), Arc::new(est))],
+            processes: vec![(p(0), est.offer()), (p(1), Estimate::unknown(5).offer())],
+            links: vec![(LinkId::new(p(0), p(1)).unwrap(), est.offer())],
         }
     }
 
@@ -493,8 +491,8 @@ mod tests {
             generation: 13,
             base: 12,
             topology_version: 7,
-            processes: vec![(p(1), Arc::new(est.clone()))],
-            links: vec![(LinkId::new(p(0), p(1)).unwrap(), Arc::new(est))],
+            processes: vec![(p(1), est.offer())],
+            links: vec![(LinkId::new(p(0), p(1)).unwrap(), est.offer())],
         }
     }
 
@@ -736,6 +734,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::*;
+    use diffuse_bayes::Estimate;
     use proptest::prelude::*;
 
     proptest! {
@@ -776,9 +775,9 @@ mod property_tests {
                 }
             }
             let mut buf = BytesMut::new();
-            put_estimate(&mut buf, &estimate);
-            let back = get_estimate(&mut &buf.freeze()[..]).unwrap();
-            prop_assert!(back.beliefs().bits_eq(estimate.beliefs()));
+            put_offer(&mut buf, &estimate.offer());
+            let back = get_offer(&mut &buf.freeze()[..]).unwrap();
+            prop_assert!(back.estimator().bits_eq(estimate.beliefs()));
             prop_assert_eq!(back.distortion(), estimate.distortion());
         }
 
@@ -794,8 +793,8 @@ mod property_tests {
             for w in &weights {
                 buf.put_u64_le(w.to_bits());
             }
-            let back = get_estimate(&mut &buf.freeze()[..]).unwrap();
-            let sum: f64 = back.beliefs().beliefs().iter().sum();
+            let back = get_offer(&mut &buf.freeze()[..]).unwrap();
+            let sum: f64 = back.beliefs().iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
         }
 

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use diffuse_bayes::{BeliefEstimator, Distortion, Estimate, DEFAULT_INTERVALS};
+use diffuse_bayes::{BeliefEstimator, Distortion, Offer, DEFAULT_INTERVALS};
 use diffuse_core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, GossipMessage,
     HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, ReliabilityTree,
@@ -216,11 +216,8 @@ fn udp_node_counts_malformed_and_keeps_delivering() {
 /// An estimate claiming perfect first-hand knowledge (distortion 0) —
 /// the strongest claim a hostile sender can put on the wire, built with
 /// the codec's own constructor (nothing here forges adversary state).
-fn claimed_first_hand() -> Arc<Estimate> {
-    Arc::new(Estimate::from_parts(
-        BeliefEstimator::new(DEFAULT_INTERVALS),
-        Distortion::ZERO,
-    ))
+fn claimed_first_hand() -> Offer {
+    Offer::new(BeliefEstimator::new(DEFAULT_INTERVALS), Distortion::ZERO)
 }
 
 fn heartbeat_delta(
@@ -228,8 +225,8 @@ fn heartbeat_delta(
     ack: u64,
     generation: u64,
     base: u64,
-    processes: Vec<(ProcessId, Arc<Estimate>)>,
-    links: Vec<(LinkId, Arc<Estimate>)>,
+    processes: Vec<(ProcessId, Offer)>,
+    links: Vec<(LinkId, Offer)>,
 ) -> Message {
     Message::Heartbeat(HeartbeatMessage {
         seq,
@@ -248,8 +245,8 @@ fn heartbeat_full(
     seq: u64,
     generation: u64,
     topology: &Arc<Topology>,
-    processes: Vec<(ProcessId, Arc<Estimate>)>,
-    links: Vec<(LinkId, Arc<Estimate>)>,
+    processes: Vec<(ProcessId, Offer)>,
+    links: Vec<(LinkId, Offer)>,
 ) -> Message {
     Message::Heartbeat(HeartbeatMessage {
         seq,
@@ -366,15 +363,15 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     //    (after 12) with *worse* estimates and a stale heartbeat seq (2
     //    after 4). A heartbeat older than one already merged is dropped
     //    unmerged, so it displaces nothing.
-    let worse = Arc::new(Estimate::from_parts(
+    let worse = Offer::new(
         BeliefEstimator::new(DEFAULT_INTERVALS),
         Distortion::finite(40),
-    ));
+    );
     let rollback = heartbeat_full(
         2,
         2,
         &topology,
-        vec![(sender, Arc::clone(&worse))],
+        vec![(sender, worse.clone())],
         vec![(direct, worse)],
     );
     let before = snapshot(&node);
@@ -413,6 +410,75 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
         &mut actions,
     )
     .expect("topology spans the system; broadcast still works");
+}
+
+/// A well-formed entry at distortion 0 whose belief vector has a foreign
+/// interval count (4096 against the receiver's 100) wins every
+/// distortion comparison, and adopting it would spread that vector
+/// through the network. Such offers are refused and counted — for
+/// processes and known or new links, from full views and deltas — while
+/// honest offers keep being adopted.
+#[test]
+fn foreign_interval_counts_are_refused_and_counted() {
+    let me = p(1);
+    let sender = p(0);
+    let direct = LinkId::new(sender, me).unwrap();
+    let far = LinkId::new(sender, p(2)).unwrap();
+    let topology = {
+        let mut t = Topology::new();
+        t.insert_link(direct);
+        t.insert_link(far);
+        Arc::new(t)
+    };
+    let mut node = AdaptiveBroadcast::new(
+        me,
+        vec![sender, me, p(2)],
+        vec![sender],
+        AdaptiveParams::default(),
+    );
+    assert_eq!(node.params().intervals, DEFAULT_INTERVALS);
+    let mut actions = Actions::new();
+    node.on_start(SimTime::ZERO, &mut actions);
+    let foreign = || Offer::new(BeliefEstimator::new(4096), Distortion::ZERO);
+
+    // My first-hand direct link wins on distortion before the length is
+    // ever looked at; the two processes and the new link are refused.
+    let full = heartbeat_full(
+        1,
+        10,
+        &topology,
+        vec![(sender, foreign()), (p(2), foreign())],
+        vec![(direct, foreign()), (far, foreign())],
+    );
+    node.handle_message(SimTime::new(1), sender, roundtrip(&full), &mut actions);
+    assert_eq!(node.error_count(), 3, "one error per refused entry");
+    for q in [sender, p(2)] {
+        let e = node.process_estimate(q).unwrap();
+        assert_eq!(e.beliefs().intervals(), DEFAULT_INTERVALS);
+        assert!(e.distortion().is_infinite());
+    }
+    assert!(node.link_estimate(far).is_none(), "not learned");
+    let mine = node.link_estimate(direct).unwrap();
+    assert_eq!(mine.beliefs().intervals(), DEFAULT_INTERVALS);
+    assert_eq!(mine.distortion(), Distortion::ZERO);
+
+    // The same offer in a delta is refused and counted too.
+    let delta = heartbeat_delta(2, 0, 11, 10, vec![(sender, foreign())], vec![]);
+    node.handle_message(SimTime::new(2), sender, roundtrip(&delta), &mut actions);
+    assert_eq!(node.error_count(), 4);
+    assert!(node
+        .process_estimate(sender)
+        .unwrap()
+        .distortion()
+        .is_infinite());
+
+    // An honest offer is adopted as before.
+    let honest = heartbeat_delta(3, 0, 12, 11, vec![(sender, claimed_first_hand())], vec![]);
+    node.handle_message(SimTime::new(3), sender, roundtrip(&honest), &mut actions);
+    assert_eq!(node.error_count(), 4);
+    let adopted = node.process_estimate(sender).unwrap();
+    assert_eq!(adopted.distortion(), Distortion::finite(1));
+    assert_eq!(adopted.beliefs().intervals(), DEFAULT_INTERVALS);
 }
 
 /// The one hostile link shape the codec *does* reject: a self-loop,

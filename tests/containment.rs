@@ -57,9 +57,9 @@ fn adversarial_adaptive(
 }
 
 /// Counts tainted link estimates held by correct nodes — the in-memory
-/// tracer every forged estimate carries ([`Estimate::forged`] sets it,
-/// adoption copies it; it never rides the frozen wire format, but the
-/// sim kernel passes messages by value so it survives end to end).
+/// tracer every forged offer carries (`Offer::forged` sets it, adoption
+/// copies it; it never rides the frozen wire format, but the sim kernel
+/// passes messages by value so it survives end to end).
 fn tainted_estimates(
     run: &diffuse::core::scenario::ScenarioSim<Adversary<AdaptiveBroadcast>>,
     topology: &Topology,

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use diffuse::bayes::{BeliefEstimator, Distortion, Estimate, DEFAULT_INTERVALS};
+use diffuse::bayes::{BeliefEstimator, Distortion, Offer, DEFAULT_INTERVALS};
 use diffuse::core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, Message, Protocol,
     SelfTimed, View,
@@ -55,10 +55,7 @@ fn liar_heartbeat(seq: u64, ack: u64) -> Message {
             topology,
             processes: vec![(
                 LIAR,
-                Arc::new(Estimate::from_parts(
-                    BeliefEstimator::new(DEFAULT_INTERVALS),
-                    Distortion::ZERO,
-                )),
+                Offer::new(BeliefEstimator::new(DEFAULT_INTERVALS), Distortion::ZERO),
             )],
             links: vec![],
         })),
