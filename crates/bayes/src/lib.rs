@@ -8,10 +8,12 @@
 //! its [`Distortion`] factor, and [`Estimate::adopt_if_better`] is the
 //! paper's `selectBestEstimate` (Algorithm 3).
 //!
-//! The belief vector is stored copy-on-write, so the epidemic exchange of
-//! estimates between processes costs a pointer copy per adoption. What
-//! of an estimate travels is an [`Offer`]: the shared belief vector and
-//! the distortion, without the owner's version stamp or undo checkpoint.
+//! A posterior is stored as two counts, failures and successes: every
+//! belief vector Eq. 4 can reach is the uniform prior times
+//! `m_u^failures · (1 - m_u)^successes`, so the vector is evaluated when
+//! read and an undo is a subtraction. What of an estimate travels is an
+//! [`Offer`]: the two counts and the distortion, 16 bytes, without the
+//! owner's version stamp or interval count.
 //!
 //! # Example
 //!
@@ -33,5 +35,5 @@
 mod estimate;
 mod estimator;
 
-pub use estimate::{Distortion, Estimate, IntervalMismatch, Offer};
+pub use estimate::{Distortion, Estimate, Offer};
 pub use estimator::{BeliefEstimator, DEFAULT_INTERVALS};

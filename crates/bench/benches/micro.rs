@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffuse_bayes::BeliefEstimator;
 use diffuse_bench::{fixture, fixture_tree};
 use diffuse_core::{
@@ -144,12 +144,11 @@ fn bench_bayes(c: &mut Criterion) {
             e.observe(i % 20 == 0);
         });
     });
-    group.bench_function("batch_decrease_1000_log_space", |b| {
-        b.iter(|| {
-            let mut e = BeliefEstimator::new(100);
-            e.decrease_reliability(1000);
-            e
-        });
+    group.bench_function("mean_u100", |b| {
+        let mut e = BeliefEstimator::new(100);
+        e.decrease_reliability(3);
+        e.increase_reliability(97);
+        b.iter(|| black_box(e).mean());
     });
     group.finish();
 }

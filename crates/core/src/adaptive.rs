@@ -309,8 +309,8 @@ fn frame_link(frame: &HeartbeatView, idx: u32) -> &Offer {
 /// Materializes the entries of `old_frame` that the newly merged frame
 /// did not re-point (`old_members \ new_members`, both ascending): their
 /// source frame is about to be dropped, so the mirror takes its own copy
-/// of each such offer (its belief vector is shared, never copied). Cost
-/// is exactly the churn difference between the two frames.
+/// of each such offer. Cost is exactly the churn difference between the
+/// two frames.
 fn materialize_dropped<K>(
     entries: &mut [MirrorEntry<K>],
     old_frame: &HeartbeatView,
@@ -340,19 +340,9 @@ fn materialize_dropped<K>(
 }
 
 /// Algorithm 3 on one view entry: adopts `theirs` into `mine` if it is
-/// less distorted, tallying the adoption. Returns whether it adopted; an
-/// offer refused for a foreign interval count adopts nothing and counts
-/// as an error.
-fn evaluate(
-    mine: &mut Estimate,
-    theirs: &Offer,
-    tally: &mut SenderAudit,
-    errors: &mut u64,
-) -> bool {
-    let adopted = mine.adopt_if_better(theirs).unwrap_or_else(|_| {
-        *errors += 1;
-        false
-    });
+/// less distorted, tallying the adoption. Returns whether it adopted.
+fn evaluate(mine: &mut Estimate, theirs: &Offer, tally: &mut SenderAudit) -> bool {
+    let adopted = mine.adopt_if_better(theirs);
     if adopted {
         count_adoption(tally, mine);
     }
@@ -839,9 +829,7 @@ impl AdaptiveBroadcast {
     }
 
     /// Assembles the delta of entries changed since `base` from the
-    /// (already synced) view cache. Delta entries share their belief
-    /// vectors with the cached view — assembling a delta clones offers,
-    /// never belief vectors.
+    /// (already synced) view cache, copying the changed offers.
     fn build_delta(&self, base: u64) -> Arc<DeltaView> {
         let view = &self.emission.view;
         Arc::new(DeltaView {
@@ -853,14 +841,14 @@ impl AdaptiveBroadcast {
                 .iter()
                 .zip(&self.emission.proc_sync)
                 .filter(|&(_, &(_, changed))| changed > base)
-                .map(|((p, e), _)| (*p, e.clone()))
+                .map(|((p, e), _)| (*p, *e))
                 .collect(),
             links: view
                 .links
                 .iter()
                 .zip(&self.emission.link_sync)
                 .filter(|&(_, &(_, changed))| changed > base)
-                .map(|((l, e), _)| (*l, e.clone()))
+                .map(|((l, e), _)| (*l, *e))
                 .collect(),
         })
     }
@@ -881,13 +869,6 @@ impl AdaptiveBroadcast {
 
     /// Folds pending link evidence into the estimator and clears the
     /// counters.
-    ///
-    /// Canonical flush order — the contract every batched path relies on:
-    /// all pending successes first (`increase_reliability(up)`), then all
-    /// pending losses (`decrease_reliability(down)`). Because the flush
-    /// ends on the decrease, the estimator's undo checkpoint still covers
-    /// it, so a subsequent `undo_decrease(down)` with the same factor
-    /// reverts it bit-exactly.
     fn flush_link_evidence(estimate: &mut Estimate, up: &mut u32, down: &mut u32) {
         if *up > 0 {
             estimate.beliefs_mut().increase_reliability(*up);
@@ -931,19 +912,14 @@ impl AdaptiveBroadcast {
         // difference.
         let over_suspected = record.suspected.saturating_sub(blamable);
         if over_suspected > 0 {
-            // Unfounded suspicions that are still pending cancel as
-            // integers — exact by construction. Only suspicions already
-            // folded into the estimator need an estimator-level undo, on
-            // the settled (flushed) state.
+            // Unfounded suspicions that are still pending cancel in the
+            // pending counter; those already folded into the estimator
+            // are taken back out of its failure count.
             let cancel = over_suspected.min(record.link_down);
             record.link_down -= cancel;
             let undo = over_suspected - cancel;
             if undo > 0 {
                 Self::flush_link_evidence(estimate, &mut record.link_up, &mut record.link_down);
-                // The one reader of an undo checkpoint, on an estimate
-                // nothing can be adopted over — which is why an `Offer`
-                // has no checkpoint to carry.
-                debug_assert_eq!(estimate.distortion(), Distortion::ZERO);
                 estimate.beliefs_mut().undo_decrease(undo);
             }
         }
@@ -1007,7 +983,7 @@ impl AdaptiveBroadcast {
                 continue;
             };
             let record = &mut self.peers[slot];
-            let adopted = evaluate(&mut record.estimate, theirs, tally, &mut self.errors);
+            let adopted = evaluate(&mut record.estimate, theirs, tally);
             if adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
@@ -1024,21 +1000,11 @@ impl AdaptiveBroadcast {
             let (slot, adopted) = match self.link_index.get(l) {
                 Some(&slot) => (
                     slot,
-                    evaluate(
-                        &mut self.links[slot as usize],
-                        theirs,
-                        tally,
-                        &mut self.errors,
-                    ),
+                    evaluate(&mut self.links[slot as usize], theirs, tally),
                 ),
                 None => {
                     let mut fresh = Estimate::unknown(self.params.intervals);
-                    if fresh.adopt(theirs).is_err() {
-                        // A link offered at a foreign resolution stays
-                        // unlearned until an offer at ours arrives.
-                        self.errors += 1;
-                        continue;
-                    }
+                    fresh.adopt(theirs);
                     count_adoption(tally, &fresh);
                     let slot = self.links.len() as u32;
                     self.links.push(fresh);
@@ -1130,7 +1096,7 @@ impl AdaptiveBroadcast {
             } else {
                 if entry.adopted {
                     // Unchanged on both sides, last evaluation adopted: a
-                    // full view would re-adopt the bitwise identical value
+                    // full view would re-adopt the identical value
                     // — a value no-op whose only effect is restarting the
                     // entry's Event-2 staleness clock.
                     record.restart_clock(now, &mut self.deadlines);
@@ -1139,7 +1105,7 @@ impl AdaptiveBroadcast {
                 // would reject again.
                 continue;
             };
-            entry.adopted = evaluate(&mut record.estimate, theirs, tally, &mut self.errors);
+            entry.adopted = evaluate(&mut record.estimate, theirs, tally);
             if entry.adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
@@ -1163,11 +1129,11 @@ impl AdaptiveBroadcast {
                 }
             } else {
                 // Unchanged on both sides: links carry no Event-2 clock,
-                // and re-adoption would be a bitwise value no-op, so
+                // and re-adoption would be a value no-op, so
                 // there is nothing to replay.
                 continue;
             };
-            entry.adopted = evaluate(mine, theirs, tally, &mut self.errors);
+            entry.adopted = evaluate(mine, theirs, tally);
             entry.my_version = mine.version();
         }
 
@@ -1175,14 +1141,14 @@ impl AdaptiveBroadcast {
         materialize_dropped(
             &mut mirror.processes,
             &old_frame,
-            |f, i| frame_process(f, i).clone(),
+            |f, i| *frame_process(f, i),
             &mirror.latest_procs,
             &new_procs,
         );
         materialize_dropped(
             &mut mirror.links,
             &old_frame,
-            |f, i| frame_link(f, i).clone(),
+            |f, i| *frame_link(f, i),
             &mirror.latest_links,
             &new_links,
         );
@@ -1611,25 +1577,21 @@ mod tests {
             a.handle_message(SimTime::new(t), p(1), heartbeat, &mut actions);
         }
         // Three receipts are still pending: the estimator has not moved.
-        assert!(a
-            .protocol()
-            .link_estimate(link)
-            .unwrap()
-            .beliefs()
-            .bits_eq(initial.beliefs()));
+        assert_eq!(
+            a.protocol().link_estimate(link).unwrap().beliefs(),
+            initial.beliefs()
+        );
 
         let heartbeat = heartbeat_from(&mut b, 4);
         a.handle_message(SimTime::new(4), p(1), heartbeat, &mut actions);
         // The fourth receipt fills the batch: exactly one batched
         // increase_reliability(4), bit-for-bit.
-        let mut expected = initial.beliefs().clone();
+        let mut expected = *initial.beliefs();
         expected.increase_reliability(4);
-        assert!(a
-            .protocol()
-            .link_estimate(link)
-            .unwrap()
-            .beliefs()
-            .bits_eq(&expected));
+        assert_eq!(
+            a.protocol().link_estimate(link).unwrap().beliefs(),
+            &expected
+        );
     }
 
     #[test]
@@ -1644,12 +1606,10 @@ mod tests {
             a.handle_message(SimTime::new(t), p(1), heartbeat, &mut actions);
         }
         // In-order heartbeats are no evidence at all.
-        assert!(a
-            .protocol()
-            .link_estimate(link)
-            .unwrap()
-            .beliefs()
-            .bits_eq(initial.beliefs()));
+        assert_eq!(
+            a.protocol().link_estimate(link).unwrap().beliefs(),
+            initial.beliefs()
+        );
 
         // A gap of k = 5: four heartbeats lost on the wire, charged as
         // exactly four losses.
@@ -1658,14 +1618,12 @@ mod tests {
         }
         let heartbeat = heartbeat_from(&mut b, 15);
         a.handle_message(SimTime::new(15), p(1), heartbeat, &mut actions);
-        let mut expected = initial.beliefs().clone();
+        let mut expected = *initial.beliefs();
         expected.decrease_reliability(4);
-        assert!(a
-            .protocol()
-            .link_estimate(link)
-            .unwrap()
-            .beliefs()
-            .bits_eq(&expected));
+        assert_eq!(
+            a.protocol().link_estimate(link).unwrap().beliefs(),
+            &expected
+        );
     }
 
     #[test]
@@ -1709,14 +1667,12 @@ mod tests {
         exchange(&mut [&mut a, &mut b], SimTime::new(1));
         // Batch size 1 is the paper's per-receipt update, applied
         // immediately.
-        let mut expected = initial.beliefs().clone();
+        let mut expected = *initial.beliefs();
         expected.increase_reliability(1);
-        assert!(a
-            .protocol()
-            .link_estimate(link)
-            .unwrap()
-            .beliefs()
-            .bits_eq(&expected));
+        assert_eq!(
+            a.protocol().link_estimate(link).unwrap().beliefs(),
+            &expected
+        );
     }
 
     #[test]
@@ -1733,21 +1689,17 @@ mod tests {
             node.fire_due(SimTime::new(t), &mut actions);
             actions.clear();
         }
-        assert!(node
-            .protocol()
-            .process_estimate(p(0))
-            .unwrap()
-            .beliefs()
-            .bits_eq(initial.beliefs()));
+        assert_eq!(
+            node.protocol().process_estimate(p(0)).unwrap().beliefs(),
+            initial.beliefs()
+        );
         node.fire_due(SimTime::new(4), &mut actions);
-        let mut expected = initial.beliefs().clone();
+        let mut expected = *initial.beliefs();
         expected.increase_reliability(4);
-        assert!(node
-            .protocol()
-            .process_estimate(p(0))
-            .unwrap()
-            .beliefs()
-            .bits_eq(&expected));
+        assert_eq!(
+            node.protocol().process_estimate(p(0)).unwrap().beliefs(),
+            &expected
+        );
     }
 
     #[test]
@@ -1860,8 +1812,7 @@ mod tests {
                 panic!("p1 heartbeats at t60");
             };
             let e = b.protocol().process_estimate(p(0)).unwrap();
-            let bits: Vec<u64> = e.beliefs().beliefs().iter().map(|x| x.to_bits()).collect();
-            (bits, e.distortion(), next.ack)
+            (*e.beliefs(), e.distortion(), next.ack)
         };
         assert_eq!(run(true), run(false));
     }
@@ -2473,14 +2424,9 @@ mod tests {
             }
             [a, b].map(|node| {
                 let node = node.protocol();
-                let bits = |e: &Estimate| {
-                    let mut v: Vec<u64> =
-                        e.beliefs().beliefs().iter().map(|x| x.to_bits()).collect();
-                    v.push(e.distortion().value().map_or(u64::MAX, u64::from));
-                    v
-                };
-                let processes = node.peers.iter().map(|r| bits(&r.estimate));
-                let links = node.links_by_key().map(|(_, e)| bits(e));
+                let state = |e: &Estimate| (*e.beliefs(), e.distortion());
+                let processes = node.peers.iter().map(|r| state(&r.estimate));
+                let links = node.links_by_key().map(|(_, e)| state(e));
                 (
                     node.params().clone(),
                     node.heartbeats_sent(),

@@ -449,7 +449,7 @@ fn corrupt_heartbeat(
 }
 
 /// Re-stamps every link estimate as a distortion-0 forgery with the
-/// posterior worsened by `k` silence periods.
+/// posterior worsened by `k` silence periods (`k` more failures).
 fn poison_links(
     links: &[(diffuse_model::LinkId, Offer)],
     k: u32,
@@ -457,10 +457,10 @@ fn poison_links(
     links
         .iter()
         .map(|(id, offer)| {
-            let mut beliefs = offer.estimator();
-            beliefs.decrease_reliability(k);
+            let failures = offer.failures().saturating_add(k);
             // lint:allow(adversary-forge): this *is* the adversary module.
-            (*id, Offer::forged(beliefs, Distortion::ZERO))
+            let forged = Offer::forged(failures, offer.successes(), Distortion::ZERO);
+            (*id, forged)
         })
         .collect()
 }
@@ -468,7 +468,7 @@ fn poison_links(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_bayes::{BeliefEstimator, Estimate};
+    use diffuse_bayes::Estimate;
     use diffuse_model::LinkId;
 
     fn p(i: u32) -> ProcessId {
@@ -493,7 +493,7 @@ mod tests {
             processes: vec![(p(0), Estimate::first_hand(10).offer())],
             links: vec![(
                 LinkId::new(p(0), p(1)).unwrap(),
-                Offer::new(BeliefEstimator::new(10), Distortion::finite(2)),
+                Offer::new(0, 0, Distortion::finite(2)),
             )],
         }))
     }

@@ -75,11 +75,11 @@ impl NetworkKnowledge {
 ///
 /// Estimates are stored as *sorted vectors* so receivers can merge-join
 /// them against their own ordered maps in linear time. Each entry is an
-/// [`Offer`] held by value — the belief vector behind a shared [`Arc`],
-/// the distortion and the taint marker, 16 bytes in all — so the
-/// sender's cached view and every per-neighbor [`DeltaView`] assembled
-/// from it share each belief vector, and refreshing an entry allocates
-/// nothing. Versions and undo checkpoints have no field to travel in.
+/// [`Offer`] held by value — the posterior's two counts, the distortion
+/// and the taint marker, 16 bytes in all — so refreshing an entry of the
+/// sender's cached view, or copying it into a per-neighbor
+/// [`DeltaView`], allocates nothing. Versions have no field to travel
+/// in.
 /// The topology is behind an [`Arc`] with a version counter: receivers
 /// skip re-merging a topology they have already merged.
 ///
@@ -123,22 +123,31 @@ impl View {
             .map(|i| &self.links[i].1)
     }
 
-    /// Approximate encoded size in bytes, for bandwidth accounting: the
-    /// paper reports 50 KB heartbeats for 100 processes with `U = 100`.
+    /// Encoded size in bytes of the heartbeat frame that carries this
+    /// view: the frame header, the topology's process and link lists,
+    /// and the entries. The paper reports 50 KB heartbeats for 100
+    /// processes with `U = 100`, for belief vectors; an entry here is two
+    /// counts.
     pub fn wire_size(&self) -> usize {
-        let estimate_size = |e: &Offer| e.beliefs().len() * 8 + 8;
-        8 + self.topology.link_count() * 8
-            + self
-                .processes
-                .iter()
-                .map(|(_, e)| 4 + estimate_size(e))
-                .sum::<usize>()
-            + self
-                .links
-                .iter()
-                .map(|(_, e)| 8 + estimate_size(e))
-                .sum::<usize>()
+        // The generation and topology version, then the process and
+        // link lists, each a count followed by ids.
+        let topology = 4 + self.topology.process_count() * 4 + 4 + self.topology.link_count() * 8;
+        HEARTBEAT_HEADER + 16 + topology + entries_size(self.processes.len(), self.links.len())
     }
+}
+
+/// Encoded bytes of a heartbeat frame's header: version and tag, one
+/// byte each, then the sequence number and the ack, eight each.
+const HEARTBEAT_HEADER: usize = 18;
+
+/// Encoded bytes of one offer: the distortion tag, the distortion, the
+/// failure count and the success count.
+const OFFER_BYTES: usize = 13;
+
+/// Encoded bytes of a frame's two entry lists, each a count followed by
+/// `(key, offer)` pairs: a process key is one id, a link key two.
+fn entries_size(processes: usize, links: usize) -> usize {
+    4 + processes * (4 + OFFER_BYTES) + 4 + links * (8 + OFFER_BYTES)
 }
 
 /// The changed-entry payload of a delta heartbeat: the estimates whose
@@ -163,11 +172,9 @@ pub struct DeltaView {
     /// The sender's topology version — unchanged, by construction, since
     /// the full view the receiver acknowledged.
     pub topology_version: u64,
-    /// Changed process estimates, sorted by process id. Entries share
-    /// their belief vectors with the sender's cached [`View`].
+    /// Changed process estimates, sorted by process id.
     pub processes: Vec<(ProcessId, Offer)>,
-    /// Changed link estimates, sorted by link id. Entries share their
-    /// belief vectors with the sender's cached [`View`].
+    /// Changed link estimates, sorted by link id.
     pub links: Vec<(LinkId, Offer)>,
 }
 
@@ -188,21 +195,11 @@ impl DeltaView {
             .map(|i| &self.links[i].1)
     }
 
-    /// Approximate encoded size in bytes (same accounting as
-    /// [`View::wire_size`], minus the topology section deltas never
-    /// carry).
+    /// Encoded size in bytes of the heartbeat frame that carries this
+    /// delta: the frame header, the generation, base and topology
+    /// version, and the entries.
     pub fn wire_size(&self) -> usize {
-        let estimate_size = |e: &Offer| e.beliefs().len() * 8 + 8;
-        24 + self
-            .processes
-            .iter()
-            .map(|(_, e)| 4 + estimate_size(e))
-            .sum::<usize>()
-            + self
-                .links
-                .iter()
-                .map(|(_, e)| 8 + estimate_size(e))
-                .sum::<usize>()
+        HEARTBEAT_HEADER + 24 + entries_size(self.processes.len(), self.links.len())
     }
 }
 
@@ -343,7 +340,9 @@ mod tests {
         assert!(view.process_offer(p(9)).is_none());
         assert!(view.link_offer(link).is_some());
         assert!(view.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        assert!(view.wire_size() > 3 * 80);
+        // Header 18, versions 16, two processes 4 + 8, one link 4 + 8,
+        // two process entries and one link entry.
+        assert_eq!(view.wire_size(), 18 + 16 + 12 + 12 + 4 + 2 * 17 + 4 + 21);
     }
 
     #[test]
@@ -360,9 +359,7 @@ mod tests {
         assert!(delta.process_offer(p(0)).is_none());
         assert!(delta.link_offer(link).is_some());
         assert!(delta.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        // Two U=10 estimates: well under a same-shape full view with a
-        // topology section, well over the bare header.
-        assert!(delta.wire_size() > 2 * 80);
-        assert!(delta.wire_size() < 300);
+        // Header 18, generations 24, one process entry, one link entry.
+        assert_eq!(delta.wire_size(), 18 + 24 + 4 + 17 + 4 + 21);
     }
 }

@@ -5,7 +5,8 @@
 //! coarse estimator (`U = 10`), a fine one (`U = 100`), and a coarse one
 //! that doubles its resolution whenever the posterior concentrates — the
 //! paper's "dynamically increasing the number of probabilistic intervals
-//! when better precision is required".
+//! when better precision is required". An estimator keeps counts, so a
+//! refined one evaluates exactly the posterior a fine one started with.
 
 use diffuse_bayes::BeliefEstimator;
 use rand::rngs::StdRng;
@@ -34,8 +35,8 @@ pub fn errors_after(n: u32, rate: f64, trials: u32, seed: u64) -> (f64, f64, f64
             coarse.observe(failed);
             fine.observe(failed);
             refining.observe(failed);
-            let map = refining.map_interval();
-            if refining.belief(map) >= REFINE_THRESHOLD && refining.intervals() < REFINE_CAP {
+            let concentrated = refining.belief(refining.map_interval()) >= REFINE_THRESHOLD;
+            if concentrated && refining.intervals() < REFINE_CAP {
                 refining.refine();
             }
         }

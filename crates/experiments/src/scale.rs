@@ -22,8 +22,9 @@
 //! in KB, and the average full view (`AdaptiveBroadcast::view`) a node
 //! holds after the measured rounds — what a full heartbeat (Algorithm 4,
 //! line 17) would carry (the [`View::wire_size`] /
-//! [`DeltaView::wire_size`] accounting; the paper reports ~50 KB full
-//! heartbeats at n = 100, U = 100).
+//! [`DeltaView::wire_size`] accounting, the exact length of the encoded
+//! frame; the paper reports ~50 KB full heartbeats at n = 100, U = 100,
+//! for belief vectors, where an entry here is two counts).
 //!
 //! [`View::wire_size`]: diffuse_core::View::wire_size
 //! [`DeltaView::wire_size`]: diffuse_core::DeltaView::wire_size

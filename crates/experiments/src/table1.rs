@@ -12,17 +12,18 @@ pub fn run() -> Table {
         "Table 1 — failure beliefs before/after one suspicion (U = 5)",
         &["u", "interval", "P_B (initial)", "P_B (after suspicion)"],
     );
-    let before = BeliefEstimator::new(5);
-    let mut after = BeliefEstimator::new(5);
-    after.decrease_reliability(1);
+    let prior = BeliefEstimator::new(5);
+    let mut suspected = prior;
+    suspected.decrease_reliability(1);
+    let (before, after) = (prior.beliefs(), suspected.beliefs());
     for u in 0..5 {
-        let (lo, hi) = before.interval_bounds(u);
+        let (lo, hi) = prior.interval_bounds(u);
         let bracket = if u == 4 { "]" } else { ")" };
         table.push_row(vec![
             (u + 1).to_string(),
             format!("[{lo:.1}, {hi:.1}{bracket}"),
-            format!("{:.2}", before.belief(u)),
-            format!("{:.2}", after.belief(u)),
+            format!("{:.2}", before[u]),
+            format!("{:.2}", after[u]),
         ]);
     }
     table

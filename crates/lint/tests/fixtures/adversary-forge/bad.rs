@@ -2,5 +2,5 @@
 //! An honest protocol path fabricating a distortion stamp.
 
 pub fn sneak_perfect_knowledge() -> Offer {
-    Offer::forged(BeliefEstimator::new(4), Distortion::ZERO)
+    Offer::forged(0, 4, Distortion::ZERO)
 }

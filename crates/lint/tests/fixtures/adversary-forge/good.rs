@@ -7,5 +7,5 @@ pub fn my_own_knowledge() -> Offer {
 
 pub fn scripted_lie() -> Offer {
     // lint:allow(adversary-forge): scripted liar inside an adversarial test.
-    Offer::forged(BeliefEstimator::new(4), Distortion::ZERO)
+    Offer::forged(0, 4, Distortion::ZERO)
 }

@@ -13,11 +13,14 @@
 //! heartbeats gained the piggybacked `ack` and the view `generation`,
 //! and delta heartbeats (tag 5) carry only the entries changed since
 //! their base generation — O(changes) to encode, decode and transmit.
+//! Version 3 sends each estimate as its two counts instead of a belief
+//! vector: 13 bytes an entry (distortion tag, distortion, failures,
+//! successes), evaluated at the receiver's own interval count.
 
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use diffuse_bayes::{BeliefEstimator, Distortion, Offer};
+use diffuse_bayes::{Distortion, Offer};
 use diffuse_core::{
     BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
     Payload, ReliabilityTree, View, Wire,
@@ -27,11 +30,11 @@ use diffuse_sim::SimMessage;
 
 use crate::NetError;
 
-/// Current wire-format version (2: delta heartbeats, acks, view
-/// generations).
-pub const WIRE_VERSION: u8 = 2;
+/// Current wire-format version (3: estimates as failure and success
+/// counts).
+pub const WIRE_VERSION: u8 = 3;
 
-/// Safety cap on any decoded element count (processes, links, beliefs).
+/// Safety cap on any decoded element count (processes, links, bytes).
 const MAX_COUNT: usize = 1 << 20;
 
 const TAG_DATA: u8 = 1;
@@ -300,11 +303,8 @@ fn put_offer(buf: &mut BytesMut, offer: &Offer) {
             buf.put_u32_le(0);
         }
     }
-    let beliefs = offer.beliefs();
-    buf.put_u32_le(beliefs.len() as u32);
-    for b in beliefs {
-        buf.put_u64_le(b.to_bits());
-    }
+    buf.put_u32_le(offer.failures());
+    buf.put_u32_le(offer.successes());
 }
 
 fn get_offer(buf: &mut &[u8]) -> Result<Offer, NetError> {
@@ -314,21 +314,14 @@ fn get_offer(buf: &mut &[u8]) -> Result<Offer, NetError> {
         _ => return Err(NetError::Invalid("bad distortion tag")),
     };
     let value = get_u32(buf)?;
-    let n = get_count(buf)?;
-    let mut beliefs = Vec::with_capacity(n);
-    for _ in 0..n {
-        beliefs.push(get_f64(buf)?);
-    }
-    let beliefs =
-        BeliefEstimator::from_beliefs(beliefs).map_err(|_| NetError::Invalid("bad beliefs"))?;
-    Ok(Offer::new(
-        beliefs,
-        if infinite {
-            Distortion::Infinite
-        } else {
-            Distortion::finite(value)
-        },
-    ))
+    let distortion = if infinite {
+        Distortion::Infinite
+    } else {
+        Distortion::finite(value)
+    };
+    let failures = get_u32(buf)?;
+    let successes = get_u32(buf)?;
+    Ok(Offer::new(failures, successes, distortion))
 }
 
 fn put_view(buf: &mut BytesMut, view: &View) {
@@ -484,6 +477,24 @@ mod tests {
         }
     }
 
+    /// A full view of ring(`n`): every process and every link offered.
+    fn ring_view(n: u32) -> View {
+        let mut topology = Topology::new();
+        for i in 0..n {
+            topology.add_link(p(i), p((i + 1) % n)).unwrap();
+        }
+        let mut est = Estimate::first_hand(100);
+        est.beliefs_mut().decrease_reliability(3);
+        est.beliefs_mut().increase_reliability(40);
+        View {
+            generation: 5,
+            topology_version: 1,
+            processes: topology.processes().map(|q| (q, est.offer())).collect(),
+            links: topology.links().map(|l| (l, est.offer())).collect(),
+            topology: Arc::new(topology),
+        }
+    }
+
     fn sample_delta() -> DeltaView {
         let mut est = Estimate::first_hand(5);
         est.beliefs_mut().increase_reliability(2);
@@ -616,7 +627,7 @@ mod tests {
         let full = encode_message(&Message::Heartbeat(HeartbeatMessage {
             seq: 1,
             ack: 0,
-            view: HeartbeatView::Full(Arc::new(sample_view())),
+            view: HeartbeatView::Full(Arc::new(ring_view(8))),
         }));
         let mut delta = sample_delta();
         delta.links.clear();
@@ -631,6 +642,30 @@ mod tests {
             delta.len(),
             full.len()
         );
+    }
+
+    /// `wire_size` is the length of the frame the codec writes, for a
+    /// full heartbeat and for a delta one.
+    #[test]
+    fn wire_sizes_are_encoded_lengths() {
+        let mut wide = sample_view();
+        wide.processes
+            .push((p(9), Estimate::first_hand(100).offer()));
+        for view in [sample_view(), wide] {
+            let full = Message::Heartbeat(HeartbeatMessage {
+                seq: 3,
+                ack: 2,
+                view: HeartbeatView::Full(Arc::new(view.clone())),
+            });
+            assert_eq!(view.wire_size(), encode_message(&full).len());
+        }
+        let delta = sample_delta();
+        let message = Message::Heartbeat(HeartbeatMessage {
+            seq: 4,
+            ack: 3,
+            view: HeartbeatView::Delta(Arc::new(delta.clone())),
+        });
+        assert_eq!(delta.wire_size(), encode_message(&message).len());
     }
 
     /// The header-only kind probe must agree with the decoded message's
@@ -755,13 +790,14 @@ mod property_tests {
             prop_assert_eq!(back, message);
         }
 
-        /// Belief vectors reached by any update sequence cross the wire
-        /// with their bits intact: their f64 sum is 1 only to within a
-        /// few ULP, and decode must not "repair" that (e2e finding (iv)).
+        /// Offers reached by any update sequence cross the wire
+        /// unchanged, distortion and counts alike.
         #[test]
-        fn prop_estimates_cross_the_wire_bit_exact(
+        fn prop_offers_cross_the_wire_unchanged(
             intervals in 2usize..24,
             ops in proptest::collection::vec((0u8..5, 1u32..4), 0..200),
+            distortion in any::<u32>(),
+            infinite in any::<bool>(),
         ) {
             let mut estimate = Estimate::first_hand(intervals);
             for (op, factor) in ops {
@@ -774,28 +810,16 @@ mod property_tests {
                     _ => beliefs.undo_decrease(factor),
                 }
             }
+            estimate.set_distortion(if infinite {
+                Distortion::Infinite
+            } else {
+                Distortion::finite(distortion)
+            });
             let mut buf = BytesMut::new();
             put_offer(&mut buf, &estimate.offer());
+            prop_assert_eq!(buf.len(), 13);
             let back = get_offer(&mut &buf.freeze()[..]).unwrap();
-            prop_assert!(back.estimator().bits_eq(estimate.beliefs()));
-            prop_assert_eq!(back.distortion(), estimate.distortion());
-        }
-
-        /// A valid but un-normalised vector still decodes normalised.
-        #[test]
-        fn prop_unnormalised_beliefs_decode_normalised(
-            weights in proptest::collection::vec(0.01f64..10.0, 1..24),
-        ) {
-            let mut buf = BytesMut::new();
-            buf.put_u8(0);
-            buf.put_u32_le(3);
-            buf.put_u32_le(weights.len() as u32);
-            for w in &weights {
-                buf.put_u64_le(w.to_bits());
-            }
-            let back = get_offer(&mut &buf.freeze()[..]).unwrap();
-            let sum: f64 = back.beliefs().iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
+            prop_assert_eq!(back, estimate.offer());
         }
 
         /// Random byte soup never panics the decoder.

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use diffuse_bayes::{BeliefEstimator, Distortion, Offer, DEFAULT_INTERVALS};
+use diffuse_bayes::{Distortion, Offer};
 use diffuse_core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, GossipMessage,
     HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, ReliabilityTree,
@@ -60,6 +60,11 @@ fn guaranteed_malformed() -> Vec<Vec<u8>> {
         {
             let mut f = valid.clone();
             f[0] = 0xEE; // unsupported version
+            f
+        },
+        {
+            let mut f = valid.clone();
+            f[0] = 2; // the previous version, which sent belief vectors
             f
         },
         {
@@ -217,7 +222,7 @@ fn udp_node_counts_malformed_and_keeps_delivering() {
 /// the strongest claim a hostile sender can put on the wire, built with
 /// the codec's own constructor (nothing here forges adversary state).
 fn claimed_first_hand() -> Offer {
-    Offer::new(BeliefEstimator::new(DEFAULT_INTERVALS), Distortion::ZERO)
+    Offer::new(0, 0, Distortion::ZERO)
 }
 
 fn heartbeat_delta(
@@ -363,15 +368,12 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     //    (after 12) with *worse* estimates and a stale heartbeat seq (2
     //    after 4). A heartbeat older than one already merged is dropped
     //    unmerged, so it displaces nothing.
-    let worse = Offer::new(
-        BeliefEstimator::new(DEFAULT_INTERVALS),
-        Distortion::finite(40),
-    );
+    let worse = Offer::new(0, 0, Distortion::finite(40));
     let rollback = heartbeat_full(
         2,
         2,
         &topology,
-        vec![(sender, worse.clone())],
+        vec![(sender, worse)],
         vec![(direct, worse)],
     );
     let before = snapshot(&node);
@@ -412,14 +414,14 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     .expect("topology spans the system; broadcast still works");
 }
 
-/// A well-formed entry at distortion 0 whose belief vector has a foreign
-/// interval count (4096 against the receiver's 100) wins every
-/// distortion comparison, and adopting it would spread that vector
-/// through the network. Such offers are refused and counted — for
-/// processes and known or new links, from full views and deltas — while
-/// honest offers keep being adopted.
+/// Well-formed entries at distortion 0 carrying the most extreme counts
+/// a sender can encode win every distortion comparison and are adopted.
+/// Whatever they hold, the receiver's estimate stays a valid posterior
+/// and its own view still crosses the wire. (Belief vectors of `1e307`
+/// used to overflow the decoder's sum check, be adopted as a perfect
+/// process, and leave the receiver's view undecodable.)
 #[test]
-fn foreign_interval_counts_are_refused_and_counted() {
+fn extreme_counts_stay_valid_posteriors() {
     let me = p(1);
     let sender = p(0);
     let direct = LinkId::new(sender, me).unwrap();
@@ -430,55 +432,62 @@ fn foreign_interval_counts_are_refused_and_counted() {
         t.insert_link(far);
         Arc::new(t)
     };
-    let mut node = AdaptiveBroadcast::new(
-        me,
-        vec![sender, me, p(2)],
-        vec![sender],
-        AdaptiveParams::default(),
-    );
-    assert_eq!(node.params().intervals, DEFAULT_INTERVALS);
-    let mut actions = Actions::new();
-    node.on_start(SimTime::ZERO, &mut actions);
-    let foreign = || Offer::new(BeliefEstimator::new(4096), Distortion::ZERO);
+    for (failures, successes) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
+        let mut node = AdaptiveBroadcast::new(
+            me,
+            vec![sender, me, p(2)],
+            vec![sender],
+            AdaptiveParams::default(),
+        );
+        let mut actions = Actions::new();
+        node.on_start(SimTime::ZERO, &mut actions);
+        let extreme = Offer::new(failures, successes, Distortion::ZERO);
+        let full = heartbeat_full(
+            1,
+            10,
+            &topology,
+            vec![(sender, extreme), (p(2), extreme)],
+            vec![(direct, extreme), (far, extreme)],
+        );
+        node.handle_message(SimTime::new(1), sender, roundtrip(&full), &mut actions);
+        assert_eq!(node.error_count(), 0);
 
-    // My first-hand direct link wins on distortion before the length is
-    // ever looked at; the two processes and the new link are refused.
-    let full = heartbeat_full(
-        1,
-        10,
-        &topology,
-        vec![(sender, foreign()), (p(2), foreign())],
-        vec![(direct, foreign()), (far, foreign())],
-    );
-    node.handle_message(SimTime::new(1), sender, roundtrip(&full), &mut actions);
-    assert_eq!(node.error_count(), 3, "one error per refused entry");
-    for q in [sender, p(2)] {
-        let e = node.process_estimate(q).unwrap();
-        assert_eq!(e.beliefs().intervals(), DEFAULT_INTERVALS);
-        assert!(e.distortion().is_infinite());
+        let adopted = [
+            node.process_estimate(sender).unwrap(),
+            node.process_estimate(p(2)).unwrap(),
+            node.link_estimate(far).expect("learned"),
+        ];
+        for estimate in adopted {
+            assert_eq!(estimate.distortion(), Distortion::finite(1));
+            let beliefs = estimate.beliefs();
+            assert_eq!(
+                (beliefs.failures(), beliefs.successes()),
+                (failures, successes)
+            );
+            let mean = beliefs.mean().value();
+            assert!(
+                mean.is_finite() && (0.0..=1.0).contains(&mean),
+                "({failures}, {successes}): mean {mean}"
+            );
+            let sum: f64 = beliefs.beliefs().iter().sum();
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "({failures}, {successes}): sum {sum}"
+            );
+        }
+        // My first-hand direct link wins on distortion.
+        assert_eq!(
+            node.link_estimate(direct).unwrap().distortion(),
+            Distortion::ZERO
+        );
+
+        let own = Message::Heartbeat(HeartbeatMessage {
+            seq: 1,
+            ack: 0,
+            view: HeartbeatView::Full(Arc::new(node.view())),
+        });
+        assert_eq!(roundtrip(&own), own, "the receiver's own view decodes");
     }
-    assert!(node.link_estimate(far).is_none(), "not learned");
-    let mine = node.link_estimate(direct).unwrap();
-    assert_eq!(mine.beliefs().intervals(), DEFAULT_INTERVALS);
-    assert_eq!(mine.distortion(), Distortion::ZERO);
-
-    // The same offer in a delta is refused and counted too.
-    let delta = heartbeat_delta(2, 0, 11, 10, vec![(sender, foreign())], vec![]);
-    node.handle_message(SimTime::new(2), sender, roundtrip(&delta), &mut actions);
-    assert_eq!(node.error_count(), 4);
-    assert!(node
-        .process_estimate(sender)
-        .unwrap()
-        .distortion()
-        .is_infinite());
-
-    // An honest offer is adopted as before.
-    let honest = heartbeat_delta(3, 0, 12, 11, vec![(sender, claimed_first_hand())], vec![]);
-    node.handle_message(SimTime::new(3), sender, roundtrip(&honest), &mut actions);
-    assert_eq!(node.error_count(), 4);
-    let adopted = node.process_estimate(sender).unwrap();
-    assert_eq!(adopted.distortion(), Distortion::finite(1));
-    assert_eq!(adopted.beliefs().intervals(), DEFAULT_INTERVALS);
 }
 
 /// The one hostile link shape the codec *does* reject: a self-loop,

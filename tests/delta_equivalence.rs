@@ -96,15 +96,15 @@ impl Protocol for ExpandDeltas {
     }
 }
 
-/// Bit-exact fingerprint of an estimate: distortion plus every belief's
-/// raw bits.
+/// Exact fingerprint of an estimate: its distortion and its two counts.
 fn estimate_bits(e: &Estimate) -> Vec<u64> {
-    let mut out = vec![match e.distortion().value() {
-        Some(v) => v as u64,
-        None => u64::MAX,
-    }];
-    out.extend(e.beliefs().beliefs().iter().map(|b| b.to_bits()));
-    out
+    let distortion = e.distortion().value().map_or(u64::MAX, u64::from);
+    let beliefs = e.beliefs();
+    vec![
+        distortion,
+        u64::from(beliefs.failures()),
+        u64::from(beliefs.successes()),
+    ]
 }
 
 /// Bit-exact fingerprint of a node's entire knowledge state.

@@ -287,7 +287,8 @@ fn horizon_edge_and_downed_origin_conformance() {
 
 /// The script of e2e finding (iv): long enough for a belief vector's f64
 /// sum to drift a few ULP off 1, which is all it took for a decoded
-/// estimate to differ from the one handed over by `Arc`.
+/// estimate to differ from the one handed over by `Arc` while frames
+/// carried belief vectors.
 fn finding_iv() -> (
     Scenario,
     u64,

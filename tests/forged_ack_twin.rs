@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use diffuse::bayes::{BeliefEstimator, Distortion, Offer, DEFAULT_INTERVALS};
+use diffuse::bayes::{Distortion, Offer};
 use diffuse::core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, Message, Protocol,
     SelfTimed, View,
@@ -53,10 +53,7 @@ fn liar_heartbeat(seq: u64, ack: u64) -> Message {
             generation: seq,
             topology_version: 1,
             topology,
-            processes: vec![(
-                LIAR,
-                Offer::new(BeliefEstimator::new(DEFAULT_INTERVALS), Distortion::ZERO),
-            )],
+            processes: vec![(LIAR, Offer::new(0, 0, Distortion::ZERO))],
             links: vec![],
         })),
     })
