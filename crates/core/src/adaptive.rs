@@ -24,12 +24,12 @@
 //! full-view fallback on first contact, on any topology change, and
 //! until the latest full view is acknowledged. Deltas are *cumulative
 //! since their base*, so a lost heartbeat merely widens the next delta
-//! instead of wedging convergence. The receiver keeps a cheap
-//! copy-on-write mirror of each neighbor's view plus a per-entry
-//! evaluation memo, which is what makes skipping unchanged entries an
-//! *exact* optimization: the resulting estimates, broadcast plans and
-//! wire metrics are bit-identical to a run in which every delta is
-//! replaced in flight by the full view it stands for
+//! instead of wedging convergence. The receiver keeps a mirror of each
+//! neighbor's view — each entry the offer itself, a 16-byte copy — plus
+//! a per-entry evaluation memo, which is what makes skipping unchanged
+//! entries an *exact* optimization: the resulting estimates, broadcast
+//! plans and wire metrics are bit-identical to a run in which every
+//! delta is replaced in flight by the full view it stands for
 //! ([`AdaptiveBroadcast::view`]) — asserted by
 //! `tests/delta_equivalence.rs`.
 //!
@@ -231,26 +231,6 @@ impl DeadlineQueue {
     }
 }
 
-/// Where a mirrored offer lives.
-///
-/// The common case — an entry updated by the most recent frame — is a
-/// bare index into the mirror's retained `latest` frame, so merging a
-/// dense delta writes one `u32` per entry instead of cloning offers.
-/// Entries the next frame does *not* update are materialized to
-/// [`MirrorValue::Inline`] before the frame is replaced; that
-/// materialization pass costs exactly the churn difference between two
-/// consecutive frames (zero in a fully dense stream, tiny in a sparse
-/// one). Either way the value fits the 16 bytes of an [`Offer`].
-#[derive(Debug)]
-enum MirrorValue {
-    /// The offer itself, copied out of its source frame when that frame
-    /// was replaced (one belief-vector `Arc` clone, no allocation).
-    Inline(Offer),
-    /// Index into the mirror's `latest` frame (the entry's own table:
-    /// processes or links).
-    Latest(u32),
-}
-
 /// One mirrored view entry plus the evaluation memo against it.
 #[derive(Debug)]
 struct MirrorEntry<K> {
@@ -259,8 +239,9 @@ struct MirrorEntry<K> {
     /// `links` for links — resolved once, by the full-view merge that
     /// built the mirror.
     slot: u32,
-    /// The neighbor's estimate as last seen (see [`MirrorValue`]).
-    value: MirrorValue,
+    /// The neighbor's offer as last seen, copied in by the full view
+    /// that built the mirror and by every delta that carried the entry.
+    value: Offer,
     /// Our own estimate's version when this entry was last evaluated.
     my_version: u64,
     /// Whether that evaluation adopted the neighbor's estimate.
@@ -275,68 +256,11 @@ struct NeighborMirror {
     generation: u64,
     /// The neighbor's topology version backing this mirror.
     topology_version: u64,
-    /// The most recent frame merged; `MirrorValue::Latest` entries
-    /// resolve into it.
-    latest: HeartbeatView,
     /// The frame's peers other than this process, in frame order: only
     /// they are ever evaluated.
     processes: Vec<MirrorEntry<ProcessId>>,
     /// Every link of the frame, in frame order.
     links: Vec<MirrorEntry<LinkId>>,
-    /// Ascending indices of `processes` entries currently pointing at
-    /// `latest`.
-    latest_procs: Vec<u32>,
-    /// Same, for `links`.
-    latest_links: Vec<u32>,
-}
-
-/// Resolves a process-table index of a retained frame.
-fn frame_process(frame: &HeartbeatView, idx: u32) -> &Offer {
-    match frame {
-        HeartbeatView::Full(v) => &v.processes[idx as usize].1,
-        HeartbeatView::Delta(d) => &d.processes[idx as usize].1,
-    }
-}
-
-/// Resolves a link-table index of a retained frame.
-fn frame_link(frame: &HeartbeatView, idx: u32) -> &Offer {
-    match frame {
-        HeartbeatView::Full(v) => &v.links[idx as usize].1,
-        HeartbeatView::Delta(d) => &d.links[idx as usize].1,
-    }
-}
-
-/// Materializes the entries of `old_frame` that the newly merged frame
-/// did not re-point (`old_members \ new_members`, both ascending): their
-/// source frame is about to be dropped, so the mirror takes its own copy
-/// of each such offer. Cost is exactly the churn difference between the
-/// two frames.
-fn materialize_dropped<K>(
-    entries: &mut [MirrorEntry<K>],
-    old_frame: &HeartbeatView,
-    resolve: impl Fn(&HeartbeatView, u32) -> Offer,
-    old_members: &[u32],
-    new_members: &[u32],
-) {
-    if old_members == new_members {
-        // The new frame re-pointed exactly the old frame's entries — the
-        // steady state of a dense delta stream. One memcmp skips the
-        // walk.
-        return;
-    }
-    let mut new_it = new_members.iter().peekable();
-    for &ei in old_members {
-        while new_it.peek().is_some_and(|&&n| n < ei) {
-            new_it.next();
-        }
-        if new_it.peek() == Some(&&ei) {
-            continue; // re-pointed at the new frame
-        }
-        let entry = &mut entries[ei as usize];
-        if let MirrorValue::Latest(idx) = entry.value {
-            entry.value = MirrorValue::Inline(resolve(old_frame, idx));
-        }
-    }
 }
 
 /// Algorithm 3 on one view entry: adopts `theirs` into `mine` if it is
@@ -491,8 +415,6 @@ pub struct AdaptiveBroadcast {
     /// Offers and adoptions per neighbor, in `neighbors` order; a
     /// neighbor has an audit row once its mirror exists.
     sender_audits: Vec<SenderAudit>,
-    /// Recycled frame-member index buffers for delta merges.
-    member_scratch: (Vec<u32>, Vec<u32>),
 
     /// Pending self-uptime success observations (Event 3), folded into my
     /// own estimate once [`AdaptiveParams::evidence_batch`] accumulate.
@@ -628,7 +550,6 @@ impl AdaptiveBroadcast {
             mirrors: neighbors.iter().map(|_| None).collect(),
             sender_audits: vec![SenderAudit::default(); neighbors.len()],
             neighbors,
-            member_scratch: (Vec::new(), Vec::new()),
             self_up: 0,
             my_seq: 0,
             next_heartbeat: SimTime::ZERO,
@@ -965,13 +886,29 @@ impl AdaptiveBroadcast {
     /// here, once. Full views are rare in steady state (first contact,
     /// topology changes, ack gaps), so the per-entry lookups are
     /// acceptable here.
+    ///
+    /// A frame naming a process outside the membership — in its topology
+    /// or as a link endpoint — is refused whole, like an inapplicable
+    /// delta: merged, that process could never be reached, so
+    /// `topology_complete()` would stay false for good and our own full
+    /// views would spread it on.
     fn merge_full_view(&mut self, n: usize, view: &Arc<View>, now: SimTime) {
+        let member = |p: ProcessId| self.all_processes.binary_search(&p).is_ok();
+        if !view.topology.processes().all(member)
+            || !view
+                .links
+                .iter()
+                .all(|(l, _)| member(l.lo()) && member(l.hi()))
+        {
+            self.errors += 1;
+            return;
+        }
         self.merge_topology(self.neighbors[n], view.topology_version, &view.topology);
         let tally = &mut self.sender_audits[n];
         tally.offered += (view.processes.len() + view.links.len()) as u64;
 
         let mut processes = Vec::with_capacity(view.processes.len());
-        for (i, (p, theirs)) in (0u32..).zip(&view.processes) {
+        for (p, theirs) in &view.processes {
             // My own entry is never evaluated, and processes outside the
             // membership have no estimate to evaluate against.
             let Some(slot) = self
@@ -990,13 +927,13 @@ impl AdaptiveBroadcast {
             processes.push(MirrorEntry {
                 key: *p,
                 slot: slot as u32,
-                value: MirrorValue::Latest(i),
+                value: *theirs,
                 my_version: record.estimate.version(),
                 adopted,
             });
         }
         let mut links = Vec::with_capacity(view.links.len());
-        for (i, (l, theirs)) in (0u32..).zip(&view.links) {
+        for (l, theirs) in &view.links {
             let (slot, adopted) = match self.link_index.get(l) {
                 Some(&slot) => (
                     slot,
@@ -1020,7 +957,7 @@ impl AdaptiveBroadcast {
             links.push(MirrorEntry {
                 key: *l,
                 slot,
-                value: MirrorValue::Latest(i),
+                value: *theirs,
                 my_version: self.links[slot as usize].version(),
                 adopted,
             });
@@ -1028,9 +965,6 @@ impl AdaptiveBroadcast {
         self.mirrors[n] = Some(NeighborMirror {
             generation: view.generation,
             topology_version: view.topology_version,
-            latest: HeartbeatView::Full(Arc::clone(view)),
-            latest_procs: (0..processes.len() as u32).collect(),
-            latest_links: (0..links.len() as u32).collect(),
             processes,
             links,
         });
@@ -1061,39 +995,17 @@ impl AdaptiveBroadcast {
         let tally = &mut self.sender_audits[n];
         tally.offered += (delta.processes.len() + delta.links.len()) as u64;
 
-        // Swap in the new frame; the old one stays alive through this
-        // merge for value resolution and the materialization pass.
-        let old_frame =
-            std::mem::replace(&mut mirror.latest, HeartbeatView::Delta(Arc::clone(delta)));
-        // Member buffers are recycled through a scratch pair, so steady
-        // state allocates nothing here.
-        let mut new_procs: Vec<u32> = std::mem::take(&mut self.member_scratch.0);
-        let mut new_links: Vec<u32> = std::mem::take(&mut self.member_scratch.1);
-        new_procs.clear();
-        new_links.clear();
-
         let mut di = 0usize; // cursor into the (sorted) delta entries
-        for (ei, entry) in (0u32..).zip(mirror.processes.iter_mut()) {
+        for entry in &mut mirror.processes {
             while di < delta.processes.len() && delta.processes[di].0 < entry.key {
                 di += 1;
             }
             let record = &mut self.peers[entry.slot as usize];
-            let theirs = if di < delta.processes.len() && delta.processes[di].0 == entry.key {
+            if di < delta.processes.len() && delta.processes[di].0 == entry.key {
                 // The sender's entry changed: evaluate, exactly as a full
                 // view would.
-                entry.value = MirrorValue::Latest(di as u32);
-                new_procs.push(ei);
-                &delta.processes[di].1
-            } else if record.estimate.version() != entry.my_version {
-                // Our side changed since the last evaluation
-                // (suspicion-scan distortion drift, adoption from another
-                // neighbor, recovery): re-evaluate against the mirrored
-                // value, as a full view would.
-                match &entry.value {
-                    MirrorValue::Inline(e) => e,
-                    MirrorValue::Latest(idx) => frame_process(&old_frame, *idx),
-                }
-            } else {
+                entry.value = delta.processes[di].1;
+            } else if record.estimate.version() == entry.my_version {
                 if entry.adopted {
                     // Unchanged on both sides, last evaluation adopted: a
                     // full view would re-adopt the identical value
@@ -1104,8 +1016,12 @@ impl AdaptiveBroadcast {
                 // Otherwise the last evaluation rejected, and a full view
                 // would reject again.
                 continue;
-            };
-            entry.adopted = evaluate(&mut record.estimate, theirs, tally);
+            }
+            // Otherwise our side changed since the last evaluation
+            // (suspicion-scan distortion drift, adoption from another
+            // neighbor, recovery): re-evaluate against the mirrored
+            // value, as a full view would.
+            entry.adopted = evaluate(&mut record.estimate, &entry.value, tally);
             if entry.adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
@@ -1113,47 +1029,23 @@ impl AdaptiveBroadcast {
         }
 
         let mut di = 0usize;
-        for (ei, entry) in (0u32..).zip(mirror.links.iter_mut()) {
+        for entry in &mut mirror.links {
             while di < delta.links.len() && delta.links[di].0 < entry.key {
                 di += 1;
             }
             let mine = &mut self.links[entry.slot as usize];
-            let theirs = if di < delta.links.len() && delta.links[di].0 == entry.key {
-                entry.value = MirrorValue::Latest(di as u32);
-                new_links.push(ei);
-                &delta.links[di].1
-            } else if mine.version() != entry.my_version {
-                match &entry.value {
-                    MirrorValue::Inline(e) => e,
-                    MirrorValue::Latest(idx) => frame_link(&old_frame, *idx),
-                }
-            } else {
+            if di < delta.links.len() && delta.links[di].0 == entry.key {
+                entry.value = delta.links[di].1;
+            } else if mine.version() == entry.my_version {
                 // Unchanged on both sides: links carry no Event-2 clock,
                 // and re-adoption would be a value no-op, so
                 // there is nothing to replay.
                 continue;
-            };
-            entry.adopted = evaluate(mine, theirs, tally);
+            }
+            entry.adopted = evaluate(mine, &entry.value, tally);
             entry.my_version = mine.version();
         }
 
-        // Materialize what the old frame still backed before dropping it.
-        materialize_dropped(
-            &mut mirror.processes,
-            &old_frame,
-            |f, i| *frame_process(f, i),
-            &mirror.latest_procs,
-            &new_procs,
-        );
-        materialize_dropped(
-            &mut mirror.links,
-            &old_frame,
-            |f, i| *frame_link(f, i),
-            &mirror.latest_links,
-            &new_links,
-        );
-        self.member_scratch.0 = std::mem::replace(&mut mirror.latest_procs, new_procs);
-        self.member_scratch.1 = std::mem::replace(&mut mirror.latest_links, new_links);
         mirror.generation = delta.generation;
     }
 }
@@ -2269,17 +2161,82 @@ mod tests {
         );
     }
 
-    /// Frame entries and mirror values are held by value, one per view
-    /// entry per neighbor, so their size is memory: whole `Estimate`s
-    /// there (48 bytes) measured +24 % `peak_rss_mb` on the whole-run
-    /// `adaptive_churn_n100` workload, whose bound is 10 %. It is also
-    /// the stride of every mirror walk: 24-byte offers made converged
-    /// heartbeat rounds slower than the 16-byte `Arc` handles they
-    /// replaced.
+    /// Frame entries and mirror entries are held by value, one per view
+    /// entry per neighbor, so their size is memory: whole `Estimate`s in
+    /// frames (48 bytes) measured +24 % `peak_rss_mb` on the whole-run
+    /// `adaptive_churn_n100` workload, whose bound is 10 %. A mirror
+    /// entry is also the stride of every delta merge's walk: 24-byte
+    /// offers made converged heartbeat rounds slower than the 16-byte
+    /// `Arc` handles they replaced.
     #[test]
-    fn frame_entries_and_mirror_values_fit_in_16_bytes() {
+    fn offers_fit_in_16_bytes_and_link_mirror_entries_in_40() {
         assert!(std::mem::size_of::<Offer>() <= 16);
-        assert!(std::mem::size_of::<MirrorValue>() <= 16);
+        assert!(std::mem::size_of::<MirrorEntry<LinkId>>() <= 40);
+    }
+
+    /// The mirror copies a delta's offers out: once merged, the frame is
+    /// held by nobody but its sender.
+    #[test]
+    fn a_merged_delta_keeps_no_reference_to_its_frame() {
+        let (mut a, mut b) = pair(params());
+        for t in 1..=5u64 {
+            exchange(&mut [&mut a, &mut b], SimTime::new(t));
+        }
+        let heartbeat = heartbeat_from(&mut a, 6);
+        let Message::Heartbeat(HeartbeatMessage {
+            view: HeartbeatView::Delta(delta),
+            ..
+        }) = &heartbeat
+        else {
+            panic!("steady state rides deltas")
+        };
+        let held = Arc::clone(delta);
+        let mut actions = Actions::new();
+        b.handle_message(SimTime::new(6), p(0), heartbeat, &mut actions);
+        assert_eq!(b.protocol().error_count(), 0, "the delta was merged");
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    /// A full view naming a process outside the membership — in its
+    /// topology or as a link endpoint — is refused whole and counted:
+    /// merged, it would make the topology incomplete for good and
+    /// every later broadcast fail.
+    #[test]
+    fn a_full_view_naming_a_foreign_process_is_refused() {
+        let (mut a, mut b) = pair(params());
+        for t in 1..=5u64 {
+            exchange(&mut [&mut a, &mut b], SimTime::new(t));
+        }
+        let stranger = LinkId::new(p(1), p(99)).unwrap();
+        let mut in_topology = a.protocol().view();
+        Arc::make_mut(&mut in_topology.topology).insert_link(stranger);
+        let mut as_link_entry = a.protocol().view();
+        as_link_entry
+            .links
+            .push((stranger, Estimate::first_hand(100).offer()));
+        let ack = b.protocol().ack_for(0);
+        let errors = b.protocol().error_count();
+        let mut actions = Actions::new();
+        for (t, mut view) in [(6, in_topology), (7, as_link_entry)] {
+            view.generation += 100;
+            let Message::Heartbeat(mut hostile) = heartbeat_from(&mut a, t) else {
+                panic!("expected heartbeat")
+            };
+            hostile.view = HeartbeatView::Full(Arc::new(view));
+            b.handle_message(
+                SimTime::new(t),
+                p(0),
+                Message::Heartbeat(hostile),
+                &mut actions,
+            );
+            actions.clear();
+        }
+        assert_eq!(b.protocol().error_count(), errors + 2);
+        assert_eq!(b.protocol().ack_for(0), ack, "the ack did not move");
+        assert!(!b.protocol().known_topology().contains_process(p(99)));
+        assert!(b.protocol().topology_complete());
+        b.broadcast(SimTime::new(8), Payload::from("x"), &mut actions)
+            .expect("a foreign process cannot block broadcasting");
     }
 
     /// A delta whose base the receiver never reached is dropped without

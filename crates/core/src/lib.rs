@@ -13,8 +13,7 @@
 //!   ([`optimize_waterfill`]) that is bit-identical to the paper's
 //!   increment-at-a-time greedy (kept as a test-only reference); plus the
 //!   budget-constrained dual [`optimize_budget`] /
-//!   [`optimize_budget_waterfill`] (Eq. 5) and an exhaustive test oracle
-//!   [`optimize_exhaustive`];
+//!   [`optimize_budget_waterfill`] (Eq. 5);
 //! * [`OptimalBroadcast`] — Algorithm 1, broadcast along the Maximum
 //!   Reliability Tree with exact knowledge;
 //! * [`AdaptiveBroadcast`] — Algorithms 3–5, the same broadcast activity
@@ -80,7 +79,7 @@ pub use error::CoreError;
 pub use gossip::ReferenceGossip;
 pub use knowledge::{DeltaView, NetworkKnowledge, View};
 pub use optimal::OptimalBroadcast;
-pub use optimize::{gain, optimize, optimize_budget, optimize_exhaustive, MessagePlan};
+pub use optimize::{gain, optimize, optimize_budget, MessagePlan};
 pub use params::{AdaptiveParams, DEFAULT_EVIDENCE_BATCH};
 pub use protocol::{
     Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
@@ -137,7 +136,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod property_tests {
-    use super::optimize::spec::{optimize_budget_greedy, optimize_greedy};
+    use super::optimize::spec::{optimize_budget_greedy, optimize_exhaustive, optimize_greedy};
     use super::tests_support::*;
     use super::*;
     use proptest::prelude::*;

@@ -233,50 +233,10 @@ pub fn optimize_budget(tree: &ReliabilityTree, budget: u64) -> Result<MessagePla
     crate::waterfill::optimize_budget_waterfill(tree, budget)
 }
 
-/// Exhaustive oracle for tests: tries every `m⃗` with entries in
-/// `1..=max_per_link` and returns a cheapest vector reaching `k`, if any.
-///
-/// Exponential; intended only for small trees in tests and for the
-/// greedy-vs-exhaustive ablation benchmark.
-pub fn optimize_exhaustive(
-    tree: &ReliabilityTree,
-    k: f64,
-    max_per_link: u32,
-) -> Option<MessagePlan> {
-    let links = tree.link_count();
-    if links == 0 {
-        return Some(MessagePlan::new(MessageVector::ones(0), 1.0));
-    }
-    let mut best: Option<MessagePlan> = None;
-    let mut counts = vec![1u32; links];
-    loop {
-        let m = MessageVector::from_counts(counts.clone());
-        let r = reach(tree, &m);
-        if r + REACH_EPS >= k {
-            let total = m.total();
-            if best.as_ref().is_none_or(|b| total < b.total_messages()) {
-                best = Some(MessagePlan::new(m, r));
-            }
-        }
-        // Odometer increment.
-        let mut pos = 0;
-        loop {
-            if pos == links {
-                return best;
-            }
-            if counts[pos] < max_per_link {
-                counts[pos] += 1;
-                break;
-            }
-            counts[pos] = 1;
-            pos += 1;
-        }
-    }
-}
-
 /// The paper's increment-at-a-time greedy for Algorithm 2 and its budget
 /// dual: the executable specification the waterfilling solver must (and
-/// does — property-tested) reproduce bit for bit. Test-only.
+/// does — property-tested) reproduce bit for bit. Plus the exhaustive
+/// oracle the greedy is checked against on small trees. Test-only.
 #[cfg(test)]
 pub(crate) mod spec {
     use std::collections::BinaryHeap;
@@ -390,11 +350,50 @@ pub(crate) mod spec {
         let r = reach(tree, &m);
         Ok(MessagePlan::new(m, r))
     }
+
+    /// Exhaustive oracle: tries every `m⃗` with entries in
+    /// `1..=max_per_link` and returns a cheapest vector reaching `k`, if
+    /// any. Exponential; for small trees only.
+    pub(crate) fn optimize_exhaustive(
+        tree: &ReliabilityTree,
+        k: f64,
+        max_per_link: u32,
+    ) -> Option<MessagePlan> {
+        let links = tree.link_count();
+        if links == 0 {
+            return Some(MessagePlan::new(MessageVector::ones(0), 1.0));
+        }
+        let mut best: Option<MessagePlan> = None;
+        let mut counts = vec![1u32; links];
+        loop {
+            let m = MessageVector::from_counts(counts.clone());
+            let r = reach(tree, &m);
+            if r + REACH_EPS >= k {
+                let total = m.total();
+                if best.as_ref().is_none_or(|b| total < b.total_messages()) {
+                    best = Some(MessagePlan::new(m, r));
+                }
+            }
+            // Odometer increment.
+            let mut pos = 0;
+            loop {
+                if pos == links {
+                    return best;
+                }
+                if counts[pos] < max_per_link {
+                    counts[pos] += 1;
+                    break;
+                }
+                counts[pos] = 1;
+                pos += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::spec::{optimize_budget_greedy, optimize_greedy};
+    use super::spec::{optimize_budget_greedy, optimize_exhaustive, optimize_greedy};
     use super::*;
     use crate::tests_support::{chain_tree, star_tree, tree_with_lambdas};
 

@@ -61,13 +61,13 @@ pub struct AdaptiveParams {
     /// `1` reproduces the paper's per-observation updates exactly. The
     /// default of 16 keeps steady-state delta views sparse (an entry's
     /// version only moves on flush) at the cost of estimates lagging the
-    /// newest `evidence_batch - 1` observations. Capped at 32 so every
-    /// flush stays on the estimator's linear (bit-specified) path.
+    /// newest `evidence_batch - 1` observations. Capped at 32, so an
+    /// estimate never lags more than 31 observations.
     pub evidence_batch: u32,
 }
 
 /// Default [`AdaptiveParams::evidence_batch`]: sparse steady-state deltas
-/// while staying well inside the estimator's linear-path bound (32).
+/// with estimates lagging at most 15 observations.
 pub const DEFAULT_EVIDENCE_BATCH: u32 = 16;
 
 impl Default for AdaptiveParams {
