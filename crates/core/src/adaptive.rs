@@ -20,9 +20,12 @@
 //! Algorithm 4 (line 17) has every heartbeat carry the sender's whole
 //! `(Λ_k, C_k)` view. Here heartbeats carry only the view entries whose
 //! [`Estimate::version`] moved since the last generation the receiver
-//! acknowledged (piggybacked on its own heartbeats back to us), with a
-//! full-view fallback on first contact, on any topology change, and
-//! until the latest full view is acknowledged. Deltas are *cumulative
+//! acknowledged (piggybacked on its own heartbeats back to us); a full
+//! view goes only to a neighbor that has acknowledged nothing yet. `Λ_k`
+//! is the set of known link keys (plus this process), so a newly learned
+//! link is an ordinary delta entry: stamped with the generation it was
+//! learned in, it rides every delta whose base predates that, and the
+//! receiver learns it as a full view would. Deltas are *cumulative
 //! since their base*, so a lost heartbeat merely widens the next delta
 //! instead of wedging convergence. The receiver keeps a mirror of each
 //! neighbor's view — each entry the offer itself, a 16-byte copy — plus
@@ -42,7 +45,8 @@
 //! it needs: a peer record the slot of its direct link, a mirror entry
 //! the slot of its local estimate, the emission cache the slot behind
 //! each cached link. Keys are resolved once, where a key first arrives:
-//! at construction and in full-view merges.
+//! at construction, in full-view merges, and for a link a delta brings
+//! that its sender's mirror lacks.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -100,7 +104,7 @@ impl PeerRecord {
         let at = now + self.timeout;
         if self.deadline != at {
             self.deadline = at;
-            deadlines.insert(now, at);
+            deadlines.insert(at);
         }
     }
 }
@@ -119,22 +123,10 @@ impl PeerRecord {
 /// per round at n = 30) that cost ~28% of `heartbeat/round_30_nodes`
 /// after PR 3; times dedup in the set, so the steady state inserts
 /// one sentinel per distinct deadline instead of two rebalances per
-/// reset.
-///
-/// Far-future deadlines are additionally **bucketed**: a deadline more
-/// than [`DeadlineQueue::NEAR`] ticks out registers a sentinel at the
-/// start of its enclosing [`DeadlineQueue::BUCKET`]-wide bucket rather
-/// than at its exact time, so the churn of timeout growth constantly
-/// pushing deadlines around the far future dedups into one sentinel
-/// per bucket instead of one per distinct deadline. Rounding *down*
-/// (never up) keeps observable behavior bit-identical to the exact
-/// queue: a bucket sentinel fires a scan at most `BUCKET - 1` ticks
-/// before the deadline it covers, the scan finds the peer not yet due
-/// and calls [`DeadlineQueue::rearm`], and the deadline — by then
-/// inside the near window — is re-registered at its exact time. Peers
-/// are therefore still processed at exactly their deadline tick; the
-/// only cost is an occasional no-op scan at a bucket boundary.
-#[derive(Debug)]
+/// reset. A peer not yet due at a scan still holds the sentinel at its
+/// own deadline, which is later than the scan, so it is processed at
+/// exactly its deadline tick whatever its timeout.
+#[derive(Debug, Default)]
 struct DeadlineQueue {
     times: BTreeSet<SimTime>,
     /// The time of the most recent insert, skipping the set lookup for
@@ -142,71 +134,13 @@ struct DeadlineQueue {
     /// Cleared on expiry (a cached time may otherwise refer to an
     /// already-consumed sentinel).
     last: Option<SimTime>,
-    /// Bucket width for far-future sentinels; `1` is exact mode (every
-    /// sentinel sits at its deadline), used to equivalence-test the
-    /// bucketed production queue.
-    bucket: u64,
-}
-
-impl Default for DeadlineQueue {
-    fn default() -> Self {
-        DeadlineQueue {
-            times: BTreeSet::new(),
-            last: None,
-            bucket: DeadlineQueue::BUCKET,
-        }
-    }
 }
 
 impl DeadlineQueue {
-    /// Width of a far-future bucket.
-    const BUCKET: u64 = 64;
-    /// Horizon inside which deadlines keep their exact sentinel. Must
-    /// be at least [`Self::BUCKET`] so a rounded-down bucket sentinel
-    /// is still strictly in the future.
-    const NEAR: u64 = 128;
-
-    /// Exact (bucket-disabled) mode, for equivalence tests.
-    #[cfg(test)]
-    fn exact() -> Self {
-        DeadlineQueue {
-            bucket: 1,
-            ..DeadlineQueue::default()
-        }
-    }
-
-    /// The sentinel time registered for a deadline `at` assigned at
-    /// `now`: exact inside the near window, the enclosing bucket start
-    /// beyond it.
-    fn sentinel(&self, now: SimTime, at: SimTime) -> SimTime {
-        if self.bucket <= 1 || at.ticks() <= now.ticks() + Self::NEAR {
-            at
-        } else {
-            let s = SimTime::new((at.ticks() / self.bucket) * self.bucket);
-            debug_assert!(
-                s > now,
-                "NEAR >= BUCKET keeps bucket sentinels in the future"
-            );
-            s
-        }
-    }
-
-    fn insert(&mut self, now: SimTime, at: SimTime) {
-        let s = self.sentinel(now, at);
-        if self.last != Some(s) {
-            self.times.insert(s);
-            self.last = Some(s);
-        }
-    }
-
-    /// Re-registers a not-yet-due deadline encountered by a scan at
-    /// `now`. A deadline's covering sentinel can only have been
-    /// consumed early if it was bucketed — i.e. fired within one bucket
-    /// of the deadline — so deadlines farther out than that still hold
-    /// a registered sentinel and are skipped for free.
-    fn rearm(&mut self, now: SimTime, at: SimTime) {
-        if at.ticks() - now.ticks() < self.bucket {
-            self.insert(now, at);
+    fn insert(&mut self, at: SimTime) {
+        if self.last != Some(at) {
+            self.times.insert(at);
+            self.last = Some(at);
         }
     }
 
@@ -254,12 +188,11 @@ struct NeighborMirror {
     /// Generation of the last merged frame — the value acknowledged back
     /// to this neighbor.
     generation: u64,
-    /// The neighbor's topology version backing this mirror.
-    topology_version: u64,
     /// The frame's peers other than this process, in frame order: only
     /// they are ever evaluated.
     processes: Vec<MirrorEntry<ProcessId>>,
-    /// Every link of the frame, in frame order.
+    /// Every link the neighbor offered, ascending by key: those of the
+    /// full view that built the mirror, and each one a delta added.
     links: Vec<MirrorEntry<LinkId>>,
 }
 
@@ -282,6 +215,12 @@ fn count_adoption(tally: &mut SenderAudit, adopted: &Estimate) {
     }
 }
 
+/// Whether a frame's entry keys strictly ascend, as every conformant
+/// sender writes them: no key twice, none out of order.
+fn strictly_ascending<K: Ord>(entries: &[(K, Offer)]) -> bool {
+    entries.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
 /// Sender-side emission state: the cached copy-on-write view and the
 /// change bookkeeping that deltas are assembled from.
 #[derive(Debug)]
@@ -300,13 +239,8 @@ struct EmissionCache {
     /// Per `view.links` entry: its slot in `links`. `view.links`
     /// ascends by [`LinkId`]; `links` is in learning order.
     link_slots: Vec<u32>,
-    /// The generation at which our topology version last changed. A
-    /// neighbor whose ack predates it may hold a mirror with the old
-    /// topology, so it gets full views until a newer ack arrives;
-    /// everyone else gets deltas.
-    topo_change_gen: u64,
     /// Per neighbor, in `neighbors` order: the latest generation it
-    /// acknowledged (0 = none yet).
+    /// acknowledged (0 = none yet, so it gets full views).
     acked: Vec<u64>,
 }
 
@@ -316,15 +250,12 @@ impl EmissionCache {
             generation: 0,
             view: Arc::new(View {
                 generation: 0,
-                topology_version: 0,
-                topology: Arc::new(Topology::new()),
                 processes: Vec::new(),
                 links: Vec::new(),
             }),
             proc_sync: Vec::new(),
             link_sync: Vec::new(),
             link_slots: Vec::new(),
-            topo_change_gen: 0,
             acked: vec![0; neighbors],
         }
     }
@@ -384,11 +315,9 @@ pub struct AdaptiveBroadcast {
     /// The membership `Π`, sorted; fixed for the node's lifetime.
     all_processes: Vec<ProcessId>,
 
-    /// `Λ_k` — the known topology (always includes this process).
-    topology: Arc<Topology>,
-    topology_version: u64,
-    /// Last topology version merged from each neighbor.
-    merged_versions: BTreeMap<ProcessId, u64>,
+    /// `Λ_k` — the known topology: this process and every known link,
+    /// the keys of `link_index`.
+    topology: Topology,
 
     /// `C_k` over processes: `peers[i]` belongs to `all_processes[i]`.
     peers: Vec<PeerRecord>,
@@ -399,8 +328,9 @@ pub struct AdaptiveBroadcast {
     /// order.
     links: Vec<Estimate>,
     /// The slot in `links` of each known link. Consulted only where a
-    /// link arrives by key — full-view merges, the public accessors,
-    /// snapshots, and the emission cache when links were learned.
+    /// link arrives by key — full-view merges, a delta link its sender's
+    /// mirror lacks, the public accessors, snapshots, and the emission
+    /// cache when links were learned.
     link_index: BTreeMap<LinkId, u32>,
     /// Insert-only schedule of Event-2 scan times (see
     /// [`DeadlineQueue`]).
@@ -531,16 +461,14 @@ impl AdaptiveBroadcast {
         let mut deadlines = DeadlineQueue::default();
         for (slot, r) in peers.iter().enumerate() {
             if slot != self_slot {
-                deadlines.insert(SimTime::ZERO, r.deadline);
+                deadlines.insert(r.deadline);
             }
         }
 
         AdaptiveBroadcast {
             id,
             all_processes: all,
-            topology: Arc::new(topology),
-            topology_version: 1,
-            merged_versions: BTreeMap::new(),
+            topology,
             peers,
             self_slot,
             links,
@@ -632,22 +560,20 @@ impl AdaptiveBroadcast {
         for (l, estimate) in self.links_by_key() {
             config.set_loss(l, estimate.beliefs().mean());
         }
-        NetworkKnowledge::exact(Topology::clone(&self.topology), config)
+        NetworkKnowledge::exact(self.topology.clone(), config)
     }
 
     /// The `(Λ_k, C_k)` view a full heartbeat would carry now (Algorithm
-    /// 4, line 17), stamped with the last emission's generation and the
-    /// current topology version.
+    /// 4, line 17), stamped with the last emission's generation. `Λ_k` is
+    /// its link keys.
     ///
-    /// Built from the live estimates and topology, sharing nothing with
+    /// Built from the live estimates, sharing nothing with
     /// the copy-on-write cache heartbeats are emitted from — so right
     /// after an emission it is the independent statement of what each
     /// delta heartbeat stands for.
     pub fn view(&self) -> View {
         View {
             generation: self.emission.generation,
-            topology_version: self.topology_version,
-            topology: Arc::new(Topology::clone(&self.topology)),
             processes: self
                 .all_processes
                 .iter()
@@ -668,7 +594,6 @@ impl AdaptiveBroadcast {
         let g = cache.generation;
         if cache.proc_sync.is_empty() {
             // First emission: build the cache outright.
-            cache.topo_change_gen = g;
             cache.proc_sync = self
                 .peers
                 .iter()
@@ -682,8 +607,6 @@ impl AdaptiveBroadcast {
                 .collect();
             cache.view = Arc::new(View {
                 generation: g,
-                topology_version: self.topology_version,
-                topology: Arc::clone(&self.topology),
                 processes: self
                     .all_processes
                     .iter()
@@ -703,11 +626,6 @@ impl AdaptiveBroadcast {
         // way, and a refreshed entry is written in place.
         let view = Arc::make_mut(&mut cache.view);
         view.generation = g;
-        if view.topology_version != self.topology_version {
-            view.topology_version = self.topology_version;
-            view.topology = Arc::clone(&self.topology);
-            cache.topo_change_gen = g;
-        }
         // Processes: the membership is fixed, so the cache walks in
         // lockstep with the peer slots.
         for ((record, entry), sync) in self
@@ -724,7 +642,9 @@ impl AdaptiveBroadcast {
         }
         if cache.link_slots.len() != self.links.len() {
             // Links were learned since the last emission: walk the key
-            // index, inserting each new link at its sorted position.
+            // index, inserting each new link at its sorted position,
+            // stamped with this generation — so every delta whose base
+            // predates it carries the link.
             for (i, (&l, &slot)) in self.link_index.iter().enumerate() {
                 if i == view.links.len() || view.links[i].0 != l {
                     let e = &self.links[slot as usize];
@@ -756,7 +676,6 @@ impl AdaptiveBroadcast {
         Arc::new(DeltaView {
             generation: self.emission.generation,
             base,
-            topology_version: self.topology_version,
             processes: view
                 .processes
                 .iter()
@@ -864,46 +783,65 @@ impl AdaptiveBroadcast {
         record.restart_clock(now, &mut self.deadlines);
     }
 
-    /// Topology part of a view merge: apply only when the sender's
-    /// version moved, bump our own version only when `Λ_k` actually
-    /// grows.
-    fn merge_topology(&mut self, from: ProcessId, version: u64, topology: &Topology) {
-        let last = self.merged_versions.get(&from).copied().unwrap_or(0);
-        if version > last {
-            let before = (self.topology.process_count(), self.topology.link_count());
-            let merged = Arc::make_mut(&mut self.topology);
-            merged.merge(topology);
-            if (merged.process_count(), merged.link_count()) != before {
-                self.topology_version += 1;
+    /// Whether both endpoints of `l` are in the membership.
+    fn knows_endpoints(&self, l: LinkId) -> bool {
+        [l.lo(), l.hi()]
+            .iter()
+            .all(|p| self.all_processes.binary_search(p).is_ok())
+    }
+
+    /// Merges one link neighbor `n` offers, as Algorithm 4 (lines 26–32)
+    /// merges every view entry: evaluated against our estimate of a known
+    /// link, or learned — a fresh estimate that adopts the offer, and a
+    /// new link of `Λ_k`. Returns the mirror entry it leaves. Both
+    /// endpoints are members (the callers check).
+    fn merge_link(&mut self, n: usize, l: LinkId, theirs: &Offer) -> MirrorEntry<LinkId> {
+        let tally = &mut self.sender_audits[n];
+        let (slot, adopted) = match self.link_index.get(&l) {
+            Some(&slot) => (
+                slot,
+                evaluate(&mut self.links[slot as usize], theirs, tally),
+            ),
+            None => {
+                let mut fresh = Estimate::unknown(self.params.intervals);
+                fresh.adopt(theirs);
+                count_adoption(tally, &fresh);
+                let slot = self.links.len() as u32;
+                self.links.push(fresh);
+                self.link_index.insert(l, slot);
+                self.topology.insert_link(l);
+                (slot, true)
             }
-            self.merged_versions.insert(from, version);
+        };
+        MirrorEntry {
+            key: l,
+            slot,
+            value: *theirs,
+            my_version: self.links[slot as usize].version(),
+            adopted,
         }
     }
 
     /// Merges neighbor `n`'s full view — Algorithm 4, lines 26–32: every
     /// entry looked up by key and evaluated — and rebuilds the mirror that
     /// future delta merges apply to, with each entry's local slot resolved
-    /// here, once. Full views are rare in steady state (first contact,
-    /// topology changes, ack gaps), so the per-entry lookups are
-    /// acceptable here.
+    /// here, once. A neighbor gets full views only until it acknowledges
+    /// one, so the per-entry lookups are acceptable here.
     ///
-    /// A frame naming a process outside the membership — in its topology
-    /// or as a link endpoint — is refused whole, like an inapplicable
-    /// delta: merged, that process could never be reached, so
-    /// `topology_complete()` would stay false for good and our own full
-    /// views would spread it on.
+    /// A frame is refused whole, like an inapplicable delta, if its keys
+    /// do not strictly ascend — a key listed twice would leave two mirror
+    /// entries, and every later delta carrying it would be counted twice
+    /// — or if a link names a process outside the membership: merged,
+    /// that process could never be reached, so `topology_complete()`
+    /// would stay false for good and our own views would spread it on.
     fn merge_full_view(&mut self, n: usize, view: &Arc<View>, now: SimTime) {
-        let member = |p: ProcessId| self.all_processes.binary_search(&p).is_ok();
-        if !view.topology.processes().all(member)
-            || !view
-                .links
-                .iter()
-                .all(|(l, _)| member(l.lo()) && member(l.hi()))
+        if !strictly_ascending(&view.processes)
+            || !strictly_ascending(&view.links)
+            || !view.links.iter().all(|(l, _)| self.knows_endpoints(*l))
         {
             self.errors += 1;
             return;
         }
-        self.merge_topology(self.neighbors[n], view.topology_version, &view.topology);
         let tally = &mut self.sender_audits[n];
         tally.offered += (view.processes.len() + view.links.len()) as u64;
 
@@ -932,39 +870,13 @@ impl AdaptiveBroadcast {
                 adopted,
             });
         }
-        let mut links = Vec::with_capacity(view.links.len());
-        for (l, theirs) in &view.links {
-            let (slot, adopted) = match self.link_index.get(l) {
-                Some(&slot) => (
-                    slot,
-                    evaluate(&mut self.links[slot as usize], theirs, tally),
-                ),
-                None => {
-                    let mut fresh = Estimate::unknown(self.params.intervals);
-                    fresh.adopt(theirs);
-                    count_adoption(tally, &fresh);
-                    let slot = self.links.len() as u32;
-                    self.links.push(fresh);
-                    self.link_index.insert(*l, slot);
-                    let merged = Arc::make_mut(&mut self.topology);
-                    if !merged.contains_link(*l) {
-                        merged.insert_link(*l);
-                        self.topology_version += 1;
-                    }
-                    (slot, true)
-                }
-            };
-            links.push(MirrorEntry {
-                key: *l,
-                slot,
-                value: *theirs,
-                my_version: self.links[slot as usize].version(),
-                adopted,
-            });
-        }
+        let links = view
+            .links
+            .iter()
+            .map(|(l, theirs)| self.merge_link(n, *l, theirs))
+            .collect();
         self.mirrors[n] = Some(NeighborMirror {
             generation: view.generation,
-            topology_version: view.topology_version,
             processes,
             links,
         });
@@ -974,7 +886,9 @@ impl AdaptiveBroadcast {
     /// entries, re-evaluates entries our own side touched since their
     /// last evaluation, and handles everything else with the exact fast
     /// paths (deadline restart for previously adopted entries, nothing for
-    /// previously rejected ones). See the module docs for why this is
+    /// previously rejected ones). A changed link the mirror lacks is one
+    /// the sender learned since: [`Self::learn_delta_links`] merges it as
+    /// a full view would. See the module docs for why this is
     /// bit-identical to merging the sender's full view.
     fn merge_delta_view(&mut self, n: usize, delta: &Arc<DeltaView>, now: SimTime) {
         let Some(mirror) = self.mirrors[n].as_mut() else {
@@ -984,11 +898,14 @@ impl AdaptiveBroadcast {
             self.errors += 1;
             return;
         };
-        if delta.base > mirror.generation || delta.topology_version != mirror.topology_version {
-            // The delta extends a state we never reached (or a topology
-            // we have not merged). Cannot happen with a conformant
+        if delta.base > mirror.generation
+            || !strictly_ascending(&delta.processes)
+            || !strictly_ascending(&delta.links)
+        {
+            // The delta extends a state we never reached, or lists a key
+            // twice or out of order. Cannot happen with a conformant
             // sender; skip the merge without advancing the ack so the
-            // sender's next delta (or full view) still applies.
+            // sender's next delta still applies.
             self.errors += 1;
             return;
         }
@@ -1029,6 +946,7 @@ impl AdaptiveBroadcast {
         }
 
         let mut di = 0usize;
+        let mut matched = 0usize;
         for entry in &mut mirror.links {
             while di < delta.links.len() && delta.links[di].0 < entry.key {
                 di += 1;
@@ -1036,6 +954,7 @@ impl AdaptiveBroadcast {
             let mine = &mut self.links[entry.slot as usize];
             if di < delta.links.len() && delta.links[di].0 == entry.key {
                 entry.value = delta.links[di].1;
+                matched += 1;
             } else if mine.version() == entry.my_version {
                 // Unchanged on both sides: links carry no Event-2 clock,
                 // and re-adoption would be a value no-op, so
@@ -1047,24 +966,32 @@ impl AdaptiveBroadcast {
         }
 
         mirror.generation = delta.generation;
+        if matched < delta.links.len() {
+            self.learn_delta_links(n, delta);
+        }
+    }
+
+    /// The links of a delta from neighbor `n` that its mirror lacks —
+    /// links the sender learned since the frames we merged — merged as a
+    /// full view merges them, each taking its sorted place in the
+    /// mirror. A link naming a process outside the membership is an
+    /// entry-level no-op, as a foreign process key is. Run only when the
+    /// delta merge's walk left link entries unmatched, so the lookups
+    /// stay off the steady-state path.
+    fn learn_delta_links(&mut self, n: usize, delta: &DeltaView) {
+        let mut mirror = self.mirrors[n].take().expect("a merged delta has a mirror");
+        for (l, theirs) in &delta.links {
+            if let Err(at) = mirror.links.binary_search_by_key(l, |e| e.key) {
+                if self.knows_endpoints(*l) {
+                    mirror.links.insert(at, self.merge_link(n, *l, theirs));
+                }
+            }
+        }
+        self.mirrors[n] = Some(mirror);
     }
 }
 
 impl AdaptiveBroadcast {
-    /// Swaps the suspicion schedule for the exact (bucket-disabled)
-    /// queue, re-registering every current peer deadline. Equivalence
-    /// tests run one scenario per mode and compare the reports.
-    #[cfg(test)]
-    fn use_exact_deadlines(&mut self) {
-        let mut exact = DeadlineQueue::exact();
-        for (slot, r) in self.peers.iter().enumerate() {
-            if slot != self.self_slot {
-                exact.insert(SimTime::ZERO, r.deadline);
-            }
-        }
-        self.deadlines = exact;
-    }
-
     /// (Re)arms [`Self::SUSPICION`] at the earliest scheduled scan
     /// time. Superseded times fire scans that find nothing due — a
     /// no-op — so arming never needs to prune.
@@ -1076,8 +1003,8 @@ impl AdaptiveBroadcast {
 
     /// Heartbeat emission (lines 14–17): one view snapshot, one sequenced
     /// heartbeat per neighbor — a delta since the generation it last
-    /// acknowledged, or the full view where a delta has no base to apply
-    /// to.
+    /// acknowledged, or the full view to a neighbor that acknowledged
+    /// none.
     fn emit_heartbeats(&mut self, now: SimTime, actions: &mut Actions) {
         if now < self.next_heartbeat {
             // Fired early (e.g. a stale deadline): keep the chain alive.
@@ -1091,16 +1018,12 @@ impl AdaptiveBroadcast {
         // them all.
         let mut delta_cache: Vec<(u64, Arc<DeltaView>)> = Vec::new();
         for i in 0..self.neighbors.len() {
-            let acked = self.emission.acked[i];
-            // Full-view fallback: first contact (nothing acked yet), or
-            // the neighbor's last merge predates our latest topology
-            // change — its mirror may carry the old topology, which
-            // deltas cannot update.
-            let full = acked < self.emission.topo_change_gen.max(1);
-            let view = if full {
+            let base = self.emission.acked[i];
+            // A neighbor that acknowledged nothing has no mirror of us
+            // for a delta to apply to: first contact is a full view.
+            let view = if base == 0 {
                 HeartbeatView::Full(Arc::clone(&self.emission.view))
             } else {
-                let base = acked;
                 let delta = match delta_cache.iter().find(|(b, _)| *b == base) {
                     Some((_, d)) => Arc::clone(d),
                     None => {
@@ -1139,10 +1062,6 @@ impl AdaptiveBroadcast {
                 continue;
             }
             if now < record.deadline {
-                // A bucketed sentinel may have just been consumed up to
-                // one bucket before this deadline; re-register it (now
-                // near, hence exact) so it still fires a scan on time.
-                self.deadlines.rearm(now, record.deadline);
                 continue;
             }
             if let Some(direct) = record.direct {
@@ -2078,87 +1997,152 @@ mod tests {
         );
     }
 
-    /// First contact is always a full view; once the receiver's ack
-    /// comes back, emissions switch to deltas.
+    /// First contact is a full view, and the sender keeps sending full
+    /// views only until the receiver's first ack comes back: from then
+    /// on every emission is a delta, also while `Λ_k` grows. On the line
+    /// `0 — 1 — 2 — 3`, p0 learns link 1–2 at t1 and link 2–3 at t2, and
+    /// p1's first ack reaches it at t2.
     #[test]
     fn first_contact_is_full_then_deltas() {
-        let all = vec![p(0), p(1)];
-        let mut a = AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params());
-        let mut b = AdaptiveBroadcast::new(p(1), all, vec![p(0)], params());
+        let all: Vec<ProcessId> = (0..4).map(p).collect();
+        let mut nodes: Vec<Timed> = (0..4u32)
+            .map(|i| {
+                let neighbors = [i.checked_sub(1), (i < 3).then_some(i + 1)];
+                let neighbors = neighbors.into_iter().flatten().map(p).collect();
+                timed(AdaptiveBroadcast::new(
+                    p(i),
+                    all.clone(),
+                    neighbors,
+                    params(),
+                ))
+            })
+            .collect();
+        let mut actions = Actions::new();
+        let mut link_counts = Vec::new();
+        for t in 1..=8u64 {
+            let now = SimTime::new(t);
+            let mut pending = Vec::new();
+            for node in nodes.iter_mut() {
+                node.fire_due(now, &mut actions);
+                let from = node.protocol().id();
+                pending.extend(
+                    actions
+                        .take_sends()
+                        .into_iter()
+                        .map(|(to, m)| (from, to, m)),
+                );
+                actions.clear();
+            }
+            for (from, to, m) in pending {
+                if (from, to) == (p(0), p(1)) {
+                    let Message::Heartbeat(hb) = &m else {
+                        panic!("adaptive nodes only heartbeat")
+                    };
+                    let full = matches!(hb.view, HeartbeatView::Full(_));
+                    assert_eq!(full, t <= 2, "tick {t}: full {full}");
+                    if let (3, HeartbeatView::Delta(d)) = (t, &hb.view) {
+                        let l23 = LinkId::new(p(2), p(3)).unwrap();
+                        assert!(d.link_offer(l23).is_some(), "the new link rides");
+                    }
+                }
+                let node = nodes.iter_mut().find(|n| n.protocol().id() == to);
+                node.unwrap().handle_message(now, from, m, &mut actions);
+                actions.clear();
+            }
+            link_counts.push(nodes[0].protocol().known_topology().link_count());
+        }
+        // Not vacuous: p0's Λ_k grew after p1's first ack came back.
+        assert_eq!(link_counts[..3], [2, 3, 3]);
+        assert!(nodes[0].protocol().topology_complete());
+        assert!(nodes.iter().all(|n| n.protocol().error_count() == 0));
+    }
+
+    /// A link the sender learned after first contact reaches the receiver
+    /// in a delta and is learned there as a full view would learn it:
+    /// added to `Λ_k`, adopted at the offered distortion + 1, and
+    /// counted once. On the line `0 — 1 — 2` every view p1 sends carries
+    /// link 1–2, its own direct link; so here p0's first contact is p1's
+    /// full view with that entry cut, standing for a sender that learned
+    /// the link later.
+    #[test]
+    fn a_new_link_rides_a_delta() {
+        let (mut a, mut b, mut c) = line3();
+        // Batch 1: every heartbeat from p2 moves p1's estimate of link
+        // 1–2, so every delta p1 cuts carries it.
+        let pr = params().with_evidence_batch(1);
+        b.protocol_mut().params = pr.clone();
+        c.protocol_mut().params = pr;
+        let l12 = LinkId::new(p(1), p(2)).unwrap();
+        // p1's heartbeat to p0 at tick `t`, after p2's has reached p1.
+        let from_b = |b: &mut Timed, c: &mut Timed, t: u64| {
+            let now = SimTime::new(t);
+            let mut actions = Actions::new();
+            c.fire_due(now, &mut actions);
+            for (_, m) in actions.take_sends() {
+                b.handle_message(now, p(2), m, &mut actions);
+            }
+            actions.clear();
+            b.fire_due(now, &mut actions);
+            let sends = actions.take_sends();
+            let (_, Message::Heartbeat(hb)) =
+                sends.into_iter().find(|(to, _)| *to == p(0)).unwrap()
+            else {
+                panic!("adaptive nodes only heartbeat")
+            };
+            hb
+        };
         let mut actions = Actions::new();
 
-        let take_heartbeat = |actions: &mut Actions| -> Message {
-            let sends = actions.take_sends();
-            actions.clear();
-            sends.into_iter().next().expect("one heartbeat").1
+        let mut first = from_b(&mut b, &mut c, 1);
+        let HeartbeatView::Full(view) = &first.view else {
+            panic!("first contact is a full view")
         };
-
-        // a's first emission: full (nothing acked yet).
-        a.on_event(
+        let mut cut = View::clone(view);
+        cut.links.retain(|(l, _)| *l != l12);
+        first.view = HeartbeatView::Full(Arc::new(cut));
+        a.handle_message(
             SimTime::new(1),
-            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
+            p(1),
+            Message::Heartbeat(first),
             &mut actions,
         );
-        let m1 = take_heartbeat(&mut actions);
-        let Message::Heartbeat(hb1) = &m1 else {
-            panic!("expected heartbeat")
-        };
-        assert!(matches!(hb1.view, HeartbeatView::Full(_)));
-        b.handle_message(SimTime::new(1), p(0), m1, &mut actions);
+        assert!(a.protocol().link_estimate(l12).is_none());
+        // p0's ack of that view reaches p1.
+        let ack = heartbeat_from(&mut a, 1);
+        b.handle_message(SimTime::new(1), p(0), ack, &mut actions);
         actions.clear();
 
-        // b replies: its heartbeat acks a's generation.
-        b.on_event(
-            SimTime::new(1),
-            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-            &mut actions,
-        );
-        let m2 = take_heartbeat(&mut actions);
-        let Message::Heartbeat(hb2) = &m2 else {
-            panic!("expected heartbeat")
+        let mut next = from_b(&mut b, &mut c, 2);
+        let HeartbeatView::Delta(delta) = &next.view else {
+            panic!("after the ack, p1 sends deltas")
         };
-        assert!(hb2.ack > 0, "b must ack a's merged generation");
-        a.handle_message(SimTime::new(1), p(1), m2, &mut actions);
-        actions.clear();
-
-        // a learned a new link from b's view → topology changed → the
-        // next emission is full again.
-        a.on_event(
+        let offered = *delta.link_offer(l12).expect("the delta carries link 1–2");
+        // Only the new link, so the tally moves for it alone.
+        let mut only = DeltaView::clone(delta);
+        only.processes.clear();
+        only.links.retain(|(l, _)| *l == l12);
+        next.view = HeartbeatView::Delta(Arc::new(only));
+        let before = a.protocol().audit().per_sender[&p(1)];
+        a.handle_message(
             SimTime::new(2),
-            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
+            p(1),
+            Message::Heartbeat(next),
             &mut actions,
         );
-        let m3 = take_heartbeat(&mut actions);
-        assert!(matches!(m3, Message::Heartbeat(_)));
-        // 0—1 line: b's view carries no link a lacks, so no topology
-        // change — but the first full (gen 1) was only acked now, so
-        // this emission may already ride a delta.
-        b.handle_message(SimTime::new(2), p(0), m3.clone(), &mut actions);
-        actions.clear();
-        b.on_event(
-            SimTime::new(2),
-            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-            &mut actions,
-        );
-        let m4 = take_heartbeat(&mut actions);
-        a.handle_message(SimTime::new(2), p(1), m4, &mut actions);
-        actions.clear();
 
-        // Steady state: with acks flowing both ways, emissions are
-        // deltas from here on.
-        a.on_event(
-            SimTime::new(3),
-            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
-            &mut actions,
+        let node = a.protocol();
+        assert_eq!(node.error_count(), 0);
+        assert!(node.known_topology().contains_link(l12));
+        assert!(node.topology_complete());
+        let learned = node.link_estimate(l12).expect("learned from the delta");
+        assert_eq!(learned.distortion(), offered.distortion().incremented());
+        assert_eq!(
+            (learned.beliefs().failures(), learned.beliefs().successes()),
+            (offered.failures(), offered.successes())
         );
-        let m5 = take_heartbeat(&mut actions);
-        let Message::Heartbeat(hb5) = &m5 else {
-            panic!("expected heartbeat")
-        };
-        assert!(
-            matches!(hb5.view, HeartbeatView::Delta(_)),
-            "steady state must ride deltas"
-        );
+        let after = node.audit().per_sender[&p(1)];
+        assert_eq!(after.offered, before.offered + 1);
+        assert_eq!(after.adopted, before.adopted + 1);
     }
 
     /// Frame entries and mirror entries are held by value, one per view
@@ -2197,28 +2181,25 @@ mod tests {
         assert_eq!(Arc::strong_count(&held), 1);
     }
 
-    /// A full view naming a process outside the membership — in its
-    /// topology or as a link endpoint — is refused whole and counted:
-    /// merged, it would make the topology incomplete for good and
-    /// every later broadcast fail.
+    /// A full view with a link naming a process outside the membership —
+    /// as one endpoint or as both — is refused whole and counted:
+    /// merged, it would make the topology incomplete for good and every
+    /// later broadcast fail.
     #[test]
     fn a_full_view_naming_a_foreign_process_is_refused() {
         let (mut a, mut b) = pair(params());
         for t in 1..=5u64 {
             exchange(&mut [&mut a, &mut b], SimTime::new(t));
         }
-        let stranger = LinkId::new(p(1), p(99)).unwrap();
-        let mut in_topology = a.protocol().view();
-        Arc::make_mut(&mut in_topology.topology).insert_link(stranger);
-        let mut as_link_entry = a.protocol().view();
-        as_link_entry
-            .links
-            .push((stranger, Estimate::first_hand(100).offer()));
         let ack = b.protocol().ack_for(0);
         let errors = b.protocol().error_count();
         let mut actions = Actions::new();
-        for (t, mut view) in [(6, in_topology), (7, as_link_entry)] {
+        for (t, stranger) in [(6, (1, 99)), (7, (98, 99))] {
+            let mut view = a.protocol().view();
             view.generation += 100;
+            let stranger = LinkId::new(p(stranger.0), p(stranger.1)).unwrap();
+            view.links
+                .push((stranger, Estimate::first_hand(100).offer()));
             let Message::Heartbeat(mut hostile) = heartbeat_from(&mut a, t) else {
                 panic!("expected heartbeat")
             };
@@ -2256,7 +2237,6 @@ mod tests {
             view: HeartbeatView::Delta(Arc::new(DeltaView {
                 generation: 9,
                 base: 7,
-                topology_version: 1,
                 processes: vec![(p(0), Estimate::first_hand(100).offer())],
                 links: Vec::new(),
             })),
@@ -2410,10 +2390,9 @@ mod tests {
     #[test]
     fn deadline_schedule_is_insert_only_and_self_expiring() {
         let mut queue = DeadlineQueue::default();
-        let now = SimTime::ZERO;
-        queue.insert(now, SimTime::new(5));
-        queue.insert(now, SimTime::new(5)); // dedup
-        queue.insert(now, SimTime::new(10));
+        queue.insert(SimTime::new(5));
+        queue.insert(SimTime::new(5)); // dedup
+        queue.insert(SimTime::new(10));
         assert_eq!(queue.earliest(), Some(SimTime::new(5)));
         // Expiring at 7 consumes the (possibly superseded) time 5 and
         // reports that a scan is warranted; 10 remains scheduled.
@@ -2422,129 +2401,5 @@ mod tests {
         assert_eq!(queue.earliest(), Some(SimTime::new(10)));
         assert!(queue.expire(SimTime::new(10)));
         assert_eq!(queue.earliest(), None);
-    }
-
-    #[test]
-    fn far_deadlines_bucket_and_near_deadlines_stay_exact() {
-        let q = DeadlineQueue::default();
-        // Inside the near window: exact.
-        assert_eq!(
-            q.sentinel(SimTime::ZERO, SimTime::new(100)),
-            SimTime::new(100)
-        );
-        // Beyond it: rounded down to the bucket start, never past now.
-        assert_eq!(
-            q.sentinel(SimTime::ZERO, SimTime::new(1000)),
-            SimTime::new(960)
-        );
-        // The same deadline assigned close to its time stays exact.
-        assert_eq!(
-            q.sentinel(SimTime::new(900), SimTime::new(1000)),
-            SimTime::new(1000)
-        );
-        // Exact mode never buckets.
-        let e = DeadlineQueue::exact();
-        assert_eq!(
-            e.sentinel(SimTime::ZERO, SimTime::new(1000)),
-            SimTime::new(1000)
-        );
-    }
-
-    /// Drives the full sentinel protocol (insert on assignment, expire +
-    /// rearm on scan, re-assign on fire) over a synthetic peer set and
-    /// records when each peer's deadline is processed.
-    fn drive_deadline_protocol(mut q: DeadlineQueue, horizon: u64) -> Vec<(usize, u64)> {
-        let timeouts: [u64; 5] = [7, 64, 150, 333, 1000];
-        let mut deadline: Vec<u64> = timeouts.iter().map(|&t| 1 + t).collect();
-        for &d in &deadline {
-            q.insert(SimTime::ZERO, SimTime::new(d));
-        }
-        let mut fired = Vec::new();
-        while let Some(at) = q.earliest() {
-            if at.ticks() > horizon {
-                break;
-            }
-            let now = at;
-            q.expire(now);
-            for (i, d) in deadline.iter_mut().enumerate() {
-                if now.ticks() < *d {
-                    q.rearm(now, SimTime::new(*d));
-                    continue;
-                }
-                fired.push((i, now.ticks()));
-                *d = now.ticks() + timeouts[i];
-                q.insert(now, SimTime::new(*d));
-            }
-        }
-        fired
-    }
-
-    /// The bucketed queue processes every deadline at exactly the tick
-    /// the exact queue does — bucket sentinels only add no-op scans.
-    #[test]
-    fn bucketed_queue_fires_every_deadline_at_its_exact_time() {
-        let exact = drive_deadline_protocol(DeadlineQueue::exact(), 5_000);
-        let bucketed = drive_deadline_protocol(DeadlineQueue::default(), 5_000);
-        assert!(!exact.is_empty());
-        assert_eq!(exact, bucketed);
-    }
-
-    /// Full-protocol equivalence: a lossy, crashy adaptive scenario with
-    /// timeouts far beyond the near window produces a bit-identical
-    /// report whether the suspicion schedule buckets or not.
-    #[test]
-    fn bucketed_deadlines_leave_scenario_reports_bit_identical() {
-        use crate::scenario::{FaultAction, FaultScript, Scenario, Workload};
-        use crate::Payload;
-        use diffuse_graph::generators;
-        use diffuse_model::{Configuration, Probability};
-
-        let run = |exact: bool| {
-            let topology = generators::ring(5).unwrap();
-            let config = Configuration::uniform(
-                &topology,
-                Probability::ZERO,
-                Probability::new(0.2).unwrap(),
-            );
-            let scenario = Scenario::builder(topology.clone())
-                .config(config)
-                .seed(11)
-                .workload(Workload::new().broadcast(
-                    SimTime::new(500),
-                    p(0),
-                    Payload::from("probe"),
-                ))
-                .faults(FaultScript::new().at(
-                    SimTime::new(200),
-                    FaultAction::Crash {
-                        process: p(3),
-                        down_ticks: 180,
-                    },
-                ))
-                .build();
-            let all: Vec<ProcessId> = (0..5).map(p).collect();
-            let params = AdaptiveParams {
-                // δ = 150 pushes every deadline past NEAR (128), so the
-                // bucketed run really exercises bucket sentinels.
-                heartbeat_period: 150,
-                self_tick_period: 150,
-                ..AdaptiveParams::default()
-            };
-            scenario.run_sim(1_200, |id| {
-                let neighbors = topology.neighbors(id).collect();
-                let mut node = AdaptiveBroadcast::new(id, all.clone(), neighbors, params.clone());
-                if exact {
-                    node.use_exact_deadlines();
-                }
-                node
-            })
-        };
-
-        let bucketed = run(false);
-        let exact = run(true);
-        assert_eq!(bucketed, exact);
-        assert_eq!(format!("{bucketed:?}"), format!("{exact:?}"));
-        // The scenario is non-trivial: something was delivered.
-        assert!(bucketed.delivered.values().any(|&n| n > 0), "{bucketed:?}");
     }
 }

@@ -94,8 +94,8 @@ pub enum CorruptionMode {
     StaleReplay,
     /// Inflate the piggybacked `ack` field — claim to have merged view
     /// generations the peer never emitted (or not yet). Exercises the
-    /// receiver's future-ack rejection and the delta codec's
-    /// full-view/first-contact fallback.
+    /// receiver's future-ack rejection, which leaves its recorded ack at
+    /// the first-contact value, so it keeps sending full views.
     ForgeAck,
 }
 
@@ -484,12 +484,8 @@ mod tests {
     }
 
     fn full_view() -> HeartbeatView {
-        let mut topo = diffuse_model::Topology::new();
-        topo.add_link(p(0), p(1)).unwrap();
         HeartbeatView::Full(Arc::new(View {
             generation: 3,
-            topology_version: 1,
-            topology: Arc::new(topo),
             processes: vec![(p(0), Estimate::first_hand(10).offer())],
             links: vec![(
                 LinkId::new(p(0), p(1)).unwrap(),

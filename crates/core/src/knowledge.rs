@@ -1,7 +1,5 @@
 //! Knowledge about the system: exact or approximated `(G, C)`.
 
-use std::sync::Arc;
-
 use diffuse_bayes::Offer;
 use diffuse_graph::maximum_reliability_tree;
 use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
@@ -79,9 +77,8 @@ impl NetworkKnowledge {
 /// and the taint marker, 16 bytes in all — so refreshing an entry of the
 /// sender's cached view, or copying it into a per-neighbor
 /// [`DeltaView`], allocates nothing. Versions have no field to travel
-/// in.
-/// The topology is behind an [`Arc`] with a version counter: receivers
-/// skip re-merging a topology they have already merged.
+/// in. The sender's `Λ_k` is its link keys (plus the sender itself, the
+/// endpoint of the link the view crosses), so it has no field either.
 ///
 /// Under delta heartbeats the sender keeps one cached `Arc<View>` and
 /// rebuilds it copy-on-write per emission, stamping each emission with a
@@ -96,10 +93,6 @@ pub struct View {
     /// (piggybacked on their own heartbeats), anchoring the base of
     /// future [`DeltaView`]s.
     pub generation: u64,
-    /// Incremented by the sender whenever its `Λ_k` changes.
-    pub topology_version: u64,
-    /// The sender's known topology.
-    pub topology: Arc<Topology>,
     /// Process estimates, sorted by process id.
     pub processes: Vec<(ProcessId, Offer)>,
     /// Link estimates, sorted by link id.
@@ -124,15 +117,11 @@ impl View {
     }
 
     /// Encoded size in bytes of the heartbeat frame that carries this
-    /// view: the frame header, the topology's process and link lists,
-    /// and the entries. The paper reports 50 KB heartbeats for 100
-    /// processes with `U = 100`, for belief vectors; an entry here is two
-    /// counts.
+    /// view: the frame header, the generation and the entries. The paper
+    /// reports 50 KB heartbeats for 100 processes with `U = 100`, for
+    /// belief vectors; an entry here is two counts.
     pub fn wire_size(&self) -> usize {
-        // The generation and topology version, then the process and
-        // link lists, each a count followed by ids.
-        let topology = 4 + self.topology.process_count() * 4 + 4 + self.topology.link_count() * 8;
-        HEARTBEAT_HEADER + 16 + topology + entries_size(self.processes.len(), self.links.len())
+        HEARTBEAT_HEADER + 8 + entries_size(self.processes.len(), self.links.len())
     }
 }
 
@@ -159,9 +148,10 @@ fn entries_size(processes: usize, links: usize) -> usize {
 /// receiver acknowledged to the sender. A receiver whose last merged
 /// generation is `g ≥ base` can therefore always apply it (entries
 /// already merged are re-applied idempotently), and a lost delta merely
-/// widens the next one instead of wedging convergence. Deltas never
-/// carry topology: any `Λ_k` change switches the sender back to a full
-/// [`View`] until the receiver acknowledges it.
+/// widens the next one instead of wedging convergence. A link the sender
+/// learned in the window is one of those entries, so `Λ_k` grows by
+/// deltas too: only a receiver that acknowledged nothing gets a full
+/// [`View`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaView {
     /// The sender's emission counter at this emission.
@@ -169,9 +159,6 @@ pub struct DeltaView {
     /// The acknowledged generation this delta extends: entries changed
     /// in `(base, generation]` are included.
     pub base: u64,
-    /// The sender's topology version — unchanged, by construction, since
-    /// the full view the receiver acknowledged.
-    pub topology_version: u64,
     /// Changed process estimates, sorted by process id.
     pub processes: Vec<(ProcessId, Offer)>,
     /// Changed link estimates, sorted by link id.
@@ -196,10 +183,9 @@ impl DeltaView {
     }
 
     /// Encoded size in bytes of the heartbeat frame that carries this
-    /// delta: the frame header, the generation, base and topology
-    /// version, and the entries.
+    /// delta: the frame header, the generation and base, and the entries.
     pub fn wire_size(&self) -> usize {
-        HEARTBEAT_HEADER + 24 + entries_size(self.processes.len(), self.links.len())
+        HEARTBEAT_HEADER + 16 + entries_size(self.processes.len(), self.links.len())
     }
 }
 
@@ -320,13 +306,9 @@ mod tests {
 
     #[test]
     fn view_lookup_and_size() {
-        let mut topo = Topology::new();
-        topo.add_link(p(0), p(1)).unwrap();
         let link = LinkId::new(p(0), p(1)).unwrap();
         let view = View {
             generation: 1,
-            topology_version: 1,
-            topology: Arc::new(topo),
             processes: vec![
                 (p(0), Estimate::first_hand(10).offer()),
                 (p(1), Estimate::unknown(10).offer()),
@@ -340,9 +322,9 @@ mod tests {
         assert!(view.process_offer(p(9)).is_none());
         assert!(view.link_offer(link).is_some());
         assert!(view.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        // Header 18, versions 16, two processes 4 + 8, one link 4 + 8,
-        // two process entries and one link entry.
-        assert_eq!(view.wire_size(), 18 + 16 + 12 + 12 + 4 + 2 * 17 + 4 + 21);
+        // Header 18, generation 8, two process entries and one link
+        // entry.
+        assert_eq!(view.wire_size(), 18 + 8 + 4 + 2 * 17 + 4 + 21);
     }
 
     #[test]
@@ -351,7 +333,6 @@ mod tests {
         let delta = DeltaView {
             generation: 7,
             base: 5,
-            topology_version: 2,
             processes: vec![(p(1), Estimate::first_hand(10).offer())],
             links: vec![(link, Estimate::unknown(10).offer())],
         };
@@ -359,7 +340,8 @@ mod tests {
         assert!(delta.process_offer(p(0)).is_none());
         assert!(delta.link_offer(link).is_some());
         assert!(delta.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        // Header 18, generations 24, one process entry, one link entry.
-        assert_eq!(delta.wire_size(), 18 + 24 + 4 + 17 + 4 + 21);
+        // Header 18, generation and base 16, one process entry, one link
+        // entry.
+        assert_eq!(delta.wire_size(), 18 + 16 + 4 + 17 + 4 + 21);
     }
 }

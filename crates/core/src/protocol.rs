@@ -126,14 +126,15 @@ pub struct GossipMessage {
 /// delta of the entries changed since the receiver's last acknowledged
 /// merge.
 ///
-/// Full views are sent on first contact, after any topology change, and
-/// whenever the receiver has not yet acknowledged the sender's latest
-/// full view; everything else rides a [`DeltaView`]. Both bodies are
+/// A full view goes to a receiver that has acknowledged none of the
+/// sender's views yet; everything else, newly learned links included,
+/// rides a [`DeltaView`]. Both bodies are
 /// behind [`Arc`]s, so one snapshot per period serves every neighbor it
 /// applies to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeartbeatView {
-    /// The sender's complete topology and reliability view.
+    /// The sender's complete reliability view; its link keys are its
+    /// topology.
     Full(Arc<View>),
     /// Only the entries changed since the delta's base generation.
     Delta(Arc<DeltaView>),

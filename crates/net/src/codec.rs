@@ -16,6 +16,9 @@
 //! Version 3 sends each estimate as its two counts instead of a belief
 //! vector: 13 bytes an entry (distortion tag, distortion, failures,
 //! successes), evaluated at the receiver's own interval count.
+//! Version 4 drops the full view's topology section and the topology
+//! version of both views: the sender's `Λ_k` is its link keys. Entry
+//! keys are unique; a frame listing one twice is rejected.
 
 use std::sync::Arc;
 
@@ -25,14 +28,13 @@ use diffuse_core::{
     BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
     Payload, ReliabilityTree, View, Wire,
 };
-use diffuse_model::{LinkId, ProcessId, Topology};
+use diffuse_model::{LinkId, ProcessId};
 use diffuse_sim::SimMessage;
 
 use crate::NetError;
 
-/// Current wire-format version (3: estimates as failure and success
-/// counts).
-pub const WIRE_VERSION: u8 = 3;
+/// Current wire-format version (4: views without a topology section).
+pub const WIRE_VERSION: u8 = 4;
 
 /// Safety cap on any decoded element count (processes, links, bytes).
 const MAX_COUNT: usize = 1 << 20;
@@ -324,50 +326,26 @@ fn get_offer(buf: &mut &[u8]) -> Result<Offer, NetError> {
     Ok(Offer::new(failures, successes, distortion))
 }
 
-fn put_view(buf: &mut BytesMut, view: &View) {
-    buf.put_u64_le(view.generation);
-    buf.put_u64_le(view.topology_version);
-    // Topology: explicit process list (covers isolated processes) plus
-    // the link list.
-    let processes: Vec<ProcessId> = view.topology.processes().collect();
+fn put_entries(buf: &mut BytesMut, processes: &[(ProcessId, Offer)], links: &[(LinkId, Offer)]) {
     buf.put_u32_le(processes.len() as u32);
-    for p in &processes {
-        buf.put_u32_le(p.index());
-    }
-    let links: Vec<LinkId> = view.topology.links().collect();
-    buf.put_u32_le(links.len() as u32);
-    for l in &links {
-        buf.put_u32_le(l.lo().index());
-        buf.put_u32_le(l.hi().index());
-    }
-    buf.put_u32_le(view.processes.len() as u32);
-    for (p, e) in &view.processes {
+    for (p, e) in processes {
         buf.put_u32_le(p.index());
         put_offer(buf, e);
     }
-    buf.put_u32_le(view.links.len() as u32);
-    for (l, e) in &view.links {
+    buf.put_u32_le(links.len() as u32);
+    for (l, e) in links {
         buf.put_u32_le(l.lo().index());
         buf.put_u32_le(l.hi().index());
         put_offer(buf, e);
     }
 }
 
-fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
-    let generation = get_u64(buf)?;
-    let topology_version = get_u64(buf)?;
-    let mut topology = Topology::new();
-    let n_proc = get_count(buf)?;
-    for _ in 0..n_proc {
-        topology.add_process(ProcessId::new(get_u32(buf)?));
-    }
-    let n_links = get_count(buf)?;
-    for _ in 0..n_links {
-        let a = ProcessId::new(get_u32(buf)?);
-        let b = ProcessId::new(get_u32(buf)?);
-        let link = LinkId::new(a, b).map_err(|_| NetError::Invalid("self-loop link"))?;
-        topology.insert_link(link);
-    }
+/// A view's or delta's two entry lists, each sorted by key — the
+/// invariant receivers merge-join on, kept even against a hostile
+/// encoder — with every key listed once.
+type Entries = (Vec<(ProcessId, Offer)>, Vec<(LinkId, Offer)>);
+
+fn get_entries(buf: &mut &[u8]) -> Result<Entries, NetError> {
     let n_pe = get_count(buf)?;
     let mut processes = Vec::with_capacity(n_pe);
     for _ in 0..n_pe {
@@ -382,13 +360,25 @@ fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
         let link = LinkId::new(a, b).map_err(|_| NetError::Invalid("self-loop link"))?;
         links.push((link, get_offer(buf)?));
     }
-    // Keep the view's sort invariants even against a hostile encoder.
     processes.sort_by_key(|(p, _)| *p);
     links.sort_by_key(|(l, _)| *l);
+    if processes.windows(2).any(|w| w[0].0 == w[1].0) || links.windows(2).any(|w| w[0].0 == w[1].0)
+    {
+        return Err(NetError::Invalid("repeated entry key"));
+    }
+    Ok((processes, links))
+}
+
+fn put_view(buf: &mut BytesMut, view: &View) {
+    buf.put_u64_le(view.generation);
+    put_entries(buf, &view.processes, &view.links);
+}
+
+fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
+    let generation = get_u64(buf)?;
+    let (processes, links) = get_entries(buf)?;
     Ok(View {
         generation,
-        topology_version,
-        topology: Arc::new(topology),
         processes,
         links,
     })
@@ -397,45 +387,16 @@ fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
 fn put_delta_view(buf: &mut BytesMut, delta: &DeltaView) {
     buf.put_u64_le(delta.generation);
     buf.put_u64_le(delta.base);
-    buf.put_u64_le(delta.topology_version);
-    buf.put_u32_le(delta.processes.len() as u32);
-    for (p, e) in &delta.processes {
-        buf.put_u32_le(p.index());
-        put_offer(buf, e);
-    }
-    buf.put_u32_le(delta.links.len() as u32);
-    for (l, e) in &delta.links {
-        buf.put_u32_le(l.lo().index());
-        buf.put_u32_le(l.hi().index());
-        put_offer(buf, e);
-    }
+    put_entries(buf, &delta.processes, &delta.links);
 }
 
 fn get_delta_view(buf: &mut &[u8]) -> Result<DeltaView, NetError> {
     let generation = get_u64(buf)?;
     let base = get_u64(buf)?;
-    let topology_version = get_u64(buf)?;
-    let n_pe = get_count(buf)?;
-    let mut processes = Vec::with_capacity(n_pe);
-    for _ in 0..n_pe {
-        let p = ProcessId::new(get_u32(buf)?);
-        processes.push((p, get_offer(buf)?));
-    }
-    let n_le = get_count(buf)?;
-    let mut links = Vec::with_capacity(n_le);
-    for _ in 0..n_le {
-        let a = ProcessId::new(get_u32(buf)?);
-        let b = ProcessId::new(get_u32(buf)?);
-        let link = LinkId::new(a, b).map_err(|_| NetError::Invalid("self-loop link"))?;
-        links.push((link, get_offer(buf)?));
-    }
-    // Keep the delta's sort invariants even against a hostile encoder.
-    processes.sort_by_key(|(p, _)| *p);
-    links.sort_by_key(|(l, _)| *l);
+    let (processes, links) = get_entries(buf)?;
     Ok(DeltaView {
         generation,
         base,
-        topology_version,
         processes,
         links,
     })
@@ -463,15 +424,10 @@ mod tests {
     }
 
     fn sample_view() -> View {
-        let mut topology = Topology::new();
-        topology.add_link(p(0), p(1)).unwrap();
-        topology.add_process(p(9)); // isolated process survives encode
         let mut est = Estimate::first_hand(5);
         est.beliefs_mut().decrease_reliability(1);
         View {
             generation: 12,
-            topology_version: 7,
-            topology: Arc::new(topology),
             processes: vec![(p(0), est.offer()), (p(1), Estimate::unknown(5).offer())],
             links: vec![(LinkId::new(p(0), p(1)).unwrap(), est.offer())],
         }
@@ -479,19 +435,17 @@ mod tests {
 
     /// A full view of ring(`n`): every process and every link offered.
     fn ring_view(n: u32) -> View {
-        let mut topology = Topology::new();
-        for i in 0..n {
-            topology.add_link(p(i), p((i + 1) % n)).unwrap();
-        }
         let mut est = Estimate::first_hand(100);
         est.beliefs_mut().decrease_reliability(3);
         est.beliefs_mut().increase_reliability(40);
+        let mut links: Vec<(LinkId, Offer)> = (0..n)
+            .map(|i| (LinkId::new(p(i), p((i + 1) % n)).unwrap(), est.offer()))
+            .collect();
+        links.sort_by_key(|(l, _)| *l);
         View {
             generation: 5,
-            topology_version: 1,
-            processes: topology.processes().map(|q| (q, est.offer())).collect(),
-            links: topology.links().map(|l| (l, est.offer())).collect(),
-            topology: Arc::new(topology),
+            processes: (0..n).map(|i| (p(i), est.offer())).collect(),
+            links,
         }
     }
 
@@ -501,7 +455,6 @@ mod tests {
         DeltaView {
             generation: 13,
             base: 12,
-            topology_version: 7,
             processes: vec![(p(1), est.offer())],
             links: vec![(LinkId::new(p(0), p(1)).unwrap(), est.offer())],
         }
@@ -548,7 +501,7 @@ mod tests {
     #[test]
     fn plan_memo_never_reaches_the_wire() {
         use diffuse_core::{Actions, NetworkKnowledge, OptimalBroadcast, Protocol};
-        use diffuse_model::{Configuration, Probability};
+        use diffuse_model::{Configuration, Probability, Topology};
         use diffuse_sim::SimTime;
 
         let mut g = Topology::new();
@@ -642,6 +595,39 @@ mod tests {
             delta.len(),
             full.len()
         );
+    }
+
+    /// A frame listing one entry key twice is rejected, in a full view
+    /// and in a delta, for a process and for a link: a receiver would
+    /// otherwise mirror the entry twice and count it twice.
+    #[test]
+    fn repeated_entry_keys_are_rejected() {
+        let heartbeat = |view| {
+            encode_message(&Message::Heartbeat(HeartbeatMessage {
+                seq: 7,
+                ack: 1,
+                view,
+            }))
+        };
+        let mut frames = Vec::new();
+        for twice in [false, true] {
+            let (mut view, mut delta) = (sample_view(), sample_delta());
+            if twice {
+                view.links.push(view.links[0]);
+                delta.links.push(delta.links[0]);
+            } else {
+                view.processes.push(view.processes[1]);
+                delta.processes.push(delta.processes[0]);
+            }
+            frames.push(heartbeat(HeartbeatView::Full(Arc::new(view))));
+            frames.push(heartbeat(HeartbeatView::Delta(Arc::new(delta))));
+        }
+        for frame in frames {
+            assert!(matches!(
+                decode_message(&frame),
+                Err(NetError::Invalid("repeated entry key"))
+            ));
+        }
     }
 
     /// `wire_size` is the length of the frame the codec writes, for a
@@ -753,10 +739,17 @@ mod tests {
 
     #[test]
     fn hostile_counts_are_capped() {
-        // version, heartbeat tag, seq, then an absurd process count.
+        // version, heartbeat tag, seq, ack, generation, then an absurd
+        // process count.
         let mut frame = vec![WIRE_VERSION, TAG_HEARTBEAT];
-        frame.extend_from_slice(&0u64.to_le_bytes());
+        for _ in 0..3 {
+            frame.extend_from_slice(&0u64.to_le_bytes());
+        }
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_message(&frame),
+            Err(NetError::Invalid("count exceeds sanity limit"))
+        ));
         assert!(decode_message(&frame).is_err());
     }
 

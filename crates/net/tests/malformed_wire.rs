@@ -25,9 +25,9 @@ use std::time::Duration;
 
 use diffuse_bayes::{Distortion, Offer};
 use diffuse_core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, GossipMessage,
-    HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip, ReliabilityTree,
-    View,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, Event,
+    GossipMessage, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip,
+    ReliabilityTree, View,
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_net::codec::{decode_message, encode_message, frame_kind, WIRE_VERSION};
@@ -64,7 +64,12 @@ fn guaranteed_malformed() -> Vec<Vec<u8>> {
         },
         {
             let mut f = valid.clone();
-            f[0] = 2; // the previous version, which sent belief vectors
+            f[0] = 2; // the version that sent belief vectors
+            f
+        },
+        {
+            let mut f = valid.clone();
+            f[0] = 3; // the version whose views carried a topology
             f
         },
         {
@@ -239,7 +244,6 @@ fn heartbeat_delta(
         view: HeartbeatView::Delta(Arc::new(DeltaView {
             generation,
             base,
-            topology_version: 1,
             processes,
             links,
         })),
@@ -249,7 +253,6 @@ fn heartbeat_delta(
 fn heartbeat_full(
     seq: u64,
     generation: u64,
-    topology: &Arc<Topology>,
     processes: Vec<(ProcessId, Offer)>,
     links: Vec<(LinkId, Offer)>,
 ) -> Message {
@@ -258,8 +261,6 @@ fn heartbeat_full(
         ack: 0,
         view: HeartbeatView::Full(Arc::new(View {
             generation,
-            topology_version: 1,
-            topology: Arc::clone(topology),
             processes,
             links,
         })),
@@ -285,11 +286,6 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     let sender = p(0);
     let direct = LinkId::new(sender, me).unwrap();
     let alien_link = LinkId::new(p(5), p(6)).unwrap();
-    let topology = {
-        let mut t = Topology::new();
-        t.add_link(sender, me).unwrap();
-        Arc::new(t)
-    };
 
     let mut node = AdaptiveBroadcast::new(
         me,
@@ -314,7 +310,6 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     let honest = heartbeat_full(
         2,
         10,
-        &topology,
         vec![(sender, claimed_first_hand())],
         vec![(direct, claimed_first_hand())],
     );
@@ -369,13 +364,7 @@ fn hostile_heartbeats_are_counted_and_never_corrupt_the_view() {
     //    after 4). A heartbeat older than one already merged is dropped
     //    unmerged, so it displaces nothing.
     let worse = Offer::new(0, 0, Distortion::finite(40));
-    let rollback = heartbeat_full(
-        2,
-        2,
-        &topology,
-        vec![(sender, worse)],
-        vec![(direct, worse)],
-    );
+    let rollback = heartbeat_full(2, 2, vec![(sender, worse)], vec![(direct, worse)]);
     let before = snapshot(&node);
     node.handle_message(SimTime::new(5), sender, roundtrip(&rollback), &mut actions);
     assert_eq!(snapshot(&node), before, "rollback view displaces nothing");
@@ -426,12 +415,6 @@ fn extreme_counts_stay_valid_posteriors() {
     let sender = p(0);
     let direct = LinkId::new(sender, me).unwrap();
     let far = LinkId::new(sender, p(2)).unwrap();
-    let topology = {
-        let mut t = Topology::new();
-        t.insert_link(direct);
-        t.insert_link(far);
-        Arc::new(t)
-    };
     for (failures, successes) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
         let mut node = AdaptiveBroadcast::new(
             me,
@@ -445,7 +428,6 @@ fn extreme_counts_stay_valid_posteriors() {
         let full = heartbeat_full(
             1,
             10,
-            &topology,
             vec![(sender, extreme), (p(2), extreme)],
             vec![(direct, extreme), (far, extreme)],
         );
@@ -490,6 +472,90 @@ fn extreme_counts_stay_valid_posteriors() {
     }
 }
 
+/// A frame listing one key twice never reaches a node through the codec
+/// (it is rejected there), but frames handed over in process skip the
+/// codec. Merged, a full view listing link 0–2 twice left two mirror
+/// entries for it, and every later delta carrying it was counted twice.
+/// The node refuses such a frame whole, a full view or a delta: it
+/// counts it in `error_count()`, merges nothing and does not move its
+/// ack; a later delta carrying the link once is counted once.
+#[test]
+fn repeated_entry_keys_are_refused_whole() {
+    let (me, sender) = (p(1), p(0));
+    let direct = LinkId::new(sender, me).unwrap();
+    let far = LinkId::new(sender, p(2)).unwrap();
+    let mut node = AdaptiveBroadcast::new(
+        me,
+        vec![sender, me, p(2)],
+        vec![sender],
+        AdaptiveParams::default(),
+    );
+    let mut actions = Actions::new();
+    node.on_start(SimTime::ZERO, &mut actions);
+    // The ack this node's next heartbeat to the sender carries.
+    let next_ack = |node: &mut AdaptiveBroadcast, t: u64| {
+        let mut actions = Actions::new();
+        node.on_event(
+            SimTime::new(t),
+            Event::Timer(AdaptiveBroadcast::HEARTBEAT),
+            &mut actions,
+        );
+        match actions.take_sends().pop() {
+            Some((_, Message::Heartbeat(hb))) => hb.ack,
+            other => panic!("expected a heartbeat, got {other:?}"),
+        }
+    };
+    let offer = Offer::new(2, 5, Distortion::finite(1));
+    let entries = |far_twice: bool| {
+        let mut links = vec![(direct, offer), (far, offer)];
+        if far_twice {
+            links.push((far, offer));
+        }
+        (vec![(sender, offer), (p(2), offer)], links)
+    };
+
+    let (processes, links) = entries(true);
+    node.handle_message(
+        SimTime::new(1),
+        sender,
+        heartbeat_full(1, 10, processes, links),
+        &mut actions,
+    );
+    assert_eq!(node.error_count(), 1, "the full view is refused");
+    assert!(node.link_estimate(far).is_none(), "nothing was merged");
+    assert_eq!(next_ack(&mut node, 1), 0, "the ack did not move");
+
+    let (processes, links) = entries(false);
+    node.handle_message(
+        SimTime::new(2),
+        sender,
+        heartbeat_full(2, 11, processes, links),
+        &mut actions,
+    );
+    assert_eq!(node.error_count(), 1);
+    assert_eq!(next_ack(&mut node, 2), 11);
+    let audit = |node: &AdaptiveBroadcast| node.audit().per_sender[&sender];
+    let before = audit(&node);
+
+    let better = Offer::new(1, 9, Distortion::finite(0));
+    let twice = heartbeat_delta(3, 0, 12, 11, vec![], vec![(far, better), (far, better)]);
+    node.handle_message(SimTime::new(3), sender, twice, &mut actions);
+    assert_eq!(node.error_count(), 2, "the delta is refused");
+    assert_eq!(audit(&node), before, "nothing was offered or adopted");
+    assert_eq!(next_ack(&mut node, 3), 11, "the ack did not move");
+
+    let once = heartbeat_delta(4, 0, 13, 11, vec![], vec![(far, better)]);
+    node.handle_message(SimTime::new(4), sender, once, &mut actions);
+    assert_eq!(node.error_count(), 2);
+    let after = audit(&node);
+    assert_eq!(
+        (after.offered, after.adopted),
+        (before.offered + 1, before.adopted + 1),
+        "a link carried once is counted once"
+    );
+    assert_eq!(next_ack(&mut node, 4), 13);
+}
+
 /// The one hostile link shape the codec *does* reject: a self-loop,
 /// which no `LinkId` can represent. Hand-encoded because the encoder
 /// cannot produce it either.
@@ -500,7 +566,6 @@ fn self_loop_link_frames_are_rejected_by_the_decoder() {
     raw.extend_from_slice(&0u64.to_le_bytes()); // ack
     raw.extend_from_slice(&14u64.to_le_bytes()); // generation
     raw.extend_from_slice(&10u64.to_le_bytes()); // base
-    raw.extend_from_slice(&1u64.to_le_bytes()); // topology_version
     raw.extend_from_slice(&0u32.to_le_bytes()); // no process entries
     raw.extend_from_slice(&1u32.to_le_bytes()); // one link entry …
     raw.extend_from_slice(&3u32.to_le_bytes()); // … from process 3
@@ -532,11 +597,6 @@ fn fabric_adaptive_node_survives_hostile_heartbeats() {
     );
     let handle = spawn_node(protocol, node_transport, Duration::from_millis(2));
 
-    let view_topology = {
-        let mut t = Topology::new();
-        t.add_link(p(0), p(1)).unwrap();
-        Arc::new(t)
-    };
     let alien_link = LinkId::new(p(5), p(6)).unwrap();
     let hostile = [
         // Orphan delta carrying an out-of-range link.
@@ -545,20 +605,13 @@ fn fabric_adaptive_node_survives_hostile_heartbeats() {
         heartbeat_full(
             2,
             10,
-            &view_topology,
             vec![(p(0), claimed_first_hand())],
             vec![(direct, claimed_first_hand())],
         ),
         // Alien-keyed delta, ack from the future, generation rollback.
         heartbeat_delta(3, 0, 11, 10, vec![(p(9), claimed_first_hand())], vec![]),
         heartbeat_delta(4, 1 << 40, 12, 10, vec![], vec![]),
-        heartbeat_full(
-            2,
-            2,
-            &view_topology,
-            vec![(p(0), claimed_first_hand())],
-            vec![],
-        ),
+        heartbeat_full(2, 2, vec![(p(0), claimed_first_hand())], vec![]),
     ];
     for message in &hostile {
         injector.send(p(1), &encode_message(message)).unwrap();

@@ -19,6 +19,7 @@
 //! everything after that is on the merge logic, which these tests pin
 //! down.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use diffuse::bayes::Estimate;
@@ -64,8 +65,7 @@ impl Protocol for ExpandDeltas {
                     if let HeartbeatView::Delta(d) = &hb.view {
                         let view = full.get_or_insert_with(|| Arc::new(self.0.view()));
                         assert_eq!(
-                            (view.generation, view.topology_version),
-                            (d.generation, d.topology_version),
+                            view.generation, d.generation,
                             "a delta is stamped with the view it was cut from"
                         );
                         hb.view = HeartbeatView::Full(Arc::clone(view));
@@ -374,14 +374,17 @@ fn drive_round<P: Protocol>(
     }
 }
 
-fn line3() -> Vec<AdaptiveBroadcast> {
-    let all = vec![p(0), p(1), p(2)];
+/// The line `0 — 1 — … — n-1`.
+fn line(n: u32) -> Vec<AdaptiveBroadcast> {
+    let all: Vec<ProcessId> = (0..n).map(p).collect();
     let params = AdaptiveParams::default().with_intervals(16);
-    vec![
-        AdaptiveBroadcast::new(p(0), all.clone(), vec![p(1)], params.clone()),
-        AdaptiveBroadcast::new(p(1), all.clone(), vec![p(0), p(2)], params.clone()),
-        AdaptiveBroadcast::new(p(2), all, vec![p(1)], params),
-    ]
+    (0..n)
+        .map(|i| {
+            let neighbors = [i.checked_sub(1), (i + 1 < n).then_some(i + 1)];
+            let neighbors = neighbors.into_iter().flatten().map(p).collect();
+            AdaptiveBroadcast::new(p(i), all.clone(), neighbors, params.clone())
+        })
+        .collect()
 }
 
 /// Losing delta heartbeats can never wedge convergence: deltas are
@@ -391,8 +394,8 @@ fn line3() -> Vec<AdaptiveBroadcast> {
 /// throughout — including across the loss window and the recovery.
 #[test]
 fn lost_deltas_recover_and_match_the_full_view_twin() {
-    let mut full: Vec<ExpandDeltas> = line3().into_iter().map(ExpandDeltas).collect();
-    let mut delta = line3();
+    let mut full: Vec<ExpandDeltas> = line(3).into_iter().map(ExpandDeltas).collect();
+    let mut delta = line(3);
     // Drop every 1→0 heartbeat during ticks 20..30 (by then the system
     // is warmed up and rides deltas), plus a scattered tail.
     let dropper = |from: ProcessId, to: ProcessId, now: u64| {
@@ -428,7 +431,7 @@ fn lost_deltas_recover_and_match_the_full_view_twin() {
 /// closed by cumulative deltas, never by a wedged mirror.
 #[test]
 fn delta_bases_never_outrun_the_receiver() {
-    let mut nodes = line3();
+    let mut nodes = line(3);
     let mut last_merged_0_from_1 = 0u64; // generation p0 last merged from p1
     for t in 1..=80u64 {
         let now = SimTime::new(t);
@@ -465,49 +468,122 @@ fn delta_bases_never_outrun_the_receiver() {
     assert_eq!(nodes[0].error_count(), 0);
 }
 
-/// Topology changes force a full-view fallback until acknowledged: a
-/// node that learns a new link mid-run (its `Λ_k` grows, so mirrors of
-/// it go stale) switches its heartbeats back to full views until the
-/// receiver acks a post-change generation, then returns to deltas.
+/// A link learned after first contact rides a delta, and the receiver
+/// learns it there. On the line `0 — 1 — 2 — 3 — 4`, p1 sends p0 full
+/// views until p0's first ack comes back (t ≤ 2) and deltas after; p1
+/// learns link 3–4 at t2, and p0 learns it from p1's t3 delta. The twin
+/// run, whose deltas are expanded into full views, stays bit-identical
+/// at every tick.
 #[test]
-fn topology_change_falls_back_to_full_views() {
-    let mut nodes = line3();
-    // Track the kind of every a→b (0→1) heartbeat per tick.
-    let mut kinds: Vec<(u64, bool)> = Vec::new(); // (tick, is_full)
+fn new_links_ride_deltas_after_first_contact() {
+    let mut full: Vec<ExpandDeltas> = line(5).into_iter().map(ExpandDeltas).collect();
+    let mut delta = line(5);
+    let l34 = LinkId::new(p(3), p(4)).unwrap();
+    let mut kinds: Vec<(u64, bool)> = Vec::new(); // p1 → p0: (tick, is_full)
     for t in 1..=12u64 {
         let now = SimTime::new(t);
+        drive_round(&mut full, now, &mut |_, _, _| false);
         let mut capture = |from: ProcessId, to: ProcessId, m: &Message| -> bool {
-            if (from, to) == (p(0), p(1)) {
-                if let Message::Heartbeat(hb) = m {
-                    kinds.push((t, matches!(hb.view, HeartbeatView::Full(_))));
-                }
+            if let (true, Message::Heartbeat(hb)) = ((from, to) == (p(1), p(0)), m) {
+                kinds.push((t, matches!(hb.view, HeartbeatView::Full(_))));
             }
             false
         };
-        drive_round(&mut nodes, now, &mut capture);
+        drive_round(&mut delta, now, &mut capture);
+        assert_eq!(delta[0].link_estimate(l34).is_some(), t >= 3, "tick {t}");
+        for (f, d) in full.iter().zip(delta.iter()) {
+            assert_eq!(node_bits(&f.0), node_bits(d), "tick {t}: node {}", d.id());
+            assert_eq!(f.0.error_count(), d.error_count(), "tick {t}");
+        }
     }
-    // t=1: first contact → full. a learns the 1–2 link from b's t=1
-    // view, so its topology version moves: frames stay full until b
-    // acks a post-change generation, then flip to deltas for good.
-    assert!(kinds[0].1, "first contact must be full: {kinds:?}");
-    assert!(
-        kinds.iter().any(|&(t, full)| t > 1 && full),
-        "the topology change must force at least one more full view: {kinds:?}"
-    );
-    let last_full = kinds
+    let fulls: Vec<u64> = kinds.iter().filter(|k| k.1).map(|k| k.0).collect();
+    assert_eq!(fulls, [1, 2], "{kinds:?}");
+    assert!(delta
         .iter()
-        .filter(|&&(_, full)| full)
-        .map(|&(t, _)| t)
-        .max()
-        .unwrap();
-    assert!(
-        last_full <= 4,
-        "fallback must be acknowledged promptly: {kinds:?}"
-    );
-    assert!(
-        kinds.iter().any(|&(t, full)| t > last_full && !full),
-        "steady state must return to deltas: {kinds:?}"
-    );
+        .all(|n| n.topology_complete() && n.error_count() == 0));
+}
+
+/// An adaptive node that counts the full views it sends each neighbor.
+struct CountFull(AdaptiveBroadcast, BTreeMap<ProcessId, u32>);
+
+impl Protocol for CountFull {
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+
+    fn on_start(&mut self, now: SimTime, actions: &mut Actions) {
+        self.0.on_start(now, actions);
+    }
+
+    fn on_event(&mut self, now: SimTime, event: Event, actions: &mut Actions) {
+        let kept = actions.sends().len();
+        self.0.on_event(now, event, actions);
+        for (to, message) in &actions.sends()[kept..] {
+            if let Message::Heartbeat(hb) = message {
+                if matches!(hb.view, HeartbeatView::Full(_)) {
+                    *self.1.entry(*to).or_default() += 1;
+                }
+            }
+        }
+    }
+
+    fn broadcast(
+        &mut self,
+        now: SimTime,
+        payload: Payload,
+        actions: &mut Actions,
+    ) -> Result<BroadcastId, CoreError> {
+        self.0.broadcast(now, payload, actions)
+    }
+
+    fn delivered(&self) -> &[(BroadcastId, Payload)] {
+        self.0.delivered()
+    }
+}
+
+/// Full views go only to a neighbor that has acknowledged none: on a
+/// lossless circulant(30, 4), dense and relabelled, every node sends
+/// each neighbor one or two — the first, and one more while its ack is
+/// a round on the way — although every `Λ_k` keeps growing for
+/// several rounds after.
+#[test]
+fn full_views_go_only_to_neighbors_that_acked_none() {
+    let mut rng = StdRng::seed_from_u64(30);
+    let dense = generators::circulant(30, 4).unwrap();
+    for topology in [relabel(&dense, &mut rng), dense] {
+        let all: Vec<ProcessId> = topology.processes().collect();
+        let scenario = Scenario::builder(topology.clone())
+            .config(Configuration::uniform(
+                &topology,
+                Probability::ZERO,
+                Probability::ZERO,
+            ))
+            .build();
+        let mut sim = scenario.sim(|id| {
+            CountFull(
+                AdaptiveBroadcast::new(
+                    id,
+                    all.clone(),
+                    topology.neighbors(id).collect(),
+                    AdaptiveParams::default(),
+                ),
+                BTreeMap::new(),
+            )
+        });
+        sim.run_ticks(40);
+        for &id in &all {
+            let CountFull(node, fulls) = sim.sim().node(id).unwrap().protocol();
+            assert!(node.topology_complete(), "{id:?}");
+            assert_eq!(node.error_count(), 0, "{id:?}");
+            for to in topology.neighbors(id) {
+                let sent = fulls.get(&to).copied().unwrap_or(0);
+                assert!(
+                    (1..=2).contains(&sent),
+                    "{id:?} → {to:?}: {sent} full views"
+                );
+            }
+        }
+    }
 }
 
 /// Sanity: steady-state frames really are small deltas — first-contact

@@ -200,8 +200,8 @@ fn randomized_scenarios_optimal_conformance() {
 #[test]
 fn adaptive_protocol_conformance() {
     // Delta frames ride the wire end to end (encode at the sender,
-    // decode at the receiver, full-view fallbacks on first contact and
-    // topology changes) and must match the kernel twin bit for bit.
+    // decode at the receiver, full views on first contact, new links in
+    // deltas) and must match the kernel twin bit for bit.
     // (Every-frame-full runs cross the codec in
     // `tests/delta_equivalence.rs`.)
     for seed in [11u64, 42, 0xADA] {

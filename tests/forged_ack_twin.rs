@@ -31,7 +31,7 @@ use diffuse::core::{
     Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, Message, Protocol,
     SelfTimed, View,
 };
-use diffuse::model::{ProcessId, Topology};
+use diffuse::model::ProcessId;
 use diffuse::sim::SimTime;
 
 const RECEIVER: ProcessId = ProcessId::new(0);
@@ -41,18 +41,11 @@ const LIAR: ProcessId = ProcessId::new(1);
 /// self-estimate, generation tied to `seq` — with the ack field under
 /// the test's control.
 fn liar_heartbeat(seq: u64, ack: u64) -> Message {
-    let topology = {
-        let mut t = Topology::new();
-        t.add_link(RECEIVER, LIAR).unwrap();
-        Arc::new(t)
-    };
     Message::Heartbeat(HeartbeatMessage {
         seq,
         ack,
         view: HeartbeatView::Full(Arc::new(View {
             generation: seq,
-            topology_version: 1,
-            topology,
             processes: vec![(LIAR, Offer::new(0, 0, Distortion::ZERO))],
             links: vec![],
         })),
