@@ -210,13 +210,7 @@ fn bench_delta_view_ops(c: &mut Criterion) {
         .find(|(target, from, m)| {
             *target as usize == receiver_idx
                 && *from == all[sender_idx]
-                && matches!(
-                    m,
-                    Message::Heartbeat(diffuse_core::HeartbeatMessage {
-                        view: diffuse_core::HeartbeatView::Delta(_),
-                        ..
-                    })
-                )
+                && matches!(m, Message::Heartbeat(hb) if hb.view.base > 0)
         })
         .map(|(_, _, m)| m.clone())
         .expect("converged system emits delta heartbeats");

@@ -18,23 +18,27 @@
 //! # Delta heartbeats
 //!
 //! Algorithm 4 (line 17) has every heartbeat carry the sender's whole
-//! `(Λ_k, C_k)` view. Here heartbeats carry only the view entries whose
-//! [`Estimate::version`] moved since the last generation the receiver
-//! acknowledged (piggybacked on its own heartbeats back to us); a full
-//! view goes only to a neighbor that has acknowledged nothing yet. `Λ_k`
+//! `(Λ_k, C_k)` view. Here a heartbeat carries only the view entries
+//! whose [`Estimate::version`] moved since the last generation the
+//! receiver acknowledged (piggybacked on its own heartbeats back to us):
+//! a [`View`] with that generation as its base. A neighbor that has
+//! acknowledged nothing gets base 0 — every entry, the whole view. `Λ_k`
 //! is the set of known link keys (plus this process), so a newly learned
-//! link is an ordinary delta entry: stamped with the generation it was
-//! learned in, it rides every delta whose base predates that, and the
-//! receiver learns it as a full view would. Deltas are *cumulative
-//! since their base*, so a lost heartbeat merely widens the next delta
-//! instead of wedging convergence. The receiver keeps a mirror of each
-//! neighbor's view — each entry the offer itself, a 16-byte copy — plus
-//! a per-entry evaluation memo, which is what makes skipping unchanged
-//! entries an *exact* optimization: the resulting estimates, broadcast
-//! plans and wire metrics are bit-identical to a run in which every
-//! delta is replaced in flight by the full view it stands for
-//! ([`AdaptiveBroadcast::view`]) — asserted by
-//! `tests/delta_equivalence.rs`.
+//! link is an ordinary entry: stamped with the generation it was learned
+//! in, it rides every frame whose base predates that. Frames are
+//! *cumulative since their base*, so a lost heartbeat merely widens the
+//! next one instead of wedging convergence.
+//!
+//! There is one merge. The receiver keeps a mirror of each neighbor's
+//! view — each entry the offer itself, a 16-byte copy — plus a per-entry
+//! evaluation memo; a base-0 frame empties the mirror first. The merge
+//! walks the mirror against the frame, then resolves the frame's entries
+//! the mirror lacks (at first contact, all of them). The memo is what
+//! makes skipping unchanged entries an *exact* optimization: the
+//! resulting estimates, broadcast plans and wire metrics are
+//! bit-identical to a run in which every frame is replaced in flight by
+//! the whole view it stands for ([`AdaptiveBroadcast::view`]) — asserted
+//! by `tests/delta_equivalence.rs`.
 //!
 //! # Slots, not keys
 //!
@@ -45,8 +49,9 @@
 //! it needs: a peer record the slot of its direct link, a mirror entry
 //! the slot of its local estimate, the emission cache the slot behind
 //! each cached link. Keys are resolved once, where a key first arrives:
-//! at construction, in full-view merges, and for a link a delta brings
-//! that its sender's mirror lacks.
+//! at construction, and for a frame entry its sender's mirror lacks —
+//! every entry of a base-0 frame, a link the sender learned since. The
+//! receiver's own entry is never mirrored and never resolved.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -56,12 +61,10 @@ use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{SimTime, TimerId};
 
 use crate::adversary::{ProtocolAudit, SenderAudit};
-use crate::knowledge::{DeltaView, View};
+use crate::knowledge::View;
 use crate::optimal::propagate;
 use crate::params::AdaptiveParams;
-use crate::protocol::{
-    Actions, BroadcastId, Event, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol,
-};
+use crate::protocol::{Actions, BroadcastId, Event, HeartbeatMessage, Message, Payload, Protocol};
 use crate::{CoreError, NetworkKnowledge};
 
 /// Per-process bookkeeping (`C_k[p_i]` plus its protocol fields).
@@ -170,11 +173,10 @@ impl DeadlineQueue {
 struct MirrorEntry<K> {
     key: K,
     /// Slot of our own estimate for `key` — in `peers` for processes, in
-    /// `links` for links — resolved once, by the full-view merge that
-    /// built the mirror.
+    /// `links` for links — resolved once, when the entry was learned.
     slot: u32,
-    /// The neighbor's offer as last seen, copied in by the full view
-    /// that built the mirror and by every delta that carried the entry.
+    /// The neighbor's offer as last seen, copied in by every frame that
+    /// carried the entry.
     value: Offer,
     /// Our own estimate's version when this entry was last evaluated.
     my_version: u64,
@@ -182,17 +184,15 @@ struct MirrorEntry<K> {
     adopted: bool,
 }
 
-/// Receiver-side mirror of one neighbor's last-known view.
+/// Receiver-side mirror of one neighbor's last-known view: every member
+/// entry its frames offered since the last base-0 frame, ascending by
+/// key, the receiver's own process entry excepted.
 #[derive(Debug)]
 struct NeighborMirror {
     /// Generation of the last merged frame — the value acknowledged back
     /// to this neighbor.
     generation: u64,
-    /// The frame's peers other than this process, in frame order: only
-    /// they are ever evaluated.
     processes: Vec<MirrorEntry<ProcessId>>,
-    /// Every link the neighbor offered, ascending by key: those of the
-    /// full view that built the mirror, and each one a delta added.
     links: Vec<MirrorEntry<LinkId>>,
 }
 
@@ -221,14 +221,14 @@ fn strictly_ascending<K: Ord>(entries: &[(K, Offer)]) -> bool {
     entries.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
-/// Sender-side emission state: the cached copy-on-write view and the
-/// change bookkeeping that deltas are assembled from.
+/// Sender-side emission state: the cached copy-on-write base-0 view and
+/// the change bookkeeping that frames of a later base are assembled from.
 #[derive(Debug)]
 struct EmissionCache {
     /// Emission counter; stamped into every outgoing view frame.
     generation: u64,
-    /// The cached full view, rebuilt copy-on-write per emission for the
-    /// entries whose version moved.
+    /// The cached base-0 view, rebuilt copy-on-write per emission for
+    /// the entries whose version moved.
     view: Arc<View>,
     /// Per `view.processes` entry (that is, per peer slot): (estimate
     /// version at last sync, generation of the last sync that changed
@@ -240,7 +240,7 @@ struct EmissionCache {
     /// ascends by [`LinkId`]; `links` is in learning order.
     link_slots: Vec<u32>,
     /// Per neighbor, in `neighbors` order: the latest generation it
-    /// acknowledged (0 = none yet, so it gets full views).
+    /// acknowledged (0 = none yet, so it gets the base-0 view).
     acked: Vec<u64>,
 }
 
@@ -250,6 +250,7 @@ impl EmissionCache {
             generation: 0,
             view: Arc::new(View {
                 generation: 0,
+                base: 0,
                 processes: Vec::new(),
                 links: Vec::new(),
             }),
@@ -328,9 +329,9 @@ pub struct AdaptiveBroadcast {
     /// order.
     links: Vec<Estimate>,
     /// The slot in `links` of each known link. Consulted only where a
-    /// link arrives by key — full-view merges, a delta link its sender's
-    /// mirror lacks, the public accessors, snapshots, and the emission
-    /// cache when links were learned.
+    /// link arrives by key — a frame link its sender's mirror lacks, the
+    /// public accessors, snapshots, and the emission cache when links
+    /// were learned.
     link_index: BTreeMap<LinkId, u32>,
     /// Insert-only schedule of Event-2 scan times (see
     /// [`DeadlineQueue`]).
@@ -339,8 +340,8 @@ pub struct AdaptiveBroadcast {
     /// Sender-side delta emission state.
     emission: EmissionCache,
     /// Receiver-side mirror of each neighbor's view, in `neighbors`
-    /// order: the base its deltas apply to, absent until one of its full
-    /// views was merged.
+    /// order: the base its frames apply to, absent until one of its
+    /// frames was merged.
     mirrors: Vec<Option<NeighborMirror>>,
     /// Offers and adoptions per neighbor, in `neighbors` order; a
     /// neighbor has an audit row once its mirror exists.
@@ -563,17 +564,18 @@ impl AdaptiveBroadcast {
         NetworkKnowledge::exact(self.topology.clone(), config)
     }
 
-    /// The `(Λ_k, C_k)` view a full heartbeat would carry now (Algorithm
-    /// 4, line 17), stamped with the last emission's generation. `Λ_k` is
-    /// its link keys.
+    /// The whole `(Λ_k, C_k)` view (Algorithm 4, line 17) as a base-0
+    /// frame, stamped with the last emission's generation. `Λ_k` is its
+    /// link keys.
     ///
     /// Built from the live estimates, sharing nothing with
     /// the copy-on-write cache heartbeats are emitted from — so right
     /// after an emission it is the independent statement of what each
-    /// delta heartbeat stands for.
+    /// heartbeat stands for.
     pub fn view(&self) -> View {
         View {
             generation: self.emission.generation,
+            base: 0,
             processes: self
                 .all_processes
                 .iter()
@@ -607,6 +609,7 @@ impl AdaptiveBroadcast {
                 .collect();
             cache.view = Arc::new(View {
                 generation: g,
+                base: 0,
                 processes: self
                     .all_processes
                     .iter()
@@ -669,11 +672,11 @@ impl AdaptiveBroadcast {
         }
     }
 
-    /// Assembles the delta of entries changed since `base` from the
+    /// Assembles the frame of entries changed since `base` from the
     /// (already synced) view cache, copying the changed offers.
-    fn build_delta(&self, base: u64) -> Arc<DeltaView> {
+    fn build_delta(&self, base: u64) -> Arc<View> {
         let view = &self.emission.view;
-        Arc::new(DeltaView {
+        Arc::new(View {
             generation: self.emission.generation,
             base,
             processes: view
@@ -783,19 +786,50 @@ impl AdaptiveBroadcast {
         record.restart_clock(now, &mut self.deadlines);
     }
 
-    /// Whether both endpoints of `l` are in the membership.
-    fn knows_endpoints(&self, l: LinkId) -> bool {
-        [l.lo(), l.hi()]
-            .iter()
-            .all(|p| self.all_processes.binary_search(p).is_ok())
+    /// Merges one process entry neighbor `n` offers, as Algorithm 4
+    /// (lines 26–32) merges every view entry: evaluated against our
+    /// estimate, restarting its Event-2 clock if adopted. Returns the
+    /// mirror entry it leaves, or `None` — nothing merged — for our own
+    /// entry (never evaluated) and for a process outside the membership
+    /// (no estimate to evaluate against).
+    fn merge_process(
+        &mut self,
+        n: usize,
+        p: ProcessId,
+        theirs: &Offer,
+        now: SimTime,
+    ) -> Option<MirrorEntry<ProcessId>> {
+        let slot = self
+            .all_processes
+            .binary_search(&p)
+            .ok()
+            .filter(|&slot| slot != self.self_slot)?;
+        let record = &mut self.peers[slot];
+        let adopted = evaluate(&mut record.estimate, theirs, &mut self.sender_audits[n]);
+        if adopted {
+            record.restart_clock(now, &mut self.deadlines);
+        }
+        Some(MirrorEntry {
+            key: p,
+            slot: slot as u32,
+            value: *theirs,
+            my_version: record.estimate.version(),
+            adopted,
+        })
     }
 
-    /// Merges one link neighbor `n` offers, as Algorithm 4 (lines 26–32)
-    /// merges every view entry: evaluated against our estimate of a known
-    /// link, or learned — a fresh estimate that adopts the offer, and a
-    /// new link of `Λ_k`. Returns the mirror entry it leaves. Both
-    /// endpoints are members (the callers check).
-    fn merge_link(&mut self, n: usize, l: LinkId, theirs: &Offer) -> MirrorEntry<LinkId> {
+    /// Merges one link neighbor `n` offers: evaluated against our
+    /// estimate of a known link, or learned — a fresh estimate that
+    /// adopts the offer, and a new link of `Λ_k`. Returns the mirror entry
+    /// it leaves, or `None` for a link naming a process outside the
+    /// membership: learned, that process could never be reached, so
+    /// `topology_complete()` would stay false for good and our own views
+    /// would spread it on.
+    fn merge_link(&mut self, n: usize, l: LinkId, theirs: &Offer) -> Option<MirrorEntry<LinkId>> {
+        let member = |p: ProcessId| self.all_processes.binary_search(&p).is_ok();
+        if !member(l.lo()) || !member(l.hi()) {
+            return None;
+        }
         let tally = &mut self.sender_audits[n];
         let (slot, adopted) = match self.link_index.get(&l) {
             Some(&slot) => (
@@ -813,148 +847,142 @@ impl AdaptiveBroadcast {
                 (slot, true)
             }
         };
-        MirrorEntry {
+        Some(MirrorEntry {
             key: l,
             slot,
             value: *theirs,
             my_version: self.links[slot as usize].version(),
             adopted,
-        }
+        })
     }
 
-    /// Merges neighbor `n`'s full view — Algorithm 4, lines 26–32: every
-    /// entry looked up by key and evaluated — and rebuilds the mirror that
-    /// future delta merges apply to, with each entry's local slot resolved
-    /// here, once. A neighbor gets full views only until it acknowledges
-    /// one, so the per-entry lookups are acceptable here.
+    /// Merges a view from neighbor `n` — Algorithm 4, lines 26–32, for
+    /// the entries changed since the view's base. A base-0 view is the
+    /// sender's whole view, so it first empties the mirror: an entry
+    /// missing from it is not in that view.
     ///
-    /// A frame is refused whole, like an inapplicable delta, if its keys
-    /// do not strictly ascend — a key listed twice would leave two mirror
-    /// entries, and every later delta carrying it would be counted twice
-    /// — or if a link names a process outside the membership: merged,
-    /// that process could never be reached, so `topology_complete()`
-    /// would stay false for good and our own views would spread it on.
-    fn merge_full_view(&mut self, n: usize, view: &Arc<View>, now: SimTime) {
-        if !strictly_ascending(&view.processes)
+    /// The mirror walk evaluates the frame's entries, re-evaluates
+    /// entries our own side touched since their last evaluation, and
+    /// handles everything else with the exact fast paths (deadline
+    /// restart for previously adopted entries, nothing for previously
+    /// rejected ones). Entries the mirror lacks — every entry at first
+    /// contact, a link the sender learned since — are then looked up by
+    /// key and take their sorted places; that pass runs only when the
+    /// walk left some entry other than our own unmatched, so the lookups
+    /// stay off the steady-state path. See the module docs for why this
+    /// is bit-identical to merging the sender's whole view.
+    ///
+    /// A view is refused — counted, and the ack does not move, so the
+    /// sender's next frame still applies — if it extends a generation we
+    /// never merged, or if its keys do not strictly ascend: a key listed
+    /// twice would leave two mirror entries, and every later frame
+    /// carrying it would be counted twice. A conformant sender does
+    /// neither.
+    fn merge_view(&mut self, n: usize, view: &View, now: SimTime) {
+        if view.base > self.ack_for(n)
+            || !strictly_ascending(&view.processes)
             || !strictly_ascending(&view.links)
-            || !view.links.iter().all(|(l, _)| self.knows_endpoints(*l))
         {
             self.errors += 1;
             return;
         }
-        let tally = &mut self.sender_audits[n];
-        tally.offered += (view.processes.len() + view.links.len()) as u64;
-
-        let mut processes = Vec::with_capacity(view.processes.len());
-        for (p, theirs) in &view.processes {
-            // My own entry is never evaluated, and processes outside the
-            // membership have no estimate to evaluate against.
-            let Some(slot) = self
-                .all_processes
-                .binary_search(p)
-                .ok()
-                .filter(|&slot| slot != self.self_slot)
-            else {
-                continue;
-            };
-            let record = &mut self.peers[slot];
-            let adopted = evaluate(&mut record.estimate, theirs, tally);
-            if adopted {
-                record.restart_clock(now, &mut self.deadlines);
-            }
-            processes.push(MirrorEntry {
-                key: *p,
-                slot: slot as u32,
-                value: *theirs,
-                my_version: record.estimate.version(),
-                adopted,
+        // A fresh mirror is sized to the frame, as the entries it learns
+        // fill it: growing it by doubling cost 6 % of `peak_rss_mb` on
+        // the whole-run `adaptive_churn_n100` workload.
+        let mut mirror = self.mirrors[n]
+            .take()
+            .filter(|_| view.base > 0)
+            .unwrap_or_else(|| NeighborMirror {
+                generation: 0,
+                processes: Vec::with_capacity(view.processes.len()),
+                links: Vec::with_capacity(view.links.len()),
+            });
+        self.sender_audits[n].offered += (view.processes.len() + view.links.len()) as u64;
+        let learn_processes = self.walk_processes(n, &mut mirror.processes, &view.processes, now);
+        let learn_links = self.walk_links(n, &mut mirror.links, &view.links);
+        if learn_processes {
+            learn(&mut mirror.processes, &view.processes, |p, theirs| {
+                self.merge_process(n, p, theirs, now)
             });
         }
-        let links = view
-            .links
-            .iter()
-            .map(|(l, theirs)| self.merge_link(n, *l, theirs))
-            .collect();
-        self.mirrors[n] = Some(NeighborMirror {
-            generation: view.generation,
-            processes,
-            links,
-        });
+        if learn_links {
+            learn(&mut mirror.links, &view.links, |l, theirs| {
+                self.merge_link(n, l, theirs)
+            });
+        }
+        mirror.generation = view.generation;
+        self.mirrors[n] = Some(mirror);
     }
 
-    /// Merges a delta view from neighbor `n`: evaluates the changed
-    /// entries, re-evaluates entries our own side touched since their
-    /// last evaluation, and handles everything else with the exact fast
-    /// paths (deadline restart for previously adopted entries, nothing for
-    /// previously rejected ones). A changed link the mirror lacks is one
-    /// the sender learned since: [`Self::learn_delta_links`] merges it as
-    /// a full view would. See the module docs for why this is
-    /// bit-identical to merging the sender's full view.
-    fn merge_delta_view(&mut self, n: usize, delta: &Arc<DeltaView>, now: SimTime) {
-        let Some(mirror) = self.mirrors[n].as_mut() else {
-            // No full view merged yet: the delta has no base to apply
-            // to. A conformant sender never does this (it sends full
-            // views until we ack one); drop defensively.
-            self.errors += 1;
-            return;
-        };
-        if delta.base > mirror.generation
-            || !strictly_ascending(&delta.processes)
-            || !strictly_ascending(&delta.links)
-        {
-            // The delta extends a state we never reached, or lists a key
-            // twice or out of order. Cannot happen with a conformant
-            // sender; skip the merge without advancing the ack so the
-            // sender's next delta still applies.
-            self.errors += 1;
-            return;
-        }
+    /// The mirror walk over neighbor `n`'s process entries. Returns
+    /// whether the frame holds an entry the mirror lacks, other than our
+    /// own.
+    fn walk_processes(
+        &mut self,
+        n: usize,
+        mirror: &mut [MirrorEntry<ProcessId>],
+        frame: &[(ProcessId, Offer)],
+        now: SimTime,
+    ) -> bool {
         let tally = &mut self.sender_audits[n];
-        tally.offered += (delta.processes.len() + delta.links.len()) as u64;
-
-        let mut di = 0usize; // cursor into the (sorted) delta entries
-        for entry in &mut mirror.processes {
-            while di < delta.processes.len() && delta.processes[di].0 < entry.key {
-                di += 1;
+        let mut unmatched = false;
+        let mut fi = 0usize; // cursor into the (sorted) frame entries
+        for entry in mirror {
+            while fi < frame.len() && frame[fi].0 < entry.key {
+                unmatched |= frame[fi].0 != self.id;
+                fi += 1;
             }
             let record = &mut self.peers[entry.slot as usize];
-            if di < delta.processes.len() && delta.processes[di].0 == entry.key {
-                // The sender's entry changed: evaluate, exactly as a full
-                // view would.
-                entry.value = delta.processes[di].1;
+            if fi < frame.len() && frame[fi].0 == entry.key {
+                // The sender's entry changed: evaluate, exactly as a
+                // whole view would.
+                entry.value = frame[fi].1;
+                fi += 1;
             } else if record.estimate.version() == entry.my_version {
                 if entry.adopted {
                     // Unchanged on both sides, last evaluation adopted: a
-                    // full view would re-adopt the identical value
-                    // — a value no-op whose only effect is restarting the
+                    // whole view would re-adopt the identical value — a
+                    // value no-op whose only effect is restarting the
                     // entry's Event-2 staleness clock.
                     record.restart_clock(now, &mut self.deadlines);
                 }
-                // Otherwise the last evaluation rejected, and a full view
-                // would reject again.
+                // Otherwise the last evaluation rejected, and a whole
+                // view would reject again.
                 continue;
             }
             // Otherwise our side changed since the last evaluation
             // (suspicion-scan distortion drift, adoption from another
             // neighbor, recovery): re-evaluate against the mirrored
-            // value, as a full view would.
+            // value, as a whole view would.
             entry.adopted = evaluate(&mut record.estimate, &entry.value, tally);
             if entry.adopted {
                 record.restart_clock(now, &mut self.deadlines);
             }
             entry.my_version = record.estimate.version();
         }
+        unmatched || frame[fi..].iter().any(|(p, _)| *p != self.id)
+    }
 
-        let mut di = 0usize;
-        let mut matched = 0usize;
-        for entry in &mut mirror.links {
-            while di < delta.links.len() && delta.links[di].0 < entry.key {
-                di += 1;
+    /// The mirror walk over neighbor `n`'s link entries. Returns whether
+    /// the frame holds a link the mirror lacks.
+    fn walk_links(
+        &mut self,
+        n: usize,
+        mirror: &mut [MirrorEntry<LinkId>],
+        frame: &[(LinkId, Offer)],
+    ) -> bool {
+        let tally = &mut self.sender_audits[n];
+        let mut unmatched = false;
+        let mut fi = 0usize;
+        for entry in mirror {
+            while fi < frame.len() && frame[fi].0 < entry.key {
+                unmatched = true;
+                fi += 1;
             }
             let mine = &mut self.links[entry.slot as usize];
-            if di < delta.links.len() && delta.links[di].0 == entry.key {
-                entry.value = delta.links[di].1;
-                matched += 1;
+            if fi < frame.len() && frame[fi].0 == entry.key {
+                entry.value = frame[fi].1;
+                fi += 1;
             } else if mine.version() == entry.my_version {
                 // Unchanged on both sides: links carry no Event-2 clock,
                 // and re-adoption would be a value no-op, so
@@ -964,30 +992,24 @@ impl AdaptiveBroadcast {
             entry.adopted = evaluate(mine, &entry.value, tally);
             entry.my_version = mine.version();
         }
-
-        mirror.generation = delta.generation;
-        if matched < delta.links.len() {
-            self.learn_delta_links(n, delta);
-        }
+        unmatched || fi < frame.len()
     }
+}
 
-    /// The links of a delta from neighbor `n` that its mirror lacks —
-    /// links the sender learned since the frames we merged — merged as a
-    /// full view merges them, each taking its sorted place in the
-    /// mirror. A link naming a process outside the membership is an
-    /// entry-level no-op, as a foreign process key is. Run only when the
-    /// delta merge's walk left link entries unmatched, so the lookups
-    /// stay off the steady-state path.
-    fn learn_delta_links(&mut self, n: usize, delta: &DeltaView) {
-        let mut mirror = self.mirrors[n].take().expect("a merged delta has a mirror");
-        for (l, theirs) in &delta.links {
-            if let Err(at) = mirror.links.binary_search_by_key(l, |e| e.key) {
-                if self.knows_endpoints(*l) {
-                    mirror.links.insert(at, self.merge_link(n, *l, theirs));
-                }
+/// The learn pass of a merge: each frame entry the mirror lacks is merged
+/// by `merge` and takes its sorted place in the mirror, unless `merge`
+/// skips it.
+fn learn<K: Ord + Copy>(
+    mirror: &mut Vec<MirrorEntry<K>>,
+    frame: &[(K, Offer)],
+    mut merge: impl FnMut(K, &Offer) -> Option<MirrorEntry<K>>,
+) {
+    for (key, theirs) in frame {
+        if let Err(at) = mirror.binary_search_by_key(key, |e| e.key) {
+            if let Some(entry) = merge(*key, theirs) {
+                mirror.insert(at, entry);
             }
         }
-        self.mirrors[n] = Some(mirror);
     }
 }
 
@@ -1002,9 +1024,9 @@ impl AdaptiveBroadcast {
     }
 
     /// Heartbeat emission (lines 14–17): one view snapshot, one sequenced
-    /// heartbeat per neighbor — a delta since the generation it last
-    /// acknowledged, or the full view to a neighbor that acknowledged
-    /// none.
+    /// heartbeat per neighbor, carrying the entries changed since the
+    /// generation it last acknowledged — all of them, the cached view
+    /// itself, to a neighbor that acknowledged none.
     fn emit_heartbeats(&mut self, now: SimTime, actions: &mut Actions) {
         if now < self.next_heartbeat {
             // Fired early (e.g. a stale deadline): keep the chain alive.
@@ -1013,26 +1035,20 @@ impl AdaptiveBroadcast {
         }
         self.my_seq += 1;
         self.sync_view_cache();
-        // Deltas are cached per distinct base: in steady state every
+        // Frames are cached per distinct base: in steady state every
         // neighbor acked the previous emission and one assembly serves
-        // them all.
-        let mut delta_cache: Vec<(u64, Arc<DeltaView>)> = Vec::new();
+        // them all. Base 0 is the cached view itself.
+        let mut frames = Vec::with_capacity(2);
+        frames.push((0, Arc::clone(&self.emission.view)));
         for i in 0..self.neighbors.len() {
             let base = self.emission.acked[i];
-            // A neighbor that acknowledged nothing has no mirror of us
-            // for a delta to apply to: first contact is a full view.
-            let view = if base == 0 {
-                HeartbeatView::Full(Arc::clone(&self.emission.view))
-            } else {
-                let delta = match delta_cache.iter().find(|(b, _)| *b == base) {
-                    Some((_, d)) => Arc::clone(d),
-                    None => {
-                        let d = self.build_delta(base);
-                        delta_cache.push((base, Arc::clone(&d)));
-                        d
-                    }
-                };
-                HeartbeatView::Delta(delta)
+            let view = match frames.iter().find(|(b, _)| *b == base) {
+                Some((_, v)) => Arc::clone(v),
+                None => {
+                    let v = self.build_delta(base);
+                    frames.push((base, Arc::clone(&v)));
+                    v
+                }
             };
             actions.send(
                 self.neighbors[i],
@@ -1154,10 +1170,7 @@ impl AdaptiveBroadcast {
                 }
                 // Event 1: reconcile the direct link, then merge the view.
                 self.reconcile_link(slot, seq, now);
-                match &view {
-                    HeartbeatView::Full(v) => self.merge_full_view(n, v, now),
-                    HeartbeatView::Delta(d) => self.merge_delta_view(n, d, now),
-                }
+                self.merge_view(n, &view, now);
                 // Receipt and adoption push peer deadlines around; keep
                 // the suspicion timer at the new earliest one.
                 self.arm_suspicion(actions);
@@ -1920,7 +1933,7 @@ mod tests {
             Message::Heartbeat(HeartbeatMessage {
                 seq: 1,
                 ack: 0,
-                view: HeartbeatView::Full(view),
+                view,
             }),
             &mut actions,
         );
@@ -1937,7 +1950,7 @@ mod tests {
         let hb = Message::Heartbeat(HeartbeatMessage {
             seq: 1,
             ack: 0,
-            view: HeartbeatView::Full(view),
+            view,
         });
         a.handle_message(SimTime::new(1), p(1), hb.clone(), &mut actions);
         let after_first = a.estimated_loss(LinkId::new(p(0), p(1)).unwrap()).unwrap();
@@ -1997,9 +2010,9 @@ mod tests {
         );
     }
 
-    /// First contact is a full view, and the sender keeps sending full
-    /// views only until the receiver's first ack comes back: from then
-    /// on every emission is a delta, also while `Λ_k` grows. On the line
+    /// First contact is the whole view (base 0), and the sender keeps
+    /// sending base 0 only until the receiver's first ack comes back:
+    /// from then on every emission is a delta, also while `Λ_k` grows. On the line
     /// `0 — 1 — 2 — 3`, p0 learns link 1–2 at t1 and link 2–3 at t2, and
     /// p1's first ack reaches it at t2.
     #[test]
@@ -2038,11 +2051,11 @@ mod tests {
                     let Message::Heartbeat(hb) = &m else {
                         panic!("adaptive nodes only heartbeat")
                     };
-                    let full = matches!(hb.view, HeartbeatView::Full(_));
+                    let full = hb.view.base == 0;
                     assert_eq!(full, t <= 2, "tick {t}: full {full}");
-                    if let (3, HeartbeatView::Delta(d)) = (t, &hb.view) {
+                    if t == 3 {
                         let l23 = LinkId::new(p(2), p(3)).unwrap();
-                        assert!(d.link_offer(l23).is_some(), "the new link rides");
+                        assert!(hb.view.link_offer(l23).is_some(), "the new link rides");
                     }
                 }
                 let node = nodes.iter_mut().find(|n| n.protocol().id() == to);
@@ -2058,7 +2071,7 @@ mod tests {
     }
 
     /// A link the sender learned after first contact reaches the receiver
-    /// in a delta and is learned there as a full view would learn it:
+    /// in a delta and is learned there as a whole view would learn it:
     /// added to `Λ_k`, adopted at the offered distortion + 1, and
     /// counted once. On the line `0 — 1 — 2` every view p1 sends carries
     /// link 1–2, its own direct link; so here p0's first contact is p1's
@@ -2094,12 +2107,10 @@ mod tests {
         let mut actions = Actions::new();
 
         let mut first = from_b(&mut b, &mut c, 1);
-        let HeartbeatView::Full(view) = &first.view else {
-            panic!("first contact is a full view")
-        };
-        let mut cut = View::clone(view);
+        assert_eq!(first.view.base, 0, "first contact is the whole view");
+        let mut cut = View::clone(&first.view);
         cut.links.retain(|(l, _)| *l != l12);
-        first.view = HeartbeatView::Full(Arc::new(cut));
+        first.view = Arc::new(cut);
         a.handle_message(
             SimTime::new(1),
             p(1),
@@ -2113,15 +2124,16 @@ mod tests {
         actions.clear();
 
         let mut next = from_b(&mut b, &mut c, 2);
-        let HeartbeatView::Delta(delta) = &next.view else {
-            panic!("after the ack, p1 sends deltas")
-        };
-        let offered = *delta.link_offer(l12).expect("the delta carries link 1–2");
+        assert!(next.view.base > 0, "after the ack, p1 sends deltas");
+        let offered = *next
+            .view
+            .link_offer(l12)
+            .expect("the delta carries link 1–2");
         // Only the new link, so the tally moves for it alone.
-        let mut only = DeltaView::clone(delta);
+        let mut only = View::clone(&next.view);
         only.processes.clear();
         only.links.retain(|(l, _)| *l == l12);
-        next.view = HeartbeatView::Delta(Arc::new(only));
+        next.view = Arc::new(only);
         let before = a.protocol().audit().per_sender[&p(1)];
         a.handle_message(
             SimTime::new(2),
@@ -2167,13 +2179,10 @@ mod tests {
             exchange(&mut [&mut a, &mut b], SimTime::new(t));
         }
         let heartbeat = heartbeat_from(&mut a, 6);
-        let Message::Heartbeat(HeartbeatMessage {
-            view: HeartbeatView::Delta(delta),
-            ..
-        }) = &heartbeat
-        else {
-            panic!("steady state rides deltas")
+        let Message::Heartbeat(HeartbeatMessage { view: delta, .. }) = &heartbeat else {
+            panic!("adaptive nodes only heartbeat")
         };
+        assert!(delta.base > 0, "steady state rides deltas");
         let held = Arc::clone(delta);
         let mut actions = Actions::new();
         b.handle_message(SimTime::new(6), p(0), heartbeat, &mut actions);
@@ -2181,29 +2190,36 @@ mod tests {
         assert_eq!(Arc::strong_count(&held), 1);
     }
 
-    /// A full view with a link naming a process outside the membership —
-    /// as one endpoint or as both — is refused whole and counted:
-    /// merged, it would make the topology incomplete for good and every
-    /// later broadcast fail.
+    /// A frame naming a process outside the membership — as a process
+    /// key, as one link endpoint or as both — is merged without those
+    /// entries, whatever its base: skipped, not counted as an error.
+    /// Learned, such a link would make the topology incomplete for good
+    /// and every later broadcast fail.
     #[test]
-    fn a_full_view_naming_a_foreign_process_is_refused() {
+    fn a_frame_naming_a_foreign_process_skips_the_entry() {
         let (mut a, mut b) = pair(params());
         for t in 1..=5u64 {
             exchange(&mut [&mut a, &mut b], SimTime::new(t));
         }
-        let ack = b.protocol().ack_for(0);
         let errors = b.protocol().error_count();
         let mut actions = Actions::new();
-        for (t, stranger) in [(6, (1, 99)), (7, (98, 99))] {
+        for (t, whole) in [(6, true), (7, false)] {
             let mut view = a.protocol().view();
             view.generation += 100;
-            let stranger = LinkId::new(p(stranger.0), p(stranger.1)).unwrap();
-            view.links
-                .push((stranger, Estimate::first_hand(100).offer()));
+            if !whole {
+                view.base = b.protocol().ack_for(0);
+                assert!(view.base > 0);
+            }
+            let offer = Estimate::first_hand(100).offer();
+            view.processes.push((p(99), offer));
+            for (lo, hi) in [(1, 99), (98, 99)] {
+                view.links.push((LinkId::new(p(lo), p(hi)).unwrap(), offer));
+            }
+            let generation = view.generation;
             let Message::Heartbeat(mut hostile) = heartbeat_from(&mut a, t) else {
                 panic!("expected heartbeat")
             };
-            hostile.view = HeartbeatView::Full(Arc::new(view));
+            hostile.view = Arc::new(view);
             b.handle_message(
                 SimTime::new(t),
                 p(0),
@@ -2211,17 +2227,159 @@ mod tests {
                 &mut actions,
             );
             actions.clear();
+            let node = b.protocol();
+            assert_eq!(node.error_count(), errors, "base 0: {whole}");
+            assert_eq!(node.ack_for(0), generation, "the frame was merged");
+            assert_eq!(node.known_topology().process_count(), 2);
+            assert_eq!(node.known_topology().link_count(), 1);
+            assert!(node.topology_complete());
         }
-        assert_eq!(b.protocol().error_count(), errors + 2);
-        assert_eq!(b.protocol().ack_for(0), ack, "the ack did not move");
-        assert!(!b.protocol().known_topology().contains_process(p(99)));
-        assert!(b.protocol().topology_complete());
         b.broadcast(SimTime::new(8), Payload::from("x"), &mut actions)
             .expect("a foreign process cannot block broadcasting");
     }
 
+    /// A base-0 frame is the sender's whole view, so a link it lacks is
+    /// dropped from the mirror, not kept from the frames before. On the
+    /// line `0 — 1 — 2`, p0's mirror of p1 holds link 1–2 until p1's
+    /// base-0 frame without it arrives; then p0's estimate of the link
+    /// moves (here: its distortion is lost), and the next delta from p1,
+    /// which carries nothing, re-evaluates nothing — a kept entry would
+    /// have been re-evaluated and re-adopted.
+    #[test]
+    fn a_whole_view_drops_the_links_it_lacks_from_the_mirror() {
+        let l12 = LinkId::new(p(1), p(2)).unwrap();
+        let run = |cut: bool| {
+            let (mut a, mut b, mut c) = line3();
+            for t in 1..=10u64 {
+                exchange(&mut [&mut a, &mut b, &mut c], SimTime::new(t));
+            }
+            let sender = b.protocol();
+            let (seq, generation) = (sender.my_seq, sender.emission.generation);
+            let mut whole = sender.view();
+            if cut {
+                whole.links.retain(|(l, _)| *l != l12);
+            }
+            let empty = View {
+                generation: generation + 1,
+                base: generation,
+                processes: Vec::new(),
+                links: Vec::new(),
+            };
+            let node = a.protocol_mut();
+            let mut actions = Actions::new();
+            for (i, view) in [whole, empty].into_iter().enumerate() {
+                let heartbeat = HeartbeatMessage {
+                    seq: seq + 1 + i as u64,
+                    ack: 0,
+                    view: Arc::new(view),
+                };
+                node.handle_message(
+                    SimTime::new(11),
+                    p(1),
+                    Message::Heartbeat(heartbeat),
+                    &mut actions,
+                );
+                if i == 0 {
+                    let mirror = node.mirrors[0].as_ref().expect("merged");
+                    let held = mirror.links.iter().any(|e| e.key == l12);
+                    assert_eq!(held, !cut);
+                    let slot = node.link_index[&l12] as usize;
+                    node.links[slot].set_distortion(Distortion::Infinite);
+                }
+            }
+            assert_eq!(node.error_count(), 0);
+            node.link_estimate(l12).unwrap().distortion()
+        };
+        assert_eq!(run(false), Distortion::finite(1), "a kept entry re-adopts");
+        assert!(run(true).is_infinite(), "a dropped entry is not evaluated");
+    }
+
+    /// After every merge a mirror is the view its sender emitted at the
+    /// mirrored generation, entry for entry, less the receiver's own
+    /// process entry — on a relabelled line (slot ≠ id, links learned out
+    /// of key order) and on a ring, with a third of the heartbeats lost.
+    /// This pins the walk and the learn pass on their own, without the
+    /// whole-view twin run that shares the merge with them.
+    #[test]
+    fn a_mirror_is_the_view_it_acknowledged() {
+        use rand::{Rng, SeedableRng};
+
+        let line: Vec<u32> = vec![7, 22, 13, 4, 19, 10];
+        let ring: Vec<u32> = (0..6).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        for (ids, closed) in [(line, false), (ring, true)] {
+            let k = ids.len();
+            let all: Vec<ProcessId> = ids.iter().copied().map(p).collect();
+            let mut nodes: Vec<AdaptiveBroadcast> = (0..k)
+                .map(|i| {
+                    let mut neighbors = Vec::new();
+                    if i > 0 || closed {
+                        neighbors.push(all[(i + k - 1) % k]);
+                    }
+                    if i + 1 < k || closed {
+                        neighbors.push(all[(i + 1) % k]);
+                    }
+                    AdaptiveBroadcast::new(all[i], all.clone(), neighbors, params())
+                })
+                .collect();
+            let mut emitted: BTreeMap<(ProcessId, u64), View> = BTreeMap::new();
+            let mut checked = 0;
+            let mut actions = Actions::new();
+            for t in 1..=60u64 {
+                let now = SimTime::new(t);
+                let mut pending = Vec::new();
+                for node in nodes.iter_mut() {
+                    for timer in [
+                        AdaptiveBroadcast::HEARTBEAT,
+                        AdaptiveBroadcast::SUSPICION,
+                        AdaptiveBroadcast::SELF_TICK,
+                    ] {
+                        node.on_event(now, Event::Timer(timer), &mut actions);
+                        if timer == AdaptiveBroadcast::HEARTBEAT {
+                            emitted.insert((node.id, node.emission.generation), node.view());
+                        }
+                    }
+                    let from = node.id;
+                    pending.extend(
+                        actions
+                            .take_sends()
+                            .into_iter()
+                            .map(|(to, m)| (from, to, m)),
+                    );
+                    actions.clear();
+                }
+                for (from, to, m) in pending {
+                    if rng.gen_bool(1.0 / 3.0) {
+                        continue;
+                    }
+                    let node = nodes.iter_mut().find(|n| n.id == to).unwrap();
+                    node.handle_message(now, from, m, &mut actions);
+                    actions.clear();
+                    let n = node.neighbors.iter().position(|&q| q == from).unwrap();
+                    let Some(mirror) = &node.mirrors[n] else {
+                        continue;
+                    };
+                    let view = &emitted[&(from, mirror.generation)];
+                    let mirrored = mirror.processes.iter().map(|e| (e.key, e.value));
+                    let expected = view.processes.iter().filter(|(q, _)| *q != to);
+                    assert!(mirrored.eq(expected.copied()), "t{t}: {from:?} → {to:?}");
+                    let mirrored = mirror.links.iter().map(|e| (e.key, e.value));
+                    assert!(
+                        mirrored.eq(view.links.iter().copied()),
+                        "t{t}: {from:?} → {to:?}"
+                    );
+                    checked += 1;
+                }
+            }
+            assert!(checked > 300, "{checked} merges checked");
+            assert!(nodes
+                .iter()
+                .all(|n| n.topology_complete() && n.error_count() == 0));
+        }
+    }
+
     /// A delta whose base the receiver never reached is dropped without
-    /// corrupting state, and a subsequent full view recovers.
+    /// corrupting state, and a subsequent whole view recovers.
     #[test]
     fn inapplicable_delta_is_dropped_and_full_view_recovers() {
         let all = vec![p(0), p(1)];
@@ -2234,12 +2392,12 @@ mod tests {
         let bogus = Message::Heartbeat(HeartbeatMessage {
             seq: 1,
             ack: 0,
-            view: HeartbeatView::Delta(Arc::new(DeltaView {
+            view: Arc::new(View {
                 generation: 9,
                 base: 7,
                 processes: vec![(p(0), Estimate::first_hand(100).offer())],
                 links: Vec::new(),
-            })),
+            }),
         });
         b.handle_message(SimTime::new(1), p(0), bogus, &mut actions);
         actions.clear();
@@ -2248,7 +2406,7 @@ mod tests {
         // unknown to b.
         assert!(b.process_estimate(p(0)).unwrap().distortion().is_infinite());
 
-        // A full view (what a conformant sender falls back to) heals it.
+        // A whole view (what a conformant sender falls back to) heals it.
         let view = Arc::new(a.view());
         b.handle_message(
             SimTime::new(2),
@@ -2256,7 +2414,7 @@ mod tests {
             Message::Heartbeat(HeartbeatMessage {
                 seq: 2,
                 ack: 0,
-                view: HeartbeatView::Full(view),
+                view,
             }),
             &mut actions,
         );

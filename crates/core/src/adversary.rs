@@ -3,8 +3,8 @@
 //! The paper's adaptive diffusion is built for *unreliable* environments;
 //! its distortion machinery
 //! ([`Estimate::adopt_if_better`](diffuse_bayes::Estimate::adopt_if_better)'s
-//! strict ranking, the delta codec's full-view fallback) is what is supposed to
-//! contain nodes that do worse than crash — nodes that **lie**. This
+//! strict ranking, the heartbeat ack's fallback to whole, base-0 views) is
+//! what is supposed to contain nodes that do worse than crash — nodes that **lie**. This
 //! module makes such nodes constructible so the containment claims become
 //! testable:
 //!
@@ -42,10 +42,8 @@ use diffuse_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::knowledge::{DeltaView, View};
-use crate::protocol::{
-    Actions, BroadcastId, Event, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol,
-};
+use crate::knowledge::View;
+use crate::protocol::{Actions, BroadcastId, Event, HeartbeatMessage, Message, Payload, Protocol};
 use crate::CoreError;
 
 /// Golden-ratio odd multiplier (same family as the sharded executor's
@@ -95,7 +93,7 @@ pub enum CorruptionMode {
     /// Inflate the piggybacked `ack` field — claim to have merged view
     /// generations the peer never emitted (or not yet). Exercises the
     /// receiver's future-ack rejection, which leaves its recorded ack at
-    /// the first-contact value, so it keeps sending full views.
+    /// the first-contact value, so it keeps sending whole, base-0 views.
     ForgeAck,
 }
 
@@ -281,7 +279,7 @@ pub struct Adversary<P> {
     rng: StdRng,
     active: Option<ActiveWindow>,
     /// [`CorruptionMode::StaleReplay`]'s cached first-in-window view.
-    stale: Option<HeartbeatView>,
+    stale: Option<Arc<View>>,
     corrupt_emissions: u64,
 }
 
@@ -410,7 +408,7 @@ fn corrupt_heartbeat(
     mode: CorruptionMode,
     mut hb: HeartbeatMessage,
     rng: &mut StdRng,
-    stale: &mut Option<HeartbeatView>,
+    stale: &mut Option<Arc<View>>,
 ) -> HeartbeatMessage {
     match mode {
         CorruptionMode::UnderstateDistortion => {
@@ -418,18 +416,9 @@ fn corrupt_heartbeat(
             // re-stamped first-hand ("I observed this") with a posterior
             // pushed toward unreliable.
             let k = 1 + (rng.next_u64() % 32) as u32;
-            hb.view = match hb.view {
-                HeartbeatView::Full(view) => {
-                    let mut poisoned = View::clone(&view);
-                    poisoned.links = poison_links(&poisoned.links, k);
-                    HeartbeatView::Full(Arc::new(poisoned))
-                }
-                HeartbeatView::Delta(delta) => {
-                    let mut poisoned = DeltaView::clone(&delta);
-                    poisoned.links = poison_links(&poisoned.links, k);
-                    HeartbeatView::Delta(Arc::new(poisoned))
-                }
-            };
+            let mut poisoned = View::clone(&hb.view);
+            poisoned.links = poison_links(&poisoned.links, k);
+            hb.view = Arc::new(poisoned);
         }
         CorruptionMode::StaleReplay => match stale {
             Some(cached) => hb.view = cached.clone(),
@@ -475,7 +464,7 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn sample_heartbeat(view: HeartbeatView) -> HeartbeatMessage {
+    fn sample_heartbeat(view: Arc<View>) -> HeartbeatMessage {
         HeartbeatMessage {
             seq: 9,
             ack: 4,
@@ -483,15 +472,16 @@ mod tests {
         }
     }
 
-    fn full_view() -> HeartbeatView {
-        HeartbeatView::Full(Arc::new(View {
+    fn full_view() -> Arc<View> {
+        Arc::new(View {
             generation: 3,
+            base: 0,
             processes: vec![(p(0), Estimate::first_hand(10).offer())],
             links: vec![(
                 LinkId::new(p(0), p(1)).unwrap(),
                 Offer::new(0, 0, Distortion::finite(2)),
             )],
-        }))
+        })
     }
 
     #[test]
@@ -521,9 +511,8 @@ mod tests {
             &mut rng,
             &mut stale,
         );
-        let HeartbeatView::Full(view) = hb.view else {
-            panic!("mode must not change the view flavor");
-        };
+        let view = hb.view;
+        assert_eq!(view.base, 0, "mode must not change the view's base");
         for (_, est) in &view.links {
             assert_eq!(est.distortion(), Distortion::ZERO);
             assert!(est.tainted());

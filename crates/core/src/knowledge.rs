@@ -68,31 +68,37 @@ impl NetworkKnowledge {
     }
 }
 
-/// A gossiped snapshot of one process's `(Λ_k, C_k)` view, carried inside
-/// heartbeats.
+/// One heartbeat's view payload: the sender's `(Λ_k, C_k)` entries that
+/// changed in the generation window `(base, generation]`.
+///
+/// A view is **cumulative since its base**: it carries the *current*
+/// value of every entry that changed in the window, where `base` is the
+/// latest generation the receiver acknowledged to the sender. A receiver
+/// whose last merged generation is `g ≥ base` can therefore always apply
+/// it (entries already merged are re-applied idempotently), and a lost
+/// heartbeat merely widens the next one instead of wedging convergence.
+/// Base 0 predates every emission, so a base-0 view is the sender's
+/// whole view — what Algorithm 4 (line 17) gossips, and what a receiver
+/// that acknowledged nothing gets. A link the sender learned in the
+/// window is one of its entries, so `Λ_k` grows by the same frames: the
+/// sender's `Λ_k` is its link keys (plus the sender itself, the endpoint
+/// of the link the view crosses), with no field of its own.
 ///
 /// Estimates are stored as *sorted vectors* so receivers can merge-join
-/// them against their own ordered maps in linear time. Each entry is an
+/// them against their own mirrors in linear time. Each entry is an
 /// [`Offer`] held by value — the posterior's two counts, the distortion
 /// and the taint marker, 16 bytes in all — so refreshing an entry of the
-/// sender's cached view, or copying it into a per-neighbor
-/// [`DeltaView`], allocates nothing. Versions have no field to travel
-/// in. The sender's `Λ_k` is its link keys (plus the sender itself, the
-/// endpoint of the link the view crosses), so it has no field either.
-///
-/// Under delta heartbeats the sender keeps one cached `Arc<View>` and
-/// rebuilds it copy-on-write per emission, stamping each emission with a
-/// monotone [`generation`](View::generation); receivers acknowledge the
-/// generation they last merged, which is what lets later heartbeats
-/// carry only a [`DeltaView`] of the entries changed since.
+/// sender's cached base-0 view, or copying it into a per-neighbor view,
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct View {
-    /// The sender's emission counter at the time this view was snapshot.
-    ///
-    /// Receivers echo the last merged generation back to the sender
-    /// (piggybacked on their own heartbeats), anchoring the base of
-    /// future [`DeltaView`]s.
+    /// The sender's emission counter at this emission. Receivers echo the
+    /// last merged generation back to the sender (piggybacked on their
+    /// own heartbeats), anchoring the base of its future views to them.
     pub generation: u64,
+    /// The acknowledged generation this view extends: entries changed in
+    /// `(base, generation]` are included; 0 = all of them.
+    pub base: u64,
     /// Process estimates, sorted by process id.
     pub processes: Vec<(ProcessId, Offer)>,
     /// Link estimates, sorted by link id.
@@ -117,11 +123,11 @@ impl View {
     }
 
     /// Encoded size in bytes of the heartbeat frame that carries this
-    /// view: the frame header, the generation and the entries. The paper
-    /// reports 50 KB heartbeats for 100 processes with `U = 100`, for
-    /// belief vectors; an entry here is two counts.
+    /// view: the frame header, the generation and base, and the entries.
+    /// The paper reports 50 KB heartbeats for 100 processes with
+    /// `U = 100`, for belief vectors; an entry here is two counts.
     pub fn wire_size(&self) -> usize {
-        HEARTBEAT_HEADER + 8 + entries_size(self.processes.len(), self.links.len())
+        HEARTBEAT_HEADER + 16 + entries_size(self.processes.len(), self.links.len())
     }
 }
 
@@ -137,56 +143,6 @@ const OFFER_BYTES: usize = 13;
 /// `(key, offer)` pairs: a process key is one id, a link key two.
 fn entries_size(processes: usize, links: usize) -> usize {
     4 + processes * (4 + OFFER_BYTES) + 4 + links * (8 + OFFER_BYTES)
-}
-
-/// The changed-entry payload of a delta heartbeat: the estimates whose
-/// version moved since the receiver's last acknowledged merge.
-///
-/// A delta is **cumulative since its base**: it carries the *current*
-/// value of every entry that changed in the generation window
-/// `(base, generation]`, where `base` is the latest generation the
-/// receiver acknowledged to the sender. A receiver whose last merged
-/// generation is `g ≥ base` can therefore always apply it (entries
-/// already merged are re-applied idempotently), and a lost delta merely
-/// widens the next one instead of wedging convergence. A link the sender
-/// learned in the window is one of those entries, so `Λ_k` grows by
-/// deltas too: only a receiver that acknowledged nothing gets a full
-/// [`View`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaView {
-    /// The sender's emission counter at this emission.
-    pub generation: u64,
-    /// The acknowledged generation this delta extends: entries changed
-    /// in `(base, generation]` are included.
-    pub base: u64,
-    /// Changed process estimates, sorted by process id.
-    pub processes: Vec<(ProcessId, Offer)>,
-    /// Changed link estimates, sorted by link id.
-    pub links: Vec<(LinkId, Offer)>,
-}
-
-impl DeltaView {
-    /// Looks up the changed offer for a process (binary search).
-    pub fn process_offer(&self, p: ProcessId) -> Option<&Offer> {
-        self.processes
-            .binary_search_by_key(&p, |(id, _)| *id)
-            .ok()
-            .map(|i| &self.processes[i].1)
-    }
-
-    /// Looks up the changed offer for a link (binary search).
-    pub fn link_offer(&self, l: LinkId) -> Option<&Offer> {
-        self.links
-            .binary_search_by_key(&l, |(id, _)| *id)
-            .ok()
-            .map(|i| &self.links[i].1)
-    }
-
-    /// Encoded size in bytes of the heartbeat frame that carries this
-    /// delta: the frame header, the generation and base, and the entries.
-    pub fn wire_size(&self) -> usize {
-        HEARTBEAT_HEADER + 16 + entries_size(self.processes.len(), self.links.len())
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +264,8 @@ mod tests {
     fn view_lookup_and_size() {
         let link = LinkId::new(p(0), p(1)).unwrap();
         let view = View {
-            generation: 1,
+            generation: 7,
+            base: 5,
             processes: vec![
                 (p(0), Estimate::first_hand(10).offer()),
                 (p(1), Estimate::unknown(10).offer()),
@@ -322,26 +279,8 @@ mod tests {
         assert!(view.process_offer(p(9)).is_none());
         assert!(view.link_offer(link).is_some());
         assert!(view.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        // Header 18, generation 8, two process entries and one link
-        // entry.
-        assert_eq!(view.wire_size(), 18 + 8 + 4 + 2 * 17 + 4 + 21);
-    }
-
-    #[test]
-    fn delta_view_lookup_and_size() {
-        let link = LinkId::new(p(0), p(1)).unwrap();
-        let delta = DeltaView {
-            generation: 7,
-            base: 5,
-            processes: vec![(p(1), Estimate::first_hand(10).offer())],
-            links: vec![(link, Estimate::unknown(10).offer())],
-        };
-        assert!(delta.process_offer(p(1)).is_some());
-        assert!(delta.process_offer(p(0)).is_none());
-        assert!(delta.link_offer(link).is_some());
-        assert!(delta.link_offer(LinkId::new(p(1), p(2)).unwrap()).is_none());
-        // Header 18, generation and base 16, one process entry, one link
-        // entry.
-        assert_eq!(delta.wire_size(), 18 + 16 + 4 + 17 + 4 + 21);
+        // Header 18, generation and base 16, two process entries and one
+        // link entry.
+        assert_eq!(view.wire_size(), 18 + 16 + 4 + 2 * 17 + 4 + 21);
     }
 }

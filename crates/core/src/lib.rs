@@ -77,13 +77,13 @@ pub use adversary::{Adversary, Containment, CorruptionMode, ProtocolAudit, Sende
 pub use diffuse_sim::{TimerId, TimerOp};
 pub use error::CoreError;
 pub use gossip::ReferenceGossip;
-pub use knowledge::{DeltaView, NetworkKnowledge, View};
+pub use knowledge::{NetworkKnowledge, View};
 pub use optimal::OptimalBroadcast;
 pub use optimize::{gain, optimize, optimize_budget, MessagePlan};
 pub use params::{AdaptiveParams, DEFAULT_EVIDENCE_BATCH};
 pub use protocol::{
-    Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, HeartbeatView,
-    InProcess, Message, Payload, Protocol, ProtocolActor, SelfTimed, Wire,
+    Actions, BroadcastId, DataMessage, Event, GossipMessage, HeartbeatMessage, InProcess, Message,
+    Payload, Protocol, ProtocolActor, SelfTimed, Wire,
 };
 pub use reach::{link_success, pow_det, reach, reach_recursive, MessageVector};
 pub use scenario::{

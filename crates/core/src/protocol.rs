@@ -24,7 +24,7 @@ use diffuse_model::ProcessId;
 use diffuse_sim::{Actor, Context, SimMessage, SimTime, TimerId, TimerOp, TimerTable};
 
 use crate::adversary::{CorruptionMode, ProtocolAudit};
-use crate::knowledge::{DeltaView, View};
+use crate::knowledge::View;
 use crate::tree::SharedWireTree;
 
 /// An immutable, cheaply clonable application payload.
@@ -122,38 +122,23 @@ pub struct GossipMessage {
     pub ttl: u32,
 }
 
-/// The knowledge payload of one heartbeat: a full `(Λ, C)` snapshot or a
-/// delta of the entries changed since the receiver's last acknowledged
-/// merge.
-///
-/// A full view goes to a receiver that has acknowledged none of the
-/// sender's views yet; everything else, newly learned links included,
-/// rides a [`DeltaView`]. Both bodies are
-/// behind [`Arc`]s, so one snapshot per period serves every neighbor it
-/// applies to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HeartbeatView {
-    /// The sender's complete reliability view; its link keys are its
-    /// topology.
-    Full(Arc<View>),
-    /// Only the entries changed since the delta's base generation.
-    Delta(Arc<DeltaView>),
-}
-
 /// A heartbeat of the adaptive protocol's approximation activity:
 /// the sender's sequence number and its `(Λ, C)` view (Algorithm 4,
-/// line 17), full or delta (see [`HeartbeatView`]).
+/// line 17) — the entries changed since the generation the destination
+/// last acknowledged, all of them (base 0) to a destination that
+/// acknowledged none. The view is behind an [`Arc`], so one frame per
+/// period and base serves every neighbor it applies to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeartbeatMessage {
     /// Sender's heartbeat sequence number (`C_j[p_j].seq`).
     pub seq: u64,
     /// The latest view generation the sender has merged *from the
     /// destination* (0 = none yet). This piggybacked acknowledgement is
-    /// what anchors the base of the destination's future delta
-    /// heartbeats back to us.
+    /// what anchors the base of the destination's future heartbeats back
+    /// to us.
     pub ack: u64,
-    /// Sender's topology and reliability view, full or delta.
-    pub view: HeartbeatView,
+    /// Sender's topology and reliability view since the view's base.
+    pub view: Arc<View>,
 }
 
 /// Every message exchanged by the protocols in this crate.

@@ -21,20 +21,19 @@
 //! suspicion scans, self ticks, merges), the average heartbeat payload
 //! in KB, and the average full view (`AdaptiveBroadcast::view`) a node
 //! holds after the measured rounds — what a full heartbeat (Algorithm 4,
-//! line 17) would carry (the [`View::wire_size`] /
-//! [`DeltaView::wire_size`] accounting, the exact length of the encoded
-//! frame; the paper reports ~50 KB full heartbeats at n = 100, U = 100,
-//! for belief vectors, where an entry here is two counts).
+//! line 17) would carry (the [`View::wire_size`] accounting, the exact
+//! length of the encoded frame; the paper reports ~50 KB full heartbeats
+//! at n = 100, U = 100, for belief vectors, where an entry here is two
+//! counts).
 //!
 //! [`View::wire_size`]: diffuse_core::View::wire_size
-//! [`DeltaView::wire_size`]: diffuse_core::DeltaView::wire_size
 
 use std::time::Instant;
 
 use diffuse_core::scenario::{Scenario, ScenarioReport, Workload};
 use diffuse_core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatView, Message, Payload, Protocol,
-    ReferenceGossip, SelfTimed,
+    Actions, AdaptiveBroadcast, AdaptiveParams, Message, Payload, Protocol, ReferenceGossip,
+    SelfTimed,
 };
 use diffuse_graph::generators;
 use diffuse_model::ProcessId;
@@ -150,10 +149,7 @@ fn measure(n: u32, params: &AdaptiveParams, warmup: u64, rounds: u64) -> (f64, f
         system.round_inspecting(|_, m| {
             if let Message::Heartbeat(hb) = m {
                 heartbeats += 1;
-                heartbeat_bytes += match &hb.view {
-                    HeartbeatView::Full(v) => v.wire_size() as u64,
-                    HeartbeatView::Delta(d) => d.wire_size() as u64,
-                };
+                heartbeat_bytes += hb.view.wire_size() as u64;
             }
         });
     }

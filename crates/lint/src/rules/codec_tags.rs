@@ -9,8 +9,8 @@
 //! 1. every `const TAG_*` must appear inside `frame_kind`'s body;
 //! 2. every tag must appear inside `decode_message`'s body;
 //! 3. inside `encode_message`, each `put_u8(TAG_*)` is paired with the
-//!    nearest preceding `Message::…`/`HeartbeatView::…` match arm, and
-//!    that variant must appear in some `fn *round_trip*` test body.
+//!    nearest preceding `Message::…` match arm, and that variant must
+//!    appear in some `fn *round_trip*` test body.
 //!
 //! The rule only runs when `crates/net/src/codec.rs` is in the scanned
 //! set, so fixture runs that do not include a codec stay silent.
@@ -21,7 +21,7 @@ use crate::rules::{fn_spans, span_text, SourceFile};
 const RULE: &str = "codec-tag-coverage";
 
 /// The wire enums whose variants select tags in `encode_message`.
-const WIRE_ENUMS: &[&str] = &["Message::", "HeartbeatView::"];
+const WIRE_ENUMS: &[&str] = &["Message::"];
 
 /// Audits the codec file; appends diagnostics.
 pub(crate) fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -150,7 +150,7 @@ pub(crate) fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 
 /// An interesting occurrence inside `encode_message`, in column order.
 enum Event {
-    /// A wire-enum match arm (`Message::Data`, `HeartbeatView::Full`…).
+    /// A wire-enum match arm (`Message::Data`…).
     Variant(String),
     /// A `put_u8(TAG_*)` call naming the tag.
     Emit(String),

@@ -171,16 +171,6 @@ impl Topology {
         }
     }
 
-    /// Merges another topology into this one (`Λ_k ← Λ_k ∪ Λ_j`,
-    /// `Π_k ← Π_k ∪ Π_j`), as the adaptive algorithm does on every
-    /// heartbeat reception.
-    pub fn merge(&mut self, other: &Topology) {
-        for (p, neighbors) in &other.adjacency {
-            let entry = self.adjacency.entry(*p).or_default();
-            entry.extend(neighbors.iter().copied());
-        }
-    }
-
     /// Breadth-first distances (in hops) from `source` to every reachable
     /// process, including `source` itself at distance 0.
     pub fn bfs_distances(&self, source: ProcessId) -> BTreeMap<ProcessId, u32> {
@@ -457,19 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_processes_and_links() {
-        let mut a = Topology::new();
-        a.add_link(p(0), p(1)).unwrap();
-        let mut b = Topology::new();
-        b.add_link(p(1), p(2)).unwrap();
-        b.add_process(p(9));
-        a.merge(&b);
-        assert_eq!(a.process_count(), 4);
-        assert_eq!(a.link_count(), 2);
-        assert!(a.contains_process(p(9)));
-    }
-
-    #[test]
     fn with_processes_creates_isolated_nodes() {
         let t = Topology::with_processes(5);
         assert_eq!(t.process_count(), 5);
@@ -495,30 +472,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_merge_is_commutative(
-            edges_a in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
-            edges_b in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
-        ) {
-            let build = |edges: &[(u32, u32)]| {
-                let mut t = Topology::new();
-                for &(x, y) in edges {
-                    if x != y {
-                        t.add_link(p(x), p(y)).unwrap();
-                    } else {
-                        t.add_process(p(x));
-                    }
-                }
-                t
-            };
-            let (ta, tb) = (build(&edges_a), build(&edges_b));
-            let mut ab = ta.clone();
-            ab.merge(&tb);
-            let mut ba = tb.clone();
-            ba.merge(&ta);
-            prop_assert_eq!(ab, ba);
-        }
-
         #[test]
         fn prop_link_count_matches_links_iterator(
             edges in proptest::collection::vec((0u32..10, 0u32..10), 0..40),

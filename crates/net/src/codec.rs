@@ -6,8 +6,8 @@
 //! lines, versioned, and property-tested for round-trips.
 //!
 //! Frame layout: `version:u8 | tag:u8 | body…` with tags
-//! `1 = Data`, `2 = Gossip`, `3 = Ack`, `4 = Heartbeat (full view)`,
-//! `5 = Heartbeat (delta view)`.
+//! `1 = Data`, `2 = Gossip`, `3 = Ack`, `4 = Heartbeat`. A heartbeat's
+//! body is `seq | ack | generation | base | entries`.
 //!
 //! Version 2 extended heartbeats with the delta-view machinery: full
 //! heartbeats gained the piggybacked `ack` and the view `generation`,
@@ -19,22 +19,25 @@
 //! Version 4 drops the full view's topology section and the topology
 //! version of both views: the sender's `Λ_k` is its link keys. Entry
 //! keys are unique; a frame listing one twice is rejected.
+//! Version 5 has one heartbeat layout: a full view is the view since
+//! base 0, so it carries a base too (8 bytes more), and tag 5 is gone.
 
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use diffuse_bayes::{Distortion, Offer};
 use diffuse_core::{
-    BroadcastId, DataMessage, DeltaView, GossipMessage, HeartbeatMessage, HeartbeatView, Message,
-    Payload, ReliabilityTree, View, Wire,
+    BroadcastId, DataMessage, GossipMessage, HeartbeatMessage, Message, Payload, ReliabilityTree,
+    View, Wire,
 };
 use diffuse_model::{LinkId, ProcessId};
 use diffuse_sim::SimMessage;
 
 use crate::NetError;
 
-/// Current wire-format version (4: views without a topology section).
-pub const WIRE_VERSION: u8 = 4;
+/// Current wire-format version (5: one heartbeat layout, whole views
+/// being the views since base 0).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Safety cap on any decoded element count (processes, links, bytes).
 const MAX_COUNT: usize = 1 << 20;
@@ -43,7 +46,6 @@ const TAG_DATA: u8 = 1;
 const TAG_GOSSIP: u8 = 2;
 const TAG_ACK: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
-const TAG_HEARTBEAT_DELTA: u8 = 5;
 
 /// Encodes a protocol message into a standalone frame.
 pub fn encode_message(message: &Message) -> Bytes {
@@ -66,20 +68,12 @@ pub fn encode_message(message: &Message) -> Bytes {
             buf.put_u8(TAG_ACK);
             put_broadcast_id(&mut buf, *id);
         }
-        Message::Heartbeat(h) => match &h.view {
-            HeartbeatView::Full(view) => {
-                buf.put_u8(TAG_HEARTBEAT);
-                buf.put_u64_le(h.seq);
-                buf.put_u64_le(h.ack);
-                put_view(&mut buf, view);
-            }
-            HeartbeatView::Delta(delta) => {
-                buf.put_u8(TAG_HEARTBEAT_DELTA);
-                buf.put_u64_le(h.seq);
-                buf.put_u64_le(h.ack);
-                put_delta_view(&mut buf, delta);
-            }
-        },
+        Message::Heartbeat(h) => {
+            buf.put_u8(TAG_HEARTBEAT);
+            buf.put_u64_le(h.seq);
+            buf.put_u64_le(h.ack);
+            put_view(&mut buf, &h.view);
+        }
     }
     buf.freeze()
 }
@@ -95,7 +89,7 @@ pub fn frame_kind(frame: &[u8]) -> &'static str {
     match frame {
         [WIRE_VERSION, TAG_DATA, ..] | [WIRE_VERSION, TAG_GOSSIP, ..] => "data",
         [WIRE_VERSION, TAG_ACK, ..] => "ack",
-        [WIRE_VERSION, TAG_HEARTBEAT, ..] | [WIRE_VERSION, TAG_HEARTBEAT_DELTA, ..] => "heartbeat",
+        [WIRE_VERSION, TAG_HEARTBEAT, ..] => "heartbeat",
         _ => "message",
     }
 }
@@ -139,17 +133,7 @@ pub fn decode_message(mut buf: &[u8]) -> Result<Message, NetError> {
             Message::Heartbeat(HeartbeatMessage {
                 seq,
                 ack,
-                view: HeartbeatView::Full(Arc::new(view)),
-            })
-        }
-        TAG_HEARTBEAT_DELTA => {
-            let seq = get_u64(&mut buf)?;
-            let ack = get_u64(&mut buf)?;
-            let delta = get_delta_view(&mut buf)?;
-            Message::Heartbeat(HeartbeatMessage {
-                seq,
-                ack,
-                view: HeartbeatView::Delta(Arc::new(delta)),
+                view: Arc::new(view),
             })
         }
         other => return Err(NetError::BadTag(other)),
@@ -326,26 +310,28 @@ fn get_offer(buf: &mut &[u8]) -> Result<Offer, NetError> {
     Ok(Offer::new(failures, successes, distortion))
 }
 
-fn put_entries(buf: &mut BytesMut, processes: &[(ProcessId, Offer)], links: &[(LinkId, Offer)]) {
-    buf.put_u32_le(processes.len() as u32);
-    for (p, e) in processes {
+fn put_view(buf: &mut BytesMut, view: &View) {
+    buf.put_u64_le(view.generation);
+    buf.put_u64_le(view.base);
+    buf.put_u32_le(view.processes.len() as u32);
+    for (p, e) in &view.processes {
         buf.put_u32_le(p.index());
         put_offer(buf, e);
     }
-    buf.put_u32_le(links.len() as u32);
-    for (l, e) in links {
+    buf.put_u32_le(view.links.len() as u32);
+    for (l, e) in &view.links {
         buf.put_u32_le(l.lo().index());
         buf.put_u32_le(l.hi().index());
         put_offer(buf, e);
     }
 }
 
-/// A view's or delta's two entry lists, each sorted by key — the
+/// Reads a view whose two entry lists are each sorted by key — the
 /// invariant receivers merge-join on, kept even against a hostile
 /// encoder — with every key listed once.
-type Entries = (Vec<(ProcessId, Offer)>, Vec<(LinkId, Offer)>);
-
-fn get_entries(buf: &mut &[u8]) -> Result<Entries, NetError> {
+fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
+    let generation = get_u64(buf)?;
+    let base = get_u64(buf)?;
     let n_pe = get_count(buf)?;
     let mut processes = Vec::with_capacity(n_pe);
     for _ in 0..n_pe {
@@ -366,35 +352,7 @@ fn get_entries(buf: &mut &[u8]) -> Result<Entries, NetError> {
     {
         return Err(NetError::Invalid("repeated entry key"));
     }
-    Ok((processes, links))
-}
-
-fn put_view(buf: &mut BytesMut, view: &View) {
-    buf.put_u64_le(view.generation);
-    put_entries(buf, &view.processes, &view.links);
-}
-
-fn get_view(buf: &mut &[u8]) -> Result<View, NetError> {
-    let generation = get_u64(buf)?;
-    let (processes, links) = get_entries(buf)?;
     Ok(View {
-        generation,
-        processes,
-        links,
-    })
-}
-
-fn put_delta_view(buf: &mut BytesMut, delta: &DeltaView) {
-    buf.put_u64_le(delta.generation);
-    buf.put_u64_le(delta.base);
-    put_entries(buf, &delta.processes, &delta.links);
-}
-
-fn get_delta_view(buf: &mut &[u8]) -> Result<DeltaView, NetError> {
-    let generation = get_u64(buf)?;
-    let base = get_u64(buf)?;
-    let (processes, links) = get_entries(buf)?;
-    Ok(DeltaView {
         generation,
         base,
         processes,
@@ -428,6 +386,7 @@ mod tests {
         est.beliefs_mut().decrease_reliability(1);
         View {
             generation: 12,
+            base: 0,
             processes: vec![(p(0), est.offer()), (p(1), Estimate::unknown(5).offer())],
             links: vec![(LinkId::new(p(0), p(1)).unwrap(), est.offer())],
         }
@@ -444,15 +403,16 @@ mod tests {
         links.sort_by_key(|(l, _)| *l);
         View {
             generation: 5,
+            base: 0,
             processes: (0..n).map(|i| (p(i), est.offer())).collect(),
             links,
         }
     }
 
-    fn sample_delta() -> DeltaView {
+    fn sample_delta() -> View {
         let mut est = Estimate::first_hand(5);
         est.beliefs_mut().increase_reliability(2);
-        DeltaView {
+        View {
             generation: 13,
             base: 12,
             processes: vec![(p(1), est.offer())],
@@ -477,12 +437,12 @@ mod tests {
             Message::Heartbeat(HeartbeatMessage {
                 seq: 1234567,
                 ack: 11,
-                view: HeartbeatView::Full(Arc::new(sample_view())),
+                view: Arc::new(sample_view()),
             }),
             Message::Heartbeat(HeartbeatMessage {
                 seq: 1234568,
                 ack: 12,
-                view: HeartbeatView::Delta(Arc::new(sample_delta())),
+                view: Arc::new(sample_delta()),
             }),
         ];
         for message in messages {
@@ -580,14 +540,14 @@ mod tests {
         let full = encode_message(&Message::Heartbeat(HeartbeatMessage {
             seq: 1,
             ack: 0,
-            view: HeartbeatView::Full(Arc::new(ring_view(8))),
+            view: Arc::new(ring_view(8)),
         }));
         let mut delta = sample_delta();
         delta.links.clear();
         let delta = encode_message(&Message::Heartbeat(HeartbeatMessage {
             seq: 2,
             ack: 1,
-            view: HeartbeatView::Delta(Arc::new(delta)),
+            view: Arc::new(delta),
         }));
         assert!(
             delta.len() * 2 < full.len(),
@@ -597,8 +557,8 @@ mod tests {
         );
     }
 
-    /// A frame listing one entry key twice is rejected, in a full view
-    /// and in a delta, for a process and for a link: a receiver would
+    /// A frame listing one entry key twice is rejected, at base 0 and at
+    /// a later base, for a process and for a link: a receiver would
     /// otherwise mirror the entry twice and count it twice.
     #[test]
     fn repeated_entry_keys_are_rejected() {
@@ -619,8 +579,8 @@ mod tests {
                 view.processes.push(view.processes[1]);
                 delta.processes.push(delta.processes[0]);
             }
-            frames.push(heartbeat(HeartbeatView::Full(Arc::new(view))));
-            frames.push(heartbeat(HeartbeatView::Delta(Arc::new(delta))));
+            frames.push(heartbeat(Arc::new(view)));
+            frames.push(heartbeat(Arc::new(delta)));
         }
         for frame in frames {
             assert!(matches!(
@@ -630,8 +590,8 @@ mod tests {
         }
     }
 
-    /// `wire_size` is the length of the frame the codec writes, for a
-    /// full heartbeat and for a delta one.
+    /// `wire_size` is the length of the frame the codec writes, at base 0
+    /// and at a later base.
     #[test]
     fn wire_sizes_are_encoded_lengths() {
         let mut wide = sample_view();
@@ -641,7 +601,7 @@ mod tests {
             let full = Message::Heartbeat(HeartbeatMessage {
                 seq: 3,
                 ack: 2,
-                view: HeartbeatView::Full(Arc::new(view.clone())),
+                view: Arc::new(view.clone()),
             });
             assert_eq!(view.wire_size(), encode_message(&full).len());
         }
@@ -649,7 +609,7 @@ mod tests {
         let message = Message::Heartbeat(HeartbeatMessage {
             seq: 4,
             ack: 3,
-            view: HeartbeatView::Delta(Arc::new(delta.clone())),
+            view: Arc::new(delta.clone()),
         });
         assert_eq!(delta.wire_size(), encode_message(&message).len());
     }
@@ -673,14 +633,9 @@ mod tests {
             }),
             Message::Ack { id: sample_id() },
             Message::Heartbeat(HeartbeatMessage {
-                seq: 1,
-                ack: 0,
-                view: HeartbeatView::Full(Arc::new(sample_view())),
-            }),
-            Message::Heartbeat(HeartbeatMessage {
                 seq: 2,
                 ack: 1,
-                view: HeartbeatView::Delta(Arc::new(sample_delta())),
+                view: Arc::new(sample_delta()),
             }),
         ];
         for message in messages {
@@ -697,12 +652,12 @@ mod tests {
             Message::Heartbeat(HeartbeatMessage {
                 seq: 5,
                 ack: 3,
-                view: HeartbeatView::Full(Arc::new(sample_view())),
+                view: Arc::new(sample_view()),
             }),
             Message::Heartbeat(HeartbeatMessage {
                 seq: 6,
                 ack: 5,
-                view: HeartbeatView::Delta(Arc::new(sample_delta())),
+                view: Arc::new(sample_delta()),
             }),
         ] {
             let frame = encode_message(&message);
@@ -739,10 +694,10 @@ mod tests {
 
     #[test]
     fn hostile_counts_are_capped() {
-        // version, heartbeat tag, seq, ack, generation, then an absurd
-        // process count.
+        // version, heartbeat tag, seq, ack, generation, base, then an
+        // absurd process count.
         let mut frame = vec![WIRE_VERSION, TAG_HEARTBEAT];
-        for _ in 0..3 {
+        for _ in 0..4 {
             frame.extend_from_slice(&0u64.to_le_bytes());
         }
         frame.extend_from_slice(&u32::MAX.to_le_bytes());

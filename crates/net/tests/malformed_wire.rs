@@ -25,9 +25,8 @@ use std::time::Duration;
 
 use diffuse_bayes::{Distortion, Offer};
 use diffuse_core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, DeltaView, Event,
-    GossipMessage, HeartbeatMessage, HeartbeatView, Message, Payload, Protocol, ReferenceGossip,
-    ReliabilityTree, View,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, DataMessage, Event, GossipMessage,
+    HeartbeatMessage, Message, Payload, Protocol, ReferenceGossip, ReliabilityTree, View,
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_net::codec::{decode_message, encode_message, frame_kind, WIRE_VERSION};
@@ -241,12 +240,12 @@ fn heartbeat_delta(
     Message::Heartbeat(HeartbeatMessage {
         seq,
         ack,
-        view: HeartbeatView::Delta(Arc::new(DeltaView {
+        view: Arc::new(View {
             generation,
             base,
             processes,
             links,
-        })),
+        }),
     })
 }
 
@@ -256,15 +255,7 @@ fn heartbeat_full(
     processes: Vec<(ProcessId, Offer)>,
     links: Vec<(LinkId, Offer)>,
 ) -> Message {
-    Message::Heartbeat(HeartbeatMessage {
-        seq,
-        ack: 0,
-        view: HeartbeatView::Full(Arc::new(View {
-            generation,
-            processes,
-            links,
-        })),
-    })
+    heartbeat_delta(seq, 0, generation, 0, processes, links)
 }
 
 /// Round-trips a hostile message through the real codec, proving it is
@@ -466,7 +457,7 @@ fn extreme_counts_stay_valid_posteriors() {
         let own = Message::Heartbeat(HeartbeatMessage {
             seq: 1,
             ack: 0,
-            view: HeartbeatView::Full(Arc::new(node.view())),
+            view: Arc::new(node.view()),
         });
         assert_eq!(roundtrip(&own), own, "the receiver's own view decodes");
     }

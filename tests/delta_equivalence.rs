@@ -25,8 +25,8 @@ use std::sync::Arc;
 use diffuse::bayes::Estimate;
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
 use diffuse::core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, HeartbeatView,
-    Message, Payload, Protocol, ProtocolAudit, View,
+    Actions, AdaptiveBroadcast, AdaptiveParams, BroadcastId, CoreError, Event, Message, Payload,
+    Protocol, ProtocolAudit, View,
 };
 use diffuse::graph::generators;
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId, Topology};
@@ -62,13 +62,13 @@ impl Protocol for ExpandDeltas {
         for (i, (to, message)) in actions.take_sends().into_iter().enumerate() {
             let message = match message {
                 Message::Heartbeat(mut hb) if i >= kept => {
-                    if let HeartbeatView::Delta(d) = &hb.view {
+                    if hb.view.base > 0 {
                         let view = full.get_or_insert_with(|| Arc::new(self.0.view()));
                         assert_eq!(
-                            view.generation, d.generation,
+                            view.generation, hb.view.generation,
                             "a delta is stamped with the view it was cut from"
                         );
-                        hb.view = HeartbeatView::Full(Arc::clone(view));
+                        hb.view = Arc::clone(view);
                     }
                     Message::Heartbeat(hb)
                 }
@@ -438,25 +438,21 @@ fn delta_bases_never_outrun_the_receiver() {
         let mut check = |from: ProcessId, to: ProcessId, m: &Message| -> bool {
             if let Message::Heartbeat(hb) = m {
                 if (from, to) == (p(1), p(0)) {
-                    match &hb.view {
-                        HeartbeatView::Delta(d) => {
-                            // Drop a third of them — the survivors must
-                            // still be applicable.
-                            if t % 3 == 0 {
-                                return true;
-                            }
-                            assert!(
-                                d.base <= last_merged_0_from_1,
-                                "tick {t}: delta base {} outran receiver at {}",
-                                d.base,
-                                last_merged_0_from_1
-                            );
-                            last_merged_0_from_1 = d.generation;
+                    let d = &hb.view;
+                    if d.base > 0 {
+                        // Drop a third of them — the survivors must
+                        // still be applicable.
+                        if t % 3 == 0 {
+                            return true;
                         }
-                        HeartbeatView::Full(v) => {
-                            last_merged_0_from_1 = v.generation;
-                        }
+                        assert!(
+                            d.base <= last_merged_0_from_1,
+                            "tick {t}: delta base {} outran receiver at {}",
+                            d.base,
+                            last_merged_0_from_1
+                        );
                     }
+                    last_merged_0_from_1 = d.generation;
                 }
             }
             false
@@ -485,7 +481,7 @@ fn new_links_ride_deltas_after_first_contact() {
         drive_round(&mut full, now, &mut |_, _, _| false);
         let mut capture = |from: ProcessId, to: ProcessId, m: &Message| -> bool {
             if let (true, Message::Heartbeat(hb)) = ((from, to) == (p(1), p(0)), m) {
-                kinds.push((t, matches!(hb.view, HeartbeatView::Full(_))));
+                kinds.push((t, hb.view.base == 0));
             }
             false
         };
@@ -520,7 +516,7 @@ impl Protocol for CountFull {
         self.0.on_event(now, event, actions);
         for (to, message) in &actions.sends()[kept..] {
             if let Message::Heartbeat(hb) = message {
-                if matches!(hb.view, HeartbeatView::Full(_)) {
+                if hb.view.base == 0 {
                     *self.1.entry(*to).or_default() += 1;
                 }
             }
@@ -611,17 +607,15 @@ fn steady_state_frames_are_small_deltas() {
         let now = SimTime::new(t);
         let mut capture = |_from: ProcessId, _to: ProcessId, m: &Message| -> bool {
             if let Message::Heartbeat(hb) = m {
-                match &hb.view {
-                    HeartbeatView::Full(v) => {
-                        max_full_size = max_full_size.max(v.wire_size());
+                let v = &hb.view;
+                if v.base == 0 {
+                    max_full_size = max_full_size.max(v.wire_size());
+                } else {
+                    if t == 1 {
+                        tick1_all_full = false;
                     }
-                    HeartbeatView::Delta(d) => {
-                        if t == 1 {
-                            tick1_all_full = false;
-                        }
-                        if t == 40 {
-                            final_tick_delta_sizes.push(d.wire_size());
-                        }
+                    if t == 40 {
+                        final_tick_delta_sizes.push(v.wire_size());
                     }
                 }
             }

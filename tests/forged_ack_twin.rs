@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use diffuse::bayes::{Distortion, Offer};
 use diffuse::core::{
-    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, HeartbeatView, Message, Protocol,
-    SelfTimed, View,
+    Actions, AdaptiveBroadcast, AdaptiveParams, HeartbeatMessage, Message, Protocol, SelfTimed,
+    View,
 };
 use diffuse::model::ProcessId;
 use diffuse::sim::SimTime;
@@ -44,11 +44,12 @@ fn liar_heartbeat(seq: u64, ack: u64) -> Message {
     Message::Heartbeat(HeartbeatMessage {
         seq,
         ack,
-        view: HeartbeatView::Full(Arc::new(View {
+        view: Arc::new(View {
             generation: seq,
+            base: 0,
             processes: vec![(LIAR, Offer::new(0, 0, Distortion::ZERO))],
             links: vec![],
-        })),
+        }),
     })
 }
 
@@ -78,8 +79,8 @@ fn run_script(script: &[Step]) -> (SelfTimed<AdaptiveBroadcast>, Vec<String>) {
             .iter()
             .filter_map(|(to, m)| match m {
                 Message::Heartbeat(h) if *to == LIAR => Some(match &h.view {
-                    HeartbeatView::Full(v) => format!("full@{}", v.generation),
-                    HeartbeatView::Delta(d) => format!("delta {}..{}", d.base, d.generation),
+                    v if v.base == 0 => format!("full@{}", v.generation),
+                    d => format!("delta {}..{}", d.base, d.generation),
                 }),
                 _ => None,
             })
