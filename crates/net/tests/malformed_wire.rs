@@ -30,7 +30,9 @@ use diffuse_core::{
 };
 use diffuse_model::{LinkId, ProcessId, Topology};
 use diffuse_net::codec::{decode_message, encode_message, frame_kind, WIRE_VERSION};
-use diffuse_net::{spawn_node, Fabric, NodeHandle, Transport, UdpTransport, MAX_DATAGRAM};
+use diffuse_net::{
+    spawn_node, Fabric, NetError, NodeHandle, Transport, UdpTransport, MAX_DATAGRAM,
+};
 use diffuse_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -552,7 +554,7 @@ fn repeated_entry_keys_are_refused_whole() {
 /// cannot produce it either.
 #[test]
 fn self_loop_link_frames_are_rejected_by_the_decoder() {
-    let mut raw = vec![WIRE_VERSION, 5]; // tag 5 = delta heartbeat
+    let mut raw = vec![WIRE_VERSION, 4]; // tag 4 = heartbeat
     raw.extend_from_slice(&7u64.to_le_bytes()); // seq
     raw.extend_from_slice(&0u64.to_le_bytes()); // ack
     raw.extend_from_slice(&14u64.to_le_bytes()); // generation
@@ -562,10 +564,13 @@ fn self_loop_link_frames_are_rejected_by_the_decoder() {
     raw.extend_from_slice(&3u32.to_le_bytes()); // … from process 3
     raw.extend_from_slice(&3u32.to_le_bytes()); // … to process 3
     assert!(
-        decode_message(&raw).is_err(),
+        matches!(
+            decode_message(&raw),
+            Err(NetError::Invalid("self-loop link"))
+        ),
         "self-loop links must not decode"
     );
-    let _ = frame_kind(&raw);
+    assert_eq!(frame_kind(&raw), "heartbeat");
 }
 
 /// The same hostile families against a *spawned* node on the in-memory
