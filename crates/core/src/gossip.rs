@@ -9,7 +9,7 @@
 //! to its neighbor q if (a) it has previously received m from q, or (b) it
 //! has received an acknowledgment message from q for m."
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use diffuse_model::ProcessId;
 use diffuse_sim::{SimTime, TimerId};
@@ -68,9 +68,12 @@ pub struct ReferenceGossip {
     /// Ticks per forwarding step (see [`ReferenceGossip::with_step_period`]).
     step_period: u64,
     next_seq: u64,
-    active: BTreeMap<BroadcastId, GossipState>,
+    /// Broadcasts still forwarding, sorted by id: sized to what is live.
+    active: Vec<(BroadcastId, GossipState)>,
     delivered: Vec<(BroadcastId, Payload)>,
-    /// Ids in `delivered`, for O(log n) duplicate checks.
+    /// Ids in `delivered`, for O(log n) duplicate checks. A tree, not a
+    /// sorted vector: it grows with every broadcast this process ever
+    /// saw, so inserting at sorted positions would be quadratic.
     delivered_ids: BTreeSet<BroadcastId>,
     /// Data copies this process has pushed to the network.
     data_sent: u64,
@@ -103,13 +106,19 @@ impl ReferenceGossip {
             steps,
             step_period: 1,
             next_seq: 0,
-            active: BTreeMap::new(),
+            active: Vec::new(),
             delivered: Vec::new(),
             delivered_ids: BTreeSet::new(),
             data_sent: 0,
             acks_sent: 0,
             step_timer_at: None,
         }
+    }
+
+    /// The forwarding state of an active broadcast.
+    fn active_mut(&mut self, id: BroadcastId) -> Option<&mut GossipState> {
+        let index = self.active.binary_search_by_key(&id, |&(a, _)| a).ok()?;
+        Some(&mut self.active[index].1)
     }
 
     /// Bit position of a neighbor, or `None` for a non-neighbor sender
@@ -160,13 +169,20 @@ impl ReferenceGossip {
         payload: Payload,
         remaining_steps: u32,
     ) -> &mut GossipState {
-        let state = GossipState {
-            payload,
-            received_from: NeighborBits::for_neighbors(self.neighbors.len()),
-            acked_by: NeighborBits::for_neighbors(self.neighbors.len()),
-            remaining_steps,
+        let index = match self.active.binary_search_by_key(&id, |&(a, _)| a) {
+            Ok(index) => index,
+            Err(index) => {
+                let state = GossipState {
+                    payload,
+                    received_from: NeighborBits::for_neighbors(self.neighbors.len()),
+                    acked_by: NeighborBits::for_neighbors(self.neighbors.len()),
+                    remaining_steps,
+                };
+                self.active.insert(index, (id, state));
+                index
+            }
         };
-        self.active.entry(id).or_insert(state)
+        &mut self.active[index].1
     }
 
     fn record_delivery(&mut self, id: BroadcastId, payload: Payload) {
@@ -192,11 +208,9 @@ impl ReferenceGossip {
     /// every active broadcast pushes a copy to each un-suppressed
     /// neighbor and burns one step; exhausted entries are retired.
     fn forward_round(&mut self, actions: &mut Actions) {
-        let mut finished = Vec::new();
-        for (&id, state) in self.active.iter_mut() {
+        self.active.retain_mut(|(id, state)| {
             if state.remaining_steps == 0 {
-                finished.push(id);
-                continue;
+                return false;
             }
             state.remaining_steps -= 1;
             // Walk the un-suppressed frontier word by word; ascending bit
@@ -220,7 +234,7 @@ impl ReferenceGossip {
                     actions.send(
                         self.neighbors[position],
                         Message::Gossip(GossipMessage {
-                            id,
+                            id: *id,
                             payload: state.payload.clone(),
                             ttl: state.remaining_steps,
                         }),
@@ -228,10 +242,8 @@ impl ReferenceGossip {
                     self.data_sent += 1;
                 }
             }
-        }
-        for id in finished {
-            self.active.remove(&id);
-        }
+            true
+        });
     }
 
     /// [`Self::STEP`] handler: forward on step-aligned ticks, otherwise
@@ -264,7 +276,7 @@ impl ReferenceGossip {
                 actions.send(from, Message::Ack { id: data.id });
                 self.acks_sent += 1;
                 let position = self.neighbor_position(from);
-                match self.active.get_mut(&data.id) {
+                match self.active_mut(data.id) {
                     Some(state) => {
                         if let Some(position) = position {
                             state.received_from.insert(position);
@@ -286,7 +298,7 @@ impl ReferenceGossip {
             }
             Message::Ack { id } => {
                 let position = self.neighbor_position(from);
-                if let (Some(state), Some(position)) = (self.active.get_mut(&id), position) {
+                if let (Some(position), Some(state)) = (position, self.active_mut(id)) {
                     state.acked_by.insert(position);
                 }
             }
@@ -506,6 +518,52 @@ mod tests {
             .take_timer_ops()
             .iter()
             .any(|&(t, at)| t == ReferenceGossip::STEP && at.is_some()));
+    }
+
+    #[test]
+    fn overlapping_broadcasts_forward_in_id_order_and_retire_independently() {
+        let mut node = timed(ReferenceGossip::new(p(1), vec![p(0), p(2)], 9));
+        let low = BroadcastId {
+            origin: p(0),
+            seq: 1,
+        };
+        let high = BroadcastId {
+            origin: p(3),
+            seq: 0,
+        };
+        // Received out of id order, from a non-neighbor, so both
+        // neighbors stay unsuppressed.
+        let mut a = Actions::new();
+        node.handle_message(SimTime::new(1), p(9), data_with_ttl(high, 3), &mut a);
+        node.handle_message(SimTime::new(1), p(9), data_with_ttl(low, 1), &mut a);
+        let active = |node: &SelfTimed<ReferenceGossip>| -> Vec<BroadcastId> {
+            node.protocol().active.iter().map(|&(id, _)| id).collect()
+        };
+        assert_eq!(active(&node), vec![low, high]);
+
+        let round = |node: &mut SelfTimed<ReferenceGossip>, at| -> Vec<(ProcessId, BroadcastId)> {
+            let mut tick = Actions::new();
+            node.fire_due(SimTime::new(at), &mut tick);
+            tick.sends()
+                .iter()
+                .map(|(to, message)| match message {
+                    Message::Gossip(data) => (*to, data.id),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        // Ascending id order, each broadcast in neighbor-list order.
+        assert_eq!(
+            round(&mut node, 2),
+            vec![(p(0), low), (p(2), low), (p(0), high), (p(2), high)]
+        );
+        // `low` spent its one step and retires; `high` forwards on.
+        assert_eq!(round(&mut node, 3), vec![(p(0), high), (p(2), high)]);
+        assert_eq!(active(&node), vec![high]);
+        assert_eq!(round(&mut node, 4), vec![(p(0), high), (p(2), high)]);
+        assert!(round(&mut node, 5).is_empty());
+        assert!(active(&node).is_empty());
+        assert_eq!(node.protocol().delivered().len(), 2);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Knowledge about the system: exact or approximated `(G, C)`.
 
+use std::sync::Arc;
+
 use diffuse_bayes::Offer;
 use diffuse_graph::maximum_reliability_tree;
 use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
@@ -14,17 +16,24 @@ use crate::{optimize, CoreError, MessagePlan, ReliabilityTree};
 /// before each broadcast. Either way, broadcasting is the same two steps
 /// (Algorithm 1): build the MRT rooted at the sender, then run
 /// `optimize()` on it.
+///
+/// The value is immutable and shared: a clone shares the one `(G, C)`
+/// it was cloned from (a reference-count bump, not a copy), so handing
+/// the same exact knowledge to every process of a run holds it once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkKnowledge {
-    topology: Topology,
-    config: Configuration,
+    topology: Arc<Topology>,
+    config: Arc<Configuration>,
 }
 
 impl NetworkKnowledge {
     /// Wraps an exact topology and configuration (the optimal algorithm's
-    /// full-knowledge assumption).
+    /// full-knowledge assumption). Clones of the result share them.
     pub fn exact(topology: Topology, config: Configuration) -> Self {
-        NetworkKnowledge { topology, config }
+        NetworkKnowledge {
+            topology: Arc::new(topology),
+            config: Arc::new(config),
+        }
     }
 
     /// The known topology.
@@ -168,6 +177,15 @@ mod tests {
             Probability::new(0.6).unwrap(),
         );
         NetworkKnowledge::exact(g, c)
+    }
+
+    #[test]
+    fn a_clone_shares_the_topology_and_configuration() {
+        let k = diamond_knowledge();
+        let clone = k.clone();
+        assert!(std::ptr::eq(clone.topology(), k.topology()));
+        assert!(std::ptr::eq(clone.config(), k.config()));
+        assert_eq!(clone, k);
     }
 
     #[test]

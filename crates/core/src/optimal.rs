@@ -70,7 +70,9 @@ pub struct OptimalBroadcast {
 
 impl OptimalBroadcast {
     /// Creates an optimal broadcaster with exact `knowledge` and target
-    /// reliability `k` (the paper's `K`, e.g. `0.9999`).
+    /// reliability `k` (the paper's `K`, e.g. `0.9999`). Every process of
+    /// a run may take a clone of one `knowledge`: clones share its
+    /// `(G, C)`, so the run holds it once.
     pub fn new(id: ProcessId, knowledge: NetworkKnowledge, k: f64) -> Self {
         OptimalBroadcast {
             id,

@@ -1149,6 +1149,19 @@ mod tests {
     }
 
     #[test]
+    fn processes_built_from_one_knowledge_share_it() {
+        let topology = generators::ring(6).unwrap();
+        let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
+        let scenario = Scenario::builder(topology).build();
+        let run = scenario.sim(|id| OptimalBroadcast::new(id, knowledge.clone(), 0.999));
+        let held = |id| run.sim().node(p(id)).unwrap().protocol().knowledge();
+        for id in [0, 3] {
+            assert!(std::ptr::eq(held(id).topology(), knowledge.topology()));
+            assert!(std::ptr::eq(held(id).config(), knowledge.config()));
+        }
+    }
+
+    #[test]
     fn fault_script_cuts_and_heals_mid_run() {
         // Gossip on a line 0-1-2; the only path is cut when the first
         // broadcast is issued and healed before the second.

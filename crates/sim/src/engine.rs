@@ -179,9 +179,9 @@ impl LinkTable {
 /// it; drivers mutate it between steps (scripted loss changes).
 #[derive(Debug, Clone)]
 pub struct LaneEnv {
-    /// The simulated network graph — for readers; the flush reads
-    /// `links`, built from it once, so neither is writable from outside.
-    topology: Topology,
+    /// The simulated network, indexed once from the topology and loss
+    /// configuration; not writable from outside except through
+    /// [`LaneEnv::set_loss`].
     links: LinkTable,
     /// Message latency in ticks. Private so it stays at least 1: a
     /// message sent during tick `t` is never due before `t + 1`, which
@@ -198,8 +198,8 @@ pub struct LaneEnv {
 impl LaneEnv {
     /// The environment both drivers build from their constructor
     /// arguments. `topology` and `loss` are indexed into the link table
-    /// here, once (loss entries of links the topology lacks are
-    /// dropped); `options.link_delay` is clamped to at least 1 tick;
+    /// here, once, and not kept (loss entries of links the topology lacks
+    /// are dropped); `options.link_delay` is clamped to at least 1 tick;
     /// `boundaries` holds each lane's first process id, or nothing for a
     /// single lane.
     pub fn new(
@@ -210,16 +210,10 @@ impl LaneEnv {
     ) -> Self {
         LaneEnv {
             links: LinkTable::build(&topology, &loss),
-            topology,
             link_delay: options.link_delay.max(1),
             crash_model: options.crash_model,
             boundaries,
         }
-    }
-
-    /// The simulated network graph.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Number of lanes the process set is split over.
@@ -1144,7 +1138,7 @@ mod tests {
         assert_eq!(ids(1), vec![p(10), p(11)]);
         assert_eq!(ids(2), vec![p(40), p(90)]);
         assert_eq!(Lane::<u64>::new(&env, 1, 1).base, 3);
-        for id in env.topology().processes() {
+        for id in sparse().processes() {
             assert!(ids(env.lane_of(id)).contains(&id), "{id}");
         }
     }

@@ -274,11 +274,6 @@ impl<A: Actor> Simulation<A> {
         self.lane.now()
     }
 
-    /// The simulated topology.
-    pub fn topology(&self) -> &Topology {
-        self.env.topology()
-    }
-
     /// Collected metrics, assembled from the lane's dense counters on
     /// every call: read them once per report, not per tick.
     pub fn metrics(&self) -> Metrics {

@@ -206,11 +206,6 @@ impl<A: Actor> ShardedKernel<A> {
         self.shards[0].lane.now()
     }
 
-    /// The simulated topology.
-    pub fn topology(&self) -> &Topology {
-        self.env.topology()
-    }
-
     /// Ticks actually executed (fast-forwarded ticks are not counted).
     /// Lane clocks advance in lockstep, so any lane's count is the run's.
     pub fn busy_ticks(&self) -> u64 {

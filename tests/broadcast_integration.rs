@@ -219,3 +219,37 @@ fn duplicate_suppression_holds_under_heavy_redundancy() {
         assert!(actor.protocol().delivered().len() <= 1);
     }
 }
+
+#[test]
+#[ignore = "release-only: 10 000 processes (cargo test --release -- --ignored)"]
+fn optimal_broadcast_runs_at_gossip_scale_on_one_knowledge() {
+    // The gossip workloads' graph, G(10 000, 2 ln n / n), loss-free, one
+    // broadcast. Every process holds a clone of one exact knowledge; a
+    // deep copy each would be about 6 MB per process.
+    use rand::SeedableRng;
+
+    let n = 10_000u32;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let edge_probability = 2.0 * f64::from(n).ln() / f64::from(n);
+    let topology =
+        generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap();
+    let config = Configuration::uniform(&topology, Probability::ZERO, Probability::ZERO);
+    let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
+    let shared = knowledge.clone();
+    let mut sim = Simulation::new(
+        topology,
+        config,
+        move |id| ProtocolActor::new(OptimalBroadcast::new(id, shared.clone(), 0.9999)),
+        SimOptions::default().with_seed(1),
+    );
+    assert!(sim.command(p(0), |a, ctx| {
+        a.broadcast_now(ctx, Payload::from("x")).unwrap();
+    }));
+    sim.run_ticks(u64::from(n));
+    assert_eq!(delivered_count(&sim), n as usize);
+    for (_, actor) in sim.nodes() {
+        let held = actor.protocol().knowledge();
+        assert!(std::ptr::eq(held.topology(), knowledge.topology()));
+        assert!(std::ptr::eq(held.config(), knowledge.config()));
+    }
+}
