@@ -48,9 +48,36 @@ fn bench_mrt(c: &mut Criterion) {
     );
     group.bench_with_input(
         BenchmarkId::new("prim", "er_n10000"),
-        &(topology, config),
+        &(topology.clone(), config.clone()),
         |b, (t, cfg)| b.iter(|| maximum_reliability_tree(t, cfg, ProcessId::new(1)).unwrap()),
     );
+    // The same tree from a knowledge whose index an earlier tree built:
+    // Prim and the λ labelling, without the index build.
+    let knowledge = NetworkKnowledge::exact(topology, config);
+    knowledge.reliability_tree(ProcessId::new(0)).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("prim_indexed", "er_n10000"),
+        &knowledge,
+        |b, k| b.iter(|| k.reliability_tree(ProcessId::new(1)).unwrap()),
+    );
+    group.finish();
+}
+
+fn bench_graph(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    // The gossip workloads' generator for seed 1, connectivity check
+    // included: G(10 000, 2 ln n / n).
+    let n = 10_000u32;
+    let edge_probability = 2.0 * f64::from(n).ln() / f64::from(n);
+    group.bench_function(BenchmarkId::new("er_connected_fast", "n10000"), |b| {
+        b.iter(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap()
+        })
+    });
     group.finish();
 }
 
@@ -316,8 +343,8 @@ fn bench_fast_forward(c: &mut Criterion) {
     group.bench_function("fig5_event_driven_d600", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(
-                topology.clone(),
-                config.clone(),
+                &topology,
+                &config,
                 |id| {
                     ProtocolActor::new(AdaptiveBroadcast::new(
                         id,
@@ -430,6 +457,7 @@ fn bench_engine_flood(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_graph,
     bench_mrt,
     bench_reach_and_optimize,
     bench_plan,

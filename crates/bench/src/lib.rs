@@ -3,7 +3,7 @@
 #![forbid(unsafe_code)]
 
 use diffuse_core::ReliabilityTree;
-use diffuse_graph::{generators, maximum_reliability_tree};
+use diffuse_graph::{generators, NetworkIndex};
 use diffuse_model::{Configuration, Probability, ProcessId, Topology};
 
 /// A standard benchmark fixture: circulant topology with uniform loss.
@@ -20,9 +20,11 @@ pub fn fixture(n: u32, connectivity: u32, loss: f64) -> (Topology, Configuration
 /// The labelled MRT of a fixture, rooted at `p0`.
 pub fn fixture_tree(n: u32, connectivity: u32, loss: f64) -> ReliabilityTree {
     let (topology, config) = fixture(n, connectivity, loss);
-    let mrt =
-        maximum_reliability_tree(&topology, &config, ProcessId::new(0)).expect("connected fixture");
-    ReliabilityTree::from_spanning_tree(&mrt, &config)
+    let index = NetworkIndex::new(&topology, &config);
+    let mrt = index
+        .maximum_reliability_tree(ProcessId::new(0))
+        .expect("connected fixture");
+    ReliabilityTree::from_spanning_tree(&mrt, &index)
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Knowledge about the system: exact or approximated `(G, C)`.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use diffuse_bayes::Offer;
-use diffuse_graph::maximum_reliability_tree;
+use diffuse_graph::NetworkIndex;
 use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
 
 use crate::{optimize, CoreError, MessagePlan, ReliabilityTree};
@@ -20,10 +21,35 @@ use crate::{optimize, CoreError, MessagePlan, ReliabilityTree};
 /// The value is immutable and shared: a clone shares the one `(G, C)`
 /// it was cloned from (a reference-count bump, not a copy), so handing
 /// the same exact knowledge to every process of a run holds it once.
-#[derive(Debug, Clone, PartialEq)]
+/// The position index every tree is built on ([`NetworkIndex`]) is part
+/// of that shared state: the first tree built on the knowledge or any of
+/// its clones builds it, and every later tree, from any root, reuses it.
+#[derive(Clone)]
 pub struct NetworkKnowledge {
-    topology: Arc<Topology>,
-    config: Arc<Configuration>,
+    known: Arc<Known>,
+}
+
+/// The state every clone of one [`NetworkKnowledge`] shares.
+struct Known {
+    topology: Topology,
+    config: Configuration,
+    /// `(topology, config)` by position, built by the first tree.
+    index: OnceLock<NetworkIndex>,
+}
+
+impl PartialEq for NetworkKnowledge {
+    fn eq(&self, other: &Self) -> bool {
+        self.topology() == other.topology() && self.config() == other.config()
+    }
+}
+
+impl fmt::Debug for NetworkKnowledge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NetworkKnowledge")
+            .field("topology", self.topology())
+            .field("config", self.config())
+            .finish()
+    }
 }
 
 impl NetworkKnowledge {
@@ -31,32 +57,45 @@ impl NetworkKnowledge {
     /// full-knowledge assumption). Clones of the result share them.
     pub fn exact(topology: Topology, config: Configuration) -> Self {
         NetworkKnowledge {
-            topology: Arc::new(topology),
-            config: Arc::new(config),
+            known: Arc::new(Known {
+                topology,
+                config,
+                index: OnceLock::new(),
+            }),
         }
     }
 
     /// The known topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.known.topology
     }
 
     /// The known failure configuration.
     pub fn config(&self) -> &Configuration {
-        &self.config
+        &self.known.config
     }
 
-    /// Builds the maximum reliability tree rooted at `root` and labels it
-    /// with λ values.
+    /// The known `(G, C)` by position, built on first use and shared
+    /// with every clone.
+    pub(crate) fn index(&self) -> &NetworkIndex {
+        self.known
+            .index
+            .get_or_init(|| NetworkIndex::new(self.topology(), self.config()))
+    }
+
+    /// Builds the maximum reliability tree rooted at `root` on the
+    /// shared [`index`](Self::index) and labels it with λ values.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::KnowledgeIncomplete`] if the known topology
     /// does not span all known processes (or does not contain `root`).
     pub fn reliability_tree(&self, root: ProcessId) -> Result<ReliabilityTree, CoreError> {
-        let tree = maximum_reliability_tree(&self.topology, &self.config, root)
+        let index = self.index();
+        let tree = index
+            .maximum_reliability_tree(root)
             .map_err(|_| CoreError::KnowledgeIncomplete)?;
-        Ok(ReliabilityTree::from_spanning_tree(&tree, &self.config))
+        Ok(ReliabilityTree::from_spanning_tree(&tree, index))
     }
 
     /// Builds the full broadcast plan for a sender: the MRT plus the
@@ -188,6 +227,32 @@ mod tests {
         assert_eq!(clone, k);
     }
 
+    /// One index per knowledge: a clone taken before the first tree and
+    /// one taken after it both build on the index the first tree built.
+    #[test]
+    fn a_clone_reuses_the_index() {
+        let k = diamond_knowledge();
+        let early = k.clone();
+        early.reliability_tree(p(3)).unwrap();
+        let late = k.clone();
+        assert!(std::ptr::eq(early.index(), k.index()));
+        assert!(std::ptr::eq(late.index(), k.index()));
+        assert_eq!(
+            late.reliability_tree(p(0)).unwrap(),
+            NetworkKnowledge::exact(k.topology().clone(), k.config().clone())
+                .reliability_tree(p(0))
+                .unwrap()
+        );
+    }
+
+    /// `a == b` with every λ compared by its bits.
+    fn assert_bit_equal(a: &ReliabilityTree, b: &ReliabilityTree, what: &str) {
+        assert_eq!(a, b, "{what}");
+        let bits =
+            |t: &ReliabilityTree| t.lambdas().iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
     #[test]
     fn reliability_tree_prefers_good_paths() {
         let k = diamond_knowledge();
@@ -200,10 +265,14 @@ mod tests {
     /// Every tree a broadcaster builds is already in the canonical order
     /// a receiver demands: its parts come back through `from_parts`
     /// unchanged, from every root, on tie-heavy uniform loss and on mixed
-    /// loss, on dense ids and on relabelled sparse ones.
+    /// loss, on dense ids and on relabelled sparse ones. A second tree
+    /// from each root, built on the index the first pass left behind,
+    /// is the tree of a fresh knowledge and the map-labelled
+    /// `maximum_reliability_tree`, λ bits included.
     #[test]
     fn every_built_tree_round_trips_its_parts() {
-        use diffuse_graph::generators;
+        use crate::tree::spec;
+        use diffuse_graph::{generators, maximum_reliability_tree};
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
 
@@ -237,7 +306,7 @@ mod tests {
                 mixed.set_loss(link, Probability::new(loss).unwrap());
             }
             for config in [uniform, mixed] {
-                let knowledge = NetworkKnowledge::exact(topology.clone(), config);
+                let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
                 for root in topology.processes() {
                     let tree = knowledge.reliability_tree(root).unwrap();
                     let (r, nodes, parent, lambda) = tree.parts();
@@ -248,6 +317,16 @@ mod tests {
                         lambda.to_vec(),
                     );
                     assert_eq!(back, Ok(tree.clone()), "root {root:?}");
+                }
+                for root in topology.processes() {
+                    let warm = knowledge.reliability_tree(root).unwrap();
+                    let fresh = NetworkKnowledge::exact(topology.clone(), config.clone())
+                        .reliability_tree(root)
+                        .unwrap();
+                    let mrt = maximum_reliability_tree(&topology, &config, root).unwrap();
+                    let oracle = spec::from_spanning_tree(&mrt, &config);
+                    assert_bit_equal(&warm, &fresh, &format!("fresh, root {root:?}"));
+                    assert_bit_equal(&warm, &oracle, &format!("oracle, root {root:?}"));
                 }
             }
         }

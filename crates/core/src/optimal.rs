@@ -301,6 +301,25 @@ mod tests {
         assert_eq!(node.error_count(), 0);
     }
 
+    /// Processes handed clones of one knowledge build their trees on one
+    /// index: the second broadcaster finds the first one's.
+    #[test]
+    fn broadcasters_share_one_index() {
+        let knowledge = line_knowledge();
+        let mut first = OptimalBroadcast::new(p(0), knowledge.clone(), 0.999);
+        let mut second = OptimalBroadcast::new(p(2), knowledge.clone(), 0.999);
+        let mut actions = Actions::new();
+        first
+            .broadcast(SimTime::ZERO, Payload::from("a"), &mut actions)
+            .unwrap();
+        let built = first.knowledge().index() as *const _;
+        second
+            .broadcast(SimTime::ZERO, Payload::from("b"), &mut actions)
+            .unwrap();
+        assert!(std::ptr::eq(second.knowledge().index(), built));
+        assert!(std::ptr::eq(knowledge.index(), built));
+    }
+
     #[test]
     fn broadcast_fails_on_disconnected_knowledge() {
         let mut g = Topology::new();

@@ -739,8 +739,8 @@ mod tests {
             topology.add_process(ProcessId::new(i));
         }
         let mut sim = diffuse_sim::Simulation::new(
-            topology,
-            diffuse_model::Configuration::new(),
+            &topology,
+            &diffuse_model::Configuration::new(),
             |id| ProtocolActor::new(scripted(scripts[id.as_usize()].clone()).protocol),
             diffuse_sim::SimOptions::default(),
         );

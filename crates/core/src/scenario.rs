@@ -56,6 +56,7 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
@@ -326,12 +327,16 @@ impl FaultScript {
 
 /// A complete scenario: topology × configuration × crash model ×
 /// workload × fault script (see the module docs).
+///
+/// The topology and configuration are shared, not copied: a clone of
+/// the scenario and every run instantiated from it hold the same two
+/// values.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The network graph.
-    pub topology: Topology,
+    pub topology: Arc<Topology>,
     /// Base per-link loss probabilities.
-    pub config: Configuration,
+    pub config: Arc<Configuration>,
     /// How processes crash and recover (simulation only; the fabric
     /// models crashes through its fault script, not stochastically).
     pub crash_model: CrashModel,
@@ -350,8 +355,8 @@ impl Scenario {
     pub fn builder(topology: Topology) -> ScenarioBuilder {
         ScenarioBuilder {
             scenario: Scenario {
-                config: Configuration::new(),
-                topology,
+                config: Arc::default(),
+                topology: Arc::new(topology),
                 crash_model: CrashModel::AlwaysUp,
                 seed: 0xD1FF,
                 link_delay: 1,
@@ -375,8 +380,8 @@ impl Scenario {
         ScenarioRun::over(
             self,
             Simulation::new(
-                self.topology.clone(),
-                self.config.clone(),
+                &self.topology,
+                &self.config,
                 |id| ProtocolActor::new(make(id)),
                 self.sim_options(),
             ),
@@ -406,8 +411,8 @@ impl Scenario {
         ScenarioRun::over(
             self,
             ShardedKernel::new(
-                self.topology.clone(),
-                self.config.clone(),
+                &self.topology,
+                &self.config,
                 |id| ProtocolActor::new(make(id)),
                 self.sim_options(),
                 workers,
@@ -439,15 +444,18 @@ impl ScenarioBuilder {
     /// Sets the per-link loss configuration.
     #[must_use]
     pub fn config(mut self, config: Configuration) -> Self {
-        self.scenario.config = config;
+        self.scenario.config = Arc::new(config);
         self
     }
 
     /// Sets a uniform loss probability on every link.
     #[must_use]
     pub fn uniform_loss(mut self, loss: Probability) -> Self {
-        self.scenario.config =
-            Configuration::uniform(&self.scenario.topology, Probability::ZERO, loss);
+        self.scenario.config = Arc::new(Configuration::uniform(
+            &self.scenario.topology,
+            Probability::ZERO,
+            loss,
+        ));
         self
     }
 
@@ -739,8 +747,8 @@ impl_executor!(ShardedKernel, Protocol + Send);
 /// of them can drift apart in script semantics.
 pub struct ScenarioRun<S> {
     sim: S,
-    topology: Topology,
-    base_config: Configuration,
+    topology: Arc<Topology>,
+    base_config: Arc<Configuration>,
     script: ScriptSchedule,
     skipped_faults: u64,
     /// Processes a [`FaultAction::Corrupt`] ever targeted — the "liar
@@ -769,8 +777,8 @@ impl<S: Executor> ScenarioRun<S> {
     pub fn over(scenario: &Scenario, executor: S) -> Self {
         ScenarioRun {
             sim: executor,
-            topology: scenario.topology.clone(),
-            base_config: scenario.config.clone(),
+            topology: Arc::clone(&scenario.topology),
+            base_config: Arc::clone(&scenario.config),
             script: ScriptSchedule::new(scenario),
             skipped_faults: 0,
             corrupt: BTreeSet::new(),

@@ -5,8 +5,8 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use diffuse_graph::SpanningTree;
-use diffuse_model::{Configuration, ProcessId};
+use diffuse_graph::{NetworkIndex, SpanningTree};
+use diffuse_model::ProcessId;
 
 use crate::{optimize, CoreError, MessagePlan};
 
@@ -79,9 +79,12 @@ impl fmt::Debug for ReliabilityTree {
 }
 
 impl ReliabilityTree {
-    /// Labels `tree` with λ values computed from `config`, in one walk of
-    /// its breadth-first edges.
-    pub fn from_spanning_tree(tree: &SpanningTree, config: &Configuration) -> Self {
+    /// Labels `tree` with λ values read from `index`, in one walk of its
+    /// breadth-first edges: `λ = 1 - (1 - P_u)(1 - L_{u,v})(1 - P_v)`,
+    /// factors multiplied in that order, parent `u` first — bit for bit
+    /// [`Configuration::lambda`](diffuse_model::Configuration::lambda)
+    /// over the indexed `(G, C)`.
+    pub fn from_spanning_tree(tree: &SpanningTree, index: &NetworkIndex) -> Self {
         let mut nodes = Vec::with_capacity(tree.process_count());
         let mut parent = Vec::with_capacity(tree.link_count());
         let mut lambda = Vec::with_capacity(tree.link_count());
@@ -95,7 +98,7 @@ impl ReliabilityTree {
             }
             parent.push(at as u32);
             nodes.push(child);
-            lambda.push(config.lambda(par, child).value());
+            lambda.push(index.link_reliability(par, child).complement().value());
         }
         ReliabilityTree {
             nodes,
@@ -310,14 +313,59 @@ fn validate(
 /// A shared, immutable tree as carried inside data messages.
 pub type SharedWireTree = Arc<ReliabilityTree>;
 
+/// The labelling [`ReliabilityTree::from_spanning_tree`] replaced: the
+/// oracle its index reads are held to, λ bits included.
+#[cfg(test)]
+pub(crate) mod spec {
+    use super::*;
+    use diffuse_model::Configuration;
+
+    /// Labels `tree` by [`Configuration::lambda`], two crash and one loss
+    /// map lookup per edge.
+    pub(crate) fn from_spanning_tree(
+        tree: &SpanningTree,
+        config: &Configuration,
+    ) -> ReliabilityTree {
+        let mut nodes = vec![tree.root()];
+        let mut parent = Vec::new();
+        let mut lambda = Vec::new();
+        for (par, child) in tree.edges() {
+            let at = nodes
+                .iter()
+                .position(|&q| q == par)
+                .expect("parents come first");
+            parent.push(at as u32);
+            nodes.push(child);
+            lambda.push(config.lambda(par, child).value());
+        }
+        ReliabilityTree::from_parts(tree.root(), nodes, parent, lambda)
+            .expect("a spanning tree's BFS edges are in canonical order")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffuse_model::{LinkId, Probability, Topology};
+    use diffuse_model::{Configuration, LinkId, Probability, Topology};
     use std::collections::BTreeMap;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Labels `tree` from `config` over the tree's own links, checked
+    /// against the map-based labelling.
+    fn label(tree: &SpanningTree, config: &Configuration) -> ReliabilityTree {
+        let index = NetworkIndex::new(&tree.to_topology(), config);
+        let rt = ReliabilityTree::from_spanning_tree(tree, &index);
+        let oracle = spec::from_spanning_tree(tree, config);
+        assert_eq!(rt, oracle);
+        assert!(rt
+            .lambdas()
+            .iter()
+            .map(|l| l.to_bits())
+            .eq(oracle.lambdas().iter().map(|l| l.to_bits())));
+        rt
     }
 
     /// Test access for this crate's suites (private fields are in
@@ -351,7 +399,7 @@ mod tests {
     #[test]
     fn labels_follow_bfs_order() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
+        let rt = label(&tree, &config);
         assert_eq!(rt.link_count(), 3);
         assert_eq!(rt.process_at(0), p(1));
         assert_eq!(rt.process_at(1), p(2));
@@ -373,7 +421,7 @@ mod tests {
     #[test]
     fn lambda_matches_formula() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
+        let rt = label(&tree, &config);
         // λ for link 0→1: 1 - 0.9 * 0.8 * 0.9.
         assert!((rt.lambda(0) - (1.0 - 0.9 * 0.8 * 0.9)).abs() < 1e-12);
         // λ for link 1→3: 1 - 0.9 * 0.8 * 0.5 (p3 crashes half the time).
@@ -384,7 +432,7 @@ mod tests {
     #[test]
     fn wire_round_trip_preserves_everything() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
+        let rt = label(&tree, &config);
         let wire = rt.to_wire();
         assert_eq!(wire.root(), p(0));
         assert_eq!(wire, rt);
@@ -411,7 +459,7 @@ mod tests {
             relabelled.set_crash(relabel(i), config.crash(p(i)));
         }
 
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &relabelled);
+        let rt = label(&tree, &relabelled);
         assert_eq!(rt.root(), p(13));
         assert_eq!(rt.children(p(13)), &[p(7), p(16)]);
         assert_eq!(rt.parts().1, &[p(13), p(7), p(16), p(10)]);
@@ -480,7 +528,7 @@ mod tests {
     #[test]
     fn plan_memo_is_no_part_of_the_value() {
         let (tree, config) = sample_tree();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &config);
+        let rt = label(&tree, &config);
         let fresh = rt.to_wire();
         let rebuilt = ReliabilityTree::from_wire(&fresh).unwrap();
         assert!(!fresh.is_planned() && !rebuilt.is_planned());
@@ -514,7 +562,7 @@ mod tests {
     #[test]
     fn singleton_tree_round_trips() {
         let tree = SpanningTree::from_parents(p(7), BTreeMap::new()).unwrap();
-        let rt = ReliabilityTree::from_spanning_tree(&tree, &Configuration::new());
+        let rt = label(&tree, &Configuration::new());
         assert_eq!(rt.link_count(), 0);
         assert_eq!(rt.root(), p(7));
         assert!(rt.children(p(7)).is_empty());

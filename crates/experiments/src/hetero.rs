@@ -71,7 +71,9 @@ pub const GOSSIP_STEP_BUDGET: u32 = 4;
 /// Measures the reference/optimal ratio for one bad-bridge loss value.
 pub fn measure_point(bad_wan_loss: f64, effort: &Effort) -> HeteroPoint {
     let (topology, config) = two_zone_config(0.001, 0.02, bad_wan_loss);
-    let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
+    // The gossip side reads the same (G, C) the knowledge holds.
+    let knowledge = NetworkKnowledge::exact(topology, config);
+    let (topology, config) = (knowledge.topology(), knowledge.config());
     let origin = topology.processes().next().expect("non-empty");
     let (_, plan) = knowledge
         .broadcast_plan(origin, TARGET_RELIABILITY)
@@ -86,8 +88,8 @@ pub fn measure_point(bad_wan_loss: f64, effort: &Effort) -> HeteroPoint {
     // degrade. (The adaptive side routes around them instead.)
     let seed = effort.seed ^ (bad_wan_loss * 1e4) as u64;
     let (reference_stats, _) = gossip_message_stats_config(
-        &topology,
-        &config,
+        topology,
+        config,
         Probability::ZERO,
         GOSSIP_STEP_BUDGET,
         effort.gossip_runs,

@@ -54,14 +54,12 @@ impl Configuration {
     /// evaluation (Section 5): every process in `topology` crashes with
     /// probability `p` and every link loses messages with probability `l`.
     pub fn uniform(topology: &Topology, p: Probability, l: Probability) -> Self {
-        let mut c = Configuration::new();
-        for process in topology.processes() {
-            c.set_crash(process, p);
+        // Both walks ascend, so each map is built in bulk, not by
+        // one-at-a-time inserts.
+        Configuration {
+            crash: topology.processes().map(|process| (process, p)).collect(),
+            loss: topology.links().map(|link| (link, l)).collect(),
         }
-        for link in topology.links() {
-            c.set_loss(link, l);
-        }
-        c
     }
 
     /// Sets the crash probability `P_i` of a process, returning the

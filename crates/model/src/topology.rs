@@ -1,7 +1,6 @@
 //! Network topology `G = (Π, Λ)`.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::{LinkId, ModelError, ProcessId};
 
@@ -9,9 +8,19 @@ use crate::{LinkId, ModelError, ProcessId};
 /// bidirectional links connecting them.
 ///
 /// `Topology` is an undirected graph keyed by [`ProcessId`]. Storage is
-/// ordered (`BTreeMap`/`BTreeSet`) so iteration order — and therefore every
-/// algorithm built on top, including tie-breaking in Prim's algorithm — is
-/// deterministic.
+/// ordered — a `BTreeMap` from each process to its *row*, the sorted,
+/// duplicate-free `Vec` of its neighbors — so iteration order, and
+/// therefore every algorithm built on top, including tie-breaking in
+/// Prim's algorithm, is deterministic. A row costs a search and a shift
+/// per insert or removal, which the generators never pay: they add links
+/// in ascending order, so each insert is an append.
+///
+/// The breadth-first family ([`bfs_distances`](Self::bfs_distances),
+/// [`is_connected`](Self::is_connected),
+/// [`connected_components`](Self::connected_components),
+/// [`diameter`](Self::diameter)) runs one search over *positions* — the
+/// `i`-th smallest id is position `i` — with dense depth vectors, and
+/// builds a map only where its return type is one.
 ///
 /// Processes may exist without links (they are then isolated); adding a
 /// link implicitly adds both endpoints, mirroring how the paper's adaptive
@@ -36,7 +45,72 @@ use crate::{LinkId, ModelError, ProcessId};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
-    adjacency: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
+    /// Every process and its row: its neighbors, ascending, no repeats.
+    adjacency: BTreeMap<ProcessId, Vec<ProcessId>>,
+}
+
+/// Adds `p` to the sorted `row` unless it is there already.
+fn join(row: &mut Vec<ProcessId>, p: ProcessId) {
+    if let Err(at) = row.binary_search(&p) {
+        row.insert(at, p);
+    }
+}
+
+/// Removes `p` from the sorted `row`; returns `true` if it was there.
+fn leave(row: &mut Vec<ProcessId>, p: ProcessId) -> bool {
+    row.binary_search(&p).map(|at| row.remove(at)).is_ok()
+}
+
+/// Depth of a position the search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// The topology by position, for the breadth-first family: position `i`
+/// is the `i`-th smallest id and `rows[i]` its row.
+struct Positions<'a> {
+    ids: Vec<ProcessId>,
+    rows: Vec<&'a [ProcessId]>,
+}
+
+impl<'a> Positions<'a> {
+    fn of(topology: &'a Topology) -> Self {
+        let (ids, rows) = topology
+            .adjacency
+            .iter()
+            .map(|(&p, row)| (p, row.as_slice()))
+            .unzip();
+        Positions { ids, rows }
+    }
+
+    /// Position of `p`: its own index when the ids are `0..n`, a search
+    /// otherwise.
+    fn of_id(&self, p: ProcessId) -> Option<usize> {
+        match self.ids.get(p.as_usize()) {
+            Some(&q) if q == p => Some(p.as_usize()),
+            _ => self.ids.binary_search(&p).ok(),
+        }
+    }
+
+    /// Breadth-first search from `source` over the positions `depth`
+    /// marks [`UNSEEN`]: sets each reached one's depth (the source's to
+    /// 0) and returns them in visiting order, so the last is the
+    /// deepest.
+    fn bfs(&self, source: usize, depth: &mut [u32]) -> Vec<u32> {
+        depth[source] = 0;
+        let mut order = vec![source as u32];
+        let mut head = 0;
+        while let Some(&at) = order.get(head) {
+            head += 1;
+            let next = depth[at as usize] + 1;
+            for &n in self.rows[at as usize] {
+                let to = self.of_id(n).expect("neighbors are processes");
+                if depth[to] == UNSEEN {
+                    depth[to] = next;
+                    order.push(to as u32);
+                }
+            }
+        }
+        order
+    }
 }
 
 impl Topology {
@@ -47,11 +121,9 @@ impl Topology {
 
     /// Creates a topology containing `n` isolated processes `p_0 … p_{n-1}`.
     pub fn with_processes(n: u32) -> Self {
-        let mut t = Topology::new();
-        for i in 0..n {
-            t.add_process(ProcessId::new(i));
+        Topology {
+            adjacency: (0..n).map(|i| (ProcessId::new(i), Vec::new())).collect(),
         }
-        t
     }
 
     /// Adds a process with no links. Idempotent.
@@ -67,16 +139,15 @@ impl Topology {
     /// Returns [`ModelError::SelfLoop`] if `a == b`.
     pub fn add_link(&mut self, a: ProcessId, b: ProcessId) -> Result<LinkId, ModelError> {
         let link = LinkId::new(a, b)?;
-        self.adjacency.entry(a).or_default().insert(b);
-        self.adjacency.entry(b).or_default().insert(a);
+        self.insert_link(link);
         Ok(link)
     }
 
     /// Inserts an already-constructed link.
     pub fn insert_link(&mut self, link: LinkId) {
         let (a, b) = link.endpoints();
-        self.adjacency.entry(a).or_default().insert(b);
-        self.adjacency.entry(b).or_default().insert(a);
+        join(self.adjacency.entry(a).or_default(), b);
+        join(self.adjacency.entry(b).or_default(), a);
     }
 
     /// Removes a link, leaving its endpoints in place.
@@ -84,16 +155,9 @@ impl Topology {
     /// Returns `true` if the link was present.
     pub fn remove_link(&mut self, link: LinkId) -> bool {
         let (a, b) = link.endpoints();
-        let removed = self
-            .adjacency
-            .get_mut(&a)
-            .map(|s| s.remove(&b))
-            .unwrap_or(false);
-        if removed {
-            self.adjacency
-                .get_mut(&b)
-                .map(|s| s.remove(&a))
-                .unwrap_or(false);
+        let removed = self.adjacency.get_mut(&a).is_some_and(|row| leave(row, b));
+        if let (true, Some(row)) = (removed, self.adjacency.get_mut(&b)) {
+            leave(row, a);
         }
         removed
     }
@@ -105,8 +169,8 @@ impl Topology {
         match self.adjacency.remove(&p) {
             Some(neighbors) => {
                 for n in neighbors {
-                    if let Some(s) = self.adjacency.get_mut(&n) {
-                        s.remove(&p);
+                    if let Some(row) = self.adjacency.get_mut(&n) {
+                        leave(row, p);
                     }
                 }
                 true
@@ -124,7 +188,7 @@ impl Topology {
     pub fn contains_link(&self, link: LinkId) -> bool {
         self.adjacency
             .get(&link.lo())
-            .is_some_and(|s| s.contains(&link.hi()))
+            .is_some_and(|row| row.binary_search(&link.hi()).is_ok())
     }
 
     /// Number of processes `|Π|`.
@@ -134,7 +198,7 @@ impl Topology {
 
     /// Number of links `|Λ|`.
     pub fn link_count(&self) -> usize {
-        self.adjacency.values().map(BTreeSet::len).sum::<usize>() / 2
+        self.adjacency.values().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Returns `true` iff there are no processes.
@@ -144,7 +208,7 @@ impl Topology {
 
     /// Degree (number of neighbors) of `p`; zero for unknown processes.
     pub fn degree(&self, p: ProcessId) -> usize {
-        self.adjacency.get(&p).map_or(0, BTreeSet::len)
+        self.adjacency.get(&p).map_or(0, Vec::len)
     }
 
     /// Iterates over all processes in ascending id order.
@@ -167,58 +231,49 @@ impl Topology {
     /// Unknown processes yield an empty iterator.
     pub fn neighbors(&self, p: ProcessId) -> Neighbors<'_> {
         Neighbors {
-            inner: self.adjacency.get(&p).map(|s| s.iter()),
+            inner: self.adjacency.get(&p).map(|row| row.iter()),
         }
     }
 
     /// Breadth-first distances (in hops) from `source` to every reachable
     /// process, including `source` itself at distance 0.
     pub fn bfs_distances(&self, source: ProcessId) -> BTreeMap<ProcessId, u32> {
-        let mut dist = BTreeMap::new();
-        if !self.contains_process(source) {
-            return dist;
-        }
-        dist.insert(source, 0);
-        let mut frontier = vec![source];
-        let mut next = Vec::new();
-        let mut depth = 0u32;
-        while !frontier.is_empty() {
-            depth += 1;
-            for p in frontier.drain(..) {
-                for n in self.neighbors(p) {
-                    if let Entry::Vacant(slot) = dist.entry(n) {
-                        slot.insert(depth);
-                        next.push(n);
-                    }
-                }
-            }
-            core::mem::swap(&mut frontier, &mut next);
-        }
-        dist
+        let at = Positions::of(self);
+        let Some(source) = at.of_id(source) else {
+            return BTreeMap::new();
+        };
+        let mut depth = vec![UNSEEN; at.ids.len()];
+        let mut reached = at.bfs(source, &mut depth);
+        reached.sort_unstable();
+        reached
+            .into_iter()
+            .map(|i| (at.ids[i as usize], depth[i as usize]))
+            .collect()
     }
 
     /// Returns `true` iff every process can reach every other process.
     ///
     /// The empty topology is considered connected.
     pub fn is_connected(&self) -> bool {
-        match self.processes().next() {
-            None => true,
-            Some(first) => self.bfs_distances(first).len() == self.process_count(),
-        }
+        let at = Positions::of(self);
+        at.ids.is_empty() || at.bfs(0, &mut vec![UNSEEN; at.ids.len()]).len() == at.ids.len()
     }
 
     /// Returns the connected components, each sorted, ordered by their
     /// smallest member.
     pub fn connected_components(&self) -> Vec<Vec<ProcessId>> {
-        let mut seen = BTreeSet::new();
+        let at = Positions::of(self);
+        // Searches from unreached positions only, so `depth` marks every
+        // earlier component as seen.
+        let mut depth = vec![UNSEEN; at.ids.len()];
         let mut components = Vec::new();
-        for p in self.processes() {
-            if seen.contains(&p) {
+        for first in 0..at.ids.len() {
+            if depth[first] != UNSEEN {
                 continue;
             }
-            let component: Vec<ProcessId> = self.bfs_distances(p).into_keys().collect();
-            seen.extend(component.iter().copied());
-            components.push(component);
+            let mut component = at.bfs(first, &mut depth);
+            component.sort_unstable();
+            components.push(component.iter().map(|&i| at.ids[i as usize]).collect());
         }
         components
     }
@@ -234,13 +289,17 @@ impl Topology {
         if self.is_empty() {
             return Err(ModelError::EmptyTopology);
         }
+        let at = Positions::of(self);
+        let mut depth = vec![UNSEEN; at.ids.len()];
         let mut best = 0u32;
-        for p in self.processes() {
-            let dist = self.bfs_distances(p);
-            if dist.len() != self.process_count() {
+        for source in 0..at.ids.len() {
+            let reached = at.bfs(source, &mut depth);
+            if reached.len() != at.ids.len() {
                 return Err(ModelError::Disconnected);
             }
-            best = best.max(dist.values().copied().max().unwrap_or(0));
+            let deepest = *reached.last().expect("the source is reached") as usize;
+            best = best.max(depth[deepest]);
+            depth.fill(UNSEEN);
         }
         Ok(best)
     }
@@ -273,7 +332,7 @@ impl FromIterator<LinkId> for Topology {
 /// Iterator over processes; see [`Topology::processes`].
 #[derive(Debug, Clone)]
 pub struct Processes<'a> {
-    inner: std::collections::btree_map::Keys<'a, ProcessId, BTreeSet<ProcessId>>,
+    inner: std::collections::btree_map::Keys<'a, ProcessId, Vec<ProcessId>>,
 }
 
 impl Iterator for Processes<'_> {
@@ -293,8 +352,9 @@ impl ExactSizeIterator for Processes<'_> {}
 /// Iterator over links; see [`Topology::links`].
 #[derive(Debug, Clone)]
 pub struct Links<'a> {
-    outer: std::collections::btree_map::Iter<'a, ProcessId, BTreeSet<ProcessId>>,
-    current: Option<(ProcessId, std::collections::btree_set::Iter<'a, ProcessId>)>,
+    outer: std::collections::btree_map::Iter<'a, ProcessId, Vec<ProcessId>>,
+    /// The process being walked and its higher neighbors not yet emitted.
+    current: Option<(ProcessId, std::slice::Iter<'a, ProcessId>)>,
 }
 
 impl Iterator for Links<'_> {
@@ -302,18 +362,16 @@ impl Iterator for Links<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some((p, iter)) = &mut self.current {
-                for q in iter.by_ref() {
-                    // Emit each undirected link once, from its lower endpoint.
-                    if *q > *p {
-                        return Some(LinkId::new(*p, *q).expect("adjacency has no self-loops"));
-                    }
+            if let Some((p, higher)) = &mut self.current {
+                if let Some(&q) = higher.next() {
+                    return Some(LinkId::new(*p, q).expect("adjacency has no self-loops"));
                 }
             }
-            match self.outer.next() {
-                Some((p, set)) => self.current = Some((*p, set.iter())),
-                None => return None,
-            }
+            // Emit each undirected link once, from its lower endpoint:
+            // the row's tail past `p`.
+            let (&p, row) = self.outer.next()?;
+            let higher = &row[row.partition_point(|&q| q < p)..];
+            self.current = Some((p, higher.iter()));
         }
     }
 }
@@ -321,7 +379,7 @@ impl Iterator for Links<'_> {
 /// Iterator over the neighbors of a process; see [`Topology::neighbors`].
 #[derive(Debug, Clone)]
 pub struct Neighbors<'a> {
-    inner: Option<std::collections::btree_set::Iter<'a, ProcessId>>,
+    inner: Option<std::slice::Iter<'a, ProcessId>>,
 }
 
 impl Iterator for Neighbors<'_> {
@@ -471,7 +529,154 @@ mod tests {
         assert_eq!(t.link_count(), 2);
     }
 
+    /// The map-based breadth-first search the positional one replaced:
+    /// distances from `source`, keyed by process.
+    fn reference_bfs(t: &Topology, source: ProcessId) -> BTreeMap<ProcessId, u32> {
+        let mut dist = BTreeMap::new();
+        if !t.contains_process(source) {
+            return dist;
+        }
+        dist.insert(source, 0);
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(q) = queue.pop_front() {
+            let next = dist[&q] + 1;
+            for n in t.neighbors(q) {
+                if let std::collections::btree_map::Entry::Vacant(slot) = dist.entry(n) {
+                    slot.insert(next);
+                    queue.push_back(n);
+                }
+            }
+        }
+        dist
+    }
+
+    /// A topology over `n` processes from `edges` (endpoints taken mod
+    /// `n`), every id `i` relabelled `7 + 3·π(i)` when `keys` is
+    /// non-empty (π orders `0..n` by `keys`, so no id is its position).
+    fn build(n: u32, edges: &[(u32, u32)], keys: &[u32]) -> Topology {
+        let mut pi: Vec<u32> = (0..n).collect();
+        if !keys.is_empty() {
+            pi.sort_by_key(|&i| (keys[i as usize % keys.len()], i));
+        }
+        let label = |i: u32| {
+            let i = pi[(i % n) as usize];
+            p(if keys.is_empty() { i } else { 7 + 3 * i })
+        };
+        let mut t = Topology::new();
+        for i in 0..n {
+            t.add_process(label(i));
+        }
+        for &(a, b) in edges {
+            if a % n != b % n {
+                t.add_link(label(a), label(b)).unwrap();
+            }
+        }
+        t
+    }
+
+    /// Holds the breadth-first family to [`reference_bfs`] on `t`.
+    fn assert_bfs_family(t: &Topology) {
+        let reference: Vec<BTreeMap<ProcessId, u32>> =
+            t.processes().map(|q| reference_bfs(t, q)).collect();
+        for (q, expected) in t.processes().zip(&reference) {
+            assert_eq!(&t.bfs_distances(q), expected, "from {q}");
+        }
+        assert!(t.bfs_distances(p(1_000_000)).is_empty());
+        let spanning = reference.iter().all(|d| d.len() == t.process_count());
+        assert_eq!(t.is_connected(), t.is_empty() || spanning);
+
+        let mut components: Vec<Vec<ProcessId>> = Vec::new();
+        for (q, d) in t.processes().zip(&reference) {
+            if !components.iter().any(|c| c.contains(&q)) {
+                components.push(d.keys().copied().collect());
+            }
+        }
+        assert_eq!(t.connected_components(), components);
+
+        let diameter = if t.is_empty() {
+            Err(ModelError::EmptyTopology)
+        } else if !spanning {
+            Err(ModelError::Disconnected)
+        } else {
+            Ok(reference
+                .iter()
+                .flat_map(|d| d.values().copied())
+                .max()
+                .unwrap())
+        };
+        assert_eq!(t.diameter(), diameter);
+    }
+
+    /// Every row ascends strictly, names only processes, and is mirrored
+    /// by its neighbors' rows.
+    fn assert_rows_sorted_and_symmetric(t: &Topology) {
+        for (&q, row) in &t.adjacency {
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row of {q}: {row:?}");
+            for n in row {
+                assert_ne!(*n, q);
+                assert!(t.adjacency[n].binary_search(&q).is_ok(), "{q} - {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_family_on_the_singleton_and_the_empty_topology() {
+        assert_bfs_family(&Topology::new());
+        let mut singleton = Topology::new();
+        singleton.add_process(p(5));
+        assert_bfs_family(&singleton);
+        assert_eq!(singleton.diameter(), Ok(0));
+        assert_eq!(singleton.connected_components(), vec![vec![p(5)]]);
+    }
+
     proptest! {
+        /// The positional breadth-first family agrees with a map-based
+        /// reference BFS on dense and relabelled ids, connected and
+        /// disconnected topologies, isolated processes included.
+        #[test]
+        fn prop_bfs_family_matches_a_reference_bfs(
+            n in 1u32..24,
+            edges in proptest::collection::vec((0u32..64, 0u32..64), 0..60),
+            keys in proptest::collection::vec(any::<u32>(), 0..24),
+        ) {
+            let t = build(n, &edges, &keys);
+            assert_bfs_family(&t);
+            assert_rows_sorted_and_symmetric(&t);
+        }
+
+        /// Rows stay sorted and free of duplicates under any sequence of
+        /// `add_link`, `insert_link`, `remove_link` and `remove_process`.
+        #[test]
+        fn prop_rows_stay_sorted_under_edits(
+            ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..12), 0..80),
+        ) {
+            let mut t = Topology::new();
+            let mut links = std::collections::BTreeSet::new();
+            for (op, a, b) in ops {
+                let link = LinkId::new(p(a), p(b));
+                match (op, link) {
+                    (0, Ok(l)) => {
+                        prop_assert_eq!(t.add_link(p(a), p(b)), Ok(l));
+                        links.insert(l);
+                    }
+                    (1, Ok(l)) => {
+                        t.insert_link(l);
+                        links.insert(l);
+                    }
+                    (2, Ok(l)) => prop_assert_eq!(t.remove_link(l), links.remove(&l)),
+                    (3, _) => {
+                        let present = t.contains_process(p(a));
+                        prop_assert_eq!(t.remove_process(p(a)), present);
+                        links.retain(|l| l.lo() != p(a) && l.hi() != p(a));
+                    }
+                    _ => prop_assert!(t.add_link(p(a), p(b)).is_err()),
+                }
+                assert_rows_sorted_and_symmetric(&t);
+                prop_assert_eq!(t.links().collect::<std::collections::BTreeSet<_>>(), links.clone());
+                prop_assert_eq!(t.link_count(), links.len());
+            }
+        }
+
         #[test]
         fn prop_link_count_matches_links_iterator(
             edges in proptest::collection::vec((0u32..10, 0u32..10), 0..40),

@@ -251,8 +251,8 @@ where
     F: FnMut(ProcessId) -> P,
 {
     let kernel = Simulation::new(
-        scenario.topology.clone(),
-        scenario.config.clone(),
+        &scenario.topology,
+        &scenario.config,
         |id| ProtocolActor::<P, Encoded>::over(make(id)),
         scenario.sim_options(),
     );

@@ -203,13 +203,13 @@ impl LaneEnv {
     /// `boundaries` holds each lane's first process id, or nothing for a
     /// single lane.
     pub fn new(
-        topology: Topology,
-        loss: Configuration,
+        topology: &Topology,
+        loss: &Configuration,
         options: SimOptions,
         boundaries: Vec<ProcessId>,
     ) -> Self {
         LaneEnv {
-            links: LinkTable::build(&topology, &loss),
+            links: LinkTable::build(topology, loss),
             link_delay: options.link_delay.max(1),
             crash_model: options.crash_model,
             boundaries,
@@ -1004,8 +1004,8 @@ mod tests {
     fn drained_chunks_are_refilled_not_reallocated() {
         let n = 40u32;
         let env = LaneEnv::new(
-            complete(n),
-            Configuration::new(),
+            &complete(n),
+            &Configuration::new(),
             SimOptions::default(),
             Vec::new(),
         );
@@ -1105,8 +1105,8 @@ mod tests {
     fn set_loss_writes_one_link_and_ignores_links_outside_the_topology() {
         let link = |a, b| LinkId::new(p(a), p(b)).unwrap();
         let mut env = LaneEnv::new(
-            sparse(),
-            Configuration::new(),
+            &sparse(),
+            &Configuration::new(),
             SimOptions::default(),
             Vec::new(),
         );
@@ -1127,8 +1127,8 @@ mod tests {
     #[test]
     fn lanes_take_their_rows_from_the_boundaries() {
         let env = LaneEnv::new(
-            sparse(),
-            Configuration::new(),
+            &sparse(),
+            &Configuration::new(),
             SimOptions::default(),
             vec![p(3), p(10), p(40)],
         );
@@ -1169,8 +1169,8 @@ mod tests {
     #[test]
     fn skip_idle_jumps_to_just_before_the_wake_and_never_backwards() {
         let env = LaneEnv::new(
-            Topology::new(),
-            Configuration::new(),
+            &Topology::new(),
+            &Configuration::new(),
             SimOptions::default(),
             Vec::new(),
         );

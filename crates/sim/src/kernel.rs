@@ -197,8 +197,8 @@ impl SimOptions {
 /// topology.add_link(ProcessId::new(0), ProcessId::new(1))?;
 ///
 /// let mut sim = Simulation::new(
-///     topology,
-///     Default::default(), // lossless
+///     &topology,
+///     &Default::default(), // lossless
 ///     |_| Echo,
 ///     SimOptions::default(),
 /// );
@@ -250,8 +250,8 @@ impl<A: Actor> Simulation<A> {
     ///
     /// `make_actor` constructs the protocol instance for each process.
     pub fn new(
-        topology: Topology,
-        loss: Configuration,
+        topology: &Topology,
+        loss: &Configuration,
         make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
     ) -> Self {
@@ -436,8 +436,8 @@ mod tests {
     #[test]
     fn message_arrives_after_link_delay() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default().with_link_delay(3),
         );
@@ -455,7 +455,7 @@ mod tests {
         let topology = pair_topology();
         let mut loss = Configuration::new();
         loss.set_loss(LinkId::new(p(0), p(1)).unwrap(), Probability::ONE);
-        let mut sim = Simulation::new(topology, loss, |_| Counter::new(), SimOptions::default());
+        let mut sim = Simulation::new(&topology, &loss, |_| Counter::new(), SimOptions::default());
         for _ in 0..10 {
             sim.command(p(0), |_, ctx| ctx.send(p(1), 1));
         }
@@ -475,8 +475,8 @@ mod tests {
             Probability::new(0.3).unwrap(),
         );
         let mut sim = Simulation::new(
-            topology,
-            loss,
+            &topology,
+            &loss,
             |_| Counter::new(),
             SimOptions::default().with_seed(99),
         );
@@ -493,8 +493,8 @@ mod tests {
         let mut topology = pair_topology();
         topology.add_process(p(2));
         let mut sim = Simulation::new(
-            topology,
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -511,8 +511,8 @@ mod tests {
     #[test]
     fn crashed_receiver_drops_messages_and_recovers() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -529,8 +529,8 @@ mod tests {
     #[test]
     fn command_on_down_process_is_refused() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -552,8 +552,8 @@ mod tests {
                 Probability::new(0.5).unwrap(),
             );
             let mut sim = Simulation::new(
-                topology,
-                loss,
+                &topology,
+                &loss,
                 |_| Counter::new(),
                 SimOptions::default()
                     .with_seed(seed)
@@ -574,8 +574,8 @@ mod tests {
     #[test]
     fn set_loss_changes_future_transmissions() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -593,8 +593,8 @@ mod tests {
         topology.add_link(p(1), p(2)).unwrap();
         topology.add_link(p(0), p(2)).unwrap();
         let mut sim = Simulation::new(
-            topology,
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -620,8 +620,8 @@ mod tests {
         let mut topology = pair_topology();
         topology.add_process(p(2));
         let mut sim = Simulation::new(
-            topology,
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -641,8 +641,8 @@ mod tests {
     #[test]
     fn same_destination_bursts_are_staggered() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );
@@ -706,8 +706,8 @@ mod tests {
     #[test]
     fn timers_fire_at_their_deadlines() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| TimerEcho::new(10),
             SimOptions::default(),
         );
@@ -720,8 +720,8 @@ mod tests {
     fn fast_forward_skips_idle_ticks_without_changing_behavior() {
         let run = |period, kick: bool, ticks| {
             let mut sim = Simulation::new(
-                pair_topology(),
-                Configuration::new(),
+                &pair_topology(),
+                &Configuration::new(),
                 |_| TimerEcho::new(period),
                 SimOptions::default(),
             );
@@ -777,8 +777,8 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| Canceller { fired: 0 },
             SimOptions::default(),
         );
@@ -791,8 +791,8 @@ mod tests {
     #[test]
     fn timers_of_a_down_process_fire_on_recovery() {
         let mut sim = Simulation::new(
-            pair_topology(),
-            Configuration::new(),
+            &pair_topology(),
+            &Configuration::new(),
             |_| TimerEcho::new(10),
             SimOptions::default(),
         );
@@ -816,8 +816,8 @@ mod tests {
         // `check_every` — on tick 7 itself when every tick is checked.
         for (check_every, first_hit) in [(5, 10), (1, 7)] {
             let mut sim = Simulation::new(
-                pair_topology(),
-                Configuration::new(),
+                &pair_topology(),
+                &Configuration::new(),
                 |_| TimerEcho::new(7),
                 SimOptions::default(),
             );
@@ -845,8 +845,8 @@ mod tests {
         topology.add_link(p(2), p(0)).unwrap();
         topology.add_link(p(1), p(2)).unwrap();
         let sim = Simulation::new(
-            topology,
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             |_| Counter::new(),
             SimOptions::default(),
         );

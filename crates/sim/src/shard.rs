@@ -166,8 +166,8 @@ impl<A: Actor> ShardedKernel<A> {
     /// instance (called in ascending id order), and crashes come from
     /// [`SimOptions::crash_model`].
     pub fn new(
-        topology: Topology,
-        loss: Configuration,
+        topology: &Topology,
+        loss: &Configuration,
         mut make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
         workers: usize,
@@ -431,8 +431,8 @@ mod tests {
         ticks: u64,
     ) -> (ReceivedLogs, Metrics) {
         let mut sharded = ShardedKernel::new(
-            topology.clone(),
-            loss.clone(),
+            topology,
+            loss,
             make_relay(topology),
             SimOptions::default().with_seed(seed),
             workers,
@@ -454,8 +454,8 @@ mod tests {
             loss.set_loss(link, Probability::new(0.3).unwrap());
         }
         let mut kernel = Simulation::new(
-            topology.clone(),
-            loss.clone(),
+            &topology,
+            &loss,
             make_relay(&topology),
             SimOptions::default().with_seed(42),
         );
@@ -484,16 +484,16 @@ mod tests {
                 ..SimOptions::default()
             };
             let mut kernel = Simulation::new(
-                topology.clone(),
-                Configuration::new(),
+                &topology,
+                &Configuration::new(),
                 make_relay(&topology),
                 options.clone(),
             );
             kernel.command(p(0), |_, ctx| ctx.send(p(1), 6));
             kernel.run_ticks(ticks);
             let mut sharded = ShardedKernel::new(
-                topology.clone(),
-                Configuration::new(),
+                &topology,
+                &Configuration::new(),
                 make_relay(&topology),
                 options,
                 2,
@@ -537,8 +537,8 @@ mod tests {
         let topology = ring(10);
         let loss = Configuration::new();
         let mut kernel = Simulation::new(
-            topology.clone(),
-            loss.clone(),
+            &topology,
+            &loss,
             make_relay(&topology),
             SimOptions::default().with_seed(1),
         );
@@ -566,8 +566,8 @@ mod tests {
     fn timers_and_fast_forward_run_in_lockstep() {
         let topology = ring(6);
         let mut sharded = ShardedKernel::new(
-            topology,
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             |id| Beeper {
                 period: 10 + u64::from(id.index()) % 3,
                 beats: Vec::new(),
@@ -590,8 +590,8 @@ mod tests {
     fn forced_outages_apply_at_segment_boundaries() {
         let topology = ring(6);
         let mut sharded = ShardedKernel::new(
-            topology.clone(),
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             make_relay(&topology),
             SimOptions::default(),
             3,
@@ -610,8 +610,8 @@ mod tests {
     fn partition_and_membership_queries() {
         let topology = ring(10);
         let sharded = ShardedKernel::new(
-            topology.clone(),
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             make_relay(&topology),
             SimOptions::default(),
             3,
@@ -629,8 +629,8 @@ mod tests {
         assert_eq!(ids, sorted, "nodes() iterates in id order");
         // Worker counts beyond the process count are clamped.
         let wide = ShardedKernel::new(
-            topology.clone(),
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             make_relay(&topology),
             SimOptions::default(),
             64,
@@ -642,8 +642,8 @@ mod tests {
     fn commands_on_down_or_unknown_processes_are_refused() {
         let topology = ring(6);
         let mut sharded = ShardedKernel::new(
-            topology.clone(),
-            Configuration::new(),
+            &topology,
+            &Configuration::new(),
             make_relay(&topology),
             SimOptions::default(),
             2,

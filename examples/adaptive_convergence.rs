@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let topo = topology.clone();
     let mut sim = Simulation::new(
-        topology.clone(),
-        loss_cfg,
+        &topology,
+        &loss_cfg,
         move |id| {
             ProtocolActor::new(AdaptiveBroadcast::new(
                 id,

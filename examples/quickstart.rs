@@ -9,7 +9,7 @@
 
 use diffuse::core::scenario::{Scenario, Workload};
 use diffuse::core::{optimize, NetworkKnowledge, OptimalBroadcast, Payload};
-use diffuse::graph::{generators, maximum_reliability_tree};
+use diffuse::graph::{generators, NetworkIndex};
 use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
 use diffuse::sim::SimTime;
 
@@ -23,14 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bad = LinkId::new(ProcessId::new(3), ProcessId::new(4))?;
     config.set_loss(bad, Probability::new(0.65)?);
 
-    // 1. The MRT routes around the bad link.
+    // 1. The MRT routes around the bad link. The position index of
+    //    (G, C) answers every root; this example asks it for one.
     let root = ProcessId::new(0);
-    let mrt = maximum_reliability_tree(&topology, &config, root)?;
+    let index = NetworkIndex::new(&topology, &config);
+    let mrt = index.maximum_reliability_tree(root)?;
     assert!(mrt.edges().all(|(u, v)| LinkId::new(u, v).unwrap() != bad));
     println!("MRT has {} links (bad link avoided)", mrt.link_count());
 
     // 2. optimize() finds the cheapest copies-per-link plan for K = 0.9999.
-    let tree = diffuse::core::ReliabilityTree::from_spanning_tree(&mrt, &config);
+    let tree = diffuse::core::ReliabilityTree::from_spanning_tree(&mrt, &index);
     let plan = optimize(&tree, 0.9999)?;
     println!(
         "plan: {} total messages, reach = {:.6}",

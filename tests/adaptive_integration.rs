@@ -23,8 +23,8 @@ fn adaptive_sim(
     let all: Vec<ProcessId> = topology.processes().collect();
     let topo = topology.clone();
     Simulation::new(
-        topology.clone(),
-        config,
+        topology,
+        &config,
         move |id| {
             ProtocolActor::new(AdaptiveBroadcast::new(
                 id,
@@ -134,8 +134,8 @@ fn heterogeneous_links_are_distinguished() {
     config.set_loss(bad, Probability::new(0.5).unwrap());
     let topo = topology.clone();
     let mut sim = Simulation::new(
-        topology.clone(),
-        config,
+        &topology,
+        &config,
         move |id| {
             ProtocolActor::new(AdaptiveBroadcast::new(
                 id,

@@ -22,8 +22,8 @@ fn optimal_sim(
 ) -> Simulation<ProtocolActor<OptimalBroadcast>> {
     let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
     Simulation::new(
-        topology.clone(),
-        config.clone(),
+        topology,
+        config,
         move |id| ProtocolActor::new(OptimalBroadcast::new(id, knowledge.clone(), k)),
         SimOptions::default()
             .with_seed(seed)
@@ -182,8 +182,8 @@ fn gossip_baseline_reaches_everyone_and_stops() {
         .map(|q| (q, topology.neighbors(q).collect()))
         .collect();
     let mut sim = Simulation::new(
-        topology.clone(),
-        config,
+        &topology,
+        &config,
         |id| ProtocolActor::new(ReferenceGossip::new(id, neighbors[&id].clone(), 20)),
         SimOptions::default().with_seed(9),
     );
@@ -237,8 +237,8 @@ fn optimal_broadcast_runs_at_gossip_scale_on_one_knowledge() {
     let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
     let shared = knowledge.clone();
     let mut sim = Simulation::new(
-        topology,
-        config,
+        &topology,
+        &config,
         move |id| ProtocolActor::new(OptimalBroadcast::new(id, shared.clone(), 0.9999)),
         SimOptions::default().with_seed(1),
     );

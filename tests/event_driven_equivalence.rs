@@ -162,8 +162,8 @@ fn adaptive_timer_sim(
 ) -> TimerSim {
     let all: Vec<ProcessId> = topology.processes().collect();
     Simulation::new(
-        topology.clone(),
-        config.clone(),
+        topology,
+        config,
         |id| {
             ProtocolActor::new(AdaptiveBroadcast::new(
                 id,
@@ -198,8 +198,8 @@ fn adaptive_tick_run(
 ) -> AdaptiveFingerprint {
     let all: Vec<ProcessId> = topology.processes().collect();
     let mut sim = Simulation::new(
-        topology.clone(),
-        config.clone(),
+        topology,
+        config,
         |id| {
             Polled::firing_due(AdaptiveBroadcast::new(
                 id,
@@ -263,8 +263,8 @@ proptest! {
         );
         let run_fast = {
             let mut sim = Simulation::new(
-                topology.clone(),
-                config.clone(),
+                &topology,
+                &config,
                 |id| {
                     ProtocolActor::new(
                         ReferenceGossip::new(id, topology.neighbors(id).collect(), steps)
@@ -282,8 +282,8 @@ proptest! {
         };
         let run_slow = {
             let mut sim = Simulation::new(
-                topology.clone(),
-                config.clone(),
+                &topology,
+                &config,
                 |id| {
                     Polled::firing_due(
                         ReferenceGossip::new(id, topology.neighbors(id).collect(), steps)
@@ -363,8 +363,8 @@ fn adaptive_paths_match_through_forced_outages() {
     // Same script on both paths: warm up, knock p2 out, recover, settle.
     let timer_path = {
         let mut sim = Simulation::new(
-            topology.clone(),
-            config.clone(),
+            &topology,
+            &config,
             |id| {
                 ProtocolActor::new(AdaptiveBroadcast::new(
                     id,
@@ -383,8 +383,8 @@ fn adaptive_paths_match_through_forced_outages() {
     };
     let tick_path = {
         let mut sim = Simulation::new(
-            topology.clone(),
-            config.clone(),
+            &topology,
+            &config,
             |id| {
                 Polled::firing_due(AdaptiveBroadcast::new(
                     id,
@@ -450,8 +450,8 @@ fn fig5_style_fast_forward_is_5x_faster_with_identical_metrics() {
 
     let polling_run = |ticks: u64| {
         let mut sim = Simulation::new(
-            topology.clone(),
-            config.clone(),
+            &topology,
+            &config,
             |id| {
                 polling_adaptive(AdaptiveBroadcast::new(
                     id,

@@ -175,7 +175,8 @@ fn randomized_scenarios_gossip_conformance() {
 fn randomized_scenarios_optimal_conformance() {
     for seed in SEED_MATRIX {
         let (scenario, horizon) = random_scenario(seed.wrapping_mul(0x9E37_79B9));
-        let knowledge = NetworkKnowledge::exact(scenario.topology.clone(), scenario.config.clone());
+        let knowledge =
+            NetworkKnowledge::exact((*scenario.topology).clone(), (*scenario.config).clone());
         let sim = scenario.run_sim(horizon, |id| {
             OptimalBroadcast::new(id, knowledge.clone(), 0.999)
         });

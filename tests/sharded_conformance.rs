@@ -185,7 +185,8 @@ fn scripted_faults_execute_at_barriers_with_none_skipped() {
 fn optimal_broadcast_shares_its_plan_memo_across_workers() {
     for seed in [3u64, 17, 0xFEED] {
         let (scenario, horizon) = lossy_scenario(seed);
-        let knowledge = NetworkKnowledge::exact(scenario.topology.clone(), scenario.config.clone());
+        let knowledge =
+            NetworkKnowledge::exact((*scenario.topology).clone(), (*scenario.config).clone());
         let make = |id| OptimalBroadcast::new(id, knowledge.clone(), 0.999);
 
         let kernel = scenario.run_sim(horizon, make);

@@ -42,8 +42,8 @@ proptest! {
         );
         let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
         let mut sim = Simulation::new(
-            topology.clone(),
-            config,
+            &topology,
+            &config,
             |id| ProtocolActor::new(OptimalBroadcast::new(id, knowledge.clone(), 0.999)),
             SimOptions::default().with_seed(seed),
         );
@@ -71,8 +71,8 @@ proptest! {
         let config = Configuration::new();
         let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
         let mut sim = Simulation::new(
-            topology.clone(),
-            config,
+            &topology,
+            &config,
             |id| ProtocolActor::new(OptimalBroadcast::new(id, knowledge.clone(), 0.9999)),
             SimOptions::default().with_seed(seed),
         );
