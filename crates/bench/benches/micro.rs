@@ -16,7 +16,7 @@ use diffuse_core::{
 };
 use diffuse_experiments::scale::{converged_params, KernelOrderSystem};
 use diffuse_graph::{generators, maximum_reliability_tree};
-use diffuse_model::{Configuration, Probability, ProcessId};
+use diffuse_model::{Configuration, NetworkIndex, Probability, ProcessId};
 use diffuse_net::codec::{decode_message, encode_message};
 use diffuse_sim::{SimOptions, SimTime, Simulation};
 use rand::SeedableRng;
@@ -78,6 +78,22 @@ fn bench_graph(c: &mut Criterion) {
             generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap()
         })
     });
+    // The network index of that graph under its uniform configuration:
+    // what a knowledge builds before its first tree and every simulation
+    // run's `LaneEnv` builds at instantiation.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let topology =
+        generators::erdos_renyi_connected_fast(n, edge_probability, 64, &mut rng).unwrap();
+    let config = Configuration::uniform(
+        &topology,
+        Probability::ZERO,
+        Probability::new(0.05).unwrap(),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("index_build", "er_n10000"),
+        &(topology, config),
+        |b, (t, cfg)| b.iter(|| NetworkIndex::new(t, cfg)),
+    );
     group.finish();
 }
 

@@ -3,8 +3,8 @@
 #![forbid(unsafe_code)]
 
 use diffuse_core::ReliabilityTree;
-use diffuse_graph::{generators, NetworkIndex};
-use diffuse_model::{Configuration, Probability, ProcessId, Topology};
+use diffuse_graph::{generators, maximum_reliability_tree_in};
+use diffuse_model::{Configuration, NetworkIndex, Probability, ProcessId, Topology};
 
 /// A standard benchmark fixture: circulant topology with uniform loss.
 pub fn fixture(n: u32, connectivity: u32, loss: f64) -> (Topology, Configuration) {
@@ -21,9 +21,7 @@ pub fn fixture(n: u32, connectivity: u32, loss: f64) -> (Topology, Configuration
 pub fn fixture_tree(n: u32, connectivity: u32, loss: f64) -> ReliabilityTree {
     let (topology, config) = fixture(n, connectivity, loss);
     let index = NetworkIndex::new(&topology, &config);
-    let mrt = index
-        .maximum_reliability_tree(ProcessId::new(0))
-        .expect("connected fixture");
+    let mrt = maximum_reliability_tree_in(&index, ProcessId::new(0)).expect("connected fixture");
     ReliabilityTree::from_spanning_tree(&mrt, &index)
 }
 

@@ -4,8 +4,8 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use diffuse_bayes::Offer;
-use diffuse_graph::NetworkIndex;
-use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
+use diffuse_graph::maximum_reliability_tree_in;
+use diffuse_model::{Configuration, LinkId, NetworkIndex, ProcessId, Topology};
 
 use crate::{optimize, CoreError, MessagePlan, ReliabilityTree};
 
@@ -84,7 +84,8 @@ impl NetworkKnowledge {
     }
 
     /// Builds the maximum reliability tree rooted at `root` on the
-    /// shared [`index`](Self::index) and labels it with λ values.
+    /// shared [`NetworkIndex`] (built by the first tree) and labels it
+    /// with λ values.
     ///
     /// # Errors
     ///
@@ -92,9 +93,8 @@ impl NetworkKnowledge {
     /// does not span all known processes (or does not contain `root`).
     pub fn reliability_tree(&self, root: ProcessId) -> Result<ReliabilityTree, CoreError> {
         let index = self.index();
-        let tree = index
-            .maximum_reliability_tree(root)
-            .map_err(|_| CoreError::KnowledgeIncomplete)?;
+        let tree =
+            maximum_reliability_tree_in(index, root).map_err(|_| CoreError::KnowledgeIncomplete)?;
         Ok(ReliabilityTree::from_spanning_tree(&tree, index))
     }
 

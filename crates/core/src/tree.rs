@@ -5,8 +5,8 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use diffuse_graph::{NetworkIndex, SpanningTree};
-use diffuse_model::ProcessId;
+use diffuse_graph::SpanningTree;
+use diffuse_model::{NetworkIndex, ProcessId};
 
 use crate::{optimize, CoreError, MessagePlan};
 

@@ -6,8 +6,9 @@
 //! * [`SpanningTree`] — rooted spanning trees with the labelling of the
 //!   paper's Section 3.2 (parents `pred(i)`, direct subtrees, BFS order);
 //! * [`maximum_reliability_tree`] — the Maximum Reliability Tree of
-//!   Appendix B (modified Prim) over a [`NetworkIndex`], the position
-//!   index of `(G, C)` that one caller keeps for every root, plus an independent Kruskal
+//!   Appendix B (modified Prim), and [`maximum_reliability_tree_in`],
+//!   the same Prim over a [`diffuse_model::NetworkIndex`] that one caller
+//!   keeps for every root, plus an independent Kruskal
 //!   implementation ([`maximum_reliability_tree_kruskal`]) and random
 //!   spanning trees ([`random_spanning_tree`]) for cross-checking the
 //!   optimality result of Appendix C;
@@ -44,7 +45,8 @@ mod spanning;
 
 pub use error::GraphError;
 pub use mrt::{
-    maximum_reliability_tree, maximum_reliability_tree_kruskal, random_spanning_tree, NetworkIndex,
+    maximum_reliability_tree, maximum_reliability_tree_in, maximum_reliability_tree_kruskal,
+    random_spanning_tree,
 };
 pub use spanning::SpanningTree;
 
@@ -209,25 +211,6 @@ mod property_tests {
                 .prop_map(|(n, seed, flags)| prim_case(n, seed, flags)),
         ) {
             assert_spec_trees(&t, &c, t.processes());
-        }
-
-        /// The index's segment reliability is the configuration's, bit
-        /// for bit, in both directions of every link, on the same cases
-        /// as the spec Prim (stray entries included: the index skips
-        /// them).
-        #[test]
-        fn prop_index_reliability_is_the_configurations(
-            (t, c) in (3u32..40, any::<u64>(), any::<u8>())
-                .prop_map(|(n, seed, flags)| prim_case(n, seed, flags)),
-        ) {
-            let index = NetworkIndex::new(&t, &c);
-            for (u, v) in t.links().flat_map(|l| [l.endpoints(), (l.hi(), l.lo())]) {
-                prop_assert_eq!(
-                    index.link_reliability(u, v).value().to_bits(),
-                    c.link_reliability(u, v).value().to_bits(),
-                    "{} -> {}", u, v
-                );
-            }
         }
 
         /// Lemma 2: the MRT's total (log) reliability is at least that of

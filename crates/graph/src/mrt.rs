@@ -2,13 +2,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::iter::Peekable;
 
-use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
+use diffuse_model::{position_of, Configuration, LinkId, NetworkIndex, ProcessId, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::spanning::{position_of, rows};
 use crate::{GraphError, SpanningTree};
 
 /// Edge weight wrapper giving `f64` reliabilities a total order.
@@ -32,141 +30,55 @@ impl Ord for Weight {
     }
 }
 
-/// `(G, C)` by position, as Prim and the λ labelling read it: processes
-/// numbered in ascending id order, links in ascending [`LinkId`] order,
-/// each process's row of `(neighbor, link)` pairs, `1 - P` per process
-/// and `1 - L` per link.
+/// Builds the Maximum Reliability Tree rooted at `root` by Prim over the
+/// positions of `index`; see [`maximum_reliability_tree`]. One index
+/// answers every root: a caller that builds trees from many roots of one
+/// `(G, C)` builds it once.
 ///
-/// Built in one walk of the topology's links, merge-joined with the
-/// configuration's sorted loss entries, and one merge-join of its crash
-/// entries. Entries for processes or links outside the topology are
-/// skipped; missing ones count as zero. With `n` processes and `m` links
-/// it takes `O(n + m)` memory and time. An index answers every root:
-/// build it once per `(G, C)` and run
-/// [`maximum_reliability_tree`](Self::maximum_reliability_tree) on it
-/// as often as needed.
-#[derive(Debug, Clone)]
-pub struct NetworkIndex {
-    /// Every process, ascending; position `i` is `ids[i]`.
-    ids: Vec<ProcessId>,
-    /// Row `i` is `adjacency[start[i]..start[i + 1]]`, ascending by
-    /// neighbor.
-    start: Vec<u32>,
-    /// `(neighbor, link)` pairs, both by position.
-    adjacency: Vec<(u32, u32)>,
-    /// `1 - P` per process.
-    up: Vec<Probability>,
-    /// `1 - L` per link.
-    keep: Vec<Probability>,
-}
-
-impl NetworkIndex {
-    /// Indexes `topology` and the part of `config` that covers it.
-    pub fn new(topology: &Topology, config: &Configuration) -> Self {
-        let ids: Vec<ProcessId> = topology.processes().collect();
-        let position = |p| position_of(&ids, p).expect("link endpoints are processes") as u32;
-        let mut crashes = config.crash_entries().peekable();
-        let up: Vec<Probability> = ids
-            .iter()
-            .map(|&p| merge_lookup(&mut crashes, p).complement())
-            .collect();
-        let mut losses = config.loss_entries().peekable();
-        let (keep, ends): (Vec<Probability>, Vec<(u32, u32)>) = topology
-            .links()
-            .map(|l| {
-                let keep = merge_lookup(&mut losses, l).complement();
-                (keep, (position(l.lo()), position(l.hi())))
-            })
-            .unzip();
-        // Links ascend by `(lo, hi)`, so a row receives its lower
-        // neighbors (in `lo` order) before the walk reaches the row's own
-        // process as `lo`: every row ascends.
-        let (start, adjacency) = rows(
-            ids.len(),
-            ends.iter()
-                .zip(0..)
-                .flat_map(|(&(a, b), link)| [(a, (b, link)), (b, (a, link))]),
-        );
-        NetworkIndex {
-            ids,
-            start,
-            adjacency,
-            up,
-            keep,
-        }
-    }
-
-    /// Position of `p`, or `None` if it is not indexed.
-    fn position(&self, p: ProcessId) -> Option<usize> {
-        position_of(&self.ids, p)
-    }
-
-    /// The `(neighbor, link)` pairs of position `i`, ascending.
-    fn row(&self, i: usize) -> &[(u32, u32)] {
-        &self.adjacency[self.start[i] as usize..self.start[i + 1] as usize]
-    }
-
-    /// Reliability of the segment `u → v`,
-    /// `((1 - P_u) · (1 - L_{u,v})) · (1 - P_v)` multiplied in that
-    /// order — bit for bit [`Configuration::link_reliability`]`(u, v)`
-    /// over the indexed `(G, C)`. A process or link the index lacks
-    /// contributes a factor of one, as a missing entry does there.
-    pub fn link_reliability(&self, u: ProcessId, v: ProcessId) -> Probability {
-        let up = |at: Option<usize>| at.map_or(Probability::ONE, |i| self.up[i]);
-        let (from, to) = (self.position(u), self.position(v));
-        let keep = from.zip(to).and_then(|(from, to)| {
-            let row = self.row(from);
-            let hop = row.binary_search_by_key(&(to as u32), |&(n, _)| n).ok()?;
-            Some(self.keep[row[hop].1 as usize])
-        });
-        up(from) * keep.unwrap_or(Probability::ONE) * up(to)
-    }
-
-    /// Builds the Maximum Reliability Tree rooted at `root` by Prim over
-    /// positions; see [`maximum_reliability_tree`](crate::maximum_reliability_tree).
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::UnknownRoot`] if `root` is not indexed;
-    /// * [`GraphError::Disconnected`] if not every process is reachable.
-    pub fn maximum_reliability_tree(&self, root: ProcessId) -> Result<SpanningTree, GraphError> {
-        let root_at = self.position(root).ok_or(GraphError::UnknownRoot(root))?;
-        let total = self.ids.len();
-        let (up, keep) = (&self.up, &self.keep);
-        let mut in_tree = vec![false; total];
-        let mut best: Vec<Option<Candidate>> = vec![None; total];
-        let mut parent = vec![root_at as u32; total];
-        let mut frontier: BinaryHeap<Candidate> = BinaryHeap::new();
-        in_tree[root_at] = true;
-        let (mut joined, mut reached) = (root_at, 1);
-        while reached < total {
-            let from = joined as u32;
-            for &(to, link) in self.row(joined) {
-                if in_tree[to as usize] {
-                    continue;
-                }
-                let w = up[joined] * keep[link as usize] * up[to as usize];
-                let candidate = (Weight(w.value()), Reverse(link), from, to);
-                if Some(candidate) > best[to as usize] {
-                    best[to as usize] = Some(candidate);
-                    frontier.push(candidate);
-                }
+/// # Errors
+///
+/// * [`GraphError::UnknownRoot`] if `root` is not indexed;
+/// * [`GraphError::Disconnected`] if not every process is reachable.
+pub fn maximum_reliability_tree_in(
+    index: &NetworkIndex,
+    root: ProcessId,
+) -> Result<SpanningTree, GraphError> {
+    let root_at = index.position(root).ok_or(GraphError::UnknownRoot(root))?;
+    let total = index.ids().len();
+    let up = |i: usize| index.crash(i).complement();
+    let mut in_tree = vec![false; total];
+    let mut best: Vec<Option<Candidate>> = vec![None; total];
+    let mut parent = vec![root_at as u32; total];
+    let mut frontier: BinaryHeap<Candidate> = BinaryHeap::new();
+    in_tree[root_at] = true;
+    let (mut joined, mut reached) = (root_at, 1);
+    while reached < total {
+        let (from, up_from) = (joined as u32, up(joined));
+        for &(to, link) in index.row(joined) {
+            if in_tree[to as usize] {
+                continue;
             }
-            let Some((_, _, from, to)) =
-                std::iter::from_fn(|| frontier.pop()).find(|c| !in_tree[c.3 as usize])
-            else {
-                break;
-            };
-            in_tree[to as usize] = true;
-            parent[to as usize] = from;
-            (joined, reached) = (to as usize, reached + 1);
+            let w = up_from * index.loss(link as usize).complement() * up(to as usize);
+            let candidate = (Weight(w.value()), Reverse(link), from, to);
+            if Some(candidate) > best[to as usize] {
+                best[to as usize] = Some(candidate);
+                frontier.push(candidate);
+            }
         }
-
-        if reached != total {
-            return Err(GraphError::Disconnected { reached, total });
-        }
-        SpanningTree::from_positions(self.ids.clone(), root_at, parent)
+        let Some((_, _, from, to)) =
+            std::iter::from_fn(|| frontier.pop()).find(|c| !in_tree[c.3 as usize])
+        else {
+            break;
+        };
+        in_tree[to as usize] = true;
+        parent[to as usize] = from;
+        (joined, reached) = (to as usize, reached + 1);
     }
+
+    if reached != total {
+        return Err(GraphError::Disconnected { reached, total });
+    }
+    SpanningTree::from_positions(index.ids().to_vec(), root_at, parent)
 }
 
 /// Builds the Maximum Reliability Tree `mrt(G, C)` rooted at `root`.
@@ -180,16 +92,17 @@ impl NetworkIndex {
 ///
 /// # Algorithm
 ///
-/// [`NetworkIndex::new`] then [`NetworkIndex::maximum_reliability_tree`]:
-/// Prim over *positions*, on the compressed adjacency with `1 - L` per
-/// link and `1 - P` per process the index holds. With `n` processes and
-/// `m` links this takes `O(n + m)` memory and `O(m log m)` time. A caller
-/// that builds trees from many roots of one `(G, C)` keeps the index.
+/// [`NetworkIndex::new`] then [`maximum_reliability_tree_in`]: Prim over
+/// *positions*, on the index's compressed adjacency, taking `1 - P` per
+/// process and `1 - L` per link from the raw probabilities it holds.
+/// With `n` processes and `m` links this takes `O(n + m)` memory and
+/// `O(m log m)` time. A caller that builds trees from many roots of one
+/// `(G, C)` keeps the index.
 ///
 /// * **Weight.** A candidate edge pushed from `u` (in the tree) to `v`
 ///   weighs `((1-P_u) · (1-L_{u,v})) · (1-P_v)`, multiplied in that order
-///   with [`Probability`]'s clamped product — exactly
-///   [`Configuration::link_reliability`]`(u, v)`. With non-zero crash
+///   with [`Probability`](diffuse_model::Probability)'s clamped product —
+///   exactly [`Configuration::link_reliability`]`(u, v)`. With non-zero crash
 ///   probabilities the two directions of one link can differ in the last
 ///   bit, so the weight is computed in push direction, never once per
 ///   link.
@@ -225,25 +138,12 @@ pub fn maximum_reliability_tree(
     config: &Configuration,
     root: ProcessId,
 ) -> Result<SpanningTree, GraphError> {
-    NetworkIndex::new(topology, config).maximum_reliability_tree(root)
+    maximum_reliability_tree_in(&NetworkIndex::new(topology, config), root)
 }
 
 /// A frontier entry `(weight, Reverse(link), from, to)`, link and
 /// endpoints by position.
 type Candidate = (Weight, Reverse<u32>, u32, u32);
-
-/// The probability `entries` (ascending by key) holds for `key`, zero if
-/// none. Consumes every entry up to `key`, so keys must be asked in
-/// ascending order.
-fn merge_lookup<K: Ord, I: Iterator<Item = (K, Probability)>>(
-    entries: &mut Peekable<I>,
-    key: K,
-) -> Probability {
-    while entries.next_if(|(k, _)| *k < key).is_some() {}
-    entries
-        .next_if(|(k, _)| *k == key)
-        .map_or(Probability::ZERO, |(_, p)| p)
-}
 
 /// Disjoint-set (union-find) with path halving and union by size.
 #[derive(Debug)]
@@ -397,6 +297,7 @@ pub fn random_spanning_tree<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffuse_model::Probability;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

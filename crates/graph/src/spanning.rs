@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use diffuse_model::{Configuration, LinkId, ProcessId, Topology};
+use diffuse_model::{compressed_rows, position_of, Configuration, ProcessId, Topology};
 
 use crate::GraphError;
 
@@ -40,37 +40,6 @@ pub struct SpanningTree {
     children: Vec<ProcessId>,
     /// Positions in BFS order; `order[0]` is the root.
     order: Vec<u32>,
-}
-
-/// Groups `(row, value)` pairs into compressed rows over `0..n`: row `r`
-/// is `values[start[r]..start[r + 1]]`, in input order. Returns
-/// `(start, values)`.
-pub(crate) fn rows<T: Copy + Default>(
-    n: usize,
-    pairs: impl Iterator<Item = (u32, T)> + Clone,
-) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; n + 1];
-    for (r, _) in pairs.clone() {
-        start[r as usize + 1] += 1;
-    }
-    for r in 0..n {
-        start[r + 1] += start[r];
-    }
-    let mut fill = start.clone();
-    let mut values = vec![T::default(); start[n] as usize];
-    for (r, v) in pairs {
-        values[fill[r as usize] as usize] = v;
-        fill[r as usize] += 1;
-    }
-    (start, values)
-}
-
-/// Position of `p` in the ascending, duplicate-free `ids`.
-pub(crate) fn position_of(ids: &[ProcessId], p: ProcessId) -> Option<usize> {
-    match ids.get(p.as_usize()) {
-        Some(&q) if q == p => Some(p.as_usize()),
-        _ => ids.binary_search(&p).ok(),
-    }
 }
 
 impl SpanningTree {
@@ -125,7 +94,7 @@ impl SpanningTree {
         parent[root] = root as u32;
 
         // Filled in ascending child position, so every row ascends.
-        let (child_start, kids) = rows(
+        let (child_start, kids) = compressed_rows(
             n,
             (0..n).filter(|&i| i != root).map(|i| (parent[i], i as u32)),
         );
@@ -188,19 +157,6 @@ impl SpanningTree {
         })
     }
 
-    /// Returns `true` iff `p` is a leaf (`T_p = ⊥` in the paper).
-    pub fn is_leaf(&self, p: ProcessId) -> bool {
-        self.children(p).is_empty()
-    }
-
-    /// The tree link `l_p` leading to `p` from its parent.
-    ///
-    /// Returns `None` for the root.
-    pub fn link_to(&self, p: ProcessId) -> Option<LinkId> {
-        let parent = self.parent(p)?;
-        Some(LinkId::new(parent, p).expect("tree has no self-loops"))
-    }
-
     /// Processes in breadth-first order; the root comes first.
     pub fn processes(&self) -> impl ExactSizeIterator<Item = ProcessId> + '_ {
         self.order.iter().map(|&i| self.ids[i as usize])
@@ -213,30 +169,6 @@ impl SpanningTree {
             let c = c as usize;
             (self.ids[self.parent[c] as usize], self.ids[c])
         })
-    }
-
-    /// Depth of every process (root at 0), keyed by process.
-    pub fn depths(&self) -> BTreeMap<ProcessId, u32> {
-        let mut depth = vec![0u32; self.ids.len()];
-        for &c in self.order.iter().skip(1) {
-            depth[c as usize] = depth[self.parent[c as usize] as usize] + 1;
-        }
-        self.ids.iter().copied().zip(depth).collect()
-    }
-
-    /// Number of processes in the subtree `T_p` rooted at `p`, including
-    /// `p` itself. Zero for processes outside the tree.
-    pub fn subtree_size(&self, p: ProcessId) -> usize {
-        if !self.contains(p) {
-            return 0;
-        }
-        let mut size = 0;
-        let mut stack = vec![p];
-        while let Some(q) = stack.pop() {
-            size += 1;
-            stack.extend_from_slice(self.children(q));
-        }
-        size
     }
 
     /// Converts the tree into a plain [`Topology`] containing exactly the
@@ -267,6 +199,35 @@ impl SpanningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffuse_model::LinkId;
+
+    /// Test-only readings of a tree, checked against the paper's
+    /// figures.
+    impl SpanningTree {
+        /// Depth of every process (root at 0), keyed by process.
+        fn depths(&self) -> BTreeMap<ProcessId, u32> {
+            let mut depth = vec![0u32; self.ids.len()];
+            for &c in self.order.iter().skip(1) {
+                depth[c as usize] = depth[self.parent[c as usize] as usize] + 1;
+            }
+            self.ids.iter().copied().zip(depth).collect()
+        }
+
+        /// Number of processes in the subtree `T_p` rooted at `p`, including
+        /// `p` itself. Zero for processes outside the tree.
+        fn subtree_size(&self, p: ProcessId) -> usize {
+            if !self.contains(p) {
+                return 0;
+            }
+            let mut size = 0;
+            let mut stack = vec![p];
+            while let Some(q) = stack.pop() {
+                size += 1;
+                stack.extend_from_slice(self.children(q));
+            }
+            size
+        }
+    }
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -297,9 +258,9 @@ mod tests {
         assert_eq!(t.link_count(), 7);
         assert_eq!(t.children(p(0)), &[p(2), p(6), p(7)]);
         assert_eq!(t.children(p(2)), &[p(3), p(5)]);
-        assert!(t.is_leaf(p(4)));
-        assert!(t.is_leaf(p(6)));
-        assert!(!t.is_leaf(p(2)));
+        assert!(t.children(p(4)).is_empty());
+        assert!(t.children(p(6)).is_empty());
+        assert!(!t.children(p(2)).is_empty());
         assert_eq!(t.parent(p(1)), Some(p(5)));
         assert_eq!(t.parent(p(0)), None);
     }
@@ -330,13 +291,6 @@ mod tests {
         assert_eq!(t.subtree_size(p(0)), 8);
         assert_eq!(t.subtree_size(p(4)), 1);
         assert_eq!(t.subtree_size(p(99)), 0);
-    }
-
-    #[test]
-    fn link_to_returns_tree_edge() {
-        let t = figure2_tree();
-        assert_eq!(t.link_to(p(4)), Some(LinkId::new(p(3), p(4)).unwrap()));
-        assert_eq!(t.link_to(p(0)), None);
     }
 
     #[test]
@@ -371,7 +325,7 @@ mod tests {
         assert_eq!(t.children(p(40)), &[p(7), p(900)]);
         assert_eq!(t.children(p(900)), &[p(13), p(501)]);
         assert_eq!(t.children(p(7)), &[p(2)]);
-        assert!(t.is_leaf(p(88)));
+        assert!(t.children(p(88)).is_empty());
         assert!(t.children(p(3)).is_empty());
         let order: Vec<ProcessId> = t.processes().collect();
         assert_eq!(order, [40, 7, 900, 2, 13, 501, 88].map(p));
@@ -379,10 +333,7 @@ mod tests {
         assert_eq!(t.parent(p(40)), None);
         assert_eq!(t.parent(p(3)), None);
         assert!(t.contains(p(2)) && t.contains(p(900)) && !t.contains(p(3)));
-        assert_eq!(
-            t.link_to(p(501)),
-            Some(LinkId::new(p(900), p(501)).unwrap())
-        );
+        assert_eq!(t.parent(p(501)), Some(p(900)));
         let edges: Vec<_> = t.edges().collect();
         assert_eq!(edges[..3], [(p(40), p(7)), (p(40), p(900)), (p(7), p(2))]);
         assert_eq!(t.depths()[&p(88)], 3);
@@ -434,7 +385,7 @@ mod tests {
         let t = SpanningTree::from_parents(p(0), BTreeMap::new()).unwrap();
         assert_eq!(t.process_count(), 1);
         assert_eq!(t.link_count(), 0);
-        assert!(t.is_leaf(p(0)));
+        assert!(t.children(p(0)).is_empty());
         assert_eq!(t.subtree_size(p(0)), 1);
     }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{LinkId, ModelError, Probability, ProcessId, Topology};
+use crate::{LinkId, Probability, ProcessId, Topology};
 
 /// A failure configuration `C = (P_1 … P_n, L_1 … L_m)`.
 ///
@@ -114,53 +114,9 @@ impl Configuration {
         self.loss.iter().map(|(l, pr)| (*l, *pr))
     }
 
-    /// Number of explicitly configured processes.
-    pub fn crash_count(&self) -> usize {
-        self.crash.len()
-    }
-
     /// Number of explicitly configured links.
     pub fn loss_count(&self) -> usize {
         self.loss.len()
-    }
-
-    /// Returns the largest absolute difference between this configuration
-    /// and `other` over the given topology, considering both crash and
-    /// loss probabilities.
-    ///
-    /// This is the distance used to decide whether an approximated
-    /// configuration has *converged* to the real one (Section 5's
-    /// "all processes learn the reliability probabilities").
-    pub fn max_deviation(&self, other: &Configuration, topology: &Topology) -> f64 {
-        let mut worst: f64 = 0.0;
-        for p in topology.processes() {
-            worst = worst.max((self.crash(p).value() - other.crash(p).value()).abs());
-        }
-        for l in topology.links() {
-            worst = worst.max((self.loss(l).value() - other.loss(l).value()).abs());
-        }
-        worst
-    }
-
-    /// Validates that every configured process and link exists in
-    /// `topology`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::UnknownProcess`] or [`ModelError::UnknownLink`]
-    /// for the first entry that does not appear in the topology.
-    pub fn validate_against(&self, topology: &Topology) -> Result<(), ModelError> {
-        for (p, _) in self.crash_entries() {
-            if !topology.contains_process(p) {
-                return Err(ModelError::UnknownProcess(p));
-            }
-        }
-        for (l, _) in self.loss_entries() {
-            if !topology.contains_link(l) {
-                return Err(ModelError::UnknownLink(l));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -195,7 +151,7 @@ mod tests {
             Probability::new(0.01).unwrap(),
             Probability::new(0.05).unwrap(),
         );
-        assert_eq!(c.crash_count(), 3);
+        assert_eq!(c.crash_entries().count(), 3);
         assert_eq!(c.loss_count(), 2);
         assert!((c.crash(p(2)).value() - 0.01).abs() < 1e-12);
         assert!((c.loss(link(0, 1)).value() - 0.05).abs() < 1e-12);
@@ -232,43 +188,5 @@ mod tests {
             c.set_crash(p(0), Probability::new(0.2).unwrap()),
             Some(Probability::new(0.1).unwrap())
         );
-    }
-
-    #[test]
-    fn max_deviation_is_worst_case_over_topology() {
-        let mut g = Topology::new();
-        g.add_link(p(0), p(1)).unwrap();
-        let real = Configuration::uniform(
-            &g,
-            Probability::new(0.05).unwrap(),
-            Probability::new(0.02).unwrap(),
-        );
-        let mut approx = real.clone();
-        approx.set_crash(p(1), Probability::new(0.20).unwrap());
-        assert!((real.max_deviation(&approx, &g) - 0.15).abs() < 1e-12);
-        // Deviation with itself is zero.
-        assert_eq!(real.max_deviation(&real, &g), 0.0);
-    }
-
-    #[test]
-    fn validate_against_detects_strays() {
-        let mut g = Topology::new();
-        g.add_link(p(0), p(1)).unwrap();
-        let mut c = Configuration::new();
-        c.set_crash(p(5), Probability::ZERO);
-        assert!(matches!(
-            c.validate_against(&g),
-            Err(ModelError::UnknownProcess(q)) if q == p(5)
-        ));
-
-        let mut c = Configuration::new();
-        c.set_loss(link(3, 4), Probability::ZERO);
-        assert!(matches!(
-            c.validate_against(&g),
-            Err(ModelError::UnknownLink(_))
-        ));
-
-        let ok = Configuration::uniform(&g, Probability::ZERO, Probability::ZERO);
-        assert!(ok.validate_against(&g).is_ok());
     }
 }

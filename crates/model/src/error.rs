@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{LinkId, ProcessId};
+use crate::ProcessId;
 
 /// Errors produced when constructing or mutating model values.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,12 +13,6 @@ pub enum ModelError {
     /// A link from a process to itself was requested; the model has no
     /// self-loops.
     SelfLoop(ProcessId),
-    /// A process referenced by an operation is not part of the topology.
-    UnknownProcess(ProcessId),
-    /// A link referenced by an operation is not part of the topology.
-    UnknownLink(LinkId),
-    /// A duplicate link was inserted where that is not allowed.
-    DuplicateLink(LinkId),
     /// An operation required a non-empty topology.
     EmptyTopology,
     /// An operation required a connected topology, and some process
@@ -33,9 +27,6 @@ impl fmt::Display for ModelError {
                 write!(f, "probability {v} is not a finite value in [0, 1]")
             }
             ModelError::SelfLoop(p) => write!(f, "link from {p} to itself is not allowed"),
-            ModelError::UnknownProcess(p) => write!(f, "process {p} is not in the topology"),
-            ModelError::UnknownLink(l) => write!(f, "link {l} is not in the topology"),
-            ModelError::DuplicateLink(l) => write!(f, "link {l} is already in the topology"),
             ModelError::EmptyTopology => write!(f, "operation requires a non-empty topology"),
             ModelError::Disconnected => write!(f, "operation requires a connected topology"),
         }
@@ -51,13 +42,9 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let p = ProcessId::new(1);
-        let l = LinkId::new(ProcessId::new(0), ProcessId::new(1)).unwrap();
         for (err, needle) in [
             (ModelError::InvalidProbability(2.0), "probability"),
             (ModelError::SelfLoop(p), "itself"),
-            (ModelError::UnknownProcess(p), "p1"),
-            (ModelError::UnknownLink(l), "l0,1"),
-            (ModelError::DuplicateLink(l), "already"),
             (ModelError::EmptyTopology, "non-empty"),
             (ModelError::Disconnected, "connected"),
         ] {

@@ -50,11 +50,13 @@
 mod config;
 mod error;
 mod id;
+mod index;
 mod probability;
 mod topology;
 
 pub use config::Configuration;
 pub use error::ModelError;
 pub use id::{LinkId, ProcessId};
+pub use index::{compressed_rows, position_of, NetworkIndex};
 pub use probability::Probability;
 pub use topology::{Links, Neighbors, Processes, Topology};

@@ -69,23 +69,6 @@ impl Probability {
         Probability(value.clamp(0.0, 1.0))
     }
 
-    /// Creates the probability `numerator / denominator`.
-    ///
-    /// This mirrors the paper's definition of `P_i` as the ratio between
-    /// crashed steps and total steps. A zero denominator yields
-    /// [`Probability::ZERO`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidProbability`] when the ratio falls
-    /// outside `[0, 1]` (i.e. `numerator > denominator`).
-    pub fn from_ratio(numerator: u64, denominator: u64) -> Result<Self, ModelError> {
-        if denominator == 0 {
-            return Ok(Probability::ZERO);
-        }
-        Probability::new(numerator as f64 / denominator as f64)
-    }
-
     /// Returns the raw value in `[0, 1]`.
     pub const fn value(self) -> f64 {
         self.0
@@ -100,11 +83,6 @@ impl Probability {
     /// Returns `true` iff this is exactly zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
-    }
-
-    /// Returns `true` iff this is exactly one.
-    pub fn is_one(self) -> bool {
-        self.0 == 1.0
     }
 
     /// Raises the probability to an integer power (probability that `n`
@@ -210,15 +188,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn clamped_panics_on_nan() {
         let _ = Probability::clamped(f64::NAN);
-    }
-
-    #[test]
-    fn from_ratio_matches_paper_definition() {
-        // P_i = crashed steps / total steps.
-        let p = Probability::from_ratio(3, 100).unwrap();
-        assert!((p.value() - 0.03).abs() < 1e-12);
-        assert_eq!(Probability::from_ratio(0, 0).unwrap(), Probability::ZERO);
-        assert!(Probability::from_ratio(5, 3).is_err());
     }
 
     #[test]

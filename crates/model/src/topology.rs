@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{LinkId, ModelError, ProcessId};
+use crate::{position_of, LinkId, ModelError, ProcessId};
 
 /// The system's topology `G = (Π, Λ)`: a set of processes and the
 /// bidirectional links connecting them.
@@ -12,15 +12,13 @@ use crate::{LinkId, ModelError, ProcessId};
 /// duplicate-free `Vec` of its neighbors — so iteration order, and
 /// therefore every algorithm built on top, including tie-breaking in
 /// Prim's algorithm, is deterministic. A row costs a search and a shift
-/// per insert or removal, which the generators never pay: they add links
-/// in ascending order, so each insert is an append.
+/// per insert, which the generators never pay: they add links in
+/// ascending order, so each insert is an append.
 ///
-/// The breadth-first family ([`bfs_distances`](Self::bfs_distances),
-/// [`is_connected`](Self::is_connected),
-/// [`connected_components`](Self::connected_components),
-/// [`diameter`](Self::diameter)) runs one search over *positions* — the
-/// `i`-th smallest id is position `i` — with dense depth vectors, and
-/// builds a map only where its return type is one.
+/// [`is_connected`](Self::is_connected) and
+/// [`diameter`](Self::diameter) run one breadth-first search over
+/// *positions* — the `i`-th smallest id is position `i` — with a dense
+/// depth vector.
 ///
 /// Processes may exist without links (they are then isolated); adding a
 /// link implicitly adds both endpoints, mirroring how the paper's adaptive
@@ -56,15 +54,10 @@ fn join(row: &mut Vec<ProcessId>, p: ProcessId) {
     }
 }
 
-/// Removes `p` from the sorted `row`; returns `true` if it was there.
-fn leave(row: &mut Vec<ProcessId>, p: ProcessId) -> bool {
-    row.binary_search(&p).map(|at| row.remove(at)).is_ok()
-}
-
 /// Depth of a position the search has not reached.
 const UNSEEN: u32 = u32::MAX;
 
-/// The topology by position, for the breadth-first family: position `i`
+/// The topology by position, for the breadth-first search: position `i`
 /// is the `i`-th smallest id and `rows[i]` its row.
 struct Positions<'a> {
     ids: Vec<ProcessId>,
@@ -81,15 +74,6 @@ impl<'a> Positions<'a> {
         Positions { ids, rows }
     }
 
-    /// Position of `p`: its own index when the ids are `0..n`, a search
-    /// otherwise.
-    fn of_id(&self, p: ProcessId) -> Option<usize> {
-        match self.ids.get(p.as_usize()) {
-            Some(&q) if q == p => Some(p.as_usize()),
-            _ => self.ids.binary_search(&p).ok(),
-        }
-    }
-
     /// Breadth-first search from `source` over the positions `depth`
     /// marks [`UNSEEN`]: sets each reached one's depth (the source's to
     /// 0) and returns them in visiting order, so the last is the
@@ -102,7 +86,7 @@ impl<'a> Positions<'a> {
             head += 1;
             let next = depth[at as usize] + 1;
             for &n in self.rows[at as usize] {
-                let to = self.of_id(n).expect("neighbors are processes");
+                let to = position_of(&self.ids, n).expect("neighbors are processes");
                 if depth[to] == UNSEEN {
                     depth[to] = next;
                     order.push(to as u32);
@@ -148,35 +132,6 @@ impl Topology {
         let (a, b) = link.endpoints();
         join(self.adjacency.entry(a).or_default(), b);
         join(self.adjacency.entry(b).or_default(), a);
-    }
-
-    /// Removes a link, leaving its endpoints in place.
-    ///
-    /// Returns `true` if the link was present.
-    pub fn remove_link(&mut self, link: LinkId) -> bool {
-        let (a, b) = link.endpoints();
-        let removed = self.adjacency.get_mut(&a).is_some_and(|row| leave(row, b));
-        if let (true, Some(row)) = (removed, self.adjacency.get_mut(&b)) {
-            leave(row, a);
-        }
-        removed
-    }
-
-    /// Removes a process and every link touching it.
-    ///
-    /// Returns `true` if the process was present.
-    pub fn remove_process(&mut self, p: ProcessId) -> bool {
-        match self.adjacency.remove(&p) {
-            Some(neighbors) => {
-                for n in neighbors {
-                    if let Some(row) = self.adjacency.get_mut(&n) {
-                        leave(row, p);
-                    }
-                }
-                true
-            }
-            None => false,
-        }
     }
 
     /// Returns `true` iff the process is part of the topology.
@@ -235,47 +190,12 @@ impl Topology {
         }
     }
 
-    /// Breadth-first distances (in hops) from `source` to every reachable
-    /// process, including `source` itself at distance 0.
-    pub fn bfs_distances(&self, source: ProcessId) -> BTreeMap<ProcessId, u32> {
-        let at = Positions::of(self);
-        let Some(source) = at.of_id(source) else {
-            return BTreeMap::new();
-        };
-        let mut depth = vec![UNSEEN; at.ids.len()];
-        let mut reached = at.bfs(source, &mut depth);
-        reached.sort_unstable();
-        reached
-            .into_iter()
-            .map(|i| (at.ids[i as usize], depth[i as usize]))
-            .collect()
-    }
-
     /// Returns `true` iff every process can reach every other process.
     ///
     /// The empty topology is considered connected.
     pub fn is_connected(&self) -> bool {
         let at = Positions::of(self);
         at.ids.is_empty() || at.bfs(0, &mut vec![UNSEEN; at.ids.len()]).len() == at.ids.len()
-    }
-
-    /// Returns the connected components, each sorted, ordered by their
-    /// smallest member.
-    pub fn connected_components(&self) -> Vec<Vec<ProcessId>> {
-        let at = Positions::of(self);
-        // Searches from unreached positions only, so `depth` marks every
-        // earlier component as seen.
-        let mut depth = vec![UNSEEN; at.ids.len()];
-        let mut components = Vec::new();
-        for first in 0..at.ids.len() {
-            if depth[first] != UNSEEN {
-                continue;
-            }
-            let mut component = at.bfs(first, &mut depth);
-            component.sort_unstable();
-            components.push(component.iter().map(|&i| at.ids[i as usize]).collect());
-        }
-        components
     }
 
     /// Longest shortest path between any two processes, in hops.
@@ -302,14 +222,6 @@ impl Topology {
             depth.fill(UNSEEN);
         }
         Ok(best)
-    }
-
-    /// Average degree (`2|Λ| / |Π|`), the paper's "network connectivity".
-    pub fn average_degree(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        2.0 * self.link_count() as f64 / self.process_count() as f64
     }
 }
 
@@ -391,7 +303,7 @@ impl Iterator for Neighbors<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -415,7 +327,6 @@ mod tests {
         assert_eq!(t.link_count(), 0);
         assert!(t.is_connected());
         assert_eq!(t.diameter(), Err(ModelError::EmptyTopology));
-        assert_eq!(t.average_degree(), 0.0);
     }
 
     #[test]
@@ -444,27 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_link_keeps_processes() {
-        let mut t = triangle();
-        let l = LinkId::new(p(0), p(1)).unwrap();
-        assert!(t.remove_link(l));
-        assert!(!t.remove_link(l));
-        assert_eq!(t.process_count(), 3);
-        assert_eq!(t.link_count(), 2);
-        assert!(t.is_connected());
-    }
-
-    #[test]
-    fn remove_process_removes_incident_links() {
-        let mut t = triangle();
-        assert!(t.remove_process(p(1)));
-        assert!(!t.remove_process(p(1)));
-        assert_eq!(t.process_count(), 2);
-        assert_eq!(t.link_count(), 1);
-        assert_eq!(t.degree(p(0)), 1);
-    }
-
-    #[test]
     fn links_iterator_yields_each_link_once_sorted() {
         let t = triangle();
         let links: Vec<String> = t.links().map(|l| l.to_string()).collect();
@@ -483,7 +373,7 @@ mod tests {
         t.add_link(p(0), p(1)).unwrap();
         t.add_link(p(1), p(2)).unwrap();
         t.add_link(p(2), p(3)).unwrap();
-        let d = t.bfs_distances(p(0));
+        let d = bfs_distances(&t, p(0));
         assert_eq!(d[&p(0)], 0);
         assert_eq!(d[&p(1)], 1);
         assert_eq!(d[&p(2)], 2);
@@ -492,15 +382,11 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_and_components() {
+    fn two_components_are_disconnected() {
         let mut t = Topology::new();
         t.add_link(p(0), p(1)).unwrap();
         t.add_link(p(2), p(3)).unwrap();
         assert!(!t.is_connected());
-        let components = t.connected_components();
-        assert_eq!(components.len(), 2);
-        assert_eq!(components[0], vec![p(0), p(1)]);
-        assert_eq!(components[1], vec![p(2), p(3)]);
         assert_eq!(t.diameter(), Err(ModelError::Disconnected));
     }
 
@@ -513,12 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn average_degree_matches_paper_connectivity() {
-        let t = triangle();
-        assert!((t.average_degree() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn from_iterator_collects_links() {
         let links = vec![
             LinkId::new(p(0), p(1)).unwrap(),
@@ -527,6 +407,22 @@ mod tests {
         let t: Topology = links.into_iter().collect();
         assert_eq!(t.process_count(), 3);
         assert_eq!(t.link_count(), 2);
+    }
+
+    /// Breadth-first distances (in hops) from `source` to every process
+    /// it reaches, by the positional search `is_connected` and `diameter`
+    /// run.
+    fn bfs_distances(t: &Topology, source: ProcessId) -> BTreeMap<ProcessId, u32> {
+        let at = Positions::of(t);
+        let Some(source) = position_of(&at.ids, source) else {
+            return BTreeMap::new();
+        };
+        let mut depth = vec![UNSEEN; at.ids.len()];
+        let reached = at.bfs(source, &mut depth);
+        reached
+            .into_iter()
+            .map(|i| (at.ids[i as usize], depth[i as usize]))
+            .collect()
     }
 
     /// The map-based breadth-first search the positional one replaced:
@@ -553,7 +449,7 @@ mod tests {
     /// A topology over `n` processes from `edges` (endpoints taken mod
     /// `n`), every id `i` relabelled `7 + 3·π(i)` when `keys` is
     /// non-empty (π orders `0..n` by `keys`, so no id is its position).
-    fn build(n: u32, edges: &[(u32, u32)], keys: &[u32]) -> Topology {
+    pub(crate) fn build(n: u32, edges: &[(u32, u32)], keys: &[u32]) -> Topology {
         let mut pi: Vec<u32> = (0..n).collect();
         if !keys.is_empty() {
             pi.sort_by_key(|&i| (keys[i as usize % keys.len()], i));
@@ -574,24 +470,17 @@ mod tests {
         t
     }
 
-    /// Holds the breadth-first family to [`reference_bfs`] on `t`.
+    /// Holds the positional breadth-first search, `is_connected` and
+    /// `diameter` to [`reference_bfs`] on `t`.
     fn assert_bfs_family(t: &Topology) {
         let reference: Vec<BTreeMap<ProcessId, u32>> =
             t.processes().map(|q| reference_bfs(t, q)).collect();
         for (q, expected) in t.processes().zip(&reference) {
-            assert_eq!(&t.bfs_distances(q), expected, "from {q}");
+            assert_eq!(&bfs_distances(t, q), expected, "from {q}");
         }
-        assert!(t.bfs_distances(p(1_000_000)).is_empty());
+        assert!(bfs_distances(t, p(1_000_000)).is_empty());
         let spanning = reference.iter().all(|d| d.len() == t.process_count());
         assert_eq!(t.is_connected(), t.is_empty() || spanning);
-
-        let mut components: Vec<Vec<ProcessId>> = Vec::new();
-        for (q, d) in t.processes().zip(&reference) {
-            if !components.iter().any(|c| c.contains(&q)) {
-                components.push(d.keys().copied().collect());
-            }
-        }
-        assert_eq!(t.connected_components(), components);
 
         let diameter = if t.is_empty() {
             Err(ModelError::EmptyTopology)
@@ -626,7 +515,6 @@ mod tests {
         singleton.add_process(p(5));
         assert_bfs_family(&singleton);
         assert_eq!(singleton.diameter(), Ok(0));
-        assert_eq!(singleton.connected_components(), vec![vec![p(5)]]);
     }
 
     proptest! {
@@ -645,10 +533,10 @@ mod tests {
         }
 
         /// Rows stay sorted and free of duplicates under any sequence of
-        /// `add_link`, `insert_link`, `remove_link` and `remove_process`.
+        /// `add_link` and `insert_link`, self-loops refused.
         #[test]
         fn prop_rows_stay_sorted_under_edits(
-            ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..12), 0..80),
+            ops in proptest::collection::vec((0u8..2, 0u32..12, 0u32..12), 0..80),
         ) {
             let mut t = Topology::new();
             let mut links = std::collections::BTreeSet::new();
@@ -662,12 +550,6 @@ mod tests {
                     (1, Ok(l)) => {
                         t.insert_link(l);
                         links.insert(l);
-                    }
-                    (2, Ok(l)) => prop_assert_eq!(t.remove_link(l), links.remove(&l)),
-                    (3, _) => {
-                        let present = t.contains_process(p(a));
-                        prop_assert_eq!(t.remove_process(p(a)), present);
-                        links.retain(|l| l.lo() != p(a) && l.hi() != p(a));
                     }
                     _ => prop_assert!(t.add_link(p(a), p(b)).is_err()),
                 }

@@ -40,14 +40,6 @@ pub enum CrashModel {
 }
 
 impl CrashModel {
-    /// The stationary down fraction `P` of this model.
-    pub fn down_fraction(&self) -> Probability {
-        match self {
-            CrashModel::AlwaysUp => Probability::ZERO,
-            CrashModel::Bernoulli { p } | CrashModel::Markov { p, .. } => *p,
-        }
-    }
-
     /// Per-tick transition probabilities `(crash, recover)` for the
     /// Markov model: `recover = 1/D`, `crash = recover * P / (1 - P)`.
     fn markov_rates(p: Probability, mean_downtime: f64) -> (f64, f64) {
@@ -232,21 +224,6 @@ mod tests {
         assert_eq!(s.advance(&model, &mut rng), None);
         assert_eq!(s.advance(&model, &mut rng), Some(3));
         assert!(s.up);
-    }
-
-    #[test]
-    fn down_fraction_accessor() {
-        assert_eq!(CrashModel::AlwaysUp.down_fraction(), Probability::ZERO);
-        let p = Probability::new(0.2).unwrap();
-        assert_eq!(CrashModel::Bernoulli { p }.down_fraction(), p);
-        assert_eq!(
-            CrashModel::Markov {
-                p,
-                mean_downtime: 4.0
-            }
-            .down_fraction(),
-            p
-        );
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! [`Input`] to handle and the [`Effects`] (sends and timer operations)
 //! to fill in.
 //!
-//! What never changes during a run is indexed once, in [`LaneEnv::new`]:
-//! the topology becomes a link table (a row of neighbours per process,
-//! links numbered by position) that carries the loss probabilities, so a
-//! send costs one search in the sender's row and one increment at the
-//! link's position. The public [`Metrics`] are assembled from those
-//! positions only when read ([`LaneEnv::metrics`]).
+//! The network is indexed once, in [`LaneEnv::new`]: the driver's
+//! environment owns a [`NetworkIndex`] of the topology and the loss
+//! configuration — the same index Prim builds the Maximum Reliability
+//! Tree on, so a process, a row of neighbours and a link have one
+//! position from planner to wire. A send costs the destination's
+//! position, one search in the sender's row and one increment at the
+//! link's position; the fault script's loss changes write the index in
+//! place. The public [`Metrics`] are assembled from those positions only
+//! when read ([`LaneEnv::metrics`]).
 //!
 //! Two drivers step lanes:
 //!
@@ -55,7 +58,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
+use diffuse_model::{
+    position_of, Configuration, LinkId, NetworkIndex, Probability, ProcessId, Topology,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,115 +70,6 @@ use crate::kernel::{SimMessage, SimOptions};
 use crate::loss::LossBatcher;
 use crate::{CrashModel, Metrics, SimTime, TimerId, TimerOp, TimerTable};
 
-/// One entry of a process's row in the [`LinkTable`]: a neighbour and
-/// the position of the link to it.
-#[derive(Debug, Clone, Copy)]
-struct Hop {
-    to: ProcessId,
-    link: u32,
-}
-
-/// The network as the outbox flush reads it: the topology's shape frozen
-/// into rows (CSR), links numbered by their position in
-/// [`Topology::links`] order. Only `loss` changes after construction.
-#[derive(Debug, Clone)]
-struct LinkTable {
-    /// Every process, ascending; row `r` belongs to `ids[r]`.
-    ids: Vec<ProcessId>,
-    /// Row `r` is `hops[row_start[r]..row_start[r + 1]]`, ascending by
-    /// neighbour.
-    row_start: Vec<u32>,
-    hops: Vec<Hop>,
-    /// Current loss probability of each link, by position.
-    loss: Vec<f64>,
-}
-
-impl LinkTable {
-    /// Numbers the links in one walk of [`Topology::links`]. That order
-    /// ascends by `(lo, hi)`, so appending link `k` to both endpoints'
-    /// rows as it is met leaves every row ascending: a row receives its
-    /// lower neighbours (in `lo` order) before the walk reaches the
-    /// row's own process as `lo`.
-    fn build(topology: &Topology, loss: &Configuration) -> Self {
-        let ids: Vec<ProcessId> = topology.processes().collect();
-        let mut row_start = Vec::with_capacity(ids.len() + 1);
-        let mut total = 0u32;
-        for &id in &ids {
-            row_start.push(total);
-            total += topology.degree(id) as u32;
-        }
-        row_start.push(total);
-        let mut table = LinkTable {
-            ids,
-            row_start,
-            hops: vec![
-                Hop {
-                    to: ProcessId::new(0),
-                    link: 0,
-                };
-                total as usize
-            ],
-            loss: vec![0.0; total as usize / 2],
-        };
-        let mut cursor = table.row_start.clone();
-        for (position, link) in topology.links().enumerate() {
-            for (at, to) in [(link.lo(), link.hi()), (link.hi(), link.lo())] {
-                let row = table.row_of(at).expect("a link's endpoints are processes");
-                table.hops[cursor[row] as usize] = Hop {
-                    to,
-                    link: position as u32,
-                };
-                cursor[row] += 1;
-            }
-        }
-        for (link, p) in loss.loss_entries() {
-            table.set_loss(link, p);
-        }
-        table
-    }
-
-    fn row(&self, row: usize) -> &[Hop] {
-        &self.hops[self.row_start[row] as usize..self.row_start[row + 1] as usize]
-    }
-
-    /// Every link in position order: a link was numbered when the walk
-    /// met it from its lower endpoint, so that is each row's hops to
-    /// higher neighbours, rows ascending.
-    fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.ids.iter().enumerate().flat_map(move |(row, &lo)| {
-            let up = self.row(row).iter().filter(move |hop| hop.to > lo);
-            up.map(move |hop| LinkId::new(lo, hop.to).expect("a row has no hop to itself"))
-        })
-    }
-
-    /// The row of process `id`: its own index when ids are `0..n` (the
-    /// generated graphs), a search otherwise.
-    fn row_of(&self, id: ProcessId) -> Option<usize> {
-        let guess = id.index() as usize;
-        if self.ids.get(guess) == Some(&id) {
-            return Some(guess);
-        }
-        self.ids.binary_search(&id).ok()
-    }
-
-    /// The position of the link from row `row`'s process to `to`, or
-    /// `None` if `to` is not its neighbour.
-    fn link_from(&self, row: usize, to: ProcessId) -> Option<u32> {
-        let hops = self.row(row);
-        let hop = hops.binary_search_by_key(&to, |hop| hop.to).ok()?;
-        Some(hops[hop].link)
-    }
-
-    /// Sets one link's loss probability; a link the topology does not
-    /// have is ignored.
-    fn set_loss(&mut self, link: LinkId, p: Probability) {
-        let row = self.row_of(link.lo());
-        if let Some(position) = row.and_then(|row| self.link_from(row, link.hi())) {
-            self.loss[position as usize] = p.value();
-        }
-    }
-}
-
 /// What a lane's driver knows about the run: the network, the crash
 /// model, and how the process set is split over lanes. Lanes only read
 /// it; drivers mutate it between steps (scripted loss changes).
@@ -182,7 +78,7 @@ pub struct LaneEnv {
     /// The simulated network, indexed once from the topology and loss
     /// configuration; not writable from outside except through
     /// [`LaneEnv::set_loss`].
-    links: LinkTable,
+    network: NetworkIndex,
     /// Message latency in ticks. Private so it stays at least 1: a
     /// message sent during tick `t` is never due before `t + 1`, which
     /// the phase order, the shards' end-of-tick exchange and the flight
@@ -197,11 +93,13 @@ pub struct LaneEnv {
 
 impl LaneEnv {
     /// The environment both drivers build from their constructor
-    /// arguments. `topology` and `loss` are indexed into the link table
-    /// here, once, and not kept (loss entries of links the topology lacks
-    /// are dropped); `options.link_delay` is clamped to at least 1 tick;
-    /// `boundaries` holds each lane's first process id, or nothing for a
-    /// single lane.
+    /// arguments. `topology` and `loss` are indexed into a
+    /// [`NetworkIndex`] here, once, and not kept (entries for processes
+    /// or links the topology lacks are dropped); only the index's loss
+    /// probabilities change afterwards, through
+    /// [`set_loss`](Self::set_loss). `options.link_delay` is clamped to
+    /// at least 1 tick; `boundaries` holds each lane's first process id,
+    /// or nothing for a single lane.
     pub fn new(
         topology: &Topology,
         loss: &Configuration,
@@ -209,7 +107,7 @@ impl LaneEnv {
         boundaries: Vec<ProcessId>,
     ) -> Self {
         LaneEnv {
-            links: LinkTable::build(topology, loss),
+            network: NetworkIndex::new(topology, loss),
             link_delay: options.link_delay.max(1),
             crash_model: options.crash_model,
             boundaries,
@@ -232,7 +130,7 @@ impl LaneEnv {
     /// Overrides one link's loss probability from the next flush on; a
     /// link the topology does not have is ignored.
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.links.set_loss(link, p);
+        self.network.set_loss(link, p);
     }
 
     /// The run's wire [`Metrics`], assembled from its `lanes`: their
@@ -240,14 +138,14 @@ impl LaneEnv {
     /// (links that carried nothing get no entry).
     pub fn metrics<'a, M: 'a>(&self, lanes: impl IntoIterator<Item = &'a Lane<M>>) -> Metrics {
         let mut total = Metrics::new();
-        let mut sent = vec![0u64; self.links.loss.len()];
+        let mut sent = vec![0u64; self.network.link_count()];
         for lane in lanes {
             total.merge(&lane.metrics);
             for (sum, &n) in sent.iter_mut().zip(&lane.link_sent) {
                 *sum += n;
             }
         }
-        let per_link = self.links.link_ids().zip(sent);
+        let per_link = self.network.link_ids().zip(sent);
         total.set_sent_per_link(per_link.filter(|&(_, n)| n > 0));
         total
     }
@@ -450,7 +348,8 @@ pub struct Lane<M> {
     index: u32,
     /// The lane's processes, ascending; `crash` is parallel to it.
     ids: Vec<ProcessId>,
-    /// The link-table row of `ids[0]`: slot `s` sends from row `base + s`.
+    /// The network position of `ids[0]`: slot `s` sends from row
+    /// `base + s`.
     base: usize,
     crash: Vec<CrashState>,
     forced_outages: usize,
@@ -502,7 +401,7 @@ impl<M: SimMessage> Lane<M> {
     pub fn new(env: &LaneEnv, index: usize, seed: u64) -> Self {
         // The lane's rows run from its own first process to the next
         // lane's.
-        let all = &env.links.ids;
+        let all = env.network.ids();
         let row_of_first = |lane: usize, otherwise: usize| {
             let first = env.boundaries.get(lane);
             first.map_or(otherwise, |&first| all.partition_point(|&id| id < first))
@@ -523,7 +422,7 @@ impl<M: SimMessage> Lane<M> {
             loss_runs: LossBatcher::new(),
             adversary: MessageAdversary::inactive(seed),
             metrics: Metrics::new(),
-            link_sent: vec![0; env.links.loss.len()],
+            link_sent: vec![0; env.network.link_count()],
             next_seq: 0,
             in_flight: Calendar::new(),
             outbound: (0..env.lanes()).map(|_| Vec::new()).collect(),
@@ -554,7 +453,7 @@ impl<M: SimMessage> Lane<M> {
 
     /// The slot of process `id`, or `None` if this lane does not own it.
     pub fn slot_of(&self, id: ProcessId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+        position_of(&self.ids, id)
     }
 
     /// Returns `true` iff the process is owned by this lane and up.
@@ -648,8 +547,9 @@ impl<M: SimMessage> Lane<M> {
     /// a whole burst in one tick would make one receiver-crash sample
     /// destroy every copy at once.
     ///
-    /// This is the Monte-Carlo inner loop: the link (one search in the
-    /// sender's row of the link table), its loss probability and the
+    /// This is the Monte-Carlo inner loop: the link (the destination's
+    /// position, then one search in the sender's row of the
+    /// [`NetworkIndex`]), its loss probability and the
     /// owning lane are resolved once per distinct destination of the
     /// burst, and a sent copy is one increment at its link's position.
     /// Loss decisions come from the batched
@@ -666,11 +566,11 @@ impl<M: SimMessage> Lane<M> {
             let slot_index = match slots.iter().position(|s| s.to == to) {
                 Some(i) => i,
                 None => {
-                    let link = env.links.link_from(row, to);
+                    let link = env.network.link_between(row, to);
                     slots.push(BurstSlot {
                         to,
                         link,
-                        loss: link.map_or(0.0, |l| env.links.loss[l as usize]),
+                        loss: link.map_or(0.0, |l| env.network.loss(l as usize).value()),
                         lane: env.lane_of(to) as u32,
                         stagger: 0,
                     });
@@ -1052,56 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn link_table_rows_ascend_and_number_links_in_topology_order() {
-        let topology = sparse();
-        let link = |a, b| LinkId::new(p(a), p(b)).unwrap();
-        let mut loss = Configuration::new();
-        loss.set_loss(link(3, 11), Probability::new(0.25).unwrap());
-        loss.set_loss(link(7, 90), Probability::ONE);
-        // Entries of links the topology lacks, sorting before, between
-        // and after its own, are dropped.
-        for (a, b) in [(1, 2), (3, 12), (10, 40), (95, 99)] {
-            loss.set_loss(link(a, b), Probability::new(0.5).unwrap());
-        }
-        let table = LinkTable::build(&topology, &loss);
-        assert_eq!(table.ids, topology.processes().collect::<Vec<_>>());
-        let link_ids: Vec<LinkId> = table.link_ids().collect();
-        assert_eq!(link_ids, topology.links().collect::<Vec<_>>());
-        let lossy: Vec<(LinkId, f64)> = link_ids
-            .iter()
-            .copied()
-            .zip(table.loss.iter().copied())
-            .filter(|&(_, p)| p > 0.0)
-            .collect();
-        assert_eq!(lossy, vec![(link(3, 11), 0.25), (link(7, 90), 1.0)]);
-        for (row, &id) in table.ids.iter().enumerate() {
-            assert_eq!(table.row_of(id), Some(row));
-            let hops = table.row(row);
-            let neighbors: Vec<ProcessId> = hops.iter().map(|hop| hop.to).collect();
-            assert_eq!(
-                neighbors,
-                topology.neighbors(id).collect::<Vec<_>>(),
-                "{id}"
-            );
-            for hop in hops {
-                assert_eq!(
-                    link_ids[hop.link as usize],
-                    link(id.index(), hop.to.index())
-                );
-                assert_eq!(table.link_from(row, hop.to), Some(hop.link));
-            }
-        }
-        // Non-neighbours, the process itself and unknown ids are not in
-        // the row.
-        let row = table.row_of(p(3)).unwrap();
-        for to in [10, 3, 5, 99] {
-            assert_eq!(table.link_from(row, p(to)), None, "p3 -> p{to}");
-        }
-        assert_eq!(table.row_of(p(4)), None);
-        assert_eq!(table.row_of(p(0)), None);
-    }
-
-    #[test]
     fn set_loss_writes_one_link_and_ignores_links_outside_the_topology() {
         let link = |a, b| LinkId::new(p(a), p(b)).unwrap();
         let mut env = LaneEnv::new(
@@ -1110,18 +960,25 @@ mod tests {
             SimOptions::default(),
             Vec::new(),
         );
-        let before = env.links.loss.clone();
+        let losses = |env: &LaneEnv| -> Vec<Probability> {
+            let network = &env.network;
+            (0..network.link_count())
+                .map(|at| network.loss(at))
+                .collect()
+        };
+        let before = losses(&env);
         // Both endpoints exist but are not adjacent; one endpoint
         // unknown; both unknown.
         for outside in [link(3, 10), link(5, 7), link(3, 99), link(1, 2)] {
             env.set_loss(outside, Probability::ONE);
         }
-        assert_eq!(env.links.loss, before);
-        env.set_loss(link(40, 11), Probability::new(0.5).unwrap());
-        let position = env.links.link_ids().position(|l| l == link(11, 40));
+        assert_eq!(losses(&env), before);
+        let half = Probability::new(0.5).unwrap();
+        env.set_loss(link(40, 11), half);
+        let position = env.network.link_ids().position(|l| l == link(11, 40));
         let mut expected = before;
-        expected[position.unwrap()] = 0.5;
-        assert_eq!(env.links.loss, expected);
+        expected[position.unwrap()] = half;
+        assert_eq!(losses(&env), expected);
     }
 
     #[test]

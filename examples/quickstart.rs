@@ -9,8 +9,8 @@
 
 use diffuse::core::scenario::{Scenario, Workload};
 use diffuse::core::{optimize, NetworkKnowledge, OptimalBroadcast, Payload};
-use diffuse::graph::{generators, NetworkIndex};
-use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
+use diffuse::graph::{generators, maximum_reliability_tree_in};
+use diffuse::model::{Configuration, LinkId, NetworkIndex, Probability, ProcessId};
 use diffuse::sim::SimTime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    (G, C) answers every root; this example asks it for one.
     let root = ProcessId::new(0);
     let index = NetworkIndex::new(&topology, &config);
-    let mrt = index.maximum_reliability_tree(root)?;
+    let mrt = maximum_reliability_tree_in(&index, root)?;
     assert!(mrt.edges().all(|(u, v)| LinkId::new(u, v).unwrap() != bad));
     println!("MRT has {} links (bad link avoided)", mrt.link_count());
 
