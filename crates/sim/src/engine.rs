@@ -28,7 +28,9 @@
 //!   frames);
 //! * [`ShardedKernel`](crate::ShardedKernel) — `W` lanes over an
 //!   id-range partition, one worker thread each, exchanging cross-lane
-//!   flights at tick barriers.
+//!   flights at tick barriers: a lane writes a flight bound for another
+//!   lane into a calendar chunk, and the chunk, not the flight, changes
+//!   hands.
 //!
 //! # Determinism contract
 //!
@@ -36,12 +38,13 @@
 //!
 //! 1. crash/recovery transitions in id order (recoveries run
 //!    [`Input::Recover`]);
-//! 2. deliveries due this tick, in `(arrival, source lane, sequence)`
-//!    order — with one lane, send order. Nothing compares flights to
-//!    get it: a lane numbers its flights as it emits them and every
-//!    driver moves batches in push order, so each `(arrival, source
-//!    lane)` bucket of the flight calendar fills in ascending sequence,
-//!    and buckets are taken in key order;
+//! 2. deliveries due this tick, by arrival tick, then source lane, then
+//!    the order the source lane emitted them — with one lane, send
+//!    order. Nothing compares or numbers flights to get it: each
+//!    `(arrival, source lane)` bucket of the flight calendar only grows
+//!    at its back, as the lane emits its own flights and as another
+//!    lane's batches arrive, one per hand-off, and buckets are taken in
+//!    key order;
 //! 3. [`Input::Timer`] for every due timer of an up process, by
 //!    [`TimerTable::fire_due`]'s rule: passes in `(process, timer)`
 //!    order, so a timer armed for the current tick still fires on it.
@@ -68,6 +71,7 @@ use crate::adversary::MessageAdversary;
 use crate::crash::CrashState;
 use crate::kernel::{SimMessage, SimOptions};
 use crate::loss::LossBatcher;
+use crate::metrics::KindCounts;
 use crate::{CrashModel, Metrics, SimTime, TimerId, TimerOp, TimerTable};
 
 /// What a lane's driver knows about the run: the network, the crash
@@ -141,6 +145,7 @@ impl LaneEnv {
         let mut sent = vec![0u64; self.network.link_count()];
         for lane in lanes {
             total.merge(&lane.metrics);
+            lane.kinds.add_to(&mut total);
             for (sum, &n) in sent.iter_mut().zip(&lane.link_sent) {
                 *sum += n;
             }
@@ -235,15 +240,11 @@ impl LaneStatus {
     }
 }
 
-/// A message in flight. Flights are delivered in `(arrival, source lane,
-/// sequence)` order — a merge key no thread interleaving can perturb;
-/// with one lane it reduces to `(arrival, sequence)`: global send order.
-/// The flight calendar keeps that order without comparing flights.
+/// A message in flight. Its arrival tick and source lane are the key of
+/// the calendar bucket (or outbound batch) holding it, so the record
+/// carries neither; within a bucket, position is delivery order.
 #[derive(Debug)]
-pub struct Flight<M> {
-    at: SimTime,
-    lane: u32,
-    seq: u64,
+pub(crate) struct Flight<M> {
     from: ProcessId,
     to: ProcessId,
     message: M,
@@ -255,25 +256,43 @@ pub struct Flight<M> {
 /// memory; the flood workloads run as fast at 128 as at 512.
 const CHUNK: usize = 128;
 
+/// A run of flights with one key, as a list of chunks of at most
+/// [`CHUNK`] flights each, in delivery order.
+type Chunks<M> = VecDeque<Vec<Flight<M>>>;
+
+/// The flights one lane addressed to another since the last hand-off,
+/// by arrival tick. The receiver appends each tick's chunks, as they
+/// are, to its `(arrival, source lane)` bucket ([`Lane::accept`]).
+pub(crate) type Batch<M> = BTreeMap<SimTime, Chunks<M>>;
+
 /// The flights in the air, bucketed by `(arrival tick, source lane)`.
 ///
-/// A lane numbers its flights in emission order, schedules its own at
-/// once and hands the others over in batches that every driver drains
-/// and accepts in push order, so the flights of one source lane reach
-/// [`Calendar::push`] in ascending sequence — appending to the `(at,
-/// lane)` bucket *is* `(at, lane, seq)` order, and delivery is popping
-/// the first bucket while its tick is due.
+/// A bucket only ever grows at its back: the lane appends its own
+/// flights as it emits them, and another lane's arrive as whole chunks
+/// in the batches it handed over, each batch behind the ones before
+/// it. Emission order is delivery order, so appending *is* `(arrival,
+/// source lane, emission)` order — nothing is numbered or compared —
+/// and delivery is popping the first bucket while its tick is due.
 ///
-/// A bucket is a list of chunks of at most [`CHUNK`] flights, recycled
-/// through one free list. One growing `Vec` per bucket would keep the
-/// draining tick's whole allocation alive while the next tick's fills;
-/// with chunks the filling bucket takes over the drained one's memory
-/// a chunk at a time. A chunk grows like any `Vec` up to that cap,
-/// so a run with a handful of flights per tick holds a handful of slots.
+/// The chunk is the only flight buffer of a run: a lane writes a flight
+/// bound for another lane into a chunk of its own free list
+/// ([`Calendar::stage`]) and the chunk travels to the receiver's
+/// bucket whole. One growing `Vec` per bucket would keep the draining
+/// tick's whole allocation alive while the next tick's fills; with
+/// chunks the filling bucket takes over the drained one's memory a
+/// chunk at a time. A chunk grows like any `Vec` up to the cap, so a
+/// run with a handful of flights per tick holds a handful of slots.
+/// Drained chunks return to the free list of the lane that drained
+/// them; under a one-way flow that lane never stages as many as it
+/// receives, so the list keeps at most as many chunks as the calendar
+/// ever held live at once and lets the rest go.
 struct Calendar<M> {
-    /// No bucket and no chunk in a bucket is ever empty.
-    buckets: BTreeMap<(SimTime, u32), VecDeque<Vec<Flight<M>>>>,
+    /// No bucket is ever empty; a chunk in a bucket may be partly full.
+    buckets: BTreeMap<(SimTime, u32), Chunks<M>>,
     free: Vec<Vec<Flight<M>>>,
+    /// Chunks in `buckets`, now and at most so far.
+    live: usize,
+    peak: usize,
 }
 
 impl<M> Calendar<M> {
@@ -281,26 +300,37 @@ impl<M> Calendar<M> {
         Calendar {
             buckets: BTreeMap::new(),
             free: Vec::new(),
+            live: 0,
+            peak: 0,
         }
     }
 
-    fn push(&mut self, flight: Flight<M>) {
-        let chunks = self.buckets.entry((flight.at, flight.lane)).or_default();
-        debug_assert!(
-            chunks
-                .back()
-                .and_then(|chunk| chunk.last())
-                .is_none_or(|last| last.seq < flight.seq),
-            "a source lane's flights must arrive in ascending sequence"
-        );
-        match chunks.back_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(flight),
-            _ => {
-                let mut chunk = self.free.pop().unwrap_or_default();
-                chunk.push(flight);
-                chunks.push_back(chunk);
-            }
+    /// Appends one of the lane's own flights to bucket `(at, lane)`.
+    fn push(&mut self, at: SimTime, lane: u32, flight: Flight<M>) {
+        let chunks = self.buckets.entry((at, lane)).or_default();
+        if append(chunks, flight, &mut self.free) {
+            self.live += 1;
+            self.peak = self.peak.max(self.live);
         }
+    }
+
+    /// Writes a flight bound for another lane into `batch`, in a chunk
+    /// from this lane's free list.
+    fn stage(&mut self, batch: &mut Batch<M>, at: SimTime, flight: Flight<M>) {
+        append(batch.entry(at).or_default(), flight, &mut self.free);
+    }
+
+    /// Appends the chunks of a batch `lane` handed over, tick by tick,
+    /// behind whatever its earlier batches left in the same buckets.
+    fn accept(&mut self, lane: u32, batch: Batch<M>) {
+        for (at, mut chunks) in batch {
+            self.live += chunks.len();
+            self.buckets
+                .entry((at, lane))
+                .or_default()
+                .append(&mut chunks);
+        }
+        self.peak = self.peak.max(self.live);
     }
 
     /// The earliest arrival tick.
@@ -317,16 +347,36 @@ impl<M> Calendar<M> {
         if first.get().is_empty() {
             first.remove();
         }
+        self.live -= 1;
         chunk
     }
 
     fn recycle(&mut self, chunk: Vec<Flight<M>>) {
         debug_assert!(chunk.is_empty());
-        self.free.push(chunk);
+        if self.free.len() < self.peak {
+            self.free.push(chunk);
+        }
     }
 
     fn len(&self) -> usize {
         self.buckets.values().flatten().map(Vec::len).sum()
+    }
+}
+
+/// Appends `flight` to the last chunk of `chunks`, or to a fresh one from
+/// `free` if that one is full; returns whether a chunk was opened.
+fn append<M>(chunks: &mut Chunks<M>, flight: Flight<M>, free: &mut Vec<Vec<Flight<M>>>) -> bool {
+    match chunks.back_mut() {
+        Some(chunk) if chunk.len() < CHUNK => {
+            chunk.push(flight);
+            false
+        }
+        _ => {
+            let mut chunk = free.pop().unwrap_or_default();
+            chunk.push(flight);
+            chunks.push_back(chunk);
+            true
+        }
     }
 }
 
@@ -366,14 +416,15 @@ pub struct Lane<M> {
     /// default, so adversary-free runs draw nothing from it.
     adversary: MessageAdversary,
     /// Wire metrics, except that sent copies are counted per link in
-    /// `link_sent`, by link position; [`LaneEnv::metrics`] joins the two.
+    /// `link_sent`, by link position, and sent and delivered copies per
+    /// kind in `kinds`; [`LaneEnv::metrics`] joins the three.
     metrics: Metrics,
     link_sent: Vec<u64>,
-    next_seq: u64,
+    kinds: KindCounts,
     in_flight: Calendar<M>,
     /// Flights bound for other lanes, per destination lane, until the
     /// driver moves them ([`Lane::take_outbound`] / [`Lane::accept`]).
-    outbound: Vec<Vec<Flight<M>>>,
+    outbound: Vec<Batch<M>>,
     /// Pending timer deadlines, one slot per process.
     timers: TimerTable,
     /// Reused buffers: the handler's effects and the flush's
@@ -423,9 +474,9 @@ impl<M: SimMessage> Lane<M> {
             adversary: MessageAdversary::inactive(seed),
             metrics: Metrics::new(),
             link_sent: vec![0; env.network.link_count()],
-            next_seq: 0,
+            kinds: KindCounts::default(),
             in_flight: Calendar::new(),
-            outbound: (0..env.lanes()).map(|_| Vec::new()).collect(),
+            outbound: (0..env.lanes()).map(|_| Batch::new()).collect(),
             effects: Effects::default(),
             burst_scratch: Vec::new(),
         }
@@ -465,6 +516,7 @@ impl<M: SimMessage> Lane<M> {
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
         self.link_sent.fill(0);
+        self.kinds.clear();
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
@@ -584,7 +636,7 @@ impl<M: SimMessage> Lane<M> {
             };
             // Sent metrics count pre-loss copies.
             self.link_sent[link as usize] += 1;
-            self.metrics.record_sent_kind(message.kind(), 1);
+            self.kinds.count_sent(message.kind());
             // The message adversary acts before link loss and consumes
             // no loss draws (it has its own stream), so surviving
             // messages see the exact loss schedule of an adversary-free
@@ -601,21 +653,15 @@ impl<M: SimMessage> Lane<M> {
                 self.metrics.record_lost();
                 continue;
             }
-            let flight = Flight {
-                at: self.now + env.link_delay + slot.stagger,
-                lane: self.index,
-                seq: self.next_seq,
-                from,
-                to,
-                message,
-            };
-            debug_assert!(flight.at > self.now, "link delay is at least one tick");
+            let at = self.now + env.link_delay + slot.stagger;
+            debug_assert!(at > self.now, "link delay is at least one tick");
             slot.stagger += 1;
-            self.next_seq += 1;
+            let flight = Flight { from, to, message };
             if slot.lane == self.index {
-                self.in_flight.push(flight);
+                self.in_flight.push(at, self.index, flight);
             } else {
-                self.outbound[slot.lane as usize].push(flight);
+                let batch = &mut self.outbound[slot.lane as usize];
+                self.in_flight.stage(batch, at, flight);
             }
         }
     }
@@ -705,7 +751,7 @@ impl<M: SimMessage> Lane<M> {
                     self.metrics.record_dropped_receiver_down();
                     continue;
                 };
-                self.metrics.record_delivered(flight.message.kind());
+                self.kinds.count_delivered(flight.message.kind());
                 let Flight { from, message, .. } = flight;
                 self.dispatch(env, slot, |site, fx| {
                     handler.handle(site, Input::Message { from, message }, fx);
@@ -731,19 +777,18 @@ impl<M: SimMessage> Lane<M> {
         (self.timers, self.crash) = (timers, crash);
     }
 
-    /// Takes the flights this lane addressed to lane `dst` since the
-    /// last call, leaving the (allocated) batch buffer behind.
-    pub fn take_outbound(&mut self, dst: usize) -> std::vec::Drain<'_, Flight<M>> {
-        self.outbound[dst].drain(..)
+    /// Takes the batch of flights this lane addressed to lane `dst`
+    /// since the last call.
+    pub(crate) fn take_outbound(&mut self, dst: usize) -> Batch<M> {
+        std::mem::take(&mut self.outbound[dst])
     }
 
-    /// Accepts flights another lane addressed to this one: one source
-    /// lane's batches in the order it emitted them (the calendar's
-    /// precondition); how the source lanes interleave is irrelevant.
-    pub fn accept(&mut self, flights: impl IntoIterator<Item = Flight<M>>) {
-        for flight in flights {
-            self.in_flight.push(flight);
-        }
+    /// Accepts a batch lane `src` addressed to this one. One source
+    /// lane's batches must arrive in the order it handed them over (the
+    /// calendar appends them); how the source lanes interleave is
+    /// irrelevant.
+    pub(crate) fn accept(&mut self, src: usize, batch: Batch<M>) {
+        self.in_flight.accept(src as u32, batch);
     }
 }
 
@@ -759,19 +804,9 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn flight(at: u64, lane: u32, seq: u64) -> Flight<u64> {
-        Flight {
-            at: SimTime::new(at),
-            lane,
-            seq,
-            from: p(0),
-            to: p(1),
-            message: seq,
-        }
-    }
-
     /// The order the flight heap kept by comparing flights — the oracle
-    /// the calendar's append order is tested against.
+    /// the calendar's append order is tested against. `seq` numbers a
+    /// source lane's flights in emission order.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     struct Key {
         at: SimTime,
@@ -779,81 +814,96 @@ mod tests {
         seq: u64,
     }
 
-    impl Key {
-        fn of(flight: &Flight<u64>) -> Key {
-            Key {
-                at: flight.at,
-                lane: flight.lane,
-                seq: flight.seq,
-            }
+    /// A test flight carrying its source lane and sequence number as
+    /// its message, so the delivered flight names its oracle key.
+    fn flight(lane: u32, seq: u64) -> Flight<u64> {
+        Flight {
+            from: p(lane),
+            to: p(1),
+            message: seq,
         }
     }
 
     #[test]
-    fn keys_order_by_arrival_then_lane_then_sequence() {
-        let key = |at, lane, seq| Key::of(&flight(at, lane, seq));
-        assert!(key(1, 9, 9) < key(2, 0, 0));
-        assert!(key(2, 0, 9) < key(2, 1, 0));
-        assert!(key(2, 1, 0) < key(2, 1, 1));
-        // The record carries 32 bytes besides the message: ~10⁵ of them
-        // are alive at once in the large gossip floods.
-        assert_eq!(std::mem::size_of::<Flight<()>>(), 32);
+    fn a_flight_is_its_endpoints_and_message() {
+        // The calendar bucket holds the key, so the record carries only
+        // 8 bytes besides the message: ~10⁵ of them are alive at once in
+        // the large gossip floods.
+        assert_eq!(std::mem::size_of::<Flight<()>>(), 8);
     }
 
-    /// Drives a calendar and a reference heap through the same run, the
-    /// way a lane of a four-lane run sees it: while a tick's flights are
-    /// delivered the local lane (0) schedules bursts at once; what the
-    /// three other lanes emitted during the tick is accepted afterwards,
-    /// one batch per source lane. Bursts stagger up to 40 ticks past the
-    /// link delay, so many buckets are live and a bucket is appended to
-    /// over many ticks.
+    /// One lane of a four-lane run, as the tested calendar (lane 0) sees
+    /// it, next to a reference heap. While a tick's flights are
+    /// delivered, lane 0 schedules bursts into its own calendar at once;
+    /// the three other lanes stage theirs into a batch bound for lane 0
+    /// (from a calendar of their own, whose free list lends the chunks),
+    /// and lane 0 accepts one batch per source lane after the tick. A
+    /// burst either staggers up to 40 copies one tick apart (one flight
+    /// per arrival tick: partly filled chunks, and buckets that grow over
+    /// many exchanges) or fans up to 300 copies out on one arrival tick
+    /// (chunks that fill and spill over).
     fn calendar_matches_heap(seed: u64) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let link_delay = rng.gen_range(1..=5u64);
-        let mut calendar: Calendar<u64> = Calendar::new();
+        let mut lanes: Vec<Calendar<u64>> = (0..4).map(|_| Calendar::new()).collect();
         let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
         let mut next_seq = [0u64; 4];
-        let burst = |rng: &mut rand::rngs::StdRng, now: u64, lane: usize, seq: &mut [u64; 4]| {
-            let copies = rng.gen_range(0..=40u64);
-            let first = seq[lane];
-            seq[lane] += copies;
-            (0..copies).map(move |stagger| {
-                flight(now + link_delay + stagger, lane as u32, first + stagger)
+        let mut burst = |rng: &mut rand::rngs::StdRng, now: u64, lane: u32| {
+            let fan = rng.gen_range(0..5) == 0;
+            let copies = rng.gen_range(0..=if fan { 300 } else { 40 });
+            let first = next_seq[lane as usize];
+            next_seq[lane as usize] += copies;
+            (0..copies).map(move |k| {
+                let at = SimTime::new(now + link_delay + if fan { 0 } else { k });
+                let seq = first + k;
+                (Key { at, lane, seq }, flight(lane, seq))
             })
         };
-        let schedule =
-            |flight: Flight<u64>, calendar: &mut Calendar<u64>, heap: &mut BinaryHeap<_>| {
-                heap.push(Reverse(Key::of(&flight)));
-                calendar.push(flight);
-            };
-        for flight in burst(&mut rng, 0, 0, &mut next_seq) {
-            schedule(flight, &mut calendar, &mut heap);
+        for (key, flight) in burst(&mut rng, 0, 0) {
+            heap.push(Reverse(key));
+            lanes[0].push(key.at, 0, flight);
         }
         for now in 1..=12u64 {
             let now_t = SimTime::new(now);
+            let calendar = &mut lanes[0];
             assert_eq!(calendar.next_at(), heap.peek().map(|Reverse(key)| key.at));
             while let Some(mut chunk) = calendar.pop_due(now_t) {
                 for delivered in chunk.drain(..) {
-                    assert_eq!(delivered.message, delivered.seq);
-                    assert_eq!(heap.pop(), Some(Reverse(Key::of(&delivered))));
-                    if rng.gen_range(0..10) < 3 {
-                        for flight in burst(&mut rng, now, 0, &mut next_seq) {
-                            schedule(flight, &mut calendar, &mut heap);
+                    let key = Key {
+                        at: now_t,
+                        lane: delivered.from.index(),
+                        seq: delivered.message,
+                    };
+                    assert_eq!(heap.pop(), Some(Reverse(key)));
+                    // Capped, or replies to replies grow without bound.
+                    if heap.len() < 2_000 && rng.gen_range(0..10) < 3 {
+                        for (key, flight) in burst(&mut rng, now, 0) {
+                            heap.push(Reverse(key));
+                            calendar.push(key.at, 0, flight);
                         }
                     }
                 }
                 calendar.recycle(chunk);
             }
             assert!(heap.peek().is_none_or(|Reverse(key)| key.at > now_t));
-            for lane in 1..4 {
+            for lane in 1..4u32 {
+                let mut batch = Batch::new();
                 for _ in 0..rng.gen_range(0..3) {
-                    for flight in burst(&mut rng, now, lane, &mut next_seq) {
-                        schedule(flight, &mut calendar, &mut heap);
+                    for (key, flight) in burst(&mut rng, now, lane) {
+                        heap.push(Reverse(key));
+                        lanes[lane as usize].stage(&mut batch, key.at, flight);
                     }
                 }
+                lanes[0].accept(lane, batch);
             }
-            assert_eq!(calendar.len(), heap.len());
+            assert_eq!(lanes[0].len(), heap.len());
+            assert_eq!(lanes[0].live, chunk_count(&lanes[0]));
         }
+    }
+
+    /// The chunks in a calendar's buckets, counted.
+    fn chunk_count<M>(calendar: &Calendar<M>) -> usize {
+        calendar.buckets.values().map(VecDeque::len).sum()
     }
 
     proptest! {
@@ -935,10 +985,58 @@ mod tests {
         // what the peak needed, plus the partly filled tail of each live
         // bucket and the chunk being drained.
         let allocated = lane.in_flight.free.len();
+        assert_eq!(lane.in_flight.live, 0);
         assert!(
             allocated <= peak.div_ceil(CHUNK) + live_buckets + 1,
             "{allocated} chunks for a peak of {peak} flights in {live_buckets} buckets"
         );
+    }
+
+    /// Handles everything by doing nothing.
+    struct Sink;
+
+    impl Handler<u64> for Sink {
+        fn handle(&mut self, _: Site, _: Input<u64>, _: &mut Effects<u64>) {}
+    }
+
+    #[test]
+    fn a_one_way_flow_keeps_the_receivers_free_list_bounded() {
+        // Process 0 (lane 0) sends one message to each of 300 neighbours
+        // (lane 1) every tick: lane 1 drains three chunks a tick and
+        // stages none, so every chunk it recycles is one lane 0 let go.
+        let fan = 300u32;
+        let mut star = Topology::new();
+        for leaf in 1..=fan {
+            star.add_link(p(0), p(leaf)).unwrap();
+        }
+        let env = LaneEnv::new(
+            &star,
+            &Configuration::new(),
+            SimOptions::default(),
+            vec![p(0), p(1)],
+        );
+        let mut lanes: Vec<Lane<u64>> = (0..2).map(|index| Lane::new(&env, index, 1)).collect();
+        let held = |lanes: &[Lane<u64>]| -> usize {
+            let calendars = lanes.iter().map(|lane| &lane.in_flight);
+            calendars.map(|c| chunk_count(c) + c.free.len()).sum()
+        };
+        let mut most = 0;
+        for tick in 0..1000u64 {
+            lanes[0].command(&env, p(0), |_, fx| {
+                fx.outbox.extend((1..=fan).map(|leaf| (p(leaf), tick)));
+            });
+            let batch = lanes[0].take_outbound(1);
+            lanes[1].accept(0, batch);
+            for lane in &mut lanes {
+                lane.step(&env, &mut Sink);
+            }
+            most = most.max(held(&lanes));
+        }
+        let delivered = env.metrics(&lanes).delivered_total();
+        assert_eq!(delivered, 1000 * u64::from(fan));
+        // Three chunks live while a tick's batch waits, three free after
+        // it is drained: 1 000 ticks must not leave 3 000 behind.
+        assert!(most <= 6, "{most} chunks held");
     }
 
     /// A graph whose ids are not `0..n`, with an isolated process.

@@ -41,7 +41,7 @@ mod timers;
 
 pub use adversary::{suppression_seed, MessageAdversary};
 pub use crash::CrashModel;
-pub use engine::{Effects, Flight, Handler, Input, Lane, LaneEnv, LaneStatus, Site};
+pub use engine::{Effects, Handler, Input, Lane, LaneEnv, LaneStatus, Site};
 pub use kernel::{Actor, Context, SimMessage, SimOptions, Simulation};
 pub use loss::LossBatcher;
 pub use metrics::Metrics;

@@ -29,23 +29,23 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Records `n` sent copies in one pair of map updates — the kernel's
-    /// outbox flush batches per destination and kind, since it is the
-    /// Monte-Carlo hot path.
+    /// Records `n` sent copies of one kind over one link, in one pair of
+    /// map updates.
     ///
     /// The recorders are public so alternate substrates (`diffuse-net`'s
     /// chaos layer, the faulty wire of every wall-clock node) can account
     /// their wire events in the same counters and be read side by side
-    /// with a kernel run's.
+    /// with a kernel run's. The tick engine counts sent copies by link
+    /// position and by kind in tables of its own and hands the totals
+    /// over when its metrics are read.
     pub fn record_sent_batch(&mut self, link: LinkId, kind: &'static str, n: u64) {
         self.record_sent_kind(kind, n);
         *self.sent_per_link.entry(link).or_insert(0) += n;
     }
 
-    /// Records `n` sent copies of one kind and leaves their link out:
-    /// the tick engine counts links by position in a vector of its own
-    /// and hands them over once ([`Metrics::set_sent_per_link`]).
-    pub(crate) fn record_sent_kind(&mut self, kind: &'static str, n: u64) {
+    /// Records `n` sent copies of one kind and leaves their link out
+    /// (the tick engine sets them once: [`Metrics::set_sent_per_link`]).
+    fn record_sent_kind(&mut self, kind: &'static str, n: u64) {
         self.sent_total += n;
         *self.sent_by_kind.entry(kind).or_insert(0) += n;
     }
@@ -210,6 +210,55 @@ impl Metrics {
     }
 }
 
+/// Sent and delivered copies per message kind, as the tick engine counts
+/// them on every send and delivery: a lane sees a handful of kinds, so a
+/// scan of a short table finds one sooner than a map lookup.
+/// [`KindCounts::add_to`] hands the totals to a [`Metrics`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KindCounts {
+    /// `(kind, sent, delivered)`, in order of first appearance.
+    rows: Vec<(&'static str, u64, u64)>,
+}
+
+impl KindCounts {
+    /// Counts one sent copy (before loss) of `kind`.
+    pub(crate) fn count_sent(&mut self, kind: &'static str) {
+        self.row(kind).1 += 1;
+    }
+
+    /// Counts one copy of `kind` delivered to a running receiver.
+    pub(crate) fn count_delivered(&mut self, kind: &'static str) {
+        self.row(kind).2 += 1;
+    }
+
+    fn row(&mut self, kind: &'static str) -> &mut (&'static str, u64, u64) {
+        let found = self.rows.iter().position(|row| row.0 == kind);
+        let at = found.unwrap_or_else(|| {
+            self.rows.push((kind, 0, 0));
+            self.rows.len() - 1
+        });
+        &mut self.rows[at]
+    }
+
+    /// Adds the counts into `metrics`' totals and per-kind maps; a kind
+    /// counted in one direction only gets no entry in the other's map.
+    pub(crate) fn add_to(&self, metrics: &mut Metrics) {
+        for &(kind, sent, delivered) in &self.rows {
+            if sent > 0 {
+                metrics.record_sent_kind(kind, sent);
+            }
+            if delivered > 0 {
+                metrics.record_delivered_batch(kind, delivered);
+            }
+        }
+    }
+
+    /// Forgets every count.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +351,26 @@ mod tests {
         reversed.merge(&b);
         reversed.merge(&a);
         assert_eq!(merged, reversed);
+    }
+
+    #[test]
+    fn kind_counts_add_up_to_the_recorders() {
+        let mut kinds = KindCounts::default();
+        let mut direct = Metrics::new();
+        for kind in ["data", "ack", "data", "heartbeat"] {
+            kinds.count_sent(kind);
+            direct.record_sent_kind(kind, 1);
+        }
+        kinds.count_delivered("ack");
+        direct.record_delivered("ack");
+        let mut folded = Metrics::new();
+        kinds.add_to(&mut folded);
+        // "data" and "heartbeat" were never delivered: no entry.
+        assert_eq!(folded, direct);
+        kinds.clear();
+        let mut cleared = Metrics::new();
+        kinds.add_to(&mut cleared);
+        assert_eq!(cleared, Metrics::new());
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! * Every lane draws from a private RNG seeded by
 //!   [`crate::shard_seed`]`(run_seed, shard)` — a pure function of the
 //!   run seed and the stable shard id, never of thread scheduling.
-//! * Flights are delivered in `(arrival, source lane, source seq)`
-//!   order: the lane's calendar keeps one bucket per `(arrival, source
-//!   lane)` and each source lane's batches reach it in emission order,
-//!   so the merge order is independent of which worker published first.
+//! * Flights are delivered by arrival tick, then source lane, then the
+//!   order the source lane emitted them: the lane's calendar keeps one
+//!   bucket per `(arrival, source lane)` and appends each source lane's
+//!   batches in the order it handed them over, so the merge order is
+//!   independent of which worker published first.
 //! * The fast-forward decision is taken by *global consensus*: each
 //!   lane publishes its [`LaneStatus`] at the barrier, and every worker
 //!   feeds the identical combined status to [`Lane::skip_idle`]. The
@@ -45,9 +46,14 @@
 //! # Synchronization shape
 //!
 //! Two `std::sync::Barrier` waits per executed tick; a `W × W` mailbox
-//! grid of `Mutex<Vec<_>>` slots, each locked at most once per tick by
-//! its single producer and once by its single consumer, on opposite
-//! sides of a barrier — the per-message hot path touches no lock. This
+//! grid of `Mutex` slots, each locked at most once per tick by its
+//! single producer and once by its single consumer, on opposite sides
+//! of a barrier — the per-message hot path touches no lock. What a slot
+//! holds is one tick's batch, moved whole: the calendar chunks, keyed by
+//! arrival tick, that the source lane wrote its flights into as it sent
+//! them. The receiver appends those chunks to its calendar's buckets as
+//! they are, so a cross-shard flight is written once and never copied,
+//! and a slot keeps no buffer of its own between ticks. This
 //! module is classified `relaxed-determinism` in `diffuse-lint`'s policy
 //! table: threading and per-shard streams are allowed, wall-clock reads
 //! and unordered iteration remain banned. The engine module it drives
@@ -57,7 +63,7 @@ use std::sync::{Barrier, Mutex};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 
-use crate::engine::{Flight, Lane, LaneEnv, LaneStatus};
+use crate::engine::{Batch, Lane, LaneEnv, LaneStatus};
 use crate::kernel::{Actor, Context, SimOptions};
 use crate::shard_rng::shard_seed;
 use crate::{Metrics, SimTime};
@@ -72,9 +78,10 @@ struct Shard<A: Actor> {
 /// Cross-shard coordination state for one `run_ticks` segment.
 struct Shared<M> {
     /// `W × W` single-producer/single-consumer mailbox slots, indexed
-    /// `dst * W + src`. Producer and consumer sides are separated by a
-    /// barrier, so each lock is uncontended by construction.
-    mailboxes: Vec<Mutex<Vec<Flight<M>>>>,
+    /// `dst * W + src`, each holding at most one tick's batch. Producer
+    /// and consumer sides are separated by a barrier, so each lock is
+    /// uncontended by construction.
+    mailboxes: Vec<Mutex<Batch<M>>>,
     barrier: Barrier,
     /// Each lane's next-tick status, published at the barrier so every
     /// worker takes the identical fast-forward decision.
@@ -106,23 +113,25 @@ impl<A: Actor> Shard<A> {
             }
             self.lane.step(env, &mut self.actors[..]);
             // Hand the tick's outbound batches to their destination
-            // mailboxes; the consumer side drains after the barrier.
+            // mailboxes; the consumer side takes them after the barrier,
+            // so every slot is empty again by now.
             for dst in (0..workers).filter(|&dst| dst != index) {
                 let mut slot = shared.mailboxes[dst * workers + index]
                     .lock()
                     .expect(PANICKED);
-                slot.extend(self.lane.take_outbound(dst));
+                debug_assert!(slot.is_empty(), "last tick's batch was taken");
+                *slot = self.lane.take_outbound(dst);
             }
             shared.barrier.wait();
             // Source lanes land in separate calendar buckets, so the
-            // order they are drained in is irrelevant; what the key
-            // relies on is that one source's flights stay in the order
-            // that lane pushed them, which `extend` and `drain` keep.
+            // order they are accepted in is irrelevant; what delivery
+            // order relies on is that one source's batches arrive in the
+            // order it handed them over, one per tick.
             for src in (0..workers).filter(|&src| src != index) {
                 let mut slot = shared.mailboxes[index * workers + src]
                     .lock()
                     .expect(PANICKED);
-                self.lane.accept(slot.drain(..));
+                self.lane.accept(src, std::mem::take(&mut *slot));
             }
             shared.status.lock().expect(PANICKED)[index] = self.lane.status();
             shared.barrier.wait();
@@ -302,8 +311,8 @@ impl<A: Actor> ShardedKernel<A> {
     /// whatever shard `s` addressed to its siblings into their calendars.
     fn route_from(&mut self, s: usize) {
         for dst in (0..self.shards.len()).filter(|&dst| dst != s) {
-            let batch: Vec<_> = self.shards[s].lane.take_outbound(dst).collect();
-            self.shards[dst].lane.accept(batch);
+            let batch = self.shards[s].lane.take_outbound(dst);
+            self.shards[dst].lane.accept(s, batch);
         }
     }
 
@@ -340,7 +349,7 @@ where
         let env = &self.env;
         let shared: Shared<A::Message> = Shared {
             mailboxes: (0..workers * workers)
-                .map(|_| Mutex::new(Vec::new()))
+                .map(|_| Mutex::new(Batch::new()))
                 .collect(),
             barrier: Barrier::new(workers),
             status: Mutex::new(vec![LaneStatus::default(); workers]),
